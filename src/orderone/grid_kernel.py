@@ -171,15 +171,22 @@ def compose_kernels(a: MatrixKernel, b: MatrixKernel) -> MatrixKernel:
     return MatrixKernel(a.grid, d, unflat(prod, n, d))
 
 
+def _adjoint_gram(kappa: MatrixKernel) -> np.ndarray:
+    """Values of kappa* o kappa.  flat(kappa*) = flat(kappa)^T exactly, so the
+    composition is one product of the flat matrix with itself and needs no
+    transposed copy of the kernel."""
+    m = flat(kappa.values)
+    return unflat(m.T @ m * kappa.grid.step, kappa.grid.n_steps, kappa.dim)
+
+
 def eta_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
     """The symmetric kernel -(kappa + kappa* + kappa* o kappa).
 
     Its quadratic Wiener form is the exponent of the change-of-variables
     identity attached to the transformation induced by kappa.
     """
-    adj = adjoint_kernel(kappa)
-    quad = compose_kernels(adj, kappa)
-    vals = _symmetrize(-(kappa.values + adj.values + quad.values))
+    adj = np.transpose(kappa.values, (1, 0, 3, 2))
+    vals = _symmetrize(-(kappa.values + adj + _adjoint_gram(kappa)))
     return MatrixKernel(kappa.grid, kappa.dim, vals, symmetric=True)
 
 
@@ -200,8 +207,8 @@ def c_kernels(kappa: MatrixKernel, x: np.ndarray | None = None) -> MatrixKernel:
     Both are symmetric and positive semi-definite as operators.
     """
     if x is None:
-        out = compose_kernels(adjoint_kernel(kappa), kappa)
-        return MatrixKernel(kappa.grid, kappa.dim, _symmetrize(out.values), symmetric=True)
+        return MatrixKernel(kappa.grid, kappa.dim, _symmetrize(_adjoint_gram(kappa)),
+                            symmetric=True)
     x = np.asarray(x, dtype=float)
     if x.shape != (kappa.dim,):
         raise InvalidArgumentError(f"direction x has shape {x.shape}, expected ({kappa.dim},)")

@@ -19,6 +19,35 @@ dense linear algebra:
 The d = 2 regularization matters because the operators are Hilbert-Schmidt but
 generally not trace class; on the grid every matrix has a trace, and det2 of
 the matrix converges to the operator det2 under grid refinement.
+
+One factorisation per operator.  Everything asked of a symmetric M is a
+function of one eigensolve (`spectrum`: eigvalsh, or eigh when eigenvectors
+are needed), and everything asked of I + M is read from one LU
+(`factor_identity_plus`).  `lambda_max`, `det2`, `inverse_kernel` and
+`kappa_s` are thin readers of these.  An embedded check must not read the
+factorisation it checks, or it becomes a tautology; per scenario:
+
+    scenario        hot path                                check routes
+    transf          eigvalsh B_eta: gate, guard             (identity only)
+                    LU I+B_k: det2
+    inverse         eigvalsh B_eta: gate, guard, image      composition_roundtrip:
+                      gate 1 - 1/(1 - lambda_min)             paths through k, khat
+                    LU I+B_k: det2, khat by lu_solve        rn_normalization: own
+                                                              LU of I+B_khat, MC mass
+    surjective      eigh B_eta: gate, guard,                det2_sqrt_identity: LU
+                      det2(I-B_eta), kappa_s, and             of I-B_eta
+                      khat_s when f is not constant         eta_roundtrip: eta of
+                                                              kappa_s by composition
+    harmonic        eigvalsh B_{-c} (eigh when f is not     det_dual_route: slogdet
+                      constant): gate, det(I+B_c), c'_hat     of I + B^T B (no x)
+    cameron_martin  eigvalsh B_eta: gate, guard             det2_consistency:
+                    LU I+B_kphi: det2                         slogdet of I+B_kphi
+    gencv           eigvalsh B_s; eigvalsh B_eta and        closed forms of
+                      LU I+B_k, both again inside transf      lambda_s, lambda_eta, det2
+    integrability   eigvalsh B_eta: gate, guard             closed-form bound, oracle
+
+No factorisation outlives the verification that made it: each is as large
+as the operator, so none is attached to an HSMatrix or a kernel.
 """
 
 from __future__ import annotations
@@ -46,16 +75,20 @@ from .grid_kernel import (
 __all__ = [
     "HSMatrix",
     "Det2",
+    "Spectrum",
+    "IdentityPlusLU",
     "SpectralSummary",
     "assemble",
     "kernel_from_matrix",
+    "spectrum",
+    "factor_identity_plus",
     "lambda_max",
-    "lambda_min",
     "det2",
     "det2_matrix",
     "det2_product_identity_check",
     "trace",
     "inverse_kernel",
+    "inverse_kernel_from",
     "kappa_s",
     "injectivity_witness",
     "spectral_summary",
@@ -119,19 +152,6 @@ def _require_symmetric(matrix: np.ndarray, what: str):
         raise PreconditionError(f"{what} requires a symmetric operator (asymmetry {asym:.3e})")
 
 
-def lambda_max(op: HSMatrix | np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric operator (sup of the Rayleigh quotient)."""
-    m = op.matrix if isinstance(op, HSMatrix) else np.asarray(op, dtype=float)
-    _require_symmetric(m, "lambda_max")
-    return float(np.linalg.eigvalsh(m)[-1])
-
-
-def lambda_min(op: HSMatrix | np.ndarray) -> float:
-    m = op.matrix if isinstance(op, HSMatrix) else np.asarray(op, dtype=float)
-    _require_symmetric(m, "lambda_min")
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 @dataclass(frozen=True)
 class Det2:
     """Regularized determinant det2(I + B) as sign * exp(log_modulus).
@@ -151,34 +171,126 @@ class Det2:
         return self.sign * float(np.exp(self.log_modulus))
 
 
-def det2_matrix(b: np.ndarray) -> Det2:
-    """det2(I + b) = det(I + b) e^{-tr b} via LU in log domain.
+@dataclass(frozen=True)
+class Spectrum:
+    """One eigensolve of a symmetric operator matrix M: eigenvalues w
+    (ascending) and, when they were asked for, eigenvectors V.
+
+    The gate, det(I - M), det2(I - M) and every kernel V f(w) V^T of the
+    spectral calculus are read from it.  `grid` is None for a bare matrix.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray | None = None
+    grid: TimeGrid | None = None
+    dim: int = 1
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self.values[-1])
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self.values[0])
+
+    def logdet_complement(self) -> float:
+        """log det(I - M) = sum log(1 - w); requires lambda_max < 1."""
+        return float(np.sum(np.log1p(-self.values)))
+
+    def det2_complement(self) -> Det2:
+        """det2(I - M) = prod (1 - w) e^w, positive when lambda_max < 1."""
+        return Det2(sign=1, log_modulus=float(np.sum(np.log1p(-self.values) + self.values)))
+
+    def sqrt_kernel(self) -> MatrixKernel:
+        """The square-root kernel kappa_s: matrix V (sqrt(1 - w) - 1) V^T = sqrt(I - M) - I."""
+        return self._complement_kernel(lambda c: np.sqrt(c) - 1.0)
+
+    def inverse_sqrt_kernel(self) -> MatrixKernel:
+        """The inverse kernel of kappa_s: matrix V ((1 - w)^(-1/2) - 1) V^T."""
+        return self._complement_kernel(lambda c: 1.0 / np.sqrt(c) - 1.0)
+
+    def _complement_kernel(self, f) -> MatrixKernel:
+        if self.vectors is None or self.grid is None:
+            raise PreconditionError("building a kernel needs eigenvectors of a grid operator")
+        c = 1.0 - self.values
+        # analytically >= 1 - lambda > 0; any negative value is pure roundoff
+        c = np.maximum(c, PIVOT_RTOL * float(np.max(np.abs(c))))
+        m = (self.vectors * f(c)) @ self.vectors.T
+        m = 0.5 * (m + m.T)
+        return kernel_from_matrix(m, self.grid, self.dim, symmetric=True)
+
+
+def spectrum(op: HSMatrix | np.ndarray, vectors: bool = False) -> Spectrum:
+    """Eigen-decomposition of a symmetric operator: eigvalsh, or eigh when
+    the eigenvectors are needed."""
+    if isinstance(op, HSMatrix):
+        m, grid, dim = op.matrix, op.grid, op.dim
+    else:
+        m, grid, dim = np.asarray(op, dtype=float), None, 1
+    _require_symmetric(m, "spectrum")
+    if vectors:
+        w, v = np.linalg.eigh(m)
+        return Spectrum(w, v, grid, dim)
+    return Spectrum(np.linalg.eigvalsh(m), None, grid, dim)
+
+
+def lambda_max(op: HSMatrix | np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric operator (sup of the Rayleigh quotient)."""
+    return spectrum(op).lambda_max
+
+
+@dataclass(frozen=True)
+class IdentityPlusLU:
+    """One LU factorisation of I + M: det2(I + M) and the inverse matrix
+    (I + M)^{-1} - I are both read from it."""
+
+    matrix: np.ndarray  # M
+    lu: np.ndarray
+    piv: np.ndarray
+    det2: Det2
+
+    def inverse_matrix(self) -> np.ndarray:
+        """(I + M)^{-1} - I, computed as -(I+M)^{-1} M, which keeps the result
+        Hilbert-Schmidt-shaped instead of differencing two near-identity matrices."""
+        if self.det2.singular:
+            raise SingularOperatorError("I + B_kappa is numerically singular; no inverse kernel")
+        return -sla.lu_solve((self.lu, self.piv), self.matrix, check_finite=False)
+
+
+def factor_identity_plus(b: HSMatrix | np.ndarray) -> IdentityPlusLU:
+    """LU of I + b with det2(I + b) = det(I + b) e^{-tr b} in log domain.
 
     Rank deficiency: a pivot below 1e-8 of the pivot scale is suspicious; it
     is confirmed singular when the smallest singular value of I + b falls
     below PIVOT_RTOL times the largest (partial-pivoting LU alone inflates a
     zero eigenvalue to roughly n * eps * growth and cannot decide at 1e-14).
     """
-    b = np.asarray(b, dtype=float)
-    a = np.eye(b.shape[0]) + b
-    lu, piv = sla.lu_factor(a, check_finite=False)
+    b = b.matrix if isinstance(b, HSMatrix) else np.asarray(b, dtype=float)
+    a = np.array(b, order="F")  # Fortran order lets LAPACK factorise in place
+    a[np.diag_indices_from(a)] += 1.0
+    lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
     diag = np.diag(lu)
     scale = float(np.max(np.abs(diag))) if diag.size else 0.0
+    singular = Det2(sign=0, log_modulus=-np.inf, singular=True)
     if scale == 0.0:
-        return Det2(sign=0, log_modulus=-np.inf, singular=True)
+        return IdentityPlusLU(b, lu, piv, singular)
     if float(np.min(np.abs(diag))) <= 1e-8 * scale:
-        sv = sla.svdvals(a, check_finite=False)
+        sv = sla.svdvals(np.eye(b.shape[0]) + b, check_finite=False)
         if sv[0] == 0.0 or sv[-1] <= PIVOT_RTOL * sv[0]:
-            return Det2(sign=0, log_modulus=-np.inf, singular=True)
+            return IdentityPlusLU(b, lu, piv, singular)
     perm_sign = 1 if np.count_nonzero(piv != np.arange(len(piv))) % 2 == 0 else -1
     sign = perm_sign * (1 if np.count_nonzero(diag < 0) % 2 == 0 else -1)
     log_modulus = float(np.sum(np.log(np.abs(diag))) - np.trace(b))
-    return Det2(sign=sign, log_modulus=log_modulus)
+    return IdentityPlusLU(b, lu, piv, Det2(sign=sign, log_modulus=log_modulus))
+
+
+def det2_matrix(b: np.ndarray) -> Det2:
+    """det2(I + b) = det(I + b) e^{-tr b}, read from the LU of I + b."""
+    return factor_identity_plus(b).det2
 
 
 def det2(op: HSMatrix | np.ndarray) -> Det2:
-    m = op.matrix if isinstance(op, HSMatrix) else np.asarray(op, dtype=float)
-    return det2_matrix(m)
+    return factor_identity_plus(op).det2
 
 
 def trace(op: HSMatrix) -> float:
@@ -237,16 +349,13 @@ def det2_product_identity_check(op: HSMatrix) -> Det2ProductReport:
 
 
 def inverse_kernel(kappa: MatrixKernel) -> MatrixKernel:
-    """The kernel kappa_hat with B_kappa_hat = (I + B_kappa)^{-1} - I.
+    """The kernel kappa_hat with B_kappa_hat = (I + B_kappa)^{-1} - I."""
+    return inverse_kernel_from(factor_identity_plus(assemble(kappa)), kappa)
 
-    Computed as -(I+M)^{-1} M, which keeps the result Hilbert-Schmidt-shaped
-    instead of differencing two near-identity matrices.
-    """
-    m = assemble(kappa).matrix
-    if det2_matrix(m).singular:
-        raise SingularOperatorError("I + B_kappa is numerically singular; no inverse kernel")
-    a = np.eye(m.shape[0]) + m
-    m_hat = -np.linalg.solve(a, m)
+
+def inverse_kernel_from(lu: IdentityPlusLU, kappa: MatrixKernel) -> MatrixKernel:
+    """The inverse kernel of kappa, read from the LU of I + B_kappa."""
+    m_hat = lu.inverse_matrix()
     sym = kappa.symmetric and float(np.max(np.abs(m_hat - m_hat.T))) <= _SYM_RTOL * max(
         1.0, float(np.max(np.abs(m_hat)))
     )
@@ -264,19 +373,13 @@ def kappa_s(eta: MatrixKernel, enforce_gate: bool = True) -> MatrixKernel:
     """
     if not eta.symmetric:
         raise PreconditionError("kappa_s requires a symmetric kernel")
-    m_eta = assemble(eta).matrix
-    w, v = np.linalg.eigh(m_eta)
-    lam = float(w[-1])
+    spec = spectrum(assemble(eta), vectors=True)
+    lam = spec.lambda_max
     if enforce_gate and lam >= 1.0 - GATE_MARGIN:
         raise NotContractiveError(
             f"lambda_max(B_eta) = {lam:.12g} >= 1 - {GATE_MARGIN}; no square-root regime"
         )
-    c_eigs = 1.0 - w
-    # analytically >= 1 - lambda > 0; any negative value is pure roundoff
-    c_eigs = np.maximum(c_eigs, PIVOT_RTOL * float(np.max(np.abs(c_eigs))))
-    m_s = (v * np.sqrt(c_eigs)) @ v.T - np.eye(len(w))
-    m_s = 0.5 * (m_s + m_s.T)
-    return kernel_from_matrix(m_s, eta.grid, eta.dim, symmetric=True)
+    return spec.sqrt_kernel()
 
 
 @dataclass(frozen=True)

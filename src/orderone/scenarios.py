@@ -405,10 +405,10 @@ def verify_finite_dim(
 # ---------------------------------------------------------------------------
 
 def _gate_prologue(kappa: MatrixKernel):
+    """The eta kernel, the gate spectrum of B_eta (one eigensolve) and its guard."""
     eta = gk.eta_of_kappa(kappa)
-    lam = op.lambda_max(op.assemble(eta))
-    guard = st.exp_q_moment_guard(eta)
-    return eta, lam, guard
+    gate = op.spectrum(op.assemble(eta))
+    return eta, gate, st.moment_guard(gate.lambda_max)
 
 
 def verify_transf(
@@ -424,7 +424,8 @@ def verify_transf(
     name = name or f"transf[{spec}]"
     prov = _base_provenance(spec, grid, kappa.dim, n_paths, seed, f)
 
-    eta, lam, guard = _gate_prologue(kappa)
+    eta, gate, guard = _gate_prologue(kappa)
+    lam = gate.lambda_max
     if guard == "reject":
         return _rejected(name, "transf", lam, guard, tol, prov)
     d2 = op.det2(op.assemble(kappa))
@@ -471,15 +472,18 @@ def verify_inverse(
     name = name or f"inverse[{spec}]"
     prov = _base_provenance(spec, grid, kappa.dim, n_paths, seed, f)
 
-    eta, lam, guard = _gate_prologue(kappa)
+    eta, gate, guard = _gate_prologue(kappa)
+    lam = gate.lambda_max
     if guard == "reject":
         return _rejected(name, "inverse", lam, guard, tol, prov)
-    d2 = op.det2(op.assemble(kappa))
+    lu = op.factor_identity_plus(op.assemble(kappa))
+    d2 = lu.det2
     spectra = _spectra_dict(kappa, d2)
     spectra["lambda_eta"] = lam
     if d2.singular:
         return _singular(name, "inverse", lam, guard, tol, prov, spectra)
-    kappa_hat = op.inverse_kernel(kappa)
+    kappa_hat = op.inverse_kernel_from(lu, kappa)
+    del lu  # as large as the operator, and the Monte Carlo below does not need it
     ci = guard == "ok"
 
     def lhs_fn(batch: PathBatch):
@@ -518,9 +522,12 @@ def verify_inverse(
         note="max increment deviation / path scale over both orders",
     )
 
-    # Radon-Nikodym mass of the image measure
+    # Radon-Nikodym mass of the image measure.  On the grid
+    # I - M_eta_hat = ((I+M)(I+M)^T)^{-1} has the spectrum 1 / (1 - w), w over
+    # the gate spectrum, so its gate is 1 - 1 / (1 - lambda_min(B_eta)).  The
+    # weight's det2 takes its own LU, so the mass checks it independently.
     eta_hat = gk.eta_of_kappa(kappa_hat)
-    guard_hat = st.exp_q_moment_guard(eta_hat)
+    guard_hat = st.moment_guard(1.0 - 1.0 / (1.0 - gate.lambda_min))
     d2_hat = op.det2(op.assemble(kappa_hat))
     rn_scale = float(np.exp(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2))
 
@@ -554,16 +561,18 @@ def verify_surjective(
     prov = _base_provenance(spec, grid, eta.dim, n_paths, seed, f)
 
     m_eta = op.assemble(eta)
-    lam = op.lambda_max(m_eta)
-    guard = st.exp_q_moment_guard(eta)
+    eig = op.spectrum(m_eta, vectors=True)
+    lam = eig.lambda_max
+    guard = st.moment_guard(lam)
     if guard == "reject":
         return _rejected(name, "surjective", lam, guard, tol, prov)
     ci = guard == "ok"
 
-    kappa = op.kappa_s(eta)
-    kappa_hat = op.inverse_kernel(kappa)
-    d2_eta = op.det2_matrix(-m_eta.matrix)  # det2(I - B_eta) > 0 in the gate regime
-    d2_kappa = op.det2(op.assemble(kappa))
+    kappa = eig.sqrt_kernel()
+    d2_eta = eig.det2_complement()  # det2(I - B_eta) > 0 in the gate regime
+    # the right-hand side transforms the paths only when f is not constant
+    kappa_hat = None if f.is_constant_one else eig.inverse_sqrt_kernel()
+    del eig  # the eigenvectors are as large as the operator
     spectra = {
         "lambda_eta": lam,
         "det2_sign": d2_eta.sign,
@@ -574,11 +583,12 @@ def verify_surjective(
 
     report = ScenarioReport(name, "surjective", None, None, None, None, tol,
                             "undecided", _gate_dict(lam, guard), spectra, {}, prov)
-    # det2(I - B_eta) = (|det2(I + B_kappa_s)| e^{-||kappa_s||^2/2})^2, in logs
-    sqrt_log = 2.0 * (d2_kappa.log_modulus - 0.5 * gk.kernel_l2_norm(kappa) ** 2)
+    # det2(I - B_eta) = (|det2(I + B_kappa_s)| e^{-||kappa_s||^2/2})^2 = prod (1-w) e^w
+    # in the spectral calculus that builds kappa_s; an LU of I - B_eta, which
+    # shares nothing with the eigensolve, is the independent route
     report.checks["det2_sqrt_identity"] = _check_close(
-        sqrt_log, d2_eta.log_modulus, OPERATOR_TOL,
-        note="log det2(I-B_eta) against the square of the kappa_s factor",
+        d2_eta.log_modulus, op.det2_matrix(-m_eta.matrix).log_modulus, OPERATOR_TOL,
+        note="log of the squared kappa_s factor, prod (1-w) e^w, against an LU of I-B_eta",
     )
     # eta round trip of the square-root construction
     eta_round = gk.eta_of_kappa(kappa)
@@ -656,9 +666,11 @@ def verify_harmonic(
         prov["x"] = x.tolist()
 
     kappa_l = gk.scale_kernel(kappa, float(np.sqrt(lam)))
-    c_kernel = gk.c_kernels(kappa_l, x)
-    m_c = op.assemble(c_kernel)
-    lam_neg = op.lambda_max(-m_c.matrix)  # Lambda(B_{-c}) <= 0 always
+    # one eigensolve of B_{-c} gives the gate, det(I + B_c) and, when f is not
+    # constant, the right-hand side kernel (I + B_c)^{-1/2} - I
+    neg_c = gk.scale_kernel(gk.c_kernels(kappa_l, x), -1.0)
+    eig = op.spectrum(op.assemble(neg_c), vectors=not f.is_constant_one)
+    lam_neg = eig.lambda_max  # Lambda(B_{-c}) <= 0 always
     guard = "ok"
     gate = {"lambda_eta": float(lam_neg), "guard": guard,
             "note": "gate kernel is -c(kappa); nonpositive by construction"}
@@ -668,7 +680,7 @@ def verify_harmonic(
         lam_neg, 0.0, 1e-10, note="Lambda(B_{-c}) <= 0"
     )
 
-    sign_c, logdet_c = np.linalg.slogdet(np.eye(m_c.matrix.shape[0]) + m_c.matrix)
+    logdet_c = eig.logdet_complement()  # log det(I + B_c), I + B_c >= I
     if x is None:
         m_k = op.assemble(kappa_l).matrix
         sign_b, logdet_b = np.linalg.slogdet(np.eye(m_k.shape[0]) + m_k.T @ m_k)
@@ -676,14 +688,12 @@ def verify_harmonic(
             logdet_b, logdet_c, 1e-10, note="det(I + B^T B) against det(I + B_c)"
         )
     report.spectra = {
-        "det_log": float(logdet_c),
-        "det_sign": int(sign_c),
+        "det_log": logdet_c,
+        "det_sign": 1,
         "hs_norm": gk.kernel_l2_norm(kappa_l),
     }
-
-    neg_c = gk.scale_kernel(c_kernel, -1.0)
-    c_prime = op.kappa_s(neg_c)
-    c_prime_hat = op.inverse_kernel(c_prime)
+    c_prime_hat = None if f.is_constant_one else eig.inverse_sqrt_kernel()
+    del eig  # the eigenvectors are as large as the operator
 
     def lhs_fn(batch: PathBatch):
         h = st.h_functionals(kappa_l, batch, x)
@@ -726,7 +736,8 @@ def verify_cameron_martin(
     prov["kernel_role"] = "phi"
 
     kappa_phi = gk.kappa_from_phi(phi)
-    eta, lam, guard = _gate_prologue(kappa_phi)
+    eta, gate, guard = _gate_prologue(kappa_phi)
+    lam = gate.lambda_max
     if guard == "reject":
         return _rejected(name, "cameron_martin", lam, guard, tol, prov)
     ci = guard == "ok"
@@ -801,7 +812,8 @@ def verify_gencv_example(
     name = name or f"gencv[{spec}]"
 
     lam_s = op.lambda_max(op.assemble(gk.s_of_kappa(kappa)))
-    eta, lam_eta, guard = _gate_prologue(kappa)
+    eta, gate, guard = _gate_prologue(kappa)
+    lam_eta = gate.lambda_max
     d2 = op.det2(op.assemble(kappa))
     prov = _base_provenance(spec, grid, 1, n_paths, seed, functional)
     spectra = _spectra_dict(kappa, d2)
@@ -864,7 +876,7 @@ def verify_integrability_bound(
     prov = _base_provenance(spec, grid, eta.dim, n_paths, seed)
 
     lam = op.lambda_max(op.assemble(eta))
-    guard = st.exp_q_moment_guard(eta)
+    guard = st.moment_guard(lam)
     if guard == "reject":
         return _rejected(name, "integrability", lam, guard, tol, prov)
     ci = guard == "ok"

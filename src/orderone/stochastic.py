@@ -45,6 +45,7 @@ __all__ = [
     "cm_exponent",
     "cm_trace_correction",
     "exp_q_moment_guard",
+    "moment_guard",
     "save_batch",
     "load_batch",
 ]
@@ -220,17 +221,15 @@ def cm_trace_correction(phi: MatrixKernel) -> float:
     return float(np.sum(np.triu(tr_blocks, k=1)) * phi.grid.step ** 2)
 
 
-def exp_q_moment_guard(eta: MatrixKernel) -> str:
-    """Integrability state of exp(q_eta) under the Wiener measure.
+def moment_guard(lam: float) -> str:
+    """Integrability state of exp(q_eta) for the gate eigenvalue
+    lam = lambda_max(B_eta) under the Wiener measure.
 
     'reject'    lambda >= 1 - gate margin: the mean itself is infinite
     'ok_no_ci'  2 lambda >= 1: mean finite but variance infinite, so sample
                 standard errors are meaningless and no CI may be reported
     'ok'        both moments finite
     """
-    if not eta.symmetric:
-        raise PreconditionError("moment guard requires a symmetric kernel")
-    lam = lambda_max(assemble(eta))
     if lam >= 1.0 - GATE_MARGIN:
         return "reject"
     # roundoff guard: exactly-critical spectra (2 lambda == 1) must flag no-CI
@@ -238,6 +237,13 @@ def exp_q_moment_guard(eta: MatrixKernel) -> str:
     if 2.0 * lam >= 1.0 - 1e-12:
         return "ok_no_ci"
     return "ok"
+
+
+def exp_q_moment_guard(eta: MatrixKernel) -> str:
+    """moment_guard of the top eigenvalue of B_eta."""
+    if not eta.symmetric:
+        raise PreconditionError("moment guard requires a symmetric kernel")
+    return moment_guard(lambda_max(assemble(eta)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,219 @@
+"""One factorisation per operator: how many eigensolves and LUs each scenario
+makes, the quantities derived from a shared factorisation against direct
+routes, and the embedded checks that must stay on an independent route.
+
+A check shares nothing with the factorisation it checks when perturbing that
+factorisation by 1e-6 makes the check fail; a check read from the same
+factorisation would pass regardless."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from orderone import (
+    SingularOperatorError,
+    assemble,
+    eta_of_kappa,
+    inverse_kernel,
+    kernel_zoo,
+    lambda_max,
+    make_grid,
+    orthonormal_columns,
+    verify_cameron_martin,
+    verify_harmonic,
+    verify_inverse,
+    verify_surjective,
+    verify_transf,
+)
+from orderone.grid_kernel import MatrixKernel
+from orderone.operator import GATE_MARGIN, factor_identity_plus, spectrum
+from orderone.stochastic import moment_guard
+
+EPS = 1e-6
+ZOO = [
+    ("zero", 1), ("volterra", 1), ("rank1:b=0.3", 1), ("rank1:b=-0.6,n=2", 1),
+    ("rank2:b=0.2,c=0.3", 1), ("rank2:b=0.2,c=0.3,member=2", 1),
+    ("remark_gencv:b1=-2,b2=-3", 1), ("expdiag:p=[0.5,-0.5]", 2), ("const:c=1", 1),
+    ("const_phi:c=1", 1),
+]
+
+
+@pytest.fixture
+def grid():
+    return make_grid(1.0, 32)
+
+
+def _counting(monkeypatch):
+    calls = Counter()
+
+    def wrap(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("eigvalsh", "eigh", "slogdet", "solve"):
+        wrap(np.linalg, name)
+    wrap(scipy.linalg, "lu_factor")
+    return calls
+
+
+def _perturb_eigenvalues(monkeypatch):
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: eigvalsh(a, *args, **kw) + EPS)
+
+    def perturbed_eigh(a, *args, **kw):
+        w, v = eigh(a, *args, **kw)
+        return w + EPS, v
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+
+
+def _perturb_pivots(monkeypatch):
+    lu_factor = scipy.linalg.lu_factor
+
+    def perturbed(a, *args, **kw):
+        lu, piv = lu_factor(a, *args, **kw)
+        lu[np.diag_indices_from(lu)] *= 1.0 + EPS
+        return lu, piv
+    monkeypatch.setattr(scipy.linalg, "lu_factor", perturbed)
+
+
+# ---------------------------------------------------------------------------
+# factorisation counts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
+     {"eigvalsh": 1, "lu_factor": 1}),
+    (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
+     {"eigvalsh": 1, "lu_factor": 2}),
+    (lambda g: verify_surjective("rank1:b=0.3", "one", grid=g, n_paths=500),
+     {"eigh": 1, "lu_factor": 1}),
+    (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
+     {"eigh": 1, "lu_factor": 1}),
+    (lambda g: verify_harmonic("volterra", 1.0, None, "one", grid=g, n_paths=500),
+     {"eigvalsh": 1, "slogdet": 1}),
+    (lambda g: verify_harmonic("volterra", 1.0, None, "cos_end:1.0", grid=g, n_paths=500),
+     {"eigh": 1, "slogdet": 1}),
+    (lambda g: verify_harmonic("expdiag:p=[0.5,-0.5]", 0.5, [1.0, 0.0], "one", grid=g, dim=2,
+                               n_paths=500),
+     {"eigvalsh": 1}),
+], ids=["transf", "inverse", "surjective-one", "surjective-cos", "harmonic-one",
+        "harmonic-cos", "harmonic-x"])
+def test_one_factorisation_per_operator(grid, monkeypatch, run, expected):
+    calls = _counting(monkeypatch)
+    report = run(grid)
+    assert report.verdict == "pass"
+    assert dict(calls) == expected
+
+
+# ---------------------------------------------------------------------------
+# derived quantities against direct routes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, dim", ZOO)
+def test_image_gate_derived_from_gate_spectrum(spec, dim):
+    g = make_grid(1.0, 64)
+    kappa = kernel_zoo(spec, g, dim)
+    lam_min = spectrum(assemble(eta_of_kappa(kappa))).lambda_min
+    derived = 1.0 - 1.0 / (1.0 - lam_min)
+    direct = lambda_max(assemble(eta_of_kappa(inverse_kernel(kappa))))
+    assert abs(derived - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize("spec, dim", ZOO)
+def test_inverse_by_lu_solve_matches_dense_solve(spec, dim):
+    g = make_grid(1.0, 64)
+    m = assemble(kernel_zoo(spec, g, dim)).matrix
+    reference = -np.linalg.solve(np.eye(m.shape[0]) + m, m)
+    got = assemble(inverse_kernel(kernel_zoo(spec, g, dim))).matrix
+    assert np.max(np.abs(got - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("spec, dim", [("rank1:b=0.5", 1), ("rank2:b=0.2,c=0.3", 1),
+                                       ("expdiag:p=[0.5,-0.5]", 2)])
+def test_spectrum_readers_match_direct_routes(spec, dim):
+    g = make_grid(1.0, 64)
+    kappa = kernel_zoo(spec, g, dim)
+    m_eta = assemble(eta_of_kappa(kappa))
+    eig = spectrum(m_eta, vectors=True)
+    sign, logdet = np.linalg.slogdet(np.eye(m_eta.matrix.shape[0]) - m_eta.matrix)
+    assert sign == 1.0
+    assert abs(eig.logdet_complement() - logdet) <= 1e-12 * max(1.0, abs(logdet))
+    d2 = factor_identity_plus(-m_eta.matrix).det2
+    assert abs(eig.det2_complement().log_modulus - d2.log_modulus) <= 1e-12
+    root = assemble(eig.sqrt_kernel()).matrix
+    oracle = np.real(scipy.linalg.sqrtm(np.eye(len(root)) - m_eta.matrix)) - np.eye(len(root))
+    assert np.max(np.abs(root - oracle)) <= 1e-10
+    inv_root = assemble(eig.inverse_sqrt_kernel()).matrix
+    assert np.max(np.abs(inv_root - assemble(inverse_kernel(eig.sqrt_kernel())).matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("inverse", [
+    lambda k: inverse_kernel(k),
+    lambda k: factor_identity_plus(assemble(k)).inverse_matrix(),
+])
+def test_singular_operator_has_no_inverse(inverse):
+    kappa = kernel_zoo("rank1:b=-1", make_grid(1.0, 64))
+    assert factor_identity_plus(assemble(kappa)).det2.singular
+    with pytest.raises(SingularOperatorError):
+        inverse(kappa)
+
+
+def test_moment_guard_states():
+    assert moment_guard(1.0 - GATE_MARGIN) == "reject"
+    assert moment_guard(0.5 - 1e-13) == "ok_no_ci"
+    assert moment_guard(0.75) == "ok_no_ci"
+    assert moment_guard(0.49) == "ok"
+    assert moment_guard(-3.0) == "ok"
+
+
+# ---------------------------------------------------------------------------
+# embedded checks stay on independent routes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("check", ["det2_sqrt_identity", "eta_roundtrip"])
+def test_surjective_checks_see_a_perturbed_spectrum(grid, monkeypatch, check):
+    run = lambda: verify_surjective("rank1:b=0.3", "one", grid=grid, n_paths=500)  # noqa: E731
+    assert run().checks[check].passed
+    _perturb_eigenvalues(monkeypatch)
+    assert not run().checks[check].passed
+
+
+def test_harmonic_dual_route_sees_a_perturbed_spectrum(grid, monkeypatch):
+    run = lambda: verify_harmonic("volterra", 1.0, grid=grid, n_paths=500)  # noqa: E731
+    assert run().checks["det_dual_route"].passed
+    _perturb_eigenvalues(monkeypatch)
+    assert not run().checks["det_dual_route"].passed
+
+
+def test_det2_consistency_sees_perturbed_pivots(grid, monkeypatch):
+    run = lambda: verify_cameron_martin("const:c=1", grid=grid, n_paths=500)  # noqa: E731
+    assert run().checks["det2_consistency"].passed
+    _perturb_pivots(monkeypatch)
+    assert not run().checks["det2_consistency"].passed
+
+
+def _rotation_kernel(grid, angle=0.7):
+    """I + B is a rotation of span(e1, e2): eta and the image eta vanish, so
+    every weight is exactly 1 and the Radon-Nikodym mass has zero variance."""
+    e = orthonormal_columns(grid, 2)
+    c, s = np.cos(angle), np.sin(angle)
+    vals = ((c - 1.0) * (np.outer(e[:, 0], e[:, 0]) + np.outer(e[:, 1], e[:, 1]))
+            + s * (np.outer(e[:, 1], e[:, 0]) - np.outer(e[:, 0], e[:, 1])))
+    return MatrixKernel(grid, 1, vals[:, :, None, None])
+
+
+def test_rn_normalization_sees_perturbed_pivots(grid, monkeypatch):
+    # zero variance lets the mass be checked at 1e-9 instead of the MC tolerance
+    run = lambda: verify_inverse(_rotation_kernel(grid), "one", grid=grid,  # noqa: E731
+                                 n_paths=500, tol=1e-9)
+    report = run()
+    assert report.verdict == "pass"
+    assert report.checks["rn_normalization"].passed
+    _perturb_pivots(monkeypatch)
+    assert not run().checks["rn_normalization"].passed
