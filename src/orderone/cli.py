@@ -318,11 +318,22 @@ def _grid_from_args(args):
     return make_grid(args.horizon, args.grid)
 
 
+def _path_count(text: str) -> int:
+    """--paths: an integer >= 1, the minimum the config parser applies to samples."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_grid_flags(parser, samples_default=100_000):
     parser.add_argument("--grid", type=int, default=256, metavar="N", help="time steps")
     parser.add_argument("--horizon", type=float, default=1.0, metavar="T")
     parser.add_argument("--dim", type=int, default=1, metavar="D")
-    parser.add_argument("--paths", type=int, default=samples_default, metavar="M")
+    parser.add_argument("--paths", type=_path_count, default=samples_default, metavar="M")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=sc.DEFAULT_TOL)
     parser.add_argument("--out", default=None, help="report directory (default: env ORDERONE_OUT)")
@@ -340,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a config file of scenarios")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--paths", type=int, default=None)
+    p_run.add_argument("--paths", type=_path_count, default=None)
     p_run.add_argument("--grid", type=int, default=None)
     p_run.add_argument("--horizon", type=float, default=None)
     p_run.add_argument("--dim", type=int, default=None)

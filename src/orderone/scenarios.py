@@ -104,6 +104,8 @@ def exact_estimate(value: float) -> MCEstimate:
 
 
 def _chunk_sizes(n_paths: int, elements_per_path: int) -> list[int]:
+    if n_paths < 1:
+        raise InvalidArgumentError(f"the number of paths must be >= 1, got {n_paths}")
     chunk = max(1, min(n_paths, CHUNK_ELEMENTS // max(1, elements_per_path)))
     sizes = [chunk] * (n_paths // chunk)
     if n_paths % chunk:

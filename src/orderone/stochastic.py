@@ -18,7 +18,24 @@ Functionals of a batch:
 
 The quadratic form excludes the diagonal (strict lower triangle), matching the
 defining Riemann sums of the Ito integral; evaluating the path at left nodes
-keeps every cross term unbiased because dW_j is independent of W(t_j).
+keeps every cross term unbiased because dW_j is independent of W(t_j).  Since
+eta is symmetric, the two triangles contribute equally, so
+
+    q[m] = 1/2 (<dW, eta dW> - sum_i <dW_i, eta(t_i,t_i) dW_i>),
+
+which needs only the product with the whole kernel and its diagonal blocks.
+
+Every functional reaches its kernel through `MatrixKernel.apply` (x K^T),
+`apply_adjoint` (x K) and `diagonal_blocks`, never through the
+representation.  Cost per call on M paths, with n = N d:
+
+    dense values                  O(M n^2)   one (M, n) x (n, n) product
+    LowRank, rank r               O(M n r)   three thin products
+    LowerExp (volterra, expdiag)  O(M n)     a weighted cumulative sum
+
+Per-path reductions (q, h, psi) run over blocks of about PATH_BLOCK
+increments, so their intermediates stay in cache; each value still depends on
+its own path alone.
 """
 
 from __future__ import annotations
@@ -29,7 +46,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
-from .grid_kernel import MatrixKernel, TimeGrid, flat
+from .grid_kernel import MatrixKernel, TimeGrid
 from .operator import GATE_MARGIN, assemble, lambda_max
 
 __all__ = [
@@ -75,11 +92,7 @@ class PathBatch:
 
     def left_node_values(self) -> np.ndarray:
         """W(t_k) = sum_{i<k} dW_i for k = 0 .. N-1 (so W(t_0) = 0)."""
-        m, n, d = self.increments.shape
-        w = np.empty((m, n, d))
-        w[:, 0] = 0.0
-        np.cumsum(self.increments[:, :-1], axis=1, out=w[:, 1:])
-        return w
+        return _left_node_values(self.increments)
 
     def terminal_values(self) -> np.ndarray:
         """W(T) per path, shape (M, d)."""
@@ -112,14 +125,32 @@ def sample_paths(
     return PathBatch(grid, dim, inc, int(seed), tuple(stream))
 
 
+def _left_node_values(increments: np.ndarray) -> np.ndarray:
+    m, n, d = increments.shape
+    w = np.empty((m, n, d))
+    w[:, 0] = 0.0
+    np.cumsum(increments[:, :-1], axis=1, out=w[:, 1:])
+    return w
+
+
 def _check_grid(kernel: MatrixKernel, batch: PathBatch):
     if kernel.grid != batch.grid or kernel.dim != batch.dim:
         raise InvalidArgumentError("kernel and path batch live on different grids")
 
 
-def _flat_paths(arr: np.ndarray) -> np.ndarray:
-    m, n, d = arr.shape
-    return arr.reshape(m, n * d)
+# increment elements per block of paths in a per-path reduction, so that its
+# (paths, N, d) intermediates stay in cache
+PATH_BLOCK = 1 << 17
+
+
+def _per_path(reduce, increments: np.ndarray) -> np.ndarray:
+    """reduce(dW block) -> one value per path, run over blocks of paths."""
+    m, n, d = increments.shape
+    rows = max(1, PATH_BLOCK // (n * d))
+    out = np.empty(m)
+    for r0 in range(0, m, rows):
+        out[r0:r0 + rows] = reduce(increments[r0:r0 + rows])
+    return out
 
 
 def wiener_integral(kappa: MatrixKernel, batch: PathBatch) -> np.ndarray:
@@ -129,9 +160,7 @@ def wiener_integral(kappa: MatrixKernel, batch: PathBatch) -> np.ndarray:
     the Volterra indicator it telescopes back to the path at the left nodes.
     """
     _check_grid(kappa, batch)
-    m, n, d = batch.increments.shape
-    out = _flat_paths(batch.increments) @ flat(kappa.values).T
-    return out.reshape(m, n, d)
+    return kappa.apply(batch.increments)
 
 
 def apply_transformation(kappa: MatrixKernel, batch: PathBatch) -> PathBatch:
@@ -141,36 +170,47 @@ def apply_transformation(kappa: MatrixKernel, batch: PathBatch) -> PathBatch:
     Affine in the path, so composing with the inverse kernel's transformation
     returns the original increments to machine precision.
     """
-    drift = wiener_integral(kappa, batch)
-    inc = batch.increments + drift * kappa.grid.step
+    inc = wiener_integral(kappa, batch)
+    inc *= kappa.grid.step
+    inc += batch.increments
     return replace(batch, increments=inc)
 
 
 def quadratic_form(eta: MatrixKernel, batch: PathBatch) -> np.ndarray:
-    """Double Ito sum of a symmetric kernel over the strict lower triangle."""
+    """Double Ito sum of a symmetric kernel over the strict lower triangle,
+    evaluated as 1/2 (<dW, eta dW> - sum_i <dW_i, eta_ii dW_i>)."""
     if not eta.symmetric:
         raise PreconditionError("quadratic_form requires a symmetric kernel")
     _check_grid(eta, batch)
-    n = eta.grid.n_steps
-    tri = np.tril(np.ones((n, n)), k=-1)
-    lower = flat(eta.values * tri[:, :, None, None])
-    dwf = _flat_paths(batch.increments)
-    inner = dwf @ lower.T  # inner[m, (i,a)] = sum_{j<i} (eta_ij dW_j)_a
-    return np.einsum("mk,mk->m", inner, dwf)
+    blocks = eta.diagonal_blocks()
+
+    def reduce(dw):
+        full = np.einsum("mia,mia->m", eta.apply(dw), dw)
+        return 0.5 * (full - np.einsum("mia,iab,mib->m", dw, blocks, dw))
+
+    return _per_path(reduce, batch.increments)
 
 
 def h_functionals(
     kappa: MatrixKernel, batch: PathBatch, x: np.ndarray | None = None
 ) -> np.ndarray:
     """Oscillator energies: 1/2 int <x, I(t)>^2 dt, or 1/2 int |I(t)|^2 dt without x."""
-    integral = wiener_integral(kappa, batch)
-    if x is None:
-        return 0.5 * np.einsum("mia,mia->m", integral, integral) * kappa.grid.step
-    x = np.asarray(x, dtype=float)
-    if x.shape != (kappa.dim,):
-        raise InvalidArgumentError(f"direction x has shape {x.shape}, expected ({kappa.dim},)")
-    proj = integral @ x
-    return 0.5 * np.einsum("mi,mi->m", proj, proj) * kappa.grid.step
+    _check_grid(kappa, batch)
+    if x is not None:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (kappa.dim,):
+            raise InvalidArgumentError(
+                f"direction x has shape {x.shape}, expected ({kappa.dim},)"
+            )
+
+    def reduce(dw):
+        integral = kappa.apply(dw)
+        if x is None:
+            return 0.5 * np.einsum("mia,mia->m", integral, integral) * kappa.grid.step
+        proj = integral @ x
+        return 0.5 * np.einsum("mi,mi->m", proj, proj) * kappa.grid.step
+
+    return _per_path(reduce, batch.increments)
 
 
 def cameron_martin_drift(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
@@ -178,15 +218,13 @@ def cameron_martin_drift(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
     transformation's shift; agrees with the Wiener integral of the tail kernel
     of phi up to an O(sqrt(Delta)) pathwise error."""
     _check_grid(phi, batch)
-    m, n, d = batch.increments.shape
-    wf = _flat_paths(batch.left_node_values())
-    out = wf @ flat(phi.values).T * phi.grid.step
-    return out.reshape(m, n, d)
+    return phi.apply(batch.left_node_values()) * phi.grid.step
 
 
 def apply_linear_transformation(phi: MatrixKernel, batch: PathBatch) -> PathBatch:
-    drift = cameron_martin_drift(phi, batch)
-    inc = batch.increments + drift * phi.grid.step
+    inc = cameron_martin_drift(phi, batch)
+    inc *= phi.grid.step
+    inc += batch.increments
     return replace(batch, increments=inc)
 
 
@@ -204,14 +242,15 @@ def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> tuple[np.ndarray, np.nda
     """
     _check_grid(phi, batch)
     dt = phi.grid.step
-    dwf = _flat_paths(batch.increments)
-    wf = _flat_paths(batch.left_node_values())
-    pf = flat(phi.values)
-    cross = dwf @ pf  # cross[m, (j,b)] = sum_i (phi_ij^T dW_i)_b
-    term1 = -np.einsum("mk,mk->m", cross, wf) * dt
-    drift = wf @ pf.T * dt
-    term2 = -0.5 * np.einsum("mk,mk->m", drift, drift) * dt
-    psi = term1 + term2
+
+    def reduce(dw):
+        w = _left_node_values(dw)
+        cross = phi.apply_adjoint(dw)  # cross[m, j] = sum_i phi_ij^T dW_i
+        term1 = -np.einsum("mjb,mjb->m", cross, w) * dt
+        drift = phi.apply(w) * dt
+        return term1 - 0.5 * np.einsum("mia,mia->m", drift, drift) * dt
+
+    psi = _per_path(reduce, batch.increments)
     return psi, psi + cm_trace_correction(phi)
 
 
@@ -280,9 +319,11 @@ class TestFunctional:
                 raise InvalidArgumentError(f"cos_end needs a real parameter, got {text!r}")
         if name == "cos_mid":
             parts = body.split(",")
-            if len(parts) != 2:
-                raise InvalidArgumentError(f"cos_mid needs 'a,tau', got {text!r}")
-            return cls("cos_mid", a=float(parts[0]), tau=float(parts[1]))
+            try:
+                a, tau = map(float, parts)
+            except ValueError:
+                raise InvalidArgumentError(f"cos_mid needs two reals 'a,tau', got {text!r}")
+            return cls("cos_mid", a=a, tau=tau)
         raise InvalidArgumentError(
             f"unknown functional {text!r}; expected one, cos_end:a, exp_negsq, cos_mid:a,tau"
         )
@@ -317,12 +358,22 @@ class TestFunctional:
 # binary replay format
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"WPB1"
+# WPB2: header (magic, T, N, d, M, seed), the stream length K, K stream
+# entries, then the row-major float64 increments.  WPB1 dumps have no stream.
+_MAGIC_V1 = b"WPB1"
+_MAGIC = b"WPB2"
 _HEADER = struct.Struct("<4sd3Qq")  # magic, T, N, d, M, seed
+_COUNT = struct.Struct("<Q")
 
 
 def save_batch(batch: PathBatch, path) -> None:
-    """Dump header (T, N, d, M, seed) + row-major float64 increments."""
+    """Dump the batch, its seed and its stream in the WPB2 format."""
+    try:
+        stream = struct.pack(f"<Q{len(batch.stream)}Q", len(batch.stream), *batch.stream)
+    except struct.error:
+        raise InvalidArgumentError(
+            f"stream {batch.stream!r} does not fit unsigned 64-bit entries"
+        )
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(
@@ -334,14 +385,37 @@ def save_batch(batch: PathBatch, path) -> None:
                 batch.seed,
             )
         )
+        fh.write(stream)
         fh.write(np.ascontiguousarray(batch.increments, dtype="<f8").tobytes())
 
 
 def load_batch(path) -> PathBatch:
+    """Load a WPB2 dump, or a WPB1 dump (which reloads with stream ())."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, horizon, n, d, m, seed = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise InvalidArgumentError(f"{path}: not a path-batch dump")
-        payload = np.frombuffer(fh.read(), dtype="<f8").reshape(m, n, d).copy()
-    return PathBatch(TimeGrid(horizon, n), d, payload, seed)
+        data = fh.read()
+
+    def field(start: int, size: int, what: str) -> bytes:
+        if len(data) < start + size:
+            raise InvalidArgumentError(
+                f"{path}: truncated {what}: expected {size} bytes, "
+                f"got {max(len(data) - start, 0)}"
+            )
+        return data[start:start + size]
+
+    magic, horizon, n, d, m, seed = _HEADER.unpack(field(0, _HEADER.size, "header"))
+    if magic not in (_MAGIC, _MAGIC_V1):
+        raise InvalidArgumentError(f"{path}: not a path-batch dump")
+    offset, stream = _HEADER.size, ()
+    if magic == _MAGIC:
+        (count,) = _COUNT.unpack(field(offset, _COUNT.size, "stream length"))
+        offset += _COUNT.size
+        stream = struct.unpack(f"<{count}Q", field(offset, count * _COUNT.size, "stream"))
+        offset += count * _COUNT.size
+    size = m * n * d * 8
+    if len(data) - offset != size:
+        raise InvalidArgumentError(
+            f"{path}: payload of {m} x {n} x {d} increments needs {size} bytes, "
+            f"got {len(data) - offset}"
+        )
+    increments = np.frombuffer(data, dtype="<f8", offset=offset).reshape(m, n, d).copy()
+    return PathBatch(TimeGrid(horizon, n), d, increments, seed, stream)

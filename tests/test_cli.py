@@ -300,3 +300,15 @@ def test_usage_errors():
     assert main(["verify", "transf", "--kernel", "bogus:z=1", "--paths", "10"]) == EXIT_USAGE
     assert main(["spectrum"]) == EXIT_USAGE  # missing argument
     assert main([]) == EXIT_USAGE
+
+
+def test_paths_below_one_is_a_usage_error(tmp_path, capsys):
+    # --paths 0 used to divide by zero in the Monte Carlo reducer
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL)
+    for argv in (["verify", "transf", "--kernel", "rank1:b=0.3", "--paths", "0"],
+                 ["run", "--config", str(cfg), "--out", str(tmp_path), "--paths", "0"],
+                 ["sweep-laplace", "rank1:b=0.5", "--lambdas", "0.5", "--paths", "-1"]):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must be >= 1" in err and "Traceback" not in err

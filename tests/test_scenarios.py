@@ -213,6 +213,14 @@ def test_harmonic_rejects_negative_lambda(grid):
         verify_harmonic("volterra", -1.0, None, "one", grid, n_paths=10, seed=0)
 
 
+def test_zero_paths_is_a_typed_error(grid):
+    # both Monte Carlo reducers: the path one and the plain Gaussian one
+    with pytest.raises(InvalidArgumentError, match="paths must be >= 1"):
+        verify_transf("rank1:b=0.3", "cos_end:1.0", grid, n_paths=0, seed=0)
+    with pytest.raises(InvalidArgumentError, match="paths must be >= 1"):
+        verify_finite_dim(np.diag([0.2, -0.1]), "cos_sum", n_samples=0, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # linear transformations
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Path sampling and the Wiener functionals: determinism, moment checks at
 5 sigma, Ito conventions, and the closed-form chaos oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orderone import (
     InvalidArgumentError,
+    MatrixKernel,
     PreconditionError,
     TestFunctional,
+    adjoint_kernel,
     apply_linear_transformation,
     apply_transformation,
     cameron_martin_drift,
@@ -18,6 +23,7 @@ from orderone import (
     exp_q_moment_guard,
     h_functionals,
     inverse_kernel,
+    kappa_from_phi,
     kernel_from_values,
     kernel_zoo,
     load_batch,
@@ -29,6 +35,7 @@ from orderone import (
     scale_kernel,
     wiener_integral,
 )
+from orderone.grid_kernel import LowerExp, LowRank
 
 
 @pytest.fixture
@@ -81,12 +88,32 @@ def test_left_node_values_start_at_zero(grid):
 
 
 def test_batch_round_trip_dump(tmp_path, grid):
-    batch = sample_paths(grid, 2, 17, seed=11)
+    batch = sample_paths(grid, 2, 17, seed=11, stream=(3, 5))
     path = tmp_path / "batch.wpb"
     save_batch(batch, path)
     loaded = load_batch(path)
     npt.assert_array_equal(loaded.increments, batch.increments)
     assert loaded.grid == grid and loaded.seed == 11 and loaded.dim == 2
+    assert loaded.stream == (3, 5)
+    data = path.read_bytes()
+    header = 44  # magic, T, N, d, M, seed
+
+    # a WPB1 dump (no stream section) still loads, with stream ()
+    old = tmp_path / "old.wpb"
+    old.write_bytes(b"WPB1" + data[4:header] + data[header + 8 * 3:])
+    legacy = load_batch(old)
+    npt.assert_array_equal(legacy.increments, batch.increments)
+    assert legacy.stream == () and legacy.seed == 11
+
+    # truncations end in a typed error that names both byte counts
+    cut = tmp_path / "cut.wpb"
+    payload = 17 * 64 * 2 * 8
+    for size, message in ((10, "expected 44 bytes, got 10"),
+                          (header + 8 + 4, "expected 16 bytes, got 4"),
+                          (len(data) - 8, f"needs {payload} bytes, got {payload - 8}")):
+        cut.write_bytes(data[:size])
+        with pytest.raises(InvalidArgumentError, match=message):
+            load_batch(cut)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +381,7 @@ def test_functional_family_bounded(grid):
 
 
 def test_functional_parse_errors():
-    for bad in ("nope", "cos_end:x", "cos_mid:1.0"):
+    for bad in ("nope", "cos_end:x", "cos_mid:1.0", "cos_mid:x,0.5", "cos_mid:1,2,3"):
         with pytest.raises(InvalidArgumentError):
             TestFunctional.parse(bad)
 
@@ -372,3 +399,146 @@ def test_functional_evaluations(grid):
     npt.assert_allclose(
         TestFunctional.parse("cos_mid:1.0,0.5").evaluate(batch), np.cos(mid), atol=1e-15
     )
+
+
+# ---------------------------------------------------------------------------
+# factored kernel forms against the dense product
+# ---------------------------------------------------------------------------
+
+FACTORED_ZOO = [
+    ("volterra", 1), ("volterra", 2), ("rank1:b=0.3", 1), ("rank1:b=-0.6,n=3", 1),
+    ("rank2:b=0.2,c=0.3", 1), ("rank2:b=0.2,c=0.3,member=2", 1),
+    ("remark_gencv:b1=-2,b2=-3", 1), ("expdiag:p=[0.5,-0.5]", 2), ("expdiag:p=[-3]", 1),
+    ("const:c=1", 1), ("const:c=0.7", 2), ("const_phi:c=1", 1), ("const_phi:c=-0.4", 2),
+]
+DERIVED = {
+    "as built": lambda k: k,
+    "scaled": lambda k: scale_kernel(k, -1.7),
+    "adjoint": adjoint_kernel,
+    "eta": eta_of_kappa,
+    "tail": kappa_from_phi,
+}
+
+
+def _dense(kernel):
+    return replace(kernel, factored=None)
+
+
+def _magnitudes(kernel):
+    """The kernel's entries before any cancellation: |L| |C| |R|^T for a
+    low-rank form, |values| otherwise."""
+    form = kernel.factored
+    vals = np.abs(kernel.values)
+    if isinstance(form, LowRank):
+        bound = LowRank(np.abs(form.left), np.abs(form.core), np.abs(form.right))
+        vals = bound.rows(kernel.grid, kernel.dim, np.arange(kernel.grid.n_steps))
+    return MatrixKernel(kernel.grid, kernel.dim, np.ascontiguousarray(vals), kernel.symmetric)
+
+
+def _assert_functionals_match(kernel, batch):
+    """Every path functional on the factored kernel equals the dense product
+    to 1e-12 of its magnitude: the larger of the dense result and the same
+    functional of |kernel| on |dW|, which bounds the terms before they cancel."""
+    dense, bound = _dense(kernel), _magnitudes(kernel)
+    abs_batch = replace(batch, increments=np.abs(batch.increments))
+    x = np.linspace(1.0, 0.5, kernel.dim)
+    functionals = [wiener_integral, h_functionals, cameron_martin_drift,
+                   lambda k, b: h_functionals(k, b, x), lambda k, b: cm_exponent(k, b)[0]]
+    if kernel.symmetric:
+        functionals.append(quadratic_form)
+    for fn in functionals:
+        want = fn(dense, batch)
+        scale = max(np.max(np.abs(want)), np.max(np.abs(fn(bound, abs_batch))))
+        npt.assert_allclose(fn(kernel, batch), want, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("derive", sorted(DERIVED))
+@pytest.mark.parametrize("spec,dim", FACTORED_ZOO)
+def test_factored_functionals_match_dense(spec, dim, derive):
+    # N = 150 is not a multiple of anything the recursions block by
+    g = make_grid(1.0, 150)
+    kernel = DERIVED[derive](kernel_zoo(spec, g, dim))
+    _assert_functionals_match(kernel, sample_paths(g, dim, 40, seed=21))
+
+
+# coefficients are 0 or of normal size: a subnormal kernel has no 1e-12
+# relative precision on either route
+_COEFF = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 90),
+    rates=st.lists(st.floats(-400.0, 40.0), min_size=1, max_size=2),
+    b=_COEFF,
+    c=_COEFF,
+    factor=_COEFF,
+)
+def test_factored_forms_match_dense_property(n, rates, b, c, factor):
+    g = make_grid(2.0, n)
+    specs = [(f"expdiag:p=[{','.join(map(repr, rates))}]", len(rates)),
+             (f"remark_gencv:b1={b!r},b2={c!r}", 1), (f"const_phi:c={b!r}", len(rates))]
+    batch = {d: sample_paths(g, d, 8, seed=n) for d in (1, len(rates))}
+    for spec, dim in specs:
+        kernel = kernel_zoo(spec, g, dim)
+        for derived in (kernel, scale_kernel(kernel, factor), adjoint_kernel(kernel),
+                        eta_of_kappa(kernel)):
+            _assert_functionals_match(derived, batch[dim])
+
+
+def test_quadratic_form_matches_strict_lower_sum():
+    # the half (full - diagonal) identity against the defining strict-lower sum
+    g = make_grid(1.0, 24)
+    rng = np.random.default_rng(4)
+    raw = rng.normal(size=(24, 24, 2, 2))
+    eta = kernel_from_values(g, 0.5 * (raw + raw.transpose(1, 0, 3, 2)), symmetric=True)
+    batch = sample_paths(g, 2, 30, seed=4)
+    dw = batch.increments
+    oracle = np.einsum("mia,ijab,mjb,ij->m", dw, eta.values, dw, np.tri(24, k=-1))
+    npt.assert_allclose(quadratic_form(eta, batch), oracle, rtol=1e-12, atol=1e-12)
+    rank = eta_of_kappa(kernel_zoo("remark_gencv:b1=-2,b2=-3", g))
+    dw = sample_paths(g, 1, 30, seed=5)
+    oracle = np.einsum("mia,ijab,mjb,ij->m", dw.increments, rank.values, dw.increments,
+                       np.tri(24, k=-1))
+    npt.assert_allclose(quadratic_form(rank, dw), oracle, rtol=1e-12, atol=1e-12)
+
+
+def test_factored_form_survives_scenario_chains(grid):
+    # transf and inverse take q from the eta of a rank-one kernel; harmonic
+    # takes h from sqrt(lambda) times volterra or expdiag
+    assert isinstance(kernel_zoo("rank1:b=0.3", grid).factored, LowRank)
+    eta = eta_of_kappa(kernel_zoo("rank1:b=0.3", grid))
+    assert isinstance(eta.factored, LowRank) and eta.factored.core.shape == (2, 2)
+    assert isinstance(scale_kernel(eta, 0.5).factored, LowRank)
+    assert isinstance(kappa_from_phi(kernel_zoo("const:c=1", grid)).factored, LowRank)
+    for spec, dim in (("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2)):
+        scaled = scale_kernel(kernel_zoo(spec, grid, dim), np.sqrt(0.5))
+        assert isinstance(scaled.factored, LowerExp)
+    # kernels built by dense algebra or by the operator layer carry no form
+    assert eta_of_kappa(kernel_zoo("volterra", grid)).factored is None
+    assert inverse_kernel(kernel_zoo("rank1:b=0.3", grid)).factored is None
+
+
+def test_factors_that_disagree_with_values_are_rejected(grid):
+    good = kernel_zoo("rank1:b=0.3", grid)
+    form = good.factored
+    for wrong in (LowRank(form.left, form.core * (1 + 1e-9), form.right),
+                  LowRank(form.left, -form.core, form.right),
+                  LowRank(form.left[:-1], form.core, form.right[:-1])):
+        with pytest.raises(InvalidArgumentError):
+            MatrixKernel(grid, 1, good.values.copy(), True, wrong)
+    vol = kernel_zoo("volterra", grid)
+    for wrong in (LowerExp(np.array([1e-6])), LowerExp(np.zeros(1), transposed=True),
+                  LowerExp(np.zeros(1), scale=2.0), LowerExp(np.zeros(2))):
+        with pytest.raises(InvalidArgumentError):
+            MatrixKernel(grid, 1, vol.values.copy(), factored=wrong)
+
+
+def test_expdiag_large_negative_rate_is_finite():
+    # e^{-p t} alone would overflow at p t = 2000; the blocked recursion does not
+    g = make_grid(1.0, 64)
+    kernel = kernel_zoo("expdiag:p=[-2000,-300]", g)
+    batch = sample_paths(g, 2, 20, seed=9)
+    for k in (kernel, adjoint_kernel(kernel), scale_kernel(kernel, 3.0)):
+        assert np.all(np.isfinite(wiener_integral(k, batch)))
+        _assert_functionals_match(k, batch)
