@@ -262,7 +262,7 @@ class MatrixKernel:
         if not np.all(np.isfinite(v)):
             raise InvalidArgumentError("kernel values must be finite")
         if self.symmetric:
-            asym = self._max_asymmetry()
+            asym = self._max_deviation(lambda i: np.transpose(v[:, i], (1, 0, 3, 2)))
             if asym > SYMMETRY_TOL and asym > SYMMETRY_TOL * np.max(np.abs(v)):
                 raise InvalidArgumentError(
                     f"kernel flagged symmetric but max asymmetry is {asym:.3e}"
@@ -271,16 +271,15 @@ class MatrixKernel:
             self._check_factored()
         v.setflags(write=False)
 
-    def _row_blocks(self):
-        """Row ranges of about _CHECK_ELEMENTS entries, so the checks stay in cache."""
+    def _max_deviation(self, rows) -> float:
+        """max |rows(i) - values[i]| over row slices i of about _CHECK_ELEMENTS
+        entries, so that the construction checks stay in cache."""
         n, d = self.grid.n_steps, self.dim
         step = max(1, _CHECK_ELEMENTS // (n * d * d))
-        return [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
-
-    def _max_asymmetry(self) -> float:
-        v, err = self.values, 0.0
-        for i0, i1 in self._row_blocks():
-            diff = v[i0:i1] - np.transpose(v[:, i0:i1], (1, 0, 3, 2))
+        err = 0.0
+        for i0 in range(0, n, step):
+            i = slice(i0, min(i0 + step, n))
+            diff = rows(i) - self.values[i]
             err = max(err, float(np.max(np.abs(diff, out=diff))))
         return err
 
@@ -302,10 +301,7 @@ class MatrixKernel:
         for factor in factors:
             factor.setflags(write=False)
         scale = form.magnitude(self.grid)
-        err = 0.0
-        for i0, i1 in self._row_blocks():
-            diff = form.rows(self.grid, d, np.arange(i0, i1)) - self.values[i0:i1]
-            err = max(err, float(np.max(np.abs(diff, out=diff))))
+        err = self._max_deviation(lambda i: form.rows(self.grid, d, np.arange(n)[i]))
         if not err <= FACTOR_TOL * scale:
             raise InvalidArgumentError(
                 f"factored form departs from the kernel values by {err:.3e} "
