@@ -31,9 +31,9 @@ form, which the path layer uses instead of the dense (N d)^2 matrix:
 `kappa_from_phi` keep a LowRank form (a rank-r kappa gives an eta of rank at
 most 2r; the tail integral acts on R alone).  Every other constructor, and
 every kernel the operator layer builds, carries none.  Construction checks
-that the form reproduces the values to FACTOR_TOL relative, so the operator
-layer (which reads `values`) and the path layer (which reads the form)
-always see one kernel.  Callers never inspect the form: `apply` (x -> x K^T),
+that the form reproduces the values to FACTOR_TOL of the form's magnitude
+(its largest entry before cancellation), so the operator layer (which reads
+`values`) and the path layer (which reads the form) always see one kernel.  Callers never inspect the form: `apply` (x -> x K^T),
 `apply_adjoint` (x -> x K) and `diagonal_blocks` hide it, and fall back to the
 dense values when there is none.
 
