@@ -48,8 +48,8 @@ determinants) hold to machine precision on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 import re
+import threading
 
 import numpy as np
 
@@ -239,6 +239,7 @@ def _exp_causal_sum(x: np.ndarray, rates: np.ndarray, step: float, scale: float,
 # relative to the form's magnitude (its largest entry before cancellation)
 FACTOR_TOL = 1e-12
 _CHECK_ELEMENTS = 1 << 16  # kernel entries compared at a time by the construction checks
+_FLAT_LOCK = threading.Lock()  # guards the lazy flat copy of a dense kernel
 
 
 @dataclass(frozen=True)
@@ -321,11 +322,18 @@ class MatrixKernel:
             return self.factored.apply(x, self.grid, adjoint=True)
         return (x.reshape(x.shape[0], -1) @ self._flat).reshape(x.shape)
 
-    @cached_property
+    @property
     def _flat(self) -> np.ndarray:
         # a view for d = 1; for d > 1 one copy, made on the first dense product
-        # and shared by every block of paths after it
-        return flat(self.values)
+        # and shared by every block of paths after it.  Chunks run on several
+        # threads, so the copy is built under a lock, once.
+        cached = self.__dict__.get("_flat_matrix")
+        if cached is None:
+            with _FLAT_LOCK:
+                cached = self.__dict__.get("_flat_matrix")
+                if cached is None:
+                    cached = self.__dict__["_flat_matrix"] = flat(self.values)
+        return cached
 
     def diagonal_blocks(self) -> np.ndarray:
         """kappa(t_i, t_i), shape (N, d, d)."""

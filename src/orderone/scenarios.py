@@ -24,11 +24,28 @@ When the guard reports an infinite second moment (2 lambda >= 1) the scenario
 never fabricates a confidence interval: it downgrades to a consistency verdict
 that compares the median of fixed sub-batch means against the target at a
 widened tolerance.
+
+Chunk plan.  One Monte Carlo side of n paths of N d increments each runs as
+ceil(n / cap) chunks of near-equal size, cap = CHUNK_ELEMENTS // (N d);
+chunk idx draws its paths from the Philox stream (seed, side, idx).  Each
+chunk returns only its count, mean and M2 (the sum of squared deviations),
+the mean carried as a rounded value plus a correction, and the partials are
+merged in chunk order by the pairwise update of Chan, Golub and LeVeque,
+which does not cancel the way sum x^2 - n mean^2 does.  The chunks run on WORKERS =
+min(usable cores, 2^23 // CHUNK_ELEMENTS) threads (numpy's Philox fill, its
+ufuncs and BLAS release the GIL), so the increments in flight never exceed
+2^23 elements; a side of one chunk runs in the calling thread.  The chunk
+sizes do not depend on the machine and the merge order is fixed, so every
+report is bit-for-bit the same whatever the worker count.  Transformed paths
+are read at the functional's node alone (see `stochastic`), so no side forms
+a transformed batch.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+import os
 
 import numpy as np
 
@@ -61,7 +78,19 @@ __all__ = [
 DEFAULT_TOL = 0.02       # relative tolerance absorbing O(Delta) discretization bias
 OPERATOR_TOL = 1e-8      # operator-only assertions
 CONSISTENCY_FACTOR = 5.0  # widened tolerance for CI-less (median) comparisons
-CHUNK_ELEMENTS = 1 << 23  # soft cap on elements of one chunk's increment array
+CHUNK_ELEMENTS = 1 << 22  # cap on the elements of one chunk's increment array
+_IN_FLIGHT_ELEMENTS = 1 << 23  # cap on the elements of all chunks running at once
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# threads that run chunks; reports do not depend on it
+WORKERS = max(1, min(_usable_cores(), _IN_FLIGHT_ELEMENTS // CHUNK_ELEMENTS))
 
 _STREAM_LHS, _STREAM_RHS, _STREAM_PROBE, _STREAM_RN = 0, 1, 2, 3
 
@@ -104,64 +133,99 @@ def exact_estimate(value: float) -> MCEstimate:
 
 
 def _chunk_sizes(n_paths: int, elements_per_path: int) -> list[int]:
+    """ceil(n / cap) chunks of near-equal size (they differ by at most one),
+    cap = CHUNK_ELEMENTS // elements_per_path paths."""
     if n_paths < 1:
         raise InvalidArgumentError(f"the number of paths must be >= 1, got {n_paths}")
-    chunk = max(1, min(n_paths, CHUNK_ELEMENTS // max(1, elements_per_path)))
-    sizes = [chunk] * (n_paths // chunk)
-    if n_paths % chunk:
-        sizes.append(n_paths % chunk)
-    return sizes
+    cap = max(1, CHUNK_ELEMENTS // max(1, elements_per_path))
+    count = -(-n_paths // cap)
+    base, extra = divmod(n_paths, count)
+    return [base + 1] * extra + [base] * (count - extra)
 
 
-def _mc_paths(
-    grid: TimeGrid,
-    dim: int,
-    n_paths: int,
-    seed: int,
-    stream_id: int,
-    per_path,
-    scale: float = 1.0,
-    ci_valid: bool = True,
+def _map_chunks(run, n_chunks: int) -> list:
+    """[run(0), ..., run(n_chunks - 1)], on up to WORKERS threads.
+
+    A chunk's exception propagates with its own type once the chunks already
+    running have finished; the ones not yet started are cancelled."""
+    workers = min(WORKERS, n_chunks)
+    if workers <= 1:
+        return [run(idx) for idx in range(n_chunks)]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(run, idx) for idx in range(n_chunks)]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _moments(vals: np.ndarray) -> tuple[int, float, float, float]:
+    """(count, mean, correction, M2) of one chunk.  The chunk mean is
+    mean + correction: the rounded mean plus the mean deviation from it, so
+    that the merge sees mean differences between chunks to full precision
+    even when the values share a large offset.  M2 is the sum of squared
+    deviations from the chunk mean."""
+    mean = vals.mean()
+    dev = vals - mean
+    corr = float(dev.mean())
+    np.square(dev, out=dev)
+    return vals.size, float(mean), corr, float(dev.sum()) - vals.size * corr * corr
+
+
+def _mc_estimate(
+    draw, n_samples: int, elements_per_sample: int, per_sample,
+    scale: float = 1.0, ci_valid: bool = True,
 ) -> MCEstimate:
-    """Stream chunks of paths through per_path and reduce in fixed order."""
-    total = 0.0
-    total_sq = 0.0
-    chunk_means = []
-    done = 0
-    for idx, size in enumerate(_chunk_sizes(n_paths, grid.n_steps * dim)):
-        batch = st.sample_paths(grid, dim, size, seed, stream=(stream_id, idx))
-        vals = np.asarray(per_path(batch), dtype=float)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        chunk_means.append(scale * float(vals.mean()))
-        done += size
-    mean = total / done
-    var = max(total_sq / done - mean * mean, 0.0) * done / max(done - 1, 1)
-    se = scale * float(np.sqrt(var / done))
-    return MCEstimate(
-        scale * mean, se if ci_valid else None, done, ci_valid, tuple(chunk_means)
-    )
+    """Draw the chunks of n_samples (draw(idx, size)), map per_sample over them
+    on the pool and merge their moments in chunk order by the pairwise update
+    of Chan, Golub and LeVeque."""
+    sizes = _chunk_sizes(n_samples, elements_per_sample)
+
+    def run(idx):
+        return _moments(np.asarray(per_sample(draw(idx, sizes[idx])), dtype=float))
+
+    parts = _map_chunks(run, len(sizes))
+    count, mean, corr, m2 = parts[0]
+    for n_b, mean_b, corr_b, m2_b in parts[1:]:
+        total = count + n_b
+        delta = (mean_b - mean) + (corr_b - corr)
+        corr += delta * n_b / total
+        m2 += m2_b + delta * delta * count * n_b / total
+        count = total
+    se = scale * float(np.sqrt(max(m2, 0.0) / max(count - 1, 1) / count))
+    return MCEstimate(scale * (mean + corr), se if ci_valid else None, count, ci_valid,
+                      tuple(scale * (p[1] + p[2]) for p in parts))
+
+
+def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
+              per_path, scale: float = 1.0, ci_valid: bool = True) -> MCEstimate:
+    """Monte Carlo over Wiener paths: chunk idx is the Philox stream
+    (seed, stream_id, idx)."""
+    def draw(idx, size):
+        return st.sample_paths(grid, dim, size, seed, stream=(stream_id, idx))
+
+    return _mc_estimate(draw, n_paths, grid.n_steps * dim, per_path, scale, ci_valid)
 
 
 def _mc_gaussians(n_dim: int, n_samples: int, seed: int, stream_id: int, per_sample,
                   scale: float = 1.0) -> MCEstimate:
-    """Same driver over plain standard-normal vectors in R^n."""
-    total = total_sq = 0.0
-    chunk_means = []
-    done = 0
-    for idx, size in enumerate(_chunk_sizes(n_samples, n_dim)):
+    """Monte Carlo over standard-normal vectors in R^n, keyed like `_mc_paths`."""
+    def draw(idx, size):
         key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, stream_id, idx])
-        rng = np.random.Generator(np.random.Philox(key))
-        x = rng.standard_normal((size, n_dim))
-        vals = np.asarray(per_sample(x), dtype=float)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        chunk_means.append(scale * float(vals.mean()))
-        done += size
-    mean = total / done
-    var = max(total_sq / done - mean * mean, 0.0) * done / max(done - 1, 1)
-    se = scale * float(np.sqrt(var / done))
-    return MCEstimate(scale * mean, se, done, True, tuple(chunk_means))
+        return np.random.Generator(np.random.Philox(key)).standard_normal((size, n_dim))
+
+    return _mc_estimate(draw, n_samples, n_dim, per_sample, scale)
+
+
+def _image_functional(f: TestFunctional, kernel: MatrixKernel, linear: bool = False):
+    """per_path of f along the image of each path under the transformation of
+    kernel (the linear transformation of phi = kernel when linear), read at
+    f's node alone; the node weights are built once, before any chunk."""
+    k = f.node(kernel.grid)
+    if k is None:
+        return lambda batch: np.ones(batch.n_paths)
+    weights = st.node_weights(kernel, k, linear)
+    return lambda batch: f.at_node(st.node_value(batch, weights))
 
 
 @dataclass(frozen=True)
@@ -437,10 +501,10 @@ def verify_transf(
         return _singular(name, "transf", lam, guard, tol, prov, spectra)
     ci = guard == "ok"
 
+    f_image = _image_functional(f, kappa)
+
     def lhs_fn(batch: PathBatch):
-        q = st.quadratic_form(eta, batch)
-        transformed = st.apply_transformation(kappa, batch)
-        return f.evaluate(transformed) * np.exp(q)
+        return f_image(batch) * np.exp(st.quadratic_form(eta, batch))
 
     # a zero kernel degenerates both sides to the same statistic of one batch;
     # sharing the stream then makes the discrepancy exactly zero
@@ -496,15 +560,11 @@ def verify_inverse(
     lhs = _mc_paths(grid, kappa.dim, n_paths, seed, _STREAM_LHS, lhs_fn,
                     scale=float(np.exp(d2.log_modulus)), ci_valid=ci)
     rhs_scale = float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2))
-
-    def rhs_fn(batch: PathBatch):
-        return f.evaluate(st.apply_transformation(kappa_hat, batch))
-
     if f.is_constant_one:
         rhs = exact_estimate(rhs_scale)
     else:
-        rhs = _mc_paths(grid, kappa.dim, n_paths, seed, rhs_stream, rhs_fn,
-                        scale=rhs_scale)
+        rhs = _mc_paths(grid, kappa.dim, n_paths, seed, rhs_stream,
+                        _image_functional(f, kappa_hat), scale=rhs_scale)
     z, rel, ok = _compare(lhs, rhs, tol)
     report = ScenarioReport(name, "inverse", lhs, rhs, z, rel, tol, "undecided",
                             _gate_dict(lam, guard), spectra, {}, prov)
@@ -607,15 +667,11 @@ def verify_surjective(
 
     lhs = _mc_paths(grid, eta.dim, n_paths, seed, _STREAM_LHS, lhs_fn, ci_valid=ci)
     rhs_scale = float(np.exp(-0.5 * d2_eta.log_modulus))
-
-    def rhs_fn(batch: PathBatch):
-        return f.evaluate(st.apply_transformation(kappa_hat, batch))
-
     if f.is_constant_one:
         rhs = exact_estimate(rhs_scale)
     else:
-        rhs = _mc_paths(grid, eta.dim, n_paths, seed, _STREAM_RHS, rhs_fn,
-                        scale=rhs_scale)
+        rhs = _mc_paths(grid, eta.dim, n_paths, seed, _STREAM_RHS,
+                        _image_functional(f, kappa_hat), scale=rhs_scale)
     z, rel, ok = _compare(lhs, rhs, tol)
     report.lhs, report.rhs, report.z_score, report.rel_error = lhs, rhs, z, rel
     report.checks["identity"] = Check(rel, 0.0, tol, ok, "main comparison")
@@ -703,15 +759,11 @@ def verify_harmonic(
 
     lhs = _mc_paths(grid, kappa.dim, n_paths, seed, _STREAM_LHS, lhs_fn)
     rhs_scale = float(np.exp(-0.5 * logdet_c))
-
-    def rhs_fn(batch: PathBatch):
-        return f.evaluate(st.apply_transformation(c_prime_hat, batch))
-
     if f.is_constant_one:
         rhs = exact_estimate(rhs_scale)
     else:
-        rhs = _mc_paths(grid, kappa.dim, n_paths, seed, _STREAM_RHS, rhs_fn,
-                        scale=rhs_scale)
+        rhs = _mc_paths(grid, kappa.dim, n_paths, seed, _STREAM_RHS,
+                        _image_functional(f, c_prime_hat), scale=rhs_scale)
     z, rel, ok = _compare(lhs, rhs, tol)
     report.lhs, report.rhs, report.z_score, report.rel_error = lhs, rhs, z, rel
     report.checks["identity"] = Check(rel, 0.0, tol, ok, "main comparison")
@@ -781,10 +833,11 @@ def verify_cameron_martin(
 
     det_abs = float(np.exp(d2.log_modulus + tr))
 
+    f_image = _image_functional(f, phi, linear=True)
+
     def lhs_fn(batch: PathBatch):
         psi, _ = st.cm_exponent(phi, batch)
-        transformed = st.apply_linear_transformation(phi, batch)
-        return f.evaluate(transformed) * np.exp(psi)
+        return f_image(batch) * np.exp(psi)
 
     degenerate = not np.any(phi.values)
     rhs_stream = _STREAM_LHS if degenerate else _STREAM_RHS

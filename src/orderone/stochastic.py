@@ -36,6 +36,16 @@ representation.  Cost per call on M paths, with n = N d:
 Per-path reductions (q, h, psi) run over blocks of about PATH_BLOCK
 increments, so their intermediates stay in cache; each value still depends on
 its own path alone.
+
+Node read.  Every test functional reads the path at one node k alone
+(`TestFunctional.node`; 'one' reads none), and the image of a path under
+either transformation is affine in its increments.  So W'(t_k) is dW G for
+weights G of shape (N d, d) built once per kernel and node (`node_weights`:
+one product of d rows with the kernel), and `transformed_node_value` /
+`linear_node_value` cost O(M N d^2) per batch for every representation,
+dense included, without forming the transformed (M, N, d) batch.  The
+Monte Carlo sides read transformed paths this way; `apply_transformation`
+and `apply_linear_transformation` remain for pathwise checks.
 """
 
 from __future__ import annotations
@@ -59,6 +69,10 @@ __all__ = [
     "h_functionals",
     "cameron_martin_drift",
     "apply_linear_transformation",
+    "node_weights",
+    "node_value",
+    "transformed_node_value",
+    "linear_node_value",
     "cm_exponent",
     "cm_trace_correction",
     "exp_q_moment_guard",
@@ -121,7 +135,8 @@ def sample_paths(
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, stream)])
     rng = np.random.Generator(np.random.Philox(key))
-    inc = rng.standard_normal((n_paths, grid.n_steps, dim)) * np.sqrt(grid.step)
+    inc = rng.standard_normal((n_paths, grid.n_steps, dim))
+    inc *= np.sqrt(grid.step)  # in place: one copy of the batch, not two
     return PathBatch(grid, dim, inc, int(seed), tuple(stream))
 
 
@@ -222,10 +237,61 @@ def cameron_martin_drift(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
 
 
 def apply_linear_transformation(phi: MatrixKernel, batch: PathBatch) -> PathBatch:
+    """The linear transformation on the grid: dW'_i = dW_i + G_i Delta, G the
+    linear drift of phi along the batch."""
     inc = cameron_martin_drift(phi, batch)
     inc *= phi.grid.step
     inc += batch.increments
     return replace(batch, increments=inc)
+
+
+def node_weights(kernel: MatrixKernel, k: int, linear: bool = False) -> np.ndarray:
+    """Weights G of shape (N d, d) with W'(t_k) = dW G, W' the image of each
+    path under the transformation of kernel (under the linear transformation
+    of phi = kernel when linear), dW flattened to (M, N d).
+
+    With U[a, i, b] = 1_{i<k} delta_ab and V = kernel.apply_adjoint(U), so
+    V[a, j, b] = sum_{i<k} kernel(t_i, t_j)[a, b]:
+
+        transformation   W'(t_k) = W(t_k) + Delta sum_{j,b} dW_{j,b} V[a, j, b]
+        linear           W'(t_k) = W(t_k) + Delta^2 sum_j <V[a, j], W(t_j)>,
+
+    and the linear sum equals sum_{i,b} dW_{i,b} sum_{j>i} V[a, j, b], a
+    reversed exclusive cumulative sum of V.  One kernel product of d rows.
+    """
+    n, d, dt = kernel.grid.n_steps, kernel.dim, kernel.grid.step
+    if not 0 <= k <= n:
+        raise InvalidArgumentError(f"node index {k} outside 0..{n}")
+    u = np.zeros((d, n, d))
+    for a in range(d):
+        u[a, :k, a] = 1.0
+    v = kernel.apply_adjoint(u)
+    if linear:
+        tail = np.zeros_like(v)
+        np.cumsum(v[:, :0:-1], axis=1, out=tail[:, -2::-1])
+        v = tail * dt * dt
+    else:
+        v *= dt
+    v += u  # the path itself: W(t_k) = sum_{i<k} dW_i
+    return np.ascontiguousarray(v.reshape(d, n * d).T)
+
+
+def node_value(batch: PathBatch, weights: np.ndarray) -> np.ndarray:
+    """dW G per path, shape (M, d): W'(t_k) for the weights of `node_weights`.
+    O(M N d^2), and no transformed batch is formed."""
+    return batch.increments.reshape(batch.n_paths, -1) @ weights
+
+
+def transformed_node_value(kernel: MatrixKernel, batch: PathBatch, k: int) -> np.ndarray:
+    """W'(t_k) of apply_transformation(kernel, batch), read without forming it."""
+    _check_grid(kernel, batch)
+    return node_value(batch, node_weights(kernel, k))
+
+
+def linear_node_value(phi: MatrixKernel, batch: PathBatch, k: int) -> np.ndarray:
+    """W'(t_k) of apply_linear_transformation(phi, batch), read without forming it."""
+    _check_grid(phi, batch)
+    return node_value(batch, node_weights(phi, k, linear=True))
 
 
 def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -314,15 +380,20 @@ class TestFunctional:
             return cls("exp_negsq")
         if name == "cos_end":
             try:
-                return cls("cos_end", a=float(body))
+                a = float(body)
             except ValueError:
                 raise InvalidArgumentError(f"cos_end needs a real parameter, got {text!r}")
+            if not np.isfinite(a):
+                raise InvalidArgumentError(f"cos_end needs a finite parameter, got {text!r}")
+            return cls("cos_end", a=a)
         if name == "cos_mid":
             parts = body.split(",")
             try:
                 a, tau = map(float, parts)
             except ValueError:
                 raise InvalidArgumentError(f"cos_mid needs two reals 'a,tau', got {text!r}")
+            if not (np.isfinite(a) and np.isfinite(tau)):
+                raise InvalidArgumentError(f"cos_mid needs finite 'a,tau', got {text!r}")
             return cls("cos_mid", a=a, tau=tau)
         raise InvalidArgumentError(
             f"unknown functional {text!r}; expected one, cos_end:a, exp_negsq, cos_mid:a,tau"
@@ -339,19 +410,35 @@ class TestFunctional:
     def is_constant_one(self) -> bool:
         return self.tag == "one"
 
-    def evaluate(self, batch: PathBatch) -> np.ndarray:
+    def node(self, grid: TimeGrid) -> int | None:
+        """The node k whose value W(t_k) the functional reads (N for W(T));
+        None for 'one', which reads no node."""
         if self.tag == "one":
-            return np.ones(batch.n_paths)
-        if self.tag == "cos_end":
-            return np.cos(self.a * batch.terminal_values().sum(axis=1))
-        if self.tag == "exp_negsq":
-            end = batch.terminal_values()
-            return np.exp(-np.einsum("md,md->m", end, end))
+            return None
+        if self.tag in ("cos_end", "exp_negsq"):
+            return grid.n_steps
         if self.tag == "cos_mid":
-            k = int(round(self.tau / batch.grid.step))
-            k = min(max(k, 0), batch.grid.n_steps)
-            return np.cos(self.a * batch.value_at_node(k)[:, 0])
+            k = int(round(self.tau / grid.step))
+            return min(max(k, 0), grid.n_steps)
         raise InvalidArgumentError(f"unknown functional tag {self.tag!r}")
+
+    def at_node(self, w: np.ndarray) -> np.ndarray:
+        """f per path from its value w = W(t_k) at `node`, shape (M, d)."""
+        if self.tag == "one":
+            return np.ones(w.shape[0])
+        if self.tag == "cos_end":
+            return np.cos(self.a * w.sum(axis=1))
+        if self.tag == "exp_negsq":
+            return np.exp(-np.einsum("md,md->m", w, w))
+        if self.tag == "cos_mid":
+            return np.cos(self.a * w[:, 0])
+        raise InvalidArgumentError(f"unknown functional tag {self.tag!r}")
+
+    def evaluate(self, batch: PathBatch) -> np.ndarray:
+        k = self.node(batch.grid)
+        if k is None:
+            return np.ones(batch.n_paths)
+        return self.at_node(batch.value_at_node(k))
 
 
 # ---------------------------------------------------------------------------

@@ -312,3 +312,14 @@ def test_paths_below_one_is_a_usage_error(tmp_path, capsys):
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "must be >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("functional", ["cos_end:nan", "cos_end:inf", "cos_mid:nan,0.5",
+                                        "cos_mid:1,nan"])
+def test_non_finite_functional_is_a_usage_error(functional, capsys):
+    # these used to run to a numerical failure (exit 1) or a ValueError traceback
+    argv = ["verify", "transf", "--kernel", "rank1:b=0.3", "--functional", functional,
+            "--paths", "200", "--grid", "32"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err

@@ -108,6 +108,14 @@ def test_demo_small_matches_golden_pin(tmp_path):
     assert not failures, "\n".join(failures)
 
 
+def test_demo_small_matches_golden_pin_on_one_worker(tmp_path, monkeypatch):
+    # every golden estimate is one chunk; the pin holds without the pool too
+    from orderone import scenarios
+
+    monkeypatch.setattr(scenarios, "WORKERS", 1)
+    test_demo_small_matches_golden_pin(tmp_path)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         exit_code, result = run_demo_small(tmp)

@@ -354,3 +354,50 @@ def test_symmetry_flag_validated(grid):
     vals[1, 0, 0, 0] = 1.0
     with pytest.raises(InvalidArgumentError):
         MatrixKernel(grid, 1, vals, symmetric=True)
+
+
+def test_dense_flat_matrix_is_built_once_under_concurrent_products(monkeypatch):
+    # the chunks of a Monte Carlo side apply one dense kernel from several
+    # threads; its lazy flat copy (d > 1) must be built once and shared
+    import sys
+    import threading
+    import time
+
+    from orderone import grid_kernel
+
+    builds = []
+
+    def counting_flat(values):
+        builds.append(1)
+        time.sleep(0.01)  # hand the interpreter to the other threads mid-build
+        return flat(values)
+
+    flat = grid_kernel.flat
+    monkeypatch.setattr(grid_kernel, "flat", counting_flat)
+    g = make_grid(1.0, 48)
+    kernel = MatrixKernel(g, 2, np.random.default_rng(2).normal(size=(48, 48, 2, 2)))
+    x = np.random.default_rng(3).normal(size=(5, 48, 2))
+    want = np.einsum("ijab,mjb->mia", kernel.values, x)
+    n_threads = 8
+    start = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def work(slot):
+        start.wait(timeout=10)
+        results[slot] = (kernel.apply(x), kernel.apply_adjoint(x))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    for fwd, adj in results:
+        npt.assert_allclose(fwd, want, rtol=1e-12, atol=1e-12)
+        npt.assert_array_equal(adj, results[0][1])

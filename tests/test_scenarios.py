@@ -1,9 +1,14 @@
 """Scenario runners at desk scale: gates, oracles, degenerate exactness,
-downgrade behavior, and determinism."""
+downgrade behavior, determinism, and the pooled chunk reducer."""
+
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from orderone import scenarios as sc
 
 from orderone import (
     InvalidArgumentError,
@@ -321,3 +326,95 @@ def test_refinement_smoke():
         assert abs(det_side - oracle) <= 0.01 * oracle
         r2 = verify_transf("rank1:b=0.3", "one", g, n_paths=20_000, seed=9)
         assert r2.passed
+
+
+# ---------------------------------------------------------------------------
+# the chunk reducer and its pool
+# ---------------------------------------------------------------------------
+
+def _estimates(report):
+    return [(e.mean, e.std_error, e.n_samples, e.ci_valid, e.chunk_means)
+            for e in (report.lhs, report.rhs)]
+
+
+def test_worker_count_does_not_change_estimates(monkeypatch):
+    # 1,100 paths of 32 increments in chunks of at most 200 paths: 6 chunks
+    monkeypatch.setattr(sc, "CHUNK_ELEMENTS", 32 * 200)
+    g = make_grid(1.0, 32)
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(sc, "WORKERS", workers)
+        runs[workers] = [
+            verify_transf("rank1:b=0.3", "cos_end:1.0", g, n_paths=1_100, seed=5),
+            verify_inverse("volterra", "cos_mid:1.0,0.5", g, n_paths=1_100, seed=5, n_probe=10),
+            verify_cameron_martin("const:c=1", "cos_end:1.0", g, n_paths=1_100, seed=5,
+                                  n_probe=10),
+            verify_surjective("rank1:b=0.5", "exp_negsq", g, n_paths=1_100, seed=5),
+            verify_finite_dim(np.diag([0.2, -0.1]), "cos_sum", n_samples=3_300, seed=5),
+        ]
+    assert len(runs[1][0].lhs.chunk_means) == 6
+    assert runs[1][3].lhs.ci_valid is False  # the median-of-chunk-means fallback
+    for one, two in zip(runs[1], runs[2]):
+        assert _estimates(one) == _estimates(two), one.name
+        assert one.to_dict() == two.to_dict()
+
+
+class _ChunkFailure(RuntimeError):
+    pass
+
+
+def test_chunk_exception_propagates_and_the_pool_stops(monkeypatch):
+    monkeypatch.setattr(sc, "CHUNK_ELEMENTS", 16 * 10)
+    monkeypatch.setattr(sc, "WORKERS", 2)
+    g = make_grid(1.0, 16)
+
+    def per_path(batch):
+        if batch.stream[1] == 3:
+            raise _ChunkFailure("chunk 3")
+        return batch.terminal_values()[:, 0]
+
+    before = threading.active_count()
+    with pytest.raises(_ChunkFailure, match="chunk 3"):
+        sc._mc_paths(g, 1, 80, 0, 0, per_path)
+    assert threading.active_count() == before
+    est = sc._mc_paths(g, 1, 80, 0, 0, lambda b: b.terminal_values()[:, 0])
+    assert est.n_samples == 80 and len(est.chunk_means) == 8
+
+
+@pytest.mark.parametrize("n_paths,n_steps,sizes", [
+    (50_000, 256, [12_500] * 4), (60_000, 1024, [4_000] * 15), (2_048, 2_048, [2_048]),
+    (4_000, 64, [4_000]), (1, 1 << 23, [1]),
+])
+def test_chunk_plan_examples(n_paths, n_steps, sizes):
+    assert sc._chunk_sizes(n_paths, n_steps) == sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**7), per_path=st.integers(1, 1 << 24))
+def test_chunk_sizes_are_near_equal_and_capped(n, per_path):
+    sizes = sc._chunk_sizes(n, per_path)
+    cap = max(1, sc.CHUNK_ELEMENTS // per_path)
+    assert sum(sizes) == n
+    assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+    assert len(sizes) == -(-n // cap)
+
+
+def test_merged_variance_is_stable_for_any_chunking(monkeypatch):
+    # values 1e8 + N(0, 1): sum x^2 - n mean^2 cancels every significant digit
+    def per_sample(x):
+        vals = 1e8 + x[:, 0]
+        drawn.append(vals)
+        return vals
+
+    monkeypatch.setattr(sc, "WORKERS", 1)
+    for cap in (1 << 22, 3_000, 1_024, 7):
+        monkeypatch.setattr(sc, "CHUNK_ELEMENTS", cap)
+        drawn = []
+        est = sc._mc_gaussians(1, 10_000, 3, 0, per_sample)
+        vals = np.concatenate(drawn)
+        two_pass = np.var(vals, ddof=1)
+        npt.assert_allclose(est.std_error ** 2 * est.n_samples, two_pass, rtol=1e-12)
+        naive = (np.sum(vals * vals) / vals.size - vals.mean() ** 2) * vals.size / (vals.size - 1)
+        assert abs(naive / two_pass - 1.0) > 1e-3  # what sum x^2 - n mean^2 gives
+        npt.assert_allclose(est.mean, vals.mean(), rtol=1e-15)
+        assert len(est.chunk_means) == len(drawn) == -(-10_000 // cap)

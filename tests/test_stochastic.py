@@ -17,6 +17,7 @@ from orderone import (
     apply_linear_transformation,
     apply_transformation,
     cameron_martin_drift,
+    c_kernels,
     cm_exponent,
     cm_trace_correction,
     eta_of_kappa,
@@ -25,7 +26,9 @@ from orderone import (
     inverse_kernel,
     kappa_from_phi,
     kernel_from_values,
+    kappa_s,
     kernel_zoo,
+    linear_node_value,
     load_batch,
     make_grid,
     orthonormal_columns,
@@ -33,9 +36,11 @@ from orderone import (
     sample_paths,
     save_batch,
     scale_kernel,
+    transformed_node_value,
     wiener_integral,
 )
 from orderone.grid_kernel import LowerExp, LowRank
+from orderone.operator import assemble, spectrum
 
 
 @pytest.fixture
@@ -381,7 +386,9 @@ def test_functional_family_bounded(grid):
 
 
 def test_functional_parse_errors():
-    for bad in ("nope", "cos_end:x", "cos_mid:1.0", "cos_mid:x,0.5", "cos_mid:1,2,3"):
+    for bad in ("nope", "cos_end:x", "cos_mid:1.0", "cos_mid:x,0.5", "cos_mid:1,2,3",
+                "cos_end:nan", "cos_end:inf", "cos_end:-inf", "cos_mid:nan,0.5",
+                "cos_mid:1,nan", "cos_mid:inf,0.5", "cos_mid:1,-inf"):
         with pytest.raises(InvalidArgumentError):
             TestFunctional.parse(bad)
 
@@ -542,3 +549,76 @@ def test_expdiag_large_negative_rate_is_finite():
     for k in (kernel, adjoint_kernel(kernel), scale_kernel(kernel, 3.0)):
         assert np.all(np.isfinite(wiener_integral(k, batch)))
         _assert_functionals_match(k, batch)
+
+
+# ---------------------------------------------------------------------------
+# the node read against the transformed batch
+# ---------------------------------------------------------------------------
+
+NODE_GRID = make_grid(1.0, 40)
+# every functional tag; cos_mid at tau = 0, at an interior node and at tau = T
+NODE_FUNCTIONALS = ["one", "cos_end:1.3", "exp_negsq", "cos_mid:2.0,0", "cos_mid:2.0,0.45",
+                    "cos_mid:2.0,1"]
+
+
+def _dense_operator_kernels():
+    """The kernels the operator layer builds for the right-hand sides: kappa_hat
+    (inverse), kappa_s and its inverse (surjective) and c'_hat (harmonic)."""
+    g, out = NODE_GRID, {}
+    for dim in (1, 2):
+        kappa = scale_kernel(kernel_zoo("volterra", g, dim), 0.5)
+        out[f"kappa_hat[{dim}]"] = inverse_kernel(kappa)
+        eta = scale_kernel(eta_of_kappa(kernel_zoo("volterra", g, dim)), 0.3)
+        out[f"kappa_s[{dim}]"] = kappa_s(eta)
+        out[f"kappa_s_hat[{dim}]"] = spectrum(assemble(eta), vectors=True).inverse_sqrt_kernel()
+        neg_c = scale_kernel(c_kernels(kernel_zoo("volterra", g, dim)), -1.0)
+        out[f"c_prime_hat[{dim}]"] = spectrum(assemble(neg_c), vectors=True).inverse_sqrt_kernel()
+    return out
+
+
+NODE_KERNELS = {f"{spec},{dim}": kernel_zoo(spec, NODE_GRID, dim)
+                for spec, dim in FACTORED_ZOO + [("volterra", 1), ("zero", 1), ("zero", 2),
+                                                  ("const:c=1", 2), ("expdiag:p=[0.8]", 1)]}
+NODE_KERNELS.update(_dense_operator_kernels())
+
+
+def _assert_node_read_matches(f, image, read, batch):
+    k = f.node(batch.grid)
+    if k is None:  # 'one' reads no node
+        npt.assert_array_equal(f.evaluate(image), np.ones(batch.n_paths))
+        return
+    want = image.value_at_node(k)
+    got = read(k)
+    scale = max(1.0, np.max(np.abs(want)))
+    npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    npt.assert_allclose(f.at_node(got), f.evaluate(image), rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("text", NODE_FUNCTIONALS)
+@pytest.mark.parametrize("name", sorted(NODE_KERNELS))
+def test_transformed_node_value_matches_transformed_batch(name, text):
+    kernel, f = NODE_KERNELS[name], TestFunctional.parse(text)
+    batch = sample_paths(NODE_GRID, kernel.dim, 30, seed=31)
+    _assert_node_read_matches(f, apply_transformation(kernel, batch),
+                              lambda k: transformed_node_value(kernel, batch, k), batch)
+
+
+@pytest.mark.parametrize("text", NODE_FUNCTIONALS)
+@pytest.mark.parametrize("spec,dim", [("const:c=1", 1), ("const:c=1", 2), ("volterra", 2),
+                                      ("const_phi:c=-0.4", 2), ("expdiag:p=[0.5,-0.5]", 2)])
+def test_linear_node_value_matches_linear_transformation(spec, dim, text):
+    phi, f = kernel_zoo(spec, NODE_GRID, dim), TestFunctional.parse(text)
+    batch = sample_paths(NODE_GRID, dim, 30, seed=32)
+    _assert_node_read_matches(f, apply_linear_transformation(phi, batch),
+                              lambda k: linear_node_value(phi, batch, k), batch)
+
+
+def test_functional_nodes():
+    g = make_grid(1.0, 40)
+    assert TestFunctional.parse("one").node(g) is None
+    assert TestFunctional.parse("cos_end:1").node(g) == 40
+    assert TestFunctional.parse("exp_negsq").node(g) == 40
+    assert [TestFunctional.parse(f"cos_mid:1,{tau}").node(g)
+            for tau in (-1, 0, 0.45, 1, 7)] == [0, 0, 18, 40, 40]
+    with pytest.raises(InvalidArgumentError):
+        transformed_node_value(kernel_zoo("volterra", g), sample_paths(g, 1, 3, seed=1), 41)
