@@ -34,7 +34,11 @@ merged in chunk order by the pairwise update of Chan, Golub and LeVeque,
 which does not cancel the way sum x^2 - n mean^2 does.  The chunks run on WORKERS =
 min(usable cores, 2^23 // CHUNK_ELEMENTS) threads (numpy's Philox fill, its
 ufuncs and BLAS release the GIL), so the increments in flight never exceed
-2^23 elements; a side of one chunk runs in the calling thread.  The chunk
+2^23 elements; a side of one chunk runs in the calling thread.  Each side
+allocates one draw buffer per thread up front and its chunks draw into those
+buffers, so its peak memory does not depend on how the threads interleave
+(per-chunk batches left the peak to the allocator's arenas and varied by
+tens of MiB from run to run).  The chunk
 sizes do not depend on the machine and the merge order is fixed, so every
 report is bit-for-bit the same whatever the worker count.  Transformed paths
 are read at the functional's node alone (see `stochastic`), so no side forms
@@ -46,6 +50,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import os
+import queue
 
 import numpy as np
 
@@ -176,13 +181,24 @@ def _mc_estimate(
     draw, n_samples: int, elements_per_sample: int, per_sample,
     scale: float = 1.0, ci_valid: bool = True,
 ) -> MCEstimate:
-    """Draw the chunks of n_samples (draw(idx, size)), map per_sample over them
-    on the pool and merge their moments in chunk order by the pairwise update
-    of Chan, Golub and LeVeque."""
+    """Draw the chunks of n_samples (draw(idx, size, buf) draws into buf), map
+    per_sample over them on the pool and merge their moments in chunk order by
+    the pairwise update of Chan, Golub and LeVeque.  The next chunk reuses the
+    buffer, so per_sample must not keep its input past its return."""
     sizes = _chunk_sizes(n_samples, elements_per_sample)
+    # one draw buffer per thread, allocated here and reused by every chunk:
+    # a chunk then allocates no batch of its own, and a side's memory does not
+    # depend on how the threads interleave or which allocator arena serves them
+    free = queue.SimpleQueue()
+    for _ in range(min(WORKERS, len(sizes))):
+        free.put(np.empty(sizes[0] * elements_per_sample))
 
     def run(idx):
-        return _moments(np.asarray(per_sample(draw(idx, sizes[idx])), dtype=float))
+        buf = free.get()
+        try:
+            return _moments(np.asarray(per_sample(draw(idx, sizes[idx], buf)), dtype=float))
+        finally:
+            free.put(buf)
 
     parts = _map_chunks(run, len(sizes))
     count, mean, corr, m2 = parts[0]
@@ -201,8 +217,8 @@ def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
               per_path, scale: float = 1.0, ci_valid: bool = True) -> MCEstimate:
     """Monte Carlo over Wiener paths: chunk idx is the Philox stream
     (seed, stream_id, idx)."""
-    def draw(idx, size):
-        return st.sample_paths(grid, dim, size, seed, stream=(stream_id, idx))
+    def draw(idx, size, buf):
+        return st.sample_paths(grid, dim, size, seed, stream=(stream_id, idx), out=buf)
 
     return _mc_estimate(draw, n_paths, grid.n_steps * dim, per_path, scale, ci_valid)
 
@@ -210,9 +226,10 @@ def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
 def _mc_gaussians(n_dim: int, n_samples: int, seed: int, stream_id: int, per_sample,
                   scale: float = 1.0) -> MCEstimate:
     """Monte Carlo over standard-normal vectors in R^n, keyed like `_mc_paths`."""
-    def draw(idx, size):
+    def draw(idx, size, buf):
         key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, stream_id, idx])
-        return np.random.Generator(np.random.Philox(key)).standard_normal((size, n_dim))
+        return np.random.Generator(np.random.Philox(key)).standard_normal(
+            (size, n_dim), out=buf[:size * n_dim].reshape(size, n_dim))
 
     return _mc_estimate(draw, n_samples, n_dim, per_sample, scale)
 

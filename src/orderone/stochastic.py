@@ -122,12 +122,15 @@ class PathBatch:
 
 
 def sample_paths(
-    grid: TimeGrid, dim: int, n_paths: int, seed: int, stream: tuple = ()
+    grid: TimeGrid, dim: int, n_paths: int, seed: int, stream: tuple = (),
+    out: np.ndarray | None = None,
 ) -> PathBatch:
     """Draw a batch of increments from the Philox stream keyed by (seed, *stream).
 
     The draw is a single deterministic pass: identical arguments give identical
-    bits regardless of how callers schedule batches.
+    bits regardless of how callers schedule batches.  With out, a contiguous
+    float64 buffer of at least n_paths N dim elements, the increments are drawn
+    into its head (same bits) and the batch is a view of it.
     """
     if n_paths < 1:
         raise InvalidArgumentError(f"n_paths must be >= 1, got {n_paths}")
@@ -135,7 +138,14 @@ def sample_paths(
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, stream)])
     rng = np.random.Generator(np.random.Philox(key))
-    inc = rng.standard_normal((n_paths, grid.n_steps, dim))
+    shape = (n_paths, grid.n_steps, dim)
+    if out is not None:
+        size = n_paths * grid.n_steps * dim
+        if out.dtype != np.float64 or out.ndim != 1 or out.size < size:
+            raise InvalidArgumentError(
+                f"out must be a flat float64 buffer of at least {size} elements")
+        out = out[:size].reshape(shape)
+    inc = rng.standard_normal(shape, out=out)
     inc *= np.sqrt(grid.step)  # in place: one copy of the batch, not two
     return PathBatch(grid, dim, inc, int(seed), tuple(stream))
 

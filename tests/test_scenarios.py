@@ -15,6 +15,7 @@ from orderone import (
     integrability_bound,
     make_grid,
     rank1_exp_q_moment,
+    sample_paths,
     sweep_laplace,
     verify_cameron_martin,
     verify_finite_dim,
@@ -379,6 +380,27 @@ def test_chunk_exception_propagates_and_the_pool_stops(monkeypatch):
     assert threading.active_count() == before
     est = sc._mc_paths(g, 1, 80, 0, 0, lambda b: b.terminal_values()[:, 0])
     assert est.n_samples == 80 and len(est.chunk_means) == 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunks_reuse_one_draw_buffer_per_worker(monkeypatch, workers):
+    # 8 chunks of 10 paths draw into the same `workers` buffers
+    monkeypatch.setattr(sc, "CHUNK_ELEMENTS", 16 * 10)
+    monkeypatch.setattr(sc, "WORKERS", workers)
+    g = make_grid(1.0, 16)
+    heads, lock = set(), threading.Lock()
+
+    def per_path(batch):
+        with lock:
+            heads.add(batch.increments.__array_interface__["data"][0])
+        return batch.terminal_values()[:, 0]
+
+    est = sc._mc_paths(g, 1, 80, 0, 0, per_path)
+    assert len(est.chunk_means) == 8 and 1 <= len(heads) <= workers
+    for idx, size in enumerate(sc._chunk_sizes(80, 16)):
+        fresh = sample_paths(g, 1, size, 0, stream=(0, idx))
+        npt.assert_allclose(est.chunk_means[idx], fresh.terminal_values()[:, 0].mean(),
+                            rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("n_paths,n_steps,sizes", [

@@ -66,6 +66,19 @@ def test_sampling_streams_are_distinct(grid):
     assert np.any(a.increments != b.increments)
 
 
+def test_sampling_into_a_buffer_gives_the_same_bits(grid):
+    fresh = sample_paths(grid, 2, 9, seed=4, stream=(1, 3))
+    buf = np.full(9 * grid.n_steps * 2 + 5, -1.0)
+    into = sample_paths(grid, 2, 9, seed=4, stream=(1, 3), out=buf)
+    npt.assert_array_equal(into.increments, fresh.increments)
+    assert np.shares_memory(into.increments, buf)
+    assert np.all(buf[-5:] == -1.0)  # only the head is drawn into
+    for bad in (np.empty(9 * grid.n_steps * 2 - 1), np.empty((9, grid.n_steps * 2)),
+                np.empty(9 * grid.n_steps * 2, dtype=np.float32)):
+        with pytest.raises(InvalidArgumentError):
+            sample_paths(grid, 2, 9, seed=4, out=bad)
+
+
 def test_terminal_variance_matches_horizon():
     g = make_grid(2.0, 32)
     batch = sample_paths(g, 1, 100_000, seed=7)
