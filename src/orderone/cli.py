@@ -25,30 +25,38 @@ Config format (strict: unknown keys and sections are fatal, with line numbers):
     format = both              # json | csv | both
 
     [scenario transf_rank1]
-    verify = transf            # transf | inverse | surjective | harmonic |
-                               # cameron_martin | gencv | integrability
+    verify = transf
     kernel = rank1:b=0.3
     functional = cos_end:1.0   # optional, default one
     tolerance = 0.02           # optional
-    lambda = 1.0               # harmonic only
-    lambdas = 0.25,0.5,0.75    # surjective sweep (optional)
-    x = 1.0,0.0                # harmonic direction (optional)
-    samples = 50000            # optional per-scenario overrides
+    samples = 50000            # optional per-scenario overrides of [run]
     n_steps = 512
-    horizon = 1.0
-    dim = 1
-    seed = 7
+
+Every kind takes tolerance, samples, n_steps, horizon and seed; beyond those,
+the table KINDS says which keys each kind takes, and any other key is fatal:
+
+    transf, inverse, cameron_martin   kernel, functional, dim
+    surjective                        kernel, functional, dim, lambdas (a sweep)
+    harmonic                          kernel, functional, dim, lambda, x
+    gencv                             functional
+    integrability                     kernel, dim
+
+`verify KIND` takes the same keys as flags (--tol, --paths, --grid, ...) and
+runs through the same table, with one parser and one default per key:
+functional is `one` for every kind.  `run` validates the whole config, after
+its flag overrides, before the first scenario starts.  `verify finite-dim`
+stays outside the table: its --diag and its functional grammar are its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,28 +77,20 @@ EXIT_NUMERICAL = 1
 EXIT_GATE = 2
 EXIT_USAGE = 3
 
-_RUN_KEYS = {"horizon", "n_steps", "dim", "samples", "seed", "out_dir", "format"}
-_SCENARIO_KEYS = {
-    "verify", "kernel", "functional", "tolerance", "lambda", "lambdas", "x",
-    "samples", "n_steps", "horizon", "dim", "seed",
-}
-_VERIFY_KINDS = {
-    "transf", "inverse", "surjective", "harmonic", "cameron_martin",
-    "gencv", "integrability",
-}
+FORMATS = ("json", "csv", "both")
 
 
 @dataclass
 class ScenarioSpec:
-    name: str
+    name: str | None  # None: the scenario's own default name
     verify: str
     kernel: str = "zero"
     functional: str = "one"
-    tolerance: float | None = None
+    tolerance: float = sc.DEFAULT_TOL
     lam: float = 1.0
     lambdas: list[float] | None = None
     x: list[float] | None = None
-    overrides: dict = field(default_factory=dict)
+    overrides: dict = field(default_factory=dict)  # n_paths, n_steps, horizon, dim, seed
 
 
 @dataclass
@@ -105,24 +105,98 @@ class RunConfig:
     scenarios: list[ScenarioSpec] = field(default_factory=list)
 
 
-def _parse_value(key, raw, line_no, cast, positive=False, minimum=None):
+def _float_list(text: str) -> list[float]:
+    """'a, b, ...': a non-empty list of finite reals."""
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values or not np.all(np.isfinite(values)):
+        raise ValueError(f"expected comma-separated finite reals, got {text!r}")
+    return values
+
+
+def _format(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(f"format must be one of {'|'.join(FORMATS)}")
+    return text
+
+
+class _Key(NamedTuple):
+    parse: Callable  # text -> value, ValueError on a malformed value
+    attr: str        # ScenarioSpec field, or key of its overrides
+    flag: str        # the flag of verify and sweep-laplace
+
+
+# Every scenario key: its parser, shared by the config key and the flag, and
+# where its value lands.  The ranges (paths >= 1, tolerance > 0, n_steps >= 2,
+# ...) are checked once, by the scenarios themselves; see `_validate`.
+_KEYS = {
+    "kernel": _Key(str, "kernel", "--kernel"),
+    "functional": _Key(str, "functional", "--functional"),
+    "tolerance": _Key(float, "tolerance", "--tol"),
+    "lambda": _Key(float, "lam", "--lambda"),
+    "lambdas": _Key(_float_list, "lambdas", "--lambdas"),
+    "x": _Key(_float_list, "x", "--x"),
+    "samples": _Key(int, "n_paths", "--paths"),
+    "n_steps": _Key(int, "n_steps", "--grid"),
+    "horizon": _Key(float, "horizon", "--horizon"),
+    "dim": _Key(int, "dim", "--dim"),
+    "seed": _Key(int, "seed", "--seed"),
+}
+_OVERRIDES = ("n_paths", "n_steps", "horizon", "dim", "seed")
+_RUN_KEYS = {"horizon": float, "n_steps": int, "dim": int, "samples": int, "seed": int,
+             "out_dir": str, "format": _format}
+
+
+class Kind(NamedTuple):
+    keys: tuple[str, ...]  # every config key (verify flag) the kind takes
+    run: Callable          # (spec, keyword arguments) -> reports
+
+
+def _sweep(spec: ScenarioSpec, a: dict) -> list:
+    """The Laplace sweep of a surjective spec's lambdas; its reports name themselves."""
+    if not spec.lambdas:
+        return []
+    return sc.sweep_laplace(spec.kernel, spec.lambdas, spec.functional,
+                            **{k: v for k, v in a.items() if k != "name"})
+
+
+_COMMON = ("tolerance", "samples", "n_steps", "horizon", "seed")
+_KERNEL = _COMMON + ("kernel", "functional", "dim")
+KINDS = {
+    "transf": Kind(_KERNEL, lambda s, a: [sc.verify_transf(s.kernel, s.functional, **a)]),
+    "inverse": Kind(_KERNEL, lambda s, a: [sc.verify_inverse(s.kernel, s.functional, **a)]),
+    "surjective": Kind(_KERNEL + ("lambdas",), lambda s, a: [
+        sc.verify_surjective(s.kernel, s.functional, **a)] + _sweep(s, a)),
+    "harmonic": Kind(_KERNEL + ("lambda", "x"), lambda s, a: [
+        sc.verify_harmonic(s.kernel, s.lam, s.x, s.functional, **a)]),
+    "cameron_martin": Kind(_KERNEL, lambda s, a: [
+        sc.verify_cameron_martin(s.kernel, s.functional, **a)]),
+    "gencv": Kind(_COMMON + ("functional",), lambda s, a: [
+        sc.verify_gencv_example(functional=s.functional, **a)]),
+    "integrability": Kind(_COMMON + ("kernel", "dim"), lambda s, a: [
+        sc.verify_integrability_bound(s.kernel, **a)]),
+}
+_FINITE_DIM_KEYS = ("functional", "tolerance", "samples", "seed")
+
+
+def _assign(spec: ScenarioSpec, key: str, value) -> None:
+    attr = _KEYS[key].attr
+    if attr in _OVERRIDES:
+        spec.overrides[attr] = value
+    else:
+        setattr(spec, attr, value)
+
+
+def _parse(parse, key, raw, line_no):
     try:
-        value = cast(raw)
+        return parse(raw)
     except ValueError:
         raise ConfigError(f"line {line_no}: field {key!r} has invalid value {raw!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"line {line_no}: field {key!r} must be positive, got {raw}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"line {line_no}: field {key!r} must be >= {minimum}, got {raw}")
-    return value
 
 
-def parse_config(text: str) -> RunConfig:
-    """Strict line-based parser; errors carry line numbers and field names."""
-    config = RunConfig()
-    section = None  # None | "run" | ScenarioSpec
-    seen_run = False
-    names = set()
+def _read_config(text: str) -> RunConfig:
+    """Parse a config without validating it: each value by its key's parser,
+    each key checked against its section and its scenario's kind."""
+    run, scenarios, entries = None, {}, None  # entries: key -> (value, line) of a section
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -132,159 +206,97 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {line_no}: unterminated section header {raw_line!r}")
             header = line[1:-1].strip()
             if header == "run":
-                if seen_run:
+                if run is not None:
                     raise ConfigError(f"line {line_no}: duplicate [run] section")
-                seen_run = True
-                section = "run"
+                entries = run = {}
             elif header.startswith("scenario"):
                 name = header[len("scenario"):].strip()
                 if not name:
                     raise ConfigError(f"line {line_no}: scenario section needs a name")
-                if name in names:
+                if name in scenarios:
                     raise ConfigError(f"line {line_no}: duplicate scenario name {name!r}")
-                names.add(name)
-                section = ScenarioSpec(name=name, verify="")
-                config.scenarios.append(section)
+                entries = scenarios[name] = {}
             else:
                 raise ConfigError(f"line {line_no}: unknown section [{header}]")
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
-        if section is None:
+        if entries is None:
             raise ConfigError(f"line {line_no}: key {key!r} outside any section")
-        if section == "run":
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"line {line_no}: unknown key {key!r} in [run]")
-            if key == "horizon":
-                config.horizon = _parse_value(key, value, line_no, float, positive=True)
-            elif key == "n_steps":
-                config.n_steps = _parse_value("n_steps", value, line_no, int, minimum=2)
-            elif key == "dim":
-                config.dim = _parse_value(key, value, line_no, int, minimum=1)
-            elif key == "samples":
-                config.samples = _parse_value(key, value, line_no, int, minimum=1)
-            elif key == "seed":
-                config.seed = _parse_value(key, value, line_no, int)
-            elif key == "out_dir":
-                config.out_dir = value
-            elif key == "format":
-                if value not in ("json", "csv", "both"):
-                    raise ConfigError(f"line {line_no}: format must be json|csv|both")
-                config.format = value
-        else:
-            if key not in _SCENARIO_KEYS:
-                raise ConfigError(
-                    f"line {line_no}: unknown key {key!r} in [scenario {section.name}]"
-                )
-            if key == "verify":
-                if value not in _VERIFY_KINDS:
-                    raise ConfigError(
-                        f"line {line_no}: verify must be one of {sorted(_VERIFY_KINDS)}"
-                    )
-                section.verify = value
-            elif key == "kernel":
-                section.kernel = value
-            elif key == "functional":
-                section.functional = value
-            elif key == "tolerance":
-                section.tolerance = _parse_value(key, value, line_no, float, positive=True)
-            elif key == "lambda":
-                section.lam = _parse_value(key, value, line_no, float)
-            elif key == "lambdas":
-                try:
-                    section.lambdas = [float(v) for v in value.split(",") if v.strip()]
-                except ValueError:
-                    raise ConfigError(f"line {line_no}: field 'lambdas' has invalid value")
-            elif key == "x":
-                try:
-                    section.x = [float(v) for v in value.split(",") if v.strip()]
-                except ValueError:
-                    raise ConfigError(f"line {line_no}: field 'x' has invalid value")
-            elif key == "samples":
-                section.overrides["n_paths"] = _parse_value(key, value, line_no, int, minimum=1)
-            elif key == "n_steps":
-                section.overrides["n_steps"] = _parse_value("n_steps", value, line_no, int, minimum=2)
-            elif key == "horizon":
-                section.overrides["horizon"] = _parse_value(key, value, line_no, float, positive=True)
-            elif key == "dim":
-                section.overrides["dim"] = _parse_value(key, value, line_no, int, minimum=1)
-            elif key == "seed":
-                section.overrides["seed"] = _parse_value(key, value, line_no, int)
+        entries[key] = (value, line_no)
 
-    for spec in config.scenarios:
-        if not spec.verify:
-            raise ConfigError(f"scenario {spec.name!r}: missing 'verify' field")
-        # fail early on kernel-spec typos, citing the grammar
-        probe_grid = make_grid(
-            spec.overrides.get("horizon", config.horizon), 2
-        )
-        if spec.verify != "gencv":
-            try:
-                gk.kernel_zoo(spec.kernel, probe_grid, spec.overrides.get("dim", config.dim))
-            except InvalidArgumentError as exc:
-                raise ConfigError(f"scenario {spec.name!r}: bad kernel spec: {exc}")
-    if not config.scenarios:
-        raise ConfigError("config defines no scenarios")
+    config = RunConfig()
+    for key, (value, line_no) in (run or {}).items():
+        if key not in _RUN_KEYS:
+            raise ConfigError(f"line {line_no}: unknown key {key!r} in [run]")
+        setattr(config, key, _parse(_RUN_KEYS[key], key, value, line_no))
+    for name, entries in scenarios.items():
+        kind, line_no = entries.pop("verify", (None, None))
+        if kind is None:
+            raise ConfigError(f"scenario {name!r}: missing 'verify' field")
+        if kind not in KINDS:
+            raise ConfigError(f"line {line_no}: verify must be one of {sorted(KINDS)}")
+        spec = ScenarioSpec(name, kind)
+        for key, (value, line_no) in entries.items():
+            if key not in _KEYS:
+                raise ConfigError(f"line {line_no}: unknown key {key!r} in [scenario {name}]")
+            if key not in KINDS[kind].keys:
+                raise ConfigError(f"line {line_no}: verify = {kind} does not take {key!r}")
+            _assign(spec, key, _parse(_KEYS[key].parse, key, value, line_no))
+        config.scenarios.append(spec)
     return config
 
 
-def _run_scenario(spec: ScenarioSpec, config: RunConfig) -> list[sc.ScenarioReport]:
-    horizon = spec.overrides.get("horizon", config.horizon)
-    n_steps = spec.overrides.get("n_steps", config.n_steps)
-    dim = spec.overrides.get("dim", config.dim)
-    n_paths = spec.overrides.get("n_paths", config.samples)
-    seed = spec.overrides.get("seed", config.seed)
-    tol = spec.tolerance if spec.tolerance is not None else sc.DEFAULT_TOL
-    grid = make_grid(horizon, n_steps)
-    kwargs = dict(grid=grid, dim=dim, n_paths=n_paths, seed=seed, tol=tol, name=spec.name)
-
-    if spec.verify == "transf":
-        return [sc.verify_transf(spec.kernel, spec.functional, **kwargs)]
-    if spec.verify == "inverse":
-        return [sc.verify_inverse(spec.kernel, spec.functional, **kwargs)]
-    if spec.verify == "surjective":
-        reports = [sc.verify_surjective(spec.kernel, spec.functional, **kwargs)]
-        if spec.lambdas:
-            reports.extend(
-                sc.sweep_laplace(spec.kernel, spec.lambdas, spec.functional,
-                                 grid=grid, dim=dim, n_paths=n_paths, seed=seed, tol=tol)
-            )
-        return reports
-    if spec.verify == "harmonic":
-        return [sc.verify_harmonic(spec.kernel, spec.lam, spec.x, spec.functional, **kwargs)]
-    if spec.verify == "cameron_martin":
-        return [sc.verify_cameron_martin(spec.kernel, spec.functional, **kwargs)]
-    if spec.verify == "gencv":
-        kwargs.pop("dim")
-        return [sc.verify_gencv_example(functional=spec.functional, **kwargs)]
-    if spec.verify == "integrability":
-        kwargs.pop("name")
-        return [sc.verify_integrability_bound(spec.kernel, name=spec.name, **kwargs)]
-    raise ConfigError(f"unknown verify kind {spec.verify!r}")
+def _arguments(spec: ScenarioSpec, config: RunConfig) -> dict:
+    """The keyword arguments of spec's call into scenarios: its overrides over
+    the [run] values."""
+    o = spec.overrides
+    a = dict(grid=make_grid(o.get("horizon", config.horizon), o.get("n_steps", config.n_steps)),
+             n_paths=o.get("n_paths", config.samples), seed=o.get("seed", config.seed),
+             tol=spec.tolerance, name=spec.name)
+    if "dim" in KINDS[spec.verify].keys:
+        a["dim"] = o.get("dim", config.dim)
+    return a
 
 
-def _reports_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n"
+def _validate(config: RunConfig) -> RunConfig:
+    """Check every scenario as it will run: `_arguments` builds its grid
+    (horizon, n_steps), and `scenarios.resolve_scenario` checks the rest on a
+    2-step grid, so that no rule is written here a second time."""
+    if not config.scenarios:
+        raise ConfigError("config defines no scenarios")
+    for spec in config.scenarios:
+        keys = KINDS[spec.verify].keys
+        try:
+            a = _arguments(spec, config)
+            a["grid"] = make_grid(a["grid"].horizon, 2)
+            # a kind without a kernel key (gencv) builds its own; the spec's
+            # default stands in for it
+            sc.resolve_scenario(spec.verify, spec.kernel,
+                                spec.functional if "functional" in keys else None,
+                                lam=spec.lam if "lambda" in keys else None, x=spec.x, **a)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"scenario {spec.name!r}: {exc}")
+    return config
 
 
-def _reports_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(sc.CSV_HEADER)
-    for r in reports:
-        writer.writerow(r.to_csv_row())
-    return buf.getvalue()
+def parse_config(text: str) -> RunConfig:
+    """Strict line-based parser; errors carry line numbers and field names.
+    The result is validated as it would run without flag overrides."""
+    return _validate(_read_config(text))
 
 
 def _write_reports(reports, out_dir, fmt) -> None:
     os.makedirs(out_dir, exist_ok=True)
     if fmt in ("json", "both"):
         with open(os.path.join(out_dir, "reports.json"), "w") as fh:
-            fh.write(_reports_json(reports))
+            fh.write(json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n")
     if fmt in ("csv", "both"):
-        with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-            fh.write(_reports_csv(reports))
+        with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(sc.CSV_HEADER)
+            writer.writerows(r.to_csv_row() for r in reports)
 
 
 def _print_table(reports, file=None) -> None:
@@ -314,30 +326,20 @@ def _exit_code(reports) -> int:
     return EXIT_PASS
 
 
-def _grid_from_args(args):
-    return make_grid(args.horizon, args.grid)
+def _flag(parse):
+    """A key's parser as an argparse type: a bad value is a usage error."""
+    def typed(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}")
+    return typed
 
 
-def _path_count(text: str) -> int:
-    """--paths: an integer >= 1, the minimum the config parser applies to samples."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _add_grid_flags(parser, samples_default=100_000):
-    parser.add_argument("--grid", type=int, default=256, metavar="N", help="time steps")
-    parser.add_argument("--horizon", type=float, default=1.0, metavar="T")
-    parser.add_argument("--dim", type=int, default=1, metavar="D")
-    parser.add_argument("--paths", type=_path_count, default=samples_default, metavar="M")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=sc.DEFAULT_TOL)
-    parser.add_argument("--out", default=None, help="report directory (default: env ORDERONE_OUT)")
-    parser.add_argument("--format", choices=("json", "csv", "both"), default="both")
+def _add_flags(parser, keys) -> None:
+    for key in keys:
+        parser.add_argument(_KEYS[key].flag, dest=key, type=_flag(_KEYS[key].parse),
+                            default=None, metavar=key.upper())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,13 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a config file of scenarios")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--paths", type=_path_count, default=None)
-    p_run.add_argument("--grid", type=int, default=None)
-    p_run.add_argument("--horizon", type=float, default=None)
-    p_run.add_argument("--dim", type=int, default=None)
+    _add_flags(p_run, ("seed", "samples", "n_steps", "horizon", "dim"))
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--format", choices=("json", "csv", "both"), default=None)
+    p_run.add_argument("--format", type=_flag(_format), default=None)
 
     for cmd, hint in (
         ("spectrum", "spectral summary of a kernel"),
@@ -371,23 +369,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="run one scenario from flags")
-    p_verify.add_argument(
-        "scenario", choices=sorted(_VERIFY_KINDS | {"finite-dim"}),
-    )
-    p_verify.add_argument("--kernel", default="zero")
-    p_verify.add_argument("--functional", default=None)
-    p_verify.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_verify.add_argument("--x", default=None, help="comma-separated direction for harmonic")
-    p_verify.add_argument("--diag", default=None,
+    p_verify.add_argument("scenario", choices=sorted(KINDS) + ["finite-dim"])
+    _add_flags(p_verify, [key for key in _KEYS if key != "lambdas"])
+    p_verify.add_argument("--diag", type=_flag(_float_list), default=None,
                           help="comma-separated diagonal of A for finite-dim")
-    _add_grid_flags(p_verify)
 
     p_sweep = sub.add_parser("sweep-laplace", help="Laplace sweep of the surjective identity")
     p_sweep.add_argument("kernel")
-    p_sweep.add_argument("--lambdas", required=True, help="comma-separated factors")
-    p_sweep.add_argument("--functional", default="one")
-    _add_grid_flags(p_sweep, samples_default=50_000)
+    p_sweep.add_argument("--lambdas", type=_flag(_float_list), required=True,
+                         help="comma-separated factors")
+    _add_flags(p_sweep, ("functional",) + _COMMON + ("dim",))
+    p_sweep.set_defaults(scenario="surjective")
 
+    for p in (p_verify, p_sweep):
+        p.add_argument("--out", default=None, help="report directory (default: env ORDERONE_OUT)")
+        p.add_argument("--format", type=_flag(_format), default="both")
     return parser
 
 
@@ -399,26 +395,25 @@ def _cmd_run(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        config = parse_config(text)
+        config = _read_config(text)
+        for attr in ("seed", "samples", "n_steps", "horizon", "dim", "format"):
+            if getattr(args, attr) is not None:
+                setattr(config, attr, getattr(args, attr))
+        _validate(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for flag, attr in (("seed", "seed"), ("paths", "samples"), ("grid", "n_steps"),
-                       ("horizon", "horizon"), ("dim", "dim"), ("format", "format")):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(config, attr, value)
     out_dir = args.out or config.out_dir or os.environ.get("ORDERONE_OUT") or "reports"
 
     reports = []
     for spec in config.scenarios:
         try:
-            reports.extend(_run_scenario(spec, config))
+            reports.extend(KINDS[spec.verify].run(spec, _arguments(spec, config)))
         except (SingularOperatorError, NotContractiveError) as exc:
             print(f"scenario {spec.name}: {exc}", file=sys.stderr)
             reports.append(sc.ScenarioReport(
                 spec.name, spec.verify, None, None, None, None,
-                spec.tolerance or sc.DEFAULT_TOL, "rejected-by-hypothesis",
+                spec.tolerance, "rejected-by-hypothesis",
                 {"error": str(exc)}, {}, {}, {"kernel": spec.kernel, "seed": config.seed},
             ))
     try:
@@ -430,104 +425,77 @@ def _cmd_run(args) -> int:
     return _exit_code(reports)
 
 
-def _kernel_for_args(args):
-    grid = _grid_from_args(args)
-    return gk.kernel_zoo(args.kernel, grid, args.dim)
+_DERIVED = {"spectrum": lambda k: k, "kappa-hat": op.inverse_kernel, "kappa-s": op.kappa_s}
 
 
-def _print_summary(summary: op.SpectralSummary) -> None:
-    print(json.dumps(summary.to_dict(), sort_keys=True, indent=2))
-
-
-def _cmd_spectrum(args) -> int:
-    _print_summary(op.spectral_summary(_kernel_for_args(args)))
-    return EXIT_PASS
-
-
-def _cmd_det2(args) -> int:
-    d2 = op.det2(op.assemble(_kernel_for_args(args)))
-    out = {"det2_sign": d2.sign, "singular": d2.singular,
-           "det2_log_modulus": None if d2.singular else d2.log_modulus,
-           "det2_value": None if d2.singular else d2.value}
+def _cmd_kernel(args) -> int:
+    """spectrum, det2, kappa-hat and kappa-s: the spectral summary (or det2)
+    of a kernel spec, or of its inverse or square-root kernel."""
+    kernel = gk.kernel_zoo(args.kernel, make_grid(args.horizon, args.grid), args.dim)
+    if args.command == "det2":
+        d2 = op.det2(op.assemble(kernel))
+        out = {"det2_sign": d2.sign, "singular": d2.singular,
+               "det2_log_modulus": None if d2.singular else d2.log_modulus,
+               "det2_value": None if d2.singular else d2.value}
+    else:
+        try:
+            out = op.spectral_summary(_DERIVED[args.command](kernel)).to_dict()
+        except (SingularOperatorError, NotContractiveError, PreconditionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_GATE
     print(json.dumps(out, sort_keys=True, indent=2))
     return EXIT_PASS
 
 
-def _cmd_kappa_hat(args) -> int:
-    kappa = _kernel_for_args(args)
-    try:
-        _print_summary(op.spectral_summary(op.inverse_kernel(kappa)))
-    except SingularOperatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_PASS
+def _spec_from_flags(args, kind: str, keys) -> ScenarioSpec:
+    spec = ScenarioSpec(None, kind)
+    for key in _KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            if key not in keys:
+                raise ConfigError(f"{kind} does not take {_KEYS[key].flag}")
+            _assign(spec, key, value)
+    return spec
 
 
-def _cmd_kappa_s(args) -> int:
-    eta = _kernel_for_args(args)
-    try:
-        _print_summary(op.spectral_summary(op.kappa_s(eta)))
-    except (NotContractiveError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_PASS
+def _run_flags(args) -> list:
+    """The reports of the one scenario that the flags of verify or
+    sweep-laplace (the surjective kind's sweep alone) give, run like a config
+    scenario of that kind."""
+    kind = args.scenario
+    config = RunConfig(samples=50_000) if args.command == "sweep-laplace" else RunConfig()
+    if kind == "finite-dim":
+        spec = _spec_from_flags(args, kind, _FINITE_DIM_KEYS)
+        if args.diag is None:
+            raise ConfigError("finite-dim needs --diag a,b,...")
+        return [sc.verify_finite_dim(
+            np.diag(args.diag), args.functional or "cos_sum",
+            n_samples=spec.overrides.get("n_paths", config.samples),
+            seed=spec.overrides.get("seed", config.seed), tol=spec.tolerance)]
+    if getattr(args, "diag", None) is not None:
+        raise ConfigError(f"{kind} does not take --diag")
+    spec = _spec_from_flags(args, kind, KINDS[kind].keys)
+    run = _sweep if args.command == "sweep-laplace" else KINDS[kind].run
+    return run(spec, _arguments(spec, config))
 
 
 def _cmd_verify(args) -> int:
-    grid = _grid_from_args(args)
-    common = dict(grid=grid, dim=args.dim, n_paths=args.paths, seed=args.seed, tol=args.tol)
-    functional = args.functional
-    kind = args.scenario
     try:
-        if kind == "finite-dim":
-            if not args.diag:
-                print("error: finite-dim needs --diag a,b,...", file=sys.stderr)
-                return EXIT_USAGE
-            a = np.diag([float(v) for v in args.diag.split(",")])
-            report = sc.verify_finite_dim(a, functional or "cos_sum",
-                                          n_samples=args.paths, seed=args.seed, tol=args.tol)
-        elif kind == "transf":
-            report = sc.verify_transf(args.kernel, functional or "cos_end:1.0", **common)
-        elif kind == "inverse":
-            report = sc.verify_inverse(args.kernel, functional or "cos_end:1.0", **common)
-        elif kind == "surjective":
-            report = sc.verify_surjective(args.kernel, functional or "one", **common)
-        elif kind == "harmonic":
-            x = [float(v) for v in args.x.split(",")] if args.x else None
-            report = sc.verify_harmonic(args.kernel, args.lam, x, functional or "one", **common)
-        elif kind == "cameron_martin":
-            report = sc.verify_cameron_martin(args.kernel, functional or "cos_end:1.0", **common)
-        elif kind == "gencv":
-            common.pop("dim")
-            report = sc.verify_gencv_example(functional=functional or "cos_end:1.0", **common)
-        elif kind == "integrability":
-            report = sc.verify_integrability_bound(args.kernel, **common)
-        else:  # pragma: no cover
-            return EXIT_USAGE
-    except (InvalidArgumentError, NotContractiveError, SingularOperatorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    reports = [report]
-    if args.out or os.environ.get("ORDERONE_OUT"):
-        _write_reports(reports, args.out or os.environ.get("ORDERONE_OUT"), args.format)
-    _print_table(reports)
-    return _exit_code(reports)
-
-
-def _cmd_sweep(args) -> int:
-    grid = _grid_from_args(args)
-    try:
-        lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
-        reports = sc.sweep_laplace(args.kernel, lambdas, args.functional,
-                                   grid=grid, dim=args.dim, n_paths=args.paths,
-                                   seed=args.seed, tol=args.tol)
-    except (InvalidArgumentError, NotContractiveError) as exc:
+        reports = _run_flags(args)
+    except (ConfigError, InvalidArgumentError, NotContractiveError,
+            SingularOperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out or os.environ.get("ORDERONE_OUT"):
         _write_reports(reports, args.out or os.environ.get("ORDERONE_OUT"), args.format)
     _print_table(reports)
     return _exit_code(reports)
+
+
+_COMMANDS = {
+    "run": _cmd_run, "spectrum": _cmd_kernel, "det2": _cmd_kernel, "kappa-hat": _cmd_kernel,
+    "kappa-s": _cmd_kernel, "verify": _cmd_verify, "sweep-laplace": _cmd_verify,
+}
 
 
 def main(argv=None) -> int:
@@ -537,24 +505,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "det2":
-            return _cmd_det2(args)
-        if args.command == "kappa-hat":
-            return _cmd_kappa_hat(args)
-        if args.command == "kappa-s":
-            return _cmd_kappa_s(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep-laplace":
-            return _cmd_sweep(args)
+        return _COMMANDS[args.command](args)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -441,6 +441,16 @@ def s_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
     return MatrixKernel(kappa.grid, kappa.dim, vals, symmetric=True)
 
 
+def direction(x, dim: int) -> np.ndarray:
+    """x as a finite direction in R^dim, the direction of the oscillator functionals."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise InvalidArgumentError(f"direction x has shape {x.shape}, expected ({dim},)")
+    if not np.all(np.isfinite(x)):
+        raise InvalidArgumentError("direction x must be finite")
+    return x
+
+
 def c_kernels(kappa: MatrixKernel, x: np.ndarray | None = None) -> MatrixKernel:
     """Covariance-type kernels of the harmonic-oscillator functionals.
 
@@ -453,11 +463,7 @@ def c_kernels(kappa: MatrixKernel, x: np.ndarray | None = None) -> MatrixKernel:
     if x is None:
         return MatrixKernel(kappa.grid, kappa.dim, _symmetrize(_adjoint_gram(kappa)),
                             symmetric=True)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (kappa.dim,):
-        raise InvalidArgumentError(f"direction x has shape {x.shape}, expected ({kappa.dim},)")
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("direction x must be finite")
+    x = direction(x, kappa.dim)
     # proj[u, i, a] = (kappa(t_u, t_i)^T x)_a
     proj = np.einsum("uica,c->uia", kappa.values, x)
     vals = np.einsum("uia,ujb->ijab", proj, proj) * kappa.grid.step
@@ -587,7 +593,8 @@ def _split_params(body: str) -> list[str]:
     return parts
 
 
-def _parse_spec(spec: str) -> tuple[str, dict]:
+def parse_kernel_spec(spec: str) -> tuple[str, dict]:
+    """(name, {key: value text}) of a kernel spec; see KERNEL_GRAMMAR."""
     spec = spec.strip()
     name, _, body = spec.partition(":")
     name = _ALIASES.get(name.strip(), name.strip())
@@ -639,7 +646,9 @@ def _const_kernel(grid: TimeGrid, dim: int, c: float, symmetric: bool = False) -
 
 def kernel_zoo(spec: str, grid: TimeGrid, dim: int = 1) -> MatrixKernel:
     """Construct a named kernel at the grid nodes.  See KERNEL_GRAMMAR."""
-    name, params = _parse_spec(spec)
+    name, params = parse_kernel_spec(spec)
+    if int(dim) != dim or dim < 1:
+        raise InvalidArgumentError(f"dim must be an integer >= 1, got {dim}")
     n = grid.n_steps
 
     if name == "zero":

@@ -42,8 +42,8 @@ factorisation it checks, or it becomes a tautology; per scenario:
                       constant): gate, det(I+B_c), c'_hat     of I + B^T B (no x)
     cameron_martin  eigvalsh B_eta: gate, guard             det2_consistency:
                     LU I+B_kphi: det2                         slogdet of I+B_kphi
-    gencv           eigvalsh B_s; eigvalsh B_eta and        closed forms of
-                      LU I+B_k, both again inside transf      lambda_s, lambda_eta, det2
+    gencv           eigvalsh B_s; gate and det2 read from   closed forms of
+                      the inner transf's eigvalsh and LU      lambda_s, lambda_eta, det2
     integrability   eigvalsh B_eta: gate, guard             closed-form bound, oracle
 
 No factorisation outlives the verification that made it: each is as large

@@ -64,6 +64,7 @@ from .stochastic import PathBatch, TestFunctional
 __all__ = [
     "MCEstimate",
     "ScenarioReport",
+    "resolve_scenario",
     "verify_finite_dim",
     "verify_transf",
     "verify_inverse",
@@ -140,8 +141,6 @@ def exact_estimate(value: float) -> MCEstimate:
 def _chunk_sizes(n_paths: int, elements_per_path: int) -> list[int]:
     """ceil(n / cap) chunks of near-equal size (they differ by at most one),
     cap = CHUNK_ELEMENTS // elements_per_path paths."""
-    if n_paths < 1:
-        raise InvalidArgumentError(f"the number of paths must be >= 1, got {n_paths}")
     cap = max(1, CHUNK_ELEMENTS // max(1, elements_per_path))
     count = -(-n_paths // cap)
     base, extra = divmod(n_paths, count)
@@ -367,61 +366,43 @@ def _finish(report: ScenarioReport) -> ScenarioReport:
     return report
 
 
-def _resolve_kernel(kernel, grid: TimeGrid, dim: int) -> tuple[MatrixKernel, str]:
-    if isinstance(kernel, MatrixKernel):
-        if kernel.grid != grid:
-            raise InvalidArgumentError("kernel grid does not match the scenario grid")
-        return kernel, "<custom>"
-    return gk.kernel_zoo(str(kernel), grid, dim), str(kernel)
+def _halted(report: ScenarioReport, verdict: str) -> ScenarioReport:
+    """The report of a scenario stopped before its Monte Carlo: verdict
+    'rejected-by-hypothesis' at its gate, 'singular' at a vanishing det2."""
+    report.verdict = verdict
+    return report
 
 
-def _resolve_functional(functional) -> TestFunctional:
-    if isinstance(functional, TestFunctional):
-        return functional
-    return TestFunctional.parse(str(functional))
+def _identity(report: ScenarioReport, lhs: MCEstimate, rhs: MCEstimate) -> ScenarioReport:
+    """Compare the two sides of the identity as the report's 'identity' check,
+    then decide the verdict."""
+    report.lhs, report.rhs = lhs, rhs
+    report.z_score, report.rel_error, ok = _compare(lhs, rhs, report.tolerance)
+    report.checks["identity"] = Check(report.rel_error, 0.0, report.tolerance, ok,
+                                      "main comparison")
+    return _finish(report)
 
 
-def _base_provenance(spec, grid, dim, n_paths, seed, functional=None) -> dict:
-    d = {
-        "kernel": spec,
-        "horizon": grid.horizon,
-        "n_steps": grid.n_steps,
-        "dim": dim,
-        "n_paths": n_paths,
-        "seed": seed,
-    }
-    if functional is not None:
-        d["functional"] = str(functional)
-    return d
+def _check_size(n_paths: int, tol: float) -> None:
+    """The Monte Carlo size and the tolerance of every scenario."""
+    if n_paths < 1:
+        raise InvalidArgumentError(f"the number of paths must be >= 1, got {n_paths}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidArgumentError(f"tolerance must be a finite real > 0, got {tol}")
 
 
 def _gate_dict(lam_eta: float, guard: str) -> dict:
     return {"lambda_eta": float(lam_eta), "guard": guard}
 
 
-def _rejected(name, kind, lam, guard, tol, prov, spectra=None) -> ScenarioReport:
-    return ScenarioReport(
-        name, kind, None, None, None, None, tol,
-        "rejected-by-hypothesis", _gate_dict(lam, guard), spectra or {}, {}, prov,
-    )
-
-
-def _singular(name, kind, lam, guard, tol, prov, spectra=None) -> ScenarioReport:
-    return ScenarioReport(
-        name, kind, None, None, None, None, tol,
-        "singular", _gate_dict(lam, guard), spectra or {}, {}, prov,
-    )
-
-
-def _spectra_dict(kappa: MatrixKernel, d2: op.Det2 | None = None) -> dict:
+def _spectra_dict(kappa: MatrixKernel, d2: op.Det2, lam_eta: float) -> dict:
     hs = op.assemble(kappa)
-    if d2 is None:
-        d2 = op.det2(hs)
     return {
         "det2_sign": d2.sign,
         "det2_log_modulus": d2.log_modulus if np.isfinite(d2.log_modulus) else None,
         "hs_norm": hs.hs_norm(),
         "trace": op.trace(hs),
+        "lambda_eta": lam_eta,
     }
 
 
@@ -447,23 +428,26 @@ def verify_finite_dim(
     """Gaussian change of variables in R^n for x -> x + Ax with quadratic
     weight exp(<Bx,x>/2), B = -(A + A^T + A^T A), gated on lambda_max(B) < 1."""
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"matrix must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InvalidArgumentError(f"matrix must be square and non-empty, got shape {a.shape}")
+    _check_size(n_samples, tol)
     n = a.shape[0]
     f, f_name = _finite_dim_functional(functional)
-    name = name or f"finite_dim[n={n}]"
     prov = {"matrix_shape": n, "n_samples": n_samples, "seed": seed, "functional": f_name}
 
     b = -(a + a.T + a.T @ a)
     lam = float(np.linalg.eigvalsh(b)[-1])
     guard = "reject" if lam >= 1.0 - op.GATE_MARGIN else "ok"
+    report = ScenarioReport(name or f"finite_dim[n={n}]", "finite_dim", None, None, None, None,
+                            tol, "undecided", _gate_dict(lam, guard), provenance=prov)
     if guard == "reject":
-        return _rejected(name, "finite_dim", lam, guard, tol, prov)
+        return _halted(report, "rejected-by-hypothesis")
 
     sign, logdet = np.linalg.slogdet(np.eye(n) + a)
     if sign == 0:
-        return _singular(name, "finite_dim", lam, guard, tol, prov)
+        return _halted(report, "singular")
     det_abs = float(np.exp(logdet))
+    report.spectra = {"det_abs": det_abs}
 
     def lhs_fn(x):
         y = x + x @ a.T
@@ -472,26 +456,96 @@ def verify_finite_dim(
 
     rhs_stream = _STREAM_LHS if not np.any(a) else _STREAM_RHS
     lhs = _mc_gaussians(n, n_samples, seed, _STREAM_LHS, lhs_fn, scale=det_abs)
-    rhs = _mc_gaussians(n, n_samples, seed, rhs_stream, f)
-    z, rel, ok = _compare(lhs, rhs, tol)
-    report = ScenarioReport(
-        name, "finite_dim", lhs, rhs, z, rel, tol,
-        "undecided", _gate_dict(lam, guard),
-        {"det_abs": det_abs}, {}, prov,
-    )
-    report.checks["identity"] = Check(rel, 0.0, tol, ok, "main comparison")
-    return _finish(report)
+    return _identity(report, lhs, _mc_gaussians(n, n_samples, seed, rhs_stream, f))
 
 
 # ---------------------------------------------------------------------------
 # the Wiener-space scenarios
 # ---------------------------------------------------------------------------
 
-def _gate_prologue(kappa: MatrixKernel):
-    """The eta kernel, the gate spectrum of B_eta (one eigensolve) and its guard."""
-    eta = gk.eta_of_kappa(kappa)
-    gate = op.spectrum(op.assemble(eta))
-    return eta, gate, st.moment_guard(gate.lambda_max)
+_SYMMETRIC_KINDS = ("surjective", "integrability")  # their kernel is a quadratic form's
+
+
+@dataclass
+class Scenario:
+    """A Wiener-space scenario's checked arguments and the report it fills in."""
+
+    grid: TimeGrid
+    kernel: MatrixKernel
+    f: TestFunctional | None
+    n_paths: int
+    seed: int
+    report: ScenarioReport
+
+    def mc(self, stream_id: int, per_path, scale: float = 1.0,
+           ci_valid: bool = True) -> MCEstimate:
+        return _mc_paths(self.grid, self.kernel.dim, self.n_paths, self.seed, stream_id,
+                         per_path, scale, ci_valid)
+
+    def gate(self, kappa: MatrixKernel):
+        """The eta kernel of kappa, the gate spectrum of B_eta (one eigensolve)
+        and its guard; the gate goes into the report."""
+        eta = gk.eta_of_kappa(kappa)
+        gate = op.spectrum(op.assemble(eta))
+        guard = st.moment_guard(gate.lambda_max)
+        self.report.gate = _gate_dict(gate.lambda_max, guard)
+        return eta, gate, guard
+
+    def two_sided(self, lhs_fn, lhs_scale: float, rhs_scale: float,
+                  rhs_kernel: MatrixKernel | None = None, ci_valid: bool = True,
+                  degenerate: bool = False) -> ScenarioReport:
+        """Monte Carlo the left-hand side; the right-hand side is rhs_scale
+        E[f], along the transformation of rhs_kernel when given, in closed
+        form when f is constant one.  Then compare the two and decide."""
+        lhs = self.mc(_STREAM_LHS, lhs_fn, lhs_scale, ci_valid)
+        if self.f.is_constant_one:
+            rhs = exact_estimate(rhs_scale)
+        else:
+            f_rhs = self.f.evaluate if rhs_kernel is None else _image_functional(self.f, rhs_kernel)
+            # a zero kernel degenerates both sides to the same statistic of one
+            # batch; sharing the stream then makes the discrepancy exactly zero
+            rhs = self.mc(_STREAM_LHS if degenerate else _STREAM_RHS, f_rhs, rhs_scale)
+        return _identity(self.report, lhs, rhs)
+
+
+def resolve_scenario(
+    kind: str, kernel, functional=None, grid: TimeGrid | None = None, dim: int = 1,
+    n_paths: int = 100_000, seed: int = 0, tol: float = DEFAULT_TOL,
+    name: str | None = None, lam: float | None = None, x=None,
+) -> Scenario:
+    """Check and resolve the arguments of a Wiener-space scenario of the given
+    kind before any work: the Monte Carlo size and tolerance, the harmonic
+    lambda (>= 0) and direction x (of the kernel's dimension), the kernel spec
+    (symmetric for surjective and integrability) and the functional (None
+    for a scenario without one).  Every scenario starts here, and a config is
+    validated by calling it on a small grid.  Raises InvalidArgumentError."""
+    _check_size(n_paths, tol)
+    if lam is not None and not (np.isfinite(lam) and lam >= 0):
+        raise InvalidArgumentError(f"lambda must be a finite real >= 0, got {lam}")
+    grid = grid or make_grid(1.0, 256)
+    if isinstance(kernel, MatrixKernel):
+        if kernel.grid != grid:
+            raise InvalidArgumentError("kernel grid does not match the scenario grid")
+        kappa, spec = kernel, "<custom>"
+    else:
+        kappa, spec = gk.kernel_zoo(str(kernel), grid, dim), str(kernel)
+    if kind in _SYMMETRIC_KINDS and not kappa.symmetric:
+        raise InvalidArgumentError(f"{kind} needs a symmetric kernel, got {spec!r}")
+    f = functional
+    if f is not None and not isinstance(f, TestFunctional):
+        f = TestFunctional.parse(str(f))
+    prov = {"kernel": spec, "horizon": grid.horizon, "n_steps": grid.n_steps,
+            "dim": kappa.dim, "n_paths": n_paths, "seed": seed}
+    if f is not None:
+        prov["functional"] = str(f)
+    label = ""
+    if lam is not None:
+        prov["lambda"], label = float(lam), f", lambda={lam:g}"
+    if x is not None:
+        prov["x"] = gk.direction(x, kappa.dim).tolist()
+    report = ScenarioReport(name or f"{kind}[{spec}{label}]", kind, None, None, None, None,
+                            tol, "undecided", provenance=prov)
+    return Scenario(grid, kappa, f, n_paths, seed, report)
 
 
 def verify_transf(
@@ -501,45 +555,24 @@ def verify_transf(
 ) -> ScenarioReport:
     """Forward identity: transformed-and-weighted expectation against the
     plain one, scaled by |det2| and exp(||kappa||^2 / 2)."""
-    grid = grid or make_grid(1.0, 256)
-    kappa, spec = _resolve_kernel(kernel, grid, dim)
-    f = _resolve_functional(functional)
-    name = name or f"transf[{spec}]"
-    prov = _base_provenance(spec, grid, kappa.dim, n_paths, seed, f)
-
-    eta, gate, guard = _gate_prologue(kappa)
-    lam = gate.lambda_max
+    s = resolve_scenario("transf", kernel, functional, grid, dim, n_paths, seed, tol, name)
+    kappa = s.kernel
+    eta, gate, guard = s.gate(kappa)
     if guard == "reject":
-        return _rejected(name, "transf", lam, guard, tol, prov)
+        return _halted(s.report, "rejected-by-hypothesis")
     d2 = op.det2(op.assemble(kappa))
-    spectra = _spectra_dict(kappa, d2)
-    spectra["lambda_eta"] = lam
+    s.report.spectra = _spectra_dict(kappa, d2, gate.lambda_max)
     if d2.singular:
-        return _singular(name, "transf", lam, guard, tol, prov, spectra)
-    ci = guard == "ok"
+        return _halted(s.report, "singular")
 
-    f_image = _image_functional(f, kappa)
+    f_image = _image_functional(s.f, kappa)
 
     def lhs_fn(batch: PathBatch):
         return f_image(batch) * np.exp(st.quadratic_form(eta, batch))
 
-    # a zero kernel degenerates both sides to the same statistic of one batch;
-    # sharing the stream then makes the discrepancy exactly zero
-    degenerate = not np.any(kappa.values)
-    rhs_stream = _STREAM_LHS if degenerate else _STREAM_RHS
-    lhs = _mc_paths(grid, kappa.dim, n_paths, seed, _STREAM_LHS, lhs_fn,
-                    scale=float(np.exp(d2.log_modulus)), ci_valid=ci)
-    rhs_scale = float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2))
-    if f.is_constant_one:
-        rhs = exact_estimate(rhs_scale)
-    else:
-        rhs = _mc_paths(grid, kappa.dim, n_paths, seed, rhs_stream, f.evaluate,
-                        scale=rhs_scale)
-    z, rel, ok = _compare(lhs, rhs, tol)
-    report = ScenarioReport(name, "transf", lhs, rhs, z, rel, tol, "undecided",
-                            _gate_dict(lam, guard), spectra, {}, prov)
-    report.checks["identity"] = Check(rel, 0.0, tol, ok, "main comparison")
-    return _finish(report)
+    return s.two_sided(lhs_fn, float(np.exp(d2.log_modulus)),
+                       float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)),
+                       ci_valid=guard == "ok", degenerate=not np.any(kappa.values))
 
 
 def verify_inverse(
@@ -549,46 +582,21 @@ def verify_inverse(
 ) -> ScenarioReport:
     """Inverse-transformation identity, the pathwise round trip, and the unit
     mass of the Radon-Nikodym weight of the transformed measure."""
-    grid = grid or make_grid(1.0, 256)
-    kappa, spec = _resolve_kernel(kernel, grid, dim)
-    f = _resolve_functional(functional)
-    name = name or f"inverse[{spec}]"
-    prov = _base_provenance(spec, grid, kappa.dim, n_paths, seed, f)
-
-    eta, gate, guard = _gate_prologue(kappa)
-    lam = gate.lambda_max
+    s = resolve_scenario("inverse", kernel, functional, grid, dim, n_paths, seed, tol, name)
+    kappa, report = s.kernel, s.report
+    eta, gate, guard = s.gate(kappa)
     if guard == "reject":
-        return _rejected(name, "inverse", lam, guard, tol, prov)
+        return _halted(report, "rejected-by-hypothesis")
     lu = op.factor_identity_plus(op.assemble(kappa))
     d2 = lu.det2
-    spectra = _spectra_dict(kappa, d2)
-    spectra["lambda_eta"] = lam
+    report.spectra = _spectra_dict(kappa, d2, gate.lambda_max)
     if d2.singular:
-        return _singular(name, "inverse", lam, guard, tol, prov, spectra)
+        return _halted(report, "singular")
     kappa_hat = op.inverse_kernel_from(lu, kappa)
     del lu  # as large as the operator, and the Monte Carlo below does not need it
-    ci = guard == "ok"
-
-    def lhs_fn(batch: PathBatch):
-        return f.evaluate(batch) * np.exp(st.quadratic_form(eta, batch))
-
-    degenerate = not np.any(kappa.values)
-    rhs_stream = _STREAM_LHS if degenerate else _STREAM_RHS
-    lhs = _mc_paths(grid, kappa.dim, n_paths, seed, _STREAM_LHS, lhs_fn,
-                    scale=float(np.exp(d2.log_modulus)), ci_valid=ci)
-    rhs_scale = float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2))
-    if f.is_constant_one:
-        rhs = exact_estimate(rhs_scale)
-    else:
-        rhs = _mc_paths(grid, kappa.dim, n_paths, seed, rhs_stream,
-                        _image_functional(f, kappa_hat), scale=rhs_scale)
-    z, rel, ok = _compare(lhs, rhs, tol)
-    report = ScenarioReport(name, "inverse", lhs, rhs, z, rel, tol, "undecided",
-                            _gate_dict(lam, guard), spectra, {}, prov)
-    report.checks["identity"] = Check(rel, 0.0, tol, ok, "main comparison")
 
     # pathwise round trip: both composition orders return the increments
-    probe = st.sample_paths(grid, kappa.dim, n_probe, seed, stream=(_STREAM_PROBE, 0))
+    probe = st.sample_paths(s.grid, kappa.dim, n_probe, seed, stream=(_STREAM_PROBE, 0))
     scale = max(1.0, float(np.max(np.abs(probe.increments))))
     there = st.apply_transformation(kappa, st.apply_transformation(kappa_hat, probe))
     back = st.apply_transformation(kappa_hat, st.apply_transformation(kappa, probe))
@@ -613,14 +621,19 @@ def verify_inverse(
     def rn_fn(batch: PathBatch):
         return np.exp(st.quadratic_form(eta_hat, batch))
 
-    rn = _mc_paths(grid, kappa.dim, n_paths, seed, _STREAM_RN, rn_fn,
-                   scale=rn_scale, ci_valid=guard_hat == "ok")
-    _, rn_rel, rn_ok = _compare(rn, exact_estimate(1.0), tol)
+    rn = s.mc(_STREAM_RN, rn_fn, scale=rn_scale, ci_valid=guard_hat == "ok")
+    _, _, rn_ok = _compare(rn, exact_estimate(1.0), tol)
     report.checks["rn_normalization"] = Check(
         rn.mean, 1.0, tol, rn_ok,
         f"Radon-Nikodym weight mass (guard {guard_hat})",
     )
-    return _finish(report)
+
+    def lhs_fn(batch: PathBatch):
+        return s.f.evaluate(batch) * np.exp(st.quadratic_form(eta, batch))
+
+    return s.two_sided(lhs_fn, float(np.exp(d2.log_modulus)),
+                       float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)), kappa_hat,
+                       ci_valid=guard == "ok", degenerate=not np.any(kappa.values))
 
 
 def verify_surjective(
@@ -631,28 +644,23 @@ def verify_surjective(
     """Realize a symmetric kernel's quadratic form by the square-root
     transformation and compare E[f e^{q_eta}] with det2(I-B_eta)^{-1/2} times
     the expectation along the inverse transformation."""
-    grid = grid or make_grid(1.0, 256)
-    eta, spec = _resolve_kernel(eta_kernel, grid, dim)
-    if not eta.symmetric:
-        raise InvalidArgumentError("verify_surjective needs a symmetric kernel spec")
-    f = _resolve_functional(functional)
-    name = name or f"surjective[{spec}]"
-    prov = _base_provenance(spec, grid, eta.dim, n_paths, seed, f)
-
+    s = resolve_scenario("surjective", eta_kernel, functional, grid, dim, n_paths, seed, tol,
+                         name)
+    eta, report = s.kernel, s.report
     m_eta = op.assemble(eta)
     eig = op.spectrum(m_eta, vectors=True)
     lam = eig.lambda_max
     guard = st.moment_guard(lam)
+    report.gate = _gate_dict(lam, guard)
     if guard == "reject":
-        return _rejected(name, "surjective", lam, guard, tol, prov)
-    ci = guard == "ok"
+        return _halted(report, "rejected-by-hypothesis")
 
     kappa = eig.sqrt_kernel()
     d2_eta = eig.det2_complement()  # det2(I - B_eta) > 0 in the gate regime
     # the right-hand side transforms the paths only when f is not constant
-    kappa_hat = None if f.is_constant_one else eig.inverse_sqrt_kernel()
+    kappa_hat = None if s.f.is_constant_one else eig.inverse_sqrt_kernel()
     del eig  # the eigenvectors are as large as the operator
-    spectra = {
+    report.spectra = {
         "lambda_eta": lam,
         "det2_sign": d2_eta.sign,
         "det2_log_modulus": d2_eta.log_modulus,
@@ -660,8 +668,6 @@ def verify_surjective(
         "kappa_s_norm": gk.kernel_l2_norm(kappa),
     }
 
-    report = ScenarioReport(name, "surjective", None, None, None, None, tol,
-                            "undecided", _gate_dict(lam, guard), spectra, {}, prov)
     # det2(I - B_eta) = (|det2(I + B_kappa_s)| e^{-||kappa_s||^2/2})^2 = prod (1-w) e^w
     # in the spectral calculus that builds kappa_s; an LU of I - B_eta, which
     # shares nothing with the eigensolve, is the independent route
@@ -672,7 +678,7 @@ def verify_surjective(
     # eta round trip of the square-root construction
     eta_round = gk.eta_of_kappa(kappa)
     round_err = gk.kernel_l2_norm(
-        MatrixKernel(grid, eta.dim, eta_round.values - eta.values)
+        MatrixKernel(s.grid, eta.dim, eta_round.values - eta.values)
     )
     report.checks["eta_roundtrip"] = _check_close(
         round_err, 0.0, OPERATOR_TOL * max(gk.kernel_l2_norm(eta), 1.0), relative=False,
@@ -680,19 +686,10 @@ def verify_surjective(
     )
 
     def lhs_fn(batch: PathBatch):
-        return f.evaluate(batch) * np.exp(st.quadratic_form(eta, batch))
+        return s.f.evaluate(batch) * np.exp(st.quadratic_form(eta, batch))
 
-    lhs = _mc_paths(grid, eta.dim, n_paths, seed, _STREAM_LHS, lhs_fn, ci_valid=ci)
-    rhs_scale = float(np.exp(-0.5 * d2_eta.log_modulus))
-    if f.is_constant_one:
-        rhs = exact_estimate(rhs_scale)
-    else:
-        rhs = _mc_paths(grid, eta.dim, n_paths, seed, _STREAM_RHS,
-                        _image_functional(f, kappa_hat), scale=rhs_scale)
-    z, rel, ok = _compare(lhs, rhs, tol)
-    report.lhs, report.rhs, report.z_score, report.rel_error = lhs, rhs, z, rel
-    report.checks["identity"] = Check(rel, 0.0, tol, ok, "main comparison")
-    return _finish(report)
+    return s.two_sided(lhs_fn, 1.0, float(np.exp(-0.5 * d2_eta.log_modulus)), kappa_hat,
+                       ci_valid=guard == "ok")
 
 
 def sweep_laplace(
@@ -701,14 +698,14 @@ def sweep_laplace(
 ) -> list[ScenarioReport]:
     """Laplace-transform sweep: the surjective identity applied to each
     lambda * eta (q scales linearly in the kernel)."""
-    grid = grid or make_grid(1.0, 256)
-    eta, spec = _resolve_kernel(eta_kernel, grid, dim)
+    s = resolve_scenario("surjective", eta_kernel, functional, grid, dim, n_paths, seed, tol)
+    spec = s.report.provenance["kernel"]
     reports = []
     for lam_factor in lambdas:
-        scaled = gk.scale_kernel(eta, float(lam_factor))
+        scaled = gk.scale_kernel(s.kernel, float(lam_factor))
         reports.append(
             verify_surjective(
-                scaled, functional, grid, dim, n_paths, seed, tol,
+                scaled, s.f, s.grid, dim, n_paths, seed, tol,
                 name=f"laplace[{spec}, lambda={lam_factor:g}]",
             )
         )
@@ -728,29 +725,18 @@ def verify_harmonic(
     The identity is applied to sqrt(lam) * kappa so the weight is
     exp(-lam * h(kappa)); the determinant side is computed along two routes
     (the c kernel and B^T B) that must agree."""
-    if lam < 0:
-        raise InvalidArgumentError(f"lambda must be >= 0, got {lam}")
-    grid = grid or make_grid(1.0, 256)
-    kappa, spec = _resolve_kernel(kernel, grid, dim)
-    f = _resolve_functional(functional)
-    name = name or f"harmonic[{spec}, lambda={lam:g}]"
-    prov = _base_provenance(spec, grid, kappa.dim, n_paths, seed, f)
-    prov["lambda"] = float(lam)
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        prov["x"] = x.tolist()
+    s = resolve_scenario("harmonic", kernel, functional, grid, dim, n_paths, seed, tol, name,
+                         lam=lam, x=x)
+    report = s.report
 
-    kappa_l = gk.scale_kernel(kappa, float(np.sqrt(lam)))
+    kappa_l = gk.scale_kernel(s.kernel, float(np.sqrt(lam)))
     # one eigensolve of B_{-c} gives the gate, det(I + B_c) and, when f is not
     # constant, the right-hand side kernel (I + B_c)^{-1/2} - I
     neg_c = gk.scale_kernel(gk.c_kernels(kappa_l, x), -1.0)
-    eig = op.spectrum(op.assemble(neg_c), vectors=not f.is_constant_one)
+    eig = op.spectrum(op.assemble(neg_c), vectors=not s.f.is_constant_one)
     lam_neg = eig.lambda_max  # Lambda(B_{-c}) <= 0 always
-    guard = "ok"
-    gate = {"lambda_eta": float(lam_neg), "guard": guard,
-            "note": "gate kernel is -c(kappa); nonpositive by construction"}
-    report = ScenarioReport(name, "harmonic", None, None, None, None, tol,
-                            "undecided", gate, {}, {}, prov)
+    report.gate = {"lambda_eta": float(lam_neg), "guard": "ok",
+                   "note": "gate kernel is -c(kappa); nonpositive by construction"}
     report.checks["lambda_nonpositive"] = _check_bound(
         lam_neg, 0.0, 1e-10, note="Lambda(B_{-c}) <= 0"
     )
@@ -767,24 +753,14 @@ def verify_harmonic(
         "det_sign": 1,
         "hs_norm": gk.kernel_l2_norm(kappa_l),
     }
-    c_prime_hat = None if f.is_constant_one else eig.inverse_sqrt_kernel()
+    c_prime_hat = None if s.f.is_constant_one else eig.inverse_sqrt_kernel()
     del eig  # the eigenvectors are as large as the operator
 
     def lhs_fn(batch: PathBatch):
         h = st.h_functionals(kappa_l, batch, x)
-        return f.evaluate(batch) * np.exp(-h)
+        return s.f.evaluate(batch) * np.exp(-h)
 
-    lhs = _mc_paths(grid, kappa.dim, n_paths, seed, _STREAM_LHS, lhs_fn)
-    rhs_scale = float(np.exp(-0.5 * logdet_c))
-    if f.is_constant_one:
-        rhs = exact_estimate(rhs_scale)
-    else:
-        rhs = _mc_paths(grid, kappa.dim, n_paths, seed, _STREAM_RHS,
-                        _image_functional(f, c_prime_hat), scale=rhs_scale)
-    z, rel, ok = _compare(lhs, rhs, tol)
-    report.lhs, report.rhs, report.z_score, report.rel_error = lhs, rhs, z, rel
-    report.checks["identity"] = Check(rel, 0.0, tol, ok, "main comparison")
-    return _finish(report)
+    return s.two_sided(lhs_fn, 1.0, float(np.exp(-0.5 * logdet_c)), c_prime_hat)
 
 
 def verify_cameron_martin(
@@ -799,34 +775,26 @@ def verify_cameron_martin(
     equals the Wiener integral of the tail kernel, then Monte Carlos the
     identity with the exponent Psi built from the path (not the increments).
     """
-    grid = grid or make_grid(1.0, 256)
-    phi, spec = _resolve_kernel(phi_kernel, grid, dim)
-    f = _resolve_functional(functional)
-    name = name or f"cameron_martin[{spec}]"
-    prov = _base_provenance(spec, grid, phi.dim, n_paths, seed, f)
-    prov["kernel_role"] = "phi"
+    s = resolve_scenario("cameron_martin", phi_kernel, functional, grid, dim, n_paths, seed,
+                         tol, name)
+    phi, grid, report = s.kernel, s.grid, s.report
+    report.provenance["kernel_role"] = "phi"
 
     kappa_phi = gk.kappa_from_phi(phi)
-    eta, gate, guard = _gate_prologue(kappa_phi)
-    lam = gate.lambda_max
+    eta, gate, guard = s.gate(kappa_phi)
     if guard == "reject":
-        return _rejected(name, "cameron_martin", lam, guard, tol, prov)
-    ci = guard == "ok"
-
+        return _halted(report, "rejected-by-hypothesis")
     hs = op.assemble(kappa_phi)
     d2 = op.det2(hs)
-    spectra = _spectra_dict(kappa_phi, d2)
-    spectra["lambda_eta"] = lam
+    report.spectra = _spectra_dict(kappa_phi, d2, gate.lambda_max)
     if d2.singular:
-        return _singular(name, "cameron_martin", lam, guard, tol, prov, spectra)
+        return _halted(report, "singular")
 
     tr = op.trace(hs)
     diag_quadrature = float(
         np.einsum("iaa->", kappa_phi.values[np.arange(grid.n_steps), np.arange(grid.n_steps)])
         * grid.step
     )
-    report = ScenarioReport(name, "cameron_martin", None, None, None, None, tol,
-                            "undecided", _gate_dict(lam, guard), spectra, {}, prov)
     report.checks["trace_formula"] = _check_close(
         tr, diag_quadrature, 1e-12, note="matrix trace against diagonal quadrature"
     )
@@ -835,7 +803,7 @@ def verify_cameron_martin(
         logdet_d - tr, d2.log_modulus, 1e-10,
         note="log det(I+B) - tr B against log det2(I+B)",
     )
-    spectra["det_log"] = float(d2.log_modulus + tr)
+    report.spectra["det_log"] = float(d2.log_modulus + tr)
 
     # pathwise: the linear drift is the Wiener integral of the tail kernel
     probe = st.sample_paths(grid, phi.dim, n_probe, seed, stream=(_STREAM_PROBE, 0))
@@ -848,26 +816,14 @@ def verify_cameron_martin(
         note="max |linear drift - Wiener integral| / scale, Ito-vs-path gap",
     )
 
-    det_abs = float(np.exp(d2.log_modulus + tr))
-
-    f_image = _image_functional(f, phi, linear=True)
+    f_image = _image_functional(s.f, phi, linear=True)
 
     def lhs_fn(batch: PathBatch):
         psi, _ = st.cm_exponent(phi, batch)
         return f_image(batch) * np.exp(psi)
 
-    degenerate = not np.any(phi.values)
-    rhs_stream = _STREAM_LHS if degenerate else _STREAM_RHS
-    lhs = _mc_paths(grid, phi.dim, n_paths, seed, _STREAM_LHS, lhs_fn,
-                    scale=det_abs, ci_valid=ci)
-    if f.is_constant_one:
-        rhs = exact_estimate(1.0)
-    else:
-        rhs = _mc_paths(grid, phi.dim, n_paths, seed, rhs_stream, f.evaluate)
-    z, rel, ok = _compare(lhs, rhs, tol)
-    report.lhs, report.rhs, report.z_score, report.rel_error = lhs, rhs, z, rel
-    report.checks["identity"] = Check(rel, 0.0, tol, ok, "main comparison")
-    return _finish(report)
+    return s.two_sided(lhs_fn, float(np.exp(d2.log_modulus + tr)), 1.0,
+                       ci_valid=guard == "ok", degenerate=not np.any(phi.values))
 
 
 def verify_gencv_example(
@@ -878,45 +834,33 @@ def verify_gencv_example(
     """The spectral counterexample: s-kernel eigenvalue -2 min(b) may exceed 2
     while the eta gate stays below 1 and det2 stays positive, so the forward
     identity still holds where the generic change-of-variables route fails."""
-    grid = grid or make_grid(1.0, 256)
     spec = f"remark_gencv:b1={b1:g},b2={b2:g}"
-    kappa = gk.kernel_zoo(spec, grid, 1)
-    name = name or f"gencv[{spec}]"
+    s = resolve_scenario("gencv", spec, functional, grid, 1, n_paths, seed, tol, name)
+    kappa, report = s.kernel, s.report
 
     lam_s = op.lambda_max(op.assemble(gk.s_of_kappa(kappa)))
-    eta, gate, guard = _gate_prologue(kappa)
-    lam_eta = gate.lambda_max
-    d2 = op.det2(op.assemble(kappa))
-    prov = _base_provenance(spec, grid, 1, n_paths, seed, functional)
-    spectra = _spectra_dict(kappa, d2)
-    spectra["lambda_eta"] = lam_eta
-    spectra["lambda_s"] = lam_s
+    # the forward identity, whose gate and det2 are this scenario's too
+    inner = verify_transf(kappa, s.f, s.grid, 1, n_paths, seed, tol,
+                          name=report.name + "/transf")
+    report.gate, report.spectra = inner.gate, dict(inner.spectra, lambda_s=lam_s)
+    if inner.verdict in ("rejected-by-hypothesis", "singular"):
+        # the gate 1 - (1 + b)^2 of this family reaches 1 exactly where
+        # det2 = (1 + b1)(1 + b2) e^{-(b1 + b2)} vanishes
+        return _halted(report, "singular")
 
-    if d2.singular:
-        return _singular(name, "gencv", lam_eta, guard, tol, prov, spectra)
-
-    report = ScenarioReport(name, "gencv", None, None, None, None, tol, "undecided",
-                            _gate_dict(lam_eta, guard), spectra, {}, prov)
     report.checks["lambda_s"] = _check_close(
         lam_s, -2.0 * min(b1, b2), 1e-6, note="Lambda(B_s) = -2 min(b1, b2)"
     )
     report.checks["lambda_eta"] = _check_close(
-        lam_eta, 1.0 - (1.0 + max(b1, b2)) ** 2, 1e-6, note="Lambda(B_eta) closed form"
+        inner.gate["lambda_eta"], 1.0 - (1.0 + max(b1, b2)) ** 2, 1e-6,
+        note="Lambda(B_eta) closed form",
     )
     target_d2 = (1.0 + b1) * (1.0 + b2) * np.exp(-(b1 + b2))
     report.checks["det2_value"] = _check_close(
-        d2.sign * np.exp(d2.log_modulus), target_d2, 1e-6, note="det2 closed form"
+        inner.spectra["det2_sign"] * np.exp(inner.spectra["det2_log_modulus"]), target_d2, 1e-6,
+        note="det2 closed form",
     )
-
-    inner = verify_transf(kappa, functional, grid, 1, n_paths, seed, tol,
-                          name=name + "/transf")
-    report.lhs, report.rhs = inner.lhs, inner.rhs
-    report.z_score, report.rel_error = inner.z_score, inner.rel_error
-    report.checks["identity"] = inner.checks.get(
-        "identity", Check(np.nan, 0.0, tol, False, "missing")
-    )
-    report.provenance["kernel"] = spec
-    return _finish(report)
+    return _identity(report, inner.lhs, inner.rhs)
 
 
 def rank1_exp_q_moment(a: float) -> float:
@@ -940,38 +884,26 @@ def verify_integrability_bound(
 ) -> ScenarioReport:
     """Check the Monte Carlo exponential moment against the closed-form bound,
     guard-aware; rank-one specs are additionally compared to their exact value."""
-    grid = grid or make_grid(1.0, 256)
-    eta, spec = _resolve_kernel(eta_kernel, grid, dim)
-    if not eta.symmetric:
-        raise InvalidArgumentError("verify_integrability_bound needs a symmetric kernel")
-    name = name or f"integrability[{spec}]"
-    prov = _base_provenance(spec, grid, eta.dim, n_paths, seed)
+    s = resolve_scenario("integrability", eta_kernel, None, grid, dim, n_paths, seed, tol, name)
+    eta, report = s.kernel, s.report
 
     lam = op.lambda_max(op.assemble(eta))
     guard = st.moment_guard(lam)
+    report.gate = _gate_dict(lam, guard)
     if guard == "reject":
-        return _rejected(name, "integrability", lam, guard, tol, prov)
-    ci = guard == "ok"
+        return _halted(report, "rejected-by-hypothesis")
     hs_norm = gk.kernel_l2_norm(eta)
     bound = integrability_bound(lam, hs_norm)
 
-    if exact_value is None and isinstance(eta_kernel, str) and spec.startswith("rank1:"):
-        _, params = spec.split(":", 1)
-        for part in params.split(","):
-            key, _, val = part.partition("=")
-            if key.strip() == "b":
-                exact_value = rank1_exp_q_moment(float(val))
+    if exact_value is None and isinstance(eta_kernel, str):
+        kernel_name, params = gk.parse_kernel_spec(eta_kernel)
+        if kernel_name == "rank1":
+            exact_value = rank1_exp_q_moment(float(params["b"]))
 
-    est = _mc_paths(
-        grid, eta.dim, n_paths, seed, _STREAM_LHS,
-        lambda batch: np.exp(st.quadratic_form(eta, batch)), ci_valid=ci,
-    )
-    rhs = exact_estimate(bound)
-    report = ScenarioReport(
-        name, "integrability", est, rhs, None, None, tol, "undecided",
-        _gate_dict(lam, guard),
-        {"bound": bound, "hs_norm": hs_norm, "lambda_eta": lam}, {}, prov,
-    )
+    est = s.mc(_STREAM_LHS, lambda batch: np.exp(st.quadratic_form(eta, batch)),
+               ci_valid=guard == "ok")
+    report.lhs, report.rhs = est, exact_estimate(bound)
+    report.spectra = {"bound": bound, "hs_norm": hs_norm, "lambda_eta": lam}
     slack = 3.0 * est.std_error if est.ci_valid else CONSISTENCY_FACTOR * tol * bound
     value = est.mean if est.ci_valid else est.median
     report.checks["bound"] = _check_bound(
@@ -979,15 +911,9 @@ def verify_integrability_bound(
     )
     if exact_value is not None and np.isfinite(exact_value):
         report.spectra["exact_value"] = float(exact_value)
-        if est.ci_valid:
-            gap_ok = abs(est.mean - exact_value) <= max(
-                3.0 * est.std_error, tol * abs(exact_value)
-            )
-        else:
-            gap_ok = abs(est.median - exact_value) <= CONSISTENCY_FACTOR * tol * abs(exact_value)
+        _, _, gap_ok = _compare(est, exact_estimate(exact_value), tol)
         report.checks["exact_oracle"] = Check(
-            est.mean if est.ci_valid else est.median, float(exact_value), tol, bool(gap_ok),
-            "closed-form exponential moment",
+            value, float(exact_value), tol, gap_ok, "closed-form exponential moment"
         )
         report.rel_error = abs(est.mean - exact_value) / abs(exact_value)
     return _finish(report)

@@ -56,7 +56,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
-from .grid_kernel import MatrixKernel, TimeGrid
+from .grid_kernel import MatrixKernel, TimeGrid, direction
 from .operator import GATE_MARGIN, assemble, lambda_max
 
 __all__ = [
@@ -222,11 +222,7 @@ def h_functionals(
     """Oscillator energies: 1/2 int <x, I(t)>^2 dt, or 1/2 int |I(t)|^2 dt without x."""
     _check_grid(kappa, batch)
     if x is not None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (kappa.dim,):
-            raise InvalidArgumentError(
-                f"direction x has shape {x.shape}, expected ({kappa.dim},)"
-            )
+        x = direction(x, kappa.dim)
 
     def reduce(dw):
         integral = kappa.apply(dw)

@@ -6,7 +6,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orderone import scenarios
 from orderone.cli import (
     EXIT_GATE,
     EXIT_NUMERICAL,
@@ -81,6 +83,18 @@ def test_parse_scenario_needs_verify():
     bad = "[scenario x]\nkernel = zero\n"
     with pytest.raises(ConfigError, match="verify"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("transf", "lambdas = 0.5"), ("transf", "x = 1"), ("transf", "lambda = 2"),
+    ("surjective", "x = 1"), ("gencv", "kernel = zero"), ("gencv", "dim = 1"),
+    ("integrability", "functional = one"), ("harmonic", "lambdas = 0.5"),
+])
+def test_parse_rejects_a_key_the_kind_does_not_take(kind, key):
+    # such keys used to be parsed and then ignored
+    text = f"[scenario s]\nverify = {kind}\n{key}\n"
+    with pytest.raises(ConfigError, match=f"line 3: verify = {kind} does not take"):
+        parse_config(text)
 
 
 def test_parse_overrides_and_lists():
@@ -296,10 +310,46 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert len(rows) == 3
 
 
-def test_usage_errors():
-    assert main(["verify", "transf", "--kernel", "bogus:z=1", "--paths", "10"]) == EXIT_USAGE
-    assert main(["spectrum"]) == EXIT_USAGE  # missing argument
-    assert main([]) == EXIT_USAGE
+@pytest.mark.parametrize("argv", [
+    ["verify", "transf", "--kernel", "bogus:z=1", "--paths", "10"],
+    ["spectrum"],  # missing argument
+    [],
+    # list flags used to die with a ValueError traceback (exit 1)
+    ["sweep-laplace", "rank1:b=0.5", "--lambdas", "a,b"],
+    ["verify", "harmonic", "--kernel", "volterra", "--x", "a"],
+    ["verify", "finite-dim", "--diag", "a"],
+    ["spectrum", "zero", "--dim", "0"],
+], ids=["kernel", "missing", "empty", "lambdas", "x", "diag", "dim"])
+def test_usage_errors(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "transf", "--kernel", "rank1:b=0.3", "--grid", "8"],
+    ["verify", "finite-dim", "--diag", "0.2,-0.1"],
+    ["sweep-laplace", "rank1:b=0.5", "--lambdas", "0.5", "--grid", "8"],
+])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_tolerance_flag_must_be_positive(argv, tol, capsys):
+    # --tol -1 and --tol 0 used to run and pass; config tolerance had to be > 0
+    assert main(argv + ["--tol", tol, "--paths", "100"]) == EXIT_USAGE
+    assert "tolerance must be a finite real > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "transf", "--x", "1"], "--x"),
+    (["verify", "transf", "--lambda", "2"], "--lambda"),
+    (["verify", "gencv", "--kernel", "zero"], "--kernel"),
+    (["verify", "gencv", "--dim", "2"], "--dim"),
+    (["verify", "integrability", "--functional", "one"], "--functional"),
+    (["verify", "transf", "--diag", "1"], "--diag"),
+    (["verify", "finite-dim", "--diag", "0.2", "--grid", "8"], "--grid"),
+])
+def test_flag_the_kind_does_not_take_is_a_usage_error(argv, flag, capsys):
+    # these flags used to be ignored without a word
+    assert main(argv + ["--paths", "10"]) == EXIT_USAGE
+    assert f"does not take {flag}" in capsys.readouterr().err
 
 
 def test_paths_below_one_is_a_usage_error(tmp_path, capsys):
@@ -323,3 +373,123 @@ def test_non_finite_functional_is_a_usage_error(functional, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one scenario contract: the whole config is validated before any scenario runs
+# ---------------------------------------------------------------------------
+
+FIRST = MINIMAL.replace("rank1:b=0.3", "volterra")  # runs at any dim
+CONFIG_DEFECTS = {
+    "surjective-volterra": "verify = surjective\nkernel = volterra\n",
+    "integrability-volterra": "verify = integrability\nkernel = volterra\n",
+    "harmonic-x-length": "verify = harmonic\nkernel = volterra\nx = 1,2,3\n",
+    "bogus-functional": "verify = transf\nkernel = zero\nfunctional = bogus\n",
+    "negative-lambda": "verify = harmonic\nkernel = volterra\nlambda = -1\n",
+}
+
+
+def _record_scenarios(monkeypatch):
+    calls = []
+    for name in ("verify_transf", "verify_inverse", "verify_surjective", "sweep_laplace",
+                 "verify_harmonic", "verify_cameron_martin", "verify_gencv_example",
+                 "verify_integrability_bound"):
+        def recorded(*args, _name=name, _original=getattr(scenarios, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(scenarios, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("second, flags", [
+    *[(CONFIG_DEFECTS[k], []) for k in CONFIG_DEFECTS],
+    ("verify = transf\nkernel = rank1:b=0.3\n", ["--dim", "2"]),
+], ids=[*CONFIG_DEFECTS, "run-dim-2-rank1"])
+def test_config_defect_exits_before_any_scenario_runs(tmp_path, monkeypatch, capsys,
+                                                      second, flags):
+    # each of these used to run the first scenario, then exit 3 without reports
+    calls = _record_scenarios(monkeypatch)
+    cfg = _write_config(tmp_path, FIRST + "\n[scenario second]\n" + second)
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)] + flags) == EXIT_USAGE
+    assert "scenario 'second'" in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "reports.json").exists()
+
+
+def test_run_validates_after_flag_overrides(tmp_path):
+    cfg = _write_config(tmp_path, MINIMAL)
+    parse_config(MINIMAL)  # valid as written
+    for flags in (["--grid", "1"], ["--paths", "0"], ["--horizon", "-1"], ["--dim", "2"]):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")] + flags) == EXIT_USAGE
+    assert not (tmp_path / "r").exists()
+
+
+COMMON_FLAGS = ["--grid", "16", "--paths", "600", "--seed", "3", "--tol", "0.05",
+                "--horizon", "1.5"]
+COMMON_KEYS = "n_steps = 16\nsamples = 600\nseed = 3\ntolerance = 0.05\nhorizon = 1.5\n"
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("transf", ["--kernel", "rank1:b=0.3", "--functional", "cos_end:1.0"]),
+    ("inverse", ["--kernel", "rank1:b=0.3", "--functional", "cos_end:1.0"]),
+    ("surjective", ["--kernel", "rank1:b=0.4", "--functional", "exp_negsq"]),
+    ("harmonic", ["--kernel", "expdiag:p=[0.5,-0.5]", "--dim", "2", "--lambda", "0.5",
+                  "--x", "1,0", "--functional", "cos_mid:1,0.5"]),
+    ("cameron_martin", ["--kernel", "const:c=1"]),
+    ("gencv", ["--functional", "cos_end:1.0"]),
+    ("integrability", ["--kernel", "rank1:b=0.4"]),
+])
+def test_verify_and_one_scenario_config_agree(tmp_path, kind, flags):
+    # both go through one kind table, with one parser and one default per key
+    keys = {"--kernel": "kernel", "--functional": "functional", "--dim": "dim",
+            "--lambda": "lambda", "--x": "x"}
+    lines = "".join(f"{keys[flag]} = {value}\n" for flag, value in zip(flags[::2], flags[1::2]))
+    cfg = _write_config(tmp_path, f"[scenario s]\nverify = {kind}\n{lines}{COMMON_KEYS}")
+    main(["verify", kind, *flags, *COMMON_FLAGS, "--out", str(tmp_path / "v")])
+    main(["run", "--config", cfg, "--out", str(tmp_path / "c")])
+    got = [json.loads((tmp_path / d / "reports.json").read_text()) for d in ("v", "c")]
+    for reports in got:
+        assert len(reports) == 1 and reports[0]["verdict"] in ("pass", "fail")
+        del reports[0]["name"]
+    assert got[0] == got[1]
+
+
+def test_verify_defaults_to_functional_one(tmp_path):
+    # verify used cos_end:1.0 for transf, inverse, cameron_martin and gencv
+    main(["verify", "gencv", "--grid", "16", "--paths", "200", "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "reports.json").read_text())[0]
+    assert report["provenance"]["functional"] == "one"
+
+
+_SECTIONS = ["[run]", "[scenario a]", "[scenario b]", "[scenario a]", "[scenario]", "[bogus]",
+             "[run", "[ scenario c ]"]
+_CONFIG_KEYS = ["verify", "kernel", "functional", "tolerance", "lambda", "lambdas", "x", "samples",
+         "n_steps", "horizon", "dim", "seed", "out_dir", "format", "wibble", ""]
+_VALUES = [
+    "transf", "inverse", "surjective", "harmonic", "cameron_martin", "gencv", "integrability",
+    "finite-dim", "zero", "volterra", "rank1:b=0.3", "rank1:b=1.5", " rank1 : b = 0.5",
+    "rank1:b=0.3,n=2", "rank2:b=0.2,c=0.3", "remark_gencv:b1=-2,b2=-3", "expdiag:p=[0.5,-0.5]",
+    "expdiag:p=[", "const:c=1", "const:c=inf", "frobnicate", "rank1:", "one", "cos_end:1.0",
+    "cos_mid:1,0.5", "cos_mid:x,0.5", "exp_negsq", "cos_end:nan", "0", "1", "2", "3", "-1",
+    "0.5", "1e-9", "nan", "inf", "-inf", "abc", "", "1,0", "1,2,3", "0.25, 0.5", "a,b", ",",
+    "json", "csv", "both", "reports",
+]
+_LINE = st.one_of(
+    st.sampled_from(_SECTIONS),
+    st.builds(lambda k, v, eq: f"{k} {eq} {v}", st.sampled_from(_CONFIG_KEYS), st.sampled_from(_VALUES),
+              st.sampled_from(["=", "=", "=", "==", ":"])),
+    st.sampled_from(["# comment", "", "junk"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINE, max_size=14))
+def test_config_grammar_parses_or_raises_config_error(lines):
+    # any text either parses and validates or raises ConfigError, never anything else
+    text = "\n".join(lines)
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert config.scenarios

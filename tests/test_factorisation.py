@@ -22,6 +22,7 @@ from orderone import (
     make_grid,
     orthonormal_columns,
     verify_cameron_martin,
+    verify_gencv_example,
     verify_harmonic,
     verify_inverse,
     verify_surjective,
@@ -102,8 +103,11 @@ def _perturb_pivots(monkeypatch):
     (lambda g: verify_harmonic("expdiag:p=[0.5,-0.5]", 0.5, [1.0, 0.0], "one", grid=g, dim=2,
                                n_paths=500),
      {"eigvalsh": 1}),
+    # the s-kernel gate, then the inner transf's gate and LU, whose det2 gencv reads
+    (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500),
+     {"eigvalsh": 2, "lu_factor": 1}),
 ], ids=["transf", "inverse", "surjective-one", "surjective-cos", "harmonic-one",
-        "harmonic-cos", "harmonic-x"])
+        "harmonic-cos", "harmonic-x", "gencv"])
 def test_one_factorisation_per_operator(grid, monkeypatch, run, expected):
     calls = _counting(monkeypatch)
     report = run(grid)

@@ -288,6 +288,15 @@ def test_integrability_rank_one_numbers(grid):
     assert r.gate["guard"] == "ok_no_ci"
 
 
+@pytest.mark.parametrize("spec", [" rank1:b=0.5", "rank1 : b = 0.5 ", "rank1:n=1, b=0.5"])
+def test_integrability_oracle_reads_the_spec_grammar(grid, spec):
+    # the oracle used to split the spec itself and drop the check for these
+    want = verify_integrability_bound("rank1:b=0.5", grid, n_paths=2_000, seed=5)
+    got = verify_integrability_bound(spec, grid, n_paths=2_000, seed=5)
+    assert got.checks["exact_oracle"].to_dict() == want.checks["exact_oracle"].to_dict()
+    assert got.spectra["exact_value"] == rank1_exp_q_moment(0.5)
+
+
 def test_integrability_negative_spectrum(grid):
     # 0 v lambda = 0: bound collapses to exp(||eta||^2 / 4) = e
     r = verify_integrability_bound("rank1:b=-2", grid, n_paths=40_000, seed=6)
