@@ -262,15 +262,15 @@ def _arguments(spec: ScenarioSpec, config: RunConfig) -> dict:
 
 def _validate(config: RunConfig) -> RunConfig:
     """Check every scenario as it will run: `_arguments` builds its grid
-    (horizon, n_steps), and `scenarios.resolve_scenario` checks the rest on a
-    2-step grid, so that no rule is written here a second time."""
+    (horizon, n_steps), and `scenarios.resolve_scenario` checks the rest on
+    that grid (a kernel's admissible parameters may depend on N), so that no
+    rule is written here a second time."""
     if not config.scenarios:
         raise ConfigError("config defines no scenarios")
     for spec in config.scenarios:
         keys = KINDS[spec.verify].keys
         try:
             a = _arguments(spec, config)
-            a["grid"] = make_grid(a["grid"].horizon, 2)
             # a kind without a kernel key (gencv) builds its own; the spec's
             # default stands in for it
             sc.resolve_scenario(spec.verify, spec.kernel,
@@ -407,14 +407,16 @@ def _cmd_run(args) -> int:
 
     reports = []
     for spec in config.scenarios:
+        a = _arguments(spec, config)
         try:
-            reports.extend(KINDS[spec.verify].run(spec, _arguments(spec, config)))
+            reports.extend(KINDS[spec.verify].run(spec, a))
         except (SingularOperatorError, NotContractiveError) as exc:
+            verdict = ("singular" if isinstance(exc, SingularOperatorError)
+                       else "rejected-by-hypothesis")
             print(f"scenario {spec.name}: {exc}", file=sys.stderr)
             reports.append(sc.ScenarioReport(
-                spec.name, spec.verify, None, None, None, None,
-                spec.tolerance, "rejected-by-hypothesis",
-                {"error": str(exc)}, {}, {}, {"kernel": spec.kernel, "seed": config.seed},
+                spec.name, spec.verify, None, None, None, None, spec.tolerance, verdict,
+                {"error": str(exc)}, {}, {}, {"kernel": spec.kernel, "seed": a["seed"]},
             ))
     try:
         _write_reports(reports, out_dir, config.format)

@@ -79,6 +79,13 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 
 
+def within_symmetry_tol(asymmetry: float, magnitude: float) -> bool:
+    """The one symmetry rule of kernel values and operator matrices alike:
+    max |A - A^T| <= SYMMETRY_TOL * max(1, max |A|), given the asymmetry
+    max |A - A^T| and the magnitude max |A|."""
+    return asymmetry <= SYMMETRY_TOL * max(1.0, magnitude)
+
+
 @dataclass(frozen=True, eq=True)
 class TimeGrid:
     """Uniform left-endpoint discretization of [0, T] into N steps."""
@@ -264,7 +271,8 @@ class MatrixKernel:
             raise InvalidArgumentError("kernel values must be finite")
         if self.symmetric:
             asym = self._max_deviation(lambda i: np.transpose(v[:, i], (1, 0, 3, 2)))
-            if asym > SYMMETRY_TOL and asym > SYMMETRY_TOL * np.max(np.abs(v)):
+            # the magnitude, a pass over every value, is needed only past SYMMETRY_TOL
+            if asym > SYMMETRY_TOL and not within_symmetry_tol(asym, float(np.max(np.abs(v)))):
                 raise InvalidArgumentError(
                     f"kernel flagged symmetric but max asymmetry is {asym:.3e}"
                 )

@@ -34,10 +34,10 @@ factorisation it checks, or it becomes a tautology; per scenario:
                       gate 1 - 1/(1 - lambda_min)             paths through k, khat
                     LU I+B_k: det2, khat by lu_solve        rn_normalization: own
                                                               LU of I+B_khat, MC mass
-    surjective      eigh B_eta: gate, guard,                det2_sqrt_identity: LU
-                      det2(I-B_eta), kappa_s, and             of I-B_eta
-                      khat_s when f is not constant         eta_roundtrip: eta of
-                                                              kappa_s by composition
+    surjective      one eigh B_eta per lambda family; per   det2_sqrt_identity: one
+                      factor c, from c w and V: gate,         LU of I-cB_eta per factor
+                      guard, det2(I-cB_eta), kappa_s, and   eta_roundtrip: eta of
+                      khat_s when f is not constant           kappa_s by composition
     harmonic        eigvalsh B_{-c} (eigh when f is not     det_dual_route: slogdet
                       constant): gate, det(I+B_c), c'_hat     of I + B^T B (no x)
     cameron_martin  eigvalsh B_eta: gate, guard             det2_consistency:
@@ -70,6 +70,7 @@ from .grid_kernel import (
     flat,
     kernel_l2_norm,
     unflat,
+    within_symmetry_tol,
 )
 
 __all__ = [
@@ -101,8 +102,6 @@ GATE_MARGIN = 1e-8
 #: an LU pivot below PIVOT_RTOL * max pivot marks I + M as singular
 PIVOT_RTOL = 1e-14
 
-_SYM_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class HSMatrix:
@@ -120,12 +119,6 @@ class HSMatrix:
                 f"matrix shape {self.matrix.shape} does not match (N d, N d) = ({nd}, {nd})"
             )
         self.matrix.setflags(write=False)
-
-    @property
-    def is_symmetric(self) -> bool:
-        m = self.matrix
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-        return float(np.max(np.abs(m - m.T))) <= _SYM_RTOL * scale
 
     def hs_norm(self) -> float:
         """Frobenius norm; equals the source kernel's L2 norm."""
@@ -145,10 +138,14 @@ def kernel_from_matrix(
     return MatrixKernel(grid, dim, vals, symmetric)
 
 
+def _asymmetry(matrix: np.ndarray) -> tuple[float, float]:
+    """(max |A - A^T|, max |A|): the arguments of `within_symmetry_tol`."""
+    return float(np.max(np.abs(matrix - matrix.T))), float(np.max(np.abs(matrix)))
+
+
 def _require_symmetric(matrix: np.ndarray, what: str):
-    scale = max(1.0, float(np.max(np.abs(matrix))) if matrix.size else 0.0)
-    asym = float(np.max(np.abs(matrix - matrix.T)))
-    if asym > _SYM_RTOL * scale:
+    asym, magnitude = _asymmetry(matrix)
+    if not within_symmetry_tol(asym, magnitude):
         raise PreconditionError(f"{what} requires a symmetric operator (asymmetry {asym:.3e})")
 
 
@@ -192,6 +189,14 @@ class Spectrum:
     @property
     def lambda_min(self) -> float:
         return float(self.values[0])
+
+    def scaled(self, factor: float) -> "Spectrum":
+        """The spectrum of factor * M, read from this one: the eigenvalues
+        scaled (reversed for factor < 0, so they stay ascending) and the same
+        eigenvectors, shared, not copied."""
+        order = slice(None, None, -1 if factor < 0 else 1)
+        vectors = None if self.vectors is None else self.vectors[:, order]
+        return Spectrum(factor * self.values[order], vectors, self.grid, self.dim)
 
     def logdet_complement(self) -> float:
         """log det(I - M) = sum log(1 - w); requires lambda_max < 1."""
@@ -356,9 +361,7 @@ def inverse_kernel(kappa: MatrixKernel) -> MatrixKernel:
 def inverse_kernel_from(lu: IdentityPlusLU, kappa: MatrixKernel) -> MatrixKernel:
     """The inverse kernel of kappa, read from the LU of I + B_kappa."""
     m_hat = lu.inverse_matrix()
-    sym = kappa.symmetric and float(np.max(np.abs(m_hat - m_hat.T))) <= _SYM_RTOL * max(
-        1.0, float(np.max(np.abs(m_hat)))
-    )
+    sym = kappa.symmetric and within_symmetry_tol(*_asymmetry(m_hat))
     if sym:
         m_hat = 0.5 * (m_hat + m_hat.T)
     return kernel_from_matrix(m_hat, kappa.grid, kappa.dim, symmetric=sym)
@@ -413,7 +416,7 @@ def injectivity_witness(
 
     def membership(k: MatrixKernel) -> tuple[bool, float]:
         m = assemble(k).matrix
-        if float(np.max(np.abs(m - m.T))) > _SYM_RTOL * max(1.0, float(np.max(np.abs(m)))):
+        if not within_symmetry_tol(*_asymmetry(m)):
             return False, np.nan
         mn = float(np.linalg.eigvalsh(n_id + m)[0])
         return mn >= -1e-10, mn

@@ -5,7 +5,9 @@ hypothesis gate (top eigenvalue of the symmetric exponent kernel), and only
 then Monte Carlo both sides of the identity with two independent Philox
 streams, so the z-score of the comparison has a clean null.  The verdict is
 "pass" when the discrepancy is below max(tolerance, 3 combined standard
-errors) and every embedded operator-level check holds.
+errors) and every embedded operator-level check holds.  Degenerate rule: when
+the scenario's own kernel is zero, both sides are the same statistic of one
+batch, so the right-hand side reads the left-hand stream and z = 0 exactly.
 
 Identities covered (f ranges over the bounded functional family):
 
@@ -24,6 +26,12 @@ When the guard reports an infinite second moment (2 lambda >= 1) the scenario
 never fabricates a confidence interval: it downgrades to a consistency verdict
 that compares the median of fixed sub-batch means against the target at a
 widened tolerance.
+
+A lambda family, the surjective identity of lambda * eta for several lambda
+(the Laplace sweep; `verify_surjective` is the family of lambda = 1), is one
+pass per side: one eigensolve of B_eta gives each factor's gate, det2 and
+kernels, and each side draws its paths once, with one row of values per
+factor the gate admits, merged row by row (common random numbers).
 
 Chunk plan.  One Monte Carlo side of n paths of N d increments each runs as
 ceil(n / cap) chunks of near-equal size, cap = CHUNK_ELEMENTS // (N d);
@@ -51,6 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import os
 import queue
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -163,27 +172,31 @@ def _map_chunks(run, n_chunks: int) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _moments(vals: np.ndarray) -> tuple[int, float, float, float]:
-    """(count, mean, correction, M2) of one chunk.  The chunk mean is
-    mean + correction: the rounded mean plus the mean deviation from it, so
-    that the merge sees mean differences between chunks to full precision
-    even when the values share a large offset.  M2 is the sum of squared
-    deviations from the chunk mean."""
-    mean = vals.mean()
+def _moments(vals: np.ndarray) -> tuple:
+    """(count, mean, correction, M2) of one chunk, per row of vals (one row
+    when vals is 1-D).  The chunk mean is mean + correction: the rounded mean
+    plus the mean deviation from it, so that the merge sees mean differences
+    between chunks to full precision even when the values share a large
+    offset.  M2 is the sum of squared deviations from the chunk mean."""
+    mean = vals.mean(axis=-1, keepdims=True)
     dev = vals - mean
-    corr = float(dev.mean())
+    corr = dev.mean(axis=-1)
     np.square(dev, out=dev)
-    return vals.size, float(mean), corr, float(dev.sum()) - vals.size * corr * corr
+    n = vals.shape[-1]
+    return n, mean[..., 0], corr, dev.sum(axis=-1) - n * corr * corr
 
 
 def _mc_estimate(
-    draw, n_samples: int, elements_per_sample: int, per_sample,
-    scale: float = 1.0, ci_valid: bool = True,
-) -> MCEstimate:
+    draw, n_samples: int, elements_per_sample: int, per_sample, scale=1.0, ci_valid=True,
+) -> MCEstimate | list[MCEstimate]:
     """Draw the chunks of n_samples (draw(idx, size, buf) draws into buf), map
     per_sample over them on the pool and merge their moments in chunk order by
     the pairwise update of Chan, Golub and LeVeque.  The next chunk reuses the
-    buffer, so per_sample must not keep its input past its return."""
+    buffer, so per_sample must not keep its input past its return.
+
+    per_sample gives one value per sample, merged into one MCEstimate, or a
+    (rows, samples) array, merged row by row into a list of MCEstimates, one
+    per row; scale and ci_valid then hold one entry per row (or one for all)."""
     sizes = _chunk_sizes(n_samples, elements_per_sample)
     # one draw buffer per thread, allocated here and reused by every chunk:
     # a chunk then allocates no batch of its own, and a side's memory does not
@@ -202,20 +215,28 @@ def _mc_estimate(
     parts = _map_chunks(run, len(sizes))
     count, mean, corr, m2 = parts[0]
     for n_b, mean_b, corr_b, m2_b in parts[1:]:
+        # not in place: the moments are arrays, and those of parts[0] are read below
         total = count + n_b
         delta = (mean_b - mean) + (corr_b - corr)
-        corr += delta * n_b / total
-        m2 += m2_b + delta * delta * count * n_b / total
+        corr = corr + delta * n_b / total
+        m2 = m2 + (m2_b + delta * delta * count * n_b / total)
         count = total
-    se = scale * float(np.sqrt(max(m2, 0.0) / max(count - 1, 1) / count))
-    return MCEstimate(scale * (mean + corr), se if ci_valid else None, count, ci_valid,
-                      tuple(scale * (p[1] + p[2]) for p in parts))
+    se = np.sqrt(np.maximum(m2, 0.0) / max(count - 1, 1) / count)
+    shape = np.shape(mean)
+    scale, ci_valid = np.broadcast_to(scale, shape), np.broadcast_to(ci_valid, shape)
+    estimates = [
+        MCEstimate(float(scale[r] * (mean[r] + corr[r])),
+                   float(scale[r] * se[r]) if ci_valid[r] else None, count, bool(ci_valid[r]),
+                   tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in parts))
+        for r in np.ndindex(shape)
+    ]
+    return estimates if shape else estimates[0]
 
 
 def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
-              per_path, scale: float = 1.0, ci_valid: bool = True) -> MCEstimate:
-    """Monte Carlo over Wiener paths: chunk idx is the Philox stream
-    (seed, stream_id, idx)."""
+              per_path, scale=1.0, ci_valid=True) -> MCEstimate | list[MCEstimate]:
+    """Monte Carlo over Wiener paths, one estimate or one per row as in
+    `_mc_estimate`: chunk idx is the Philox stream (seed, stream_id, idx)."""
     def draw(idx, size, buf):
         return st.sample_paths(grid, dim, size, seed, stream=(stream_id, idx), out=buf)
 
@@ -466,6 +487,16 @@ def verify_finite_dim(
 _SYMMETRIC_KINDS = ("surjective", "integrability")  # their kernel is a quadratic form's
 
 
+class _Row(NamedTuple):
+    """One identity of a two-sided Monte Carlo pass; see `Scenario.two_sided`."""
+
+    report: ScenarioReport
+    lhs_scale: float
+    rhs_scale: float
+    rhs_image: Callable | None = None
+    ci_valid: bool = True
+
+
 @dataclass
 class Scenario:
     """A Wiener-space scenario's checked arguments and the report it fills in."""
@@ -477,8 +508,7 @@ class Scenario:
     seed: int
     report: ScenarioReport
 
-    def mc(self, stream_id: int, per_path, scale: float = 1.0,
-           ci_valid: bool = True) -> MCEstimate:
+    def mc(self, stream_id: int, per_path, scale=1.0, ci_valid=True):
         return _mc_paths(self.grid, self.kernel.dim, self.n_paths, self.seed, stream_id,
                          per_path, scale, ci_valid)
 
@@ -491,21 +521,26 @@ class Scenario:
         self.report.gate = _gate_dict(gate.lambda_max, guard)
         return eta, gate, guard
 
-    def two_sided(self, lhs_fn, lhs_scale: float, rhs_scale: float,
-                  rhs_kernel: MatrixKernel | None = None, ci_valid: bool = True,
-                  degenerate: bool = False) -> ScenarioReport:
-        """Monte Carlo the left-hand side; the right-hand side is rhs_scale
-        E[f], along the transformation of rhs_kernel when given, in closed
-        form when f is constant one.  Then compare the two and decide."""
-        lhs = self.mc(_STREAM_LHS, lhs_fn, lhs_scale, ci_valid)
+    def two_sided(self, lhs_fn, rows: list[_Row]) -> list[ScenarioReport]:
+        """Monte Carlo the left-hand sides of all rows in one pass, lhs_fn
+        giving one value per path for each row (a 1-D array for one row),
+        scaled by the row's lhs_scale, with a CI when its ci_valid.  The
+        right-hand side of a row is rhs_scale E[f], f read along rhs_image
+        (per path) when given: in closed form when f is constant one, else in
+        one pass too.  Then compare each row's two sides and decide its report."""
+        lhs = self.mc(_STREAM_LHS, lambda batch: np.atleast_2d(lhs_fn(batch)),
+                      [r.lhs_scale for r in rows], [r.ci_valid for r in rows])
         if self.f.is_constant_one:
-            rhs = exact_estimate(rhs_scale)
+            rhs = [exact_estimate(r.rhs_scale) for r in rows]
         else:
-            f_rhs = self.f.evaluate if rhs_kernel is None else _image_functional(self.f, rhs_kernel)
-            # a zero kernel degenerates both sides to the same statistic of one
-            # batch; sharing the stream then makes the discrepancy exactly zero
-            rhs = self.mc(_STREAM_LHS if degenerate else _STREAM_RHS, f_rhs, rhs_scale)
-        return _identity(self.report, lhs, rhs)
+            images = [r.rhs_image or self.f.evaluate for r in rows]
+            # a zero scenario kernel degenerates both sides to the same
+            # statistic of one batch; sharing the stream then makes the
+            # discrepancy exactly zero
+            stream = _STREAM_RHS if np.any(self.kernel.values) else _STREAM_LHS
+            rhs = self.mc(stream, lambda batch: [image(batch) for image in images],
+                          [r.rhs_scale for r in rows])
+        return [_identity(r.report, a, b) for r, a, b in zip(rows, lhs, rhs)]
 
 
 def resolve_scenario(
@@ -518,7 +553,7 @@ def resolve_scenario(
     lambda (>= 0) and direction x (of the kernel's dimension), the kernel spec
     (symmetric for surjective and integrability) and the functional (None
     for a scenario without one).  Every scenario starts here, and a config is
-    validated by calling it on a small grid.  Raises InvalidArgumentError."""
+    validated by calling it on each scenario's grid.  Raises InvalidArgumentError."""
     _check_size(n_paths, tol)
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise InvalidArgumentError(f"lambda must be a finite real >= 0, got {lam}")
@@ -570,9 +605,9 @@ def verify_transf(
     def lhs_fn(batch: PathBatch):
         return f_image(batch) * np.exp(st.quadratic_form(eta, batch))
 
-    return s.two_sided(lhs_fn, float(np.exp(d2.log_modulus)),
-                       float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)),
-                       ci_valid=guard == "ok", degenerate=not np.any(kappa.values))
+    return s.two_sided(lhs_fn, [_Row(s.report, float(np.exp(d2.log_modulus)),
+                                     float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)),
+                                     ci_valid=guard == "ok")])[0]
 
 
 def verify_inverse(
@@ -631,9 +666,68 @@ def verify_inverse(
     def lhs_fn(batch: PathBatch):
         return s.f.evaluate(batch) * np.exp(st.quadratic_form(eta, batch))
 
-    return s.two_sided(lhs_fn, float(np.exp(d2.log_modulus)),
-                       float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)), kappa_hat,
-                       ci_valid=guard == "ok", degenerate=not np.any(kappa.values))
+    return s.two_sided(lhs_fn, [_Row(report, float(np.exp(d2.log_modulus)),
+                                     float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)),
+                                     _image_functional(s.f, kappa_hat), guard == "ok")])[0]
+
+
+def _surjective_family(s: Scenario, factors, reports) -> None:
+    """The surjective identity of c * eta, eta the scenario's kernel, for each
+    factor c, deciding its report: one eigensolve of B_eta for the family and
+    one Monte Carlo pass per side, with one row per factor its gate admits.
+    Every factor keeps its own gate and its own independent checks."""
+    eta = s.kernel
+    eig = op.spectrum(op.assemble(eta), vectors=True)
+    eta_norm = gk.kernel_l2_norm(eta)
+    rows, lhs_factors = [], []
+    for c, report in zip(factors, reports):
+        scaled = eig.scaled(c)  # the spectrum of c B_eta
+        lam = scaled.lambda_max
+        guard = st.moment_guard(lam)
+        report.gate = _gate_dict(lam, guard)
+        if guard == "reject":
+            _halted(report, "rejected-by-hypothesis")
+            continue
+        kappa = scaled.sqrt_kernel()
+        d2_eta = scaled.det2_complement()  # det2(I - c B_eta) > 0 in the gate regime
+        report.spectra = {
+            "lambda_eta": lam,
+            "det2_sign": d2_eta.sign,
+            "det2_log_modulus": d2_eta.log_modulus,
+            "hs_norm": abs(c) * eta_norm,
+            "kappa_s_norm": gk.kernel_l2_norm(kappa),
+        }
+        # det2(I - B) = (|det2(I + B_kappa_s)| e^{-||kappa_s||^2/2})^2 = prod (1-w) e^w
+        # for B = c B_eta in the spectral calculus that builds kappa_s; an LU of
+        # I - B, which shares nothing with the eigensolve, is the independent route
+        report.checks["det2_sqrt_identity"] = _check_close(
+            d2_eta.log_modulus, op.det2_matrix(-c * op.assemble(eta).matrix).log_modulus,
+            OPERATOR_TOL,
+            note="log of the squared kappa_s factor, prod (1-w) e^w, against an LU of I-B_eta",
+        )
+        # eta round trip of the square-root construction
+        round_err = gk.kernel_l2_norm(
+            MatrixKernel(s.grid, eta.dim, gk.eta_of_kappa(kappa).values - c * eta.values)
+        )
+        report.checks["eta_roundtrip"] = _check_close(
+            round_err, 0.0, OPERATOR_TOL * max(abs(c) * eta_norm, 1.0), relative=False,
+            note="||eta(kappa_s(eta)) - eta||_2",
+        )
+        del kappa  # as large as the operator
+        # the right-hand side transforms the paths only when f is not constant
+        image = None if s.f.is_constant_one else _image_functional(
+            s.f, scaled.inverse_sqrt_kernel())
+        rows.append(_Row(report, 1.0, float(np.exp(-0.5 * d2_eta.log_modulus)), image,
+                         guard == "ok"))
+        lhs_factors.append(c)
+    eig = scaled = None  # the eigenvectors are as large as the operator
+
+    def lhs_fn(batch: PathBatch):
+        f, q = s.f.evaluate(batch), st.quadratic_form(eta, batch)
+        return [f * np.exp(c * q) for c in lhs_factors]  # q of c eta is c q
+
+    if rows:
+        s.two_sided(lhs_fn, rows)
 
 
 def verify_surjective(
@@ -646,50 +740,8 @@ def verify_surjective(
     the expectation along the inverse transformation."""
     s = resolve_scenario("surjective", eta_kernel, functional, grid, dim, n_paths, seed, tol,
                          name)
-    eta, report = s.kernel, s.report
-    m_eta = op.assemble(eta)
-    eig = op.spectrum(m_eta, vectors=True)
-    lam = eig.lambda_max
-    guard = st.moment_guard(lam)
-    report.gate = _gate_dict(lam, guard)
-    if guard == "reject":
-        return _halted(report, "rejected-by-hypothesis")
-
-    kappa = eig.sqrt_kernel()
-    d2_eta = eig.det2_complement()  # det2(I - B_eta) > 0 in the gate regime
-    # the right-hand side transforms the paths only when f is not constant
-    kappa_hat = None if s.f.is_constant_one else eig.inverse_sqrt_kernel()
-    del eig  # the eigenvectors are as large as the operator
-    report.spectra = {
-        "lambda_eta": lam,
-        "det2_sign": d2_eta.sign,
-        "det2_log_modulus": d2_eta.log_modulus,
-        "hs_norm": gk.kernel_l2_norm(eta),
-        "kappa_s_norm": gk.kernel_l2_norm(kappa),
-    }
-
-    # det2(I - B_eta) = (|det2(I + B_kappa_s)| e^{-||kappa_s||^2/2})^2 = prod (1-w) e^w
-    # in the spectral calculus that builds kappa_s; an LU of I - B_eta, which
-    # shares nothing with the eigensolve, is the independent route
-    report.checks["det2_sqrt_identity"] = _check_close(
-        d2_eta.log_modulus, op.det2_matrix(-m_eta.matrix).log_modulus, OPERATOR_TOL,
-        note="log of the squared kappa_s factor, prod (1-w) e^w, against an LU of I-B_eta",
-    )
-    # eta round trip of the square-root construction
-    eta_round = gk.eta_of_kappa(kappa)
-    round_err = gk.kernel_l2_norm(
-        MatrixKernel(s.grid, eta.dim, eta_round.values - eta.values)
-    )
-    report.checks["eta_roundtrip"] = _check_close(
-        round_err, 0.0, OPERATOR_TOL * max(gk.kernel_l2_norm(eta), 1.0), relative=False,
-        note="||eta(kappa_s(eta)) - eta||_2",
-    )
-
-    def lhs_fn(batch: PathBatch):
-        return s.f.evaluate(batch) * np.exp(st.quadratic_form(eta, batch))
-
-    return s.two_sided(lhs_fn, 1.0, float(np.exp(-0.5 * d2_eta.log_modulus)), kappa_hat,
-                       ci_valid=guard == "ok")
+    _surjective_family(s, [1.0], [s.report])
+    return s.report
 
 
 def sweep_laplace(
@@ -697,20 +749,18 @@ def sweep_laplace(
     n_paths: int = 50_000, seed: int = 0, tol: float = DEFAULT_TOL,
 ) -> list[ScenarioReport]:
     """Laplace-transform sweep: the surjective identity applied to each
-    lambda * eta (q scales linearly in the kernel)."""
+    lambda * eta (q scales linearly in the kernel), from one eigensolve of
+    B_eta and on the same paths for every lambda."""
     s = resolve_scenario("surjective", eta_kernel, functional, grid, dim, n_paths, seed, tol)
-    spec = s.report.provenance["kernel"]
-    reports = []
-    for lam_factor in lambdas:
-        scaled = gk.scale_kernel(s.kernel, float(lam_factor))
-        reports.append(
-            verify_surjective(
-                scaled, s.f, s.grid, dim, n_paths, seed, tol,
-                name=f"laplace[{spec}, lambda={lam_factor:g}]",
-            )
-        )
-        reports[-1].provenance["kernel"] = spec
-        reports[-1].provenance["lambda"] = float(lam_factor)
+    if not np.all(np.isfinite(lambdas)):
+        raise InvalidArgumentError(f"lambdas must be finite reals, got {list(lambdas)}")
+    prov = s.report.provenance
+    reports = [
+        ScenarioReport(f"laplace[{prov['kernel']}, lambda={c:g}]", "surjective", None, None,
+                       None, None, tol, "undecided", provenance={**prov, "lambda": float(c)})
+        for c in lambdas
+    ]
+    _surjective_family(s, [float(c) for c in lambdas], reports)
     return reports
 
 
@@ -753,14 +803,14 @@ def verify_harmonic(
         "det_sign": 1,
         "hs_norm": gk.kernel_l2_norm(kappa_l),
     }
-    c_prime_hat = None if s.f.is_constant_one else eig.inverse_sqrt_kernel()
+    image = None if s.f.is_constant_one else _image_functional(s.f, eig.inverse_sqrt_kernel())
     del eig  # the eigenvectors are as large as the operator
 
     def lhs_fn(batch: PathBatch):
         h = st.h_functionals(kappa_l, batch, x)
         return s.f.evaluate(batch) * np.exp(-h)
 
-    return s.two_sided(lhs_fn, 1.0, float(np.exp(-0.5 * logdet_c)), c_prime_hat)
+    return s.two_sided(lhs_fn, [_Row(report, 1.0, float(np.exp(-0.5 * logdet_c)), image)])[0]
 
 
 def verify_cameron_martin(
@@ -822,8 +872,8 @@ def verify_cameron_martin(
         psi, _ = st.cm_exponent(phi, batch)
         return f_image(batch) * np.exp(psi)
 
-    return s.two_sided(lhs_fn, float(np.exp(d2.log_modulus + tr)), 1.0,
-                       ci_valid=guard == "ok", degenerate=not np.any(phi.values))
+    return s.two_sided(lhs_fn, [_Row(report, float(np.exp(d2.log_modulus + tr)), 1.0,
+                                     ci_valid=guard == "ok")])[0]
 
 
 def verify_gencv_example(

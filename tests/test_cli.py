@@ -17,7 +17,7 @@ from orderone.cli import (
     main,
     parse_config,
 )
-from orderone.errors import ConfigError
+from orderone.errors import ConfigError, NotContractiveError, SingularOperatorError
 
 MINIMAL = """
 [run]
@@ -207,6 +207,25 @@ tolerance = 1e-9
     cfg = _write_config(tmp_path, text)
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
     assert code == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("error, verdict, code", [
+    (SingularOperatorError, "singular", EXIT_NUMERICAL),
+    (NotContractiveError, "rejected-by-hypothesis", EXIT_GATE),
+])
+def test_run_reports_a_scenario_error_as_its_halt(tmp_path, monkeypatch, error, verdict, code):
+    # a singular operator was reported as a gate rejection (exit 2), and the
+    # report carried the [run] seed instead of the scenario's own
+    def fails(*args, **kwargs):
+        raise error("raised inside the scenario")
+    monkeypatch.setattr(scenarios, "verify_transf", fails)
+    cfg = _write_config(tmp_path, MINIMAL + "seed = 17\n")
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == code
+    (report,) = json.loads((out / "reports.json").read_text())
+    assert report["verdict"] == verdict
+    assert report["provenance"]["seed"] == 17
+    assert report["gate"]["error"] == "raised inside the scenario"
 
 
 def test_run_bad_config_exit_code(tmp_path):
@@ -415,6 +434,21 @@ def test_config_defect_exits_before_any_scenario_runs(tmp_path, monkeypatch, cap
     assert "scenario 'second'" in capsys.readouterr().err
     assert calls == []
     assert not (out / "reports.json").exists()
+
+
+@pytest.mark.parametrize("n_steps, code", [(64, EXIT_PASS), (2, EXIT_USAGE)])
+def test_run_validates_each_scenario_on_its_own_grid(tmp_path, capsys, n_steps, code):
+    # the third mode exists from N = 3 on; validation used a 2-step probe grid
+    # and rejected this config at any n_steps
+    text = MINIMAL.replace("n_steps = 64", f"n_steps = {n_steps}").replace(
+        "rank1:b=0.3", "rank1:b=0.3,n=3")
+    cfg = _write_config(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == code
+    if code == EXIT_USAGE:
+        assert "count must be in 1..2" in capsys.readouterr().err
+    else:
+        (report,) = json.loads((tmp_path / "r" / "reports.json").read_text())
+        assert report["provenance"]["kernel"] == "rank1:b=0.3,n=3"
 
 
 def test_run_validates_after_flag_overrides(tmp_path):

@@ -21,6 +21,7 @@ from orderone import (
     lambda_max,
     make_grid,
     orthonormal_columns,
+    sweep_laplace,
     verify_cameron_martin,
     verify_gencv_example,
     verify_harmonic,
@@ -28,6 +29,7 @@ from orderone import (
     verify_surjective,
     verify_transf,
 )
+from orderone import scenarios, stochastic
 from orderone.grid_kernel import MatrixKernel
 from orderone.operator import GATE_MARGIN, factor_identity_plus, spectrum
 from orderone.stochastic import moment_guard
@@ -113,6 +115,25 @@ def test_one_factorisation_per_operator(grid, monkeypatch, run, expected):
     report = run(grid)
     assert report.verdict == "pass"
     assert dict(calls) == expected
+
+
+@pytest.mark.parametrize("functional, sides", [("one", (0,)), ("cos_end:1.0", (0, 1))])
+def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functional, sides):
+    # three factors: one eigh of B_eta, one LU of I - c B_eta per factor, and
+    # each chunk of each Monte Carlo side drawn once (f == 1 has an exact
+    # right-hand side, so draws the left-hand side alone)
+    monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 32 * 200)  # 1,000 paths in 5 chunks
+    calls = _counting(monkeypatch)
+    drawn, sample_paths = [], stochastic.sample_paths
+
+    def recorded(*args, **kwargs):
+        drawn.append(kwargs["stream"])
+        return sample_paths(*args, **kwargs)
+    monkeypatch.setattr(stochastic, "sample_paths", recorded)
+    reports = sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], functional, grid, n_paths=1_000)
+    assert [r.verdict for r in reports] == ["pass"] * 3
+    assert dict(calls) == {"eigh": 1, "lu_factor": 3}
+    assert sorted(drawn) == [(side, idx) for side in sides for idx in range(5)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from orderone import (
     spectral_summary,
     trace,
 )
-from orderone.grid_kernel import MatrixKernel
-from orderone.operator import det2_matrix
+from orderone import InvalidArgumentError
+from orderone.grid_kernel import SYMMETRY_TOL, MatrixKernel
+from orderone.operator import det2_matrix, spectrum
 
 
 @pytest.fixture
@@ -118,6 +119,26 @@ def test_lambda_max_rank_one():
 def test_lambda_max_rejects_asymmetric(grid):
     with pytest.raises(PreconditionError):
         lambda_max(assemble(kernel_zoo("volterra", grid)))
+
+
+@pytest.mark.parametrize("magnitude", [0.25, 8.0])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_one_symmetry_rule_at_its_boundary(grid, magnitude, ratio):
+    # max |A - A^T| <= SYMMETRY_TOL max(1, max |A|), for kernel values and
+    # operator matrices alike: just under the bound passes, just over fails
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-1.0, 1.0, (64, 64))
+    a = magnitude * (a + a.T) / np.max(np.abs(a + a.T))
+    a[0, 1] += ratio * SYMMETRY_TOL * max(1.0, magnitude)
+    symmetric = ratio < 1.0
+    if symmetric:
+        MatrixKernel(grid, 1, a[:, :, None, None], symmetric=True)
+        spectrum(a)
+    else:
+        with pytest.raises(InvalidArgumentError, match="flagged symmetric"):
+            MatrixKernel(grid, 1, a[:, :, None, None], symmetric=True)
+        with pytest.raises(PreconditionError, match="symmetric operator"):
+            spectrum(a)
 
 
 # ---------------------------------------------------------------------------

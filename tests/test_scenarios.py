@@ -13,9 +13,11 @@ from orderone import scenarios as sc
 from orderone import (
     InvalidArgumentError,
     integrability_bound,
+    kernel_zoo,
     make_grid,
     rank1_exp_q_moment,
     sample_paths,
+    scale_kernel,
     sweep_laplace,
     verify_cameron_martin,
     verify_finite_dim,
@@ -179,6 +181,74 @@ def test_laplace_sweep_passes(grid):
     for factor, r in zip([0.25, 0.5, 0.75], reports):
         npt.assert_allclose(r.rhs.mean, rank1_exp_q_moment(0.5 * factor), rtol=1e-6)
         assert r.lhs.ci_valid  # scaled spectra sit inside the CI regime
+
+
+def _assert_reports_close(got, want):
+    """Equal verdicts, guards and check outcomes; every number at rtol 1e-9,
+    and at atol 1e-12 where it is zero in exact arithmetic."""
+    def close(g, w, zero=False):
+        if g is None or w is None:
+            return g is w
+        return abs(g - w) <= 1e-12 if zero else np.isclose(g, w, rtol=1e-9, atol=1e-12)
+
+    assert (got.verdict, got.gate["guard"]) == (want.verdict, want.gate["guard"])
+    assert close(got.gate["lambda_eta"], want.gate["lambda_eta"])
+    assert close(got.z_score, want.z_score) and close(got.rel_error, want.rel_error)
+    for side in ("lhs", "rhs"):
+        g, w = getattr(got, side), getattr(want, side)
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert (g.n_samples, g.ci_valid) == (w.n_samples, w.ci_valid)
+            assert close(g.mean, w.mean) and close(g.std_error, w.std_error)
+            assert all(close(a, b) for a, b in zip(g.chunk_means, w.chunk_means))
+    assert got.spectra.keys() == want.spectra.keys()
+    assert all(close(got.spectra[k], want.spectra[k]) for k in want.spectra)
+    assert got.checks.keys() == want.checks.keys()
+    for name, w in want.checks.items():
+        g = got.checks[name]
+        assert g.passed == w.passed and close(g.tol, w.tol) and close(g.target, w.target)
+        assert close(g.value, w.value, zero=w.target == 0.0)
+
+
+@pytest.mark.parametrize("functional", ["one", "cos_end:1.0"])
+def test_sweep_matches_surjective_on_each_scaled_kernel(monkeypatch, functional):
+    # the reference is the per-lambda route: verify_surjective on a rescaled
+    # kernel copy, one eigensolve and one Monte Carlo pass per lambda.  The
+    # gates are 0.125 (ok), 0.75 (ok_no_ci), 1.25 (rejected) and, for the
+    # negative factor, -0.5 lambda_min (ok, read from the reversed spectrum)
+    monkeypatch.setattr(sc, "CHUNK_ELEMENTS", 64 * 700)  # 4,000 paths in 6 chunks
+    g = make_grid(1.0, 64)
+    lambdas = [0.25, 1.5, 2.5, -0.5]
+    reports = sweep_laplace("rank1:b=0.5", lambdas, functional, g, n_paths=4_000, seed=8)
+    eta = kernel_zoo("rank1:b=0.5", g)
+    for lam, got in zip(lambdas, reports):
+        want = verify_surjective(scale_kernel(eta, lam), functional, g, n_paths=4_000, seed=8)
+        assert got.name == f"laplace[rank1:b=0.5, lambda={lam:g}]"
+        assert got.provenance == dict(want.provenance, kernel="rank1:b=0.5", **{"lambda": lam})
+        _assert_reports_close(got, want)
+    assert [r.gate["guard"] for r in reports] == ["ok", "ok_no_ci", "reject", "ok"]
+    rejected = reports[2]
+    assert rejected.verdict == "rejected-by-hypothesis" and rejected.lhs is None
+    assert len(reports[0].lhs.chunk_means) == 6
+    assert reports[1].lhs.std_error is None  # the CI-less row beside rows with a CI
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_sweep_rejects_a_non_finite_lambda(grid, lam):
+    with pytest.raises(InvalidArgumentError, match="lambdas must be finite"):
+        sweep_laplace("rank1:b=0.5", [0.5, lam], "one", grid, n_paths=10)
+
+
+@pytest.mark.parametrize("run", [
+    lambda g: verify_surjective("zero", "cos_end:1.0", g, n_paths=5_000, seed=1),
+    lambda g: verify_harmonic("zero", 1.0, None, "cos_end:1.0", g, n_paths=5_000, seed=1),
+], ids=["surjective", "harmonic"])
+def test_zero_kernel_shares_the_stream(grid, run):
+    # the degenerate rule is read from the scenario's own kernel: zero, so the
+    # right-hand side reads the left-hand paths and the two sides coincide
+    r = run(grid)
+    assert r.passed and r.z_score == 0.0 and r.rel_error == 0.0
+    assert r.lhs.mean == r.rhs.mean
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +431,9 @@ def test_worker_count_does_not_change_estimates(monkeypatch):
                                   n_probe=10),
             verify_surjective("rank1:b=0.5", "exp_negsq", g, n_paths=1_100, seed=5),
             verify_finite_dim(np.diag([0.2, -0.1]), "cos_sum", n_samples=3_300, seed=5),
+            # one row per lambda on each side, merged row by row
+            *sweep_laplace("rank1:b=0.5", [0.25, 1.0, 0.5], "cos_end:1.0", g, n_paths=1_100,
+                           seed=5),
         ]
     assert len(runs[1][0].lhs.chunk_means) == 6
     assert runs[1][3].lhs.ci_valid is False  # the median-of-chunk-means fallback
