@@ -9,8 +9,10 @@ Subcommands
     verify         run one named scenario from flags
     sweep-laplace  surjective identity across a list of lambda factors
 
-Exit codes: 0 all pass, 1 numerical failure, 2 hypothesis-gate rejection,
-3 usage or configuration error.
+Exit codes: 0 all pass, 1 numerical failure (a failed verdict, a singular
+operator, or a scenario that raised), 2 hypothesis-gate rejection, 3 usage or
+configuration error.  `run` writes a report for every scenario, one that
+raised included (verdict `error`, with the exception in its gate field).
 
 Config format (strict: unknown keys and sections are fatal, with line numbers):
 
@@ -55,6 +57,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -319,7 +322,7 @@ def _print_table(reports, file=None) -> None:
 
 def _exit_code(reports) -> int:
     verdicts = [r.verdict for r in reports]
-    if any(v in ("fail", "singular") for v in verdicts):
+    if any(v in ("fail", "singular", "error") for v in verdicts):
         return EXIT_NUMERICAL
     if any(v == "rejected-by-hypothesis" for v in verdicts):
         return EXIT_GATE
@@ -410,13 +413,19 @@ def _cmd_run(args) -> int:
         a = _arguments(spec, config)
         try:
             reports.extend(KINDS[spec.verify].run(spec, a))
-        except (SingularOperatorError, NotContractiveError) as exc:
-            verdict = ("singular" if isinstance(exc, SingularOperatorError)
-                       else "rejected-by-hypothesis")
-            print(f"scenario {spec.name}: {exc}", file=sys.stderr)
+        except Exception as exc:  # one scenario's failure must not lose the others' reports
+            if isinstance(exc, (SingularOperatorError, NotContractiveError)):
+                verdict = ("singular" if isinstance(exc, SingularOperatorError)
+                           else "rejected-by-hypothesis")
+                error = str(exc)
+                print(f"scenario {spec.name}: {exc}", file=sys.stderr)
+            else:
+                verdict, error = "error", f"{type(exc).__name__}: {exc}"
+                print(f"scenario {spec.name} raised:", file=sys.stderr)
+                traceback.print_exc(file=sys.stderr)
             reports.append(sc.ScenarioReport(
                 spec.name, spec.verify, None, None, None, None, spec.tolerance, verdict,
-                {"error": str(exc)}, {}, {}, {"kernel": spec.kernel, "seed": a["seed"]},
+                {"error": error}, {}, {}, {"kernel": spec.kernel, "seed": a["seed"]},
             ))
     try:
         _write_reports(reports, out_dir, config.format)
@@ -443,8 +452,12 @@ def _cmd_kernel(args) -> int:
         try:
             out = op.spectral_summary(_DERIVED[args.command](kernel)).to_dict()
         except (SingularOperatorError, NotContractiveError, PreconditionError) as exc:
+            # the codes of `run`: singular is numerical, a kernel kappa-s cannot
+            # take (not symmetric) is a bad input, only a failed gate is a gate
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_GATE
+            if isinstance(exc, SingularOperatorError):
+                return EXIT_NUMERICAL
+            return EXIT_USAGE if isinstance(exc, PreconditionError) else EXIT_GATE
     print(json.dumps(out, sort_keys=True, indent=2))
     return EXIT_PASS
 

@@ -19,7 +19,8 @@ validated at construction; the eta/s/c constructors always return flagged
 kernels.
 
 Factored forms.  Next to its dense values a kernel may carry one factored
-form, which the path layer uses instead of the dense (N d)^2 matrix:
+form, which the path layer (and, for LowRank, the operator layer) uses
+instead of the dense (N d)^2 matrix:
 
     LowRank     the flat matrix (see `flat`) is L C R^T, with L and R of
                 shape (N d, r) and a core C of shape (r, r); set by the zoo for
@@ -27,13 +28,16 @@ form, which the path layer uses instead of the dense (N d)^2 matrix:
     LowerExp    scale * 1_{s < t} diag(e^{(t - s) p}), or its adjoint; set by
                 the zoo for volterra (p = 0) and expdiag
 
-`scale_kernel` and `adjoint_kernel` keep either form.  `eta_of_kappa` and
-`kappa_from_phi` keep a LowRank form (a rank-r kappa gives an eta of rank at
-most 2r; the tail integral acts on R alone).  Every other constructor, and
-every kernel the operator layer builds, carries none.  Construction checks
-that the form reproduces the values to FACTOR_TOL of the form's magnitude
-(its largest entry before cancellation), so the operator layer (which reads
-`values`) and the path layer (which reads the form) always see one kernel.  Callers never inspect the form: `apply` (x -> x K^T),
+`scale_kernel` and `adjoint_kernel` keep either form.  `eta_of_kappa`,
+`s_of_kappa` and `kappa_from_phi` keep a LowRank form (a rank-r kappa gives an
+eta or s kernel of rank at most 2r; the tail integral acts on R alone).  The
+operator layer builds the inverse, square-root and inverse-square-root kernels
+of a LowRank kernel as LowRank kernels (`kernel_from_form`).  Every other
+constructor, and every kernel the operator layer builds from a dense one,
+carries none.  Construction checks that the form reproduces the values to
+FACTOR_TOL of the form's magnitude (its largest entry before cancellation),
+so a route that reads `values` and one that reads the form always see one
+kernel.  The path layer never inspects the form: `apply` (x -> x K^T),
 `apply_adjoint` (x -> x K) and `diagonal_blocks` hide it, and fall back to the
 dense values when there is none.
 
@@ -62,6 +66,7 @@ __all__ = [
     "LowerExp",
     "make_grid",
     "kernel_from_values",
+    "kernel_from_form",
     "kernel_l2_norm",
     "adjoint_kernel",
     "compose_kernels",
@@ -377,6 +382,13 @@ def unflat(matrix: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
     )
 
 
+def kernel_from_form(grid: TimeGrid, dim: int, form: LowRank,
+                     symmetric: bool = False) -> MatrixKernel:
+    """The kernel whose flat matrix is L C R^T, carrying that form."""
+    vals = unflat(form.left @ form.core @ form.right.T, grid.n_steps, dim)
+    return MatrixKernel(grid, dim, vals, symmetric, form)
+
+
 def _check_compatible(a: MatrixKernel, b: MatrixKernel):
     if a.grid != b.grid or a.dim != b.dim:
         raise InvalidArgumentError(
@@ -395,7 +407,8 @@ def _symmetrize(values: np.ndarray) -> np.ndarray:
 
 def kernel_l2_norm(kappa: MatrixKernel) -> float:
     """Quadrature value of the L2 norm: (sum |kappa(t_i,t_j)|_F^2 Delta^2)^(1/2)."""
-    return float(np.sqrt(np.sum(kappa.values ** 2)) * kappa.grid.step)
+    v = kappa.values.reshape(-1)  # a view, not an (N d)^2 temporary, for contiguous values
+    return float(np.sqrt(v @ v) * kappa.grid.step)
 
 
 def adjoint_kernel(kappa: MatrixKernel) -> MatrixKernel:
@@ -429,16 +442,11 @@ def eta_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
     """
     adj = np.transpose(kappa.values, (1, 0, 3, 2))
     vals = _symmetrize(-(kappa.values + adj + _adjoint_gram(kappa)))
-    form = kappa.factored
-    if isinstance(form, LowRank):
-        # K + K^T + K^T K Delta = [L R] [[0, C], [C^T, C^T G C]] [L R]^T, G = L^T L Delta
-        left, core, right = form.left, form.core, form.right
-        gram = core.T @ (left.T @ left * kappa.grid.step) @ core
-        eta_core = np.block([[np.zeros_like(core), core], [core.T, 0.5 * (gram + gram.T)]])
-        basis = np.hstack([left, right])
-        form = LowRank(basis, -eta_core, basis)
-    else:
-        form = None
+    form, k = None, kappa.factored
+    if isinstance(k, LowRank):
+        # K^T K Delta = R C^T G C R^T with G = L^T L Delta
+        gram = k.core.T @ (k.left.T @ k.left * kappa.grid.step) @ k.core
+        form = _symmetric_sum(k, -0.5 * (gram + gram.T))
     return MatrixKernel(kappa.grid, kappa.dim, vals, symmetric=True, factored=form)
 
 
@@ -446,7 +454,18 @@ def s_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
     """The symmetric kernel -(kappa + kappa*): eta without the quadratic term."""
     adj = adjoint_kernel(kappa)
     vals = _symmetrize(-(kappa.values + adj.values))
-    return MatrixKernel(kappa.grid, kappa.dim, vals, symmetric=True)
+    form, k = None, kappa.factored
+    if isinstance(k, LowRank):
+        form = _symmetric_sum(k, np.zeros_like(k.core))
+    return MatrixKernel(kappa.grid, kappa.dim, vals, symmetric=True, factored=form)
+
+
+def _symmetric_sum(form: LowRank, extra: np.ndarray) -> LowRank:
+    """The form of -(K + K^T) + R extra R^T for K = L C R^T:
+    [L R] [[0, -C], [-C^T, extra]] [L R]^T."""
+    core = form.core
+    basis = np.hstack([form.left, form.right])
+    return LowRank(basis, np.block([[np.zeros_like(core), -core], [-core.T, extra]]), basis)
 
 
 def direction(x, dim: int) -> np.ndarray:

@@ -24,35 +24,63 @@ One factorisation per operator.  Everything asked of a symmetric M is a
 function of one eigensolve (`spectrum`: eigvalsh, or eigh when eigenvectors
 are needed), and everything asked of I + M is read from one LU
 (`factor_identity_plus`).  `lambda_max`, `det2`, `inverse_kernel` and
-`kappa_s` are thin readers of these.  An embedded check must not read the
-factorisation it checks, or it becomes a tautology; per scenario:
+`kappa_s` are thin readers of these.
 
-    scenario        hot path                                check routes
-    transf          eigvalsh B_eta: gate, guard             (identity only)
-                    LU I+B_k: det2
-    inverse         eigvalsh B_eta: gate, guard, image      composition_roundtrip:
-                      gate 1 - 1/(1 - lambda_min)             paths through k, khat
-                    LU I+B_k: det2, khat by lu_solve        rn_normalization: own
-                                                              LU of I+B_khat, MC mass
-    surjective      one eigh B_eta per lambda family; per   det2_sqrt_identity: one
-                      factor c, from c w and V: gate,         LU of I-cB_eta per factor
-                      guard, det2(I-cB_eta), kappa_s, and   eta_roundtrip: eta of
-                      khat_s when f is not constant           kappa_s by composition
-    harmonic        eigvalsh B_{-c} (eigh when f is not     det_dual_route: slogdet
-                      constant): gate, det(I+B_c), c'_hat     of I + B^T B (no x)
-    cameron_martin  eigvalsh B_eta: gate, guard             det2_consistency:
-                    LU I+B_kphi: det2                         slogdet of I+B_kphi
-    gencv           eigvalsh B_s; gate and det2 read from   closed forms of
-                      the inner transf's eigvalsh and LU      lambda_s, lambda_eta, det2
-    integrability   eigvalsh B_eta: gate, guard             closed-form bound, oracle
+The route is chosen by the form of the source kernel (see `grid_kernel`).
+For a LowRank source, M = Delta L C R^T of rank r, every quantity is an
+r x r or 2r x 2r problem (the matrix determinant lemma and Woodbury's
+identity; Golub and Van Loan, Matrix Computations, 4th ed., 2.1.4); every
+other operator, and every bare matrix, takes the dense route:
 
-No factorisation outlives the verification that made it: each is as large
-as the operator, so none is attached to an HSMatrix or a kernel.
+    factorisation         LowRank source                      dense
+    spectrum              thin QR [L R] = Q [R_L R_R], then   eigvalsh/eigh of M
+                            eigvalsh/eigh of the core
+                            Delta R_L C R_R^T; the other
+                            N d - 2r eigenvalues are zero
+    factor_identity_plus  LU of K = I_r + Delta C R^T L:      LU of I + M
+                            det2 = det K e^{-Delta tr(C R^T L)}
+    kernels read          inverse (L, -K^{-1} C, R);          dense values
+                            sqrt and inverse sqrt
+                            (QU, f(1 - w) / Delta, QU)
+
+The symmetry a spectrum needs is the source kernel's `symmetric` flag,
+validated at construction by the same rule; only a bare matrix, or one
+whose source is not flagged, is scanned.  An embedded check must not read
+the factorisation it checks, or it becomes a tautology: the determinant
+checks below factorise the operator matrix itself (dense, whatever the
+form), and eta_roundtrip composes kernel values.  Per scenario, with the
+form its hot-path factorisations take (kernel: that of the scenario's kernel;
+LowRank for rank1, rank2, remark_gencv, const and const_phi, dense for
+volterra and expdiag):
+
+    scenario        form     hot path                               check routes
+    transf          kernel   eigvalsh B_eta: gate, guard            (identity only)
+                             LU I+B_k: det2
+    inverse         kernel   eigvalsh B_eta: gate, guard, image     composition_roundtrip:
+                               gate 1 - 1/(1 - lambda_min)            paths through k, khat
+                             LU I+B_k: det2, khat by lu_solve       rn_normalization: own
+                                                                      LU of I+B_khat, MC mass
+    surjective      kernel   one eigh B_eta per lambda family; per  det2_sqrt_identity: one
+                               factor c, from c w and V: gate,        dense LU of I-cB_eta
+                               guard, det2(I-cB_eta), kappa_s, and    per factor
+                               khat_s when f is not constant        eta_roundtrip: eta of
+                                                                      kappa_s by composition
+    harmonic        dense    eigvalsh B_{-c} (eigh when f is not    det_dual_route: slogdet
+                               constant): gate, det(I+B_c), c'_hat    of I + B^T B (no x)
+    cameron_martin  kernel   eigvalsh B_eta: gate, guard            det2_consistency:
+                             LU I+B_kphi: det2                        slogdet of I+B_kphi
+    gencv           LowRank  eigvalsh B_s; gate and det2 read from  closed forms of
+                               the inner transf's eigvalsh and LU     lambda_s, lambda_eta, det2
+    integrability   kernel   eigvalsh B_eta: gate, guard            closed-form bound, oracle
+
+No factorisation outlives the verification that made it: a dense one is as
+large as the operator, so none is attached to an HSMatrix or a kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import warnings
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,10 +92,12 @@ from .errors import (
     SingularOperatorError,
 )
 from .grid_kernel import (
+    LowRank,
     MatrixKernel,
     TimeGrid,
     eta_of_kappa,
     flat,
+    kernel_from_form,
     kernel_l2_norm,
     unflat,
     within_symmetry_tol,
@@ -149,6 +179,23 @@ def _require_symmetric(matrix: np.ndarray, what: str):
         raise PreconditionError(f"{what} requires a symmetric operator (asymmetry {asym:.3e})")
 
 
+def _low_rank(op: HSMatrix | np.ndarray) -> LowRank | None:
+    """The LowRank form of an operator's source kernel, when it has one."""
+    form = op.source.factored if isinstance(op, HSMatrix) and op.source is not None else None
+    return form if isinstance(form, LowRank) else None
+
+
+def _orthonormal_basis(form: LowRank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, R_L, R_R) with L = Q R_L and R = Q R_R, Q with orthonormal columns:
+    one thin QR of L, or of [L R] when R is another array."""
+    if form.left is form.right:
+        q, r = np.linalg.qr(form.left)
+        return q, r, r
+    q, r = np.linalg.qr(np.hstack([form.left, form.right]))
+    k = form.core.shape[0]
+    return q, r[:, :k], r[:, k:]
+
+
 @dataclass(frozen=True)
 class Det2:
     """Regularized determinant det2(I + B) as sign * exp(log_modulus).
@@ -171,24 +218,30 @@ class Det2:
 @dataclass(frozen=True)
 class Spectrum:
     """One eigensolve of a symmetric operator matrix M: eigenvalues w
-    (ascending) and, when they were asked for, eigenvectors V.
+    (ascending) and, when they were asked for, eigenvectors V, plus `zeros`
+    further eigenvalues that are exactly zero and not stored (the null space
+    of a low-rank M, whose V has fewer columns than rows).
 
     The gate, det(I - M), det2(I - M) and every kernel V f(w) V^T of the
-    spectral calculus are read from it.  `grid` is None for a bare matrix.
+    spectral calculus are read from it; f(1 - 0) = 0 for both kernels, so
+    the implicit zeros add nothing to them.  `grid` is None for a bare matrix.
     """
 
     values: np.ndarray
     vectors: np.ndarray | None = None
     grid: TimeGrid | None = None
     dim: int = 1
+    zeros: int = 0
 
     @property
     def lambda_max(self) -> float:
-        return float(self.values[-1])
+        top = float(self.values[-1])
+        return max(top, 0.0) if self.zeros else top
 
     @property
     def lambda_min(self) -> float:
-        return float(self.values[0])
+        bottom = float(self.values[0])
+        return min(bottom, 0.0) if self.zeros else bottom
 
     def scaled(self, factor: float) -> "Spectrum":
         """The spectrum of factor * M, read from this one: the eigenvalues
@@ -196,7 +249,7 @@ class Spectrum:
         eigenvectors, shared, not copied."""
         order = slice(None, None, -1 if factor < 0 else 1)
         vectors = None if self.vectors is None else self.vectors[:, order]
-        return Spectrum(factor * self.values[order], vectors, self.grid, self.dim)
+        return Spectrum(factor * self.values[order], vectors, self.grid, self.dim, self.zeros)
 
     def logdet_complement(self) -> float:
         """log det(I - M) = sum log(1 - w); requires lambda_max < 1."""
@@ -215,28 +268,45 @@ class Spectrum:
         return self._complement_kernel(lambda c: 1.0 / np.sqrt(c) - 1.0)
 
     def _complement_kernel(self, f) -> MatrixKernel:
-        if self.vectors is None or self.grid is None:
+        """The kernel of V f(1 - w) V^T: LowRank (V, f(1 - w) / Delta, V) when
+        V has fewer columns than rows, dense otherwise."""
+        v = self.vectors
+        if v is None or self.grid is None:
             raise PreconditionError("building a kernel needs eigenvectors of a grid operator")
         c = 1.0 - self.values
         # analytically >= 1 - lambda > 0; any negative value is pure roundoff
         c = np.maximum(c, PIVOT_RTOL * float(np.max(np.abs(c))))
-        m = (self.vectors * f(c)) @ self.vectors.T
+        if v.shape[1] < v.shape[0]:
+            form = LowRank(v, np.diag(f(c) / self.grid.step), v)
+            return kernel_from_form(self.grid, self.dim, form, symmetric=True)
+        m = (v * f(c)) @ v.T
         m = 0.5 * (m + m.T)
         return kernel_from_matrix(m, self.grid, self.dim, symmetric=True)
 
 
 def spectrum(op: HSMatrix | np.ndarray, vectors: bool = False) -> Spectrum:
     """Eigen-decomposition of a symmetric operator: eigvalsh, or eigh when
-    the eigenvectors are needed."""
+    the eigenvectors are needed; of the small core when the source kernel is
+    a symmetric LowRank kernel (see the module docstring)."""
     if isinstance(op, HSMatrix):
         m, grid, dim = op.matrix, op.grid, op.dim
+        flagged = op.source is not None and op.source.symmetric
     else:
-        m, grid, dim = np.asarray(op, dtype=float), None, 1
-    _require_symmetric(m, "spectrum")
+        m, grid, dim, flagged = np.asarray(op, dtype=float), None, 1, False
+    if not flagged:
+        _require_symmetric(m, "spectrum")
+    form = _low_rank(op)
+    zeros, basis = 0, None
+    if flagged and form is not None:
+        # M = Delta L C R^T = Q (Delta R_L C R_R^T) Q^T
+        basis, r_left, r_right = _orthonormal_basis(form)
+        m = grid.step * (r_left @ form.core @ r_right.T)
+        m = 0.5 * (m + m.T)
+        zeros = basis.shape[0] - basis.shape[1]
     if vectors:
         w, v = np.linalg.eigh(m)
-        return Spectrum(w, v, grid, dim)
-    return Spectrum(np.linalg.eigvalsh(m), None, grid, dim)
+        return Spectrum(w, v if basis is None else basis @ v, grid, dim, zeros)
+    return Spectrum(np.linalg.eigvalsh(m), None, grid, dim, zeros)
 
 
 def lambda_max(op: HSMatrix | np.ndarray) -> float:
@@ -246,47 +316,100 @@ def lambda_max(op: HSMatrix | np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class IdentityPlusLU:
-    """One LU factorisation of I + M: det2(I + M) and the inverse matrix
-    (I + M)^{-1} - I are both read from it."""
+    """One LU factorisation: of I + M, or, when `form` holds M = L D R^T
+    (D = Delta C of a LowRank source), of the capacitance K = I_r + D R^T L.
+    det2(I + M) and the inverse (I + M)^{-1} - I are both read from it."""
 
     matrix: np.ndarray  # M
     lu: np.ndarray
     piv: np.ndarray
     det2: Det2
+    form: LowRank | None = None
+
+    def _require_regular(self):
+        if self.det2.singular:
+            raise SingularOperatorError("I + B_kappa is numerically singular; no inverse kernel")
+
+    def inverse_form(self) -> LowRank:
+        """(I + M)^{-1} - I = L (-K^{-1} D) R^T by Woodbury's identity, K^{-1} D
+        solved from the capacitance LU; for a LowRank-factorised M only."""
+        self._require_regular()
+        core = -sla.lu_solve((self.lu, self.piv), self.form.core, check_finite=False)
+        return LowRank(self.form.left, core, self.form.right)
 
     def inverse_matrix(self) -> np.ndarray:
         """(I + M)^{-1} - I, computed as -(I+M)^{-1} M, which keeps the result
         Hilbert-Schmidt-shaped instead of differencing two near-identity matrices."""
-        if self.det2.singular:
-            raise SingularOperatorError("I + B_kappa is numerically singular; no inverse kernel")
+        self._require_regular()
+        if self.form is not None:
+            inv = self.inverse_form()
+            return inv.left @ inv.core @ inv.right.T
         return -sla.lu_solve((self.lu, self.piv), self.matrix, check_finite=False)
 
 
 def factor_identity_plus(b: HSMatrix | np.ndarray) -> IdentityPlusLU:
-    """LU of I + b with det2(I + b) = det(I + b) e^{-tr b} in log domain.
+    """LU of I + b with det2(I + b) = det(I + b) e^{-tr b} in log domain; of
+    the r x r capacitance when b's source kernel has a LowRank form.
 
     Rank deficiency: a pivot below 1e-8 of the pivot scale is suspicious; it
     is confirmed singular when the smallest singular value of I + b falls
     below PIVOT_RTOL times the largest (partial-pivoting LU alone inflates a
     zero eigenvalue to roughly n * eps * growth and cannot decide at 1e-14).
     """
+    form = _low_rank(b)
+    if form is not None:
+        return _factor_capacitance(b, form.scaled(b.grid.step))
     b = b.matrix if isinstance(b, HSMatrix) else np.asarray(b, dtype=float)
     a = np.array(b, order="F")  # Fortran order lets LAPACK factorise in place
     a[np.diag_indices_from(a)] += 1.0
     lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
+    det2 = _det2_from_lu(lu, piv, float(np.trace(b)),
+                         lambda: sla.svdvals(np.eye(b.shape[0]) + b, check_finite=False))
+    return IdentityPlusLU(b, lu, piv, det2)
+
+
+def _factor_capacitance(op: HSMatrix, form: LowRank) -> IdentityPlusLU:
+    """The LowRank route of `factor_identity_plus`, form = (L, Delta C, R):
+    det(I + L D R^T) = det(I_r + D R^T L) (the matrix determinant lemma) and
+    tr(L D R^T) = tr(D R^T L).  I + M acts as the identity off span[L R], so
+    its pivots and singular values are those of the small problem padded
+    with ones, and the dense rank rule applies unchanged."""
+    inner = form.core @ (form.right.T @ form.left)
+    r = inner.shape[0]
+    with warnings.catch_warnings():  # an exactly singular K is decided below
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(np.eye(r) + inner, check_finite=False)
+
+    def svdvals():
+        q, r_left, r_right = _orthonormal_basis(form)
+        sv = sla.svdvals(np.eye(q.shape[1]) + r_left @ form.core @ r_right.T,
+                         check_finite=False)
+        return np.sort(np.append(sv, 1.0))[::-1] if q.shape[1] < q.shape[0] else sv
+
+    padded = form.left.shape[0] > r
+    det2 = _det2_from_lu(lu, piv, float(np.trace(inner)), svdvals, padded)
+    return IdentityPlusLU(op.matrix, lu, piv, det2, form)
+
+
+def _det2_from_lu(lu, piv, trace: float, svdvals, padded: bool = False) -> Det2:
+    """det(A) e^{-trace} from the LU of A, under the rank rule of
+    `factor_identity_plus`; padded: A stands for a larger matrix that adds
+    unit pivots and unit singular values to its own."""
     diag = np.diag(lu)
-    scale = float(np.max(np.abs(diag))) if diag.size else 0.0
+    pivots = np.abs(diag)
+    if padded:
+        pivots = np.append(pivots, 1.0)
+    scale = float(np.max(pivots)) if pivots.size else 0.0
     singular = Det2(sign=0, log_modulus=-np.inf, singular=True)
     if scale == 0.0:
-        return IdentityPlusLU(b, lu, piv, singular)
-    if float(np.min(np.abs(diag))) <= 1e-8 * scale:
-        sv = sla.svdvals(np.eye(b.shape[0]) + b, check_finite=False)
+        return singular
+    if float(np.min(pivots)) <= 1e-8 * scale:
+        sv = svdvals()
         if sv[0] == 0.0 or sv[-1] <= PIVOT_RTOL * sv[0]:
-            return IdentityPlusLU(b, lu, piv, singular)
+            return singular
     perm_sign = 1 if np.count_nonzero(piv != np.arange(len(piv))) % 2 == 0 else -1
     sign = perm_sign * (1 if np.count_nonzero(diag < 0) % 2 == 0 else -1)
-    log_modulus = float(np.sum(np.log(np.abs(diag))) - np.trace(b))
-    return IdentityPlusLU(b, lu, piv, Det2(sign=sign, log_modulus=log_modulus))
+    return Det2(sign=sign, log_modulus=float(np.sum(np.log(np.abs(diag))) - trace))
 
 
 def det2_matrix(b: np.ndarray) -> Det2:
@@ -359,7 +482,17 @@ def inverse_kernel(kappa: MatrixKernel) -> MatrixKernel:
 
 
 def inverse_kernel_from(lu: IdentityPlusLU, kappa: MatrixKernel) -> MatrixKernel:
-    """The inverse kernel of kappa, read from the LU of I + B_kappa."""
+    """The inverse kernel of kappa, read from the LU of I + B_kappa: the
+    LowRank kernel (L, -K^{-1} C, R) when the LU is of the capacitance K."""
+    if lu.form is not None:
+        inv = lu.inverse_form()
+        core, sym = inv.core / kappa.grid.step, kappa.symmetric
+        if sym and inv.left is inv.right:
+            # L X L^T is symmetric, so L sym(X) L^T is the same kernel
+            core = 0.5 * (core + core.T)
+        elif sym:
+            sym = within_symmetry_tol(*_asymmetry(inv.left @ inv.core @ inv.right.T))
+        return kernel_from_form(kappa.grid, kappa.dim, LowRank(inv.left, core, inv.right), sym)
     m_hat = lu.inverse_matrix()
     sym = kappa.symmetric and within_symmetry_tol(*_asymmetry(m_hat))
     if sym:

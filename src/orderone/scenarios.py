@@ -314,7 +314,7 @@ class ScenarioReport:
     z_score: float | None
     rel_error: float | None
     tolerance: float
-    verdict: str  # pass | fail | rejected-by-hypothesis | singular
+    verdict: str  # pass | fail | rejected-by-hypothesis | singular | error (cli run)
     gate: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
@@ -417,12 +417,13 @@ def _gate_dict(lam_eta: float, guard: str) -> dict:
 
 
 def _spectra_dict(kappa: MatrixKernel, d2: op.Det2, lam_eta: float) -> dict:
-    hs = op.assemble(kappa)
+    """det2, the HS norm and the trace of B_kappa, read from the kernel without
+    assembling the operator: the trace is the quadrature of the diagonal."""
     return {
         "det2_sign": d2.sign,
         "det2_log_modulus": d2.log_modulus if np.isfinite(d2.log_modulus) else None,
-        "hs_norm": hs.hs_norm(),
-        "trace": op.trace(hs),
+        "hs_norm": gk.kernel_l2_norm(kappa),
+        "trace": float(np.einsum("iaa->", kappa.diagonal_blocks())) * kappa.grid.step,
         "lambda_eta": lam_eta,
     }
 

@@ -228,6 +228,29 @@ def test_run_reports_a_scenario_error_as_its_halt(tmp_path, monkeypatch, error, 
     assert report["gate"]["error"] == "raised inside the scenario"
 
 
+def test_run_keeps_the_other_reports_when_a_scenario_raises(tmp_path, monkeypatch, capsys):
+    # any other exception lost the reports of every scenario
+    def crashes(*args, **kwargs):
+        raise RuntimeError("unexpected failure inside the scenario")
+    monkeypatch.setattr(scenarios, "verify_transf", crashes)
+    text = MINIMAL + """
+[scenario after]
+verify = integrability
+kernel = rank1:b=0.3
+"""
+    out = tmp_path / "r"
+    assert main(["run", "--config", _write_config(tmp_path, text), "--out", str(out)]) \
+        == EXIT_NUMERICAL
+    first, second = json.loads((out / "reports.json").read_text())
+    assert first["name"] == "smoke" and first["verdict"] == "error"
+    assert first["gate"]["error"] == "RuntimeError: unexpected failure inside the scenario"
+    assert first["provenance"]["seed"] == 3
+    assert second["name"] == "after" and second["verdict"] == "pass"
+    assert (out / "summary.csv").read_text().count("\n") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: unexpected failure" in err
+
+
 def test_run_bad_config_exit_code(tmp_path):
     cfg = _write_config(tmp_path, "[run]\nnope = 1\n")
     assert main(["run", "--config", cfg]) == EXIT_USAGE
@@ -287,7 +310,7 @@ def test_kappa_hat_subcommand(capsys):
     assert main(["kappa-hat", "rank1:b=0.3", "--grid", "64"]) == EXIT_PASS
     out = json.loads(capsys.readouterr().out)
     assert abs(out["hs_norm"] - 0.3 / 1.3) <= 1e-10
-    assert main(["kappa-hat", "rank1:b=-1", "--grid", "64"]) == EXIT_GATE
+    assert main(["kappa-hat", "rank1:b=-1", "--grid", "64"]) == EXIT_NUMERICAL  # singular
 
 
 def test_kappa_s_subcommand(capsys):
@@ -295,7 +318,7 @@ def test_kappa_s_subcommand(capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["hs_norm"] - (1.0 - np.sqrt(0.5))) <= 1e-10
     assert main(["kappa-s", "rank1:b=1.0", "--grid", "64"]) == EXIT_GATE
-    assert main(["kappa-s", "volterra", "--grid", "64"]) == EXIT_GATE
+    assert main(["kappa-s", "volterra", "--grid", "64"]) == EXIT_USAGE  # not symmetric
 
 
 def test_verify_subcommand_harmonic(capsys):

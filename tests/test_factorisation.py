@@ -48,15 +48,24 @@ def grid():
     return make_grid(1.0, 32)
 
 
+class _Calls(Counter):
+    """Factorisations by name; `orders` holds (name, order of the matrix) of each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.orders = []
+
+
 def _counting(monkeypatch):
-    calls = Counter()
+    calls = _Calls()
 
     def wrap(owner, name):
         original = getattr(owner, name)
 
-        def counted(*args, **kwargs):
+        def counted(a, *args, **kwargs):
             calls[name] += 1
-            return original(*args, **kwargs)
+            calls.orders.append((name, np.shape(a)[0]))
+            return original(a, *args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
     for name in ("eigvalsh", "eigh", "slogdet", "solve"):
@@ -134,6 +143,34 @@ def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functi
     assert [r.verdict for r in reports] == ["pass"] * 3
     assert dict(calls) == {"eigh": 1, "lu_factor": 3}
     assert sorted(drawn) == [(side, idx) for side in sides for idx in range(5)]
+
+
+N = 32  # the order of an operator on the grid fixture, d = 1
+
+
+@pytest.mark.parametrize("run, rank, checks", [
+    (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1, []),
+    (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
+     1, []),
+    # det2_sqrt_identity: a dense LU of I - c B_eta per factor
+    (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
+     1, [("lu_factor", N)]),
+    (lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "one", g, n_paths=500),
+     1, [("lu_factor", N)] * 3),
+    (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 2, []),
+    # det2_consistency: a dense slogdet of I + B_kphi
+    (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1, [("slogdet", N)]),
+], ids=["transf", "inverse", "surjective", "sweep", "gencv", "cameron_martin"])
+def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, rank, checks):
+    # a rank-r kernel: eigensolves of order <= 2r, LUs of order <= r; the
+    # order-N matrices are the check routes' alone
+    calls = _counting(monkeypatch)
+    reports = run(grid)
+    for report in reports if isinstance(reports, list) else [reports]:
+        assert report.verdict == "pass"
+    small = [(name, order) for name, order in calls.orders if order <= 2 * rank]
+    assert small and all(order <= rank for name, order in small if name == "lu_factor")
+    assert sorted(o for o in calls.orders if o not in small) == sorted(checks)
 
 
 # ---------------------------------------------------------------------------

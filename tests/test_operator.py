@@ -1,15 +1,19 @@
 """Spectral calculus on assembled operators: determinants, inverses, square
 roots, and the identities tying them to the kernel algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings, strategies as st
 
 from orderone import (
     NotContractiveError,
     PreconditionError,
     SingularOperatorError,
+    adjoint_kernel,
     assemble,
     det2,
     det2_product_identity_check,
@@ -25,12 +29,13 @@ from orderone import (
     make_grid,
     remark_pair,
     s_of_kappa,
+    scale_kernel,
     spectral_summary,
     trace,
 )
 from orderone import InvalidArgumentError
-from orderone.grid_kernel import SYMMETRY_TOL, MatrixKernel
-from orderone.operator import det2_matrix, spectrum
+from orderone.grid_kernel import SYMMETRY_TOL, LowRank, MatrixKernel
+from orderone.operator import GATE_MARGIN, PIVOT_RTOL, det2_matrix, spectrum
 
 
 @pytest.fixture
@@ -412,3 +417,120 @@ def test_spectral_facts_are_basis_independent():
         d2 = det2(assemble(k))
         results.append((lambda_max(assemble(k)), d2.sign, d2.log_modulus))
     npt.assert_allclose(results[0], results[1], atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# LowRank routes against the dense routes
+# ---------------------------------------------------------------------------
+
+LOW_RANK_ZOO = [
+    ("rank1:b={b}", 1), ("rank1:b={b},n=2", 1), ("rank2:b={b},c={c}", 1),
+    ("rank2:b={b},c={c},member=2", 1), ("remark_gencv:b1={b},b2={c}", 1),
+    ("const:c={b}", 1), ("const:c={b}", 2), ("const_phi:c={b}", 1), ("const_phi:c={b}", 2),
+]
+# coefficients are 0 or of normal size (a subnormal kernel has no 1e-12
+# relative precision on either route)
+_COEFF = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+
+
+def _low_rank_variants(kernel, factor):
+    """The kernel as built, scaled, adjoint, its eta, its inverse kernel and
+    the square-root kernel of its eta, each as the operator layer builds it."""
+    eta = eta_of_kappa(kernel)
+    variants = {"built": kernel, "scaled": scale_kernel(kernel, factor),
+                "adjoint": adjoint_kernel(kernel), "eta": eta}
+    if not det2(assemble(kernel)).singular:
+        variants["kappa_hat"] = inverse_kernel(kernel)
+    if lambda_max(assemble(eta)) < 1.0 - GATE_MARGIN:
+        variants["kappa_s"] = kappa_s(eta)
+    return variants
+
+
+def _assert_close(got, want, tol, what):
+    err = float(np.max(np.abs(np.asarray(got) - np.asarray(want))))
+    assert err <= tol, f"{what}: {err:.3e} > {tol:.3e}"
+
+
+def _assert_operators_close(got, want, tol, what):
+    """Kernels compared as operators: their Nystrom matrices, to tol times the
+    HS norm of want (at least 1).  Entries of a dense factorisation carry an
+    error of eps times that norm, which is N eps of the largest kernel value."""
+    ref = assemble(want).matrix
+    _assert_close(assemble(got).matrix, ref, tol * max(1.0, np.linalg.norm(ref)), what)
+
+
+def _assert_low_rank_routes_match_dense(kernel, what):
+    """Every reader of the LowRank route equals the dense route on the same
+    values to 1e-12 of its magnitude (the HS norm for a kernel), times the
+    condition number of the factorised operator (I + M, or I - M for the
+    complement readers): both routes are backward stable, so that is their
+    forward-error scale."""
+    assert isinstance(kernel.factored, LowRank), what
+    dense = replace(kernel, factored=None)
+    d_low, d_dense = det2(assemble(kernel)), det2(assemble(dense))
+    if d_low.singular != d_dense.singular:
+        # only within a decade of the rank rule's threshold may they differ
+        m = assemble(dense).matrix
+        sv = np.linalg.svd(np.eye(len(m)) + m, compute_uv=False)
+        assert 0.1 * PIVOT_RTOL <= sv[-1] / sv[0] <= 10.0 * PIVOT_RTOL, what
+    if d_low.singular or d_dense.singular:
+        return
+    assert d_low.sign == d_dense.sign, what
+    _assert_close(d_low.value, d_dense.value, 1e-12 * max(1.0, abs(d_dense.value)),
+                  f"{what}: det2(I + B)")
+    inv_dense = inverse_kernel(dense)
+    eye = np.eye(kernel.grid.n_steps * kernel.dim)
+    cond = (np.linalg.norm(eye + assemble(dense).matrix, 1)
+            * np.linalg.norm(eye + assemble(inv_dense).matrix, 1))  # of I + M, in the 1-norm
+    _assert_operators_close(inverse_kernel(kernel), inv_dense, 1e-12 * cond,
+                            f"{what}: inverse kernel")
+
+    if not kernel.symmetric:
+        return
+    low, full = spectrum(assemble(kernel), vectors=True), spectrum(assemble(dense), vectors=True)
+    rho = max(1.0, abs(full.lambda_max), abs(full.lambda_min))
+    _assert_close(low.lambda_max, full.lambda_max, 1e-12 * rho, f"{what}: lambda_max")
+    _assert_close(low.lambda_min, full.lambda_min, 1e-12 * rho, f"{what}: lambda_min")
+    if full.lambda_max >= 1.0 - GATE_MARGIN:
+        return
+    cond_c = rho / (1.0 - full.lambda_max)  # of I - M
+    for reader, got, want in (
+        ("logdet_complement", low.logdet_complement(), full.logdet_complement()),
+        ("det2_complement", low.det2_complement().log_modulus,
+         full.det2_complement().log_modulus),
+    ):
+        _assert_close(got, want, 1e-12 * max(1.0, abs(want)) * cond_c, f"{what}: {reader}")
+    for reader in ("sqrt_kernel", "inverse_sqrt_kernel"):
+        root = getattr(low, reader)()
+        # a basis that spans the whole grid space gains nothing from a form
+        assert isinstance(root.factored, LowRank) == (low.zeros > 0) and root.symmetric, what
+        _assert_operators_close(root, getattr(full, reader)(), 1e-12 * cond_c,
+                                f"{what}: {reader}")
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 512), case=st.sampled_from(LOW_RANK_ZOO), b=_COEFF, c=_COEFF,
+       factor=_COEFF)
+@example(n=64, case=("rank1:b={b}", 1), b=-1.0, c=0.0, factor=1.0)
+@example(n=64, case=("rank1:b={b}", 1), b=-0.999999, c=0.0, factor=1.0)
+@example(n=512, case=("remark_gencv:b1={b},b2={c}", 1), b=-2.0, c=-3.0, factor=-1.7)
+def test_low_rank_routes_match_dense_property(n, case, b, c, factor):
+    template, dim = case
+    spec = template.format(b=repr(b), c=repr(c))
+    kernel = kernel_zoo(spec, make_grid(1.0, n), dim)
+    rank = kernel.factored.core.shape[0]
+    for name, variant in _low_rank_variants(kernel, factor).items():
+        if variant.factored is None:
+            # the eigenbasis of eta (rank 2r) spans the whole grid space
+            assert name == "kappa_s" and n * dim <= 2 * rank
+            continue
+        _assert_low_rank_routes_match_dense(variant, f"{spec} d={dim} N={n} {name}")
+
+
+def test_rank_one_singular_decision_matches_dense():
+    g = make_grid(1.0, 64)
+    for b, singular in ((-1.0, True), (-0.999999, False)):
+        kernel = kernel_zoo(f"rank1:b={b}", g)
+        d_low = det2(assemble(kernel))
+        assert d_low.singular == det2(assemble(replace(kernel, factored=None))).singular
+        assert d_low.singular == singular

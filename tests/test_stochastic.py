@@ -534,9 +534,11 @@ def test_factored_form_survives_scenario_chains(grid):
     for spec, dim in (("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2)):
         scaled = scale_kernel(kernel_zoo(spec, grid, dim), np.sqrt(0.5))
         assert isinstance(scaled.factored, LowerExp)
-    # kernels built by dense algebra or by the operator layer carry no form
+    # kernels built by dense algebra, or by the operator layer from a dense
+    # kernel, carry no form; the operator layer keeps a LowRank one
     assert eta_of_kappa(kernel_zoo("volterra", grid)).factored is None
-    assert inverse_kernel(kernel_zoo("rank1:b=0.3", grid)).factored is None
+    assert inverse_kernel(kernel_zoo("volterra", grid)).factored is None
+    assert isinstance(inverse_kernel(kernel_zoo("rank1:b=0.3", grid)).factored, LowRank)
 
 
 def test_factors_that_disagree_with_values_are_rejected(grid):
