@@ -33,7 +33,6 @@ from .grid_kernel import (
 )
 from .operator import (
     Det2,
-    HSMatrix,
     SpectralSummary,
     assemble,
     det2,

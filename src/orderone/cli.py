@@ -227,6 +227,9 @@ def _read_config(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
         if entries is None:
             raise ConfigError(f"line {line_no}: key {key!r} outside any section")
+        if key in entries:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r} (first on line "
+                              f"{entries[key][1]})")
         entries[key] = (value, line_no)
 
     config = RunConfig()
@@ -444,7 +447,7 @@ def _cmd_kernel(args) -> int:
     of a kernel spec, or of its inverse or square-root kernel."""
     kernel = gk.kernel_zoo(args.kernel, make_grid(args.horizon, args.grid), args.dim)
     if args.command == "det2":
-        d2 = op.det2(op.assemble(kernel))
+        d2 = op.det2(kernel)
         out = {"det2_sign": d2.sign, "singular": d2.singular,
                "det2_log_modulus": None if d2.singular else d2.log_modulus,
                "det2_value": None if d2.singular else d2.value}

@@ -7,8 +7,9 @@ grid this is the (N d) x (N d) matrix
 
     M[(i,a), (j,b)] = kappa(t_i, t_j)[a,b] * Delta,
 
-whose Frobenius norm equals the kernel's L2 norm.  Everything downstream is
-dense linear algebra:
+whose Frobenius norm equals the kernel's L2 norm.  An operator is addressed
+by its kernel; `assemble` is the one way into the dense (N d)^2 matrix, used
+by the dense route and by the checks.  The quantities:
 
     lambda_max   top eigenvalue of a symmetric M (the Rayleigh supremum)
     det2         regularized determinant det(I+M) e^{-tr M}, in log domain
@@ -26,13 +27,13 @@ are needed), and everything asked of I + M is read from one LU
 (`factor_identity_plus`).  `lambda_max`, `det2`, `inverse_kernel` and
 `kappa_s` are thin readers of these.
 
-The route is chosen by the form of the source kernel (see `grid_kernel`).
-For a LowRank source, M = Delta L C R^T of rank r, every quantity is an
+The route is chosen by the form of the kernel (see `grid_kernel`).
+For a LowRank kernel, M = Delta L C R^T of rank r, every quantity is an
 r x r or 2r x 2r problem (the matrix determinant lemma and Woodbury's
 identity; Golub and Van Loan, Matrix Computations, 4th ed., 2.1.4); every
 other operator, and every bare matrix, takes the dense route:
 
-    factorisation         LowRank source                      dense
+    factorisation         LowRank kernel                      dense
     spectrum              thin QR [L R] = Q [R_L R_R], then   eigvalsh/eigh of M
                             eigvalsh/eigh of the core
                             Delta R_L C R_R^T; the other
@@ -43,9 +44,9 @@ other operator, and every bare matrix, takes the dense route:
                             sqrt and inverse sqrt
                             (QU, f(1 - w) / Delta, QU)
 
-The symmetry a spectrum needs is the source kernel's `symmetric` flag,
-validated at construction by the same rule; only a bare matrix, or one
-whose source is not flagged, is scanned.  An embedded check must not read
+The symmetry a spectrum needs is the kernel's `symmetric` flag, validated
+at construction by the same rule; only a bare matrix, or the matrix of a
+kernel that is not flagged, is scanned.  An embedded check must not read
 the factorisation it checks, or it becomes a tautology: the determinant
 checks below factorise the operator matrix itself (dense, whatever the
 form), and eta_roundtrip composes kernel values.  Per scenario, with the
@@ -74,7 +75,7 @@ volterra and expdiag):
     integrability   kernel   eigvalsh B_eta: gate, guard            closed-form bound, oracle
 
 No factorisation outlives the verification that made it: a dense one is as
-large as the operator, so none is attached to an HSMatrix or a kernel.
+large as the operator, so none is attached to a kernel.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ from .grid_kernel import (
 )
 
 __all__ = [
-    "HSMatrix",
     "Det2",
     "Spectrum",
     "IdentityPlusLU",
@@ -133,31 +133,9 @@ GATE_MARGIN = 1e-8
 PIVOT_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
-class HSMatrix:
-    """Dense matrix of the operator induced by a kernel (quadrature weight folded in)."""
-
-    grid: TimeGrid
-    dim: int
-    matrix: np.ndarray  # (N d, N d), read-only
-    source: MatrixKernel | None = None
-
-    def __post_init__(self):
-        nd = self.grid.n_steps * self.dim
-        if self.matrix.shape != (nd, nd):
-            raise InvalidArgumentError(
-                f"matrix shape {self.matrix.shape} does not match (N d, N d) = ({nd}, {nd})"
-            )
-        self.matrix.setflags(write=False)
-
-    def hs_norm(self) -> float:
-        """Frobenius norm; equals the source kernel's L2 norm."""
-        return float(np.linalg.norm(self.matrix))
-
-
-def assemble(kappa: MatrixKernel) -> HSMatrix:
-    """Nystrom matrix M[(i,a),(j,b)] = kappa(t_i,t_j)[a,b] Delta."""
-    return HSMatrix(kappa.grid, kappa.dim, flat(kappa.values) * kappa.grid.step, source=kappa)
+def assemble(kappa: MatrixKernel) -> np.ndarray:
+    """Nystrom matrix M[(i,a),(j,b)] = kappa(t_i,t_j)[a,b] Delta, (N d, N d)."""
+    return flat(kappa.values) * kappa.grid.step
 
 
 def kernel_from_matrix(
@@ -179,10 +157,9 @@ def _require_symmetric(matrix: np.ndarray, what: str):
         raise PreconditionError(f"{what} requires a symmetric operator (asymmetry {asym:.3e})")
 
 
-def _low_rank(op: HSMatrix | np.ndarray) -> LowRank | None:
-    """The LowRank form of an operator's source kernel, when it has one."""
-    form = op.source.factored if isinstance(op, HSMatrix) and op.source is not None else None
-    return form if isinstance(form, LowRank) else None
+def _dense(op: MatrixKernel | np.ndarray) -> np.ndarray:
+    """The operator matrix: assembled from a kernel, as given when bare."""
+    return assemble(op) if isinstance(op, MatrixKernel) else np.asarray(op, dtype=float)
 
 
 def _orthonormal_basis(form: LowRank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,32 +261,32 @@ class Spectrum:
         return kernel_from_matrix(m, self.grid, self.dim, symmetric=True)
 
 
-def spectrum(op: HSMatrix | np.ndarray, vectors: bool = False) -> Spectrum:
+def spectrum(op: MatrixKernel | np.ndarray, vectors: bool = False) -> Spectrum:
     """Eigen-decomposition of a symmetric operator: eigvalsh, or eigh when
-    the eigenvectors are needed; of the small core when the source kernel is
-    a symmetric LowRank kernel (see the module docstring)."""
-    if isinstance(op, HSMatrix):
-        m, grid, dim = op.matrix, op.grid, op.dim
-        flagged = op.source is not None and op.source.symmetric
+    the eigenvectors are needed; of the small core when the kernel is a
+    symmetric LowRank kernel (see the module docstring)."""
+    if isinstance(op, MatrixKernel):
+        grid, dim, flagged, form = op.grid, op.dim, op.symmetric, op.factored
     else:
-        m, grid, dim, flagged = np.asarray(op, dtype=float), None, 1, False
-    if not flagged:
-        _require_symmetric(m, "spectrum")
-    form = _low_rank(op)
+        grid, dim, flagged, form = None, 1, False, None
     zeros, basis = 0, None
-    if flagged and form is not None:
+    if flagged and isinstance(form, LowRank):
         # M = Delta L C R^T = Q (Delta R_L C R_R^T) Q^T
         basis, r_left, r_right = _orthonormal_basis(form)
         m = grid.step * (r_left @ form.core @ r_right.T)
         m = 0.5 * (m + m.T)
         zeros = basis.shape[0] - basis.shape[1]
+    else:
+        m = _dense(op)
+        if not flagged:
+            _require_symmetric(m, "spectrum")
     if vectors:
         w, v = np.linalg.eigh(m)
         return Spectrum(w, v if basis is None else basis @ v, grid, dim, zeros)
     return Spectrum(np.linalg.eigvalsh(m), None, grid, dim, zeros)
 
 
-def lambda_max(op: HSMatrix | np.ndarray) -> float:
+def lambda_max(op: MatrixKernel | np.ndarray) -> float:
     """Largest eigenvalue of a symmetric operator (sup of the Rayleigh quotient)."""
     return spectrum(op).lambda_max
 
@@ -317,10 +294,10 @@ def lambda_max(op: HSMatrix | np.ndarray) -> float:
 @dataclass(frozen=True)
 class IdentityPlusLU:
     """One LU factorisation: of I + M, or, when `form` holds M = L D R^T
-    (D = Delta C of a LowRank source), of the capacitance K = I_r + D R^T L.
+    (D = Delta C of a LowRank kernel), of the capacitance K = I_r + D R^T L.
     det2(I + M) and the inverse (I + M)^{-1} - I are both read from it."""
 
-    matrix: np.ndarray  # M
+    matrix: np.ndarray | None  # M; None on the capacitance route, which never reads it
     lu: np.ndarray
     piv: np.ndarray
     det2: Det2
@@ -347,19 +324,18 @@ class IdentityPlusLU:
         return -sla.lu_solve((self.lu, self.piv), self.matrix, check_finite=False)
 
 
-def factor_identity_plus(b: HSMatrix | np.ndarray) -> IdentityPlusLU:
+def factor_identity_plus(b: MatrixKernel | np.ndarray) -> IdentityPlusLU:
     """LU of I + b with det2(I + b) = det(I + b) e^{-tr b} in log domain; of
-    the r x r capacitance when b's source kernel has a LowRank form.
+    the r x r capacitance when b is a kernel with a LowRank form.
 
     Rank deficiency: a pivot below 1e-8 of the pivot scale is suspicious; it
     is confirmed singular when the smallest singular value of I + b falls
     below PIVOT_RTOL times the largest (partial-pivoting LU alone inflates a
     zero eigenvalue to roughly n * eps * growth and cannot decide at 1e-14).
     """
-    form = _low_rank(b)
-    if form is not None:
-        return _factor_capacitance(b, form.scaled(b.grid.step))
-    b = b.matrix if isinstance(b, HSMatrix) else np.asarray(b, dtype=float)
+    if isinstance(b, MatrixKernel) and isinstance(b.factored, LowRank):
+        return _factor_capacitance(b.factored.scaled(b.grid.step))
+    b = _dense(b)
     a = np.array(b, order="F")  # Fortran order lets LAPACK factorise in place
     a[np.diag_indices_from(a)] += 1.0
     lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
@@ -368,7 +344,7 @@ def factor_identity_plus(b: HSMatrix | np.ndarray) -> IdentityPlusLU:
     return IdentityPlusLU(b, lu, piv, det2)
 
 
-def _factor_capacitance(op: HSMatrix, form: LowRank) -> IdentityPlusLU:
+def _factor_capacitance(form: LowRank) -> IdentityPlusLU:
     """The LowRank route of `factor_identity_plus`, form = (L, Delta C, R):
     det(I + L D R^T) = det(I_r + D R^T L) (the matrix determinant lemma) and
     tr(L D R^T) = tr(D R^T L).  I + M acts as the identity off span[L R], so
@@ -388,7 +364,7 @@ def _factor_capacitance(op: HSMatrix, form: LowRank) -> IdentityPlusLU:
 
     padded = form.left.shape[0] > r
     det2 = _det2_from_lu(lu, piv, float(np.trace(inner)), svdvals, padded)
-    return IdentityPlusLU(op.matrix, lu, piv, det2, form)
+    return IdentityPlusLU(None, lu, piv, det2, form)
 
 
 def _det2_from_lu(lu, piv, trace: float, svdvals, padded: bool = False) -> Det2:
@@ -417,15 +393,15 @@ def det2_matrix(b: np.ndarray) -> Det2:
     return factor_identity_plus(b).det2
 
 
-def det2(op: HSMatrix | np.ndarray) -> Det2:
+def det2(op: MatrixKernel | np.ndarray) -> Det2:
     return factor_identity_plus(op).det2
 
 
-def trace(op: HSMatrix) -> float:
-    """Matrix trace of M; equals sum_i tr kappa(t_i, t_i) Delta, the quadrature
-    of the diagonal integral (meaningful when the source kernel is continuous
-    and the operator trace class)."""
-    return float(np.trace(op.matrix))
+def trace(kappa: MatrixKernel) -> float:
+    """Matrix trace of M, read from the diagonal blocks without assembling M:
+    sum_i tr kappa(t_i, t_i) Delta, the quadrature of the diagonal integral
+    (meaningful when the kernel is continuous and the operator trace class)."""
+    return float(np.einsum("iaa->", kappa.diagonal_blocks())) * kappa.grid.step
 
 
 @dataclass(frozen=True)
@@ -449,14 +425,14 @@ def _log_gap(a_log: float, b_log: float) -> float:
     return float(abs(np.expm1(a_log - b_log)))
 
 
-def det2_product_identity_check(op: HSMatrix) -> Det2ProductReport:
+def det2_product_identity_check(kappa: MatrixKernel) -> Det2ProductReport:
     """Check det2((I+B*)(I+B)) = det2(I+B) det2(I+B*) e^{-tr(B*B)}.
 
-    When the operator was assembled from a kernel, additionally compare with
-    det2(I - B_eta) for the eta kernel of the source, which equals the same
-    product by the operator identity B_eta = -(B + B* + B*B).
+    Additionally compare with det2(I - B_eta) for the eta kernel of kappa,
+    which equals the same product by the operator identity
+    B_eta = -(B + B* + B*B); eta_log is None when I - B_eta is singular.
     """
-    m = op.matrix
+    m = assemble(kappa)
     prod_b = m + m.T + m.T @ m  # (I+M^T)(I+M) - I, formed without cancellation
     lhs = det2_matrix(prod_b)
     d_m = det2_matrix(m)
@@ -467,18 +443,16 @@ def det2_product_identity_check(op: HSMatrix) -> Det2ProductReport:
     disc = _log_gap(lhs.log_modulus, rhs_log)
 
     eta_log = eta_disc = None
-    if op.source is not None:
-        m_eta = assemble(eta_of_kappa(op.source)).matrix
-        d_eta = det2_matrix(-m_eta)
-        if not d_eta.singular:
-            eta_log = d_eta.log_modulus
-            eta_disc = _log_gap(lhs.log_modulus, eta_log)
+    d_eta = det2_matrix(-assemble(eta_of_kappa(kappa)))
+    if not d_eta.singular:
+        eta_log = d_eta.log_modulus
+        eta_disc = _log_gap(lhs.log_modulus, eta_log)
     return Det2ProductReport(lhs.log_modulus, rhs_log, disc, eta_log, eta_disc, False)
 
 
 def inverse_kernel(kappa: MatrixKernel) -> MatrixKernel:
     """The kernel kappa_hat with B_kappa_hat = (I + B_kappa)^{-1} - I."""
-    return inverse_kernel_from(factor_identity_plus(assemble(kappa)), kappa)
+    return inverse_kernel_from(factor_identity_plus(kappa), kappa)
 
 
 def inverse_kernel_from(lu: IdentityPlusLU, kappa: MatrixKernel) -> MatrixKernel:
@@ -509,7 +483,7 @@ def kappa_s(eta: MatrixKernel, enforce_gate: bool = True) -> MatrixKernel:
     """
     if not eta.symmetric:
         raise PreconditionError("kappa_s requires a symmetric kernel")
-    spec = spectrum(assemble(eta), vectors=True)
+    spec = spectrum(eta, vectors=True)
     lam = spec.lambda_max
     if enforce_gate and lam >= 1.0 - GATE_MARGIN:
         raise NotContractiveError(
@@ -548,7 +522,7 @@ def injectivity_witness(
     n_id = np.eye(kappa_1.grid.n_steps * kappa_1.dim)
 
     def membership(k: MatrixKernel) -> tuple[bool, float]:
-        m = assemble(k).matrix
+        m = assemble(k)
         if not within_symmetry_tol(*_asymmetry(m)):
             return False, np.nan
         mn = float(np.linalg.eigvalsh(n_id + m)[0])
@@ -607,14 +581,13 @@ class SpectralSummary:
 
 
 def spectral_summary(kappa: MatrixKernel) -> SpectralSummary:
-    op = assemble(kappa)
-    d2 = det2(op)
-    lam = lambda_max(assemble(eta_of_kappa(kappa)))
+    d2 = det2(kappa)
+    lam = lambda_max(eta_of_kappa(kappa))
     return SpectralSummary(
         lambda_max=lam,
         det2_sign=d2.sign,
         det2_log_modulus=d2.log_modulus,
-        trace=trace(op),
-        hs_norm=op.hs_norm(),
+        trace=trace(kappa),
+        hs_norm=kernel_l2_norm(kappa),
         singular=d2.singular,
     )

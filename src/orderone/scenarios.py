@@ -223,7 +223,9 @@ def _mc_estimate(
         count = total
     se = np.sqrt(np.maximum(m2, 0.0) / max(count - 1, 1) / count)
     shape = np.shape(mean)
-    scale, ci_valid = np.broadcast_to(scale, shape), np.broadcast_to(ci_valid, shape)
+    scale = np.broadcast_to(scale, shape)
+    # fewer than two samples have no spread to estimate, so no confidence interval
+    ci_valid = np.broadcast_to(np.logical_and(ci_valid, count > 1), shape)
     estimates = [
         MCEstimate(float(scale[r] * (mean[r] + corr[r])),
                    float(scale[r] * se[r]) if ci_valid[r] else None, count, bool(ci_valid[r]),
@@ -423,7 +425,7 @@ def _spectra_dict(kappa: MatrixKernel, d2: op.Det2, lam_eta: float) -> dict:
         "det2_sign": d2.sign,
         "det2_log_modulus": d2.log_modulus if np.isfinite(d2.log_modulus) else None,
         "hs_norm": gk.kernel_l2_norm(kappa),
-        "trace": float(np.einsum("iaa->", kappa.diagonal_blocks())) * kappa.grid.step,
+        "trace": op.trace(kappa),
         "lambda_eta": lam_eta,
     }
 
@@ -517,7 +519,7 @@ class Scenario:
         """The eta kernel of kappa, the gate spectrum of B_eta (one eigensolve)
         and its guard; the gate goes into the report."""
         eta = gk.eta_of_kappa(kappa)
-        gate = op.spectrum(op.assemble(eta))
+        gate = op.spectrum(eta)
         guard = st.moment_guard(gate.lambda_max)
         self.report.gate = _gate_dict(gate.lambda_max, guard)
         return eta, gate, guard
@@ -596,7 +598,7 @@ def verify_transf(
     eta, gate, guard = s.gate(kappa)
     if guard == "reject":
         return _halted(s.report, "rejected-by-hypothesis")
-    d2 = op.det2(op.assemble(kappa))
+    d2 = op.det2(kappa)
     s.report.spectra = _spectra_dict(kappa, d2, gate.lambda_max)
     if d2.singular:
         return _halted(s.report, "singular")
@@ -623,7 +625,7 @@ def verify_inverse(
     eta, gate, guard = s.gate(kappa)
     if guard == "reject":
         return _halted(report, "rejected-by-hypothesis")
-    lu = op.factor_identity_plus(op.assemble(kappa))
+    lu = op.factor_identity_plus(kappa)
     d2 = lu.det2
     report.spectra = _spectra_dict(kappa, d2, gate.lambda_max)
     if d2.singular:
@@ -651,7 +653,7 @@ def verify_inverse(
     # weight's det2 takes its own LU, so the mass checks it independently.
     eta_hat = gk.eta_of_kappa(kappa_hat)
     guard_hat = st.moment_guard(1.0 - 1.0 / (1.0 - gate.lambda_min))
-    d2_hat = op.det2(op.assemble(kappa_hat))
+    d2_hat = op.det2(kappa_hat)
     rn_scale = float(np.exp(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2))
 
     def rn_fn(batch: PathBatch):
@@ -678,7 +680,7 @@ def _surjective_family(s: Scenario, factors, reports) -> None:
     one Monte Carlo pass per side, with one row per factor its gate admits.
     Every factor keeps its own gate and its own independent checks."""
     eta = s.kernel
-    eig = op.spectrum(op.assemble(eta), vectors=True)
+    eig = op.spectrum(eta, vectors=True)
     eta_norm = gk.kernel_l2_norm(eta)
     rows, lhs_factors = [], []
     for c, report in zip(factors, reports):
@@ -702,7 +704,7 @@ def _surjective_family(s: Scenario, factors, reports) -> None:
         # for B = c B_eta in the spectral calculus that builds kappa_s; an LU of
         # I - B, which shares nothing with the eigensolve, is the independent route
         report.checks["det2_sqrt_identity"] = _check_close(
-            d2_eta.log_modulus, op.det2_matrix(-c * op.assemble(eta).matrix).log_modulus,
+            d2_eta.log_modulus, op.det2_matrix(-c * op.assemble(eta)).log_modulus,
             OPERATOR_TOL,
             note="log of the squared kappa_s factor, prod (1-w) e^w, against an LU of I-B_eta",
         )
@@ -784,7 +786,7 @@ def verify_harmonic(
     # one eigensolve of B_{-c} gives the gate, det(I + B_c) and, when f is not
     # constant, the right-hand side kernel (I + B_c)^{-1/2} - I
     neg_c = gk.scale_kernel(gk.c_kernels(kappa_l, x), -1.0)
-    eig = op.spectrum(op.assemble(neg_c), vectors=not s.f.is_constant_one)
+    eig = op.spectrum(neg_c, vectors=not s.f.is_constant_one)
     lam_neg = eig.lambda_max  # Lambda(B_{-c}) <= 0 always
     report.gate = {"lambda_eta": float(lam_neg), "guard": "ok",
                    "note": "gate kernel is -c(kappa); nonpositive by construction"}
@@ -794,7 +796,7 @@ def verify_harmonic(
 
     logdet_c = eig.logdet_complement()  # log det(I + B_c), I + B_c >= I
     if x is None:
-        m_k = op.assemble(kappa_l).matrix
+        m_k = op.assemble(kappa_l)
         sign_b, logdet_b = np.linalg.slogdet(np.eye(m_k.shape[0]) + m_k.T @ m_k)
         report.checks["det_dual_route"] = _check_close(
             logdet_b, logdet_c, 1e-10, note="det(I + B^T B) against det(I + B_c)"
@@ -835,13 +837,13 @@ def verify_cameron_martin(
     eta, gate, guard = s.gate(kappa_phi)
     if guard == "reject":
         return _halted(report, "rejected-by-hypothesis")
-    hs = op.assemble(kappa_phi)
-    d2 = op.det2(hs)
+    d2 = op.det2(kappa_phi)
     report.spectra = _spectra_dict(kappa_phi, d2, gate.lambda_max)
     if d2.singular:
         return _halted(report, "singular")
 
-    tr = op.trace(hs)
+    m = op.assemble(kappa_phi)  # the checks' matrix, not the hot path's
+    tr = float(np.trace(m))
     diag_quadrature = float(
         np.einsum("iaa->", kappa_phi.values[np.arange(grid.n_steps), np.arange(grid.n_steps)])
         * grid.step
@@ -849,7 +851,7 @@ def verify_cameron_martin(
     report.checks["trace_formula"] = _check_close(
         tr, diag_quadrature, 1e-12, note="matrix trace against diagonal quadrature"
     )
-    sign_d, logdet_d = np.linalg.slogdet(np.eye(hs.matrix.shape[0]) + hs.matrix)
+    sign_d, logdet_d = np.linalg.slogdet(np.eye(m.shape[0]) + m)
     report.checks["det2_consistency"] = _check_close(
         logdet_d - tr, d2.log_modulus, 1e-10,
         note="log det(I+B) - tr B against log det2(I+B)",
@@ -889,7 +891,7 @@ def verify_gencv_example(
     s = resolve_scenario("gencv", spec, functional, grid, 1, n_paths, seed, tol, name)
     kappa, report = s.kernel, s.report
 
-    lam_s = op.lambda_max(op.assemble(gk.s_of_kappa(kappa)))
+    lam_s = op.lambda_max(gk.s_of_kappa(kappa))
     # the forward identity, whose gate and det2 are this scenario's too
     inner = verify_transf(kappa, s.f, s.grid, 1, n_paths, seed, tol,
                           name=report.name + "/transf")
@@ -938,7 +940,7 @@ def verify_integrability_bound(
     s = resolve_scenario("integrability", eta_kernel, None, grid, dim, n_paths, seed, tol, name)
     eta, report = s.kernel, s.report
 
-    lam = op.lambda_max(op.assemble(eta))
+    lam = op.lambda_max(eta)
     guard = st.moment_guard(lam)
     report.gate = _gate_dict(lam, guard)
     if guard == "reject":

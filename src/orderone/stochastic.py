@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
 from .grid_kernel import MatrixKernel, TimeGrid, direction
-from .operator import GATE_MARGIN, assemble, lambda_max
+from .operator import GATE_MARGIN, lambda_max
 
 __all__ = [
     "PathBatch",
@@ -354,7 +354,7 @@ def exp_q_moment_guard(eta: MatrixKernel) -> str:
     """moment_guard of the top eigenvalue of B_eta."""
     if not eta.symmetric:
         raise PreconditionError("moment guard requires a symmetric kernel")
-    return moment_guard(lambda_max(assemble(eta)))
+    return moment_guard(lambda_max(eta))
 
 
 # ---------------------------------------------------------------------------

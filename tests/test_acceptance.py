@@ -48,7 +48,7 @@ def random_symmetric(grid, dim, seed, lam):
     vals = rng.normal(size=(grid.n_steps, grid.n_steps, dim, dim))
     vals = 0.5 * (vals + np.transpose(vals, (1, 0, 3, 2)))
     k = MatrixKernel(grid, dim, vals, symmetric=True)
-    top = lambda_max(assemble(k))
+    top = lambda_max(k)
     return MatrixKernel(grid, dim, vals * (lam / top), symmetric=True)
 
 
@@ -67,7 +67,7 @@ def test_criterion_1_operator_round_trips():
             assert err <= 1e-8 * kernel_l2_norm(eta)
             # inverse round trip on the square-root kernel (I + B strictly PSD)
             k_hat = inverse_kernel(kap)
-            m, m_hat = assemble(kap).matrix, assemble(k_hat).matrix
+            m, m_hat = assemble(kap), assemble(k_hat)
             eye = np.eye(m.shape[0])
             assert np.max(np.abs((eye + m) @ (eye + m_hat) - eye)) <= 1e-10
             assert np.max(np.abs((eye + m_hat) @ (eye + m) - eye)) <= 1e-10
@@ -78,10 +78,10 @@ def test_criterion_1_operator_round_trips():
 def test_criterion_2_det2_closed_forms():
     with criterion(2, "det2 closed forms and product identity"):
         g = make_grid(1.0, 256)
-        d = det2(assemble(kernel_zoo("remark_gencv:b1=-2,b2=-3", g)))
+        d = det2(kernel_zoo("remark_gencv:b1=-2,b2=-3", g))
         npt.assert_allclose(d.sign * np.exp(d.log_modulus), 2.0 * np.exp(5.0), rtol=1e-6)
         for b in (0.3, -0.5, -2.0):
-            d = det2(assemble(kernel_zoo(f"rank1:b={b}", g)))
+            d = det2(kernel_zoo(f"rank1:b={b}", g))
             expected = (1.0 + b) * np.exp(-b)
             assert d.sign == np.sign(expected)
             npt.assert_allclose(d.sign * np.exp(d.log_modulus), expected, rtol=1e-10)
@@ -89,7 +89,7 @@ def test_criterion_2_det2_closed_forms():
         g8 = make_grid(1.0, 8)
         for _ in range(5):
             k = kernel_from_values(g8, rng.normal(size=(8, 8)))
-            rep = det2_product_identity_check(assemble(k))
+            rep = det2_product_identity_check(k)
             assert rep.discrepancy <= 1e-10
             assert rep.eta_discrepancy <= 1e-10
 
@@ -111,7 +111,7 @@ def test_criterion_4_harmonic_oscillator():
         t0 = time.perf_counter()
         g = make_grid(1.0, 1024)
         vol = kernel_zoo("volterra", g)
-        m = assemble(vol).matrix
+        m = assemble(vol)
         mtm = m.T @ m
         eye = np.eye(g.n_steps)
         for lam in (0.5, 1.0, 2.0):

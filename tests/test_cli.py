@@ -3,6 +3,7 @@ and rerun determinism."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,9 @@ def test_parse_rejects_unknown_key():
     bad = MINIMAL + "wibble = 3\n"
     with pytest.raises(ConfigError, match="unknown key 'wibble'"):
         parse_config(bad)
+    # a repeated key kept its last value and ran the scenario silently
+    with pytest.raises(ConfigError, match=r"line 12: duplicate key 'kernel' \(first on line 10\)"):
+        parse_config(MINIMAL + "kernel = rank1:b=0.2\n")
 
 
 def test_parse_rejects_unknown_run_key():
@@ -131,7 +135,7 @@ def test_run_all_pass(tmp_path, capsys):
     assert "smoke" in table and "pass" in table
     assert os.path.exists(os.path.join(out, "reports.json"))
     assert os.path.exists(os.path.join(out, "summary.csv"))
-    data = json.loads(open(os.path.join(out, "reports.json")).read())
+    data = json.loads(Path(out, "reports.json").read_text())
     assert data[0]["verdict"] == "pass"
 
 
@@ -175,7 +179,7 @@ kernel = rank1:b=0.4
     cfg = _write_config(tmp_path, text)
     out = str(tmp_path / "all")
     code = main(["run", "--config", cfg, "--out", out])
-    data = json.loads(open(os.path.join(out, "reports.json")).read())
+    data = json.loads(Path(out, "reports.json").read_text())
     assert len(data) == 7
     assert code in (EXIT_PASS, EXIT_NUMERICAL)  # tiny samples may miss 3 sigma
     for entry in data:
@@ -263,8 +267,8 @@ def test_run_reruns_byte_identical(tmp_path):
     assert main(["run", "--config", cfg, "--out", out1]) == EXIT_PASS
     assert main(["run", "--config", cfg, "--out", out2]) == EXIT_PASS
     for fname in ("reports.json", "summary.csv"):
-        b1 = open(os.path.join(out1, fname), "rb").read()
-        b2 = open(os.path.join(out2, fname), "rb").read()
+        b1 = Path(out1, fname).read_bytes()
+        b2 = Path(out2, fname).read_bytes()
         assert b1 == b2
 
 
@@ -273,8 +277,8 @@ def test_run_seed_override_changes_reports(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     main(["run", "--config", cfg, "--out", out1])
     main(["run", "--config", cfg, "--out", out2, "--seed", "99"])
-    j1 = json.loads(open(os.path.join(out1, "reports.json")).read())
-    j2 = json.loads(open(os.path.join(out2, "reports.json")).read())
+    j1 = json.loads(Path(out1, "reports.json").read_text())
+    j2 = json.loads(Path(out2, "reports.json").read_text())
     assert j1[0]["lhs"]["mean"] != j2[0]["lhs"]["mean"]
 
 
@@ -347,7 +351,7 @@ def test_sweep_subcommand(tmp_path, capsys):
         "--grid", "64", "--paths", "5000", "--out", out,
     ])
     assert code == EXIT_PASS
-    rows = open(os.path.join(out, "summary.csv")).read().splitlines()
+    rows = Path(out, "summary.csv").read_text().splitlines()
     assert rows[0].startswith("name,lhs,rhs,se,z,verdict")
     assert len(rows) == 3
 
@@ -517,6 +521,20 @@ def test_verify_defaults_to_functional_one(tmp_path):
     main(["verify", "gencv", "--grid", "16", "--paths", "200", "--out", str(tmp_path)])
     report = json.loads((tmp_path / "reports.json").read_text())[0]
     assert report["provenance"]["functional"] == "one"
+
+
+def test_one_sample_side_has_no_confidence_interval(tmp_path):
+    # one path gave std_error 0.0 on both sides and a z-score of Infinity,
+    # which is not JSON
+    main(["verify", "transf", "--kernel", "rank1:b=0.3", "--functional", "cos_end:1.0",
+          "--paths", "1", "--grid", "16", "--out", str(tmp_path)])
+
+    def reject(constant):
+        raise ValueError(f"reports.json holds {constant}")
+    (report,) = json.loads((tmp_path / "reports.json").read_text(), parse_constant=reject)
+    for side in ("lhs", "rhs"):
+        assert report[side]["std_error"] is None and not report[side]["ci_valid"]
+    assert report["z_score"] is None
 
 
 _SECTIONS = ["[run]", "[scenario a]", "[scenario b]", "[scenario a]", "[scenario]", "[bogus]",

@@ -25,11 +25,12 @@ from orderone import (
     verify_cameron_martin,
     verify_gencv_example,
     verify_harmonic,
+    verify_integrability_bound,
     verify_inverse,
     verify_surjective,
     verify_transf,
 )
-from orderone import scenarios, stochastic
+from orderone import operator, scenarios, stochastic
 from orderone.grid_kernel import MatrixKernel
 from orderone.operator import GATE_MARGIN, factor_identity_plus, spectrum
 from orderone.stochastic import moment_guard
@@ -173,6 +174,35 @@ def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, r
     assert sorted(o for o in calls.orders if o not in small) == sorted(checks)
 
 
+@pytest.mark.parametrize("run, expected", [
+    (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 0),
+    (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50), 0),
+    (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 0),
+    (lambda g: verify_integrability_bound("rank1:b=0.3", grid=g, n_paths=500), 0),
+    # det2_sqrt_identity: the matrix of its dense LU, one per factor
+    (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1),
+    (lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "one", g, n_paths=500), 3),
+    # trace_formula and det2_consistency read one matrix
+    (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1),
+    # a dense kernel: the gate and det2 (transf); the gate and det_dual_route (harmonic)
+    (lambda g: verify_transf("volterra", "cos_end:1.0", grid=g, n_paths=500), 2),
+    (lambda g: verify_harmonic("volterra", 1.0, grid=g, n_paths=500), 2),
+], ids=["transf", "inverse", "gencv", "integrability", "surjective", "sweep",
+        "cameron_martin", "transf-dense", "harmonic-dense"])
+def test_dense_matrices_assembled_per_scenario(grid, monkeypatch, run, expected):
+    # an order-N matrix is assembled only for the dense route and the checks
+    orders, assemble = [], operator.assemble
+
+    def counted(kappa):
+        orders.append(kappa.grid.n_steps * kappa.dim)
+        return assemble(kappa)
+    monkeypatch.setattr(operator, "assemble", counted)
+    reports = run(grid)
+    for report in reports if isinstance(reports, list) else [reports]:
+        assert report.verdict == "pass"
+    assert orders == [N] * expected
+
+
 # ---------------------------------------------------------------------------
 # derived quantities against direct routes
 # ---------------------------------------------------------------------------
@@ -181,18 +211,18 @@ def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, r
 def test_image_gate_derived_from_gate_spectrum(spec, dim):
     g = make_grid(1.0, 64)
     kappa = kernel_zoo(spec, g, dim)
-    lam_min = spectrum(assemble(eta_of_kappa(kappa))).lambda_min
+    lam_min = spectrum(eta_of_kappa(kappa)).lambda_min
     derived = 1.0 - 1.0 / (1.0 - lam_min)
-    direct = lambda_max(assemble(eta_of_kappa(inverse_kernel(kappa))))
+    direct = lambda_max(eta_of_kappa(inverse_kernel(kappa)))
     assert abs(derived - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
 @pytest.mark.parametrize("spec, dim", ZOO)
 def test_inverse_by_lu_solve_matches_dense_solve(spec, dim):
     g = make_grid(1.0, 64)
-    m = assemble(kernel_zoo(spec, g, dim)).matrix
+    m = assemble(kernel_zoo(spec, g, dim))
     reference = -np.linalg.solve(np.eye(m.shape[0]) + m, m)
-    got = assemble(inverse_kernel(kernel_zoo(spec, g, dim))).matrix
+    got = assemble(inverse_kernel(kernel_zoo(spec, g, dim)))
     assert np.max(np.abs(got - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
 
 
@@ -201,27 +231,28 @@ def test_inverse_by_lu_solve_matches_dense_solve(spec, dim):
 def test_spectrum_readers_match_direct_routes(spec, dim):
     g = make_grid(1.0, 64)
     kappa = kernel_zoo(spec, g, dim)
-    m_eta = assemble(eta_of_kappa(kappa))
-    eig = spectrum(m_eta, vectors=True)
-    sign, logdet = np.linalg.slogdet(np.eye(m_eta.matrix.shape[0]) - m_eta.matrix)
+    eta = eta_of_kappa(kappa)
+    m_eta = assemble(eta)
+    eig = spectrum(eta, vectors=True)
+    sign, logdet = np.linalg.slogdet(np.eye(m_eta.shape[0]) - m_eta)
     assert sign == 1.0
     assert abs(eig.logdet_complement() - logdet) <= 1e-12 * max(1.0, abs(logdet))
-    d2 = factor_identity_plus(-m_eta.matrix).det2
+    d2 = factor_identity_plus(-m_eta).det2
     assert abs(eig.det2_complement().log_modulus - d2.log_modulus) <= 1e-12
-    root = assemble(eig.sqrt_kernel()).matrix
-    oracle = np.real(scipy.linalg.sqrtm(np.eye(len(root)) - m_eta.matrix)) - np.eye(len(root))
+    root = assemble(eig.sqrt_kernel())
+    oracle = np.real(scipy.linalg.sqrtm(np.eye(len(root)) - m_eta)) - np.eye(len(root))
     assert np.max(np.abs(root - oracle)) <= 1e-10
-    inv_root = assemble(eig.inverse_sqrt_kernel()).matrix
-    assert np.max(np.abs(inv_root - assemble(inverse_kernel(eig.sqrt_kernel())).matrix)) <= 1e-12
+    inv_root = assemble(eig.inverse_sqrt_kernel())
+    assert np.max(np.abs(inv_root - assemble(inverse_kernel(eig.sqrt_kernel())))) <= 1e-12
 
 
 @pytest.mark.parametrize("inverse", [
     lambda k: inverse_kernel(k),
-    lambda k: factor_identity_plus(assemble(k)).inverse_matrix(),
+    lambda k: factor_identity_plus(k).inverse_matrix(),
 ])
 def test_singular_operator_has_no_inverse(inverse):
     kappa = kernel_zoo("rank1:b=-1", make_grid(1.0, 64))
-    assert factor_identity_plus(assemble(kappa)).det2.singular
+    assert factor_identity_plus(kappa).det2.singular
     with pytest.raises(SingularOperatorError):
         inverse(kappa)
 

@@ -49,7 +49,7 @@ def random_symmetric_kernel(grid, dim=1, seed=0, lam=None):
     vals = 0.5 * (vals + np.transpose(vals, (1, 0, 3, 2)))
     k = MatrixKernel(grid, dim, vals, symmetric=True)
     if lam is not None:
-        top = lambda_max(assemble(k))
+        top = lambda_max(k)
         assert top > 0
         k = MatrixKernel(grid, dim, vals * (lam / top), symmetric=True)
     return k
@@ -60,12 +60,12 @@ def random_symmetric_kernel(grid, dim=1, seed=0, lam=None):
 # ---------------------------------------------------------------------------
 
 def test_assemble_zero(grid):
-    assert np.all(assemble(kernel_zoo("zero", grid)).matrix == 0)
+    assert np.all(assemble(kernel_zoo("zero", grid)) == 0)
 
 
 def test_assemble_volterra_tabulation():
     g = make_grid(1.0, 4)
-    m = assemble(kernel_zoo("volterra", g)).matrix
+    m = assemble(kernel_zoo("volterra", g))
     expect = np.tril(np.ones((4, 4)), k=-1) * 0.25
     npt.assert_array_equal(m, expect)
 
@@ -73,7 +73,7 @@ def test_assemble_volterra_tabulation():
 def test_assemble_rank_one_spectrum():
     # rank-one spectral oracle: single nonzero eigenvalue equal to b
     g = make_grid(1.0, 128)
-    m = assemble(kernel_zoo("rank1:b=0.3", g)).matrix
+    m = assemble(kernel_zoo("rank1:b=0.3", g))
     eigs = np.sort(np.linalg.eigvalsh(0.5 * (m + m.T)))
     npt.assert_allclose(eigs[-1], 0.3, atol=1e-12)
     npt.assert_allclose(eigs[:-1], 0.0, atol=1e-12)
@@ -84,19 +84,19 @@ def test_assemble_adjoint_is_transpose(grid):
 
     rng = np.random.default_rng(2)
     k = MatrixKernel(grid, 2, rng.normal(size=(64, 64, 2, 2)))
-    npt.assert_array_equal(assemble(adjoint_kernel(k)).matrix, assemble(k).matrix.T)
+    npt.assert_array_equal(assemble(adjoint_kernel(k)), assemble(k).T)
 
 
 def test_assemble_frobenius_equals_l2_norm(grid):
     rng = np.random.default_rng(3)
     k = MatrixKernel(grid, 2, rng.normal(size=(64, 64, 2, 2)))
-    npt.assert_allclose(assemble(k).hs_norm(), kernel_l2_norm(k), rtol=1e-12)
+    npt.assert_allclose(np.linalg.norm(assemble(k)), kernel_l2_norm(k), rtol=1e-12)
 
 
 def test_kernel_matrix_round_trip(grid):
     rng = np.random.default_rng(4)
     k = MatrixKernel(grid, 2, rng.normal(size=(64, 64, 2, 2)))
-    back = kernel_from_matrix(assemble(k).matrix, grid, 2)
+    back = kernel_from_matrix(assemble(k), grid, 2)
     npt.assert_array_equal(back.values, k.values)
 
 
@@ -105,25 +105,25 @@ def test_kernel_matrix_round_trip(grid):
 # ---------------------------------------------------------------------------
 
 def test_lambda_max_zero(grid):
-    assert lambda_max(assemble(kernel_zoo("zero", grid))) == 0.0
+    assert lambda_max(kernel_zoo("zero", grid)) == 0.0
 
 
 def test_lambda_max_gencv_values():
     g = make_grid(1.0, 128)
     k = kernel_zoo("remark_gencv:b1=-2,b2=-3", g)
-    npt.assert_allclose(lambda_max(assemble(s_of_kappa(k))), 6.0, atol=1e-10)
-    npt.assert_allclose(lambda_max(assemble(eta_of_kappa(k))), 0.0, atol=1e-10)
+    npt.assert_allclose(lambda_max(s_of_kappa(k)), 6.0, atol=1e-10)
+    npt.assert_allclose(lambda_max(eta_of_kappa(k)), 0.0, atol=1e-10)
 
 
 def test_lambda_max_rank_one():
     g = make_grid(1.0, 128)
     eta = kernel_zoo("rank1:b=0.5", g)
-    npt.assert_allclose(lambda_max(assemble(eta)), 0.5, atol=1e-12)
+    npt.assert_allclose(lambda_max(eta), 0.5, atol=1e-12)
 
 
 def test_lambda_max_rejects_asymmetric(grid):
     with pytest.raises(PreconditionError):
-        lambda_max(assemble(kernel_zoo("volterra", grid)))
+        lambda_max(kernel_zoo("volterra", grid))
 
 
 @pytest.mark.parametrize("magnitude", [0.25, 8.0])
@@ -151,13 +151,13 @@ def test_one_symmetry_rule_at_its_boundary(grid, magnitude, ratio):
 # ---------------------------------------------------------------------------
 
 def test_det2_of_zero(grid):
-    d = det2(assemble(kernel_zoo("zero", grid)))
+    d = det2(kernel_zoo("zero", grid))
     assert (d.sign, d.log_modulus, d.singular) == (1, 0.0, False)
 
 
 def test_det2_gencv_closed_form():
     g = make_grid(1.0, 256)
-    d = det2(assemble(kernel_zoo("remark_gencv:b1=-2,b2=-3", g)))
+    d = det2(kernel_zoo("remark_gencv:b1=-2,b2=-3", g))
     assert d.sign == 1
     npt.assert_allclose(d.value, 2.0 * np.exp(5.0), rtol=1e-6)
 
@@ -165,7 +165,7 @@ def test_det2_gencv_closed_form():
 @pytest.mark.parametrize("b", [0.3, -0.5, -2.0])
 def test_det2_rank_one_closed_form(b):
     g = make_grid(1.0, 256)
-    d = det2(assemble(kernel_zoo(f"rank1:b={b}", g)))
+    d = det2(kernel_zoo(f"rank1:b={b}", g))
     expected = (1.0 + b) * np.exp(-b)
     assert d.sign == np.sign(expected)
     npt.assert_allclose(d.sign * np.exp(d.log_modulus), expected, rtol=1e-10)
@@ -173,7 +173,7 @@ def test_det2_rank_one_closed_form(b):
 
 def test_det2_singular_outcome():
     g = make_grid(1.0, 128)
-    d = det2(assemble(kernel_zoo("rank1:b=-1", g)))
+    d = det2(kernel_zoo("rank1:b=-1", g))
     assert d.singular and d.sign == 0 and d.value == 0.0
 
 
@@ -201,7 +201,7 @@ def test_det2_finite_dim_against_dense_determinant():
 # ---------------------------------------------------------------------------
 
 def test_product_identity_zero(grid):
-    rep = det2_product_identity_check(assemble(kernel_zoo("zero", grid)))
+    rep = det2_product_identity_check(kernel_zoo("zero", grid))
     assert rep.lhs_log == 0.0 and rep.rhs_log == 0.0 and rep.discrepancy == 0.0
 
 
@@ -210,9 +210,9 @@ def test_product_identity_random_8x8():
     rng = np.random.default_rng(7)
     g = make_grid(1.0, 8)
     k = kernel_from_values(g, rng.normal(size=(8, 8)))
-    rep = det2_product_identity_check(assemble(k))
+    rep = det2_product_identity_check(k)
     assert rep.discrepancy <= 1e-10
-    m = assemble(k).matrix
+    m = assemble(k)
     lhs_direct = np.linalg.det((np.eye(8) + m.T) @ (np.eye(8) + m)) * np.exp(
         -np.trace(m + m.T + m.T @ m)
     )
@@ -223,7 +223,7 @@ def test_product_identity_random_8x8():
 def test_product_identity_rank_one_closed_form():
     g = make_grid(1.0, 128)
     b = 0.3
-    rep = det2_product_identity_check(assemble(kernel_zoo(f"rank1:b={b}", g)))
+    rep = det2_product_identity_check(kernel_zoo(f"rank1:b={b}", g))
     # (I+B)^2 has the single eigenvalue (1+b)^2; tr of the B part is 2b + b^2
     expected_log = np.log((1.0 + b) ** 2) - (2.0 * b + b * b)
     npt.assert_allclose(rep.lhs_log, expected_log, atol=1e-10)
@@ -234,8 +234,8 @@ def test_eta_assembly_identity(grid):
     # B_eta = -(M + M^T + M^T M) on the grid
     rng = np.random.default_rng(8)
     k = MatrixKernel(grid, 2, rng.normal(size=(64, 64, 2, 2)) * 0.2)
-    m = assemble(k).matrix
-    m_eta = assemble(eta_of_kappa(k)).matrix
+    m = assemble(k)
+    m_eta = assemble(eta_of_kappa(k))
     npt.assert_allclose(m_eta, -(m + m.T + m.T @ m), atol=1e-12)
 
 
@@ -244,8 +244,8 @@ def test_gap_identity_rayleigh():
     g = make_grid(1.0, 64)
     rng = np.random.default_rng(9)
     k = kernel_from_values(g, rng.normal(size=(64, 64)) * 0.3)
-    m = assemble(k).matrix
-    lam = lambda_max(assemble(eta_of_kappa(k)))
+    m = assemble(k)
+    lam = lambda_max(eta_of_kappa(k))
     a = np.eye(64) + m
     min_sq = np.linalg.eigvalsh(a.T @ a)[0]
     npt.assert_allclose(1.0 - lam, min_sq, atol=1e-8)
@@ -256,7 +256,7 @@ def test_gap_identity_rayleigh():
 # ---------------------------------------------------------------------------
 
 def test_trace_zero(grid):
-    assert trace(assemble(kernel_zoo("zero", grid))) == 0.0
+    assert trace(kernel_zoo("zero", grid)) == 0.0
 
 
 def test_trace_constant_phi_tail():
@@ -264,12 +264,12 @@ def test_trace_constant_phi_tail():
     g = make_grid(1.0, 256)
     c = 1.3
     k = kernel_zoo(f"const_phi:c={c}", g)
-    npt.assert_allclose(trace(assemble(k)), c / 2.0, atol=2.0 * c / g.n_steps)
+    npt.assert_allclose(trace(k), c / 2.0, atol=2.0 * c / g.n_steps)
 
 
 def test_trace_rank_one():
     g = make_grid(1.0, 128)
-    npt.assert_allclose(trace(assemble(kernel_zoo("rank1:b=0.7", g))), 0.7, atol=1e-12)
+    npt.assert_allclose(trace(kernel_zoo("rank1:b=0.7", g)), 0.7, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +287,16 @@ def test_inverse_rank_one_closed_form():
     k = kernel_zoo(f"rank1:b={b}", g)
     k_hat = inverse_kernel(k)
     npt.assert_allclose(k_hat.values, (-b / (1.0 + b)) / b * k.values, atol=1e-12)
-    m = assemble(k).matrix
+    m = assemble(k)
     oracle = np.linalg.inv(np.eye(128) + m) - np.eye(128)
-    npt.assert_allclose(assemble(k_hat).matrix, oracle, atol=1e-12)
+    npt.assert_allclose(assemble(k_hat), oracle, atol=1e-12)
 
 
 def test_inverse_round_trips(grid):
     rng = np.random.default_rng(10)
     k = kernel_from_values(grid, rng.normal(size=(64, 64)) * 0.3)
     k_hat = inverse_kernel(k)
-    m, m_hat = assemble(k).matrix, assemble(k_hat).matrix
+    m, m_hat = assemble(k), assemble(k_hat)
     eye = np.eye(64)
     npt.assert_allclose((eye + m) @ (eye + m_hat), eye, atol=1e-10)
     npt.assert_allclose((eye + m_hat) @ (eye + m), eye, atol=1e-10)
@@ -333,11 +333,11 @@ def test_kappa_s_round_trip_and_sqrtm_oracle(grid):
     err = kernel_l2_norm(MatrixKernel(grid, 1, round_trip.values - eta.values))
     assert err <= 1e-8 * kernel_l2_norm(eta)
     # independent square-root oracle
-    m_eta = assemble(eta).matrix
+    m_eta = assemble(eta)
     oracle = np.real(sla.sqrtm(np.eye(64) - m_eta)) - np.eye(64)
-    npt.assert_allclose(assemble(k).matrix, oracle, atol=1e-8)
+    npt.assert_allclose(assemble(k), oracle, atol=1e-8)
     # membership: I + B_kappa_s is PSD
-    assert np.linalg.eigvalsh(np.eye(64) + assemble(k).matrix)[0] >= -1e-12
+    assert np.linalg.eigvalsh(np.eye(64) + assemble(k))[0] >= -1e-12
 
 
 def test_kappa_s_gate():
@@ -368,7 +368,7 @@ def test_witness_sqrtm_route(grid):
     # kappa_s against an independently square-rooted eta: PSD root is unique
     eta = random_symmetric_kernel(grid, seed=13, lam=0.8)
     k1 = kappa_s(eta)
-    oracle = np.real(sla.sqrtm(np.eye(64) - assemble(eta).matrix)) - np.eye(64)
+    oracle = np.real(sla.sqrtm(np.eye(64) - assemble(eta))) - np.eye(64)
     k2 = kernel_from_matrix(0.5 * (oracle + oracle.T), grid, 1, symmetric=True)
     rep = injectivity_witness(k1, k2)
     assert rep.kappa_distance <= 1e-8
@@ -414,8 +414,8 @@ def test_spectral_facts_are_basis_independent():
     for kind in ("cosine", "legendre"):
         v = orthonormal_columns(g, 3, kind=kind)[:, 2]
         k = MatrixKernel(g, 1, b * np.outer(v, v)[:, :, None, None], symmetric=True)
-        d2 = det2(assemble(k))
-        results.append((lambda_max(assemble(k)), d2.sign, d2.log_modulus))
+        d2 = det2(k)
+        results.append((lambda_max(k), d2.sign, d2.log_modulus))
     npt.assert_allclose(results[0], results[1], atol=1e-10)
 
 
@@ -439,9 +439,9 @@ def _low_rank_variants(kernel, factor):
     eta = eta_of_kappa(kernel)
     variants = {"built": kernel, "scaled": scale_kernel(kernel, factor),
                 "adjoint": adjoint_kernel(kernel), "eta": eta}
-    if not det2(assemble(kernel)).singular:
+    if not det2(kernel).singular:
         variants["kappa_hat"] = inverse_kernel(kernel)
-    if lambda_max(assemble(eta)) < 1.0 - GATE_MARGIN:
+    if lambda_max(eta) < 1.0 - GATE_MARGIN:
         variants["kappa_s"] = kappa_s(eta)
     return variants
 
@@ -455,8 +455,8 @@ def _assert_operators_close(got, want, tol, what):
     """Kernels compared as operators: their Nystrom matrices, to tol times the
     HS norm of want (at least 1).  Entries of a dense factorisation carry an
     error of eps times that norm, which is N eps of the largest kernel value."""
-    ref = assemble(want).matrix
-    _assert_close(assemble(got).matrix, ref, tol * max(1.0, np.linalg.norm(ref)), what)
+    ref = assemble(want)
+    _assert_close(assemble(got), ref, tol * max(1.0, np.linalg.norm(ref)), what)
 
 
 def _assert_low_rank_routes_match_dense(kernel, what):
@@ -467,10 +467,10 @@ def _assert_low_rank_routes_match_dense(kernel, what):
     forward-error scale."""
     assert isinstance(kernel.factored, LowRank), what
     dense = replace(kernel, factored=None)
-    d_low, d_dense = det2(assemble(kernel)), det2(assemble(dense))
+    d_low, d_dense = det2(kernel), det2(dense)
     if d_low.singular != d_dense.singular:
         # only within a decade of the rank rule's threshold may they differ
-        m = assemble(dense).matrix
+        m = assemble(dense)
         sv = np.linalg.svd(np.eye(len(m)) + m, compute_uv=False)
         assert 0.1 * PIVOT_RTOL <= sv[-1] / sv[0] <= 10.0 * PIVOT_RTOL, what
     if d_low.singular or d_dense.singular:
@@ -480,14 +480,14 @@ def _assert_low_rank_routes_match_dense(kernel, what):
                   f"{what}: det2(I + B)")
     inv_dense = inverse_kernel(dense)
     eye = np.eye(kernel.grid.n_steps * kernel.dim)
-    cond = (np.linalg.norm(eye + assemble(dense).matrix, 1)
-            * np.linalg.norm(eye + assemble(inv_dense).matrix, 1))  # of I + M, in the 1-norm
+    cond = (np.linalg.norm(eye + assemble(dense), 1)
+            * np.linalg.norm(eye + assemble(inv_dense), 1))  # of I + M, in the 1-norm
     _assert_operators_close(inverse_kernel(kernel), inv_dense, 1e-12 * cond,
                             f"{what}: inverse kernel")
 
     if not kernel.symmetric:
         return
-    low, full = spectrum(assemble(kernel), vectors=True), spectrum(assemble(dense), vectors=True)
+    low, full = spectrum(kernel, vectors=True), spectrum(dense, vectors=True)
     rho = max(1.0, abs(full.lambda_max), abs(full.lambda_min))
     _assert_close(low.lambda_max, full.lambda_max, 1e-12 * rho, f"{what}: lambda_max")
     _assert_close(low.lambda_min, full.lambda_min, 1e-12 * rho, f"{what}: lambda_min")
@@ -531,6 +531,6 @@ def test_rank_one_singular_decision_matches_dense():
     g = make_grid(1.0, 64)
     for b, singular in ((-1.0, True), (-0.999999, False)):
         kernel = kernel_zoo(f"rank1:b={b}", g)
-        d_low = det2(assemble(kernel))
-        assert d_low.singular == det2(assemble(replace(kernel, factored=None))).singular
+        d_low = det2(kernel)
+        assert d_low.singular == det2(replace(kernel, factored=None)).singular
         assert d_low.singular == singular

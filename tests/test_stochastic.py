@@ -40,7 +40,7 @@ from orderone import (
     wiener_integral,
 )
 from orderone.grid_kernel import LowerExp, LowRank
-from orderone.operator import assemble, spectrum
+from orderone.operator import spectrum
 
 
 @pytest.fixture
@@ -585,9 +585,9 @@ def _dense_operator_kernels():
         out[f"kappa_hat[{dim}]"] = inverse_kernel(kappa)
         eta = scale_kernel(eta_of_kappa(kernel_zoo("volterra", g, dim)), 0.3)
         out[f"kappa_s[{dim}]"] = kappa_s(eta)
-        out[f"kappa_s_hat[{dim}]"] = spectrum(assemble(eta), vectors=True).inverse_sqrt_kernel()
+        out[f"kappa_s_hat[{dim}]"] = spectrum(eta, vectors=True).inverse_sqrt_kernel()
         neg_c = scale_kernel(c_kernels(kernel_zoo("volterra", g, dim)), -1.0)
-        out[f"c_prime_hat[{dim}]"] = spectrum(assemble(neg_c), vectors=True).inverse_sqrt_kernel()
+        out[f"c_prime_hat[{dim}]"] = spectrum(neg_c, vectors=True).inverse_sqrt_kernel()
     return out
 
 
