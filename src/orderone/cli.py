@@ -11,8 +11,11 @@ Subcommands
 
 Exit codes: 0 all pass, 1 numerical failure (a failed verdict, a singular
 operator, or a scenario that raised), 2 hypothesis-gate rejection, 3 usage or
-configuration error.  `run` writes a report for every scenario, one that
-raised included (verdict `error`, with the exception in its gate field).
+configuration error.  `run`, `verify` and `sweep-laplace` share one runner:
+every scenario is checked before the first one runs (a bad one exits 3), and
+each writes a report, one that raised included: verdict `singular` for a
+singular operator, `rejected-by-hypothesis` for a failed contraction, else
+`error`, with the exception in its gate field (and its traceback on stderr).
 
 Config format (strict: unknown keys and sections are fatal, with line numbers):
 
@@ -47,13 +50,15 @@ the table KINDS says which keys each kind takes, and any other key is fatal:
 runs through the same table, with one parser and one default per key:
 functional is `one` for every kind.  `run` validates the whole config, after
 its flag overrides, before the first scenario starts.  `verify finite-dim`
-stays outside the table: its --diag and its functional grammar are its own.
+stays outside the table (its --diag and its functional grammar are its own)
+but is checked and run by the same runner.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -87,7 +92,7 @@ FORMATS = ("json", "csv", "both")
 class ScenarioSpec:
     name: str | None  # None: the scenario's own default name
     verify: str
-    kernel: str = "zero"
+    kernel: str = "zero"  # of a kind that takes a kernel
     functional: str = "one"
     tolerance: float = sc.DEFAULT_TOL
     lam: float = 1.0
@@ -130,7 +135,7 @@ class _Key(NamedTuple):
 
 # Every scenario key: its parser, shared by the config key and the flag, and
 # where its value lands.  The ranges (paths >= 1, tolerance > 0, n_steps >= 2,
-# ...) are checked once, by the scenarios themselves; see `_validate`.
+# ...) are checked once, by the scenarios themselves; see `_jobs`.
 _KEYS = {
     "kernel": _Key(str, "kernel", "--kernel"),
     "functional": _Key(str, "functional", "--functional"),
@@ -151,33 +156,24 @@ _RUN_KEYS = {"horizon": float, "n_steps": int, "dim": int, "samples": int, "seed
 
 class Kind(NamedTuple):
     keys: tuple[str, ...]  # every config key (verify flag) the kind takes
-    run: Callable          # (spec, keyword arguments) -> reports
-
-
-def _sweep(spec: ScenarioSpec, a: dict) -> list:
-    """The Laplace sweep of a surjective spec's lambdas; its reports name themselves."""
-    if not spec.lambdas:
-        return []
-    return sc.sweep_laplace(spec.kernel, spec.lambdas, spec.functional,
-                            **{k: v for k, v in a.items() if k != "name"})
+    run: Callable          # keyword arguments of `_arguments` -> reports
 
 
 _COMMON = ("tolerance", "samples", "n_steps", "horizon", "seed")
 _KERNEL = _COMMON + ("kernel", "functional", "dim")
 KINDS = {
-    "transf": Kind(_KERNEL, lambda s, a: [sc.verify_transf(s.kernel, s.functional, **a)]),
-    "inverse": Kind(_KERNEL, lambda s, a: [sc.verify_inverse(s.kernel, s.functional, **a)]),
-    "surjective": Kind(_KERNEL + ("lambdas",), lambda s, a: [
-        sc.verify_surjective(s.kernel, s.functional, **a)] + _sweep(s, a)),
-    "harmonic": Kind(_KERNEL + ("lambda", "x"), lambda s, a: [
-        sc.verify_harmonic(s.kernel, s.lam, s.x, s.functional, **a)]),
-    "cameron_martin": Kind(_KERNEL, lambda s, a: [
-        sc.verify_cameron_martin(s.kernel, s.functional, **a)]),
-    "gencv": Kind(_COMMON + ("functional",), lambda s, a: [
-        sc.verify_gencv_example(functional=s.functional, **a)]),
-    "integrability": Kind(_COMMON + ("kernel", "dim"), lambda s, a: [
-        sc.verify_integrability_bound(s.kernel, **a)]),
+    "transf": Kind(_KERNEL, lambda **a: [sc.verify_transf(**a)]),
+    "inverse": Kind(_KERNEL, lambda **a: [sc.verify_inverse(**a)]),
+    "surjective": Kind(_KERNEL + ("lambdas",), lambda **a: sc.surjective_scenario(**a)),
+    "harmonic": Kind(_KERNEL + ("lambda", "x"), lambda **a: [sc.verify_harmonic(**a)]),
+    "cameron_martin": Kind(_KERNEL, lambda kernel, **a: [sc.verify_cameron_martin(kernel, **a)]),
+    "gencv": Kind(_COMMON + ("functional",), lambda **a: [sc.verify_gencv_example(**a)]),
+    "integrability": Kind(_COMMON + ("kernel", "dim"), lambda kernel, **a: [
+        sc.verify_integrability_bound(kernel, **a)]),
 }
+# sweep-laplace: a surjective scenario's Laplace sweep without its own identity
+_SWEEP = {"surjective": KINDS["surjective"]._replace(
+    run=lambda kernel, lambdas, name, **a: sc.sweep_laplace(kernel, lambdas, **a))}
 _FINITE_DIM_KEYS = ("functional", "tolerance", "samples", "seed")
 
 
@@ -254,43 +250,48 @@ def _read_config(text: str) -> RunConfig:
     return config
 
 
-def _arguments(spec: ScenarioSpec, config: RunConfig) -> dict:
-    """The keyword arguments of spec's call into scenarios: its overrides over
-    the [run] values."""
+def _arguments(spec: ScenarioSpec, config: RunConfig, keys) -> dict:
+    """The keyword arguments of spec's scenario, for its check and its run
+    alike: its overrides over the [run] values, and the value of each key
+    its kind takes."""
     o = spec.overrides
     a = dict(grid=make_grid(o.get("horizon", config.horizon), o.get("n_steps", config.n_steps)),
              n_paths=o.get("n_paths", config.samples), seed=o.get("seed", config.seed),
              tol=spec.tolerance, name=spec.name)
-    if "dim" in KINDS[spec.verify].keys:
+    if "dim" in keys:
         a["dim"] = o.get("dim", config.dim)
+    for key in ("kernel", "functional", "lambda", "x", "lambdas"):
+        if key in keys:
+            a[_KEYS[key].attr] = getattr(spec, _KEYS[key].attr)
     return a
 
 
-def _validate(config: RunConfig) -> RunConfig:
-    """Check every scenario as it will run: `_arguments` builds its grid
-    (horizon, n_steps), and `scenarios.resolve_scenario` checks the rest on
-    that grid (a kernel's admissible parameters may depend on N), so that no
-    rule is written here a second time."""
+def _jobs(config: RunConfig, kinds=KINDS) -> list:
+    """Every scenario of config as it will run, checked before any runs: the
+    run of its kind with its `_arguments`, and the report it halts with.
+    `scenarios.resolve_scenario` checks the arguments on the scenario's own
+    grid (a kernel's admissible parameters may depend on N), so that no rule
+    is written here a second time.  Raises ConfigError."""
     if not config.scenarios:
         raise ConfigError("config defines no scenarios")
+    jobs = []
     for spec in config.scenarios:
-        keys = KINDS[spec.verify].keys
+        kind = kinds[spec.verify]
         try:
-            a = _arguments(spec, config)
-            # a kind without a kernel key (gencv) builds its own; the spec's
-            # default stands in for it
-            sc.resolve_scenario(spec.verify, spec.kernel,
-                                spec.functional if "functional" in keys else None,
-                                lam=spec.lam if "lambda" in keys else None, x=spec.x, **a)
+            a = _arguments(spec, config, kind.keys)
+            halt = sc.resolve_scenario(spec.verify, **a).report
         except InvalidArgumentError as exc:
-            raise ConfigError(f"scenario {spec.name!r}: {exc}")
-    return config
+            raise ConfigError(f"scenario {spec.name!r}: {exc}" if spec.name else str(exc))
+        jobs.append((functools.partial(kind.run, **a), halt))
+    return jobs
 
 
 def parse_config(text: str) -> RunConfig:
     """Strict line-based parser; errors carry line numbers and field names.
     The result is validated as it would run without flag overrides."""
-    return _validate(_read_config(text))
+    config = _read_config(text)
+    _jobs(config)
+    return config
 
 
 def _write_reports(reports, out_dir, fmt) -> None:
@@ -305,8 +306,7 @@ def _write_reports(reports, out_dir, fmt) -> None:
             writer.writerows(r.to_csv_row() for r in reports)
 
 
-def _print_table(reports, file=None) -> None:
-    file = file if file is not None else sys.stdout
+def _print_table(reports) -> None:
     rows = [("scenario", "lambda_eta", "det2_log", "z", "rel_err", "verdict")]
     for r in reports:
         lam = r.gate.get("lambda_eta")
@@ -320,7 +320,44 @@ def _print_table(reports, file=None) -> None:
         ))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)), file=file)
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+
+
+def _halt(report, exc: Exception):
+    """report, the one a scenario was checked with, as the report of that
+    scenario raising exc: a singular operator and a failed contraction halt
+    it as they halt inside it, anything else is an 'error'."""
+    if isinstance(exc, (SingularOperatorError, NotContractiveError)):
+        report.verdict = ("singular" if isinstance(exc, SingularOperatorError)
+                          else "rejected-by-hypothesis")
+        report.gate = {"error": str(exc)}
+        print(f"scenario {report.name}: {exc}", file=sys.stderr)
+    else:
+        report.verdict, report.gate = "error", {"error": f"{type(exc).__name__}: {exc}"}
+        print(f"scenario {report.name} raised:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+    return report
+
+
+def _run(jobs, out_dir: str | None, fmt: str) -> int:
+    """The runner of run, verify and sweep-laplace: each checked job in turn,
+    its reports written to out_dir (when given) and printed.  A scenario that
+    raises gets its halt report and the next one runs: one scenario's failure
+    must not lose the others' reports."""
+    reports = []
+    for run, halt in jobs:
+        try:
+            reports.extend(run())
+        except Exception as exc:
+            reports.append(_halt(halt, exc))
+    if out_dir:
+        try:
+            _write_reports(reports, out_dir, fmt)
+        except OSError as exc:
+            print(f"error: cannot write reports: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    _print_table(reports)
+    return _exit_code(reports)
 
 
 def _exit_code(reports) -> int:
@@ -400,43 +437,13 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        config = _read_config(text)
-        for attr in ("seed", "samples", "n_steps", "horizon", "dim", "format"):
-            if getattr(args, attr) is not None:
-                setattr(config, attr, getattr(args, attr))
-        _validate(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _read_config(text)
+    for attr in ("seed", "samples", "n_steps", "horizon", "dim", "format"):
+        if getattr(args, attr) is not None:
+            setattr(config, attr, getattr(args, attr))
+    jobs = _jobs(config)
     out_dir = args.out or config.out_dir or os.environ.get("ORDERONE_OUT") or "reports"
-
-    reports = []
-    for spec in config.scenarios:
-        a = _arguments(spec, config)
-        try:
-            reports.extend(KINDS[spec.verify].run(spec, a))
-        except Exception as exc:  # one scenario's failure must not lose the others' reports
-            if isinstance(exc, (SingularOperatorError, NotContractiveError)):
-                verdict = ("singular" if isinstance(exc, SingularOperatorError)
-                           else "rejected-by-hypothesis")
-                error = str(exc)
-                print(f"scenario {spec.name}: {exc}", file=sys.stderr)
-            else:
-                verdict, error = "error", f"{type(exc).__name__}: {exc}"
-                print(f"scenario {spec.name} raised:", file=sys.stderr)
-                traceback.print_exc(file=sys.stderr)
-            reports.append(sc.ScenarioReport(
-                spec.name, spec.verify, None, None, None, None, spec.tolerance, verdict,
-                {"error": error}, {}, {}, {"kernel": spec.kernel, "seed": a["seed"]},
-            ))
-    try:
-        _write_reports(reports, out_dir, config.format)
-    except OSError as exc:
-        print(f"error: cannot write reports: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _print_table(reports)
-    return _exit_code(reports)
+    return _run(jobs, out_dir, config.format)
 
 
 _DERIVED = {"spectrum": lambda k: k, "kappa-hat": op.inverse_kernel, "kappa-s": op.kappa_s}
@@ -458,9 +465,8 @@ def _cmd_kernel(args) -> int:
             # the codes of `run`: singular is numerical, a kernel kappa-s cannot
             # take (not symmetric) is a bad input, only a failed gate is a gate
             print(f"error: {exc}", file=sys.stderr)
-            if isinstance(exc, SingularOperatorError):
-                return EXIT_NUMERICAL
-            return EXIT_USAGE if isinstance(exc, PreconditionError) else EXIT_GATE
+            return {SingularOperatorError: EXIT_NUMERICAL, NotContractiveError: EXIT_GATE,
+                    PreconditionError: EXIT_USAGE}[type(exc)]
     print(json.dumps(out, sort_keys=True, indent=2))
     return EXIT_PASS
 
@@ -476,38 +482,27 @@ def _spec_from_flags(args, kind: str, keys) -> ScenarioSpec:
     return spec
 
 
-def _run_flags(args) -> list:
-    """The reports of the one scenario that the flags of verify or
-    sweep-laplace (the surjective kind's sweep alone) give, run like a config
-    scenario of that kind."""
+def _cmd_verify(args) -> int:
+    """verify and sweep-laplace: the one scenario their flags give (of
+    sweep-laplace, the surjective kind's sweep alone), checked and run like a
+    config scenario of that kind."""
     kind = args.scenario
     config = RunConfig(samples=50_000) if args.command == "sweep-laplace" else RunConfig()
     if kind == "finite-dim":
         spec = _spec_from_flags(args, kind, _FINITE_DIM_KEYS)
         if args.diag is None:
             raise ConfigError("finite-dim needs --diag a,b,...")
-        return [sc.verify_finite_dim(
-            np.diag(args.diag), args.functional or "cos_sum",
-            n_samples=spec.overrides.get("n_paths", config.samples),
-            seed=spec.overrides.get("seed", config.seed), tol=spec.tolerance)]
-    if getattr(args, "diag", None) is not None:
+        a = dict(matrix=np.diag(args.diag), functional=args.functional or "cos_sum",
+                 n_samples=spec.overrides.get("n_paths", config.samples),
+                 seed=spec.overrides.get("seed", config.seed), tol=spec.tolerance)
+        _, _, halt = sc.resolve_finite_dim(**a)
+        jobs = [(lambda: [sc.verify_finite_dim(**a)], halt)]
+    elif getattr(args, "diag", None) is not None:
         raise ConfigError(f"{kind} does not take --diag")
-    spec = _spec_from_flags(args, kind, KINDS[kind].keys)
-    run = _sweep if args.command == "sweep-laplace" else KINDS[kind].run
-    return run(spec, _arguments(spec, config))
-
-
-def _cmd_verify(args) -> int:
-    try:
-        reports = _run_flags(args)
-    except (ConfigError, InvalidArgumentError, NotContractiveError,
-            SingularOperatorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out or os.environ.get("ORDERONE_OUT"):
-        _write_reports(reports, args.out or os.environ.get("ORDERONE_OUT"), args.format)
-    _print_table(reports)
-    return _exit_code(reports)
+    else:
+        config.scenarios = [_spec_from_flags(args, kind, KINDS[kind].keys)]
+        jobs = _jobs(config, _SWEEP if args.command == "sweep-laplace" else KINDS)
+    return _run(jobs, args.out or os.environ.get("ORDERONE_OUT"), args.format)
 
 
 _COMMANDS = {
@@ -524,7 +519,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except InvalidArgumentError as exc:
+    except (ConfigError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

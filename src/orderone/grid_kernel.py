@@ -648,6 +648,14 @@ def _real(params: dict, key: str, spec: str, default=None) -> float:
         raise InvalidArgumentError(f"parameter {key!r} of {spec!r} is not a real number")
 
 
+def _integer(params: dict, key: str, spec: str, default: int) -> int:
+    """An integer parameter: a real of integral value, never truncated."""
+    value = _real(params, key, spec, default=float(default))
+    if not (np.isfinite(value) and value == int(value)):
+        raise InvalidArgumentError(f"parameter {key!r} of {spec!r} must be an integer, got {value}")
+    return int(value)
+
+
 def _real_list(params: dict, key: str, spec: str) -> list[float]:
     if key not in params:
         raise InvalidArgumentError(f"kernel spec {spec!r} misses parameter {key!r}\n{KERNEL_GRAMMAR}")
@@ -688,14 +696,14 @@ def kernel_zoo(spec: str, grid: TimeGrid, dim: int = 1) -> MatrixKernel:
         if dim != 1:
             raise InvalidArgumentError("rank1 kernels are scalar; pass dim=1")
         b = _real(params, "b", spec)
-        mode = int(_real(params, "n", spec, default=1.0))
+        mode = _integer(params, "n", spec, default=1)
         kernel = _rank_kernel(grid, [(b, mode, mode)], symmetric=True)
     elif name == "rank2":
         if dim != 1:
             raise InvalidArgumentError("rank2 kernels are scalar; pass dim=1")
         b = _real(params, "b", spec)
         c = _real(params, "c", spec)
-        member = int(_real(params, "member", spec, default=1.0))
+        member = _integer(params, "member", spec, default=1)
         if member not in (1, 2):
             raise InvalidArgumentError(f"rank2 member must be 1 or 2, got {member}")
         kernel = remark_pair(grid, b, c)[member - 1]
@@ -714,9 +722,11 @@ def kernel_zoo(spec: str, grid: TimeGrid, dim: int = 1) -> MatrixKernel:
         diff = t[:, None] - t[None, :]
         tri = np.tril(np.ones((n, n)), k=-1)
         vals = np.zeros((n, n, d, d))
-        for k, rate in enumerate(p):
-            # the upper triangle is masked before exp, where e^{(t-s)p} may overflow
-            vals[:, :, k, k] = tri * np.exp(np.maximum(diff, 0.0) * rate)
+        # the upper triangle is masked before exp, where e^{(t-s)p} may overflow;
+        # below it an overflow is left to the kernel's finiteness check
+        with np.errstate(over="ignore"):
+            for k, rate in enumerate(p):
+                vals[:, :, k, k] = tri * np.exp(np.maximum(diff, 0.0) * rate)
         kernel = MatrixKernel(grid, d, vals, factored=LowerExp(np.array(p)))
     elif name == "const":
         kernel = _const_kernel(grid, dim, _real(params, "c", spec), symmetric=True)

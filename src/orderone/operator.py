@@ -61,15 +61,17 @@ volterra and expdiag):
                                gate 1 - 1/(1 - lambda_min)            paths through k, khat
                              LU I+B_k: det2, khat by lu_solve       rn_normalization: own
                                                                       LU of I+B_khat, MC mass
-    surjective      kernel   one eigh B_eta per lambda family; per  det2_sqrt_identity: one
-                               factor c, from c w and V: gate,        dense LU of I-cB_eta
-                               guard, det2(I-cB_eta), kappa_s, and    per factor
-                               khat_s when f is not constant        eta_roundtrip: eta of
-                                                                      kappa_s by composition
+    surjective      kernel   one eigh B_eta per scenario, its       det2_sqrt_identity: one
+                               lambdas included; per factor c,        dense LU of I-cB_eta
+                               from c w and V: gate, guard,           per factor
+                               det2(I-cB_eta), kappa_s, and khat_s  eta_roundtrip: eta of
+                               when f is not constant                 kappa_s by composition
     harmonic        dense    eigvalsh B_{-c} (eigh when f is not    det_dual_route: slogdet
                                constant): gate, det(I+B_c), c'_hat    of I + B^T B (no x)
     cameron_martin  kernel   eigvalsh B_eta: gate, guard            det2_consistency:
                              LU I+B_kphi: det2                        slogdet of I+B_kphi
+                                                                    trace_formula: tail
+                                                                      sums of phi
     gencv           LowRank  eigvalsh B_s; gate and det2 read from  closed forms of
                                the inner transf's eigvalsh and LU     lambda_s, lambda_eta, det2
     integrability   kernel   eigvalsh B_eta: gate, guard            closed-form bound, oracle

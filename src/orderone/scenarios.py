@@ -27,11 +27,13 @@ never fabricates a confidence interval: it downgrades to a consistency verdict
 that compares the median of fixed sub-batch means against the target at a
 widened tolerance.
 
-A lambda family, the surjective identity of lambda * eta for several lambda
-(the Laplace sweep; `verify_surjective` is the family of lambda = 1), is one
-pass per side: one eigensolve of B_eta gives each factor's gate, det2 and
-kernels, and each side draws its paths once, with one row of values per
-factor the gate admits, merged row by row (common random numbers).
+A lambda family, the surjective identity of lambda * eta for several lambda,
+is one pass per side: one eigensolve of B_eta gives each factor's gate, det2
+and kernels, and each side draws its paths once, with one row of values per
+factor the gate admits, merged row by row (common random numbers).  A
+surjective scenario's own identity (factor 1) and its Laplace sweep (its
+lambdas) form one family (`surjective_scenario`); `verify_surjective` is the
+family of factor 1 alone and `sweep_laplace` that of the lambdas alone.
 
 Chunk plan.  One Monte Carlo side of n paths of N d increments each runs as
 ceil(n / cap) chunks of near-equal size, cap = CHUNK_ELEMENTS // (N d);
@@ -55,6 +57,7 @@ a transformed batch.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import os
@@ -74,11 +77,13 @@ __all__ = [
     "MCEstimate",
     "ScenarioReport",
     "resolve_scenario",
+    "resolve_finite_dim",
     "verify_finite_dim",
     "verify_transf",
     "verify_inverse",
     "verify_surjective",
     "sweep_laplace",
+    "surjective_scenario",
     "verify_harmonic",
     "verify_cameron_martin",
     "verify_gencv_example",
@@ -131,12 +136,7 @@ class MCEstimate:
         return float(np.median(self.chunk_means)) if self.chunk_means else self.mean
 
     def to_dict(self) -> dict:
-        d = {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "ci_valid": self.ci_valid,
-        }
+        d = {key: getattr(self, key) for key in ("mean", "std_error", "n_samples", "ci_valid")}
         if not self.ci_valid:
             d["median_of_batches"] = self.median
         return d
@@ -246,14 +246,14 @@ def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
 
 
 def _mc_gaussians(n_dim: int, n_samples: int, seed: int, stream_id: int, per_sample,
-                  scale: float = 1.0) -> MCEstimate:
+                  scale: float = 1.0, ci_valid: bool = True) -> MCEstimate:
     """Monte Carlo over standard-normal vectors in R^n, keyed like `_mc_paths`."""
     def draw(idx, size, buf):
         key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, stream_id, idx])
         return np.random.Generator(np.random.Philox(key)).standard_normal(
             (size, n_dim), out=buf[:size * n_dim].reshape(size, n_dim))
 
-    return _mc_estimate(draw, n_samples, n_dim, per_sample, scale)
+    return _mc_estimate(draw, n_samples, n_dim, per_sample, scale, ci_valid)
 
 
 def _image_functional(f: TestFunctional, kernel: MatrixKernel, linear: bool = False):
@@ -279,10 +279,8 @@ class Check:
 
     def __post_init__(self):
         # numpy scalars sneak in from comparisons; JSON needs native types
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "target", float(self.target))
-        object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "passed", bool(self.passed))
+        for attr, native in (("value", float), ("target", float), ("tol", float), ("passed", bool)):
+            object.__setattr__(self, attr, native(getattr(self, attr)))
 
     def to_dict(self) -> dict:
         return {
@@ -316,7 +314,7 @@ class ScenarioReport:
     z_score: float | None
     rel_error: float | None
     tolerance: float
-    verdict: str  # pass | fail | rejected-by-hypothesis | singular | error (cli run)
+    verdict: str  # pass | fail | rejected-by-hypothesis | singular | error (cli)
     gate: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
@@ -327,20 +325,12 @@ class ScenarioReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lhs": self.lhs.to_dict() if self.lhs else None,
-            "rhs": self.rhs.to_dict() if self.rhs else None,
-            "z_score": self.z_score,
-            "rel_error": self.rel_error,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "gate": self.gate,
-            "spectra": self.spectra,
-            "checks": {k: c.to_dict() for k, c in self.checks.items()},
-            "provenance": self.provenance,
-        }
+        d = {key: getattr(self, key) for key in ("name", "kind", "z_score", "rel_error",
+                                                 "tolerance", "verdict", "gate", "spectra",
+                                                 "provenance")}
+        return dict(d, lhs=self.lhs.to_dict() if self.lhs else None,
+                    rhs=self.rhs.to_dict() if self.rhs else None,
+                    checks={k: c.to_dict() for k, c in self.checks.items()})
 
     def to_csv_row(self) -> list[str]:
         def fmt(x):
@@ -414,35 +404,39 @@ def _check_size(n_paths: int, tol: float) -> None:
         raise InvalidArgumentError(f"tolerance must be a finite real > 0, got {tol}")
 
 
-def _gate_dict(lam_eta: float, guard: str) -> dict:
-    return {"lambda_eta": float(lam_eta), "guard": guard}
-
-
-def _spectra_dict(kappa: MatrixKernel, d2: op.Det2, lam_eta: float) -> dict:
-    """det2, the HS norm and the trace of B_kappa, read from the kernel without
-    assembling the operator: the trace is the quadrature of the diagonal."""
-    return {
-        "det2_sign": d2.sign,
-        "det2_log_modulus": d2.log_modulus if np.isfinite(d2.log_modulus) else None,
-        "hs_norm": gk.kernel_l2_norm(kappa),
-        "trace": op.trace(kappa),
-        "lambda_eta": lam_eta,
-    }
+def _gate(report: ScenarioReport, lam_eta: float) -> str:
+    """The moment guard of a gate eigenvalue, recorded with it in the report."""
+    guard = st.moment_guard(lam_eta)
+    report.gate = {"lambda_eta": float(lam_eta), "guard": guard}
+    return guard
 
 
 # ---------------------------------------------------------------------------
 # finite-dimensional warm-up identity
 # ---------------------------------------------------------------------------
 
-def _finite_dim_functional(functional):
-    if callable(functional):
-        return functional, "<callable>"
-    tag = str(functional)
-    if tag == "one":
-        return (lambda x: np.ones(x.shape[0])), tag
-    if tag == "cos_sum":
-        return (lambda x: np.cos(x.sum(axis=1))), tag
-    raise InvalidArgumentError(f"unknown finite-dim functional {functional!r}")
+_FINITE_DIM_FUNCTIONALS = {"one": lambda x: np.ones(x.shape[0]),
+                           "cos_sum": lambda x: np.cos(x.sum(axis=1))}
+
+
+def resolve_finite_dim(
+    matrix, functional="cos_sum", n_samples: int = 200_000, seed: int = 0,
+    tol: float = DEFAULT_TOL, name: str | None = None,
+) -> tuple[np.ndarray, Callable, ScenarioReport]:
+    """Check the arguments of `verify_finite_dim` before any work: (the matrix,
+    the functional, the report it fills in).  Raises InvalidArgumentError."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InvalidArgumentError(f"matrix must be square and non-empty, got shape {a.shape}")
+    _check_size(n_samples, tol)
+    n = a.shape[0]
+    f_name = "<callable>" if callable(functional) else str(functional)
+    f = functional if callable(functional) else _FINITE_DIM_FUNCTIONALS.get(f_name)
+    if f is None:
+        raise InvalidArgumentError(f"unknown finite-dim functional {functional!r}")
+    prov = {"matrix_shape": n, "n_samples": n_samples, "seed": seed, "functional": f_name}
+    return a, f, ScenarioReport(name or f"finite_dim[n={n}]", "finite_dim", None, None, None,
+                                None, tol, "undecided", provenance=prov)
 
 
 def verify_finite_dim(
@@ -450,20 +444,13 @@ def verify_finite_dim(
     tol: float = DEFAULT_TOL, name: str | None = None,
 ) -> ScenarioReport:
     """Gaussian change of variables in R^n for x -> x + Ax with quadratic
-    weight exp(<Bx,x>/2), B = -(A + A^T + A^T A), gated on lambda_max(B) < 1."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise InvalidArgumentError(f"matrix must be square and non-empty, got shape {a.shape}")
-    _check_size(n_samples, tol)
+    weight exp(<Bx,x>/2), B = -(A + A^T + A^T A), gated on lambda_max(B) < 1
+    and guarded like the Wiener-space weights: no CI when 2 lambda_max(B) >= 1."""
+    a, f, report = resolve_finite_dim(matrix, functional, n_samples, seed, tol, name)
     n = a.shape[0]
-    f, f_name = _finite_dim_functional(functional)
-    prov = {"matrix_shape": n, "n_samples": n_samples, "seed": seed, "functional": f_name}
-
     b = -(a + a.T + a.T @ a)
     lam = float(np.linalg.eigvalsh(b)[-1])
-    guard = "reject" if lam >= 1.0 - op.GATE_MARGIN else "ok"
-    report = ScenarioReport(name or f"finite_dim[n={n}]", "finite_dim", None, None, None, None,
-                            tol, "undecided", _gate_dict(lam, guard), provenance=prov)
+    guard = _gate(report, lam)
     if guard == "reject":
         return _halted(report, "rejected-by-hypothesis")
 
@@ -479,7 +466,7 @@ def verify_finite_dim(
         return f(y) * np.exp(quad)
 
     rhs_stream = _STREAM_LHS if not np.any(a) else _STREAM_RHS
-    lhs = _mc_gaussians(n, n_samples, seed, _STREAM_LHS, lhs_fn, scale=det_abs)
+    lhs = _mc_gaussians(n, n_samples, seed, _STREAM_LHS, lhs_fn, det_abs, guard == "ok")
     return _identity(report, lhs, _mc_gaussians(n, n_samples, seed, rhs_stream, f))
 
 
@@ -500,6 +487,10 @@ class _Row(NamedTuple):
     ci_valid: bool = True
 
 
+# what `Scenario.factor` reads from the gate eigensolve and the LU of I + B_kappa
+_Factored = namedtuple("_Factored", "eta gate guard det2 kappa_hat")
+
+
 @dataclass
 class Scenario:
     """A Wiener-space scenario's checked arguments and the report it fills in."""
@@ -515,14 +506,36 @@ class Scenario:
         return _mc_paths(self.grid, self.kernel.dim, self.n_paths, self.seed, stream_id,
                          per_path, scale, ci_valid)
 
-    def gate(self, kappa: MatrixKernel):
-        """The eta kernel of kappa, the gate spectrum of B_eta (one eigensolve)
-        and its guard; the gate goes into the report."""
+    def factor(self, kappa: MatrixKernel, inverse: bool = False) -> _Factored | None:
+        """The prologue of transf, inverse and cameron_martin: the eta kernel of
+        kappa, the gate spectrum of B_eta (one eigensolve) and its guard, then
+        one LU of I + B_kappa for det2 and, when inverse, the inverse kernel;
+        gate and spectra go into the report.  None when the scenario halts,
+        its verdict then 'rejected-by-hypothesis' at the gate or 'singular'
+        at a vanishing det2."""
         eta = gk.eta_of_kappa(kappa)
         gate = op.spectrum(eta)
-        guard = st.moment_guard(gate.lambda_max)
-        self.report.gate = _gate_dict(gate.lambda_max, guard)
-        return eta, gate, guard
+        guard = _gate(self.report, gate.lambda_max)
+        if guard == "reject":
+            _halted(self.report, "rejected-by-hypothesis")
+            return None
+        lu = op.factor_identity_plus(kappa)
+        d2 = lu.det2
+        # det2, the HS norm and the trace of B_kappa, read from the kernel without
+        # assembling the operator: the trace is the quadrature of the diagonal
+        self.report.spectra = {
+            "det2_sign": d2.sign,
+            "det2_log_modulus": d2.log_modulus if np.isfinite(d2.log_modulus) else None,
+            "hs_norm": gk.kernel_l2_norm(kappa),
+            "trace": op.trace(kappa),
+            "lambda_eta": gate.lambda_max,
+        }
+        if d2.singular:
+            _halted(self.report, "singular")
+            return None
+        # the LU is as large as the operator, so only what is read from it is kept
+        return _Factored(eta, gate, guard, d2,
+                         op.inverse_kernel_from(lu, kappa) if inverse else None)
 
     def two_sided(self, lhs_fn, rows: list[_Row]) -> list[ScenarioReport]:
         """Monte Carlo the left-hand sides of all rows in one pass, lhs_fn
@@ -547,19 +560,25 @@ class Scenario:
 
 
 def resolve_scenario(
-    kind: str, kernel, functional=None, grid: TimeGrid | None = None, dim: int = 1,
+    kind: str, kernel=None, functional=None, grid: TimeGrid | None = None, dim: int = 1,
     n_paths: int = 100_000, seed: int = 0, tol: float = DEFAULT_TOL,
-    name: str | None = None, lam: float | None = None, x=None,
+    name: str | None = None, lam: float | None = None, x=None, lambdas=None,
 ) -> Scenario:
     """Check and resolve the arguments of a Wiener-space scenario of the given
     kind before any work: the Monte Carlo size and tolerance, the harmonic
-    lambda (>= 0) and direction x (of the kernel's dimension), the kernel spec
-    (symmetric for surjective and integrability) and the functional (None
-    for a scenario without one).  Every scenario starts here, and a config is
-    validated by calling it on each scenario's grid.  Raises InvalidArgumentError."""
+    lambda (>= 0) and direction x (of the kernel's dimension), the surjective
+    lambdas (finite), the kernel spec (symmetric for surjective and
+    integrability; None for gencv's own counterexample at its default b1, b2)
+    and the functional (None for a scenario without one).  Every scenario
+    starts here, and a config is validated by calling it on each scenario's
+    grid with the arguments the scenario runs with.  Raises InvalidArgumentError."""
     _check_size(n_paths, tol)
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise InvalidArgumentError(f"lambda must be a finite real >= 0, got {lam}")
+    if lambdas is not None and not np.all(np.isfinite(lambdas)):
+        raise InvalidArgumentError(f"lambdas must be finite reals, got {list(lambdas)}")
+    if kernel is None and kind == "gencv":
+        kernel = "remark_gencv:b1=-2,b2=-3"
     grid = grid or make_grid(1.0, 256)
     if isinstance(kernel, MatrixKernel):
         if kernel.grid != grid:
@@ -594,23 +613,17 @@ def verify_transf(
     """Forward identity: transformed-and-weighted expectation against the
     plain one, scaled by |det2| and exp(||kappa||^2 / 2)."""
     s = resolve_scenario("transf", kernel, functional, grid, dim, n_paths, seed, tol, name)
-    kappa = s.kernel
-    eta, gate, guard = s.gate(kappa)
-    if guard == "reject":
-        return _halted(s.report, "rejected-by-hypothesis")
-    d2 = op.det2(kappa)
-    s.report.spectra = _spectra_dict(kappa, d2, gate.lambda_max)
-    if d2.singular:
-        return _halted(s.report, "singular")
-
+    kappa, p = s.kernel, s.factor(s.kernel)
+    if p is None:
+        return s.report
     f_image = _image_functional(s.f, kappa)
 
     def lhs_fn(batch: PathBatch):
-        return f_image(batch) * np.exp(st.quadratic_form(eta, batch))
+        return f_image(batch) * np.exp(st.quadratic_form(p.eta, batch))
 
-    return s.two_sided(lhs_fn, [_Row(s.report, float(np.exp(d2.log_modulus)),
+    return s.two_sided(lhs_fn, [_Row(s.report, float(np.exp(p.det2.log_modulus)),
                                      float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)),
-                                     ci_valid=guard == "ok")])[0]
+                                     ci_valid=p.guard == "ok")])[0]
 
 
 def verify_inverse(
@@ -621,27 +634,18 @@ def verify_inverse(
     """Inverse-transformation identity, the pathwise round trip, and the unit
     mass of the Radon-Nikodym weight of the transformed measure."""
     s = resolve_scenario("inverse", kernel, functional, grid, dim, n_paths, seed, tol, name)
-    kappa, report = s.kernel, s.report
-    eta, gate, guard = s.gate(kappa)
-    if guard == "reject":
-        return _halted(report, "rejected-by-hypothesis")
-    lu = op.factor_identity_plus(kappa)
-    d2 = lu.det2
-    report.spectra = _spectra_dict(kappa, d2, gate.lambda_max)
-    if d2.singular:
-        return _halted(report, "singular")
-    kappa_hat = op.inverse_kernel_from(lu, kappa)
-    del lu  # as large as the operator, and the Monte Carlo below does not need it
+    kappa, report, p = s.kernel, s.report, s.factor(s.kernel, inverse=True)
+    if p is None:
+        return report
+    kappa_hat = p.kappa_hat
 
-    # pathwise round trip: both composition orders return the increments
+    # pathwise round trip: both composition orders return the increments, one
+    # order at a time, so that one transformed probe batch is alive, not two
     probe = st.sample_paths(s.grid, kappa.dim, n_probe, seed, stream=(_STREAM_PROBE, 0))
     scale = max(1.0, float(np.max(np.abs(probe.increments))))
-    there = st.apply_transformation(kappa, st.apply_transformation(kappa_hat, probe))
-    back = st.apply_transformation(kappa_hat, st.apply_transformation(kappa, probe))
-    err = max(
-        float(np.max(np.abs(there.increments - probe.increments))),
-        float(np.max(np.abs(back.increments - probe.increments))),
-    )
+    err = max(float(np.max(np.abs(
+        st.apply_transformation(outer, st.apply_transformation(inner, probe)).increments
+        - probe.increments))) for inner, outer in ((kappa_hat, kappa), (kappa, kappa_hat)))
     report.checks["composition_roundtrip"] = _check_close(
         err / scale, 0.0, OPERATOR_TOL, relative=False,
         note="max increment deviation / path scale over both orders",
@@ -652,7 +656,7 @@ def verify_inverse(
     # the gate spectrum, so its gate is 1 - 1 / (1 - lambda_min(B_eta)).  The
     # weight's det2 takes its own LU, so the mass checks it independently.
     eta_hat = gk.eta_of_kappa(kappa_hat)
-    guard_hat = st.moment_guard(1.0 - 1.0 / (1.0 - gate.lambda_min))
+    guard_hat = st.moment_guard(1.0 - 1.0 / (1.0 - p.gate.lambda_min))
     d2_hat = op.det2(kappa_hat)
     rn_scale = float(np.exp(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2))
 
@@ -667,18 +671,34 @@ def verify_inverse(
     )
 
     def lhs_fn(batch: PathBatch):
-        return s.f.evaluate(batch) * np.exp(st.quadratic_form(eta, batch))
+        return s.f.evaluate(batch) * np.exp(st.quadratic_form(p.eta, batch))
 
-    return s.two_sided(lhs_fn, [_Row(report, float(np.exp(d2.log_modulus)),
+    return s.two_sided(lhs_fn, [_Row(report, float(np.exp(p.det2.log_modulus)),
                                      float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)),
-                                     _image_functional(s.f, kappa_hat), guard == "ok")])[0]
+                                     _image_functional(s.f, kappa_hat), p.guard == "ok")])[0]
 
 
-def _surjective_family(s: Scenario, factors, reports) -> None:
-    """The surjective identity of c * eta, eta the scenario's kernel, for each
-    factor c, deciding its report: one eigensolve of B_eta for the family and
-    one Monte Carlo pass per side, with one row per factor its gate admits.
+def surjective_scenario(
+    kernel, functional="one", grid: TimeGrid | None = None, dim: int = 1,
+    n_paths: int = 100_000, seed: int = 0, tol: float = DEFAULT_TOL,
+    name: str | None = None, lambdas=None, own: bool = True,
+) -> list[ScenarioReport]:
+    """The reports of a surjective scenario: its own identity (when own),
+    then its Laplace sweep, the identity of each lambda * eta (q scales
+    linearly in the kernel).  They form one family of factors c (1, then the
+    lambdas): one eigensolve of B_eta and one Monte Carlo pass per side, on
+    the same paths for every factor, with one row per factor its gate admits.
     Every factor keeps its own gate and its own independent checks."""
+    s = resolve_scenario("surjective", kernel, functional, grid, dim, n_paths, seed, tol, name,
+                         lambdas=lambdas)
+    prov = s.report.provenance
+    lambdas = [] if lambdas is None else [float(c) for c in lambdas]
+    factors = ([1.0] if own else []) + lambdas
+    reports = ([s.report] if own else []) + [
+        ScenarioReport(f"laplace[{prov['kernel']}, lambda={c:g}]", "surjective", None, None,
+                       None, None, tol, "undecided", provenance={**prov, "lambda": c})
+        for c in lambdas
+    ]
     eta = s.kernel
     eig = op.spectrum(eta, vectors=True)
     eta_norm = gk.kernel_l2_norm(eta)
@@ -686,8 +706,7 @@ def _surjective_family(s: Scenario, factors, reports) -> None:
     for c, report in zip(factors, reports):
         scaled = eig.scaled(c)  # the spectrum of c B_eta
         lam = scaled.lambda_max
-        guard = st.moment_guard(lam)
-        report.gate = _gate_dict(lam, guard)
+        guard = _gate(report, lam)
         if guard == "reject":
             _halted(report, "rejected-by-hypothesis")
             continue
@@ -731,6 +750,7 @@ def _surjective_family(s: Scenario, factors, reports) -> None:
 
     if rows:
         s.two_sided(lhs_fn, rows)
+    return reports
 
 
 def verify_surjective(
@@ -741,10 +761,7 @@ def verify_surjective(
     """Realize a symmetric kernel's quadratic form by the square-root
     transformation and compare E[f e^{q_eta}] with det2(I-B_eta)^{-1/2} times
     the expectation along the inverse transformation."""
-    s = resolve_scenario("surjective", eta_kernel, functional, grid, dim, n_paths, seed, tol,
-                         name)
-    _surjective_family(s, [1.0], [s.report])
-    return s.report
+    return surjective_scenario(eta_kernel, functional, grid, dim, n_paths, seed, tol, name)[0]
 
 
 def sweep_laplace(
@@ -752,19 +769,9 @@ def sweep_laplace(
     n_paths: int = 50_000, seed: int = 0, tol: float = DEFAULT_TOL,
 ) -> list[ScenarioReport]:
     """Laplace-transform sweep: the surjective identity applied to each
-    lambda * eta (q scales linearly in the kernel), from one eigensolve of
-    B_eta and on the same paths for every lambda."""
-    s = resolve_scenario("surjective", eta_kernel, functional, grid, dim, n_paths, seed, tol)
-    if not np.all(np.isfinite(lambdas)):
-        raise InvalidArgumentError(f"lambdas must be finite reals, got {list(lambdas)}")
-    prov = s.report.provenance
-    reports = [
-        ScenarioReport(f"laplace[{prov['kernel']}, lambda={c:g}]", "surjective", None, None,
-                       None, None, tol, "undecided", provenance={**prov, "lambda": float(c)})
-        for c in lambdas
-    ]
-    _surjective_family(s, [float(c) for c in lambdas], reports)
-    return reports
+    lambda * eta, without the identity of eta itself; see `surjective_scenario`."""
+    return surjective_scenario(eta_kernel, functional, grid, dim, n_paths, seed, tol,
+                               lambdas=lambdas, own=False)
 
 
 def verify_harmonic(
@@ -834,29 +841,26 @@ def verify_cameron_martin(
     report.provenance["kernel_role"] = "phi"
 
     kappa_phi = gk.kappa_from_phi(phi)
-    eta, gate, guard = s.gate(kappa_phi)
-    if guard == "reject":
-        return _halted(report, "rejected-by-hypothesis")
-    d2 = op.det2(kappa_phi)
-    report.spectra = _spectra_dict(kappa_phi, d2, gate.lambda_max)
-    if d2.singular:
-        return _halted(report, "singular")
+    p = s.factor(kappa_phi)
+    if p is None:
+        return report
 
     m = op.assemble(kappa_phi)  # the checks' matrix, not the hot path's
     tr = float(np.trace(m))
-    diag_quadrature = float(
-        np.einsum("iaa->", kappa_phi.values[np.arange(grid.n_steps), np.arange(grid.n_steps)])
-        * grid.step
-    )
+    # the trace from phi itself, not from kappa_phi: the diagonal kappa_phi(t_i, t_i)
+    # is the tail sum of phi(t_i, t_k) Delta over k >= i, so tr B_kappa_phi is the
+    # exponent's trace correction (the k > i terms) plus Delta^2 sum_i tr phi(t_i, t_i)
+    phi_diagonal = float(np.einsum("iaa->", phi.diagonal_blocks())) * grid.step ** 2
     report.checks["trace_formula"] = _check_close(
-        tr, diag_quadrature, 1e-12, note="matrix trace against diagonal quadrature"
+        tr, st.cm_trace_correction(phi) + phi_diagonal, 1e-12,
+        note="matrix trace of B_kappa_phi against the tail sums of phi",
     )
     sign_d, logdet_d = np.linalg.slogdet(np.eye(m.shape[0]) + m)
     report.checks["det2_consistency"] = _check_close(
-        logdet_d - tr, d2.log_modulus, 1e-10,
+        logdet_d - tr, p.det2.log_modulus, 1e-10,
         note="log det(I+B) - tr B against log det2(I+B)",
     )
-    report.spectra["det_log"] = float(d2.log_modulus + tr)
+    report.spectra["det_log"] = float(p.det2.log_modulus + tr)
 
     # pathwise: the linear drift is the Wiener integral of the tail kernel
     probe = st.sample_paths(grid, phi.dim, n_probe, seed, stream=(_STREAM_PROBE, 0))
@@ -875,8 +879,8 @@ def verify_cameron_martin(
         psi, _ = st.cm_exponent(phi, batch)
         return f_image(batch) * np.exp(psi)
 
-    return s.two_sided(lhs_fn, [_Row(report, float(np.exp(d2.log_modulus + tr)), 1.0,
-                                     ci_valid=guard == "ok")])[0]
+    return s.two_sided(lhs_fn, [_Row(report, float(np.exp(p.det2.log_modulus + tr)), 1.0,
+                                     ci_valid=p.guard == "ok")])[0]
 
 
 def verify_gencv_example(
@@ -941,8 +945,7 @@ def verify_integrability_bound(
     eta, report = s.kernel, s.report
 
     lam = op.lambda_max(eta)
-    guard = st.moment_guard(lam)
-    report.gate = _gate_dict(lam, guard)
+    guard = _gate(report, lam)
     if guard == "reject":
         return _halted(report, "rejected-by-hypothesis")
     hs_norm = gk.kernel_l2_norm(eta)

@@ -213,23 +213,32 @@ tolerance = 1e-9
     assert code == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
 @pytest.mark.parametrize("error, verdict, code", [
     (SingularOperatorError, "singular", EXIT_NUMERICAL),
     (NotContractiveError, "rejected-by-hypothesis", EXIT_GATE),
+    (RuntimeError, "error", EXIT_NUMERICAL),
 ])
-def test_run_reports_a_scenario_error_as_its_halt(tmp_path, monkeypatch, error, verdict, code):
-    # a singular operator was reported as a gate rejection (exit 2), and the
-    # report carried the [run] seed instead of the scenario's own
+def test_run_reports_a_scenario_error_as_its_halt(tmp_path, monkeypatch, command, error,
+                                                  verdict, code):
+    # run reported a singular operator as a gate rejection (exit 2), with the
+    # [run] seed instead of the scenario's own; verify exited 3 on a singular
+    # operator and left main as a traceback on any other exception
     def fails(*args, **kwargs):
         raise error("raised inside the scenario")
     monkeypatch.setattr(scenarios, "verify_transf", fails)
-    cfg = _write_config(tmp_path, MINIMAL + "seed = 17\n")
     out = tmp_path / "r"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == code
+    if command == "run":
+        argv = ["run", "--config", _write_config(tmp_path, MINIMAL + "seed = 17\n")]
+    else:
+        argv = ["verify", "transf", "--kernel", "rank1:b=0.3", "--grid", "64", "--seed", "17"]
+    assert main(argv + ["--out", str(out)]) == code
     (report,) = json.loads((out / "reports.json").read_text())
-    assert report["verdict"] == verdict
+    assert report["verdict"] == verdict and report["kind"] == "transf"
     assert report["provenance"]["seed"] == 17
-    assert report["gate"]["error"] == "raised inside the scenario"
+    assert report["provenance"]["kernel"] == "rank1:b=0.3"
+    prefix = "RuntimeError: " if error is RuntimeError else ""
+    assert report["gate"]["error"] == prefix + "raised inside the scenario"
 
 
 def test_run_keeps_the_other_reports_when_a_scenario_raises(tmp_path, monkeypatch, capsys):
@@ -253,6 +262,37 @@ kernel = rank1:b=0.3
     assert (out / "summary.csv").read_text().count("\n") == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: unexpected failure" in err
+
+
+def test_gencv_halt_report_records_its_own_kernel(tmp_path, monkeypatch):
+    # gencv was validated on the placeholder kernel `zero`, and its halt
+    # report recorded that placeholder
+    def fails(*args, **kwargs):
+        raise RuntimeError("raised inside the scenario")
+    monkeypatch.setattr(scenarios, "verify_gencv_example", fails)
+    cfg = _write_config(tmp_path, "[run]\nn_steps = 16\n[scenario g]\nverify = gencv\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    (report,) = json.loads((tmp_path / "reports.json").read_text())
+    assert report["verdict"] == "error"
+    assert report["provenance"]["kernel"] == "remark_gencv:b1=-2,b2=-3"
+
+
+BAD_KERNEL_PARAMETERS = ["rank1:b=0.3,n=nan", "rank1:b=0.3,n=inf", "rank1:b=0.3,n=1.5",
+                         "rank2:b=0.2,c=0.3,member=inf", "rank2:b=0.2,c=0.3,member=1.9",
+                         "expdiag:p=[1e3]"]
+
+
+@pytest.mark.parametrize("kernel", BAD_KERNEL_PARAMETERS)
+def test_bad_kernel_parameter_is_a_usage_error(tmp_path, capsys, kernel):
+    # n=nan raised ValueError and n=inf OverflowError (a traceback out of
+    # spectrum, a crash inside run's validation), n=1.5 and member=1.9 were
+    # truncated to 1, and p=[1e3] warned on overflow inside np.exp
+    assert main(["spectrum", kernel, "--grid", "16"]) == EXIT_USAGE
+    cfg = _write_config(tmp_path, MINIMAL.replace("rank1:b=0.3", kernel))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error: ") == 2
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_bad_config_exit_code(tmp_path):
@@ -544,6 +584,7 @@ _CONFIG_KEYS = ["verify", "kernel", "functional", "tolerance", "lambda", "lambda
 _VALUES = [
     "transf", "inverse", "surjective", "harmonic", "cameron_martin", "gencv", "integrability",
     "finite-dim", "zero", "volterra", "rank1:b=0.3", "rank1:b=1.5", " rank1 : b = 0.5",
+    *BAD_KERNEL_PARAMETERS,
     "rank1:b=0.3,n=2", "rank2:b=0.2,c=0.3", "remark_gencv:b1=-2,b2=-3", "expdiag:p=[0.5,-0.5]",
     "expdiag:p=[", "const:c=1", "const:c=inf", "frobnicate", "rank1:", "one", "cos_end:1.0",
     "cos_mid:1,0.5", "cos_mid:x,0.5", "exp_negsq", "cos_end:nan", "0", "1", "2", "3", "-1",

@@ -6,6 +6,7 @@ A check shares nothing with the factorisation it checks when perturbing that
 factorisation by 1e-6 makes the check fail; a check read from the same
 factorisation would pass regardless."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -144,6 +145,36 @@ def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functi
     assert [r.verdict for r in reports] == ["pass"] * 3
     assert dict(calls) == {"eigh": 1, "lu_factor": 3}
     assert sorted(drawn) == [(side, idx) for side in sides for idx in range(5)]
+
+
+@pytest.mark.parametrize("functional, sides", [("one", (0,)), ("cos_end:1.0", (0, 1))])
+def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch, functional,
+                                                    sides):
+    # `run` verified a surjective scenario's own identity and then swept its
+    # lambdas in a second pass: two eigensolves, and each chunk drawn twice
+    from orderone.cli import main
+
+    monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 32 * 200)  # 1,000 paths in 5 chunks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\nn_steps = 32\nsamples = 1000\nseed = 5\n[scenario sq]\n"
+                   f"verify = surjective\nkernel = rank1:b=0.3\nfunctional = {functional}\n"
+                   f"lambdas = 0.25, 0.5, 0.75\n")
+    calls = _counting(monkeypatch)
+    drawn, sample_paths = [], stochastic.sample_paths
+
+    def recorded(*args, **kwargs):
+        drawn.append(kwargs["stream"])
+        return sample_paths(*args, **kwargs)
+    monkeypatch.setattr(stochastic, "sample_paths", recorded)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
+    assert dict(calls) == {"eigh": 1, "lu_factor": 4}
+    assert sorted(drawn) == [(side, idx) for side in sides for idx in range(5)]
+
+    got = json.loads((tmp_path / "reports.json").read_text())
+    args = (functional, grid, 1, 1000, 5)
+    want = [verify_surjective("rank1:b=0.3", *args, name="sq"),
+            *sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], *args)]
+    assert got == [r.to_dict() for r in want]
 
 
 N = 32  # the order of an operator on the grid fixture, d = 1

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderone import scenarios as sc
+from orderone import grid_kernel as gk, scenarios as sc
 
 from orderone import (
     InvalidArgumentError,
@@ -63,6 +63,16 @@ def test_finite_dim_gate_rejection():
     r = verify_finite_dim(np.diag([-1.0, 0.0]), "cos_sum", n_samples=10, seed=0)
     assert r.verdict == "rejected-by-hypothesis"
     assert r.gate["lambda_eta"] >= 1.0 - 1e-12
+
+
+def test_finite_dim_uses_the_shared_moment_guard():
+    # A = -0.4 gives lambda_max(B) = 0.64: the weight's variance is infinite,
+    # yet the scenario reported a CI (2 of 40 seeds failed at 20k samples)
+    r = verify_finite_dim(np.diag([-0.4]), "cos_sum", n_samples=20_000, seed=0)
+    assert r.gate["guard"] == "ok_no_ci"
+    assert r.lhs.std_error is None and not r.lhs.ci_valid
+    assert r.rhs.ci_valid and r.z_score is None
+    assert r.passed  # the median consistency verdict at the widened tolerance
 
 
 def test_finite_dim_validates_input():
@@ -316,6 +326,24 @@ def test_cameron_martin_constant_phi():
     assert abs(det - 1.5) <= 1e-3
     for check in ("trace_formula", "det2_consistency", "pathwise_drift"):
         assert r.checks[check].passed
+
+
+def test_trace_formula_sees_an_exclusive_tail_sum(monkeypatch):
+    # the check compared the trace of B_kappa_phi with the quadrature of
+    # kappa_phi's own diagonal, so it held whatever kappa_from_phi summed
+    g = make_grid(1.0, 64)
+
+    def exclusive_tail(phi):
+        tail = np.cumsum(phi.values[:, ::-1], axis=1)[:, ::-1] - phi.values
+        return gk.MatrixKernel(g, phi.dim, np.ascontiguousarray(tail) * g.step)
+
+    check = verify_cameron_martin("const:c=1", "one", g, n_paths=200).checks["trace_formula"]
+    assert check.passed
+    monkeypatch.setattr(gk, "kappa_from_phi", exclusive_tail)
+    check = verify_cameron_martin("const:c=1", "one", g, n_paths=200).checks["trace_formula"]
+    # the tail sum drops the diagonal phi(t_i, t_i) Delta: N Delta^2 = 1 / N of the trace
+    assert not check.passed
+    npt.assert_allclose(check.target - check.value, 1.0 / 64, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
