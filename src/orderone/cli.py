@@ -46,6 +46,8 @@ the table KINDS says which keys each kind takes, and any other key is fatal:
     gencv                             functional
     integrability                     kernel, dim
 
+A kind that takes a kernel must be given one; gencv has its own default.
+
 `verify KIND` takes the same keys as flags (--tol, --paths, --grid, ...) and
 runs through the same table, with one parser and one default per key:
 functional is `one` for every kind.  `run` validates the whole config, after
@@ -92,7 +94,7 @@ FORMATS = ("json", "csv", "both")
 class ScenarioSpec:
     name: str | None  # None: the scenario's own default name
     verify: str
-    kernel: str = "zero"  # of a kind that takes a kernel
+    kernel: str | None = None  # of a kind that takes a kernel, which must be given
     functional: str = "one"
     tolerance: float = sc.DEFAULT_TOL
     lam: float = 1.0

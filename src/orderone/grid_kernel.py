@@ -1,9 +1,16 @@
 """Matrix-valued L2 kernels sampled on a uniform time grid.
 
-A kernel kappa on [0,T]^2 with values in the d x d real matrices is stored as
-an (N, N, d, d) array of point evaluations kappa(t_i, t_j) at the left-endpoint
-nodes t_i = i*T/N.  All integrals over [0,T] become sums weighted by the step
-Delta = T/N, so the kernel algebra is plain (blocked) matrix arithmetic:
+A kernel kappa on [0,T]^2 with values in the d x d real matrices is sampled
+at the left-endpoint nodes t_i = i*T/N and stored once, as the unweighted
+(N d) x (N d) matrix
+
+    matrix[(i, a), (j, b)] = kappa(t_i, t_j)[a, b]      (row i*d+a, column j*d+b),
+
+the Nystrom matrix of the operator without its weight Delta = T/N.  `values`
+is a read-only (N, N, d, d) view of it, values[i, j] = kappa(t_i, t_j); a
+kernel given by such blocks is converted once, at construction.  All
+integrals over [0,T] become sums weighted by Delta, so the kernel algebra is
+plain matrix arithmetic on the stored matrices:
 
     adjoint        kappa*(t,s)      = kappa(s,t)^T
     composition    (a o b)(t,s)     = int a(t,u) b(u,s) du
@@ -14,16 +21,16 @@ Delta = T/N, so the kernel algebra is plain (blocked) matrix arithmetic:
                    c(kappa)(t,s)    = int kappa(u,t)^T kappa(u,s) du
     tail integral  kappa_phi(t,s)   = int_s^T phi(t,u) du
 
-Symmetric kernels (eta(t,s)^T = eta(s,t)) carry a `symmetric` flag that is
-validated at construction; the eta/s/c constructors always return flagged
-kernels.
+Symmetric kernels (eta(t,s)^T = eta(s,t), a symmetric stored matrix) carry a
+`symmetric` flag that is validated at construction (`symmetry`); the eta/s/c
+constructors always return flagged kernels.
 
-Factored forms.  Next to its dense values a kernel may carry one factored
-form, which the path layer (and, for LowRank, the operator layer) uses
-instead of the dense (N d)^2 matrix:
+Factored forms.  Next to its matrix a kernel may carry one factored form,
+which the path layer (and, for LowRank, the operator layer) uses instead of
+the dense (N d)^2 matrix:
 
-    LowRank     the flat matrix (see `flat`) is L C R^T, with L and R of
-                shape (N d, r) and a core C of shape (r, r); set by the zoo for
+    LowRank     the stored matrix is L C R^T, with L and R of shape (N d, r)
+                and a core C of shape (r, r); set by the zoo for
                 rank1, rank2, remark_gencv, const and const_phi
     LowerExp    scale * 1_{s < t} diag(e^{(t - s) p}), or its adjoint; set by
                 the zoo for volterra (p = 0) and expdiag
@@ -34,12 +41,12 @@ eta or s kernel of rank at most 2r; the tail integral acts on R alone).  The
 operator layer builds the inverse, square-root and inverse-square-root kernels
 of a LowRank kernel as LowRank kernels (`kernel_from_form`).  Every other
 constructor, and every kernel the operator layer builds from a dense one,
-carries none.  Construction checks that the form reproduces the values to
+carries none.  Construction checks that the form reproduces the matrix to
 FACTOR_TOL of the form's magnitude (its largest entry before cancellation),
-so a route that reads `values` and one that reads the form always see one
+so a route that reads the matrix and one that reads the form always see one
 kernel.  The path layer never inspects the form: `apply` (x -> x K^T),
 `apply_adjoint` (x -> x K) and `diagonal_blocks` hide it, and fall back to the
-dense values when there is none.
+stored matrix when there is none.
 
 The rank-k constructors draw their orthonormal family from
 e_n'(t) = sqrt(2/T) cos((n - 1/2) pi t / T), re-orthonormalized in the
@@ -51,9 +58,8 @@ determinants) hold to machine precision on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import re
-import threading
 
 import numpy as np
 
@@ -82,13 +88,27 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
+_CHECK_ELEMENTS = 1 << 16  # matrix entries compared at a time by the construction checks
 
 
-def within_symmetry_tol(asymmetry: float, magnitude: float) -> bool:
-    """The one symmetry rule of kernel values and operator matrices alike:
-    max |A - A^T| <= SYMMETRY_TOL * max(1, max |A|), given the asymmetry
-    max |A - A^T| and the magnitude max |A|."""
-    return asymmetry <= SYMMETRY_TOL * max(1.0, magnitude)
+def symmetry(matrix: np.ndarray) -> tuple[bool, float]:
+    """(holds, max |A - A^T|) under the one symmetry rule of kernels and
+    operator matrices alike: max |A - A^T| <= SYMMETRY_TOL * max(1, max |A|).
+    Row slabs of about _CHECK_ELEMENTS entries right of the diagonal are
+    compared with the matching column slabs, so no (N d)^2 temporary is
+    formed; the magnitude, a pass over every entry, is read only past
+    SYMMETRY_TOL."""
+    n = matrix.shape[0]
+    step = max(1, _CHECK_ELEMENTS // n)
+    asym = 0.0
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        diff = matrix[r0:r1, r0:] - matrix[r0:, r0:r1].T
+        asym = max(asym, float(np.max(np.abs(diff, out=diff))))
+    if asym <= SYMMETRY_TOL:
+        return True, asym
+    magnitude = max(float(np.max(matrix)), -float(np.min(matrix)))
+    return asym <= SYMMETRY_TOL * max(1.0, magnitude), asym
 
 
 @dataclass(frozen=True, eq=True)
@@ -119,7 +139,7 @@ def make_grid(horizon: float, n_steps: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class LowRank:
-    """Flat kernel matrix L C R^T in the (i, a) layout of `flat`."""
+    """Kernel matrix L C R^T in the (i, a) layout of `MatrixKernel.matrix`."""
 
     left: np.ndarray  # (N d, r)
     core: np.ndarray  # (r, r)
@@ -139,11 +159,9 @@ class LowRank:
         return np.einsum("iak,ibk->iab", lc, self.right.reshape(n, dim, r))
 
     def rows(self, grid: TimeGrid, dim: int, i) -> np.ndarray:
-        """Values kappa(t_i, t_j) for the row indices i, shape (len(i), N, d, d)."""
-        n, r = grid.n_steps, self.core.shape[0]
-        lc = self.left.reshape(n, dim, r)[i].reshape(-1, r) @ self.core
-        block = lc @ self.right.T  # rows (i, a), columns (j, b)
-        return block.reshape(len(i), dim, n, dim).transpose(0, 2, 1, 3)
+        """The matrix rows (i, a) of the nodes i, shape (len(i) d, N d)."""
+        r = self.core.shape[0]
+        return self.left.reshape(-1, dim, r)[i].reshape(-1, r) @ self.core @ self.right.T
 
     def magnitude(self, grid: TimeGrid) -> float:
         """Bound on |L| |C| |R|^T: the size of the terms before any cancellation."""
@@ -187,10 +205,10 @@ class LowerExp:
         if self.transposed:
             lag = -lag
         lag = np.maximum(lag, 0)  # lag 0 stands for every entry off the strict triangle
-        out = np.zeros((len(i), n, dim, dim))
+        out = np.zeros((len(i), dim, n, dim))
         for a, table in enumerate(self._lag_tables(grid)):
-            out[:, :, a, a] = table[lag]
-        return out
+            out[:, a, :, a] = table[lag]
+        return out.reshape(len(i) * dim, n * dim)
 
     def _lag_tables(self, grid: TimeGrid) -> np.ndarray:
         """scale e^{k step p} for lags k = 0 .. N-1, one row per rate; lag 0 is 0."""
@@ -247,65 +265,66 @@ def _exp_causal_sum(x: np.ndarray, rates: np.ndarray, step: float, scale: float,
             seg *= weight_out[:width]
 
 
-# reconstruction of a factored form must match the values to this error,
+# reconstruction of a factored form must match the matrix to this error,
 # relative to the form's magnitude (its largest entry before cancellation)
 FACTOR_TOL = 1e-12
-_CHECK_ELEMENTS = 1 << 16  # kernel entries compared at a time by the construction checks
-_FLAT_LOCK = threading.Lock()  # guards the lazy flat copy of a dense kernel
 
 
 @dataclass(frozen=True)
 class MatrixKernel:
-    """Sampled d x d matrix kernel: values[i, j] ~ kappa(t_i, t_j), with an
-    optional factored form of the same values (see the module docstring)."""
+    """Sampled d x d matrix kernel, stored once as its unweighted (N d) x (N d)
+    matrix, with an optional factored form of the same matrix (see the module
+    docstring).  `values` is given as that matrix or as (N, N, d, d) blocks
+    values[i, j] = kappa(t_i, t_j), converted once; it reads back as the
+    read-only (N, N, d, d) view of `matrix`."""
 
     grid: TimeGrid
     dim: int
-    values: np.ndarray  # (N, N, d, d), read-only
+    values: np.ndarray  # (N, N, d, d), a read-only view of `matrix`
     symmetric: bool = False
     factored: LowRank | LowerExp | None = None
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)  # (N d, N d), read-only
 
     def __post_init__(self):
-        v = self.values
-        if v.shape != (self.grid.n_steps, self.grid.n_steps, self.dim, self.dim):
+        n, d = self.grid.n_steps, self.dim
+        v = np.asarray(self.values, dtype=float)
+        if v.shape not in ((n, n, d, d), (n * d, n * d)):
             raise InvalidArgumentError(
-                f"kernel values shape {v.shape} does not match grid/dim "
-                f"({self.grid.n_steps}, {self.grid.n_steps}, {self.dim}, {self.dim})"
+                f"kernel values shape {v.shape} does not match grid/dim: expected "
+                f"({n}, {n}, {d}, {d}) blocks or the ({n * d}, {n * d}) matrix"
             )
-        if not np.all(np.isfinite(v)):
+        # blocks (i, j, a, b) -> rows (i, a), columns (j, b): a view where the
+        # layouts coincide (contiguous d = 1 blocks or matrix), else one copy
+        m = np.ascontiguousarray(v.transpose(0, 2, 1, 3) if v.ndim == 4 else v)
+        m = m.reshape(n * d, n * d)
+        if not np.all(np.isfinite(m)):
             raise InvalidArgumentError("kernel values must be finite")
         if self.symmetric:
-            asym = self._max_deviation(lambda i: np.transpose(v[:, i], (1, 0, 3, 2)))
-            # the magnitude, a pass over every value, is needed only past SYMMETRY_TOL
-            if asym > SYMMETRY_TOL and not within_symmetry_tol(asym, float(np.max(np.abs(v)))):
+            holds, asym = symmetry(m)
+            if not holds:
                 raise InvalidArgumentError(
                     f"kernel flagged symmetric but max asymmetry is {asym:.3e}"
                 )
+        v.setflags(write=False)  # the matrix may be a view of it
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "values", m.reshape(n, d, n, d).transpose(0, 2, 1, 3))
         if self.factored is not None:
             self._check_factored()
-        v.setflags(write=False)
-
-    def _max_deviation(self, rows) -> float:
-        """max |rows(i) - values[i]| over row slices i of about _CHECK_ELEMENTS
-        entries, so that the construction checks stay in cache."""
-        n, d = self.grid.n_steps, self.dim
-        step = max(1, _CHECK_ELEMENTS // (n * d * d))
-        err = 0.0
-        for i0 in range(0, n, step):
-            i = slice(i0, min(i0 + step, n))
-            diff = rows(i) - self.values[i]
-            err = max(err, float(np.max(np.abs(diff, out=diff))))
-        return err
 
     def _check_factored(self):
+        """The form must fit the kernel and reproduce its matrix, compared in
+        the row blocks of about _CHECK_ELEMENTS entries of consecutive nodes,
+        so that the check stays in cache."""
         n, d, form = self.grid.n_steps, self.dim, self.factored
+        nd = n * d
         if isinstance(form, LowRank):
             r = form.core.shape[0]
-            if (form.core.shape != (r, r) or form.left.shape != (n * d, r)
-                    or form.right.shape != (n * d, r)):
+            if (form.core.shape != (r, r) or form.left.shape != (nd, r)
+                    or form.right.shape != (nd, r)):
                 raise InvalidArgumentError(
                     f"low-rank factors {form.left.shape}, {form.core.shape}, "
-                    f"{form.right.shape} do not fit an ({n * d}, {n * d}) kernel"
+                    f"{form.right.shape} do not fit an ({nd}, {nd}) kernel"
                 )
             factors = (form.left, form.core, form.right)
         elif np.shape(form.rates) != (d,):
@@ -315,7 +334,12 @@ class MatrixKernel:
         for factor in factors:
             factor.setflags(write=False)
         scale = form.magnitude(self.grid)
-        err = self._max_deviation(lambda i: form.rows(self.grid, d, np.arange(n)[i]))
+        step = max(1, _CHECK_ELEMENTS // (nd * d))
+        err = 0.0
+        for i0 in range(0, n, step):
+            i = np.arange(i0, min(i0 + step, n))
+            diff = form.rows(self.grid, d, i) - self.matrix[i0 * d:(i0 + len(i)) * d]
+            err = max(err, float(np.max(np.abs(diff, out=diff))))
         if not err <= FACTOR_TOL * scale:
             raise InvalidArgumentError(
                 f"factored form departs from the kernel values by {err:.3e} "
@@ -324,29 +348,16 @@ class MatrixKernel:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """out[m, i] = sum_j kappa(t_i, t_j) x[m, j] for x of shape (M, N, d):
-        the row-vector product x K^T of the flat matrix."""
+        the row-vector product x K^T of the matrix."""
         if self.factored is not None:
             return self.factored.apply(x, self.grid, adjoint=False)
-        return (x.reshape(x.shape[0], -1) @ self._flat.T).reshape(x.shape)
+        return (x.reshape(x.shape[0], -1) @ self.matrix.T).reshape(x.shape)
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """out[m, j] = sum_i kappa(t_i, t_j)^T x[m, i]: the product x K."""
         if self.factored is not None:
             return self.factored.apply(x, self.grid, adjoint=True)
-        return (x.reshape(x.shape[0], -1) @ self._flat).reshape(x.shape)
-
-    @property
-    def _flat(self) -> np.ndarray:
-        # a view for d = 1; for d > 1 one copy, made on the first dense product
-        # and shared by every block of paths after it.  Chunks run on several
-        # threads, so the copy is built under a lock, once.
-        cached = self.__dict__.get("_flat_matrix")
-        if cached is None:
-            with _FLAT_LOCK:
-                cached = self.__dict__.get("_flat_matrix")
-                if cached is None:
-                    cached = self.__dict__["_flat_matrix"] = flat(self.values)
-        return cached
+        return (x.reshape(x.shape[0], -1) @ self.matrix).reshape(x.shape)
 
     def diagonal_blocks(self) -> np.ndarray:
         """kappa(t_i, t_i), shape (N, d, d)."""
@@ -357,36 +368,20 @@ class MatrixKernel:
 
 
 def kernel_from_values(grid: TimeGrid, values: np.ndarray, symmetric: bool = False) -> MatrixKernel:
-    """Build a kernel from tabulated values; scalar (N, N) arrays become d = 1."""
+    """Build a kernel from tabulated values; scalar (N, N) arrays, the matrix
+    of a d = 1 kernel, become d = 1."""
     values = np.asarray(values, dtype=float)
     if values.ndim == 2:
-        values = values[:, :, None, None]
+        return MatrixKernel(grid, 1, values, symmetric)
     if values.ndim != 4 or values.shape[2] != values.shape[3]:
         raise InvalidArgumentError(f"expected (N, N, d, d) values, got shape {values.shape}")
-    return MatrixKernel(grid, values.shape[2], np.ascontiguousarray(values), symmetric)
-
-
-# ---------------------------------------------------------------------------
-# flattening between (N, N, d, d) blocks and (N*d, N*d) matrices
-# ---------------------------------------------------------------------------
-
-def flat(values: np.ndarray) -> np.ndarray:
-    """Block layout (i, a), (j, b): row i*d+a, column j*d+b."""
-    n, _, d, _ = values.shape
-    return np.ascontiguousarray(values.transpose(0, 2, 1, 3).reshape(n * d, n * d))
-
-
-def unflat(matrix: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
-    return np.ascontiguousarray(
-        matrix.reshape(n_steps, dim, n_steps, dim).transpose(0, 2, 1, 3)
-    )
+    return MatrixKernel(grid, values.shape[2], values, symmetric)
 
 
 def kernel_from_form(grid: TimeGrid, dim: int, form: LowRank,
                      symmetric: bool = False) -> MatrixKernel:
-    """The kernel whose flat matrix is L C R^T, carrying that form."""
-    vals = unflat(form.left @ form.core @ form.right.T, grid.n_steps, dim)
-    return MatrixKernel(grid, dim, vals, symmetric, form)
+    """The kernel whose matrix is L C R^T, carrying that form."""
+    return MatrixKernel(grid, dim, form.left @ form.core @ form.right.T, symmetric, form)
 
 
 def _check_compatible(a: MatrixKernel, b: MatrixKernel):
@@ -396,9 +391,9 @@ def _check_compatible(a: MatrixKernel, b: MatrixKernel):
         )
 
 
-def _symmetrize(values: np.ndarray) -> np.ndarray:
+def _symmetrize(matrix: np.ndarray) -> np.ndarray:
     # kills last-bit asymmetry from BLAS so the symmetric flag is exactly true
-    return 0.5 * (values + np.transpose(values, (1, 0, 3, 2)))
+    return 0.5 * (matrix + matrix.T)
 
 
 # ---------------------------------------------------------------------------
@@ -407,31 +402,21 @@ def _symmetrize(values: np.ndarray) -> np.ndarray:
 
 def kernel_l2_norm(kappa: MatrixKernel) -> float:
     """Quadrature value of the L2 norm: (sum |kappa(t_i,t_j)|_F^2 Delta^2)^(1/2)."""
-    v = kappa.values.reshape(-1)  # a view, not an (N d)^2 temporary, for contiguous values
+    v = kappa.matrix.reshape(-1)  # a view, not an (N d)^2 temporary
     return float(np.sqrt(v @ v) * kappa.grid.step)
 
 
 def adjoint_kernel(kappa: MatrixKernel) -> MatrixKernel:
-    """kappa*(t,s) = kappa(s,t)^T; an involution and an L2 isometry."""
-    vals = np.ascontiguousarray(np.transpose(kappa.values, (1, 0, 3, 2)))
+    """kappa*(t,s) = kappa(s,t)^T, the transposed matrix; an involution and an
+    L2 isometry."""
     form = None if kappa.factored is None else kappa.factored.adjoint()
-    return MatrixKernel(kappa.grid, kappa.dim, vals, kappa.symmetric, form)
+    return MatrixKernel(kappa.grid, kappa.dim, kappa.matrix.T, kappa.symmetric, form)
 
 
 def compose_kernels(a: MatrixKernel, b: MatrixKernel) -> MatrixKernel:
     """(a o b)(t_i, t_j) = sum_u a(t_i,t_u) b(t_u,t_j) Delta."""
     _check_compatible(a, b)
-    n, d = a.grid.n_steps, a.dim
-    prod = flat(a.values) @ flat(b.values) * a.grid.step
-    return MatrixKernel(a.grid, d, unflat(prod, n, d))
-
-
-def _adjoint_gram(kappa: MatrixKernel) -> np.ndarray:
-    """Values of kappa* o kappa.  flat(kappa*) = flat(kappa)^T exactly, so the
-    composition is one product of the flat matrix with itself and needs no
-    transposed copy of the kernel."""
-    m = flat(kappa.values)
-    return unflat(m.T @ m * kappa.grid.step, kappa.grid.n_steps, kappa.dim)
+    return MatrixKernel(a.grid, a.dim, a.matrix @ b.matrix * a.grid.step)
 
 
 def eta_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
@@ -440,8 +425,8 @@ def eta_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
     Its quadratic Wiener form is the exponent of the change-of-variables
     identity attached to the transformation induced by kappa.
     """
-    adj = np.transpose(kappa.values, (1, 0, 3, 2))
-    vals = _symmetrize(-(kappa.values + adj + _adjoint_gram(kappa)))
+    m = kappa.matrix
+    vals = _symmetrize(-(m + m.T + m.T @ m * kappa.grid.step))
     form, k = None, kappa.factored
     if isinstance(k, LowRank):
         # K^T K Delta = R C^T G C R^T with G = L^T L Delta
@@ -452,8 +437,7 @@ def eta_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
 
 def s_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
     """The symmetric kernel -(kappa + kappa*): eta without the quadratic term."""
-    adj = adjoint_kernel(kappa)
-    vals = _symmetrize(-(kappa.values + adj.values))
+    vals = _symmetrize(-(kappa.matrix + kappa.matrix.T))
     form, k = None, kappa.factored
     if isinstance(k, LowRank):
         form = _symmetric_sum(k, np.zeros_like(k.core))
@@ -487,14 +471,15 @@ def c_kernels(kappa: MatrixKernel, x: np.ndarray | None = None) -> MatrixKernel:
         c(kappa)(t_i, t_j)    = sum_u kappa(t_u,t_i)^T kappa(t_u,t_j) Delta.
     Both are symmetric and positive semi-definite as operators.
     """
+    m, n, d = kappa.matrix, kappa.grid.n_steps, kappa.dim
     if x is None:
-        return MatrixKernel(kappa.grid, kappa.dim, _symmetrize(_adjoint_gram(kappa)),
+        return MatrixKernel(kappa.grid, d, _symmetrize(m.T @ m * kappa.grid.step),
                             symmetric=True)
-    x = direction(x, kappa.dim)
-    # proj[u, i, a] = (kappa(t_u, t_i)^T x)_a
-    proj = np.einsum("uica,c->uia", kappa.values, x)
-    vals = np.einsum("uia,ujb->ijab", proj, proj) * kappa.grid.step
-    return MatrixKernel(kappa.grid, kappa.dim, _symmetrize(vals), symmetric=True)
+    x = direction(x, d)
+    # proj[u, (i, a)] = (kappa(t_u, t_i)^T x)_a
+    proj = x @ m.reshape(n, d, n * d)
+    vals = proj.T @ proj * kappa.grid.step
+    return MatrixKernel(kappa.grid, d, _symmetrize(vals), symmetric=True)
 
 
 def kappa_from_phi(phi: MatrixKernel) -> MatrixKernel:
@@ -504,22 +489,24 @@ def kappa_from_phi(phi: MatrixKernel) -> MatrixKernel:
     kappa_phi(t_i, t_j) = c (T - t_j) exactly at the nodes.
     """
     grid, dim = phi.grid, phi.dim
-    tail = np.cumsum(phi.values[:, ::-1], axis=1)[:, ::-1] * grid.step
+    n = grid.n_steps
+    cols = phi.matrix.reshape(n * dim, n, dim)  # [(i, a), j, b]
+    tail = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1] * grid.step
     form = phi.factored
     if isinstance(form, LowRank):
         # the tail sum over the second argument acts on the right factor alone
-        right = form.right.reshape(grid.n_steps, dim, -1)
+        right = form.right.reshape(n, dim, -1)
         right = np.cumsum(right[::-1], axis=0)[::-1] * grid.step
         form = LowRank(form.left, form.core, right.reshape(form.right.shape))
     else:
         form = None
-    return MatrixKernel(grid, dim, np.ascontiguousarray(tail), factored=form)
+    return MatrixKernel(grid, dim, tail.reshape(n * dim, n * dim), factored=form)
 
 
 def scale_kernel(kappa: MatrixKernel, factor: float) -> MatrixKernel:
     factor = float(factor)
     form = None if kappa.factored is None else kappa.factored.scaled(factor)
-    return MatrixKernel(kappa.grid, kappa.dim, kappa.values * factor, kappa.symmetric, form)
+    return MatrixKernel(kappa.grid, kappa.dim, kappa.matrix * factor, kappa.symmetric, form)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +555,7 @@ def _rank_kernel(grid: TimeGrid, terms, symmetric: bool = False) -> MatrixKernel
         vals += coeff * np.outer(basis[:, row - 1], basis[:, col - 1])
         core[used.index(row), used.index(col)] += coeff
     factors = np.ascontiguousarray(basis[:, [n - 1 for n in used]])
-    return MatrixKernel(grid, 1, vals[:, :, None, None], symmetric,
+    return MatrixKernel(grid, 1, vals, symmetric,
                         LowRank(factors, core, factors))
 
 
@@ -633,6 +620,8 @@ def parse_kernel_spec(spec: str) -> tuple[str, dict]:
                 raise InvalidArgumentError(
                     f"malformed kernel parameter {part!r} in {spec!r}\n{KERNEL_GRAMMAR}"
                 )
+            if key.strip() in params:
+                raise InvalidArgumentError(f"repeated kernel parameter {key.strip()!r} in {spec!r}")
             params[key.strip()] = value.strip()
     return name, params
 
@@ -674,9 +663,25 @@ def _const_kernel(grid: TimeGrid, dim: int, c: float, symmetric: bool = False) -
     n = grid.n_steps
     stacked = np.tile(np.eye(dim), (n, 1))
     return MatrixKernel(
-        grid, dim, np.broadcast_to(c * np.eye(dim), (n, n, dim, dim)).copy(), symmetric,
+        grid, dim, np.tile(c * np.eye(dim), (n, n)), symmetric,
         LowRank(stacked, c * np.eye(dim), stacked),
     )
+
+
+def _lower_exp_kernel(grid: TimeGrid, rates: np.ndarray) -> MatrixKernel:
+    """kappa(t, s) = 1_{s < t} diag(e^{(t - s) rates}), d = len(rates), with its
+    LowerExp form; all rates zero give the Volterra indicator exactly."""
+    n, d = grid.n_steps, len(rates)
+    t = grid.nodes
+    diff = t[:, None] - t[None, :]
+    tri = np.tril(np.ones((n, n)), k=-1)
+    vals = np.zeros((n, d, n, d))
+    # the upper triangle is masked before exp, where e^{(t-s)p} may overflow;
+    # below it an overflow is left to the kernel's finiteness check
+    with np.errstate(over="ignore"):
+        for k, rate in enumerate(rates):
+            vals[:, k, :, k] = tri * np.exp(np.maximum(diff, 0.0) * rate) if rate else tri
+    return MatrixKernel(grid, d, vals.reshape(n * d, n * d), factored=LowerExp(rates))
 
 
 def kernel_zoo(spec: str, grid: TimeGrid, dim: int = 1) -> MatrixKernel:
@@ -684,14 +689,12 @@ def kernel_zoo(spec: str, grid: TimeGrid, dim: int = 1) -> MatrixKernel:
     name, params = parse_kernel_spec(spec)
     if int(dim) != dim or dim < 1:
         raise InvalidArgumentError(f"dim must be an integer >= 1, got {dim}")
-    n = grid.n_steps
 
     if name == "zero":
-        kernel = MatrixKernel(grid, dim, np.zeros((n, n, dim, dim)), symmetric=True)
+        nd = grid.n_steps * dim
+        kernel = MatrixKernel(grid, dim, np.zeros((nd, nd)), symmetric=True)
     elif name == "volterra":
-        tri = np.tril(np.ones((n, n)), k=-1)
-        kernel = MatrixKernel(grid, dim, tri[:, :, None, None] * np.eye(dim),
-                              factored=LowerExp(np.zeros(dim)))
+        kernel = _lower_exp_kernel(grid, np.zeros(dim))
     elif name == "rank1":
         if dim != 1:
             raise InvalidArgumentError("rank1 kernels are scalar; pass dim=1")
@@ -717,17 +720,7 @@ def kernel_zoo(spec: str, grid: TimeGrid, dim: int = 1) -> MatrixKernel:
         p = _real_list(params, "p", spec)
         if not p:
             raise InvalidArgumentError("expdiag needs at least one rate in p=[...]")
-        d = len(p)
-        t = grid.nodes
-        diff = t[:, None] - t[None, :]
-        tri = np.tril(np.ones((n, n)), k=-1)
-        vals = np.zeros((n, n, d, d))
-        # the upper triangle is masked before exp, where e^{(t-s)p} may overflow;
-        # below it an overflow is left to the kernel's finiteness check
-        with np.errstate(over="ignore"):
-            for k, rate in enumerate(p):
-                vals[:, :, k, k] = tri * np.exp(np.maximum(diff, 0.0) * rate)
-        kernel = MatrixKernel(grid, d, vals, factored=LowerExp(np.array(p)))
+        kernel = _lower_exp_kernel(grid, np.array(p))
     elif name == "const":
         kernel = _const_kernel(grid, dim, _real(params, "c", spec), symmetric=True)
     elif name == "const_phi":

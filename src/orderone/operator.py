@@ -8,8 +8,10 @@ grid this is the (N d) x (N d) matrix
     M[(i,a), (j,b)] = kappa(t_i, t_j)[a,b] * Delta,
 
 whose Frobenius norm equals the kernel's L2 norm.  An operator is addressed
-by its kernel; `assemble` is the one way into the dense (N d)^2 matrix, used
-by the dense route and by the checks.  The quantities:
+by its kernel, which stores this matrix without the weight Delta (see
+`grid_kernel`); `assemble` is the one way into the dense (N d)^2 operator
+matrix, the stored matrix times Delta, used by the dense route and by the
+checks.  The quantities:
 
     lambda_max   top eigenvalue of a symmetric M (the Rayleigh supremum)
     det2         regularized determinant det(I+M) e^{-tr M}, in log domain
@@ -45,14 +47,14 @@ other operator, and every bare matrix, takes the dense route:
                             (QU, f(1 - w) / Delta, QU)
 
 The symmetry a spectrum needs is the kernel's `symmetric` flag, validated
-at construction by the same rule; only a bare matrix, or the matrix of a
-kernel that is not flagged, is scanned.  An embedded check must not read
-the factorisation it checks, or it becomes a tautology: the determinant
-checks below factorise the operator matrix itself (dense, whatever the
-form), and eta_roundtrip composes kernel values.  Per scenario, with the
-form its hot-path factorisations take (kernel: that of the scenario's kernel;
-LowRank for rank1, rank2, remark_gencv, const and const_phi, dense for
-volterra and expdiag):
+at construction by the same routine (`grid_kernel.symmetry`); only a bare
+matrix, or the matrix of a kernel that is not flagged, is scanned.  An
+embedded check must not read the factorisation it checks, or it becomes a
+tautology: the determinant checks below factorise the operator matrix
+itself (dense, whatever the form), and eta_roundtrip composes kernel values.
+Per scenario, with the form its hot-path factorisations take (kernel: that
+of the scenario's kernel; LowRank for rank1, rank2, remark_gencv, const and
+const_phi, dense for volterra and expdiag):
 
     scenario        form     hot path                               check routes
     transf          kernel   eigvalsh B_eta: gate, guard            (identity only)
@@ -99,11 +101,9 @@ from .grid_kernel import (
     MatrixKernel,
     TimeGrid,
     eta_of_kappa,
-    flat,
     kernel_from_form,
     kernel_l2_norm,
-    unflat,
-    within_symmetry_tol,
+    symmetry,
 )
 
 __all__ = [
@@ -136,26 +136,21 @@ PIVOT_RTOL = 1e-14
 
 
 def assemble(kappa: MatrixKernel) -> np.ndarray:
-    """Nystrom matrix M[(i,a),(j,b)] = kappa(t_i,t_j)[a,b] Delta, (N d, N d)."""
-    return flat(kappa.values) * kappa.grid.step
+    """Nystrom matrix M[(i,a),(j,b)] = kappa(t_i,t_j)[a,b] Delta, (N d, N d):
+    the kernel's stored matrix, weighted."""
+    return kappa.matrix * kappa.grid.step
 
 
 def kernel_from_matrix(
     matrix: np.ndarray, grid: TimeGrid, dim: int, symmetric: bool = False
 ) -> MatrixKernel:
-    """Invert the assemble weighting: kernel values are matrix blocks / Delta."""
-    vals = unflat(np.asarray(matrix, dtype=float) / grid.step, grid.n_steps, dim)
-    return MatrixKernel(grid, dim, vals, symmetric)
-
-
-def _asymmetry(matrix: np.ndarray) -> tuple[float, float]:
-    """(max |A - A^T|, max |A|): the arguments of `within_symmetry_tol`."""
-    return float(np.max(np.abs(matrix - matrix.T))), float(np.max(np.abs(matrix)))
+    """Invert the assemble weighting: the kernel stores matrix / Delta."""
+    return MatrixKernel(grid, dim, np.asarray(matrix, dtype=float) / grid.step, symmetric)
 
 
 def _require_symmetric(matrix: np.ndarray, what: str):
-    asym, magnitude = _asymmetry(matrix)
-    if not within_symmetry_tol(asym, magnitude):
+    holds, asym = symmetry(matrix)
+    if not holds:
         raise PreconditionError(f"{what} requires a symmetric operator (asymmetry {asym:.3e})")
 
 
@@ -467,10 +462,10 @@ def inverse_kernel_from(lu: IdentityPlusLU, kappa: MatrixKernel) -> MatrixKernel
             # L X L^T is symmetric, so L sym(X) L^T is the same kernel
             core = 0.5 * (core + core.T)
         elif sym:
-            sym = within_symmetry_tol(*_asymmetry(inv.left @ inv.core @ inv.right.T))
+            sym = symmetry(inv.left @ inv.core @ inv.right.T)[0]
         return kernel_from_form(kappa.grid, kappa.dim, LowRank(inv.left, core, inv.right), sym)
     m_hat = lu.inverse_matrix()
-    sym = kappa.symmetric and within_symmetry_tol(*_asymmetry(m_hat))
+    sym = kappa.symmetric and symmetry(m_hat)[0]
     if sym:
         m_hat = 0.5 * (m_hat + m_hat.T)
     return kernel_from_matrix(m_hat, kappa.grid, kappa.dim, symmetric=sym)
@@ -525,7 +520,7 @@ def injectivity_witness(
 
     def membership(k: MatrixKernel) -> tuple[bool, float]:
         m = assemble(k)
-        if not within_symmetry_tol(*_asymmetry(m)):
+        if not symmetry(m)[0]:
             return False, np.nan
         mn = float(np.linalg.eigvalsh(n_id + m)[0])
         return mn >= -1e-10, mn
@@ -541,11 +536,11 @@ def injectivity_witness(
         MatrixKernel(
             kappa_1.grid,
             kappa_1.dim,
-            eta_of_kappa(kappa_1).values - eta_of_kappa(kappa_2).values,
+            eta_of_kappa(kappa_1).matrix - eta_of_kappa(kappa_2).matrix,
         )
     )
     kap_dist = kernel_l2_norm(
-        MatrixKernel(kappa_1.grid, kappa_1.dim, kappa_1.values - kappa_2.values)
+        MatrixKernel(kappa_1.grid, kappa_1.dim, kappa_1.matrix - kappa_2.matrix)
     )
     if mem1 and mem2:
         # Lipschitz factor of the square root on the spectral gap

@@ -553,7 +553,7 @@ class Scenario:
             # a zero scenario kernel degenerates both sides to the same
             # statistic of one batch; sharing the stream then makes the
             # discrepancy exactly zero
-            stream = _STREAM_RHS if np.any(self.kernel.values) else _STREAM_LHS
+            stream = _STREAM_RHS if np.any(self.kernel.matrix) else _STREAM_LHS
             rhs = self.mc(stream, lambda batch: [image(batch) for image in images],
                           [r.rhs_scale for r in rows])
         return [_identity(r.report, a, b) for r, a, b in zip(rows, lhs, rhs)]
@@ -568,16 +568,19 @@ def resolve_scenario(
     kind before any work: the Monte Carlo size and tolerance, the harmonic
     lambda (>= 0) and direction x (of the kernel's dimension), the surjective
     lambdas (finite), the kernel spec (symmetric for surjective and
-    integrability; None for gencv's own counterexample at its default b1, b2)
-    and the functional (None for a scenario without one).  Every scenario
-    starts here, and a config is validated by calling it on each scenario's
-    grid with the arguments the scenario runs with.  Raises InvalidArgumentError."""
+    integrability; None only for gencv's own counterexample at its default
+    b1, b2) and the functional (None for a scenario without one; a cos_mid
+    tau in [0, T]).  Every scenario starts here, and a config is validated
+    by calling it on each scenario's grid with the arguments the scenario
+    runs with.  Raises InvalidArgumentError."""
     _check_size(n_paths, tol)
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise InvalidArgumentError(f"lambda must be a finite real >= 0, got {lam}")
     if lambdas is not None and not np.all(np.isfinite(lambdas)):
         raise InvalidArgumentError(f"lambdas must be finite reals, got {list(lambdas)}")
-    if kernel is None and kind == "gencv":
+    if kernel is None:
+        if kind != "gencv":
+            raise InvalidArgumentError(f"{kind} needs a kernel")
         kernel = "remark_gencv:b1=-2,b2=-3"
     grid = grid or make_grid(1.0, 256)
     if isinstance(kernel, MatrixKernel):
@@ -591,6 +594,8 @@ def resolve_scenario(
     f = functional
     if f is not None and not isinstance(f, TestFunctional):
         f = TestFunctional.parse(str(f))
+    if f is not None:
+        f.node(grid)  # a cos_mid tau outside [0, T] is rejected here, before any work
     prov = {"kernel": spec, "horizon": grid.horizon, "n_steps": grid.n_steps,
             "dim": kappa.dim, "n_paths": n_paths, "seed": seed}
     if f is not None:
@@ -729,7 +734,7 @@ def surjective_scenario(
         )
         # eta round trip of the square-root construction
         round_err = gk.kernel_l2_norm(
-            MatrixKernel(s.grid, eta.dim, gk.eta_of_kappa(kappa).values - c * eta.values)
+            MatrixKernel(s.grid, eta.dim, gk.eta_of_kappa(kappa).matrix - c * eta.matrix)
         )
         report.checks["eta_roundtrip"] = _check_close(
             round_err, 0.0, OPERATOR_TOL * max(abs(c) * eta_norm, 1.0), relative=False,

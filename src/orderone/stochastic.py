@@ -367,7 +367,7 @@ class TestFunctional:
 
     Tags: 'one', 'cos_end:a' (cos of a times the coordinate sum of W(T)),
     'exp_negsq' (exp(-|W(T)|^2)), 'cos_mid:a,tau' (cos of a times the first
-    coordinate of W(tau), tau snapped to the nearest node).
+    coordinate of W(tau), tau in [0, T] snapped to the nearest node).
     """
 
     __test__ = False  # not a pytest class
@@ -418,14 +418,17 @@ class TestFunctional:
 
     def node(self, grid: TimeGrid) -> int | None:
         """The node k whose value W(t_k) the functional reads (N for W(T));
-        None for 'one', which reads no node."""
+        None for 'one', which reads no node.  A cos_mid tau outside [0, T]
+        raises InvalidArgumentError."""
         if self.tag == "one":
             return None
         if self.tag in ("cos_end", "exp_negsq"):
             return grid.n_steps
         if self.tag == "cos_mid":
-            k = int(round(self.tau / grid.step))
-            return min(max(k, 0), grid.n_steps)
+            if not 0.0 <= self.tau <= grid.horizon:
+                raise InvalidArgumentError(
+                    f"cos_mid reads W(tau) at tau = {self.tau:g}, outside [0, {grid.horizon:g}]")
+            return int(round(self.tau / grid.step))
         raise InvalidArgumentError(f"unknown functional tag {self.tag!r}")
 
     def at_node(self, w: np.ndarray) -> np.ndarray:

@@ -279,14 +279,15 @@ def test_gencv_halt_report_records_its_own_kernel(tmp_path, monkeypatch):
 
 BAD_KERNEL_PARAMETERS = ["rank1:b=0.3,n=nan", "rank1:b=0.3,n=inf", "rank1:b=0.3,n=1.5",
                          "rank2:b=0.2,c=0.3,member=inf", "rank2:b=0.2,c=0.3,member=1.9",
-                         "expdiag:p=[1e3]"]
+                         "expdiag:p=[1e3]", "rank1:b=0.3,b=0.9"]
 
 
 @pytest.mark.parametrize("kernel", BAD_KERNEL_PARAMETERS)
 def test_bad_kernel_parameter_is_a_usage_error(tmp_path, capsys, kernel):
     # n=nan raised ValueError and n=inf OverflowError (a traceback out of
     # spectrum, a crash inside run's validation), n=1.5 and member=1.9 were
-    # truncated to 1, and p=[1e3] warned on overflow inside np.exp
+    # truncated to 1, p=[1e3] warned on overflow inside np.exp, and a
+    # repeated b kept its last value
     assert main(["spectrum", kernel, "--grid", "16"]) == EXIT_USAGE
     cfg = _write_config(tmp_path, MINIMAL.replace("rank1:b=0.3", kernel))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_USAGE
@@ -501,6 +502,33 @@ def test_config_defect_exits_before_any_scenario_runs(tmp_path, monkeypatch, cap
     assert "scenario 'second'" in capsys.readouterr().err
     assert calls == []
     assert not (out / "reports.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["transf", "inverse", "surjective", "harmonic",
+                                  "cameron_martin", "integrability"])
+def test_a_scenario_without_its_kernel_is_a_usage_error(tmp_path, monkeypatch, capsys, kind):
+    # the kernel defaulted to `zero`, so the zero kernel was verified and passed
+    calls = _record_scenarios(monkeypatch)
+    cfg = _write_config(tmp_path, MINIMAL.split("[scenario")[0]
+                        + f"[scenario forgot]\nverify = {kind}\n")
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert main(["verify", kind, "--grid", "32", "--paths", "2000", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count(f"{kind} needs a kernel") == 2 and "Traceback" not in err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", ["7.5", "-0.5"])
+def test_cos_mid_outside_the_horizon_is_a_usage_error(tmp_path, capsys, tau):
+    # tau was clamped to [0, T]: on T = 1, cos_mid:1,7.5 read W(T) and ran
+    argv = ["verify", "transf", "--kernel", "rank1:b=0.3", "--functional", f"cos_mid:1.0,{tau}",
+            "--grid", "32", "--out", str(tmp_path / "r")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "outside [0, 1]" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("n_steps, code", [(64, EXIT_PASS), (2, EXIT_USAGE)])

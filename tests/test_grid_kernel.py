@@ -7,6 +7,9 @@ import pytest
 
 from orderone import (
     InvalidArgumentError,
+    inverse_kernel,
+    kappa_s,
+    kernel_from_matrix,
     kernel_from_values,
     kernel_l2_norm,
     kernel_zoo,
@@ -22,6 +25,7 @@ from orderone.grid_kernel import (
     eta_of_kappa,
     kappa_from_phi,
     s_of_kappa,
+    scale_kernel,
 )
 
 
@@ -356,28 +360,17 @@ def test_symmetry_flag_validated(grid):
         MatrixKernel(grid, 1, vals, symmetric=True)
 
 
-def test_dense_flat_matrix_is_built_once_under_concurrent_products(monkeypatch):
+def test_dense_products_agree_under_concurrent_threads():
     # the chunks of a Monte Carlo side apply one dense kernel from several
-    # threads; its lazy flat copy (d > 1) must be built once and shared
+    # threads at once; each product must equal the blockwise reference
     import sys
     import threading
-    import time
 
-    from orderone import grid_kernel
-
-    builds = []
-
-    def counting_flat(values):
-        builds.append(1)
-        time.sleep(0.01)  # hand the interpreter to the other threads mid-build
-        return flat(values)
-
-    flat = grid_kernel.flat
-    monkeypatch.setattr(grid_kernel, "flat", counting_flat)
     g = make_grid(1.0, 48)
     kernel = MatrixKernel(g, 2, np.random.default_rng(2).normal(size=(48, 48, 2, 2)))
     x = np.random.default_rng(3).normal(size=(5, 48, 2))
     want = np.einsum("ijab,mjb->mia", kernel.values, x)
+    want_adjoint = np.einsum("ijab,mia->mjb", kernel.values, x)
     n_threads = 8
     start = threading.Barrier(n_threads)
     results = [None] * n_threads
@@ -397,7 +390,54 @@ def test_dense_flat_matrix_is_built_once_under_concurrent_products(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(builds) == 1
     for fwd, adj in results:
         npt.assert_allclose(fwd, want, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(adj, want_adjoint, rtol=1e-12, atol=1e-12)
         npt.assert_array_equal(adj, results[0][1])
+
+
+def _algebra_kernels(grid, dim):
+    """The zoo and every dense kernel the algebra returns at this dim, by name."""
+    k = random_kernel(grid, dim, seed=4)
+    small = scale_kernel(k, 0.05)
+    specs = ["zero", "volterra", "const:c=0.5", "const_phi:c=0.5",
+             f"expdiag:p=[{','.join(['0.5', '-0.5'][:dim])}]"]
+    if dim == 1:
+        specs += ["rank1:b=0.3", "rank2:b=0.2,c=0.3,member=2", "remark_gencv:b1=-2,b2=-3"]
+    out = {spec: kernel_zoo(spec, grid, dim) for spec in specs}
+    out.update({
+        "scaled": small,
+        "adjoint": adjoint_kernel(k),
+        "composed": compose_kernels(k, small),
+        "eta": eta_of_kappa(small),
+        "s": s_of_kappa(k),
+        "c": c_kernels(k),
+        "c_x": c_kernels(k, np.arange(1.0, dim + 1.0)),
+        "tail": kappa_from_phi(k),
+        "from_matrix": kernel_from_matrix(np.eye(grid.n_steps * dim), grid, dim),
+        "inverse": inverse_kernel(small),
+        "sqrt": kappa_s(scale_kernel(c_kernels(small), -1.0)),
+    })
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_each_kernel_stores_one_matrix(grid, dim):
+    # values is a view of the stored (N d, N d) matrix, and the path-layer
+    # products allocate no second array of that size
+    import tracemalloc
+
+    nd = grid.n_steps * dim
+    x = np.random.default_rng(5).normal(size=(3, grid.n_steps, dim))
+    for name, k in _algebra_kernels(grid, dim).items():
+        assert k.matrix.shape == (nd, nd) and k.matrix.flags.c_contiguous, name
+        assert np.shares_memory(k.values, k.matrix), name
+        tracemalloc.start()
+        try:
+            k.apply(x)
+            k.apply_adjoint(x)
+            k.diagonal_blocks()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nd * nd * 8, (name, peak)

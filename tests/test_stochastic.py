@@ -634,6 +634,10 @@ def test_functional_nodes():
     assert TestFunctional.parse("cos_end:1").node(g) == 40
     assert TestFunctional.parse("exp_negsq").node(g) == 40
     assert [TestFunctional.parse(f"cos_mid:1,{tau}").node(g)
-            for tau in (-1, 0, 0.45, 1, 7)] == [0, 0, 18, 40, 40]
+            for tau in (0, 0.45, 1)] == [0, 18, 40]
+    # a tau outside [0, T] was clamped to an end node without a word
+    for tau in (-1, 7, 1.0000001):
+        with pytest.raises(InvalidArgumentError, match=r"outside \[0, 1\]"):
+            TestFunctional.parse(f"cos_mid:1,{tau}").node(g)
     with pytest.raises(InvalidArgumentError):
         transformed_node_value(kernel_zoo("volterra", g), sample_paths(g, 1, 3, seed=1), 41)
