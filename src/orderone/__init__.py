@@ -56,12 +56,10 @@ from .stochastic import (
     exp_q_moment_guard,
     h_functionals,
     linear_node_value,
-    load_batch,
     node_value,
     node_weights,
     quadratic_form,
     sample_paths,
-    save_batch,
     transformed_node_value,
     wiener_integral,
 )

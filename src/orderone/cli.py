@@ -459,7 +459,8 @@ def _cmd_kernel(args) -> int:
         d2 = op.det2(kernel)
         out = {"det2_sign": d2.sign, "singular": d2.singular,
                "det2_log_modulus": None if d2.singular else d2.log_modulus,
-               "det2_value": None if d2.singular else d2.value}
+               # past the float range the value is infinite; the log modulus carries it
+               "det2_value": d2.value if np.isfinite(d2.value) and not d2.singular else None}
     else:
         try:
             out = op.spectral_summary(_DERIVED[args.command](kernel)).to_dict()

@@ -184,9 +184,11 @@ class Det2:
 
     @property
     def value(self) -> float:
+        """sign * exp(log_modulus); the signed infinity past the float range."""
         if self.singular:
             return 0.0
-        return self.sign * float(np.exp(self.log_modulus))
+        with np.errstate(over="ignore"):
+            return self.sign * float(np.exp(self.log_modulus))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,17 @@ errors) and every embedded operator-level check holds.  Degenerate rule: when
 the scenario's own kernel is zero, both sides are the same statistic of one
 batch, so the right-hand side reads the left-hand stream and z = 0 exactly.
 
+Sides as data.  A transformation of order one turns its change of variables
+into a quadratic-form exponent, so every Wiener-space side below is a
+`Side`: e^{log_scale} E[f(w') e^{c q(w)}], w' the image of the path w under
+the transformation of a kernel (w itself without one) and q a per-path
+exponent (none: 1).  `Scenario.estimate` is the one Monte Carlo driver: it
+evaluates each distinct image and each distinct exponent once per chunk, so
+a lambda family evaluates q once and each row reads c q, and a side with no
+exponent under a constant f is exact.  `Scenario.identity` runs the two
+sides of rows of (report, lhs, rhs), one pass each, and decides the reports.
+finite_dim draws its N(0, I_n) vectors from the same sampler: n unit steps.
+
 Identities covered (f ranges over the bounded functional family):
 
     finite_dim    |det(I+A)| E[f(x+Ax) e^{<Bx,x>/2}] = E[f],  B = -(A+A^T+A^T A)
@@ -60,9 +71,10 @@ from __future__ import annotations
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 import os
 import queue
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -71,7 +83,7 @@ from . import grid_kernel as gk
 from . import operator as op
 from . import stochastic as st
 from .grid_kernel import MatrixKernel, TimeGrid, make_grid
-from .stochastic import PathBatch, TestFunctional
+from .stochastic import TestFunctional
 
 __all__ = [
     "MCEstimate",
@@ -186,29 +198,31 @@ def _moments(vals: np.ndarray) -> tuple:
     return n, mean[..., 0], corr, dev.sum(axis=-1) - n * corr * corr
 
 
-def _mc_estimate(
-    draw, n_samples: int, elements_per_sample: int, per_sample, scale=1.0, ci_valid=True,
-) -> MCEstimate | list[MCEstimate]:
-    """Draw the chunks of n_samples (draw(idx, size, buf) draws into buf), map
-    per_sample over them on the pool and merge their moments in chunk order by
-    the pairwise update of Chan, Golub and LeVeque.  The next chunk reuses the
-    buffer, so per_sample must not keep its input past its return.
+def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
+              per_path, scale=1.0, ci_valid=True) -> MCEstimate | list[MCEstimate]:
+    """Draw the chunks of n_paths Wiener paths (chunk idx from the Philox
+    stream (seed, stream_id, idx)), map per_path over them on the pool and
+    merge their moments in chunk order by the pairwise update of Chan, Golub
+    and LeVeque.  The next chunk reuses the draw buffer, so per_path must not
+    keep its batch past its return.
 
-    per_sample gives one value per sample, merged into one MCEstimate, or a
-    (rows, samples) array, merged row by row into a list of MCEstimates, one
+    per_path gives one value per path, merged into one MCEstimate, or a
+    (rows, paths) array, merged row by row into a list of MCEstimates, one
     per row; scale and ci_valid then hold one entry per row (or one for all)."""
-    sizes = _chunk_sizes(n_samples, elements_per_sample)
+    elements = grid.n_steps * dim
+    sizes = _chunk_sizes(n_paths, elements)
     # one draw buffer per thread, allocated here and reused by every chunk:
     # a chunk then allocates no batch of its own, and a side's memory does not
     # depend on how the threads interleave or which allocator arena serves them
     free = queue.SimpleQueue()
     for _ in range(min(WORKERS, len(sizes))):
-        free.put(np.empty(sizes[0] * elements_per_sample))
+        free.put(np.empty(sizes[0] * elements))
 
     def run(idx):
         buf = free.get()
         try:
-            return _moments(np.asarray(per_sample(draw(idx, sizes[idx], buf)), dtype=float))
+            batch = st.sample_paths(grid, dim, sizes[idx], seed, stream=(stream_id, idx), out=buf)
+            return _moments(np.asarray(per_path(batch), dtype=float))
         finally:
             free.put(buf)
 
@@ -233,38 +247,6 @@ def _mc_estimate(
         for r in np.ndindex(shape)
     ]
     return estimates if shape else estimates[0]
-
-
-def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
-              per_path, scale=1.0, ci_valid=True) -> MCEstimate | list[MCEstimate]:
-    """Monte Carlo over Wiener paths, one estimate or one per row as in
-    `_mc_estimate`: chunk idx is the Philox stream (seed, stream_id, idx)."""
-    def draw(idx, size, buf):
-        return st.sample_paths(grid, dim, size, seed, stream=(stream_id, idx), out=buf)
-
-    return _mc_estimate(draw, n_paths, grid.n_steps * dim, per_path, scale, ci_valid)
-
-
-def _mc_gaussians(n_dim: int, n_samples: int, seed: int, stream_id: int, per_sample,
-                  scale: float = 1.0, ci_valid: bool = True) -> MCEstimate:
-    """Monte Carlo over standard-normal vectors in R^n, keyed like `_mc_paths`."""
-    def draw(idx, size, buf):
-        key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, stream_id, idx])
-        return np.random.Generator(np.random.Philox(key)).standard_normal(
-            (size, n_dim), out=buf[:size * n_dim].reshape(size, n_dim))
-
-    return _mc_estimate(draw, n_samples, n_dim, per_sample, scale, ci_valid)
-
-
-def _image_functional(f: TestFunctional, kernel: MatrixKernel, linear: bool = False):
-    """per_path of f along the image of each path under the transformation of
-    kernel (the linear transformation of phi = kernel when linear), read at
-    f's node alone; the node weights are built once, before any chunk."""
-    k = f.node(kernel.grid)
-    if k is None:
-        return lambda batch: np.ones(batch.n_paths)
-    weights = st.node_weights(kernel, k, linear)
-    return lambda batch: f.at_node(st.node_value(batch, weights))
 
 
 @dataclass(frozen=True)
@@ -460,14 +442,21 @@ def verify_finite_dim(
     det_abs = float(np.exp(logdet))
     report.spectra = {"det_abs": det_abs}
 
-    def lhs_fn(x):
+    # unit steps make a path's increments the Philox N(0, I_n) draws themselves
+    grid = TimeGrid(float(n), n)
+
+    def lhs_fn(batch):
+        x = batch.increments.reshape(batch.n_paths, n)
         y = x + x @ a.T
         quad = 0.5 * np.einsum("mi,mi->m", x @ b.T, x)
         return f(y) * np.exp(quad)
 
+    def rhs_fn(batch):
+        return f(batch.increments.reshape(batch.n_paths, n))
+
     rhs_stream = _STREAM_LHS if not np.any(a) else _STREAM_RHS
-    lhs = _mc_gaussians(n, n_samples, seed, _STREAM_LHS, lhs_fn, det_abs, guard == "ok")
-    return _identity(report, lhs, _mc_gaussians(n, n_samples, seed, rhs_stream, f))
+    lhs = _mc_paths(grid, 1, n_samples, seed, _STREAM_LHS, lhs_fn, det_abs, guard == "ok")
+    return _identity(report, lhs, _mc_paths(grid, 1, n_samples, seed, rhs_stream, rhs_fn))
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +466,24 @@ def verify_finite_dim(
 _SYMMETRIC_KINDS = ("surjective", "integrability")  # their kernel is a quadratic form's
 
 
-class _Row(NamedTuple):
-    """One identity of a two-sided Monte Carlo pass; see `Scenario.two_sided`."""
+@dataclass(frozen=True)
+class Side:
+    """One side of an identity, e^{log_scale} E[f(w') e^{c q(w)}]: w' the image
+    of the path w under the transformation of kernel (under the linear
+    transformation of phi = kernel when linear; w itself when kernel is None),
+    q the per-path exponent (none: e^0).  Sides that share an exponent object
+    evaluate it once per chunk.  ci_valid is False when the moment guard says
+    the second moment is infinite."""
 
-    report: ScenarioReport
-    lhs_scale: float
-    rhs_scale: float
-    rhs_image: Callable | None = None
+    log_scale: float = 0.0
+    exponent: Callable | None = None
+    c: float = 1.0
+    kernel: MatrixKernel | None = None
+    linear: bool = False
     ci_valid: bool = True
+
+
+_ONE = TestFunctional("one")  # the functional of a side that is a weight's mass
 
 
 # what `Scenario.factor` reads from the gate eigensolve and the LU of I + B_kappa
@@ -501,10 +500,6 @@ class Scenario:
     n_paths: int
     seed: int
     report: ScenarioReport
-
-    def mc(self, stream_id: int, per_path, scale=1.0, ci_valid=True):
-        return _mc_paths(self.grid, self.kernel.dim, self.n_paths, self.seed, stream_id,
-                         per_path, scale, ci_valid)
 
     def factor(self, kappa: MatrixKernel, inverse: bool = False) -> _Factored | None:
         """The prologue of transf, inverse and cameron_martin: the eta kernel of
@@ -537,26 +532,42 @@ class Scenario:
         return _Factored(eta, gate, guard, d2,
                          op.inverse_kernel_from(lu, kappa) if inverse else None)
 
-    def two_sided(self, lhs_fn, rows: list[_Row]) -> list[ScenarioReport]:
-        """Monte Carlo the left-hand sides of all rows in one pass, lhs_fn
-        giving one value per path for each row (a 1-D array for one row),
-        scaled by the row's lhs_scale, with a CI when its ci_valid.  The
-        right-hand side of a row is rhs_scale E[f], f read along rhs_image
-        (per path) when given: in closed form when f is constant one, else in
-        one pass too.  Then compare each row's two sides and decide its report."""
-        lhs = self.mc(_STREAM_LHS, lambda batch: np.atleast_2d(lhs_fn(batch)),
-                      [r.lhs_scale for r in rows], [r.ci_valid for r in rows])
-        if self.f.is_constant_one:
-            rhs = [exact_estimate(r.rhs_scale) for r in rows]
-        else:
-            images = [r.rhs_image or self.f.evaluate for r in rows]
-            # a zero scenario kernel degenerates both sides to the same
-            # statistic of one batch; sharing the stream then makes the
-            # discrepancy exactly zero
-            stream = _STREAM_RHS if np.any(self.kernel.matrix) else _STREAM_LHS
-            rhs = self.mc(stream, lambda batch: [image(batch) for image in images],
-                          [r.rhs_scale for r in rows])
-        return [_identity(r.report, a, b) for r, a, b in zip(rows, lhs, rhs)]
+    def estimate(self, stream_id: int, sides, f: TestFunctional) -> list[MCEstimate]:
+        """The estimate of each side, f read along its image, in one pass over
+        the paths of the stream: each distinct image (its node weights built
+        once, before any chunk) and each distinct exponent are evaluated once
+        per chunk.  Exact when no side has an exponent and f is constant one."""
+        if f.is_constant_one and all(side.exponent is None for side in sides):
+            return [exact_estimate(np.exp(side.log_scale)) for side in sides]
+        node = f.node(self.grid)
+        images = {(id(side.kernel), side.linear): side for side in sides}
+        weights = {image: None if side.kernel is None or node is None
+                   else st.node_weights(side.kernel, node, side.linear)
+                   for image, side in images.items()}
+        exponents = {id(e): e for e in (side.exponent for side in sides) if e is not None}
+
+        def per_path(batch):
+            f_at = {image: f.evaluate(batch) if w is None else f.at_node(st.node_value(batch, w))
+                    for image, w in weights.items()}
+            q = {key: exponent(batch) for key, exponent in exponents.items()}
+            return [f_at[id(side.kernel), side.linear] if side.exponent is None
+                    else f_at[id(side.kernel), side.linear] * np.exp(side.c * q[id(side.exponent)])
+                    for side in sides]
+
+        return _mc_paths(self.grid, self.kernel.dim, self.n_paths, self.seed, stream_id,
+                         per_path, [np.exp(side.log_scale) for side in sides],
+                         [side.ci_valid for side in sides])
+
+    def identity(self, rows) -> list[ScenarioReport]:
+        """Estimate the left-hand sides of rows of (report, lhs, rhs) in one
+        pass and their right-hand sides in another, then compare each row's two
+        sides and decide its report."""
+        reports, lhs, rhs = zip(*rows)
+        # a zero scenario kernel degenerates both sides to the same statistic
+        # of one batch; sharing the stream then makes the discrepancy exactly zero
+        stream = _STREAM_RHS if np.any(self.kernel.matrix) else _STREAM_LHS
+        return [_identity(*row) for row in zip(reports, self.estimate(_STREAM_LHS, lhs, self.f),
+                                               self.estimate(stream, rhs, self.f))]
 
 
 def resolve_scenario(
@@ -621,14 +632,9 @@ def verify_transf(
     kappa, p = s.kernel, s.factor(s.kernel)
     if p is None:
         return s.report
-    f_image = _image_functional(s.f, kappa)
-
-    def lhs_fn(batch: PathBatch):
-        return f_image(batch) * np.exp(st.quadratic_form(p.eta, batch))
-
-    return s.two_sided(lhs_fn, [_Row(s.report, float(np.exp(p.det2.log_modulus)),
-                                     float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)),
-                                     ci_valid=p.guard == "ok")])[0]
+    lhs = Side(p.det2.log_modulus, partial(st.quadratic_form, p.eta), kernel=kappa,
+               ci_valid=p.guard == "ok")
+    return s.identity([(s.report, lhs, Side(0.5 * gk.kernel_l2_norm(kappa) ** 2))])[0]
 
 
 def verify_inverse(
@@ -663,24 +669,18 @@ def verify_inverse(
     eta_hat = gk.eta_of_kappa(kappa_hat)
     guard_hat = st.moment_guard(1.0 - 1.0 / (1.0 - p.gate.lambda_min))
     d2_hat = op.det2(kappa_hat)
-    rn_scale = float(np.exp(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2))
-
-    def rn_fn(batch: PathBatch):
-        return np.exp(st.quadratic_form(eta_hat, batch))
-
-    rn = s.mc(_STREAM_RN, rn_fn, scale=rn_scale, ci_valid=guard_hat == "ok")
+    rn = s.estimate(_STREAM_RN, [Side(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2,
+                                      partial(st.quadratic_form, eta_hat),
+                                      ci_valid=guard_hat == "ok")], _ONE)[0]
     _, _, rn_ok = _compare(rn, exact_estimate(1.0), tol)
     report.checks["rn_normalization"] = Check(
         rn.mean, 1.0, tol, rn_ok,
         f"Radon-Nikodym weight mass (guard {guard_hat})",
     )
 
-    def lhs_fn(batch: PathBatch):
-        return s.f.evaluate(batch) * np.exp(st.quadratic_form(p.eta, batch))
-
-    return s.two_sided(lhs_fn, [_Row(report, float(np.exp(p.det2.log_modulus)),
-                                     float(np.exp(0.5 * gk.kernel_l2_norm(kappa) ** 2)),
-                                     _image_functional(s.f, kappa_hat), p.guard == "ok")])[0]
+    lhs = Side(p.det2.log_modulus, partial(st.quadratic_form, p.eta), ci_valid=p.guard == "ok")
+    rhs = Side(0.5 * gk.kernel_l2_norm(kappa) ** 2, kernel=kappa_hat)
+    return s.identity([(report, lhs, rhs)])[0]
 
 
 def surjective_scenario(
@@ -707,7 +707,7 @@ def surjective_scenario(
     eta = s.kernel
     eig = op.spectrum(eta, vectors=True)
     eta_norm = gk.kernel_l2_norm(eta)
-    rows, lhs_factors = [], []
+    q, rows = partial(st.quadratic_form, eta), []  # q of c eta is c q
     for c, report in zip(factors, reports):
         scaled = eig.scaled(c)  # the spectrum of c B_eta
         lam = scaled.lambda_max
@@ -742,19 +742,12 @@ def surjective_scenario(
         )
         del kappa  # as large as the operator
         # the right-hand side transforms the paths only when f is not constant
-        image = None if s.f.is_constant_one else _image_functional(
-            s.f, scaled.inverse_sqrt_kernel())
-        rows.append(_Row(report, 1.0, float(np.exp(-0.5 * d2_eta.log_modulus)), image,
-                         guard == "ok"))
-        lhs_factors.append(c)
+        image = None if s.f.is_constant_one else scaled.inverse_sqrt_kernel()
+        rows.append((report, Side(exponent=q, c=c, ci_valid=guard == "ok"),
+                     Side(-0.5 * d2_eta.log_modulus, kernel=image)))
     eig = scaled = None  # the eigenvectors are as large as the operator
-
-    def lhs_fn(batch: PathBatch):
-        f, q = s.f.evaluate(batch), st.quadratic_form(eta, batch)
-        return [f * np.exp(c * q) for c in lhs_factors]  # q of c eta is c q
-
     if rows:
-        s.two_sided(lhs_fn, rows)
+        s.identity(rows)
     return reports
 
 
@@ -818,14 +811,11 @@ def verify_harmonic(
         "det_sign": 1,
         "hs_norm": gk.kernel_l2_norm(kappa_l),
     }
-    image = None if s.f.is_constant_one else _image_functional(s.f, eig.inverse_sqrt_kernel())
+    rhs = Side(-0.5 * logdet_c,
+               kernel=None if s.f.is_constant_one else eig.inverse_sqrt_kernel())
     del eig  # the eigenvectors are as large as the operator
-
-    def lhs_fn(batch: PathBatch):
-        h = st.h_functionals(kappa_l, batch, x)
-        return s.f.evaluate(batch) * np.exp(-h)
-
-    return s.two_sided(lhs_fn, [_Row(report, 1.0, float(np.exp(-0.5 * logdet_c)), image)])[0]
+    lhs = Side(exponent=partial(st.h_functionals, kappa_l, x=x), c=-1.0)
+    return s.identity([(report, lhs, rhs)])[0]
 
 
 def verify_cameron_martin(
@@ -878,14 +868,9 @@ def verify_cameron_martin(
         note="max |linear drift - Wiener integral| / scale, Ito-vs-path gap",
     )
 
-    f_image = _image_functional(s.f, phi, linear=True)
-
-    def lhs_fn(batch: PathBatch):
-        psi, _ = st.cm_exponent(phi, batch)
-        return f_image(batch) * np.exp(psi)
-
-    return s.two_sided(lhs_fn, [_Row(report, float(np.exp(p.det2.log_modulus + tr)), 1.0,
-                                     ci_valid=p.guard == "ok")])[0]
+    lhs = Side(p.det2.log_modulus + tr, lambda batch: st.cm_exponent(phi, batch)[0],
+               kernel=phi, linear=True, ci_valid=p.guard == "ok")
+    return s.identity([(report, lhs, Side())])[0]
 
 
 def verify_gencv_example(
@@ -961,8 +946,8 @@ def verify_integrability_bound(
         if kernel_name == "rank1":
             exact_value = rank1_exp_q_moment(float(params["b"]))
 
-    est = s.mc(_STREAM_LHS, lambda batch: np.exp(st.quadratic_form(eta, batch)),
-               ci_valid=guard == "ok")
+    est = s.estimate(_STREAM_LHS, [Side(exponent=partial(st.quadratic_form, eta),
+                                        ci_valid=guard == "ok")], _ONE)[0]
     report.lhs, report.rhs = est, exact_estimate(bound)
     report.spectra = {"bound": bound, "hs_norm": hs_norm, "lambda_eta": lam}
     slack = 3.0 * est.std_error if est.ci_valid else CONSISTENCY_FACTOR * tol * bound

@@ -51,7 +51,6 @@ and `apply_linear_transformation` remain for pathwise checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-import struct
 
 import numpy as np
 
@@ -77,8 +76,6 @@ __all__ = [
     "cm_trace_correction",
     "exp_q_moment_guard",
     "moment_guard",
-    "save_batch",
-    "load_batch",
 ]
 
 
@@ -449,69 +446,3 @@ class TestFunctional:
             return np.ones(batch.n_paths)
         return self.at_node(batch.value_at_node(k))
 
-
-# ---------------------------------------------------------------------------
-# binary replay format
-# ---------------------------------------------------------------------------
-
-# WPB2: header (magic, T, N, d, M, seed), the stream length K, K stream
-# entries, then the row-major float64 increments.  WPB1 dumps have no stream.
-_MAGIC_V1 = b"WPB1"
-_MAGIC = b"WPB2"
-_HEADER = struct.Struct("<4sd3Qq")  # magic, T, N, d, M, seed
-_COUNT = struct.Struct("<Q")
-
-
-def save_batch(batch: PathBatch, path) -> None:
-    """Dump the batch, its seed and its stream in the WPB2 format."""
-    try:
-        stream = struct.pack(f"<Q{len(batch.stream)}Q", len(batch.stream), *batch.stream)
-    except struct.error:
-        raise InvalidArgumentError(
-            f"stream {batch.stream!r} does not fit unsigned 64-bit entries"
-        )
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC,
-                batch.grid.horizon,
-                batch.grid.n_steps,
-                batch.dim,
-                batch.n_paths,
-                batch.seed,
-            )
-        )
-        fh.write(stream)
-        fh.write(np.ascontiguousarray(batch.increments, dtype="<f8").tobytes())
-
-
-def load_batch(path) -> PathBatch:
-    """Load a WPB2 dump, or a WPB1 dump (which reloads with stream ())."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-
-    def field(start: int, size: int, what: str) -> bytes:
-        if len(data) < start + size:
-            raise InvalidArgumentError(
-                f"{path}: truncated {what}: expected {size} bytes, "
-                f"got {max(len(data) - start, 0)}"
-            )
-        return data[start:start + size]
-
-    magic, horizon, n, d, m, seed = _HEADER.unpack(field(0, _HEADER.size, "header"))
-    if magic not in (_MAGIC, _MAGIC_V1):
-        raise InvalidArgumentError(f"{path}: not a path-batch dump")
-    offset, stream = _HEADER.size, ()
-    if magic == _MAGIC:
-        (count,) = _COUNT.unpack(field(offset, _COUNT.size, "stream length"))
-        offset += _COUNT.size
-        stream = struct.unpack(f"<{count}Q", field(offset, count * _COUNT.size, "stream"))
-        offset += count * _COUNT.size
-    size = m * n * d * 8
-    if len(data) - offset != size:
-        raise InvalidArgumentError(
-            f"{path}: payload of {m} x {n} x {d} increments needs {size} bytes, "
-            f"got {len(data) - offset}"
-        )
-    increments = np.frombuffer(data, dtype="<f8", offset=offset).reshape(m, n, d).copy()
-    return PathBatch(TimeGrid(horizon, n), d, increments, seed, stream)

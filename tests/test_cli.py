@@ -351,6 +351,20 @@ def test_det2_subcommand_singular(capsys):
     assert out["singular"] and out["det2_sign"] == 0
 
 
+def test_det2_subcommand_past_the_float_range(capsys):
+    # det2 = (1 + b) e^{-b} = -799 e^{800}: the value is null and the log
+    # modulus carries it, in strict JSON (no Infinity token), nothing on stderr
+    assert main(["det2", "rank1:b=-800", "--grid", "64"]) == EXIT_PASS
+    captured = capsys.readouterr()
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    out = json.loads(captured.out, parse_constant=reject)
+    assert out["det2_value"] is None and out["det2_sign"] == -1 and not out["singular"]
+    assert abs(out["det2_log_modulus"] - (np.log(799.0) + 800.0)) <= 1e-9
+    assert captured.err == ""
+
+
 def test_kappa_hat_subcommand(capsys):
     assert main(["kappa-hat", "rank1:b=0.3", "--grid", "64"]) == EXIT_PASS
     out = json.loads(capsys.readouterr().out)

@@ -132,19 +132,27 @@ def test_one_factorisation_per_operator(grid, monkeypatch, run, expected):
 def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functional, sides):
     # three factors: one eigh of B_eta, one LU of I - c B_eta per factor, and
     # each chunk of each Monte Carlo side drawn once (f == 1 has an exact
-    # right-hand side, so draws the left-hand side alone)
+    # right-hand side, so draws the left-hand side alone); q is evaluated once
+    # per chunk and each factor's row reads c q
     monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 32 * 200)  # 1,000 paths in 5 chunks
     calls = _counting(monkeypatch)
     drawn, sample_paths = [], stochastic.sample_paths
+    forms, quadratic_form = [], stochastic.quadratic_form
 
     def recorded(*args, **kwargs):
         drawn.append(kwargs["stream"])
         return sample_paths(*args, **kwargs)
+
+    def counted(eta, batch):
+        forms.append(batch.stream)
+        return quadratic_form(eta, batch)
     monkeypatch.setattr(stochastic, "sample_paths", recorded)
+    monkeypatch.setattr(stochastic, "quadratic_form", counted)
     reports = sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], functional, grid, n_paths=1_000)
     assert [r.verdict for r in reports] == ["pass"] * 3
     assert dict(calls) == {"eigh": 1, "lu_factor": 3}
     assert sorted(drawn) == [(side, idx) for side in sides for idx in range(5)]
+    assert sorted(forms) == [(0, idx) for idx in range(5)]  # 5 chunks x 3 factors: 5, not 15
 
 
 @pytest.mark.parametrize("functional, sides", [("one", (0,)), ("cos_end:1.0", (0, 1))])

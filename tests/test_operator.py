@@ -171,6 +171,13 @@ def test_det2_rank_one_closed_form(b):
     npt.assert_allclose(d.sign * np.exp(d.log_modulus), expected, rtol=1e-10)
 
 
+def test_det2_value_past_the_float_range_is_the_signed_infinity():
+    # det2 = (1 + b) e^{-b} = -799 e^{800}; an overflow warning would be an error here
+    d = det2(kernel_zoo("rank1:b=-800", make_grid(1.0, 64)))
+    assert d.sign == -1 and not d.singular and d.value == -np.inf
+    npt.assert_allclose(d.log_modulus, np.log(799.0) + 800.0, rtol=1e-12)
+
+
 def test_det2_singular_outcome():
     g = make_grid(1.0, 128)
     d = det2(kernel_zoo("rank1:b=-1", g))
@@ -476,8 +483,12 @@ def _assert_low_rank_routes_match_dense(kernel, what):
     if d_low.singular or d_dense.singular:
         return
     assert d_low.sign == d_dense.sign, what
-    _assert_close(d_low.value, d_dense.value, 1e-12 * max(1.0, abs(d_dense.value)),
-                  f"{what}: det2(I + B)")
+    if np.isfinite(d_low.value) and np.isfinite(d_dense.value):
+        _assert_close(d_low.value, d_dense.value, 1e-12 * max(1.0, abs(d_dense.value)),
+                      f"{what}: det2(I + B)")
+    else:  # past the float range: the log modulus, to 1e-12 of its size, as the log readers below
+        _assert_close(d_low.log_modulus, d_dense.log_modulus,
+                      1e-12 * max(1.0, abs(d_dense.log_modulus)), f"{what}: log det2(I + B)")
     inv_dense = inverse_kernel(dense)
     eye = np.eye(kernel.grid.n_steps * kernel.dim)
     cond = (np.linalg.norm(eye + assemble(dense), 1)

@@ -12,6 +12,7 @@ from orderone import grid_kernel as gk, scenarios as sc
 
 from orderone import (
     InvalidArgumentError,
+    TimeGrid,
     integrability_bound,
     kernel_zoo,
     make_grid,
@@ -50,6 +51,20 @@ def test_finite_dim_diagonal_example():
     assert r.passed and abs(r.z_score) <= 3.0
     # the plain side has the exact Gaussian characteristic value e^{-1}
     assert abs(r.rhs.mean - np.exp(-1.0)) <= 5.0 * r.rhs.std_error
+
+
+@pytest.mark.parametrize("matrix, functional, lhs, rhs", [
+    (np.diag([0.2, -0.1]), "cos_sum", (0.3650356691987327, 0.00455864432440621),
+     (0.3617642431870651, 0.004354801429325639)),
+    ([[0.1, 0.2], [-0.15, 0.05]], "one", (0.998668197547165, 0.0011840498340941513), (1.0, 0.0)),
+])
+def test_finite_dim_numbers_are_pinned(matrix, functional, lhs, rhs):
+    # recorded when finite_dim drew its own Philox N(0, I_n) vectors; the
+    # unit-step paths it now draws are the same draws, bit for bit
+    r = verify_finite_dim(matrix, functional, n_samples=20_000, seed=3)
+    for side, (mean, se) in ((r.lhs, lhs), (r.rhs, rhs)):
+        npt.assert_allclose([side.mean, side.std_error], [mean, se], rtol=1e-12)
+    assert r.passed and r.lhs.n_samples == r.rhs.n_samples == 20_000
 
 
 def test_finite_dim_reflection_is_exact_in_law():
@@ -533,8 +548,8 @@ def test_chunk_sizes_are_near_equal_and_capped(n, per_path):
 
 def test_merged_variance_is_stable_for_any_chunking(monkeypatch):
     # values 1e8 + N(0, 1): sum x^2 - n mean^2 cancels every significant digit
-    def per_sample(x):
-        vals = 1e8 + x[:, 0]
+    def per_sample(batch):
+        vals = 1e8 + batch.increments[:, 0, 0]
         drawn.append(vals)
         return vals
 
@@ -542,7 +557,7 @@ def test_merged_variance_is_stable_for_any_chunking(monkeypatch):
     for cap in (1 << 22, 3_000, 1_024, 7):
         monkeypatch.setattr(sc, "CHUNK_ELEMENTS", cap)
         drawn = []
-        est = sc._mc_gaussians(1, 10_000, 3, 0, per_sample)
+        est = sc._mc_paths(TimeGrid(1.0, 1), 1, 10_000, 3, 0, per_sample)
         vals = np.concatenate(drawn)
         two_pass = np.var(vals, ddof=1)
         npt.assert_allclose(est.std_error ** 2 * est.n_samples, two_pass, rtol=1e-12)

@@ -29,12 +29,10 @@ from orderone import (
     kappa_s,
     kernel_zoo,
     linear_node_value,
-    load_batch,
     make_grid,
     orthonormal_columns,
     quadratic_form,
     sample_paths,
-    save_batch,
     scale_kernel,
     transformed_node_value,
     wiener_integral,
@@ -103,35 +101,6 @@ def test_left_node_values_start_at_zero(grid):
     assert np.all(w[:, 0] == 0)
     npt.assert_allclose(w[:, 5], batch.increments[:, :5].sum(axis=1), atol=1e-15)
     npt.assert_allclose(batch.value_at_node(grid.n_steps), batch.terminal_values())
-
-
-def test_batch_round_trip_dump(tmp_path, grid):
-    batch = sample_paths(grid, 2, 17, seed=11, stream=(3, 5))
-    path = tmp_path / "batch.wpb"
-    save_batch(batch, path)
-    loaded = load_batch(path)
-    npt.assert_array_equal(loaded.increments, batch.increments)
-    assert loaded.grid == grid and loaded.seed == 11 and loaded.dim == 2
-    assert loaded.stream == (3, 5)
-    data = path.read_bytes()
-    header = 44  # magic, T, N, d, M, seed
-
-    # a WPB1 dump (no stream section) still loads, with stream ()
-    old = tmp_path / "old.wpb"
-    old.write_bytes(b"WPB1" + data[4:header] + data[header + 8 * 3:])
-    legacy = load_batch(old)
-    npt.assert_array_equal(legacy.increments, batch.increments)
-    assert legacy.stream == () and legacy.seed == 11
-
-    # truncations end in a typed error that names both byte counts
-    cut = tmp_path / "cut.wpb"
-    payload = 17 * 64 * 2 * 8
-    for size, message in ((10, "expected 44 bytes, got 10"),
-                          (header + 8 + 4, "expected 16 bytes, got 4"),
-                          (len(data) - 8, f"needs {payload} bytes, got {payload - 8}")):
-        cut.write_bytes(data[:size])
-        with pytest.raises(InvalidArgumentError, match=message):
-            load_batch(cut)
 
 
 # ---------------------------------------------------------------------------
