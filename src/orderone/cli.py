@@ -51,9 +51,11 @@ A kind that takes a kernel must be given one; gencv has its own default.
 `verify KIND` takes the same keys as flags (--tol, --paths, --grid, ...) and
 runs through the same table, with one parser and one default per key:
 functional is `one` for every kind.  `run` validates the whole config, after
-its flag overrides, before the first scenario starts.  `verify finite-dim`
-stays outside the table (its --diag and its functional grammar are its own)
-but is checked and run by the same runner.
+its flag overrides, before the first scenario starts.  `sweep-laplace KERNEL`
+is the surjective kind of the table run with own=False: its Laplace sweep
+without its own identity.  `verify finite-dim` stays outside the table (its
+--diag and its functional grammar are its own) but is checked and run by the
+same runner.
 """
 
 from __future__ import annotations
@@ -173,9 +175,6 @@ KINDS = {
     "integrability": Kind(_COMMON + ("kernel", "dim"), lambda kernel, **a: [
         sc.verify_integrability_bound(kernel, **a)]),
 }
-# sweep-laplace: a surjective scenario's Laplace sweep without its own identity
-_SWEEP = {"surjective": KINDS["surjective"]._replace(
-    run=lambda kernel, lambdas, name, **a: sc.sweep_laplace(kernel, lambdas, **a))}
 _FINITE_DIM_KEYS = ("functional", "tolerance", "samples", "seed")
 
 
@@ -268,7 +267,7 @@ def _arguments(spec: ScenarioSpec, config: RunConfig, keys) -> dict:
     return a
 
 
-def _jobs(config: RunConfig, kinds=KINDS) -> list:
+def _jobs(config: RunConfig) -> list:
     """Every scenario of config as it will run, checked before any runs: the
     run of its kind with its `_arguments`, and the report it halts with.
     `scenarios.resolve_scenario` checks the arguments on the scenario's own
@@ -278,7 +277,7 @@ def _jobs(config: RunConfig, kinds=KINDS) -> list:
         raise ConfigError("config defines no scenarios")
     jobs = []
     for spec in config.scenarios:
-        kind = kinds[spec.verify]
+        kind = KINDS[spec.verify]
         try:
             a = _arguments(spec, config, kind.keys)
             halt = sc.resolve_scenario(spec.verify, **a).report
@@ -299,8 +298,11 @@ def parse_config(text: str) -> RunConfig:
 def _write_reports(reports, out_dir, fmt) -> None:
     os.makedirs(out_dir, exist_ok=True)
     if fmt in ("json", "both"):
+        # a value past the float range (NaN, Infinity) is written as null: strict JSON
+        data = json.loads(json.dumps([r.to_dict() for r in reports]),
+                          parse_constant=lambda _: None)
         with open(os.path.join(out_dir, "reports.json"), "w") as fh:
-            fh.write(json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n")
+            fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
     if fmt in ("csv", "both"):
         with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -498,13 +500,14 @@ def _cmd_verify(args) -> int:
         a = dict(matrix=np.diag(args.diag), functional=args.functional or "cos_sum",
                  n_samples=spec.overrides.get("n_paths", config.samples),
                  seed=spec.overrides.get("seed", config.seed), tol=spec.tolerance)
-        _, _, halt = sc.resolve_finite_dim(**a)
-        jobs = [(lambda: [sc.verify_finite_dim(**a)], halt)]
+        jobs = [(lambda: [sc.verify_finite_dim(**a)], sc.resolve_finite_dim(**a).report)]
     elif getattr(args, "diag", None) is not None:
         raise ConfigError(f"{kind} does not take --diag")
     else:
         config.scenarios = [_spec_from_flags(args, kind, KINDS[kind].keys)]
-        jobs = _jobs(config, _SWEEP if args.command == "sweep-laplace" else KINDS)
+        jobs = _jobs(config)
+        if args.command == "sweep-laplace":  # the sweep without the surjective identity
+            jobs = [(functools.partial(run, own=False), halt) for run, halt in jobs]
     return _run(jobs, args.out or os.environ.get("ORDERONE_OUT"), args.format)
 
 

@@ -54,12 +54,17 @@ Delta-weighted inner product of the grid (a weighted QR).  The correction is
 O(Delta), so the sampled kernels stay within quadrature error of their
 continuum counterparts, while rank-one spectral facts (eigenvalues, traces,
 determinants) hold to machine precision on the grid.
+
+The zoo.  `kernel_zoo` reads one row of `_ZOO` per name: its builder, its
+parameters (each with a text parser that checks its range, and a default, or
+none when it is required) and whether the kernel is scalar (d = 1 only).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import re
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -590,23 +595,6 @@ param       := key '=' value        value := real | int | '[' real (',' real)* '
 _ALIASES = {"remark12": "rank2"}
 
 
-def _split_params(body: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
-
-
 def parse_kernel_spec(spec: str) -> tuple[str, dict]:
     """(name, {key: value text}) of a kernel spec; see KERNEL_GRAMMAR."""
     spec = spec.strip()
@@ -614,7 +602,7 @@ def parse_kernel_spec(spec: str) -> tuple[str, dict]:
     name = _ALIASES.get(name.strip(), name.strip())
     params = {}
     if body:
-        for part in _split_params(body):
+        for part in re.split(r",(?![^\[]*\])", body):  # the commas outside [...]
             key, eq, value = part.partition("=")
             if not eq or not key.strip():
                 raise InvalidArgumentError(
@@ -626,36 +614,28 @@ def parse_kernel_spec(spec: str) -> tuple[str, dict]:
     return name, params
 
 
-def _real(params: dict, key: str, spec: str, default=None) -> float:
-    if key not in params:
-        if default is not None:
-            return default
-        raise InvalidArgumentError(f"kernel spec {spec!r} misses parameter {key!r}\n{KERNEL_GRAMMAR}")
-    try:
-        return float(params.pop(key))
-    except ValueError:
-        raise InvalidArgumentError(f"parameter {key!r} of {spec!r} is not a real number")
+def _real(text: str) -> float:
+    """A finite real."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be a finite real, got {text}")
+    return value
 
 
-def _integer(params: dict, key: str, spec: str, default: int) -> int:
-    """An integer parameter: a real of integral value, never truncated."""
-    value = _real(params, key, spec, default=float(default))
-    if not (np.isfinite(value) and value == int(value)):
-        raise InvalidArgumentError(f"parameter {key!r} of {spec!r} must be an integer, got {value}")
+def _integer(text: str, low: int = 1, high: float = np.inf) -> int:
+    """An integer in [low, high]: a real of integral value, never truncated."""
+    value = float(text)
+    if not (np.isfinite(value) and value == int(value) and low <= value <= high):
+        raise ValueError(f"must be an integer in [{low}, {high:g}], got {text}")
     return int(value)
 
 
-def _real_list(params: dict, key: str, spec: str) -> list[float]:
-    if key not in params:
-        raise InvalidArgumentError(f"kernel spec {spec!r} misses parameter {key!r}\n{KERNEL_GRAMMAR}")
-    raw = params.pop(key)
-    m = re.fullmatch(r"\[(.*)\]", raw)
-    if not m:
-        raise InvalidArgumentError(f"parameter {key!r} of {spec!r} must look like [a,b,...]")
-    try:
-        return [float(x) for x in m.group(1).split(",") if x.strip()]
-    except ValueError:
-        raise InvalidArgumentError(f"parameter {key!r} of {spec!r} has non-numeric entries")
+def _real_list(text: str) -> list[float]:
+    """'[a,b,...]': a non-empty list of finite reals."""
+    m = re.fullmatch(r"\[(.*)\]", text)
+    if not m or not m.group(1).strip():
+        raise ValueError("must look like [a,b,...], with at least one entry")
+    return [_real(x) for x in m.group(1).split(",")]
 
 
 def _const_kernel(grid: TimeGrid, dim: int, c: float, symmetric: bool = False) -> MatrixKernel:
@@ -684,52 +664,57 @@ def _lower_exp_kernel(grid: TimeGrid, rates: np.ndarray) -> MatrixKernel:
     return MatrixKernel(grid, d, vals.reshape(n * d, n * d), factored=LowerExp(rates))
 
 
+class _Zoo(NamedTuple):
+    build: Callable       # (grid, dim, **parameters) -> MatrixKernel
+    params: dict = {}     # parameter -> (text parser, default); default None: required
+    scalar: bool = False  # d = 1 only
+
+
+_REAL = (_real, None)  # a required real parameter
+# one row per kernel name; see KERNEL_GRAMMAR
+_ZOO = {
+    "zero": _Zoo(lambda grid, dim: MatrixKernel(grid, dim, np.zeros((grid.n_steps * dim,) * 2),
+                                                 symmetric=True)),
+    "volterra": _Zoo(lambda grid, dim: _lower_exp_kernel(grid, np.zeros(dim))),
+    "rank1": _Zoo(lambda grid, dim, b, n: _rank_kernel(grid, [(b, n, n)], symmetric=True),
+                  {"b": _REAL, "n": (_integer, 1)}, scalar=True),
+    "rank2": _Zoo(lambda grid, dim, b, c, member: remark_pair(grid, b, c)[member - 1],
+                  {"b": _REAL, "c": _REAL, "member": (lambda text: _integer(text, high=2), 1)},
+                  scalar=True),
+    "remark_gencv": _Zoo(lambda grid, dim, b1, b2: _rank_kernel(
+        grid, [(b1, 1, 1), (b2, 2, 2)], symmetric=True), {"b1": _REAL, "b2": _REAL}, scalar=True),
+    "expdiag": _Zoo(lambda grid, dim, p: _lower_exp_kernel(grid, np.array(p)),
+                    {"p": (_real_list, None)}),
+    "const": _Zoo(lambda grid, dim, c: _const_kernel(grid, dim, c, symmetric=True), {"c": _REAL}),
+    "const_phi": _Zoo(lambda grid, dim, c: kappa_from_phi(_const_kernel(grid, dim, c)),
+                      {"c": _REAL}),
+}
+
+
 def kernel_zoo(spec: str, grid: TimeGrid, dim: int = 1) -> MatrixKernel:
-    """Construct a named kernel at the grid nodes.  See KERNEL_GRAMMAR."""
+    """Construct a named kernel at the grid nodes.  See KERNEL_GRAMMAR.
+
+    Each parameter of the spec is read by its row's parser, and an unknown
+    one is rejected, before the kernel is built."""
     name, params = parse_kernel_spec(spec)
     if int(dim) != dim or dim < 1:
         raise InvalidArgumentError(f"dim must be an integer >= 1, got {dim}")
-
-    if name == "zero":
-        nd = grid.n_steps * dim
-        kernel = MatrixKernel(grid, dim, np.zeros((nd, nd)), symmetric=True)
-    elif name == "volterra":
-        kernel = _lower_exp_kernel(grid, np.zeros(dim))
-    elif name == "rank1":
-        if dim != 1:
-            raise InvalidArgumentError("rank1 kernels are scalar; pass dim=1")
-        b = _real(params, "b", spec)
-        mode = _integer(params, "n", spec, default=1)
-        kernel = _rank_kernel(grid, [(b, mode, mode)], symmetric=True)
-    elif name == "rank2":
-        if dim != 1:
-            raise InvalidArgumentError("rank2 kernels are scalar; pass dim=1")
-        b = _real(params, "b", spec)
-        c = _real(params, "c", spec)
-        member = _integer(params, "member", spec, default=1)
-        if member not in (1, 2):
-            raise InvalidArgumentError(f"rank2 member must be 1 or 2, got {member}")
-        kernel = remark_pair(grid, b, c)[member - 1]
-    elif name == "remark_gencv":
-        if dim != 1:
-            raise InvalidArgumentError("remark_gencv kernels are scalar; pass dim=1")
-        b1 = _real(params, "b1", spec)
-        b2 = _real(params, "b2", spec)
-        kernel = _rank_kernel(grid, [(b1, 1, 1), (b2, 2, 2)], symmetric=True)
-    elif name == "expdiag":
-        p = _real_list(params, "p", spec)
-        if not p:
-            raise InvalidArgumentError("expdiag needs at least one rate in p=[...]")
-        kernel = _lower_exp_kernel(grid, np.array(p))
-    elif name == "const":
-        kernel = _const_kernel(grid, dim, _real(params, "c", spec), symmetric=True)
-    elif name == "const_phi":
-        kernel = kappa_from_phi(_const_kernel(grid, dim, _real(params, "c", spec)))
-    else:
+    if name not in _ZOO:
         raise InvalidArgumentError(f"unknown kernel name {name!r}\n{KERNEL_GRAMMAR}")
-
-    if params:
+    row = _ZOO[name]
+    if row.scalar and dim != 1:
+        raise InvalidArgumentError(f"{name} kernels are scalar; pass dim=1")
+    unknown = sorted(set(params) - set(row.params))
+    if unknown:
         raise InvalidArgumentError(
-            f"unknown parameters {sorted(params)} for kernel {name!r}\n{KERNEL_GRAMMAR}"
-        )
-    return kernel
+            f"unknown parameters {unknown} for kernel {name!r}\n{KERNEL_GRAMMAR}")
+    values = {}
+    for key, (parse, default) in row.params.items():
+        if key not in params and default is None:
+            raise InvalidArgumentError(
+                f"kernel spec {spec!r} misses parameter {key!r}\n{KERNEL_GRAMMAR}")
+        try:
+            values[key] = parse(params[key]) if key in params else default
+        except ValueError as exc:
+            raise InvalidArgumentError(f"parameter {key!r} of {spec!r} {exc}") from None
+    return row.build(grid, dim, **values)

@@ -10,7 +10,7 @@ the scenario's own kernel is zero, both sides are the same statistic of one
 batch, so the right-hand side reads the left-hand stream and z = 0 exactly.
 
 Sides as data.  A transformation of order one turns its change of variables
-into a quadratic-form exponent, so every Wiener-space side below is a
+into a quadratic-form exponent, so every side below, finite_dim's too, is a
 `Side`: e^{log_scale} E[f(w') e^{c q(w)}], w' the image of the path w under
 the transformation of a kernel (w itself without one) and q a per-path
 exponent (none: 1).  `Scenario.estimate` is the one Monte Carlo driver: it
@@ -18,7 +18,7 @@ evaluates each distinct image and each distinct exponent once per chunk, so
 a lambda family evaluates q once and each row reads c q, and a side with no
 exponent under a constant f is exact.  `Scenario.identity` runs the two
 sides of rows of (report, lhs, rhs), one pass each, and decides the reports.
-finite_dim draws its N(0, I_n) vectors from the same sampler: n unit steps.
+finite_dim is a Scenario of A on n unit steps.
 
 Identities covered (f ranges over the bounded functional family):
 
@@ -126,6 +126,9 @@ WORKERS = max(1, min(_usable_cores(), _IN_FLIGHT_ELEMENTS // CHUNK_ELEMENTS))
 
 _STREAM_LHS, _STREAM_RHS, _STREAM_PROBE, _STREAM_RN = 0, 1, 2, 3
 
+# a side past the float range is inf or nan and fails its comparison, unwarned
+_PAST_RANGE = dict(over="ignore", invalid="ignore")
+
 
 # ---------------------------------------------------------------------------
 # estimates, comparisons, reports
@@ -199,16 +202,17 @@ def _moments(vals: np.ndarray) -> tuple:
 
 
 def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
-              per_path, scale=1.0, ci_valid=True) -> MCEstimate | list[MCEstimate]:
+              per_path, scale=1.0, ci_valid=True) -> list[MCEstimate]:
     """Draw the chunks of n_paths Wiener paths (chunk idx from the Philox
     stream (seed, stream_id, idx)), map per_path over them on the pool and
     merge their moments in chunk order by the pairwise update of Chan, Golub
     and LeVeque.  The next chunk reuses the draw buffer, so per_path must not
     keep its batch past its return.
 
-    per_path gives one value per path, merged into one MCEstimate, or a
-    (rows, paths) array, merged row by row into a list of MCEstimates, one
-    per row; scale and ci_valid then hold one entry per row (or one for all)."""
+    per_path gives a (rows, paths) array, merged row by row into a list of
+    MCEstimates, one per row (one value per path: a list of one); scale and
+    ci_valid hold one entry per row (or one for all).  Each chunk runs under
+    `_PAST_RANGE`: a value past the float range stays inf or nan, unwarned."""
     elements = grid.n_steps * dim
     sizes = _chunk_sizes(n_paths, elements)
     # one draw buffer per thread, allocated here and reused by every chunk:
@@ -221,8 +225,10 @@ def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
     def run(idx):
         buf = free.get()
         try:
-            batch = st.sample_paths(grid, dim, sizes[idx], seed, stream=(stream_id, idx), out=buf)
-            return _moments(np.asarray(per_path(batch), dtype=float))
+            with np.errstate(**_PAST_RANGE):  # per thread: the caller's misses the pool's
+                batch = st.sample_paths(grid, dim, sizes[idx], seed, stream=(stream_id, idx),
+                                        out=buf)
+                return _moments(np.asarray(per_path(batch), dtype=float))
         finally:
             free.put(buf)
 
@@ -246,7 +252,7 @@ def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
                    tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in parts))
         for r in np.ndindex(shape)
     ]
-    return estimates if shape else estimates[0]
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -397,28 +403,31 @@ def _gate(report: ScenarioReport, lam_eta: float) -> str:
 # finite-dimensional warm-up identity
 # ---------------------------------------------------------------------------
 
-_FINITE_DIM_FUNCTIONALS = {"one": lambda x: np.ones(x.shape[0]),
-                           "cos_sum": lambda x: np.cos(x.sum(axis=1))}
+_FINITE_DIM_FUNCTIONALS = {"one": "one", "cos_sum": "cos_end:1"}
 
 
 def resolve_finite_dim(
     matrix, functional="cos_sum", n_samples: int = 200_000, seed: int = 0,
     tol: float = DEFAULT_TOL, name: str | None = None,
-) -> tuple[np.ndarray, Callable, ScenarioReport]:
-    """Check the arguments of `verify_finite_dim` before any work: (the matrix,
-    the functional, the report it fills in).  Raises InvalidArgumentError."""
-    a = np.asarray(matrix, dtype=float)
+) -> Scenario:
+    """Check the arguments of `verify_finite_dim` before any work: the
+    Scenario of the kernel A on n unit steps (Delta = 1), whose transformation
+    is x -> x + Ax, and 'cos_sum' is cos_end:1 read on that image.  Raises
+    InvalidArgumentError."""
+    a = np.array(matrix, dtype=float)  # a copy: the kernel makes it read-only
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InvalidArgumentError(f"matrix must be square and non-empty, got shape {a.shape}")
     _check_size(n_samples, tol)
-    n = a.shape[0]
-    f_name = "<callable>" if callable(functional) else str(functional)
-    f = functional if callable(functional) else _FINITE_DIM_FUNCTIONALS.get(f_name)
-    if f is None:
+    n, f_name = a.shape[0], str(functional)
+    if f_name not in _FINITE_DIM_FUNCTIONALS:
         raise InvalidArgumentError(f"unknown finite-dim functional {functional!r}")
+    # unit steps make a path's increments the Philox N(0, I_n) draws themselves
+    grid = TimeGrid(float(n), n)
     prov = {"matrix_shape": n, "n_samples": n_samples, "seed": seed, "functional": f_name}
-    return a, f, ScenarioReport(name or f"finite_dim[n={n}]", "finite_dim", None, None, None,
-                                None, tol, "undecided", provenance=prov)
+    report = ScenarioReport(name or f"finite_dim[n={n}]", "finite_dim", None, None, None, None,
+                            tol, "undecided", provenance=prov)
+    return Scenario(grid, gk.kernel_from_values(grid, a),
+                    TestFunctional.parse(_FINITE_DIM_FUNCTIONALS[f_name]), n_samples, seed, report)
 
 
 def verify_finite_dim(
@@ -428,35 +437,24 @@ def verify_finite_dim(
     """Gaussian change of variables in R^n for x -> x + Ax with quadratic
     weight exp(<Bx,x>/2), B = -(A + A^T + A^T A), gated on lambda_max(B) < 1
     and guarded like the Wiener-space weights: no CI when 2 lambda_max(B) >= 1."""
-    a, f, report = resolve_finite_dim(matrix, functional, n_samples, seed, tol, name)
-    n = a.shape[0]
+    s = resolve_finite_dim(matrix, functional, n_samples, seed, tol, name)
+    a, report = s.kernel.matrix, s.report
     b = -(a + a.T + a.T @ a)
-    lam = float(np.linalg.eigvalsh(b)[-1])
-    guard = _gate(report, lam)
+    guard = _gate(report, float(np.linalg.eigvalsh(b)[-1]))
     if guard == "reject":
         return _halted(report, "rejected-by-hypothesis")
 
-    sign, logdet = np.linalg.slogdet(np.eye(n) + a)
+    sign, logdet = np.linalg.slogdet(np.eye(a.shape[0]) + a)
     if sign == 0:
         return _halted(report, "singular")
-    det_abs = float(np.exp(logdet))
-    report.spectra = {"det_abs": det_abs}
+    report.spectra = {"det_abs": float(np.exp(logdet))}
 
-    # unit steps make a path's increments the Philox N(0, I_n) draws themselves
-    grid = TimeGrid(float(n), n)
+    def half_bxx(batch):  # <Bx, x> / 2, x the n increments of each path
+        x = batch.increments.reshape(batch.n_paths, -1)
+        return 0.5 * np.einsum("mi,mi->m", x @ b.T, x)
 
-    def lhs_fn(batch):
-        x = batch.increments.reshape(batch.n_paths, n)
-        y = x + x @ a.T
-        quad = 0.5 * np.einsum("mi,mi->m", x @ b.T, x)
-        return f(y) * np.exp(quad)
-
-    def rhs_fn(batch):
-        return f(batch.increments.reshape(batch.n_paths, n))
-
-    rhs_stream = _STREAM_LHS if not np.any(a) else _STREAM_RHS
-    lhs = _mc_paths(grid, 1, n_samples, seed, _STREAM_LHS, lhs_fn, det_abs, guard == "ok")
-    return _identity(report, lhs, _mc_paths(grid, 1, n_samples, seed, rhs_stream, rhs_fn))
+    lhs = Side(logdet, half_bxx, kernel=s.kernel, ci_valid=guard == "ok")
+    return s.identity([(report, lhs, Side())])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +530,7 @@ class Scenario:
         return _Factored(eta, gate, guard, d2,
                          op.inverse_kernel_from(lu, kappa) if inverse else None)
 
+    @np.errstate(**_PAST_RANGE)
     def estimate(self, stream_id: int, sides, f: TestFunctional) -> list[MCEstimate]:
         """The estimate of each side, f read along its image, in one pass over
         the paths of the stream: each distinct image (its node weights built

@@ -51,6 +51,7 @@ and `apply_linear_transformation` remain for pathwise checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,8 +114,6 @@ class PathBatch:
         """W(t_k) per path for k = 0 .. N (k = N gives W(T))."""
         if not 0 <= k <= self.grid.n_steps:
             raise InvalidArgumentError(f"node index {k} outside 0..{self.grid.n_steps}")
-        if k == 0:
-            return np.zeros((self.n_paths, self.dim))
         return self.increments[:, :k].sum(axis=1)
 
 
@@ -266,8 +265,7 @@ def node_weights(kernel: MatrixKernel, k: int, linear: bool = False) -> np.ndarr
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"node index {k} outside 0..{n}")
     u = np.zeros((d, n, d))
-    for a in range(d):
-        u[a, :k, a] = 1.0
+    u[:, :k] = np.eye(d)[:, None, :]
     v = kernel.apply_adjoint(u)
     if linear:
         tail = np.zeros_like(v)
@@ -358,13 +356,36 @@ def exp_q_moment_guard(eta: MatrixKernel) -> str:
 # bounded test functionals
 # ---------------------------------------------------------------------------
 
+class _Tag(NamedTuple):
+    params: tuple[str, ...]  # the fields its parameters fill, in order
+    at_node: Callable        # (f, w = W(t_k)) -> f per path
+    node: Callable = lambda f, grid: grid.n_steps  # (f, grid) -> k; None: reads no node
+
+
+def _mid_node(f, grid: TimeGrid) -> int:
+    if not 0.0 <= f.tau <= grid.horizon:
+        raise InvalidArgumentError(
+            f"cos_mid reads W(tau) at tau = {f.tau:g}, outside [0, {grid.horizon:g}]")
+    return int(round(f.tau / grid.step))
+
+
+# one row per tag: its parameters, its value at the node it reads and that node
+_TAGS = {
+    "one": _Tag((), lambda f, w: np.ones(w.shape[0]), lambda f, grid: None),
+    "cos_end": _Tag(("a",), lambda f, w: np.cos(f.a * w.sum(axis=1))),
+    "exp_negsq": _Tag((), lambda f, w: np.exp(-np.einsum("md,md->m", w, w))),
+    "cos_mid": _Tag(("a", "tau"), lambda f, w: np.cos(f.a * w[:, 0]), _mid_node),
+}
+
+
 @dataclass(frozen=True)
 class TestFunctional:
     """Small family of bounded continuous path functionals, |f| <= 1.
 
     Tags: 'one', 'cos_end:a' (cos of a times the coordinate sum of W(T)),
     'exp_negsq' (exp(-|W(T)|^2)), 'cos_mid:a,tau' (cos of a times the first
-    coordinate of W(tau), tau in [0, T] snapped to the nearest node).
+    coordinate of W(tau), tau in [0, T] snapped to the nearest node).  Each
+    tag is one row of `_TAGS`; a tag without parameters takes none.
     """
 
     __test__ = False  # not a pytest class
@@ -373,41 +394,32 @@ class TestFunctional:
     a: float = 1.0
     tau: float = 0.0
 
+    def __post_init__(self):
+        if self.tag not in _TAGS:
+            raise InvalidArgumentError(f"unknown functional tag {self.tag!r}")
+
     @classmethod
     def parse(cls, text: str) -> "TestFunctional":
+        """'tag' or 'tag:p1,...', one finite real per parameter of the tag."""
         text = text.strip()
-        name, _, body = text.partition(":")
-        if name == "one":
-            return cls("one")
-        if name == "exp_negsq":
-            return cls("exp_negsq")
-        if name == "cos_end":
-            try:
-                a = float(body)
-            except ValueError:
-                raise InvalidArgumentError(f"cos_end needs a real parameter, got {text!r}")
-            if not np.isfinite(a):
-                raise InvalidArgumentError(f"cos_end needs a finite parameter, got {text!r}")
-            return cls("cos_end", a=a)
-        if name == "cos_mid":
-            parts = body.split(",")
-            try:
-                a, tau = map(float, parts)
-            except ValueError:
-                raise InvalidArgumentError(f"cos_mid needs two reals 'a,tau', got {text!r}")
-            if not (np.isfinite(a) and np.isfinite(tau)):
-                raise InvalidArgumentError(f"cos_mid needs finite 'a,tau', got {text!r}")
-            return cls("cos_mid", a=a, tau=tau)
-        raise InvalidArgumentError(
-            f"unknown functional {text!r}; expected one, cos_end:a, exp_negsq, cos_mid:a,tau"
-        )
+        name, sep, body = text.partition(":")
+        if name not in _TAGS:
+            raise InvalidArgumentError(
+                f"unknown functional {text!r}; expected one, cos_end:a, exp_negsq, cos_mid:a,tau"
+            )
+        params = _TAGS[name].params
+        try:
+            values = [float(v) for v in body.split(",")] if sep else []
+        except ValueError:
+            values = None
+        if values is None or len(values) != len(params) or not np.all(np.isfinite(values)):
+            wanted = f"the finite reals '{','.join(params)}'" if params else "no parameter"
+            raise InvalidArgumentError(f"{name} takes {wanted}, got {text!r}")
+        return cls(name, **dict(zip(params, values)))
 
     def __str__(self) -> str:
-        if self.tag == "cos_end":
-            return f"cos_end:{self.a:g}"
-        if self.tag == "cos_mid":
-            return f"cos_mid:{self.a:g},{self.tau:g}"
-        return self.tag
+        params = ",".join(f"{getattr(self, p):g}" for p in _TAGS[self.tag].params)
+        return f"{self.tag}:{params}" if params else self.tag
 
     @property
     def is_constant_one(self) -> bool:
@@ -417,32 +429,12 @@ class TestFunctional:
         """The node k whose value W(t_k) the functional reads (N for W(T));
         None for 'one', which reads no node.  A cos_mid tau outside [0, T]
         raises InvalidArgumentError."""
-        if self.tag == "one":
-            return None
-        if self.tag in ("cos_end", "exp_negsq"):
-            return grid.n_steps
-        if self.tag == "cos_mid":
-            if not 0.0 <= self.tau <= grid.horizon:
-                raise InvalidArgumentError(
-                    f"cos_mid reads W(tau) at tau = {self.tau:g}, outside [0, {grid.horizon:g}]")
-            return int(round(self.tau / grid.step))
-        raise InvalidArgumentError(f"unknown functional tag {self.tag!r}")
+        return _TAGS[self.tag].node(self, grid)
 
     def at_node(self, w: np.ndarray) -> np.ndarray:
         """f per path from its value w = W(t_k) at `node`, shape (M, d)."""
-        if self.tag == "one":
-            return np.ones(w.shape[0])
-        if self.tag == "cos_end":
-            return np.cos(self.a * w.sum(axis=1))
-        if self.tag == "exp_negsq":
-            return np.exp(-np.einsum("md,md->m", w, w))
-        if self.tag == "cos_mid":
-            return np.cos(self.a * w[:, 0])
-        raise InvalidArgumentError(f"unknown functional tag {self.tag!r}")
+        return _TAGS[self.tag].at_node(self, w)
 
     def evaluate(self, batch: PathBatch) -> np.ndarray:
-        k = self.node(batch.grid)
-        if k is None:
-            return np.ones(batch.n_paths)
-        return self.at_node(batch.value_at_node(k))
-
+        k = self.node(batch.grid)  # None for 'one', whose value reads no entry of w
+        return self.at_node(batch.value_at_node(0 if k is None else k))

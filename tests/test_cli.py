@@ -598,6 +598,49 @@ def test_verify_and_one_scenario_config_agree(tmp_path, kind, flags):
     assert got[0] == got[1]
 
 
+PAST_THE_FLOAT_RANGE = """
+[run]
+n_steps = 64
+samples = 2000
+seed = 1
+
+[scenario big]
+verify = transf
+kernel = rank1:b=-800
+"""
+
+
+@pytest.mark.parametrize("chunk_elements", [scenarios.CHUNK_ELEMENTS, 64 * 300],
+                         ids=["one_chunk", "seven_chunks"])
+def test_past_the_float_range_writes_strict_json(tmp_path, capsys, monkeypatch, chunk_elements):
+    # e^q of each path and the right-hand scale e^{||kappa||^2/2} overflow: the
+    # report held NaN and Infinity, and numpy warned on stderr, in the pool's
+    # threads as in the caller's
+    monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", chunk_elements)
+    monkeypatch.setattr(scenarios, "WORKERS", 2)
+    cfg = _write_config(tmp_path, PAST_THE_FLOAT_RANGE)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "Warning" not in capsys.readouterr().err
+
+    def reject(constant):
+        raise ValueError(f"reports.json holds {constant}")
+    (report,) = json.loads((tmp_path / "reports.json").read_text(), parse_constant=reject)
+    assert report["verdict"] == "fail"
+    assert report["lhs"]["mean"] is None and report["rhs"]["mean"] is None
+    assert report["spectra"]["det2_log_modulus"] > 800
+
+
+@pytest.mark.parametrize("functional", ["exp_negsq:5", "one:3"])
+def test_parameter_of_a_parameterless_functional_is_a_usage_error(tmp_path, capsys, functional):
+    # both ran as the bare tag, and the provenance dropped the parameter
+    assert main(["verify", "transf", "--kernel", "rank1:b=0.3", "--functional", functional,
+                 "--paths", "200", "--grid", "32"]) == EXIT_USAGE
+    cfg = _write_config(tmp_path, MINIMAL.replace("cos_end:1.0", functional))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("takes no parameter") == 2 and "Traceback" not in err
+
+
 def test_verify_defaults_to_functional_one(tmp_path):
     # verify used cos_end:1.0 for transf, inverse, cameron_martin and gencv
     main(["verify", "gencv", "--grid", "16", "--paths", "200", "--out", str(tmp_path)])

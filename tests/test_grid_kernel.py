@@ -7,6 +7,7 @@ import pytest
 
 from orderone import (
     InvalidArgumentError,
+    grid_kernel,
     inverse_kernel,
     kappa_s,
     kernel_from_matrix,
@@ -326,9 +327,36 @@ def test_zoo_remark12_alias(grid):
 
 
 def test_zoo_rejects_unknown_and_malformed(grid):
-    for bad in ["nope", "rank1", "rank1:q=3", "rank1:b=x", "expdiag:p=3", "rank2:b=1,c=1,member=7"]:
-        with pytest.raises(InvalidArgumentError):
-            kernel_zoo(bad, grid)
+    # each message names the offending kernel name or parameter
+    for bad, dim, named in [
+        ("nope", 1, "'nope'"), ("rank1", 1, "'b'"), ("rank1:q=3", 1, "'q'"),
+        ("rank1:b=x", 1, "'b'"), ("expdiag:p=3", 1, "'p'"),
+        ("rank2:b=1,c=1,member=7", 1, "'member'"), ("rank1:b=0.3", 2, "rank1"),
+        ("expdiag:p=[]", 1, "'p'"), ("remark_gencv:b1=1", 1, "'b2'"),
+    ]:
+        with pytest.raises(InvalidArgumentError) as exc:
+            kernel_zoo(bad, grid, dim)
+        assert named in str(exc.value), bad
+
+
+# a spec of each zoo row; expdiag takes its dimension from its rates
+ZOO_EXAMPLES = {
+    "zero": "zero", "volterra": "volterra", "rank1": "rank1:b=0.3,n=2",
+    "rank2": "rank2:b=0.2,c=0.3,member=2", "remark_gencv": "remark_gencv:b1=-2,b2=-3",
+    "expdiag": "expdiag:p=[{rates}]", "const": "const:c=1", "const_phi": "const_phi:c=0.5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(grid_kernel._ZOO))
+def test_every_zoo_row_builds(grid, name):
+    # at d = 1, and at d = 2 unless the row is scalar, which rejects it
+    scalar = grid_kernel._ZOO[name].scalar
+    for dim in (1,) if scalar else (1, 2):
+        k = kernel_zoo(ZOO_EXAMPLES[name].format(rates=",".join(["0.5"] * dim)), grid, dim)
+        assert k.dim == dim and k.grid == grid
+    if scalar:
+        with pytest.raises(InvalidArgumentError, match=f"{name} kernels are scalar"):
+            kernel_zoo(ZOO_EXAMPLES[name], grid, 2)
 
 
 def test_orthonormal_family_within_quadrature_tolerance():

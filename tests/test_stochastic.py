@@ -370,7 +370,9 @@ def test_functional_family_bounded(grid):
 def test_functional_parse_errors():
     for bad in ("nope", "cos_end:x", "cos_mid:1.0", "cos_mid:x,0.5", "cos_mid:1,2,3",
                 "cos_end:nan", "cos_end:inf", "cos_end:-inf", "cos_mid:nan,0.5",
-                "cos_mid:1,nan", "cos_mid:inf,0.5", "cos_mid:1,-inf"):
+                "cos_mid:1,nan", "cos_mid:inf,0.5", "cos_mid:1,-inf",
+                # a tag without parameters takes none
+                "exp_negsq:5", "one:3", "one:"):
         with pytest.raises(InvalidArgumentError):
             TestFunctional.parse(bad)
 
