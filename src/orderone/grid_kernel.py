@@ -41,12 +41,13 @@ eta or s kernel of rank at most 2r; the tail integral acts on R alone).  The
 operator layer builds the inverse, square-root and inverse-square-root kernels
 of a LowRank kernel as LowRank kernels (`kernel_from_form`).  Every other
 constructor, and every kernel the operator layer builds from a dense one,
-carries none.  Construction checks that the form reproduces the matrix to
-FACTOR_TOL of the form's magnitude (its largest entry before cancellation),
-so a route that reads the matrix and one that reads the form always see one
-kernel.  The path layer never inspects the form: `apply` (x -> x K^T),
-`apply_adjoint` (x -> x K) and `diagonal_blocks` hide it, and fall back to the
-stored matrix when there is none.
+carries none.  Construction checks that the form reproduces every entry of
+the matrix to FACTOR_TOL of the form's magnitude (its largest entry before
+cancellation), read through the route the path functionals run: the form's
+`apply_adjoint` of unit rows.  So a route that reads the matrix and one that
+reads the form always see one kernel.  The path layer never inspects the
+form: `apply` (x -> x K^T), `apply_adjoint` (x -> x K) and `diagonal_blocks`
+hide it, and fall back to the stored matrix when there is none.
 
 The rank-k constructors draw their orthonormal family from
 e_n'(t) = sqrt(2/T) cos((n - 1/2) pi t / T), re-orthonormalized in the
@@ -57,7 +58,8 @@ determinants) hold to machine precision on the grid.
 
 The zoo.  `kernel_zoo` reads one row of `_ZOO` per name: its builder, its
 parameters (each with a text parser that checks its range, and a default, or
-none when it is required) and whether the kernel is scalar (d = 1 only).
+none when it is required) and the dimension d its parameters fix, if any:
+1 for the scalar kernels, len(p) for expdiag.
 """
 
 from __future__ import annotations
@@ -163,11 +165,6 @@ class LowRank:
         lc = self.left.reshape(n, dim, r) @ self.core
         return np.einsum("iak,ibk->iab", lc, self.right.reshape(n, dim, r))
 
-    def rows(self, grid: TimeGrid, dim: int, i) -> np.ndarray:
-        """The matrix rows (i, a) of the nodes i, shape (len(i) d, N d)."""
-        r = self.core.shape[0]
-        return self.left.reshape(-1, dim, r)[i].reshape(-1, r) @ self.core @ self.right.T
-
     def magnitude(self, grid: TimeGrid) -> float:
         """Bound on |L| |C| |R|^T: the size of the terms before any cancellation."""
         return float(np.max(np.abs(self.left), axis=0) @ np.abs(self.core)
@@ -204,26 +201,10 @@ class LowerExp:
     def diagonal_blocks(self, grid: TimeGrid, dim: int) -> np.ndarray:
         return np.zeros((grid.n_steps, dim, dim))
 
-    def rows(self, grid: TimeGrid, dim: int, i) -> np.ndarray:
-        n = grid.n_steps
-        lag = np.subtract.outer(i, np.arange(n))
-        if self.transposed:
-            lag = -lag
-        lag = np.maximum(lag, 0)  # lag 0 stands for every entry off the strict triangle
-        out = np.zeros((len(i), dim, n, dim))
-        for a, table in enumerate(self._lag_tables(grid)):
-            out[:, a, :, a] = table[lag]
-        return out.reshape(len(i) * dim, n * dim)
-
-    def _lag_tables(self, grid: TimeGrid) -> np.ndarray:
-        """scale e^{k step p} for lags k = 0 .. N-1, one row per rate; lag 0 is 0."""
-        k = np.arange(grid.n_steps) * grid.step
-        tables = self.scale * np.exp(np.multiply.outer(self.rates, k))
-        tables[:, 0] = 0.0
-        return tables
-
     def magnitude(self, grid: TimeGrid) -> float:
-        return float(np.max(np.abs(self._lag_tables(grid))))
+        """|scale| max e^{k step p}: the largest entry, at lag k = 1 or N - 1."""
+        k = np.array([1, grid.n_steps - 1]) * grid.step
+        return abs(self.scale) * float(np.max(np.exp(np.multiply.outer(self.rates, k))))
 
     def scaled(self, factor: float) -> "LowerExp":
         return LowerExp(self.rates, self.scale * factor, self.transposed)
@@ -281,7 +262,9 @@ class MatrixKernel:
     matrix, with an optional factored form of the same matrix (see the module
     docstring).  `values` is given as that matrix or as (N, N, d, d) blocks
     values[i, j] = kappa(t_i, t_j), converted once; it reads back as the
-    read-only (N, N, d, d) view of `matrix`."""
+    read-only (N, N, d, d) view of `matrix`.  It owns the array it is given
+    and makes it read-only: its callers pass temporaries, where a copy would
+    add an (N d)^2 transient; `kernel_from_values` copies a caller's array."""
 
     grid: TimeGrid
     dim: int
@@ -318,9 +301,10 @@ class MatrixKernel:
             self._check_factored()
 
     def _check_factored(self):
-        """The form must fit the kernel and reproduce its matrix, compared in
-        the row blocks of about _CHECK_ELEMENTS entries of consecutive nodes,
-        so that the check stays in cache."""
+        """The form must fit the kernel and reproduce every entry of its
+        matrix along the route of the path functionals: each row slab of
+        about _CHECK_ELEMENTS entries is the form's `apply` (adjoint) of the
+        matching unit rows, so that the check stays in cache."""
         n, d, form = self.grid.n_steps, self.dim, self.factored
         nd = n * d
         if isinstance(form, LowRank):
@@ -339,11 +323,12 @@ class MatrixKernel:
         for factor in factors:
             factor.setflags(write=False)
         scale = form.magnitude(self.grid)
-        step = max(1, _CHECK_ELEMENTS // (nd * d))
+        step = max(1, _CHECK_ELEMENTS // nd)
         err = 0.0
-        for i0 in range(0, n, step):
-            i = np.arange(i0, min(i0 + step, n))
-            diff = form.rows(self.grid, d, i) - self.matrix[i0 * d:(i0 + len(i)) * d]
+        for r0 in range(0, nd, step):
+            rows = self.matrix[r0:r0 + step]  # e_r K, for the unit rows e_r
+            unit = np.eye(len(rows), nd, k=r0).reshape(len(rows), n, d)
+            diff = form.apply(unit, self.grid, adjoint=True).reshape(rows.shape) - rows
             err = max(err, float(np.max(np.abs(diff, out=diff))))
         if not err <= FACTOR_TOL * scale:
             raise InvalidArgumentError(
@@ -373,9 +358,10 @@ class MatrixKernel:
 
 
 def kernel_from_values(grid: TimeGrid, values: np.ndarray, symmetric: bool = False) -> MatrixKernel:
-    """Build a kernel from tabulated values; scalar (N, N) arrays, the matrix
-    of a d = 1 kernel, become d = 1."""
-    values = np.asarray(values, dtype=float)
+    """Build a kernel from a copy of tabulated values, so the caller's array
+    stays its own; scalar (N, N) arrays, the matrix of a d = 1 kernel, become
+    d = 1."""
+    values = np.array(values, dtype=float)
     if values.ndim == 2:
         return MatrixKernel(grid, 1, values, symmetric)
     if values.ndim != 4 or values.shape[2] != values.shape[3]:
@@ -667,43 +653,43 @@ def _lower_exp_kernel(grid: TimeGrid, rates: np.ndarray) -> MatrixKernel:
 class _Zoo(NamedTuple):
     build: Callable       # (grid, dim, **parameters) -> MatrixKernel
     params: dict = {}     # parameter -> (text parser, default); default None: required
-    scalar: bool = False  # d = 1 only
+    dim: Callable | None = None  # (**parameters) -> the d they fix; None: any d
 
 
 _REAL = (_real, None)  # a required real parameter
+_SCALAR = lambda **_: 1  # the dim column of a scalar kernel: d = 1 only
 # one row per kernel name; see KERNEL_GRAMMAR
 _ZOO = {
     "zero": _Zoo(lambda grid, dim: MatrixKernel(grid, dim, np.zeros((grid.n_steps * dim,) * 2),
                                                  symmetric=True)),
     "volterra": _Zoo(lambda grid, dim: _lower_exp_kernel(grid, np.zeros(dim))),
     "rank1": _Zoo(lambda grid, dim, b, n: _rank_kernel(grid, [(b, n, n)], symmetric=True),
-                  {"b": _REAL, "n": (_integer, 1)}, scalar=True),
+                  {"b": _REAL, "n": (_integer, 1)}, _SCALAR),
     "rank2": _Zoo(lambda grid, dim, b, c, member: remark_pair(grid, b, c)[member - 1],
                   {"b": _REAL, "c": _REAL, "member": (lambda text: _integer(text, high=2), 1)},
-                  scalar=True),
+                  _SCALAR),
     "remark_gencv": _Zoo(lambda grid, dim, b1, b2: _rank_kernel(
-        grid, [(b1, 1, 1), (b2, 2, 2)], symmetric=True), {"b1": _REAL, "b2": _REAL}, scalar=True),
+        grid, [(b1, 1, 1), (b2, 2, 2)], symmetric=True), {"b1": _REAL, "b2": _REAL}, _SCALAR),
     "expdiag": _Zoo(lambda grid, dim, p: _lower_exp_kernel(grid, np.array(p)),
-                    {"p": (_real_list, None)}),
+                    {"p": (_real_list, None)}, lambda p: len(p)),
     "const": _Zoo(lambda grid, dim, c: _const_kernel(grid, dim, c, symmetric=True), {"c": _REAL}),
     "const_phi": _Zoo(lambda grid, dim, c: kappa_from_phi(_const_kernel(grid, dim, c)),
                       {"c": _REAL}),
 }
 
 
-def kernel_zoo(spec: str, grid: TimeGrid, dim: int = 1) -> MatrixKernel:
+def kernel_zoo(spec: str, grid: TimeGrid, dim: int | None = None) -> MatrixKernel:
     """Construct a named kernel at the grid nodes.  See KERNEL_GRAMMAR.
 
     Each parameter of the spec is read by its row's parser, and an unknown
-    one is rejected, before the kernel is built."""
+    one is rejected, before the kernel is built.  dim None is the d the spec
+    fixes (len(p) for expdiag, else 1); another d than it fixes is rejected."""
     name, params = parse_kernel_spec(spec)
-    if int(dim) != dim or dim < 1:
+    if dim is not None and (int(dim) != dim or dim < 1):
         raise InvalidArgumentError(f"dim must be an integer >= 1, got {dim}")
     if name not in _ZOO:
         raise InvalidArgumentError(f"unknown kernel name {name!r}\n{KERNEL_GRAMMAR}")
     row = _ZOO[name]
-    if row.scalar and dim != 1:
-        raise InvalidArgumentError(f"{name} kernels are scalar; pass dim=1")
     unknown = sorted(set(params) - set(row.params))
     if unknown:
         raise InvalidArgumentError(
@@ -717,4 +703,9 @@ def kernel_zoo(spec: str, grid: TimeGrid, dim: int = 1) -> MatrixKernel:
             values[key] = parse(params[key]) if key in params else default
         except ValueError as exc:
             raise InvalidArgumentError(f"parameter {key!r} of {spec!r} {exc}") from None
+    fixed = None if row.dim is None else row.dim(**values)
+    if dim is None:
+        dim = fixed or 1
+    elif fixed is not None and dim != fixed:
+        raise InvalidArgumentError(f"kernel {spec!r} has d = {fixed}, but dim={dim} was given")
     return row.build(grid, dim, **values)

@@ -74,8 +74,10 @@ const_phi, dense for volterra and expdiag):
                              LU I+B_kphi: det2                        slogdet of I+B_kphi
                                                                     trace_formula: tail
                                                                       sums of phi
-    gencv           LowRank  eigvalsh B_s; gate and det2 read from  closed forms of
-                               the inner transf's eigvalsh and LU     lambda_s, lambda_eta, det2
+    gencv           LowRank  eigvalsh B_s; its own prologue:        closed forms of
+                               eigvalsh B_eta, LU I+B_k: det2         lambda_s, lambda_eta, det2
+    finite_dim      dense    eigvalsh B_eta(A) on unit steps: gate  (identity only)
+                             LU I+A: det2, |det| = |det2| e^{tr A}
     integrability   kernel   eigvalsh B_eta: gate, guard            closed-form bound, oracle
 
 No factorisation outlives the verification that made it: a dense one is as

@@ -18,7 +18,9 @@ evaluates each distinct image and each distinct exponent once per chunk, so
 a lambda family evaluates q once and each row reads c q, and a side with no
 exponent under a constant f is exact.  `Scenario.identity` runs the two
 sides of rows of (report, lhs, rhs), one pass each, and decides the reports.
-finite_dim is a Scenario of A on n unit steps.
+Five kinds start at `Scenario.factor`, the gate and det2 prologue: transf,
+inverse, cameron_martin, gencv and finite_dim (A on n unit steps, where
+eta(A) is B).  `_gate` writes every gate and halts the reports it rejects.
 
 Identities covered (f ranges over the bounded functional family):
 
@@ -246,13 +248,12 @@ def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
     scale = np.broadcast_to(scale, shape)
     # fewer than two samples have no spread to estimate, so no confidence interval
     ci_valid = np.broadcast_to(np.logical_and(ci_valid, count > 1), shape)
-    estimates = [
+    return [
         MCEstimate(float(scale[r] * (mean[r] + corr[r])),
                    float(scale[r] * se[r]) if ci_valid[r] else None, count, bool(ci_valid[r]),
                    tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in parts))
         for r in np.ndindex(shape)
     ]
-    return estimates
 
 
 @dataclass(frozen=True)
@@ -367,23 +368,6 @@ def _finish(report: ScenarioReport) -> ScenarioReport:
     return report
 
 
-def _halted(report: ScenarioReport, verdict: str) -> ScenarioReport:
-    """The report of a scenario stopped before its Monte Carlo: verdict
-    'rejected-by-hypothesis' at its gate, 'singular' at a vanishing det2."""
-    report.verdict = verdict
-    return report
-
-
-def _identity(report: ScenarioReport, lhs: MCEstimate, rhs: MCEstimate) -> ScenarioReport:
-    """Compare the two sides of the identity as the report's 'identity' check,
-    then decide the verdict."""
-    report.lhs, report.rhs = lhs, rhs
-    report.z_score, report.rel_error, ok = _compare(lhs, rhs, report.tolerance)
-    report.checks["identity"] = Check(report.rel_error, 0.0, report.tolerance, ok,
-                                      "main comparison")
-    return _finish(report)
-
-
 def _check_size(n_paths: int, tol: float) -> None:
     """The Monte Carlo size and the tolerance of every scenario."""
     if n_paths < 1:
@@ -392,10 +376,14 @@ def _check_size(n_paths: int, tol: float) -> None:
         raise InvalidArgumentError(f"tolerance must be a finite real > 0, got {tol}")
 
 
-def _gate(report: ScenarioReport, lam_eta: float) -> str:
-    """The moment guard of a gate eigenvalue, recorded with it in the report."""
+def _gate(report: ScenarioReport, lam_eta: float) -> str | None:
+    """The moment guard of a gate eigenvalue, recorded with it in the report;
+    None, the report halted at 'rejected-by-hypothesis', when it rejects."""
     guard = st.moment_guard(lam_eta)
     report.gate = {"lambda_eta": float(lam_eta), "guard": guard}
+    if guard == "reject":
+        report.verdict = "rejected-by-hypothesis"
+        return None
     return guard
 
 
@@ -414,7 +402,7 @@ def resolve_finite_dim(
     Scenario of the kernel A on n unit steps (Delta = 1), whose transformation
     is x -> x + Ax, and 'cos_sum' is cos_end:1 read on that image.  Raises
     InvalidArgumentError."""
-    a = np.array(matrix, dtype=float)  # a copy: the kernel makes it read-only
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InvalidArgumentError(f"matrix must be square and non-empty, got shape {a.shape}")
     _check_size(n_samples, tol)
@@ -438,23 +426,19 @@ def verify_finite_dim(
     weight exp(<Bx,x>/2), B = -(A + A^T + A^T A), gated on lambda_max(B) < 1
     and guarded like the Wiener-space weights: no CI when 2 lambda_max(B) >= 1."""
     s = resolve_finite_dim(matrix, functional, n_samples, seed, tol, name)
-    a, report = s.kernel.matrix, s.report
-    b = -(a + a.T + a.T @ a)
-    guard = _gate(report, float(np.linalg.eigvalsh(b)[-1]))
-    if guard == "reject":
-        return _halted(report, "rejected-by-hypothesis")
-
-    sign, logdet = np.linalg.slogdet(np.eye(a.shape[0]) + a)
-    if sign == 0:
-        return _halted(report, "singular")
-    report.spectra = {"det_abs": float(np.exp(logdet))}
+    p = s.factor(s.kernel)
+    if p is None:
+        return s.report
+    # on unit steps B is eta(A), and |det(I + A)| = |det2(I + A)| e^{tr A}
+    b, logdet = p.eta.matrix, p.det2.log_modulus + s.report.spectra["trace"]
+    s.report.spectra["det_abs"] = float(np.exp(logdet))
 
     def half_bxx(batch):  # <Bx, x> / 2, x the n increments of each path
         x = batch.increments.reshape(batch.n_paths, -1)
         return 0.5 * np.einsum("mi,mi->m", x @ b.T, x)
 
-    lhs = Side(logdet, half_bxx, kernel=s.kernel, ci_valid=guard == "ok")
-    return s.identity([(report, lhs, Side())])[0]
+    lhs = Side(logdet, half_bxx, kernel=s.kernel, ci_valid=p.guard == "ok")
+    return s.identity([(s.report, lhs, Side())])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +484,16 @@ class Scenario:
     report: ScenarioReport
 
     def factor(self, kappa: MatrixKernel, inverse: bool = False) -> _Factored | None:
-        """The prologue of transf, inverse and cameron_martin: the eta kernel of
-        kappa, the gate spectrum of B_eta (one eigensolve) and its guard, then
-        one LU of I + B_kappa for det2 and, when inverse, the inverse kernel;
-        gate and spectra go into the report.  None when the scenario halts,
-        its verdict then 'rejected-by-hypothesis' at the gate or 'singular'
-        at a vanishing det2."""
+        """The prologue of transf, inverse, cameron_martin, gencv and finite_dim:
+        the eta kernel of kappa, the gate spectrum of B_eta (one eigensolve)
+        and its guard, then one LU of I + B_kappa for det2 and, when inverse,
+        the inverse kernel; gate and spectra go into the report.  None when
+        the scenario halts, its verdict then 'rejected-by-hypothesis' at the
+        gate or 'singular' at a vanishing det2."""
         eta = gk.eta_of_kappa(kappa)
         gate = op.spectrum(eta)
         guard = _gate(self.report, gate.lambda_max)
-        if guard == "reject":
-            _halted(self.report, "rejected-by-hypothesis")
+        if guard is None:
             return None
         lu = op.factor_identity_plus(kappa)
         d2 = lu.det2
@@ -524,7 +507,7 @@ class Scenario:
             "lambda_eta": gate.lambda_max,
         }
         if d2.singular:
-            _halted(self.report, "singular")
+            self.report.verdict = "singular"
             return None
         # the LU is as large as the operator, so only what is read from it is kept
         return _Factored(eta, gate, guard, d2,
@@ -560,13 +543,19 @@ class Scenario:
     def identity(self, rows) -> list[ScenarioReport]:
         """Estimate the left-hand sides of rows of (report, lhs, rhs) in one
         pass and their right-hand sides in another, then compare each row's two
-        sides and decide its report."""
+        sides as its report's 'identity' check and decide the report."""
         reports, lhs, rhs = zip(*rows)
         # a zero scenario kernel degenerates both sides to the same statistic
         # of one batch; sharing the stream then makes the discrepancy exactly zero
         stream = _STREAM_RHS if np.any(self.kernel.matrix) else _STREAM_LHS
-        return [_identity(*row) for row in zip(reports, self.estimate(_STREAM_LHS, lhs, self.f),
-                                               self.estimate(stream, rhs, self.f))]
+        for report, left, right in zip(reports, self.estimate(_STREAM_LHS, lhs, self.f),
+                                       self.estimate(stream, rhs, self.f)):
+            report.lhs, report.rhs = left, right
+            report.z_score, report.rel_error, ok = _compare(left, right, report.tolerance)
+            report.checks["identity"] = Check(report.rel_error, 0.0, report.tolerance, ok,
+                                              "main comparison")
+            _finish(report)
+        return list(reports)
 
 
 def resolve_scenario(
@@ -628,12 +617,17 @@ def verify_transf(
     """Forward identity: transformed-and-weighted expectation against the
     plain one, scaled by |det2| and exp(||kappa||^2 / 2)."""
     s = resolve_scenario("transf", kernel, functional, grid, dim, n_paths, seed, tol, name)
-    kappa, p = s.kernel, s.factor(s.kernel)
+    p = s.factor(s.kernel)
     if p is None:
         return s.report
-    lhs = Side(p.det2.log_modulus, partial(st.quadratic_form, p.eta), kernel=kappa,
+    return s.identity([_transf_row(s, p)])[0]
+
+
+def _transf_row(s: Scenario, p: _Factored) -> tuple:
+    """The forward identity's row (report, lhs, rhs), read from the prologue p."""
+    lhs = Side(p.det2.log_modulus, partial(st.quadratic_form, p.eta), kernel=s.kernel,
                ci_valid=p.guard == "ok")
-    return s.identity([(s.report, lhs, Side(0.5 * gk.kernel_l2_norm(kappa) ** 2))])[0]
+    return s.report, lhs, Side(0.5 * gk.kernel_l2_norm(s.kernel) ** 2)
 
 
 def verify_inverse(
@@ -711,8 +705,7 @@ def surjective_scenario(
         scaled = eig.scaled(c)  # the spectrum of c B_eta
         lam = scaled.lambda_max
         guard = _gate(report, lam)
-        if guard == "reject":
-            _halted(report, "rejected-by-hypothesis")
+        if guard is None:
             continue
         kappa = scaled.sqrt_kernel()
         d2_eta = scaled.det2_complement()  # det2(I - c B_eta) > 0 in the gate regime
@@ -792,8 +785,8 @@ def verify_harmonic(
     neg_c = gk.scale_kernel(gk.c_kernels(kappa_l, x), -1.0)
     eig = op.spectrum(neg_c, vectors=not s.f.is_constant_one)
     lam_neg = eig.lambda_max  # Lambda(B_{-c}) <= 0 always
-    report.gate = {"lambda_eta": float(lam_neg), "guard": "ok",
-                   "note": "gate kernel is -c(kappa); nonpositive by construction"}
+    _gate(report, lam_neg)
+    report.gate["note"] = "gate kernel is -c(kappa); nonpositive by construction"
     report.checks["lambda_nonpositive"] = _check_bound(
         lam_neg, 0.0, 1e-10, note="Lambda(B_{-c}) <= 0"
     )
@@ -882,31 +875,32 @@ def verify_gencv_example(
     identity still holds where the generic change-of-variables route fails."""
     spec = f"remark_gencv:b1={b1:g},b2={b2:g}"
     s = resolve_scenario("gencv", spec, functional, grid, 1, n_paths, seed, tol, name)
-    kappa, report = s.kernel, s.report
+    report = s.report
 
-    lam_s = op.lambda_max(gk.s_of_kappa(kappa))
-    # the forward identity, whose gate and det2 are this scenario's too
-    inner = verify_transf(kappa, s.f, s.grid, 1, n_paths, seed, tol,
-                          name=report.name + "/transf")
-    report.gate, report.spectra = inner.gate, dict(inner.spectra, lambda_s=lam_s)
-    if inner.verdict in ("rejected-by-hypothesis", "singular"):
+    lam_s = op.lambda_max(gk.s_of_kappa(s.kernel))
+    # the prologue and the row of the forward identity, on this scenario's kernel
+    p = s.factor(s.kernel)
+    report.spectra["lambda_s"] = lam_s
+    if p is None:
         # the gate 1 - (1 + b)^2 of this family reaches 1 exactly where
         # det2 = (1 + b1)(1 + b2) e^{-(b1 + b2)} vanishes
-        return _halted(report, "singular")
+        report.verdict = "singular"
+        return report
 
+    # B_s and B_eta have the eigenvalues -2 b and 1 - (1 + b)^2 on the two
+    # directions of the kernel, and 0 on the other N - 2 grid directions
+    zeros = [0.0] if s.grid.n_steps > 2 else []
     report.checks["lambda_s"] = _check_close(
-        lam_s, -2.0 * min(b1, b2), 1e-6, note="Lambda(B_s) = -2 min(b1, b2)"
+        lam_s, max(zeros + [-2.0 * b1, -2.0 * b2]), 1e-6, note="Lambda(B_s) = -2 min(b1, b2)"
     )
     report.checks["lambda_eta"] = _check_close(
-        inner.gate["lambda_eta"], 1.0 - (1.0 + max(b1, b2)) ** 2, 1e-6,
+        p.gate.lambda_max, max(zeros + [1.0 - (1.0 + b1) ** 2, 1.0 - (1.0 + b2) ** 2]), 1e-6,
         note="Lambda(B_eta) closed form",
     )
-    target_d2 = (1.0 + b1) * (1.0 + b2) * np.exp(-(b1 + b2))
     report.checks["det2_value"] = _check_close(
-        inner.spectra["det2_sign"] * np.exp(inner.spectra["det2_log_modulus"]), target_d2, 1e-6,
-        note="det2 closed form",
+        p.det2.value, (1.0 + b1) * (1.0 + b2) * np.exp(-(b1 + b2)), 1e-6, note="det2 closed form"
     )
-    return _identity(report, inner.lhs, inner.rhs)
+    return s.identity([_transf_row(s, p)])[0]
 
 
 def rank1_exp_q_moment(a: float) -> float:
@@ -935,8 +929,8 @@ def verify_integrability_bound(
 
     lam = op.lambda_max(eta)
     guard = _gate(report, lam)
-    if guard == "reject":
-        return _halted(report, "rejected-by-hypothesis")
+    if guard is None:
+        return report
     hs_norm = gk.kernel_l2_norm(eta)
     bound = integrability_bound(lam, hs_norm)
 

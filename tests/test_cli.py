@@ -390,6 +390,10 @@ def test_verify_subcommand_harmonic(capsys):
     assert "harmonic" in out and "pass" in out
 
 
+def test_expdiag_dim_must_match_its_rates():
+    assert main(["verify", "harmonic", "--kernel", "expdiag:p=[0.5]", "--dim", "2"]) == EXIT_USAGE
+
+
 def test_verify_subcommand_finite_dim():
     code = main([
         "verify", "finite-dim", "--diag", "0.2,-0.1",

@@ -116,7 +116,7 @@ def _perturb_pivots(monkeypatch):
     (lambda g: verify_harmonic("expdiag:p=[0.5,-0.5]", 0.5, [1.0, 0.0], "one", grid=g, dim=2,
                                n_paths=500),
      {"eigvalsh": 1}),
-    # the s-kernel gate, then the inner transf's gate and LU, whose det2 gencv reads
+    # the s-kernel gate, then its own prologue: the eta gate and the LU of det2
     (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500),
      {"eigvalsh": 2, "lu_factor": 1}),
 ], ids=["transf", "inverse", "surjective-one", "surjective-cos", "harmonic-one",

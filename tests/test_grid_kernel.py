@@ -350,13 +350,32 @@ ZOO_EXAMPLES = {
 @pytest.mark.parametrize("name", sorted(grid_kernel._ZOO))
 def test_every_zoo_row_builds(grid, name):
     # at d = 1, and at d = 2 unless the row is scalar, which rejects it
-    scalar = grid_kernel._ZOO[name].scalar
+    scalar = grid_kernel._ZOO[name].dim is grid_kernel._SCALAR
     for dim in (1,) if scalar else (1, 2):
         k = kernel_zoo(ZOO_EXAMPLES[name].format(rates=",".join(["0.5"] * dim)), grid, dim)
         assert k.dim == dim and k.grid == grid
     if scalar:
-        with pytest.raises(InvalidArgumentError, match=f"{name} kernels are scalar"):
+        with pytest.raises(InvalidArgumentError, match="has d = 1, but dim=2 was given"):
             kernel_zoo(ZOO_EXAMPLES[name], grid, 2)
+
+
+def test_zoo_dim_is_the_one_the_spec_fixes(grid):
+    # dim None is the d of the spec; a dim it does not fix is rejected, either way
+    assert kernel_zoo("expdiag:p=[0.5]", grid).dim == 1
+    assert kernel_zoo("expdiag:p=[0.5,-0.5]", grid).dim == 2
+    assert kernel_zoo("volterra", grid).dim == 1 and kernel_zoo("volterra", grid, 3).dim == 3
+    for spec, dim, fixed in (("expdiag:p=[0.5]", 2, 1), ("expdiag:p=[0.5,-0.5]", 1, 2),
+                             ("rank1:b=0.3", 2, 1)):
+        with pytest.raises(InvalidArgumentError, match=f"d = {fixed}, but dim={dim}"):
+            kernel_zoo(spec, grid, dim)
+
+
+def test_kernel_from_values_leaves_the_callers_array_alone():
+    a = np.eye(4)
+    kernel = kernel_from_values(make_grid(1.0, 4), a)
+    assert a.flags.writeable
+    a[0, 0] = 5.0
+    assert kernel.matrix[0, 0] == 1.0
 
 
 def test_orthonormal_family_within_quadrature_tolerance():

@@ -92,6 +92,16 @@ def test_finite_dim_uses_the_shared_moment_guard():
     assert r.passed  # the median consistency verdict at the widened tolerance
 
 
+@pytest.mark.parametrize("matrix", [np.diag([0.2, -0.1]), np.array([[-2.0]])])
+def test_finite_dim_reads_the_shared_prologue(matrix):
+    # gate, det2 and spectra are Scenario.factor's; |det(I+A)| = |det2| e^{tr A}
+    r = verify_finite_dim(matrix, "cos_sum", n_samples=2_000, seed=3)
+    assert list(r.spectra) == ["det2_sign", "det2_log_modulus", "hs_norm", "trace",
+                               "lambda_eta", "det_abs"]
+    npt.assert_allclose(r.spectra["det_abs"], abs(np.linalg.det(np.eye(len(matrix)) + matrix)),
+                        rtol=1e-12)
+
+
 def test_finite_dim_validates_input():
     with pytest.raises(InvalidArgumentError):
         verify_finite_dim(np.zeros((2, 3)))
@@ -374,6 +384,29 @@ def test_gencv_spectral_triple(grid):
     npt.assert_allclose(r.checks["lambda_eta"].value, 0.0, atol=1e-8)
     npt.assert_allclose(r.checks["det2_value"].value, 2.0 * np.exp(5.0), rtol=1e-8)
     assert r.spectra["lambda_s"] > 2.0 and r.spectra["lambda_eta"] < 1.0
+
+
+@pytest.mark.parametrize("b1, b2", [(0.5, -0.5), (0.2, 0.3), (-0.5, -3.0), (-2.0, -3.0)])
+def test_gencv_closed_forms_hold_for_every_b(b1, b2):
+    # each target is the largest of both directions' eigenvalues and of the
+    # zeros on the other N - 2 grid directions, whatever the signs of b
+    r = verify_gencv_example(make_grid(1.0, 64), b1, b2, "cos_end:1.0", 2_000, 5)
+    for check in ("lambda_s", "lambda_eta", "det2_value"):
+        assert r.checks[check].passed, (check, r.checks[check])
+
+
+def test_gencv_closed_forms_on_two_nodes():
+    # N = 2: the two directions of the kernel are the whole grid, with no zeros
+    r = verify_gencv_example(make_grid(1.0, 2), 0.2, 0.3, "cos_end:1.0", 200, 5)
+    npt.assert_allclose([r.checks["lambda_s"].target, r.checks["lambda_eta"].target],
+                        [-0.4, 1.0 - 1.2 ** 2])
+    assert r.checks["lambda_s"].passed and r.checks["lambda_eta"].passed
+
+
+def test_gencv_is_the_transf_row_of_its_own_kernel(grid):
+    g = verify_gencv_example(grid, -2.0, -3.0, "cos_end:1.0", 3_000, 7)
+    t = verify_transf("remark_gencv:b1=-2,b2=-3", "cos_end:1.0", grid, 1, 3_000, 7)
+    assert (g.lhs, g.rhs, g.z_score, g.gate) == (t.lhs, t.rhs, t.z_score, t.gate)
 
 
 def test_gencv_singular_variant(grid):

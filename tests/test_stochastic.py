@@ -37,6 +37,7 @@ from orderone import (
     transformed_node_value,
     wiener_integral,
 )
+from orderone import grid_kernel
 from orderone.grid_kernel import LowerExp, LowRank
 from orderone.operator import spectrum
 
@@ -421,8 +422,7 @@ def _magnitudes(kernel):
     form = kernel.factored
     vals = np.abs(kernel.values)
     if isinstance(form, LowRank):
-        bound = LowRank(np.abs(form.left), np.abs(form.core), np.abs(form.right))
-        vals = bound.rows(kernel.grid, kernel.dim, np.arange(kernel.grid.n_steps))
+        vals = np.abs(form.left) @ np.abs(form.core) @ np.abs(form.right).T
     return MatrixKernel(kernel.grid, kernel.dim, np.ascontiguousarray(vals), kernel.symmetric)
 
 
@@ -525,6 +525,24 @@ def test_factors_that_disagree_with_values_are_rejected(grid):
                   LowerExp(np.zeros(1), scale=2.0), LowerExp(np.zeros(2))):
         with pytest.raises(InvalidArgumentError):
             MatrixKernel(grid, 1, vol.values.copy(), factored=wrong)
+
+
+def test_form_check_reads_the_route_of_the_path_functionals(grid, monkeypatch):
+    # a form is checked through its `apply`, which every path functional runs,
+    # so a slip of 1e-9 there stops the kernel at construction
+    causal_sum, apply = grid_kernel._exp_causal_sum, LowRank.apply
+
+    def off_sum(*args):
+        causal_sum(*args)
+        args[-1][...] *= 1.0 + 1e-9  # out, the last argument
+
+    monkeypatch.setattr(grid_kernel, "_exp_causal_sum", off_sum)
+    for spec, dim in (("volterra", None), ("expdiag:p=[0.5,-0.5]", 2)):
+        with pytest.raises(InvalidArgumentError, match="factored form departs"):
+            kernel_zoo(spec, grid, dim)
+    monkeypatch.setattr(LowRank, "apply", lambda *a, **kw: apply(*a, **kw) * (1.0 + 1e-9))
+    with pytest.raises(InvalidArgumentError, match="factored form departs"):
+        kernel_zoo("rank1:b=0.3", grid)
 
 
 def test_expdiag_large_negative_rate_is_finite():
