@@ -194,9 +194,11 @@ class LowerExp:
         out = np.empty(x.shape)
         if adjoint == self.transposed:  # sum over earlier nodes
             _exp_causal_sum(x, self.rates, grid.step, self.scale, out)
-        else:  # sum over later nodes: the same recursion run backwards in time
-            _exp_causal_sum(x[:, ::-1], self.rates, grid.step, self.scale, out[:, ::-1])
-        return out
+            return out
+        # sum over later nodes: the same recursion run backwards in time, on a
+        # contiguous reversed copy, so that no slab is read at a negative stride
+        _exp_causal_sum(np.ascontiguousarray(x[:, ::-1]), self.rates, grid.step, self.scale, out)
+        return out[:, ::-1]
 
     def diagonal_blocks(self, grid: TimeGrid, dim: int) -> np.ndarray:
         return np.zeros((grid.n_steps, dim, dim))

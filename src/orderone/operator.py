@@ -30,19 +30,22 @@ are needed), and everything asked of I + M is read from one LU
 `kappa_s` are thin readers of these.
 
 The route is chosen by the form of the kernel (see `grid_kernel`).
-For a LowRank kernel, M = Delta L C R^T of rank r, every quantity is an
-r x r or 2r x 2r problem (the matrix determinant lemma and Woodbury's
-identity; Golub and Van Loan, Matrix Computations, 4th ed., 2.1.4); every
-other operator, and every bare matrix, takes the dense route:
+A LowRank kernel, M = Delta L C R^T of rank r, is reduced once, by one
+route (`_reduced`): a thin QR gives M = Q K Q^T with Q orthonormal and K of
+order r (L = R) or 2r (distinct factors), and spec M = spec K with zeros,
+det2(I + M) = det2(I + K) and (I + M)^{-1} - I = Q ((I + K)^{-1} - I) Q^T
+(Golub and Van Loan, Matrix Computations, 4th ed., 5.2 and 2.1.4).  Every
+other operator, and every bare matrix, is its own K, with no Q:
 
     factorisation         LowRank kernel                      dense
     spectrum              thin QR [L R] = Q [R_L R_R], then   eigvalsh/eigh of M
                             eigvalsh/eigh of the core
-                            Delta R_L C R_R^T; the other
+                            K = Delta R_L C R_R^T; the other
                             N d - 2r eigenvalues are zero
-    factor_identity_plus  LU of K = I_r + Delta C R^T L:      LU of I + M
-                            det2 = det K e^{-Delta tr(C R^T L)}
-    kernels read          inverse (L, -K^{-1} C, R);          dense values
+    factor_identity_plus  LU of I + K:                        LU of I + M
+                            det2 = det(I + K) e^{-tr K}
+    kernels read          inverse (Q, X / Delta, Q),          dense values
+                            X = -(I + K)^{-1} K;
                             sqrt and inverse sqrt
                             (QU, f(1 - w) / Delta, QU)
 
@@ -161,15 +164,21 @@ def _dense(op: MatrixKernel | np.ndarray) -> np.ndarray:
     return assemble(op) if isinstance(op, MatrixKernel) else np.asarray(op, dtype=float)
 
 
-def _orthonormal_basis(form: LowRank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, R_L, R_R) with L = Q R_L and R = Q R_R, Q with orthonormal columns:
-    one thin QR of L, or of [L R] when R is another array."""
+def _reduced(op: MatrixKernel | np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(Q, K) with M = Q K Q^T and Q with orthonormal columns, for a LowRank
+    kernel M = Delta L C R^T: one thin QR of L, or of [L R] when R is another
+    array, gives L = Q R_L, R = Q R_R and K = Delta R_L C R_R^T.  Anything
+    else is (None, M)."""
+    form = op.factored if isinstance(op, MatrixKernel) else None
+    if not isinstance(form, LowRank):
+        return None, _dense(op)
     if form.left is form.right:
-        q, r = np.linalg.qr(form.left)
-        return q, r, r
-    q, r = np.linalg.qr(np.hstack([form.left, form.right]))
-    k = form.core.shape[0]
-    return q, r[:, :k], r[:, k:]
+        q, r_left = np.linalg.qr(form.left)
+        r_right = r_left
+    else:
+        q, r = np.linalg.qr(np.hstack([form.left, form.right]))
+        r_left, r_right = np.hsplit(r, [form.core.shape[0]])
+    return q, op.grid.step * (r_left @ form.core @ r_right.T)
 
 
 @dataclass(frozen=True)
@@ -264,23 +273,18 @@ class Spectrum:
 
 def spectrum(op: MatrixKernel | np.ndarray, vectors: bool = False) -> Spectrum:
     """Eigen-decomposition of a symmetric operator: eigvalsh, or eigh when
-    the eigenvectors are needed; of the small core when the kernel is a
-    symmetric LowRank kernel (see the module docstring)."""
+    the eigenvectors are needed; of K when the kernel is a symmetric LowRank
+    kernel M = Q K Q^T (`_reduced`; see the module docstring)."""
+    grid, dim, flagged = None, 1, False
     if isinstance(op, MatrixKernel):
-        grid, dim, flagged, form = op.grid, op.dim, op.symmetric, op.factored
-    else:
-        grid, dim, flagged, form = None, 1, False, None
-    zeros, basis = 0, None
-    if flagged and isinstance(form, LowRank):
-        # M = Delta L C R^T = Q (Delta R_L C R_R^T) Q^T
-        basis, r_left, r_right = _orthonormal_basis(form)
-        m = grid.step * (r_left @ form.core @ r_right.T)
+        grid, dim, flagged = op.grid, op.dim, op.symmetric
+    basis, m = _reduced(op) if flagged else (None, _dense(op))
+    zeros = 0
+    if basis is not None:
         m = 0.5 * (m + m.T)
         zeros = basis.shape[0] - basis.shape[1]
-    else:
-        m = _dense(op)
-        if not flagged:
-            _require_symmetric(m, "spectrum")
+    elif not flagged:
+        _require_symmetric(m, "spectrum")
     if vectors:
         w, v = np.linalg.eigh(m)
         return Spectrum(w, v if basis is None else basis @ v, grid, dim, zeros)
@@ -294,99 +298,59 @@ def lambda_max(op: MatrixKernel | np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class IdentityPlusLU:
-    """One LU factorisation: of I + M, or, when `form` holds M = L D R^T
-    (D = Delta C of a LowRank kernel), of the capacitance K = I_r + D R^T L.
-    det2(I + M) and the inverse (I + M)^{-1} - I are both read from it."""
+    """One LU factorisation, of I + K for M = Q K Q^T as `_reduced` gives it:
+    `basis` Q has orthonormal columns, or is None when K is M itself.
+    det2(I + M) = det2(I + K), and (I + M)^{-1} - I = Q X Q^T with X the
+    `inverse_matrix`, are both read from it."""
 
-    matrix: np.ndarray | None  # M; None on the capacitance route, which never reads it
+    matrix: np.ndarray  # K
     lu: np.ndarray
     piv: np.ndarray
     det2: Det2
-    form: LowRank | None = None
-
-    def _require_regular(self):
-        if self.det2.singular:
-            raise SingularOperatorError("I + B_kappa is numerically singular; no inverse kernel")
-
-    def inverse_form(self) -> LowRank:
-        """(I + M)^{-1} - I = L (-K^{-1} D) R^T by Woodbury's identity, K^{-1} D
-        solved from the capacitance LU; for a LowRank-factorised M only."""
-        self._require_regular()
-        core = -sla.lu_solve((self.lu, self.piv), self.form.core, check_finite=False)
-        return LowRank(self.form.left, core, self.form.right)
+    basis: np.ndarray | None = None
 
     def inverse_matrix(self) -> np.ndarray:
-        """(I + M)^{-1} - I, computed as -(I+M)^{-1} M, which keeps the result
-        Hilbert-Schmidt-shaped instead of differencing two near-identity matrices."""
-        self._require_regular()
-        if self.form is not None:
-            inv = self.inverse_form()
-            return inv.left @ inv.core @ inv.right.T
+        """X = (I + K)^{-1} - I, computed as -(I + K)^{-1} K, which keeps the
+        result Hilbert-Schmidt-shaped instead of differencing two
+        near-identity matrices."""
+        if self.det2.singular:
+            raise SingularOperatorError("I + B_kappa is numerically singular; no inverse kernel")
         return -sla.lu_solve((self.lu, self.piv), self.matrix, check_finite=False)
 
 
 def factor_identity_plus(b: MatrixKernel | np.ndarray) -> IdentityPlusLU:
-    """LU of I + b with det2(I + b) = det(I + b) e^{-tr b} in log domain; of
-    the r x r capacitance when b is a kernel with a LowRank form.
+    """LU of I + K, M = Q K Q^T reduced by `_reduced`, with
+    det2(I + b) = det(I + K) e^{-tr K} in log domain; K is of order r or 2r
+    when b is a kernel with a LowRank form, and is b itself otherwise.
 
     Rank deficiency: a pivot below 1e-8 of the pivot scale is suspicious; it
     is confirmed singular when the smallest singular value of I + b falls
     below PIVOT_RTOL times the largest (partial-pivoting LU alone inflates a
     zero eigenvalue to roughly n * eps * growth and cannot decide at 1e-14).
+    I + b acts as the identity off the span of Q, so when Q has fewer
+    columns than rows the pivots and singular values of I + K are padded
+    with ones.
     """
-    if isinstance(b, MatrixKernel) and isinstance(b.factored, LowRank):
-        return _factor_capacitance(b.factored.scaled(b.grid.step))
-    b = _dense(b)
-    a = np.array(b, order="F")  # Fortran order lets LAPACK factorise in place
+    basis, k = _reduced(b)
+    a = np.array(k, order="F")  # Fortran order lets LAPACK factorise in place
     a[np.diag_indices_from(a)] += 1.0
-    lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
-    det2 = _det2_from_lu(lu, piv, float(np.trace(b)),
-                         lambda: sla.svdvals(np.eye(b.shape[0]) + b, check_finite=False))
-    return IdentityPlusLU(b, lu, piv, det2)
-
-
-def _factor_capacitance(form: LowRank) -> IdentityPlusLU:
-    """The LowRank route of `factor_identity_plus`, form = (L, Delta C, R):
-    det(I + L D R^T) = det(I_r + D R^T L) (the matrix determinant lemma) and
-    tr(L D R^T) = tr(D R^T L).  I + M acts as the identity off span[L R], so
-    its pivots and singular values are those of the small problem padded
-    with ones, and the dense rank rule applies unchanged."""
-    inner = form.core @ (form.right.T @ form.left)
-    r = inner.shape[0]
-    with warnings.catch_warnings():  # an exactly singular K is decided below
+    with warnings.catch_warnings():  # an exactly singular I + K is decided below
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(np.eye(r) + inner, check_finite=False)
-
-    def svdvals():
-        q, r_left, r_right = _orthonormal_basis(form)
-        sv = sla.svdvals(np.eye(q.shape[1]) + r_left @ form.core @ r_right.T,
-                         check_finite=False)
-        return np.sort(np.append(sv, 1.0))[::-1] if q.shape[1] < q.shape[0] else sv
-
-    padded = form.left.shape[0] > r
-    det2 = _det2_from_lu(lu, piv, float(np.trace(inner)), svdvals, padded)
-    return IdentityPlusLU(None, lu, piv, det2, form)
-
-
-def _det2_from_lu(lu, piv, trace: float, svdvals, padded: bool = False) -> Det2:
-    """det(A) e^{-trace} from the LU of A, under the rank rule of
-    `factor_identity_plus`; padded: A stands for a larger matrix that adds
-    unit pivots and unit singular values to its own."""
+        lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
     diag = np.diag(lu)
-    pivots = np.abs(diag)
-    if padded:
-        pivots = np.append(pivots, 1.0)
-    scale = float(np.max(pivots)) if pivots.size else 0.0
-    singular = Det2(sign=0, log_modulus=-np.inf, singular=True)
-    if scale == 0.0:
-        return singular
-    if float(np.min(pivots)) <= 1e-8 * scale:
-        sv = svdvals()
-        if sv[0] == 0.0 or sv[-1] <= PIVOT_RTOL * sv[0]:
-            return singular
-    perm_sign = 1 if np.count_nonzero(piv != np.arange(len(piv))) % 2 == 0 else -1
-    sign = perm_sign * (1 if np.count_nonzero(diag < 0) % 2 == 0 else -1)
-    return Det2(sign=sign, log_modulus=float(np.sum(np.log(np.abs(diag))) - trace))
+    pad = [1.0] if basis is not None and basis.shape[1] < basis.shape[0] else []
+    pivots = np.append(np.abs(diag), pad)
+    singular = not pivots.size or pivots.max() == 0.0
+    if not singular and pivots.min() <= 1e-8 * pivots.max():
+        sv = np.append(sla.svdvals(np.eye(k.shape[0]) + k, check_finite=False), pad)
+        singular = sv.max() == 0.0 or sv.min() <= PIVOT_RTOL * sv.max()
+    if singular:
+        det2 = Det2(sign=0, log_modulus=-np.inf, singular=True)
+    else:
+        flips = np.count_nonzero(piv != np.arange(len(piv))) + np.count_nonzero(diag < 0)
+        det2 = Det2(sign=-1 if flips % 2 else 1,
+                    log_modulus=float(np.sum(np.log(np.abs(diag))) - np.trace(k)))
+    return IdentityPlusLU(k, lu, piv, det2, basis)
 
 
 def det2_matrix(b: np.ndarray) -> Det2:
@@ -457,22 +421,18 @@ def inverse_kernel(kappa: MatrixKernel) -> MatrixKernel:
 
 
 def inverse_kernel_from(lu: IdentityPlusLU, kappa: MatrixKernel) -> MatrixKernel:
-    """The inverse kernel of kappa, read from the LU of I + B_kappa: the
-    LowRank kernel (L, -K^{-1} C, R) when the LU is of the capacitance K."""
-    if lu.form is not None:
-        inv = lu.inverse_form()
-        core, sym = inv.core / kappa.grid.step, kappa.symmetric
-        if sym and inv.left is inv.right:
-            # L X L^T is symmetric, so L sym(X) L^T is the same kernel
-            core = 0.5 * (core + core.T)
-        elif sym:
-            sym = symmetry(inv.left @ inv.core @ inv.right.T)[0]
-        return kernel_from_form(kappa.grid, kappa.dim, LowRank(inv.left, core, inv.right), sym)
-    m_hat = lu.inverse_matrix()
-    sym = kappa.symmetric and symmetry(m_hat)[0]
+    """The inverse kernel of kappa, read from the LU of I + B_kappa: with X
+    its `inverse_matrix`, the LowRank kernel (Q, X / Delta, Q) when the LU
+    has a basis Q, the dense kernel of X otherwise; symmetric when kappa and
+    X are."""
+    x = lu.inverse_matrix()
+    sym = kappa.symmetric and symmetry(x)[0]
     if sym:
-        m_hat = 0.5 * (m_hat + m_hat.T)
-    return kernel_from_matrix(m_hat, kappa.grid, kappa.dim, symmetric=sym)
+        x = 0.5 * (x + x.T)
+    if lu.basis is None:
+        return kernel_from_matrix(x, kappa.grid, kappa.dim, symmetric=sym)
+    form = LowRank(lu.basis, x / kappa.grid.step, lu.basis)
+    return kernel_from_form(kappa.grid, kappa.dim, form, sym)
 
 
 def kappa_s(eta: MatrixKernel, enforce_gate: bool = True) -> MatrixKernel:

@@ -568,10 +568,10 @@ def resolve_scenario(
     lambda (>= 0) and direction x (of the kernel's dimension), the surjective
     lambdas (finite), the kernel spec (symmetric for surjective and
     integrability; None only for gencv's own counterexample at its default
-    b1, b2) and the functional (None for a scenario without one; a cos_mid
-    tau in [0, T]).  Every scenario starts here, and a config is validated
-    by calling it on each scenario's grid with the arguments the scenario
-    runs with.  Raises InvalidArgumentError."""
+    b1, b2) and the functional (None only for integrability, which reads
+    none; a cos_mid tau in [0, T]).  Every scenario starts here, and a
+    config is validated by calling it on each scenario's grid with the
+    arguments the scenario runs with.  Raises InvalidArgumentError."""
     _check_size(n_paths, tol)
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise InvalidArgumentError(f"lambda must be a finite real >= 0, got {lam}")
@@ -591,6 +591,8 @@ def resolve_scenario(
     if kind in _SYMMETRIC_KINDS and not kappa.symmetric:
         raise InvalidArgumentError(f"{kind} needs a symmetric kernel, got {spec!r}")
     f = functional
+    if f is None and kind != "integrability":
+        raise InvalidArgumentError(f"{kind} needs a functional")
     if f is not None and not isinstance(f, TestFunctional):
         f = TestFunctional.parse(str(f))
     if f is not None:
@@ -889,13 +891,14 @@ def verify_gencv_example(
 
     # B_s and B_eta have the eigenvalues -2 b and 1 - (1 + b)^2 on the two
     # directions of the kernel, and 0 on the other N - 2 grid directions
-    zeros = [0.0] if s.grid.n_steps > 2 else []
+    zeros, zero = ([0.0], "0, ") if s.grid.n_steps > 2 else ([], "")
     report.checks["lambda_s"] = _check_close(
-        lam_s, max(zeros + [-2.0 * b1, -2.0 * b2]), 1e-6, note="Lambda(B_s) = -2 min(b1, b2)"
+        lam_s, max(zeros + [-2.0 * b1, -2.0 * b2]), 1e-6,
+        note=f"Lambda(B_s) = max({zero}-2 b1, -2 b2)",
     )
     report.checks["lambda_eta"] = _check_close(
         p.gate.lambda_max, max(zeros + [1.0 - (1.0 + b1) ** 2, 1.0 - (1.0 + b2) ** 2]), 1e-6,
-        note="Lambda(B_eta) closed form",
+        note=f"Lambda(B_eta) = max({zero}1 - (1+b1)^2, 1 - (1+b2)^2)",
     )
     report.checks["det2_value"] = _check_close(
         p.det2.value, (1.0 + b1) * (1.0 + b2) * np.exp(-(b1 + b2)), 1e-6, note="det2 closed form"

@@ -188,28 +188,32 @@ def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch,
 N = 32  # the order of an operator on the grid fixture, d = 1
 
 
-@pytest.mark.parametrize("run, rank, checks", [
-    (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1, []),
+@pytest.mark.parametrize("run, rank, lus, checks", [
+    (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1, [1], []),
+    # the second LU is rn_normalization's, of I + B_khat, whose form
+    # (Q, X / Delta, Q) has one factor
     (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
-     1, []),
+     1, [1, 1], []),
     # det2_sqrt_identity: a dense LU of I - c B_eta per factor
     (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
-     1, [("lu_factor", N)]),
+     1, [], [("lu_factor", N)]),
     (lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "one", g, n_paths=500),
-     1, [("lu_factor", N)] * 3),
-    (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 2, []),
+     1, [], [("lu_factor", N)] * 3),
+    (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 2, [2], []),
+    # kappa_phi has distinct factors, so its reduced matrix is of order 2r;
     # det2_consistency: a dense slogdet of I + B_kphi
-    (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1, [("slogdet", N)]),
+    (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1, [2],
+     [("slogdet", N)]),
 ], ids=["transf", "inverse", "surjective", "sweep", "gencv", "cameron_martin"])
-def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, rank, checks):
-    # a rank-r kernel: eigensolves of order <= 2r, LUs of order <= r; the
-    # order-N matrices are the check routes' alone
+def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, rank, lus, checks):
+    # a rank-r kernel: eigensolves and LUs of order <= 2r, the LUs of exactly
+    # these orders; the order-N matrices are the check routes' alone
     calls = _counting(monkeypatch)
     reports = run(grid)
     for report in reports if isinstance(reports, list) else [reports]:
         assert report.verdict == "pass"
     small = [(name, order) for name, order in calls.orders if order <= 2 * rank]
-    assert small and all(order <= rank for name, order in small if name == "lu_factor")
+    assert small and [order for name, order in small if name == "lu_factor"] == lus
     assert sorted(o for o in calls.orders if o not in small) == sorted(checks)
 
 
@@ -289,8 +293,13 @@ def test_spectrum_readers_match_direct_routes(spec, dim):
     lambda k: inverse_kernel(k),
     lambda k: factor_identity_plus(k).inverse_matrix(),
 ])
-def test_singular_operator_has_no_inverse(inverse):
-    kappa = kernel_zoo("rank1:b=-1", make_grid(1.0, 64))
+@pytest.mark.parametrize("spec, dim", [
+    ("rank1:b=-1", 1),
+    # c = -2 / (1 + 1/N): singular on a reduced matrix of order 2r, padded with ones
+    ("const_phi:c=-1.9692307692307693", 1), ("const_phi:c=-1.9692307692307693", 2),
+])
+def test_singular_operator_has_no_inverse(inverse, spec, dim):
+    kappa = kernel_zoo(spec, make_grid(1.0, 64), dim)
     assert factor_identity_plus(kappa).det2.singular
     with pytest.raises(SingularOperatorError):
         inverse(kappa)

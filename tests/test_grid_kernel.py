@@ -318,6 +318,19 @@ def test_zoo_expdiag_tabulation():
                 assert np.all(k.values[i, j] == 0)
 
 
+def test_expdiag_check_reads_contiguous_slabs(monkeypatch):
+    # the construction check runs the recursion backwards in time on a
+    # reversed copy, never on a negative-stride view
+    contiguous, recursion = [], grid_kernel._exp_causal_sum
+
+    def spy(x, *args):
+        contiguous.append(x.flags.c_contiguous)
+        return recursion(x, *args)
+    monkeypatch.setattr(grid_kernel, "_exp_causal_sum", spy)
+    kernel_zoo("expdiag:p=[0.5,-0.5]", make_grid(1.0, 512), 2)
+    assert contiguous and all(contiguous)
+
+
 def test_zoo_remark12_alias(grid):
     a = kernel_zoo("rank2:b=0.41421356,c=1", grid)
     b = kernel_zoo("remark12:b=0.41421356,c=1", grid)

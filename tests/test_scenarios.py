@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderone import grid_kernel as gk, scenarios as sc
+from orderone import grid_kernel as gk, operator, scenarios as sc
 
 from orderone import (
     InvalidArgumentError,
@@ -334,6 +334,23 @@ def test_zero_paths_is_a_typed_error(grid):
         verify_finite_dim(np.diag([0.2, -0.1]), "cos_sum", n_samples=0, seed=0)
 
 
+@pytest.mark.parametrize("run", [
+    lambda g: verify_transf("rank1:b=0.3", None, g),
+    lambda g: verify_inverse("rank1:b=0.3", None, g),
+    lambda g: verify_surjective("rank1:b=0.3", None, g),
+    lambda g: sweep_laplace("rank1:b=0.3", [0.5], None, g),
+    lambda g: verify_harmonic("rank1:b=0.3", 1.0, None, None, g),
+    lambda g: verify_cameron_martin("const:c=1", None, g),
+    lambda g: verify_gencv_example(g, functional=None),
+], ids=["transf", "inverse", "surjective", "sweep", "harmonic", "cameron_martin", "gencv"])
+def test_missing_functional_is_a_typed_error_before_any_work(grid, monkeypatch, run):
+    solved = []
+    monkeypatch.setattr(operator, "spectrum", lambda *args, **kwargs: solved.append(args))
+    with pytest.raises(InvalidArgumentError, match="needs a functional"):
+        run(grid)
+    assert not solved
+
+
 # ---------------------------------------------------------------------------
 # linear transformations
 # ---------------------------------------------------------------------------
@@ -393,6 +410,10 @@ def test_gencv_closed_forms_hold_for_every_b(b1, b2):
     r = verify_gencv_example(make_grid(1.0, 64), b1, b2, "cos_end:1.0", 2_000, 5)
     for check in ("lambda_s", "lambda_eta", "det2_value"):
         assert r.checks[check].passed, (check, r.checks[check])
+    assert [r.checks[c].note for c in ("lambda_s", "lambda_eta")] == [
+        "Lambda(B_s) = max(0, -2 b1, -2 b2)",
+        "Lambda(B_eta) = max(0, 1 - (1+b1)^2, 1 - (1+b2)^2)",
+    ]
 
 
 def test_gencv_closed_forms_on_two_nodes():
@@ -401,6 +422,7 @@ def test_gencv_closed_forms_on_two_nodes():
     npt.assert_allclose([r.checks["lambda_s"].target, r.checks["lambda_eta"].target],
                         [-0.4, 1.0 - 1.2 ** 2])
     assert r.checks["lambda_s"].passed and r.checks["lambda_eta"].passed
+    assert r.checks["lambda_s"].note == "Lambda(B_s) = max(-2 b1, -2 b2)"
 
 
 def test_gencv_is_the_transf_row_of_its_own_kernel(grid):
