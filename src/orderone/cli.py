@@ -118,9 +118,9 @@ class RunConfig:
 
 
 def _float_list(text: str) -> list[float]:
-    """'a, b, ...': a non-empty list of finite reals."""
-    values = [float(v) for v in text.split(",") if v.strip()]
-    if not values or not np.all(np.isfinite(values)):
+    """'a, b, ...': a non-empty list of finite reals, with no empty entry."""
+    values = [float(v) if v.strip() else np.nan for v in text.split(",")]
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"expected comma-separated finite reals, got {text!r}")
     return values
 

@@ -10,7 +10,7 @@ the Nystrom matrix of the operator without its weight Delta = T/N.  `values`
 is a read-only (N, N, d, d) view of it, values[i, j] = kappa(t_i, t_j); a
 kernel given by such blocks is converted once, at construction.  All
 integrals over [0,T] become sums weighted by Delta, so the kernel algebra is
-plain matrix arithmetic on the stored matrices:
+plain matrix arithmetic on the stored matrices, or on LowRank factors:
 
     adjoint        kappa*(t,s)      = kappa(s,t)^T
     composition    (a o b)(t,s)     = int a(t,u) b(u,s) du
@@ -35,19 +35,20 @@ the dense (N d)^2 matrix:
     LowerExp    scale * 1_{s < t} diag(e^{(t - s) p}), or its adjoint; set by
                 the zoo for volterra (p = 0) and expdiag
 
-`scale_kernel` and `adjoint_kernel` keep either form.  `eta_of_kappa`,
-`s_of_kappa` and `kappa_from_phi` keep a LowRank form (a rank-r kappa gives an
-eta or s kernel of rank at most 2r; the tail integral acts on R alone).  The
-operator layer builds the inverse, square-root and inverse-square-root kernels
-of a LowRank kernel as LowRank kernels (`kernel_from_form`).  Every other
-constructor, and every kernel the operator layer builds from a dense one,
-carries none.  Construction checks that the form reproduces every entry of
-the matrix to FACTOR_TOL of the form's magnitude (its largest entry before
-cancellation), read through the route the path functionals run: the form's
-`apply_adjoint` of unit rows.  So a route that reads the matrix and one that
-reads the form always see one kernel.  The path layer never inspects the
-form: `apply` (x -> x K^T), `apply_adjoint` (x -> x K) and `diagonal_blocks`
-hide it, and fall back to the stored matrix when there is none.
+A LowRank kernel is built from its form alone, by `kernel_from_form`, the one
+place where L C R^T is multiplied out: the zoo's rank kernels, `eta_of_kappa`,
+`s_of_kappa` and `kappa_from_phi` (a rank-r kappa gives an eta or s kernel of
+rank at most 2r; the tail integral acts on R alone) and the operator layer's
+inverse and square-root kernels.  The dense formulas run only for kernels
+without one, and stay the tested reference.  `scale_kernel` and
+`adjoint_kernel` keep either form.  Every other constructor carries none.
+Construction checks that the form reproduces every entry of the matrix to
+FACTOR_TOL of the form's magnitude (its largest entry before cancellation),
+read through the route the path functionals run: the form's `apply_adjoint`
+of unit rows.  So a route that reads the matrix and one that reads the form
+always see one kernel.  The path layer never inspects the form: `apply`
+(x -> x K^T), `apply_adjoint` (x -> x K) and `diagonal_blocks` hide it, and
+fall back to the stored matrix when there is none.
 
 The rank-k constructors draw their orthonormal family from
 e_n'(t) = sqrt(2/T) cos((n - 1/2) pi t / T), re-orthonormalized in the
@@ -373,7 +374,8 @@ def kernel_from_values(grid: TimeGrid, values: np.ndarray, symmetric: bool = Fal
 
 def kernel_from_form(grid: TimeGrid, dim: int, form: LowRank,
                      symmetric: bool = False) -> MatrixKernel:
-    """The kernel whose matrix is L C R^T, carrying that form."""
+    """The kernel whose matrix is L C R^T, carrying that form: the one place
+    a LowRank form is multiplied out."""
     return MatrixKernel(grid, dim, form.left @ form.core @ form.right.T, symmetric, form)
 
 
@@ -418,23 +420,25 @@ def eta_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
     Its quadratic Wiener form is the exponent of the change-of-variables
     identity attached to the transformation induced by kappa.
     """
-    m = kappa.matrix
-    vals = _symmetrize(-(m + m.T + m.T @ m * kappa.grid.step))
-    form, k = None, kappa.factored
+    k = kappa.factored
     if isinstance(k, LowRank):
         # K^T K Delta = R C^T G C R^T with G = L^T L Delta
         gram = k.core.T @ (k.left.T @ k.left * kappa.grid.step) @ k.core
         form = _symmetric_sum(k, -0.5 * (gram + gram.T))
-    return MatrixKernel(kappa.grid, kappa.dim, vals, symmetric=True, factored=form)
+        return kernel_from_form(kappa.grid, kappa.dim, form, symmetric=True)
+    m = kappa.matrix
+    vals = _symmetrize(-(m + m.T + m.T @ m * kappa.grid.step))
+    return MatrixKernel(kappa.grid, kappa.dim, vals, symmetric=True)
 
 
 def s_of_kappa(kappa: MatrixKernel) -> MatrixKernel:
     """The symmetric kernel -(kappa + kappa*): eta without the quadratic term."""
-    vals = _symmetrize(-(kappa.matrix + kappa.matrix.T))
-    form, k = None, kappa.factored
+    k = kappa.factored
     if isinstance(k, LowRank):
         form = _symmetric_sum(k, np.zeros_like(k.core))
-    return MatrixKernel(kappa.grid, kappa.dim, vals, symmetric=True, factored=form)
+        return kernel_from_form(kappa.grid, kappa.dim, form, symmetric=True)
+    vals = _symmetrize(-(kappa.matrix + kappa.matrix.T))
+    return MatrixKernel(kappa.grid, kappa.dim, vals, symmetric=True)
 
 
 def _symmetric_sum(form: LowRank, extra: np.ndarray) -> LowRank:
@@ -481,19 +485,17 @@ def kappa_from_phi(phi: MatrixKernel) -> MatrixKernel:
     Discretized as the tail sum over left nodes u >= s, so a constant phi gives
     kappa_phi(t_i, t_j) = c (T - t_j) exactly at the nodes.
     """
-    grid, dim = phi.grid, phi.dim
+    grid, dim, form = phi.grid, phi.dim, phi.factored
     n = grid.n_steps
-    cols = phi.matrix.reshape(n * dim, n, dim)  # [(i, a), j, b]
-    tail = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1] * grid.step
-    form = phi.factored
     if isinstance(form, LowRank):
         # the tail sum over the second argument acts on the right factor alone
         right = form.right.reshape(n, dim, -1)
         right = np.cumsum(right[::-1], axis=0)[::-1] * grid.step
-        form = LowRank(form.left, form.core, right.reshape(form.right.shape))
-    else:
-        form = None
-    return MatrixKernel(grid, dim, tail.reshape(n * dim, n * dim), factored=form)
+        return kernel_from_form(grid, dim, LowRank(form.left, form.core,
+                                                   right.reshape(form.right.shape)))
+    cols = phi.matrix.reshape(n * dim, n, dim)  # [(i, a), j, b]
+    tail = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1] * grid.step
+    return MatrixKernel(grid, dim, tail.reshape(n * dim, n * dim))
 
 
 def scale_kernel(kappa: MatrixKernel, factor: float) -> MatrixKernel:
@@ -543,13 +545,10 @@ def _rank_kernel(grid: TimeGrid, terms, symmetric: bool = False) -> MatrixKernel
     basis = orthonormal_columns(grid, nmax)
     used = sorted({n for _, r, c in terms for n in (r, c)})
     core = np.zeros((len(used), len(used)))
-    vals = np.zeros((grid.n_steps, grid.n_steps))
     for coeff, row, col in terms:
-        vals += coeff * np.outer(basis[:, row - 1], basis[:, col - 1])
         core[used.index(row), used.index(col)] += coeff
     factors = np.ascontiguousarray(basis[:, [n - 1 for n in used]])
-    return MatrixKernel(grid, 1, vals, symmetric,
-                        LowRank(factors, core, factors))
+    return kernel_from_form(grid, 1, LowRank(factors, core, factors), symmetric)
 
 
 def remark_pair(grid: TimeGrid, b: float, c: float) -> tuple[MatrixKernel, MatrixKernel]:
@@ -628,12 +627,8 @@ def _real_list(text: str) -> list[float]:
 
 def _const_kernel(grid: TimeGrid, dim: int, c: float, symmetric: bool = False) -> MatrixKernel:
     """kappa == c I_d: rank d, with L = R = (I_d stacked N times) and C = c I_d."""
-    n = grid.n_steps
-    stacked = np.tile(np.eye(dim), (n, 1))
-    return MatrixKernel(
-        grid, dim, np.tile(c * np.eye(dim), (n, n)), symmetric,
-        LowRank(stacked, c * np.eye(dim), stacked),
-    )
+    stacked = np.tile(np.eye(dim), (grid.n_steps, 1))
+    return kernel_from_form(grid, dim, LowRank(stacked, c * np.eye(dim), stacked), symmetric)
 
 
 def _lower_exp_kernel(grid: TimeGrid, rates: np.ndarray) -> MatrixKernel:

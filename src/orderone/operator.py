@@ -54,7 +54,9 @@ at construction by the same routine (`grid_kernel.symmetry`); only a bare
 matrix, or the matrix of a kernel that is not flagged, is scanned.  An
 embedded check must not read the factorisation it checks, or it becomes a
 tautology: the determinant checks below factorise the operator matrix
-itself (dense, whatever the form), and eta_roundtrip composes kernel values.
+itself (dense, whatever the form), and eta_roundtrip builds eta of kappa_s
+from kappa_s's own factors (V and f(1 - w)) and compares it with eta's
+stored matrix, which no eigensolve touched.
 Per scenario, with the form its hot-path factorisations take (kernel: that
 of the scenario's kernel; LowRank for rank1, rank2, remark_gencv, const and
 const_phi, dense for volterra and expdiag):
@@ -70,7 +72,7 @@ const_phi, dense for volterra and expdiag):
                                lambdas included; per factor c,        dense LU of I-cB_eta
                                from c w and V: gate, guard,           per factor
                                det2(I-cB_eta), kappa_s, and khat_s  eta_roundtrip: eta of
-                               when f is not constant                 kappa_s by composition
+                               when f is not constant                 kappa_s, against eta
     harmonic        dense    eigvalsh B_{-c} (eigh when f is not    det_dual_route: slogdet
                                constant): gate, det(I+B_c), c'_hat    of I + B^T B (no x)
     cameron_martin  kernel   eigvalsh B_eta: gate, guard            det2_consistency:
@@ -340,8 +342,8 @@ def factor_identity_plus(b: MatrixKernel | np.ndarray) -> IdentityPlusLU:
     diag = np.diag(lu)
     pad = [1.0] if basis is not None and basis.shape[1] < basis.shape[0] else []
     pivots = np.append(np.abs(diag), pad)
-    singular = not pivots.size or pivots.max() == 0.0
-    if not singular and pivots.min() <= 1e-8 * pivots.max():
+    singular = False  # an empty I + b is the identity of no space: det2 = 1
+    if pivots.size and pivots.min() <= 1e-8 * pivots.max():
         sv = np.append(sla.svdvals(np.eye(k.shape[0]) + k, check_finite=False), pad)
         singular = sv.max() == 0.0 or sv.min() <= PIVOT_RTOL * sv.max()
     if singular:

@@ -116,6 +116,14 @@ n_steps = 32
     assert spec.overrides == {"n_paths": 500, "n_steps": 32}
 
 
+@pytest.mark.parametrize("lambdas", ["0.25,,0.5", "0.25, 0.5,", ",0.5", "0.5, ,0.25"])
+def test_parse_rejects_an_empty_list_entry(lambdas):
+    # empty entries used to be dropped without a word
+    text = f"[scenario sweep]\nverify = surjective\nkernel = rank1:b=0.5\nlambdas = {lambdas}\n"
+    with pytest.raises(ConfigError, match="line 4: field 'lambdas' has invalid value"):
+        parse_config(text)
+
+
 # ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------
@@ -424,7 +432,12 @@ def test_sweep_subcommand(tmp_path, capsys):
     ["verify", "harmonic", "--kernel", "volterra", "--x", "a"],
     ["verify", "finite-dim", "--diag", "a"],
     ["spectrum", "zero", "--dim", "0"],
-], ids=["kernel", "missing", "empty", "lambdas", "x", "diag", "dim"])
+    # an empty list entry used to be dropped without a word
+    ["sweep-laplace", "rank1:b=0.5", "--lambdas", "0.25,,0.5"],
+    ["verify", "harmonic", "--kernel", "volterra", "--x", "1,"],
+    ["verify", "finite-dim", "--diag", "0.2,"],
+], ids=["kernel", "missing", "empty", "lambdas", "x", "diag", "dim", "lambdas-empty-entry",
+        "x-empty-entry", "diag-empty-entry"])
 def test_usage_errors(argv, capsys):
     assert main(argv) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Kernel algebra on the grid: constructors, norms, adjoints, compositions,
 eta/s/c kernels, tail integrals, and the constructor zoo."""
 
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -289,6 +291,34 @@ def test_const_phi_zoo_matches_manual(grid):
     direct = kernel_zoo("const_phi:c=2.0", grid)
     phi = kernel_from_values(grid, np.full((64, 64), 2.0))
     npt.assert_allclose(direct.values, kappa_from_phi(phi).values, atol=1e-14)
+
+
+class _Unread:
+    """Stands in for the dense matrix of a kernel that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the dense matrix was read (.{name})")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the dense matrix was read")
+
+
+@pytest.mark.parametrize("spec, dim", [
+    ("rank1:b=0.3", 1), ("rank1:b=-2,n=2", 1), ("rank2:b=0.2,c=0.3", 1),
+    ("rank2:b=0.2,c=0.3,member=2", 1), ("remark_gencv:b1=-2,b2=-3", 1),
+    ("const:c=0.5", 1), ("const:c=0.5", 2), ("const_phi:c=0.5", 1), ("const_phi:c=0.5", 2),
+])
+@pytest.mark.parametrize("algebra", [eta_of_kappa, s_of_kappa, kappa_from_phi])
+def test_low_rank_algebra_reads_the_factors_alone(grid, spec, dim, algebra):
+    # a LowRank kernel's eta, s and tail integral are built from its factors
+    # (kernel_from_form); its matrix and values are never read
+    kernel = kernel_zoo(spec, grid, dim)
+    blind = copy.copy(kernel)
+    for name in ("matrix", "values"):
+        object.__setattr__(blind, name, _Unread())
+    out = algebra(blind)
+    assert isinstance(out.factored, grid_kernel.LowRank)
+    npt.assert_array_equal(out.matrix, algebra(kernel).matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from orderone import (
     eta_of_kappa,
     injectivity_witness,
     inverse_kernel,
+    kappa_from_phi,
     kappa_s,
     kernel_from_matrix,
     kernel_from_values,
@@ -35,7 +36,9 @@ from orderone import (
 )
 from orderone import InvalidArgumentError
 from orderone.grid_kernel import SYMMETRY_TOL, LowRank, MatrixKernel
-from orderone.operator import GATE_MARGIN, PIVOT_RTOL, det2_matrix, spectrum
+from orderone.operator import (
+    GATE_MARGIN, PIVOT_RTOL, Det2, det2_matrix, factor_identity_plus, spectrum,
+)
 
 
 @pytest.fixture
@@ -192,6 +195,25 @@ def test_det2_permutation_invariance(grid):
     shuffled = det2_matrix(m[np.ix_(perm, perm)])
     assert shuffled.sign == base.sign
     npt.assert_allclose(shuffled.log_modulus, base.log_modulus, atol=1e-10)
+
+
+def test_det2_of_the_empty_operator_is_one():
+    # the rank rule used to read an empty pivot list as singular
+    lu = factor_identity_plus(np.zeros((0, 0)))
+    assert lu.det2 == Det2(sign=1, log_modulus=0.0, singular=False)
+    assert lu.inverse_matrix().shape == (0, 0)
+    assert det2_matrix(np.zeros((0, 0))) == Det2(sign=1, log_modulus=0.0, singular=False)
+
+
+def test_factor_identity_plus_of_a_diagonal_matrix():
+    # det2(I + diag(a)) = prod (1 + a_k) e^{-a_k}; (I + M)^{-1} - I = diag(-a / (1 + a))
+    a = np.array([0.5, -0.25, -3.0, 2.0])
+    lu = factor_identity_plus(np.diag(a))
+    assert lu.basis is None and lu.det2.sign == -1 and not lu.det2.singular
+    npt.assert_allclose(lu.det2.log_modulus, np.sum(np.log(np.abs(1.0 + a)) - a), rtol=1e-14)
+    npt.assert_allclose(lu.inverse_matrix(), np.diag(-a / (1.0 + a)), atol=1e-15)
+    assert det2_matrix(np.diag(a)) == lu.det2
+    assert det2_matrix(np.diag([0.5, -1.0])).singular
 
 
 def test_det2_finite_dim_against_dense_determinant():
@@ -466,6 +488,16 @@ def _assert_operators_close(got, want, tol, what):
     _assert_close(assemble(got), ref, tol * max(1.0, np.linalg.norm(ref)), what)
 
 
+def _assert_algebra_matches_dense(kernel, what):
+    """eta, s and the tail integral of a LowRank kernel, built from its
+    factors alone, equal the dense formulas on its matrix, the reference,
+    to 1e-12 of the HS norm."""
+    dense = replace(kernel, factored=None)
+    for algebra in (eta_of_kappa, s_of_kappa, kappa_from_phi):
+        _assert_operators_close(algebra(kernel), algebra(dense), 1e-12,
+                                f"{what}: {algebra.__name__}")
+
+
 def _assert_low_rank_routes_match_dense(kernel, what):
     """Every reader of the LowRank route equals the dense route on the same
     values to 1e-12 of its magnitude (the HS norm for a kernel), times the
@@ -538,7 +570,9 @@ def test_low_rank_routes_match_dense_property(n, case, b, c, factor):
             # the eigenbasis of eta (rank 2r) spans the whole grid space
             assert name == "kappa_s" and n * dim <= 2 * rank
             continue
-        _assert_low_rank_routes_match_dense(variant, f"{spec} d={dim} N={n} {name}")
+        what = f"{spec} d={dim} N={n} {name}"
+        _assert_algebra_matches_dense(variant, what)
+        _assert_low_rank_routes_match_dense(variant, what)
 
 
 def test_rank_one_singular_decision_matches_dense():
