@@ -189,8 +189,9 @@ def _assign(spec: ScenarioSpec, key: str, value) -> None:
 def _parse(parse, key, raw, line_no):
     try:
         return parse(raw)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: field {key!r} has invalid value {raw!r}")
+    except ValueError as exc:
+        raise ConfigError(
+            f"line {line_no}: field {key!r} has invalid value {raw!r}: {exc}") from None
 
 
 def _read_config(text: str) -> RunConfig:

@@ -1,7 +1,7 @@
 """Matrix-valued L2 kernels sampled on a uniform time grid.
 
 A kernel kappa on [0,T]^2 with values in the d x d real matrices is sampled
-at the left-endpoint nodes t_i = i*T/N and stored once, as the unweighted
+at the left-endpoint nodes t_i = i*T/N; its matrix is the unweighted
 (N d) x (N d) matrix
 
     matrix[(i, a), (j, b)] = kappa(t_i, t_j)[a, b]      (row i*d+a, column j*d+b),
@@ -10,7 +10,7 @@ the Nystrom matrix of the operator without its weight Delta = T/N.  `values`
 is a read-only (N, N, d, d) view of it, values[i, j] = kappa(t_i, t_j); a
 kernel given by such blocks is converted once, at construction.  All
 integrals over [0,T] become sums weighted by Delta, so the kernel algebra is
-plain matrix arithmetic on the stored matrices, or on LowRank factors:
+plain matrix arithmetic on the matrices, or on LowRank factors:
 
     adjoint        kappa*(t,s)      = kappa(s,t)^T
     composition    (a o b)(t,s)     = int a(t,u) b(u,s) du
@@ -21,34 +21,41 @@ plain matrix arithmetic on the stored matrices, or on LowRank factors:
                    c(kappa)(t,s)    = int kappa(u,t)^T kappa(u,s) du
     tail integral  kappa_phi(t,s)   = int_s^T phi(t,u) du
 
-Symmetric kernels (eta(t,s)^T = eta(s,t), a symmetric stored matrix) carry a
+Symmetric kernels (eta(t,s)^T = eta(s,t), a symmetric matrix) carry a
 `symmetric` flag that is validated at construction (`symmetry`); the eta/s/c
 constructors always return flagged kernels.
 
-Factored forms.  Next to its matrix a kernel may carry one factored form,
-which the path layer (and, for LowRank, the operator layer) uses instead of
-the dense (N d)^2 matrix:
+Factored forms.  A kernel may carry one factored form, which the path layer
+(and, for LowRank, the operator layer) uses instead of the dense (N d)^2
+matrix:
 
-    LowRank     the stored matrix is L C R^T, with L and R of shape (N d, r)
-                and a core C of shape (r, r); set by the zoo for
-                rank1, rank2, remark_gencv, const and const_phi
+    LowRank     the matrix is L C R^T, with L and R of shape (N d, r) and a
+                core C of shape (r, r); set by the zoo for rank1, rank2,
+                remark_gencv, const and const_phi
     LowerExp    scale * 1_{s < t} diag(e^{(t - s) p}), or its adjoint; set by
                 the zoo for volterra (p = 0) and expdiag
 
-A LowRank kernel is built from its form alone, by `kernel_from_form`, the one
-place where L C R^T is multiplied out: the zoo's rank kernels, `eta_of_kappa`,
+A LowRank kernel is its form: `kernel_from_form` stores no matrix, and
+`matrix` and `values` are multiplied out from the form only when a dense
+route first reads them (then kept).  The zoo's rank kernels, `eta_of_kappa`,
 `s_of_kappa` and `kappa_from_phi` (a rank-r kappa gives an eta or s kernel of
-rank at most 2r; the tail integral acts on R alone) and the operator layer's
-inverse and square-root kernels.  The dense formulas run only for kernels
-without one, and stay the tested reference.  `scale_kernel` and
-`adjoint_kernel` keep either form.  Every other constructor carries none.
-Construction checks that the form reproduces every entry of the matrix to
-FACTOR_TOL of the form's magnitude (its largest entry before cancellation),
-read through the route the path functionals run: the form's `apply_adjoint`
-of unit rows.  So a route that reads the matrix and one that reads the form
-always see one kernel.  The path layer never inspects the form: `apply`
-(x -> x K^T), `apply_adjoint` (x -> x K) and `diagonal_blocks` hide it, and
-fall back to the stored matrix when there is none.
+rank at most 2r; the tail integral acts on R alone), `scale_kernel`,
+`adjoint_kernel` and the operator layer's inverse and square-root kernels
+build LowRank kernels this way, and `kernel_l2_norm` and `kernel_distance`
+read them from their factors.  The dense formulas run only for kernels
+without a LowRank form, and stay the tested reference.  A LowerExp kernel
+keeps its matrix beside its form; every other constructor carries no form.
+Construction checks that the form reproduces every entry of the matrix (of
+L C R^T, multiplied out row slab by row slab and kept nowhere, when no matrix
+is given) to FACTOR_TOL of the form's magnitude (its largest entry before
+cancellation), read through the route the path functionals run: the form's
+`apply_adjoint` of unit rows.  So a route that reads the matrix and one that
+reads the form always see one kernel.  A LowRank kernel is finite when its
+magnitude is.  A form with one factor array for both sides and an exactly
+symmetric core, L C L^T, is symmetric by construction and is not scanned;
+any other kernel flagged symmetric is.  The path layer never inspects the
+form: `apply` (x -> x K^T), `apply_adjoint` (x -> x K) and `diagonal_blocks`
+hide it, and fall back to the matrix when there is none.
 
 The rank-k constructors draw their orthonormal family from
 e_n'(t) = sqrt(2/T) cos((n - 1/2) pi t / T), re-orthonormalized in the
@@ -82,6 +89,7 @@ __all__ = [
     "kernel_from_values",
     "kernel_from_form",
     "kernel_l2_norm",
+    "kernel_distance",
     "adjoint_kernel",
     "compose_kernels",
     "eta_of_kappa",
@@ -177,6 +185,29 @@ class LowRank:
     def adjoint(self) -> "LowRank":
         return LowRank(self.right, np.ascontiguousarray(self.core.T), self.left)
 
+    def product(self) -> np.ndarray:
+        """The matrix L C R^T, multiplied out."""
+        return self.left @ self.core @ self.right.T
+
+    def symmetric_by_construction(self) -> bool:
+        """One factor array for both sides and an exactly symmetric core: L C L^T."""
+        return self.left is self.right and np.array_equal(self.core, self.core.T)
+
+    def minus(self, other: "LowRank") -> "LowRank":
+        """The form of L C R^T - L' C' R'^T, stacked: [L L'] diag(C, -C') [R R']^T;
+        one basis for both sides when each form has one."""
+        left = np.hstack([self.left, other.left])
+        shared = self.left is self.right and other.left is other.right
+        right = left if shared else np.hstack([self.right, other.right])
+        zero = np.zeros((self.core.shape[0], other.core.shape[1]))
+        return LowRank(left, np.block([[self.core, zero], [zero.T, -other.core]]), right)
+
+    def frobenius(self) -> float:
+        """||L C R^T||_F = sqrt tr(C^T (L^T L) C (R^T R)), from the two Grams."""
+        gram_left = self.left.T @ self.left
+        gram_right = gram_left if self.right is self.left else self.right.T @ self.right
+        return float(np.sqrt(max(np.trace(self.core.T @ gram_left @ self.core @ gram_right), 0.0)))
+
 
 # largest exponent of a weight e^{k step p} inside one block of the
 # exponential recursion; the blocks are chained by a carry
@@ -261,23 +292,35 @@ FACTOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MatrixKernel:
-    """Sampled d x d matrix kernel, stored once as its unweighted (N d) x (N d)
-    matrix, with an optional factored form of the same matrix (see the module
-    docstring).  `values` is given as that matrix or as (N, N, d, d) blocks
+    """Sampled d x d matrix kernel: its unweighted (N d) x (N d) matrix, with
+    an optional factored form of the same matrix (see the module docstring).
+    `values` is given as that matrix or as (N, N, d, d) blocks
     values[i, j] = kappa(t_i, t_j), converted once; it reads back as the
     read-only (N, N, d, d) view of `matrix`.  It owns the array it is given
     and makes it read-only: its callers pass temporaries, where a copy would
-    add an (N d)^2 transient; `kernel_from_values` copies a caller's array."""
+    add an (N d)^2 transient; `kernel_from_values` copies a caller's array.
+
+    A kernel given no values (None) is its LowRank form alone: `matrix` and
+    `values` are multiplied out from the form on their first read, by a dense
+    route, and kept; no factored route reads them."""
 
     grid: TimeGrid
     dim: int
-    values: np.ndarray  # (N, N, d, d), a read-only view of `matrix`
+    values: np.ndarray | None = field(repr=False)  # (N, N, d, d), a read-only view of `matrix`
     symmetric: bool = False
     factored: LowRank | LowerExp | None = None
     matrix: np.ndarray = field(init=False, repr=False, compare=False)  # (N d, N d), read-only
 
     def __post_init__(self):
         n, d = self.grid.n_steps, self.dim
+        if self.values is None:
+            if not isinstance(self.factored, LowRank):
+                raise InvalidArgumentError("a kernel given no values needs a LowRank form")
+            object.__delattr__(self, "values")  # built on first read, by __getattr__
+            self._check_factored()
+            if self.symmetric and not self.factored.symmetric_by_construction():
+                self._check_symmetric(self.factored.product())
+            return
         v = np.asarray(self.values, dtype=float)
         if v.shape not in ((n, n, d, d), (n * d, n * d)):
             raise InvalidArgumentError(
@@ -291,23 +334,42 @@ class MatrixKernel:
         if not np.all(np.isfinite(m)):
             raise InvalidArgumentError("kernel values must be finite")
         if self.symmetric:
-            holds, asym = symmetry(m)
-            if not holds:
-                raise InvalidArgumentError(
-                    f"kernel flagged symmetric but max asymmetry is {asym:.3e}"
-                )
+            self._check_symmetric(m)
         v.setflags(write=False)  # the matrix may be a view of it
+        self._keep(m)
+        if self.factored is not None:
+            self._check_factored()
+
+    def __getattr__(self, name):
+        # reached only for `matrix` and `values` of a kernel given no values,
+        # before their first read: multiply its form out, once
+        form = self.__dict__.get("factored")
+        if name not in ("matrix", "values") or not isinstance(form, LowRank):
+            raise AttributeError(name)
+        self._keep(form.product())
+        return self.__dict__[name]
+
+    def _keep(self, m: np.ndarray):
+        """Store the matrix, read-only, and `values`, its (N, N, d, d) view."""
+        n, d = self.grid.n_steps, self.dim
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "values", m.reshape(n, d, n, d).transpose(0, 2, 1, 3))
-        if self.factored is not None:
-            self._check_factored()
+
+    @staticmethod
+    def _check_symmetric(m: np.ndarray):
+        holds, asym = symmetry(m)
+        if not holds:
+            raise InvalidArgumentError(f"kernel flagged symmetric but max asymmetry is {asym:.3e}")
 
     def _check_factored(self):
         """The form must fit the kernel and reproduce every entry of its
         matrix along the route of the path functionals: each row slab of
         about _CHECK_ELEMENTS entries is the form's `apply` (adjoint) of the
-        matching unit rows, so that the check stays in cache."""
+        matching unit rows, so that the check stays in cache.  A kernel given
+        no values compares each slab with that of L C R^T, multiplied out
+        slab by slab and kept nowhere, and is finite when its magnitude is:
+        no entry exceeds it."""
         n, d, form = self.grid.n_steps, self.dim, self.factored
         nd = n * d
         if isinstance(form, LowRank):
@@ -325,13 +387,25 @@ class MatrixKernel:
             factors = (form.rates,)
         for factor in factors:
             factor.setflags(write=False)
-        scale = form.magnitude(self.grid)
-        step = max(1, _CHECK_ELEMENTS // nd)
+        with np.errstate(over="ignore", invalid="ignore"):  # decided just below
+            scale = form.magnitude(self.grid)
+        stored = self.__dict__.get("matrix")
+        if stored is None and not np.isfinite(scale):
+            raise InvalidArgumentError("kernel values must be finite")
+        step = min(nd, max(1, _CHECK_ELEMENTS // nd))
+        # the unit rows and the product slab reuse one buffer each
+        unit, product, diag = np.zeros((step, nd)), np.empty((step, nd)), np.arange(step)
         err = 0.0
         for r0 in range(0, nd, step):
-            rows = self.matrix[r0:r0 + step]  # e_r K, for the unit rows e_r
-            unit = np.eye(len(rows), nd, k=r0).reshape(len(rows), n, d)
-            diff = form.apply(unit, self.grid, adjoint=True).reshape(rows.shape) - rows
+            h = min(step, nd - r0)
+            ones = (diag[:h], r0 + diag[:h])
+            unit[ones] = 1.0
+            diff = form.apply(unit[:h].reshape(h, n, d), self.grid, adjoint=True).reshape(h, nd)
+            unit[ones] = 0.0
+            # e_r K, for the unit rows e_r
+            rows = (np.matmul(form.left[r0:r0 + h] @ form.core, form.right.T, out=product[:h])
+                    if stored is None else stored[r0:r0 + h])
+            np.subtract(diff, rows, out=diff)
             err = max(err, float(np.max(np.abs(diff, out=diff))))
         if not err <= FACTOR_TOL * scale:
             raise InvalidArgumentError(
@@ -374,9 +448,9 @@ def kernel_from_values(grid: TimeGrid, values: np.ndarray, symmetric: bool = Fal
 
 def kernel_from_form(grid: TimeGrid, dim: int, form: LowRank,
                      symmetric: bool = False) -> MatrixKernel:
-    """The kernel whose matrix is L C R^T, carrying that form: the one place
-    a LowRank form is multiplied out."""
-    return MatrixKernel(grid, dim, form.left @ form.core @ form.right.T, symmetric, form)
+    """The kernel whose matrix is L C R^T, given by that form alone: the
+    matrix is multiplied out only if a dense route reads it."""
+    return MatrixKernel(grid, dim, None, symmetric, form)
 
 
 def _check_compatible(a: MatrixKernel, b: MatrixKernel):
@@ -396,16 +470,44 @@ def _symmetrize(matrix: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def kernel_l2_norm(kappa: MatrixKernel) -> float:
-    """Quadrature value of the L2 norm: (sum |kappa(t_i,t_j)|_F^2 Delta^2)^(1/2)."""
+    """Quadrature value of the L2 norm: (sum |kappa(t_i,t_j)|_F^2 Delta^2)^(1/2),
+    the Frobenius norm of the matrix times Delta; read from the factors of a
+    LowRank form (`LowRank.frobenius`)."""
+    if isinstance(kappa.factored, LowRank):
+        return kappa.factored.frobenius() * kappa.grid.step
     v = kappa.matrix.reshape(-1)  # a view, not an (N d)^2 temporary
     return float(np.sqrt(v @ v) * kappa.grid.step)
+
+
+def kernel_distance(a: MatrixKernel, b: MatrixKernel, c: float = 1.0) -> float:
+    """The L2 norm of a - c b.  When both kernels are LowRank, it is read from
+    the stacked form L D R^T (`LowRank.minus`) as ||R_L D R_R^T||_F, with
+    R_L and R_R the triangular factors of thin QRs of L and R (one QR when
+    L is R): the Grams of `LowRank.frobenius` cancel where a and c b nearly
+    agree, which would lose half the digits of a small distance.  Otherwise
+    it is read from the difference of the matrices."""
+    _check_compatible(a, b)
+    if isinstance(a.factored, LowRank) and isinstance(b.factored, LowRank):
+        form = a.factored.minus(b.factored.scaled(c))
+        r_left = np.linalg.qr(form.left, mode="r")
+        r_right = r_left if form.right is form.left else np.linalg.qr(form.right, mode="r")
+        return float(np.linalg.norm(r_left @ form.core @ r_right.T)) * a.grid.step
+    return kernel_l2_norm(MatrixKernel(a.grid, a.dim, a.matrix - c * b.matrix))
+
+
+def _transformed(kappa: MatrixKernel, form, dense: Callable) -> MatrixKernel:
+    """kappa under a transform that maps its form to `form`: from that form
+    alone when it is LowRank, else the matrix dense(kappa.matrix) with it."""
+    if isinstance(form, LowRank):
+        return kernel_from_form(kappa.grid, kappa.dim, form, kappa.symmetric)
+    return MatrixKernel(kappa.grid, kappa.dim, dense(kappa.matrix), kappa.symmetric, form)
 
 
 def adjoint_kernel(kappa: MatrixKernel) -> MatrixKernel:
     """kappa*(t,s) = kappa(s,t)^T, the transposed matrix; an involution and an
     L2 isometry."""
     form = None if kappa.factored is None else kappa.factored.adjoint()
-    return MatrixKernel(kappa.grid, kappa.dim, kappa.matrix.T, kappa.symmetric, form)
+    return _transformed(kappa, form, lambda m: m.T)
 
 
 def compose_kernels(a: MatrixKernel, b: MatrixKernel) -> MatrixKernel:
@@ -501,7 +603,7 @@ def kappa_from_phi(phi: MatrixKernel) -> MatrixKernel:
 def scale_kernel(kappa: MatrixKernel, factor: float) -> MatrixKernel:
     factor = float(factor)
     form = None if kappa.factored is None else kappa.factored.scaled(factor)
-    return MatrixKernel(kappa.grid, kappa.dim, kappa.matrix * factor, kappa.symmetric, form)
+    return _transformed(kappa, form, lambda m: m * factor)
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,20 @@ other operator, and every bare matrix, is its own K, with no Q:
                             (QU, f(1 - w) / Delta, QU)
 
 The symmetry a spectrum needs is the kernel's `symmetric` flag, validated
-at construction by the same routine (`grid_kernel.symmetry`); only a bare
-matrix, or the matrix of a kernel that is not flagged, is scanned.  An
-embedded check must not read the factorisation it checks, or it becomes a
-tautology: the determinant checks below factorise the operator matrix
-itself (dense, whatever the form), and eta_roundtrip builds eta of kappa_s
-from kappa_s's own factors (V and f(1 - w)) and compares it with eta's
-stored matrix, which no eigensolve touched.
+at construction by the same routine (`grid_kernel.symmetry`), or given by
+construction for a LowRank form L C L^T; only a bare matrix, or the matrix
+of a kernel that is not flagged, is scanned.  An embedded check must not
+read the factorisation it checks, or it becomes a tautology.  So
+det2_sqrt_identity takes Sylvester's route (`sylvester_matrix`): for a
+LowRank B_eta = Delta L C R^T, det2(I - c B_eta) is det2 of the order-r
+matrix I_r - c Delta C R^T L, read from its own LU and built from the Gram
+R^T L, which shares no QR with `_reduced` and no eigensolve; a dense B_eta
+is factorised itself.  eta_roundtrip builds eta of kappa_s from kappa_s's
+own factors (V and f(1 - w)) and measures its distance to c eta, whose
+factors no eigensolve touched (`grid_kernel.kernel_distance`: the stacked
+form of a LowRank difference, the matrices otherwise).  The other
+scenarios' determinant checks factorise the operator matrix itself (dense,
+whatever the form).
 Per scenario, with the form its hot-path factorisations take (kernel: that
 of the scenario's kernel; LowRank for rank1, rank2, remark_gencv, const and
 const_phi, dense for volterra and expdiag):
@@ -69,10 +76,12 @@ const_phi, dense for volterra and expdiag):
                              LU I+B_k: det2, khat by lu_solve       rn_normalization: own
                                                                       LU of I+B_khat, MC mass
     surjective      kernel   one eigh B_eta per scenario, its       det2_sqrt_identity: one
-                               lambdas included; per factor c,        dense LU of I-cB_eta
-                               from c w and V: gate, guard,           per factor
-                               det2(I-cB_eta), kappa_s, and khat_s  eta_roundtrip: eta of
-                               when f is not constant                 kappa_s, against eta
+                               lambdas included; per factor c,        LU of I-cS per factor,
+                               from c w and V: gate, guard,           S = Delta C R^T L of
+                               det2(I-cB_eta), kappa_s, and khat_s    order r (dense: B_eta)
+                               when f is not constant               eta_roundtrip: eta of
+                                                                      kappa_s against c eta,
+                                                                      in stacked factors
     harmonic        dense    eigvalsh B_{-c} (eigh when f is not    det_dual_route: slogdet
                                constant): gate, det(I+B_c), c'_hat    of I + B^T B (no x)
     cameron_martin  kernel   eigvalsh B_eta: gate, guard            det2_consistency:
@@ -108,6 +117,7 @@ from .grid_kernel import (
     MatrixKernel,
     TimeGrid,
     eta_of_kappa,
+    kernel_distance,
     kernel_from_form,
     kernel_l2_norm,
     symmetry,
@@ -125,6 +135,7 @@ __all__ = [
     "lambda_max",
     "det2",
     "det2_matrix",
+    "sylvester_matrix",
     "det2_product_identity_check",
     "trace",
     "inverse_kernel",
@@ -364,6 +375,19 @@ def det2(op: MatrixKernel | np.ndarray) -> Det2:
     return factor_identity_plus(op).det2
 
 
+def sylvester_matrix(op: MatrixKernel | np.ndarray) -> np.ndarray:
+    """A matrix S with det(I + x S) = det(I + x M) and tr S = tr M for every
+    real x: for a LowRank kernel, M = Delta L C R^T, the matrix
+    Delta C (R^T L) of order r, built from the Gram R^T L (Sylvester's
+    identity det(I + A B) = det(I + B A)); the operator matrix M otherwise.
+    So det2_matrix(x S) is det2(I + x M) along a route that shares no QR
+    with `_reduced` and no eigensolve."""
+    form = op.factored if isinstance(op, MatrixKernel) else None
+    if not isinstance(form, LowRank):
+        return _dense(op)
+    return op.grid.step * (form.core @ (form.right.T @ form.left))
+
+
 def trace(kappa: MatrixKernel) -> float:
     """Matrix trace of M, read from the diagonal blocks without assembling M:
     sum_i tr kappa(t_i, t_i) Delta, the quadrature of the diagonal integral
@@ -498,16 +522,8 @@ def injectivity_witness(
             "injectivity witness requires symmetric kernels with I + B >= 0 "
             f"(membership: {mem1}, {mem2}); pass strict=False to document the violation"
         )
-    eta_dist = kernel_l2_norm(
-        MatrixKernel(
-            kappa_1.grid,
-            kappa_1.dim,
-            eta_of_kappa(kappa_1).matrix - eta_of_kappa(kappa_2).matrix,
-        )
-    )
-    kap_dist = kernel_l2_norm(
-        MatrixKernel(kappa_1.grid, kappa_1.dim, kappa_1.matrix - kappa_2.matrix)
-    )
+    eta_dist = kernel_distance(eta_of_kappa(kappa_1), eta_of_kappa(kappa_2))
+    kap_dist = kernel_distance(kappa_1, kappa_2)
     if mem1 and mem2:
         # Lipschitz factor of the square root on the spectral gap
         cond = 1.0 / max(np.sqrt(max(mn1, 0.0)) + np.sqrt(max(mn2, 0.0)), 1e-30)

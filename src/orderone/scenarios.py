@@ -546,8 +546,9 @@ class Scenario:
         sides as its report's 'identity' check and decide the report."""
         reports, lhs, rhs = zip(*rows)
         # a zero scenario kernel degenerates both sides to the same statistic
-        # of one batch; sharing the stream then makes the discrepancy exactly zero
-        stream = _STREAM_RHS if np.any(self.kernel.matrix) else _STREAM_LHS
+        # of one batch; sharing the stream then makes the discrepancy exactly
+        # zero.  Zero is read as an L2 norm of 0, from the factors of a LowRank form
+        stream = _STREAM_RHS if gk.kernel_l2_norm(self.kernel) > 0 else _STREAM_LHS
         for report, left, right in zip(reports, self.estimate(_STREAM_LHS, lhs, self.f),
                                        self.estimate(stream, rhs, self.f)):
             report.lhs, report.rhs = left, right
@@ -720,16 +721,15 @@ def surjective_scenario(
         }
         # det2(I - B) = (|det2(I + B_kappa_s)| e^{-||kappa_s||^2/2})^2 = prod (1-w) e^w
         # for B = c B_eta in the spectral calculus that builds kappa_s; an LU of
-        # I - B, which shares nothing with the eigensolve, is the independent route
+        # I - c S, S the Sylvester matrix of B_eta (of order r for a LowRank eta),
+        # shares nothing with the eigensolve: it is the independent route
         report.checks["det2_sqrt_identity"] = _check_close(
-            d2_eta.log_modulus, op.det2_matrix(-c * op.assemble(eta)).log_modulus,
+            d2_eta.log_modulus, op.det2_matrix(-c * op.sylvester_matrix(eta)).log_modulus,
             OPERATOR_TOL,
             note="log of the squared kappa_s factor, prod (1-w) e^w, against an LU of I-B_eta",
         )
         # eta round trip of the square-root construction
-        round_err = gk.kernel_l2_norm(
-            MatrixKernel(s.grid, eta.dim, gk.eta_of_kappa(kappa).matrix - c * eta.matrix)
-        )
+        round_err = gk.kernel_distance(gk.eta_of_kappa(kappa), eta, c)
         report.checks["eta_roundtrip"] = _check_close(
             round_err, 0.0, OPERATOR_TOL * max(abs(c) * eta_norm, 1.0), relative=False,
             note="||eta(kappa_s(eta)) - eta||_2",

@@ -124,6 +124,22 @@ def test_parse_rejects_an_empty_list_entry(lambdas):
         parse_config(text)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("format = xml", "format must be one of json|csv|both"),
+    ("lambdas = 0.25,,0.5", "expected comma-separated finite reals, got '0.25,,0.5'"),
+    ("samples = 1.5", "invalid literal for int() with base 10: '1.5'"),
+])
+def test_an_invalid_value_reports_the_parsers_reason(tmp_path, capsys, line, reason):
+    # the message used to end at "has invalid value '<text>'"
+    section = "[run]\n" if line.startswith("format") else "verify = surjective\n"
+    text = MINIMAL.replace("verify = transf\n", "verify = surjective\n")
+    text = text.replace(section, section + line + "\n")
+    assert main(["run", "--config", _write_config(tmp_path, text),
+                 "--out", str(tmp_path / "r")]) == EXIT_USAGE
+    key, _, raw = line.partition(" = ")
+    assert f"field '{key}' has invalid value '{raw}': {reason}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------

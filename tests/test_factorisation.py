@@ -31,7 +31,7 @@ from orderone import (
     verify_surjective,
     verify_transf,
 )
-from orderone import operator, scenarios, stochastic
+from orderone import grid_kernel, operator, scenarios, stochastic
 from orderone.grid_kernel import MatrixKernel
 from orderone.operator import GATE_MARGIN, factor_identity_plus, spectrum
 from orderone.stochastic import moment_guard
@@ -100,40 +100,45 @@ def _perturb_pivots(monkeypatch):
 # factorisation counts
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("run, expected", [
+# `largest`: the largest order factorised; on a rank-r kernel at most 2r (the
+# eta of rank1 has rank 2), on a dense one the grid's N d
+@pytest.mark.parametrize("run, expected, largest", [
     (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
-     {"eigvalsh": 1, "lu_factor": 1}),
+     {"eigvalsh": 1, "lu_factor": 1}, 2),
     (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
-     {"eigvalsh": 1, "lu_factor": 2}),
+     {"eigvalsh": 1, "lu_factor": 2}, 2),
+    # det2_sqrt_identity: the LU of the order-1 Sylvester matrix, not of I - B_eta
     (lambda g: verify_surjective("rank1:b=0.3", "one", grid=g, n_paths=500),
-     {"eigh": 1, "lu_factor": 1}),
+     {"eigh": 1, "lu_factor": 1}, 1),
     (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
-     {"eigh": 1, "lu_factor": 1}),
+     {"eigh": 1, "lu_factor": 1}, 1),
     (lambda g: verify_harmonic("volterra", 1.0, None, "one", grid=g, n_paths=500),
-     {"eigvalsh": 1, "slogdet": 1}),
+     {"eigvalsh": 1, "slogdet": 1}, 32),
     (lambda g: verify_harmonic("volterra", 1.0, None, "cos_end:1.0", grid=g, n_paths=500),
-     {"eigh": 1, "slogdet": 1}),
+     {"eigh": 1, "slogdet": 1}, 32),
     (lambda g: verify_harmonic("expdiag:p=[0.5,-0.5]", 0.5, [1.0, 0.0], "one", grid=g, dim=2,
                                n_paths=500),
-     {"eigvalsh": 1}),
+     {"eigvalsh": 1}, 64),
     # the s-kernel gate, then its own prologue: the eta gate and the LU of det2
     (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500),
-     {"eigvalsh": 2, "lu_factor": 1}),
+     {"eigvalsh": 2, "lu_factor": 1}, 4),
 ], ids=["transf", "inverse", "surjective-one", "surjective-cos", "harmonic-one",
         "harmonic-cos", "harmonic-x", "gencv"])
-def test_one_factorisation_per_operator(grid, monkeypatch, run, expected):
+def test_one_factorisation_per_operator(grid, monkeypatch, run, expected, largest):
     calls = _counting(monkeypatch)
     report = run(grid)
     assert report.verdict == "pass"
     assert dict(calls) == expected
+    assert max(order for _, order in calls.orders) == largest
 
 
 @pytest.mark.parametrize("functional, sides", [("one", (0,)), ("cos_end:1.0", (0, 1))])
 def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functional, sides):
-    # three factors: one eigh of B_eta, one LU of I - c B_eta per factor, and
-    # each chunk of each Monte Carlo side drawn once (f == 1 has an exact
-    # right-hand side, so draws the left-hand side alone); q is evaluated once
-    # per chunk and each factor's row reads c q
+    # three factors: one eigh of B_eta, one LU of I - c S per factor (S the
+    # order-1 Sylvester matrix of B_eta), and each chunk of each Monte Carlo
+    # side drawn once (f == 1 has an exact right-hand side, so draws the
+    # left-hand side alone); q is evaluated once per chunk and each factor's
+    # row reads c q
     monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 32 * 200)  # 1,000 paths in 5 chunks
     calls = _counting(monkeypatch)
     drawn, sample_paths = [], stochastic.sample_paths
@@ -150,7 +155,7 @@ def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functi
     monkeypatch.setattr(stochastic, "quadratic_form", counted)
     reports = sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], functional, grid, n_paths=1_000)
     assert [r.verdict for r in reports] == ["pass"] * 3
-    assert dict(calls) == {"eigh": 1, "lu_factor": 3}
+    assert calls.orders == [("eigh", 1)] + [("lu_factor", 1)] * 3
     assert sorted(drawn) == [(side, idx) for side in sides for idx in range(5)]
     assert sorted(forms) == [(0, idx) for idx in range(5)]  # 5 chunks x 3 factors: 5, not 15
 
@@ -159,7 +164,8 @@ def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functi
 def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch, functional,
                                                     sides):
     # `run` verified a surjective scenario's own identity and then swept its
-    # lambdas in a second pass: two eigensolves, and each chunk drawn twice
+    # lambdas in a second pass: two eigensolves, and each chunk drawn twice;
+    # now one eigh, and one LU of order 1 per factor
     from orderone.cli import main
 
     monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 32 * 200)  # 1,000 paths in 5 chunks
@@ -175,7 +181,7 @@ def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch,
         return sample_paths(*args, **kwargs)
     monkeypatch.setattr(stochastic, "sample_paths", recorded)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
-    assert dict(calls) == {"eigh": 1, "lu_factor": 4}
+    assert calls.orders == [("eigh", 1)] + [("lu_factor", 1)] * 4
     assert sorted(drawn) == [(side, idx) for side in sides for idx in range(5)]
 
     got = json.loads((tmp_path / "reports.json").read_text())
@@ -194,11 +200,12 @@ N = 32  # the order of an operator on the grid fixture, d = 1
     # (Q, X / Delta, Q) has one factor
     (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
      1, [1, 1], []),
-    # det2_sqrt_identity: a dense LU of I - c B_eta per factor
+    # det2_sqrt_identity: an LU of I - c S per factor, S the Sylvester matrix
+    # of B_eta, of order r
     (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
-     1, [], [("lu_factor", N)]),
+     1, [1], []),
     (lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "one", g, n_paths=500),
-     1, [], [("lu_factor", N)] * 3),
+     1, [1, 1, 1], []),
     (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 2, [2], []),
     # kappa_phi has distinct factors, so its reduced matrix is of order 2r;
     # det2_consistency: a dense slogdet of I + B_kphi
@@ -222,9 +229,9 @@ def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, r
     (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50), 0),
     (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 0),
     (lambda g: verify_integrability_bound("rank1:b=0.3", grid=g, n_paths=500), 0),
-    # det2_sqrt_identity: the matrix of its dense LU, one per factor
-    (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1),
-    (lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "one", g, n_paths=500), 3),
+    # det2_sqrt_identity reads the factors of eta, eta_roundtrip the stacked form
+    (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 0),
+    (lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "one", g, n_paths=500), 0),
     # trace_formula and det2_consistency read one matrix
     (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1),
     # a dense kernel: the gate and det2 (transf); the gate and det_dual_route (harmonic)
@@ -244,6 +251,43 @@ def test_dense_matrices_assembled_per_scenario(grid, monkeypatch, run, expected)
     for report in reports if isinstance(reports, list) else [reports]:
         assert report.verdict == "pass"
     assert orders == [N] * expected
+
+
+@pytest.mark.parametrize("run", [
+    lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
+    lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
+    lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
+    lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "cos_end:1.0", g, n_paths=500),
+], ids=["transf", "inverse", "surjective", "sweep"])
+def test_low_rank_hot_paths_build_no_matrix(grid, monkeypatch, run):
+    # every kernel of these runs is its LowRank form: none is given values,
+    # none has its matrix multiplied out on a read, and every symmetry scan
+    # reads a reduced matrix of order <= 2r, never one of order N
+    given, read, scanned = [], [], []
+    post_init, getattr_ = MatrixKernel.__post_init__, MatrixKernel.__getattr__
+
+    def counted_post_init(self):
+        post_init(self)
+        given.append("matrix" in self.__dict__)
+
+    def counted_getattr(self, name):
+        read.append(name)
+        return getattr_(self, name)
+
+    def counted_symmetry(m):
+        scanned.append(len(m))
+        return symmetry(m)
+    symmetry = grid_kernel.symmetry
+    monkeypatch.setattr(MatrixKernel, "__post_init__", counted_post_init)
+    monkeypatch.setattr(MatrixKernel, "__getattr__", counted_getattr)
+    for module in (grid_kernel, operator):
+        monkeypatch.setattr(module, "symmetry", counted_symmetry)
+    reports = run(grid)
+    for report in reports if isinstance(reports, list) else [reports]:
+        assert report.verdict == "pass"
+    assert given and not any(given)
+    assert [name for name in read if name in ("matrix", "values")] == []
+    assert all(order <= 2 for order in scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +367,14 @@ def test_surjective_checks_see_a_perturbed_spectrum(grid, monkeypatch, check):
     assert run().checks[check].passed
     _perturb_eigenvalues(monkeypatch)
     assert not run().checks[check].passed
+
+
+def test_det2_sqrt_identity_sees_perturbed_pivots(grid, monkeypatch):
+    # its route is the LU of the Sylvester matrix, so a slip there shows
+    run = lambda: verify_surjective("rank1:b=0.3", "one", grid=grid, n_paths=500)  # noqa: E731
+    assert run().checks["det2_sqrt_identity"].passed
+    _perturb_pivots(monkeypatch)
+    assert not run().checks["det2_sqrt_identity"].passed
 
 
 def test_harmonic_dual_route_sees_a_perturbed_spectrum(grid, monkeypatch):

@@ -35,10 +35,14 @@ from orderone import (
     trace,
 )
 from orderone import InvalidArgumentError
-from orderone.grid_kernel import SYMMETRY_TOL, LowRank, MatrixKernel
-from orderone.operator import (
-    GATE_MARGIN, PIVOT_RTOL, Det2, det2_matrix, factor_identity_plus, spectrum,
+from orderone import grid_kernel
+from orderone.grid_kernel import (
+    SYMMETRY_TOL, LowRank, MatrixKernel, kernel_distance, kernel_from_form,
 )
+from orderone.operator import (
+    GATE_MARGIN, PIVOT_RTOL, Det2, det2_matrix, factor_identity_plus, spectrum, sylvester_matrix,
+)
+from orderone.scenarios import OPERATOR_TOL
 
 
 @pytest.fixture
@@ -582,3 +586,78 @@ def test_rank_one_singular_decision_matches_dense():
         d_low = det2(kernel)
         assert d_low.singular == det2(replace(kernel, factored=None)).singular
         assert d_low.singular == singular
+
+
+# ---------------------------------------------------------------------------
+# a LowRank kernel is its form: the factor routes against the dense ones
+# ---------------------------------------------------------------------------
+
+def _random_form(rng, nd, rank, shared):
+    """L C R^T with R = L (shared) or its own array; C symmetric when shared."""
+    left = rng.normal(size=(nd, rank))
+    core = rng.normal(size=(rank, rank))
+    if shared:
+        return LowRank(left, core + core.T, left)
+    return LowRank(left, core, rng.normal(size=(nd, rank)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 512), dim=st.sampled_from([1, 2]), rank=st.integers(1, 4),
+       shared=st.booleans(), seed=st.integers(0, 2**32 - 1), c=st.floats(-1.0, 1.0))
+def test_factor_routes_match_dense_property(n, dim, rank, shared, seed, c):
+    g, rng = make_grid(1.0, n), np.random.default_rng(seed)
+    form = _random_form(rng, n * dim, rank, shared)
+    kernel = kernel_from_form(g, dim, form, symmetric=shared)
+    assert "matrix" not in kernel.__dict__  # nothing is multiplied out at construction
+    want = form.left @ form.core @ form.right.T
+    _assert_close(kernel.matrix, want, OPERATOR_TOL * max(1.0, np.max(np.abs(want))), "matrix")
+    dense = replace(kernel, factored=None)
+
+    norm = kernel_l2_norm(dense)
+    _assert_close(kernel_l2_norm(kernel), norm, OPERATOR_TOL * max(1.0, norm), "L2 norm")
+
+    # det2(I + x B), x c / (2 ||B||_F): I + x B is well conditioned
+    x = c / (2.0 * norm) if norm > 0 else c
+    got, ref = det2_matrix(x * sylvester_matrix(kernel)), det2_matrix(x * assemble(dense))
+    assert (got.sign, got.singular) == (ref.sign, ref.singular)
+    _assert_close(got.log_modulus, ref.log_modulus,
+                  OPERATOR_TOL * max(1.0, abs(ref.log_modulus)), "Sylvester det2")
+
+    # the distance of eta_roundtrip: eta of the square root of c eta, against c eta
+    eta = kernel_from_form(g, dim, LowRank(form.left, form.core + form.core.T, form.left),
+                           symmetric=True)
+    eta = scale_kernel(eta, 0.8 / kernel_l2_norm(eta)) if kernel_l2_norm(eta) > 0 else eta
+    root = spectrum(eta, vectors=True).scaled(c).sqrt_kernel()
+    back = eta_of_kappa(root)
+    ref = kernel_l2_norm(MatrixKernel(g, dim, back.matrix - c * eta.matrix))
+    _assert_close(kernel_distance(back, eta, c), ref, OPERATOR_TOL * max(abs(c) * 0.8, 1.0),
+                  "eta round trip")
+    # and of two unrelated kernels, which do not cancel
+    other = kernel_from_form(g, dim, _random_form(rng, n * dim, rank, shared), symmetric=shared)
+    ref = kernel_l2_norm(MatrixKernel(g, dim, kernel.matrix - c * other.matrix))
+    _assert_close(kernel_distance(kernel, other, c), ref, OPERATOR_TOL * max(1.0, ref),
+                  "distance")
+
+
+def test_form_symmetric_by_construction_skips_the_scan(grid, monkeypatch):
+    # one factor array and a symmetric core: no scan; the same factors in two
+    # arrays, or an asymmetric core flagged symmetric: scanned, and rejected
+    scanned, symmetry = [], grid_kernel.symmetry
+    monkeypatch.setattr(grid_kernel, "symmetry", lambda m: scanned.append(len(m)) or symmetry(m))
+    basis = np.random.default_rng(3).normal(size=(64, 2))
+    core = np.array([[1.0, 0.5], [0.5, -2.0]])
+    kernel_from_form(grid, 1, LowRank(basis, core, basis), symmetric=True)
+    assert scanned == []
+    kernel_from_form(grid, 1, LowRank(basis, core, basis.copy()), symmetric=True)
+    assert scanned == [64]
+    with pytest.raises(InvalidArgumentError, match="flagged symmetric"):
+        kernel_from_form(grid, 1, LowRank(basis, np.array([[1.0, 0.5], [0.0, 1.0]]), basis),
+                         symmetric=True)
+
+
+def test_form_with_a_non_finite_factor_is_rejected(grid):
+    # finite factors whose product overflows are rejected too
+    for factor, core in ((1.0, np.inf), (1.0, np.nan), (1e10, 1e300)):
+        basis = np.full((64, 1), factor)
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            kernel_from_form(grid, 1, LowRank(basis, np.array([[core]]), basis))

@@ -279,7 +279,9 @@ def test_sweep_rejects_a_non_finite_lambda(grid, lam):
 @pytest.mark.parametrize("run", [
     lambda g: verify_surjective("zero", "cos_end:1.0", g, n_paths=5_000, seed=1),
     lambda g: verify_harmonic("zero", 1.0, None, "cos_end:1.0", g, n_paths=5_000, seed=1),
-], ids=["surjective", "harmonic"])
+    # a LowRank kernel of zero core: the rule reads its form, not a matrix
+    lambda g: verify_transf("rank1:b=0", "cos_end:1.0", g, n_paths=5_000, seed=1),
+], ids=["surjective", "harmonic", "transf-low-rank"])
 def test_zero_kernel_shares_the_stream(grid, run):
     # the degenerate rule is read from the scenario's own kernel: zero, so the
     # right-hand side reads the left-hand paths and the two sides coincide
