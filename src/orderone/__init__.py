@@ -37,7 +37,6 @@ from .operator import (
     assemble,
     det2,
     det2_product_identity_check,
-    injectivity_witness,
     inverse_kernel,
     kappa_s,
     kernel_from_matrix,

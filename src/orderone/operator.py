@@ -61,19 +61,25 @@ R^T L, which shares no QR with `_reduced` and no eigensolve; a dense B_eta
 is factorised itself.  eta_roundtrip builds eta of kappa_s from kappa_s's
 own factors (V and f(1 - w)) and measures its distance to c eta, whose
 factors no eigensolve touched (`grid_kernel.kernel_distance`: the stacked
-form of a LowRank difference, the matrices otherwise).  The other
-scenarios' determinant checks factorise the operator matrix itself (dense,
-whatever the form).
+form of a LowRank difference, the matrices otherwise).  Every kind that
+starts at `Scenario.factor` checks its gate eigensolve against its LU by
+Carleman's product formula (`det2_product`; B. Simon, Trace Ideals, 2nd
+ed., ch. 9).  det_dual_route and det2_consistency factorise the operator
+matrix itself (dense, whatever the form).
 Per scenario, with the form its hot-path factorisations take (kernel: that
 of the scenario's kernel; LowRank for rank1, rank2, remark_gencv, const and
 const_phi, dense for volterra and expdiag):
 
     scenario        form     hot path                               check routes
-    transf          kernel   eigvalsh B_eta: gate, guard            (identity only)
+    transf          kernel   eigvalsh B_eta: gate, guard            det2_product
                              LU I+B_k: det2
-    inverse         kernel   eigvalsh B_eta: gate, guard, image     composition_roundtrip:
-                               gate 1 - 1/(1 - lambda_min)            paths through k, khat
-                             LU I+B_k: det2, khat by lu_solve       rn_normalization: own
+    inverse         kernel   eigvalsh B_eta: gate, guard, image     det2_product
+                               gate 1 - 1/(1 - lambda_min)          det2_inverse: the two
+                             LU I+B_k: det2, khat by lu_solve         det2s against a
+                                                                      factored tr(B B_khat)
+                                                                    composition_roundtrip:
+                                                                      paths through k, khat
+                                                                    rn_normalization: own
                                                                       LU of I+B_khat, MC mass
     surjective      kernel   one eigh B_eta per scenario, its       det2_sqrt_identity: one
                                lambdas included; per factor c,        LU of I-cS per factor,
@@ -84,13 +90,15 @@ const_phi, dense for volterra and expdiag):
                                                                       in stacked factors
     harmonic        dense    eigvalsh B_{-c} (eigh when f is not    det_dual_route: slogdet
                                constant): gate, det(I+B_c), c'_hat    of I + B^T B (no x)
-    cameron_martin  kernel   eigvalsh B_eta: gate, guard            det2_consistency:
-                             LU I+B_kphi: det2                        slogdet of I+B_kphi
+    cameron_martin  kernel   eigvalsh B_eta: gate, guard            det2_product
+                             LU I+B_kphi: det2                      det2_consistency:
+                                                                      slogdet of I+B_kphi
                                                                     trace_formula: tail
                                                                       sums of phi
-    gencv           LowRank  eigvalsh B_s; its own prologue:        closed forms of
-                               eigvalsh B_eta, LU I+B_k: det2         lambda_s, lambda_eta, det2
-    finite_dim      dense    eigvalsh B_eta(A) on unit steps: gate  (identity only)
+    gencv           LowRank  eigvalsh B_s; its own prologue:        det2_product; closed
+                               eigvalsh B_eta, LU I+B_k: det2         forms of lambda_s,
+                                                                      lambda_eta, det2
+    finite_dim      dense    eigvalsh B_eta(A) on unit steps: gate  det2_product
                              LU I+A: det2, |det| = |det2| e^{tr A}
     integrability   kernel   eigvalsh B_eta: gate, guard            closed-form bound, oracle
 
@@ -107,7 +115,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
-    InvalidArgumentError,
     NotContractiveError,
     PreconditionError,
     SingularOperatorError,
@@ -117,7 +124,6 @@ from .grid_kernel import (
     MatrixKernel,
     TimeGrid,
     eta_of_kappa,
-    kernel_distance,
     kernel_from_form,
     kernel_l2_norm,
     symmetry,
@@ -136,12 +142,13 @@ __all__ = [
     "det2",
     "det2_matrix",
     "sylvester_matrix",
+    "det2_product",
     "det2_product_identity_check",
     "trace",
+    "trace_product",
     "inverse_kernel",
     "inverse_kernel_from",
     "kappa_s",
-    "injectivity_witness",
     "spectral_summary",
     "GATE_MARGIN",
     "PIVOT_RTOL",
@@ -395,15 +402,33 @@ def trace(kappa: MatrixKernel) -> float:
     return float(np.einsum("iaa->", kappa.diagonal_blocks())) * kappa.grid.step
 
 
+def trace_product(a: MatrixKernel, b: MatrixKernel) -> float:
+    """Matrix trace of M_a M_b without assembling either: for two LowRank
+    kernels Delta^2 tr(C_a (R_a^T L_b) C_b (R_b^T L_a)), from two Grams of
+    order r; the sum of M_a[i, j] M_b[j, i] otherwise."""
+    fa, fb = a.factored, b.factored
+    if isinstance(fa, LowRank) and isinstance(fb, LowRank):
+        core = fa.core @ (fa.right.T @ fb.left) @ fb.core @ (fb.right.T @ fa.left)
+        return float(np.trace(core)) * a.grid.step ** 2
+    return float(np.einsum("ij,ji->", a.matrix, b.matrix)) * a.grid.step ** 2
+
+
+def det2_product(gate: Spectrum, det2: Det2, hs_norm: float) -> tuple[float, float]:
+    """(log det2(I - B_eta), 2 log|det2(I + B)| - ||kappa||^2) for eta the eta
+    kernel of kappa, from the gate spectrum of B_eta and from det2(I + B) and
+    the L2 norm: the two sides of Carleman's product formula for
+    I - B_eta = (I + B)^*(I + B), equal whenever I + B is invertible."""
+    return gate.det2_complement().log_modulus, 2.0 * det2.log_modulus - hs_norm ** 2
+
+
 @dataclass(frozen=True)
 class Det2ProductReport:
-    """Both routes to det2((I + B*)(I + B)) and their agreement."""
+    """Both sides of `det2_product` and their agreement: lhs_log from the
+    eigensolve of B_eta, rhs_log from the LU of I + B and the norm."""
 
     lhs_log: float
     rhs_log: float
     discrepancy: float
-    eta_log: float | None
-    eta_discrepancy: float | None
     singular: bool
 
     @property
@@ -411,34 +436,16 @@ class Det2ProductReport:
         return not self.singular and self.discrepancy <= 1e-10
 
 
-def _log_gap(a_log: float, b_log: float) -> float:
-    # |ratio - 1| of two positive values given in log form
-    return float(abs(np.expm1(a_log - b_log)))
-
-
 def det2_product_identity_check(kappa: MatrixKernel) -> Det2ProductReport:
-    """Check det2((I+B*)(I+B)) = det2(I+B) det2(I+B*) e^{-tr(B*B)}.
-
-    Additionally compare with det2(I - B_eta) for the eta kernel of kappa,
-    which equals the same product by the operator identity
-    B_eta = -(B + B* + B*B); eta_log is None when I - B_eta is singular.
-    """
-    m = assemble(kappa)
-    prod_b = m + m.T + m.T @ m  # (I+M^T)(I+M) - I, formed without cancellation
-    lhs = det2_matrix(prod_b)
-    d_m = det2_matrix(m)
-    d_mt = det2_matrix(m.T)
-    if lhs.singular or d_m.singular or d_mt.singular:
-        return Det2ProductReport(lhs.log_modulus, -np.inf, np.inf, None, None, True)
-    rhs_log = d_m.log_modulus + d_mt.log_modulus - float(np.sum(m * m))
-    disc = _log_gap(lhs.log_modulus, rhs_log)
-
-    eta_log = eta_disc = None
-    d_eta = det2_matrix(-assemble(eta_of_kappa(kappa)))
-    if not d_eta.singular:
-        eta_log = d_eta.log_modulus
-        eta_disc = _log_gap(lhs.log_modulus, eta_log)
-    return Det2ProductReport(lhs.log_modulus, rhs_log, disc, eta_log, eta_disc, False)
+    """Check det2((I+B*)(I+B)) = det2(I+B) det2(I+B*) e^{-tr(B*B)}, where
+    (I+B*)(I+B) = I - B_eta: `det2_product` of one eigensolve of B_eta, one
+    LU of I+B and the norm, with no operator matrix assembled."""
+    d2 = det2(kappa)
+    if d2.singular:
+        return Det2ProductReport(-np.inf, -np.inf, np.inf, True)
+    lhs_log, rhs_log = det2_product(spectrum(eta_of_kappa(kappa)), d2, kernel_l2_norm(kappa))
+    # |ratio - 1| of the two positive values
+    return Det2ProductReport(lhs_log, rhs_log, float(abs(np.expm1(lhs_log - rhs_log))), False)
 
 
 def inverse_kernel(kappa: MatrixKernel) -> MatrixKernel:
@@ -477,60 +484,6 @@ def kappa_s(eta: MatrixKernel, enforce_gate: bool = True) -> MatrixKernel:
             f"lambda_max(B_eta) = {lam:.12g} >= 1 - {GATE_MARGIN}; no square-root regime"
         )
     return spec.sqrt_kernel()
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    """Distances behind the injectivity statement on {symmetric, I + B >= 0}."""
-
-    eta_distance: float
-    kappa_distance: float
-    member_1: bool
-    member_2: bool
-    min_eig_1: float
-    min_eig_2: float
-    tol: float
-    implication_holds: bool
-
-
-def injectivity_witness(
-    kappa_1: MatrixKernel, kappa_2: MatrixKernel, tol: float = 1e-8, strict: bool = True
-) -> WitnessReport:
-    """Report ||eta(k1) - eta(k2)|| and ||k1 - k2|| and test the implication
-    "equal eta forces equal kappa" that holds on the domain
-    {symmetric, I + B >= 0}.
-
-    With strict=True (default) a non-member input raises PreconditionError;
-    with strict=False the report documents the failure of injectivity outside
-    the domain (member flags false).
-    """
-    if kappa_1.grid != kappa_2.grid or kappa_1.dim != kappa_2.dim:
-        raise InvalidArgumentError("witness inputs must share grid and dimension")
-    n_id = np.eye(kappa_1.grid.n_steps * kappa_1.dim)
-
-    def membership(k: MatrixKernel) -> tuple[bool, float]:
-        m = assemble(k)
-        if not symmetry(m)[0]:
-            return False, np.nan
-        mn = float(np.linalg.eigvalsh(n_id + m)[0])
-        return mn >= -1e-10, mn
-
-    mem1, mn1 = membership(kappa_1)
-    mem2, mn2 = membership(kappa_2)
-    if strict and not (mem1 and mem2):
-        raise PreconditionError(
-            "injectivity witness requires symmetric kernels with I + B >= 0 "
-            f"(membership: {mem1}, {mem2}); pass strict=False to document the violation"
-        )
-    eta_dist = kernel_distance(eta_of_kappa(kappa_1), eta_of_kappa(kappa_2))
-    kap_dist = kernel_distance(kappa_1, kappa_2)
-    if mem1 and mem2:
-        # Lipschitz factor of the square root on the spectral gap
-        cond = 1.0 / max(np.sqrt(max(mn1, 0.0)) + np.sqrt(max(mn2, 0.0)), 1e-30)
-        implication = (eta_dist > tol) or (kap_dist <= tol * cond)
-    else:
-        implication = False
-    return WitnessReport(eta_dist, kap_dist, mem1, mem2, mn1, mn2, tol, implication)
 
 
 @dataclass(frozen=True)

@@ -487,9 +487,9 @@ class Scenario:
         """The prologue of transf, inverse, cameron_martin, gencv and finite_dim:
         the eta kernel of kappa, the gate spectrum of B_eta (one eigensolve)
         and its guard, then one LU of I + B_kappa for det2 and, when inverse,
-        the inverse kernel; gate and spectra go into the report.  None when
-        the scenario halts, its verdict then 'rejected-by-hypothesis' at the
-        gate or 'singular' at a vanishing det2."""
+        the inverse kernel; gate, spectra and the det2_product check go into
+        the report.  None when the scenario halts, its verdict then
+        'rejected-by-hypothesis' at the gate or 'singular' at a vanishing det2."""
         eta = gk.eta_of_kappa(kappa)
         gate = op.spectrum(eta)
         guard = _gate(self.report, gate.lambda_max)
@@ -509,6 +509,10 @@ class Scenario:
         if d2.singular:
             self.report.verdict = "singular"
             return None
+        self.report.checks["det2_product"] = _check_close(
+            *op.det2_product(gate, d2, self.report.spectra["hs_norm"]), OPERATOR_TOL,
+            note="log det2(I-B_eta) of the gate spectrum against 2 log|det2(I+B)| - ||kappa||^2",
+        )
         # the LU is as large as the operator, so only what is read from it is kept
         return _Factored(eta, gate, guard, d2,
                          op.inverse_kernel_from(lu, kappa) if inverse else None)
@@ -665,6 +669,11 @@ def verify_inverse(
     eta_hat = gk.eta_of_kappa(kappa_hat)
     guard_hat = st.moment_guard(1.0 - 1.0 / (1.0 - p.gate.lambda_min))
     d2_hat = op.det2(kappa_hat)
+    # (I + B)(I + B_hat) = I, so det2(I + B) det2(I + B_hat) = e^{tr(B B_hat)}
+    report.checks["det2_inverse"] = _check_close(
+        p.det2.log_modulus + d2_hat.log_modulus, op.trace_product(kappa, kappa_hat), OPERATOR_TOL,
+        note="log|det2(I+B)| + log|det2(I+B_hat)| against tr(B B_hat)",
+    )
     rn = s.estimate(_STREAM_RN, [Side(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2,
                                       partial(st.quadratic_form, eta_hat),
                                       ci_valid=guard_hat == "ok")], _ONE)[0]
@@ -862,8 +871,8 @@ def verify_cameron_martin(
         note="max |linear drift - Wiener integral| / scale, Ito-vs-path gap",
     )
 
-    lhs = Side(p.det2.log_modulus + tr, lambda batch: st.cm_exponent(phi, batch)[0],
-               kernel=phi, linear=True, ci_valid=p.guard == "ok")
+    lhs = Side(p.det2.log_modulus + tr, partial(st.cm_exponent, phi), kernel=phi, linear=True,
+               ci_valid=p.guard == "ok")
     return s.identity([(report, lhs, Side())])[0]
 
 
@@ -922,8 +931,7 @@ def integrability_bound(lam: float, hs_norm: float) -> float:
 
 def verify_integrability_bound(
     eta_kernel, grid: TimeGrid | None = None, dim: int = 1,
-    n_paths: int = 100_000, seed: int = 0, tol: float = DEFAULT_TOL,
-    exact_value: float | None = None, name: str | None = None,
+    n_paths: int = 100_000, seed: int = 0, tol: float = DEFAULT_TOL, name: str | None = None,
 ) -> ScenarioReport:
     """Check the Monte Carlo exponential moment against the closed-form bound,
     guard-aware; rank-one specs are additionally compared to their exact value."""
@@ -937,10 +945,9 @@ def verify_integrability_bound(
     hs_norm = gk.kernel_l2_norm(eta)
     bound = integrability_bound(lam, hs_norm)
 
-    if exact_value is None and isinstance(eta_kernel, str):
-        kernel_name, params = gk.parse_kernel_spec(eta_kernel)
-        if kernel_name == "rank1":
-            exact_value = rank1_exp_q_moment(float(params["b"]))
+    name_params = gk.parse_kernel_spec(eta_kernel) if isinstance(eta_kernel, str) else (None, {})
+    exact_value = (rank1_exp_q_moment(float(name_params[1]["b"]))
+                   if name_params[0] == "rank1" else None)
 
     est = s.estimate(_STREAM_LHS, [Side(exponent=partial(st.quadratic_form, eta),
                                         ci_valid=guard == "ok")], _ONE)[0]

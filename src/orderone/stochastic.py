@@ -295,17 +295,15 @@ def linear_node_value(phi: MatrixKernel, batch: PathBatch, k: int) -> np.ndarray
     return node_value(batch, node_weights(phi, k, linear=True))
 
 
-def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents of the linear change-of-variables weight.
+def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
+    """Exponent of the linear change-of-variables weight: psi per path,
 
-    Returns (psi, psi_tilde) per path, where
-
-        psi       = - sum_j < sum_i phi(t_i,t_j)^T dW_i, W(t_j) > Delta
-                    - 1/2 sum_i |sum_j phi(t_i,t_j) W(t_j) Delta|^2 Delta
-        psi_tilde = psi + sum_j (sum_{i: t_i < t_j} tr phi(t_i,t_j) Delta) Delta.
+        psi = - sum_j < sum_i phi(t_i,t_j)^T dW_i, W(t_j) > Delta
+              - 1/2 sum_i |sum_j phi(t_i,t_j) W(t_j) Delta|^2 Delta.
 
     The path enters at left nodes, so dW_j is independent of the W(t_j) it is
-    paired with and the cross term is unbiased.
+    paired with and the cross term is unbiased.  The trace-corrected exponent
+    is psi + `cm_trace_correction`.
     """
     _check_grid(phi, batch)
     dt = phi.grid.step
@@ -317,8 +315,7 @@ def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> tuple[np.ndarray, np.nda
         drift = phi.apply(w) * dt
         return term1 - 0.5 * np.einsum("mia,mia->m", drift, drift) * dt
 
-    psi = _per_path(reduce, batch.increments)
-    return psi, psi + cm_trace_correction(phi)
+    return _per_path(reduce, batch.increments)
 
 
 def cm_trace_correction(phi: MatrixKernel) -> float:

@@ -91,7 +91,6 @@ def test_criterion_2_det2_closed_forms():
             k = kernel_from_values(g8, rng.normal(size=(8, 8)))
             rep = det2_product_identity_check(k)
             assert rep.discrepancy <= 1e-10
-            assert rep.eta_discrepancy <= 1e-10
 
 
 def test_criterion_3_noninjectivity_witness():

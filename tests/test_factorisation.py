@@ -258,7 +258,8 @@ def test_dense_matrices_assembled_per_scenario(grid, monkeypatch, run, expected)
     lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
     lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
     lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "cos_end:1.0", g, n_paths=500),
-], ids=["transf", "inverse", "surjective", "sweep"])
+    lambda g: operator.det2_product_identity_check(kernel_zoo("rank1:b=0.3", g)),
+], ids=["transf", "inverse", "surjective", "sweep", "det2_product_identity_check"])
 def test_low_rank_hot_paths_build_no_matrix(grid, monkeypatch, run):
     # every kernel of these runs is its LowRank form: none is given values,
     # none has its matrix multiplied out on a read, and every symmetry scan
@@ -284,7 +285,7 @@ def test_low_rank_hot_paths_build_no_matrix(grid, monkeypatch, run):
         monkeypatch.setattr(module, "symmetry", counted_symmetry)
     reports = run(grid)
     for report in reports if isinstance(reports, list) else [reports]:
-        assert report.verdict == "pass"
+        assert report.ok if isinstance(report, operator.Det2ProductReport) else report.passed
     assert given and not any(given)
     assert [name for name in read if name in ("matrix", "values")] == []
     assert all(order <= 2 for order in scanned)

@@ -14,6 +14,8 @@ Regenerate the pin (only with a CHANGES.md entry saying why the numbers
 moved) from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints every difference from the committed pin before overwriting it.
 """
 
 import json
@@ -68,8 +70,10 @@ def _compare_numbers(got: dict, want: dict, where: str, failures: list):
 
 def compare_reports(got: list[dict], want: list[dict]) -> list[str]:
     """Differences between two report lists under the pin's tolerances."""
+    got_names, want_names = [r["name"] for r in got], [r["name"] for r in want]
+    if got_names != want_names:
+        return [f"report names: {got_names} != {want_names}"]
     failures = []
-    assert [r["name"] for r in got] == [r["name"] for r in want]
     for g, w in zip(got, want):
         name = w["name"]
         for key in ("kind", "verdict", "tolerance", "provenance"):
@@ -85,9 +89,12 @@ def compare_reports(got: list[dict], want: list[dict]) -> list[str]:
                 _compare_numbers(g[side], w[side], f"{name}.{side}", failures)
         _compare_numbers(g["gate"], w["gate"], f"{name}.gate", failures)
         _compare_numbers(g["spectra"], w["spectra"], f"{name}.spectra", failures)
-        assert set(g["checks"]) == set(w["checks"]), name
-        for cname, wc in w["checks"].items():
-            gc = g["checks"][cname]
+        got_checks, want_checks = set(g["checks"]), set(w["checks"])
+        if got_checks != want_checks:
+            failures.append(f"{name}.checks: added {sorted(got_checks - want_checks)}, "
+                            f"missing {sorted(want_checks - got_checks)}")
+        for cname in sorted(got_checks & want_checks):
+            gc, wc = g["checks"][cname], w["checks"][cname]
             where = f"{name}.checks.{cname}"
             if gc["pass"] != wc["pass"] or gc["tol"] != wc["tol"]:
                 failures.append(f"{where}: pass/tol {gc['pass']}/{gc['tol']} != "
@@ -119,6 +126,13 @@ def test_demo_small_matches_golden_pin_on_one_worker(tmp_path, monkeypatch):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         exit_code, result = run_demo_small(tmp)
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as fh:
+            committed = json.load(fh)
+        if exit_code != committed["exit_code"]:
+            print(f"exit code: {exit_code} != {committed['exit_code']}", file=sys.stderr)
+        for line in compare_reports(result, committed["reports"]):
+            print(line, file=sys.stderr)
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w") as fh:
         json.dump({"n_steps": N_STEPS, "n_paths": N_PATHS, "exit_code": exit_code,

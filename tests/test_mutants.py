@@ -1,0 +1,46 @@
+"""Mutants the verifier must fail: each is a deliberate fault, applied with
+monkeypatch, that the demo.cfg scenarios reaching it have to report.
+
+The det2 mutants perturb `operator.factor_identity_plus`, the one LU that
+every det2 is read from.  Each kind that starts at `Scenario.factor` checks
+that det2 against the gate eigensolve of B_eta, which the mutant does not
+touch (`det2_product`), so every such demo scenario must fail that check at
+its full size."""
+
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from orderone import cli, operator
+
+DEMO_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demo.cfg")
+FACTOR_SCENARIOS = ("forward_rank1", "inverse_rank1", "linear_const", "counterexample")
+
+
+def _det2_scaled(lu):
+    """det2 x 1.01."""
+    return lu.det2.log_modulus + np.log(1.01)
+
+
+def _det_for_det2(lu):
+    """det(I + B) in place of det2(I + B): the trace term left in."""
+    return lu.det2.log_modulus + float(np.trace(lu.matrix))
+
+
+@pytest.mark.parametrize("mutant", [_det2_scaled, _det_for_det2], ids=["det2_x1.01", "det"])
+def test_det2_mutants_fail_det2_product(monkeypatch, mutant):
+    factor = operator.factor_identity_plus
+
+    def mutated(b):
+        lu = factor(b)
+        return replace(lu, det2=replace(lu.det2, log_modulus=mutant(lu)))
+    monkeypatch.setattr(operator, "factor_identity_plus", mutated)
+    with open(DEMO_CFG) as fh:
+        config = cli.parse_config(fh.read())
+    jobs = dict(zip((spec.name for spec in config.scenarios), cli._jobs(config)))
+    for name in FACTOR_SCENARIOS:
+        run, _ = jobs[name]
+        report = run()[0]
+        assert not report.checks["det2_product"].passed, name

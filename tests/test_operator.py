@@ -18,7 +18,6 @@ from orderone import (
     det2,
     det2_product_identity_check,
     eta_of_kappa,
-    injectivity_witness,
     inverse_kernel,
     kappa_from_phi,
     kappa_s,
@@ -28,7 +27,6 @@ from orderone import (
     kernel_zoo,
     lambda_max,
     make_grid,
-    remark_pair,
     s_of_kappa,
     scale_kernel,
     spectral_summary,
@@ -40,7 +38,8 @@ from orderone.grid_kernel import (
     SYMMETRY_TOL, LowRank, MatrixKernel, kernel_distance, kernel_from_form,
 )
 from orderone.operator import (
-    GATE_MARGIN, PIVOT_RTOL, Det2, det2_matrix, factor_identity_plus, spectrum, sylvester_matrix,
+    GATE_MARGIN, PIVOT_RTOL, Det2, det2_matrix, det2_product, factor_identity_plus, spectrum,
+    sylvester_matrix, trace_product,
 )
 from orderone.scenarios import OPERATOR_TOL
 
@@ -250,7 +249,6 @@ def test_product_identity_random_8x8():
         -np.trace(m + m.T + m.T @ m)
     )
     npt.assert_allclose(np.exp(rep.lhs_log), lhs_direct, rtol=1e-10)
-    assert rep.eta_discrepancy is not None and rep.eta_discrepancy <= 1e-10
 
 
 def test_product_identity_rank_one_closed_form():
@@ -261,6 +259,29 @@ def test_product_identity_rank_one_closed_form():
     expected_log = np.log((1.0 + b) ** 2) - (2.0 * b + b * b)
     npt.assert_allclose(rep.lhs_log, expected_log, atol=1e-10)
     assert rep.discrepancy <= 1e-10
+
+
+# every zoo kernel at d = 1 and d = 2; tr B = 0 for volterra and expdiag
+PRODUCT_ZOO = [
+    ("zero", 1), ("volterra", 1), ("rank1:b=0.3", 1), ("rank1:b=-0.6,n=2", 1),
+    ("rank2:b=0.2,c=0.3", 1), ("rank2:b=0.2,c=0.3,member=2", 1),
+    ("remark_gencv:b1=-2,b2=-3", 1), ("expdiag:p=[0.5]", 1), ("const:c=1", 1),
+    ("const_phi:c=1", 1), ("zero", 2), ("volterra", 2), ("expdiag:p=[0.5,-0.5]", 2),
+    ("const:c=1", 2), ("const_phi:c=-1", 2),
+]
+
+
+@pytest.mark.parametrize("spec, dim", PRODUCT_ZOO)
+def test_det2_product_and_inverse_identities_over_the_zoo(spec, dim):
+    # the det2_product check of Scenario.factor and the det2_inverse check of
+    # verify_inverse, read from the factorisations those scenarios hold
+    kappa = kernel_zoo(spec, make_grid(1.0, 64), dim)
+    d2, what = det2(kappa), f"{spec} d={dim}"
+    lhs, rhs = det2_product(spectrum(eta_of_kappa(kappa)), d2, kernel_l2_norm(kappa))
+    _assert_close(lhs, rhs, OPERATOR_TOL * max(1.0, abs(rhs)), f"{what}: det2_product")
+    kappa_hat = inverse_kernel(kappa)
+    got, want = d2.log_modulus + det2(kappa_hat).log_modulus, trace_product(kappa, kappa_hat)
+    _assert_close(got, want, OPERATOR_TOL * max(1.0, abs(want)), f"{what}: det2_inverse")
 
 
 def test_eta_assembly_identity(grid):
@@ -386,16 +407,8 @@ def test_kappa_s_requires_symmetric(grid):
 
 
 # ---------------------------------------------------------------------------
-# injectivity witness
+# the square root against an independent one
 # ---------------------------------------------------------------------------
-
-def test_witness_equal_kernels(grid):
-    eta = random_symmetric_kernel(grid, seed=12, lam=0.5)
-    k = kappa_s(eta)
-    rep = injectivity_witness(k, k)
-    assert rep.eta_distance == 0.0 and rep.kappa_distance == 0.0
-    assert rep.implication_holds
-
 
 def test_witness_sqrtm_route(grid):
     # kappa_s against an independently square-rooted eta: PSD root is unique
@@ -403,22 +416,7 @@ def test_witness_sqrtm_route(grid):
     k1 = kappa_s(eta)
     oracle = np.real(sla.sqrtm(np.eye(64) - assemble(eta))) - np.eye(64)
     k2 = kernel_from_matrix(0.5 * (oracle + oracle.T), grid, 1, symmetric=True)
-    rep = injectivity_witness(k1, k2)
-    assert rep.kappa_distance <= 1e-8
-    assert rep.implication_holds
-
-
-def test_witness_remark_pair_documents_noninjectivity():
-    g = make_grid(1.0, 128)
-    b = np.sqrt(2.0) - 1.0
-    k1, k2 = remark_pair(g, b, 1.0)
-    with pytest.raises(PreconditionError):
-        injectivity_witness(k1, k2)
-    rep = injectivity_witness(k1, k2, strict=False)
-    assert not rep.member_2  # the antisymmetric member is outside the domain
-    assert rep.eta_distance <= 1e-10
-    npt.assert_allclose(rep.kappa_distance, np.sqrt(8.0 - 4.0 * np.sqrt(2.0)), atol=1e-3)
-    assert not rep.implication_holds
+    assert kernel_distance(k1, k2) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +635,14 @@ def test_factor_routes_match_dense_property(n, dim, rank, shared, seed, c):
     ref = kernel_l2_norm(MatrixKernel(g, dim, kernel.matrix - c * other.matrix))
     _assert_close(kernel_distance(kernel, other, c), ref, OPERATOR_TOL * max(1.0, ref),
                   "distance")
+    # tr(B_a B_b) of det2_inverse, from the factors, against the dense sum; the
+    # norms bound every term before it cancels
+    ref = float(np.sum(assemble(dense) * assemble(replace(other, factored=None)).T))
+    scale = max(1.0, kernel_l2_norm(kernel) * kernel_l2_norm(other))
+    _assert_close(trace_product(kernel, other), ref, OPERATOR_TOL * scale, "trace product")
+    ref = float(np.sum(assemble(dense) * assemble(dense).T))
+    _assert_close(trace_product(kernel, kernel), ref,
+                  OPERATOR_TOL * max(1.0, kernel_l2_norm(kernel) ** 2), "trace of the square")
 
 
 def test_form_symmetric_by_construction_skips_the_scan(grid, monkeypatch):

@@ -292,8 +292,7 @@ def test_h_sums_over_basis():
 
 def test_cm_exponent_zero(grid):
     batch = sample_paths(grid, 1, 5, seed=0)
-    psi, psi_t = cm_exponent(kernel_zoo("zero", grid), batch)
-    assert np.all(psi == 0) and np.all(psi_t == 0)
+    assert np.all(cm_exponent(kernel_zoo("zero", grid), batch) == 0)
 
 
 def test_cm_trace_correction_constant():
@@ -305,9 +304,6 @@ def test_cm_trace_correction_constant():
     expected = c * np.sum(g.nodes) * g.step
     npt.assert_allclose(corr, expected, atol=1e-13)
     npt.assert_allclose(corr, c / 2.0, atol=2.0 * c / g.n_steps)
-    batch = sample_paths(g, 1, 7, seed=12)
-    psi, psi_t = cm_exponent(phi, batch)
-    npt.assert_allclose(psi_t - psi, corr, atol=1e-12)
 
 
 def test_cm_cross_term_unbiased_after_trace_correction():
@@ -319,7 +315,7 @@ def test_cm_cross_term_unbiased_after_trace_correction():
     m = 200_000
     batch = sample_paths(g, 1, m, seed=13)
     drift = cameron_martin_drift(phi, batch)
-    psi, _ = cm_exponent(phi, batch)
+    psi = cm_exponent(phi, batch)
     quad = -0.5 * np.sum(drift[:, :, 0] ** 2, axis=1) * g.step
     cross = psi - quad
     se = cross.std(ddof=1) / np.sqrt(m)
@@ -434,7 +430,7 @@ def _assert_functionals_match(kernel, batch):
     abs_batch = replace(batch, increments=np.abs(batch.increments))
     x = np.linspace(1.0, 0.5, kernel.dim)
     functionals = [wiener_integral, h_functionals, cameron_martin_drift,
-                   lambda k, b: h_functionals(k, b, x), lambda k, b: cm_exponent(k, b)[0]]
+                   lambda k, b: h_functionals(k, b, x), cm_exponent]
     if kernel.symmetric:
         functionals.append(quadratic_form)
     for fn in functionals:
