@@ -379,8 +379,8 @@ def _flag(parse):
     def typed(text):
         try:
             return parse(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid value {text!r}")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}")
     return typed
 
 

@@ -25,37 +25,37 @@ Symmetric kernels (eta(t,s)^T = eta(s,t), a symmetric matrix) carry a
 `symmetric` flag that is validated at construction (`symmetry`); the eta/s/c
 constructors always return flagged kernels.
 
-Factored forms.  A kernel may carry one factored form, which the path layer
-(and, for LowRank, the operator layer) uses instead of the dense (N d)^2
-matrix:
+Factored forms.  A kernel is given by its matrix or by one factored form
+of it, never both.  The path layer (and, for LowRank, the operator layer)
+reads the form instead of the dense (N d)^2 matrix:
 
     LowRank     the matrix is L C R^T, with L and R of shape (N d, r) and a
-                core C of shape (r, r); set by the zoo for rank1, rank2,
-                remark_gencv, const and const_phi
+                core C of shape (r, r); set by the zoo for zero (const with
+                c = 0), rank1, rank2, remark_gencv, const and const_phi
     LowerExp    scale * 1_{s < t} diag(e^{(t - s) p}), or its adjoint; set by
                 the zoo for volterra (p = 0) and expdiag
 
-A LowRank kernel is its form: `kernel_from_form` stores no matrix, and
-`matrix` and `values` are multiplied out from the form only when a dense
-route first reads them (then kept).  The zoo's rank kernels, `eta_of_kappa`,
-`s_of_kappa` and `kappa_from_phi` (a rank-r kappa gives an eta or s kernel of
-rank at most 2r; the tail integral acts on R alone), `scale_kernel`,
-`adjoint_kernel` and the operator layer's inverse and square-root kernels
-build LowRank kernels this way, and `kernel_l2_norm` and `kernel_distance`
-read them from their factors.  The dense formulas run only for kernels
-without a LowRank form, and stay the tested reference.  A LowerExp kernel
-keeps its matrix beside its form; every other constructor carries no form.
-Construction checks that the form reproduces every entry of the matrix (of
-L C R^T, multiplied out row slab by row slab and kept nowhere, when no matrix
-is given) to FACTOR_TOL of the form's magnitude (its largest entry before
-cancellation), read through the route the path functionals run: the form's
-`apply_adjoint` of unit rows.  So a route that reads the matrix and one that
-reads the form always see one kernel.  A LowRank kernel is finite when its
-magnitude is.  A form with one factor array for both sides and an exactly
-symmetric core, L C L^T, is symmetric by construction and is not scanned;
-any other kernel flagged symmetric is.  The path layer never inspects the
-form: `apply` (x -> x K^T), `apply_adjoint` (x -> x K) and `diagonal_blocks`
-hide it, and fall back to the matrix when there is none.
+A factored kernel is its form: `kernel_from_form` stores no matrix, and
+`matrix` and `values` are multiplied out from the form's `rows` only when a
+dense route first reads them (then kept).  The zoo, `eta_of_kappa`,
+`s_of_kappa` and `kappa_from_phi` of a LowRank kernel (a rank-r kappa gives
+an eta or s kernel of rank at most 2r; the tail integral acts on R alone),
+`scale_kernel` and `adjoint_kernel` of any factored kernel, and the operator
+layer's inverse and square-root kernels of a LowRank one build kernels this
+way, and `kernel_l2_norm` and `kernel_distance` read LowRank kernels from
+their factors.  The dense formulas run for every other kernel, and stay the
+tested reference; the other constructors carry no form.  Construction
+checks that the form reproduces every entry of its matrix to FACTOR_TOL of
+the form's magnitude (its largest entry before cancellation), read through
+the route the path functionals run: each row slab of the form's `rows`,
+multiplied out and kept nowhere, against the form's `apply_adjoint` of unit
+rows.  So a route that reads the matrix and one that reads the form always
+see one kernel.  A factored kernel is finite when its magnitude is.  A form
+with one factor array for both sides and an exactly symmetric core,
+L C L^T, is symmetric by construction and is not scanned; any other kernel
+flagged symmetric is.  The path layer never inspects the form: `apply`
+(x -> x K^T), `apply_adjoint` (x -> x K) and `diagonal_blocks` hide it, and
+fall back to the matrix when there is none.
 
 The rank-k constructors draw their orthonormal family from
 e_n'(t) = sqrt(2/T) cos((n - 1/2) pi t / T), re-orthonormalized in the
@@ -185,9 +185,9 @@ class LowRank:
     def adjoint(self) -> "LowRank":
         return LowRank(self.right, np.ascontiguousarray(self.core.T), self.left)
 
-    def product(self) -> np.ndarray:
-        """The matrix L C R^T, multiplied out."""
-        return self.left @ self.core @ self.right.T
+    def rows(self, grid: TimeGrid, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop of the matrix L C R^T, multiplied out."""
+        return self.left[start:stop] @ self.core @ self.right.T
 
     def symmetric_by_construction(self) -> bool:
         """One factor array for both sides and an exactly symmetric core: L C L^T."""
@@ -246,6 +246,22 @@ class LowerExp:
     def adjoint(self) -> "LowerExp":
         return LowerExp(self.rates, self.scale, not self.transposed)
 
+    def rows(self, grid: TimeGrid, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop of the matrix.  Row (i, a) is the window at N - 1 - i
+        of [e^{k step p_a}, lags k = N-1 .. 1; N zeros] (transposed: [N zeros;
+        lags 1 .. N-1]), scaled: one exp per lag, and all rates zero give the
+        Volterra indicator exactly."""
+        n, d = grid.n_steps, len(self.rates)
+        lags = self.scale * np.exp(np.multiply.outer(self.rates, np.arange(1, n) * grid.step))
+        zeros = np.zeros((d, n))
+        seq = np.hstack([zeros, lags] if self.transposed else [lags[:, ::-1], zeros])
+        windows = np.lib.stride_tricks.sliding_window_view(seq, n, axis=1)  # (d, N, N)
+        lo, hi = start // d, -(-stop // d)  # the nodes of rows start..stop
+        out = np.zeros((hi - lo, d, n, d))
+        for a in range(d):
+            out[:, a, :, a] = windows[a, n - hi:n - lo][::-1]
+        return out.reshape((hi - lo) * d, n * d)[start - lo * d:stop - lo * d]
+
 
 def _exp_causal_sum(x: np.ndarray, rates: np.ndarray, step: float, scale: float,
                     out: np.ndarray) -> None:
@@ -292,16 +308,16 @@ FACTOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MatrixKernel:
-    """Sampled d x d matrix kernel: its unweighted (N d) x (N d) matrix, with
-    an optional factored form of the same matrix (see the module docstring).
+    """Sampled d x d matrix kernel: its unweighted (N d) x (N d) matrix, or a
+    factored form of that matrix (see the module docstring), never both.
     `values` is given as that matrix or as (N, N, d, d) blocks
     values[i, j] = kappa(t_i, t_j), converted once; it reads back as the
     read-only (N, N, d, d) view of `matrix`.  It owns the array it is given
     and makes it read-only: its callers pass temporaries, where a copy would
     add an (N d)^2 transient; `kernel_from_values` copies a caller's array.
 
-    A kernel given no values (None) is its LowRank form alone: `matrix` and
-    `values` are multiplied out from the form on their first read, by a dense
+    A kernel given no values (None) is its form alone: `matrix` and `values`
+    are multiplied out from the form's `rows` on their first read, by a dense
     route, and kept; no factored route reads them."""
 
     grid: TimeGrid
@@ -312,14 +328,15 @@ class MatrixKernel:
     matrix: np.ndarray = field(init=False, repr=False, compare=False)  # (N d, N d), read-only
 
     def __post_init__(self):
-        n, d = self.grid.n_steps, self.dim
+        n, d, form = self.grid.n_steps, self.dim, self.factored
+        if (self.values is None) == (form is None):
+            raise InvalidArgumentError("a kernel is given by its values or by its form, not both")
         if self.values is None:
-            if not isinstance(self.factored, LowRank):
-                raise InvalidArgumentError("a kernel given no values needs a LowRank form")
             object.__delattr__(self, "values")  # built on first read, by __getattr__
             self._check_factored()
-            if self.symmetric and not self.factored.symmetric_by_construction():
-                self._check_symmetric(self.factored.product())
+            if self.symmetric and not (isinstance(form, LowRank)
+                                       and form.symmetric_by_construction()):
+                self._check_symmetric(form.rows(self.grid, 0, n * d))
             return
         v = np.asarray(self.values, dtype=float)
         if v.shape not in ((n, n, d, d), (n * d, n * d)):
@@ -337,16 +354,14 @@ class MatrixKernel:
             self._check_symmetric(m)
         v.setflags(write=False)  # the matrix may be a view of it
         self._keep(m)
-        if self.factored is not None:
-            self._check_factored()
 
     def __getattr__(self, name):
-        # reached only for `matrix` and `values` of a kernel given no values,
-        # before their first read: multiply its form out, once
+        # reached only for `matrix` and `values` of a kernel given by its
+        # form, before their first read: multiply the form out, once
         form = self.__dict__.get("factored")
-        if name not in ("matrix", "values") or not isinstance(form, LowRank):
+        if name not in ("matrix", "values") or form is None:
             raise AttributeError(name)
-        self._keep(form.product())
+        self._keep(form.rows(self.grid, 0, self.grid.n_steps * self.dim))
         return self.__dict__[name]
 
     def _keep(self, m: np.ndarray):
@@ -365,11 +380,10 @@ class MatrixKernel:
     def _check_factored(self):
         """The form must fit the kernel and reproduce every entry of its
         matrix along the route of the path functionals: each row slab of
-        about _CHECK_ELEMENTS entries is the form's `apply` (adjoint) of the
-        matching unit rows, so that the check stays in cache.  A kernel given
-        no values compares each slab with that of L C R^T, multiplied out
-        slab by slab and kept nowhere, and is finite when its magnitude is:
-        no entry exceeds it."""
+        about _CHECK_ELEMENTS entries of the form's `rows`, multiplied out
+        and kept nowhere, is compared with the form's `apply` (adjoint) of
+        the matching unit rows, so that the check stays in cache.  The
+        kernel is finite when the form's magnitude is: no entry exceeds it."""
         n, d, form = self.grid.n_steps, self.dim, self.factored
         nd = n * d
         if isinstance(form, LowRank):
@@ -389,12 +403,11 @@ class MatrixKernel:
             factor.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):  # decided just below
             scale = form.magnitude(self.grid)
-        stored = self.__dict__.get("matrix")
-        if stored is None and not np.isfinite(scale):
+        if not np.isfinite(scale):
             raise InvalidArgumentError("kernel values must be finite")
         step = min(nd, max(1, _CHECK_ELEMENTS // nd))
-        # the unit rows and the product slab reuse one buffer each
-        unit, product, diag = np.zeros((step, nd)), np.empty((step, nd)), np.arange(step)
+        # the unit rows reuse one buffer
+        unit, diag = np.zeros((step, nd)), np.arange(step)
         err = 0.0
         for r0 in range(0, nd, step):
             h = min(step, nd - r0)
@@ -403,9 +416,7 @@ class MatrixKernel:
             diff = form.apply(unit[:h].reshape(h, n, d), self.grid, adjoint=True).reshape(h, nd)
             unit[ones] = 0.0
             # e_r K, for the unit rows e_r
-            rows = (np.matmul(form.left[r0:r0 + h] @ form.core, form.right.T, out=product[:h])
-                    if stored is None else stored[r0:r0 + h])
-            np.subtract(diff, rows, out=diff)
+            np.subtract(diff, form.rows(self.grid, r0, r0 + h), out=diff)
             err = max(err, float(np.max(np.abs(diff, out=diff))))
         if not err <= FACTOR_TOL * scale:
             raise InvalidArgumentError(
@@ -446,10 +457,11 @@ def kernel_from_values(grid: TimeGrid, values: np.ndarray, symmetric: bool = Fal
     return MatrixKernel(grid, values.shape[2], values, symmetric)
 
 
-def kernel_from_form(grid: TimeGrid, dim: int, form: LowRank,
+def kernel_from_form(grid: TimeGrid, dim: int, form: LowRank | LowerExp,
                      symmetric: bool = False) -> MatrixKernel:
-    """The kernel whose matrix is L C R^T, given by that form alone: the
-    matrix is multiplied out only if a dense route reads it."""
+    """The kernel whose matrix is that of a LowRank or LowerExp form, given by
+    that form alone: the matrix is multiplied out only if a dense route reads
+    it."""
     return MatrixKernel(grid, dim, None, symmetric, form)
 
 
@@ -497,10 +509,10 @@ def kernel_distance(a: MatrixKernel, b: MatrixKernel, c: float = 1.0) -> float:
 
 def _transformed(kappa: MatrixKernel, form, dense: Callable) -> MatrixKernel:
     """kappa under a transform that maps its form to `form`: from that form
-    alone when it is LowRank, else the matrix dense(kappa.matrix) with it."""
-    if isinstance(form, LowRank):
+    alone when kappa has one, else the matrix dense(kappa.matrix)."""
+    if form is not None:
         return kernel_from_form(kappa.grid, kappa.dim, form, kappa.symmetric)
-    return MatrixKernel(kappa.grid, kappa.dim, dense(kappa.matrix), kappa.symmetric, form)
+    return MatrixKernel(kappa.grid, kappa.dim, dense(kappa.matrix), kappa.symmetric)
 
 
 def adjoint_kernel(kappa: MatrixKernel) -> MatrixKernel:
@@ -733,22 +745,6 @@ def _const_kernel(grid: TimeGrid, dim: int, c: float, symmetric: bool = False) -
     return kernel_from_form(grid, dim, LowRank(stacked, c * np.eye(dim), stacked), symmetric)
 
 
-def _lower_exp_kernel(grid: TimeGrid, rates: np.ndarray) -> MatrixKernel:
-    """kappa(t, s) = 1_{s < t} diag(e^{(t - s) rates}), d = len(rates), with its
-    LowerExp form; all rates zero give the Volterra indicator exactly."""
-    n, d = grid.n_steps, len(rates)
-    t = grid.nodes
-    diff = t[:, None] - t[None, :]
-    tri = np.tril(np.ones((n, n)), k=-1)
-    vals = np.zeros((n, d, n, d))
-    # the upper triangle is masked before exp, where e^{(t-s)p} may overflow;
-    # below it an overflow is left to the kernel's finiteness check
-    with np.errstate(over="ignore"):
-        for k, rate in enumerate(rates):
-            vals[:, k, :, k] = tri * np.exp(np.maximum(diff, 0.0) * rate) if rate else tri
-    return MatrixKernel(grid, d, vals.reshape(n * d, n * d), factored=LowerExp(rates))
-
-
 class _Zoo(NamedTuple):
     build: Callable       # (grid, dim, **parameters) -> MatrixKernel
     params: dict = {}     # parameter -> (text parser, default); default None: required
@@ -759,9 +755,8 @@ _REAL = (_real, None)  # a required real parameter
 _SCALAR = lambda **_: 1  # the dim column of a scalar kernel: d = 1 only
 # one row per kernel name; see KERNEL_GRAMMAR
 _ZOO = {
-    "zero": _Zoo(lambda grid, dim: MatrixKernel(grid, dim, np.zeros((grid.n_steps * dim,) * 2),
-                                                 symmetric=True)),
-    "volterra": _Zoo(lambda grid, dim: _lower_exp_kernel(grid, np.zeros(dim))),
+    "zero": _Zoo(lambda grid, dim: _const_kernel(grid, dim, 0.0, symmetric=True)),
+    "volterra": _Zoo(lambda grid, dim: kernel_from_form(grid, dim, LowerExp(np.zeros(dim)))),
     "rank1": _Zoo(lambda grid, dim, b, n: _rank_kernel(grid, [(b, n, n)], symmetric=True),
                   {"b": _REAL, "n": (_integer, 1)}, _SCALAR),
     "rank2": _Zoo(lambda grid, dim, b, c, member: remark_pair(grid, b, c)[member - 1],
@@ -769,7 +764,7 @@ _ZOO = {
                   _SCALAR),
     "remark_gencv": _Zoo(lambda grid, dim, b1, b2: _rank_kernel(
         grid, [(b1, 1, 1), (b2, 2, 2)], symmetric=True), {"b1": _REAL, "b2": _REAL}, _SCALAR),
-    "expdiag": _Zoo(lambda grid, dim, p: _lower_exp_kernel(grid, np.array(p)),
+    "expdiag": _Zoo(lambda grid, dim, p: kernel_from_form(grid, dim, LowerExp(np.array(p))),
                     {"p": (_real_list, None)}, lambda p: len(p)),
     "const": _Zoo(lambda grid, dim, c: _const_kernel(grid, dim, c, symmetric=True), {"c": _REAL}),
     "const_phi": _Zoo(lambda grid, dim, c: kappa_from_phi(_const_kernel(grid, dim, c)),

@@ -67,8 +67,9 @@ Carleman's product formula (`det2_product`; B. Simon, Trace Ideals, 2nd
 ed., ch. 9).  det_dual_route and det2_consistency factorise the operator
 matrix itself (dense, whatever the form).
 Per scenario, with the form its hot-path factorisations take (kernel: that
-of the scenario's kernel; LowRank for rank1, rank2, remark_gencv, const and
-const_phi, dense for volterra and expdiag):
+of the scenario's kernel; LowRank for zero, rank1, rank2, remark_gencv,
+const and const_phi; dense for volterra and expdiag, whose LowerExp matrix
+a dense route multiplies out on its first read):
 
     scenario        form     hot path                               check routes
     transf          kernel   eigvalsh B_eta: gate, guard            det2_product

@@ -644,6 +644,8 @@ def verify_inverse(
 ) -> ScenarioReport:
     """Inverse-transformation identity, the pathwise round trip, and the unit
     mass of the Radon-Nikodym weight of the transformed measure."""
+    if n_probe < 1:
+        raise InvalidArgumentError(f"n_probe must be >= 1, got {n_probe}")
     s = resolve_scenario("inverse", kernel, functional, grid, dim, n_paths, seed, tol, name)
     kappa, report, p = s.kernel, s.report, s.factor(s.kernel, inverse=True)
     if p is None:
@@ -833,6 +835,8 @@ def verify_cameron_martin(
     equals the Wiener integral of the tail kernel, then Monte Carlos the
     identity with the exponent Psi built from the path (not the increments).
     """
+    if n_probe < 1:
+        raise InvalidArgumentError(f"n_probe must be >= 1, got {n_probe}")
     s = resolve_scenario("cameron_martin", phi_kernel, functional, grid, dim, n_paths, seed,
                          tol, name)
     phi, grid, report = s.kernel, s.grid, s.report

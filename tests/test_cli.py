@@ -140,6 +140,22 @@ def test_an_invalid_value_reports_the_parsers_reason(tmp_path, capsys, line, rea
     assert f"field '{key}' has invalid value '{raw}': {reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["verify", "transf", "--kernel", "rank1:b=0.3", "--format", "xml"],
+     "invalid value 'xml': format must be one of json|csv|both"),
+    (["verify", "harmonic", "--kernel", "volterra", "--x", "1,,2"],
+     "invalid value '1,,2': expected comma-separated finite reals"),
+    (["sweep-laplace", "rank1:b=0.5", "--lambdas", "0.25,,0.5"],
+     "invalid value '0.25,,0.5': expected comma-separated finite reals"),
+    (["verify", "finite-dim", "--diag", "0.2,"],
+     "invalid value '0.2,': expected comma-separated finite reals"),
+], ids=["format", "x", "lambdas", "diag"])
+def test_an_invalid_flag_reports_the_parsers_reason(argv, reason, capsys):
+    # the message used to end at "invalid value '<text>'", as config errors did
+    assert main(argv) == EXIT_USAGE
+    assert reason in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------

@@ -413,6 +413,57 @@ def test_zoo_dim_is_the_one_the_spec_fixes(grid):
             kernel_zoo(spec, grid, dim)
 
 
+def _zoo_closed_form(name, grid, dim):
+    """The matrix of a zero, volterra or expdiag:p=[0.5,-0.5] kernel from its
+    definition, kappa(t, s) = 1_{s < t} diag(e^{(t - s) p}), or None."""
+    n = grid.n_steps
+    if name == "zero":
+        return np.zeros((n * dim, n * dim))
+    lag = np.subtract.outer(grid.nodes, grid.nodes)
+    if name == "volterra":
+        return np.kron(np.tril(np.ones((n, n)), k=-1), np.eye(dim))
+    if name == "expdiag":
+        blocks = np.where(lag[:, :, None] > 0, np.exp(lag[:, :, None] * [0.5, -0.5]), 0.0)
+        return np.einsum("ija,ab->iajb", blocks, np.eye(dim)).reshape(n * dim, n * dim)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(grid_kernel._ZOO))
+def test_zoo_kernels_build_no_matrix_until_a_dense_read(name, monkeypatch):
+    # at N d = 2048 (d = 2 where the row allows it), a zoo kernel and its
+    # scaled and adjoint copies are their forms: building them stays below
+    # one (N d)^2 array, and the first dense read multiplies the form out once
+    import tracemalloc
+
+    nd = 2048
+    dim = 1 if grid_kernel._ZOO[name].dim is grid_kernel._SCALAR else 2
+    g = make_grid(1.0, nd // dim)
+    tracemalloc.start()
+    try:
+        kernel = kernel_zoo(ZOO_EXAMPLES[name].format(rates="0.5,-0.5"), g, dim)
+        kernels = {"as built": kernel, "scaled": scale_kernel(kernel, -1.7),
+                   "adjoint": adjoint_kernel(kernel)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nd * nd * 8, peak
+    closed = _zoo_closed_form(name, g, dim)
+    closed = {"as built": closed, "scaled": None if closed is None else -1.7 * closed,
+              "adjoint": None if closed is None else closed.T}
+    for how, k in kernels.items():
+        assert "matrix" not in k.__dict__ and "values" not in k.__dict__, how
+        built, rows = [], type(k.factored).rows
+        monkeypatch.setattr(type(k.factored), "rows",
+                            lambda form, *args: built.append(args[1:]) or rows(form, *args))
+        m = k.matrix
+        assert k.matrix is m and np.shares_memory(k.values, m) and built == [(0, nd)], how
+        if name == "expdiag":
+            npt.assert_allclose(m, closed[how], rtol=1e-15, atol=0, err_msg=how)
+        elif closed[how] is not None:
+            assert np.array_equal(m, closed[how]), how
+        monkeypatch.undo()
+
+
 def test_kernel_from_values_leaves_the_callers_array_alone():
     a = np.eye(4)
     kernel = kernel_from_values(make_grid(1.0, 4), a)

@@ -353,6 +353,20 @@ def test_missing_functional_is_a_typed_error_before_any_work(grid, monkeypatch, 
     assert not solved
 
 
+@pytest.mark.parametrize("run", [
+    lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", g, n_probe=0),
+    lambda g: verify_cameron_martin("const:c=1", "cos_end:1.0", g, n_probe=0),
+], ids=["inverse", "cameron_martin"])
+def test_probe_count_below_one_is_a_typed_error_before_any_work(grid, monkeypatch, run):
+    # n_probe = 0 used to run the gate eigensolve and the LU, then fail in
+    # sample_paths with a message about n_paths
+    solved = []
+    monkeypatch.setattr(operator, "spectrum", lambda *args, **kwargs: solved.append(args))
+    with pytest.raises(InvalidArgumentError, match="n_probe must be >= 1, got 0"):
+        run(grid)
+    assert not solved
+
+
 # ---------------------------------------------------------------------------
 # linear transformations
 # ---------------------------------------------------------------------------

@@ -508,19 +508,23 @@ def test_factored_form_survives_scenario_chains(grid):
     assert isinstance(inverse_kernel(kernel_zoo("rank1:b=0.3", grid)).factored, LowRank)
 
 
-def test_factors_that_disagree_with_values_are_rejected(grid):
-    good = kernel_zoo("rank1:b=0.3", grid)
-    form = good.factored
-    for wrong in (LowRank(form.left, form.core * (1 + 1e-9), form.right),
-                  LowRank(form.left, -form.core, form.right),
-                  LowRank(form.left[:-1], form.core, form.right[:-1])):
-        with pytest.raises(InvalidArgumentError):
-            MatrixKernel(grid, 1, good.values.copy(), True, wrong)
-    vol = kernel_zoo("volterra", grid)
-    for wrong in (LowerExp(np.array([1e-6])), LowerExp(np.zeros(1), transposed=True),
-                  LowerExp(np.zeros(1), scale=2.0), LowerExp(np.zeros(2))):
-        with pytest.raises(InvalidArgumentError):
-            MatrixKernel(grid, 1, vol.values.copy(), factored=wrong)
+def test_values_with_a_form_are_rejected(grid):
+    # a kernel is its values or its form: a form given beside values is
+    # refused whether it agrees with them or not, and so is neither
+    for spec in ("rank1:b=0.3", "volterra", "zero"):
+        kernel = kernel_zoo(spec, grid)
+        form = kernel.factored
+        for given in (form, form.scaled(1.0 + 1e-9), form.adjoint()):
+            with pytest.raises(InvalidArgumentError, match="not both"):
+                MatrixKernel(grid, 1, kernel.matrix.copy(), kernel.symmetric, given)
+    with pytest.raises(InvalidArgumentError, match="not both"):
+        MatrixKernel(grid, 1, None)
+    # a form alone that does not fit the kernel is refused as well
+    form = kernel_zoo("rank1:b=0.3", grid).factored
+    for wrong, reason in ((LowRank(form.left[:-1], form.core, form.right[:-1]), "do not fit"),
+                          (LowerExp(np.zeros(2)), "1 rates expected")):
+        with pytest.raises(InvalidArgumentError, match=reason):
+            grid_kernel.kernel_from_form(grid, 1, wrong)
 
 
 def test_form_check_reads_the_route_of_the_path_functionals(grid, monkeypatch):
