@@ -64,8 +64,9 @@ factors no eigensolve touched (`grid_kernel.kernel_distance`: the stacked
 form of a LowRank difference, the matrices otherwise).  Every kind that
 starts at `Scenario.factor` checks its gate eigensolve against its LU by
 Carleman's product formula (`det2_product`; B. Simon, Trace Ideals, 2nd
-ed., ch. 9).  det_dual_route and det2_consistency factorise the operator
-matrix itself (dense, whatever the form).
+ed., ch. 9).  det2_consistency reads the Sylvester matrix of B_kappa_phi,
+of order r for a LowRank form; det_dual_route alone factorises the
+operator matrix itself, I + lam B^T B (dense, whatever the form).
 Per scenario, with the form its hot-path factorisations take (kernel: that
 of the scenario's kernel; LowRank for zero, rank1, rank2, remark_gencv,
 const and const_phi; dense for volterra and expdiag, whose LowerExp matrix
@@ -89,11 +90,11 @@ a dense route multiplies out on its first read):
                                when f is not constant               eta_roundtrip: eta of
                                                                       kappa_s against c eta,
                                                                       in stacked factors
-    harmonic        dense    eigvalsh B_{-c} (eigh when f is not    det_dual_route: slogdet
-                               constant): gate, det(I+B_c), c'_hat    of I + B^T B (no x)
+    harmonic        dense    eigvalsh/eigh of B_c, read at the      det_dual_route: slogdet
+                               factor -lam: gate, det, c'_hat         of I + lam B^T B (no x)
     cameron_martin  kernel   eigvalsh B_eta: gate, guard            det2_product
-                             LU I+B_kphi: det2                      det2_consistency:
-                                                                      slogdet of I+B_kphi
+                             LU I+B_kphi: det2                      det2_consistency: slogdet
+                                                                      of I+S, S Sylvester's
                                                                     trace_formula: tail
                                                                       sums of phi
     gencv           LowRank  eigvalsh B_s; its own prologue:        det2_product; closed
@@ -469,18 +470,18 @@ def inverse_kernel_from(lu: IdentityPlusLU, kappa: MatrixKernel) -> MatrixKernel
     return kernel_from_form(kappa.grid, kappa.dim, form, sym)
 
 
-def kappa_s(eta: MatrixKernel, enforce_gate: bool = True) -> MatrixKernel:
+def kappa_s(eta: MatrixKernel) -> MatrixKernel:
     """Square-root kernel: B = sqrt(I - B_eta) - I, the unique symmetric kernel
     with I + B >= 0 whose eta kernel reproduces eta.
 
     Requires lambda_max(B_eta) < 1 - GATE_MARGIN (the exponential
-    integrability regime); pass enforce_gate=False to try anyway.
+    integrability regime); raises NotContractiveError otherwise.
     """
     if not eta.symmetric:
         raise PreconditionError("kappa_s requires a symmetric kernel")
     spec = spectrum(eta, vectors=True)
     lam = spec.lambda_max
-    if enforce_gate and lam >= 1.0 - GATE_MARGIN:
+    if lam >= 1.0 - GATE_MARGIN:
         raise NotContractiveError(
             f"lambda_max(B_eta) = {lam:.12g} >= 1 - {GATE_MARGIN}; no square-root regime"
         )

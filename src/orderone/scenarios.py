@@ -785,41 +785,39 @@ def verify_harmonic(
     """Oscillator-type Laplace transform: E[f e^{-lam h}] against the
     trace-class determinant of the covariance-type kernel.
 
-    The identity is applied to sqrt(lam) * kappa so the weight is
-    exp(-lam * h(kappa)); the determinant side is computed along two routes
-    (the c kernel and B^T B) that must agree."""
+    The identity of sqrt(lam) * kappa, whose c kernel is lam c(kappa), so
+    the weight is exp(-lam * h(kappa)); the determinant side is computed
+    along two routes (the c kernel and B^T B) that must agree."""
     s = resolve_scenario("harmonic", kernel, functional, grid, dim, n_paths, seed, tol, name,
                          lam=lam, x=x)
     report = s.report
 
-    kappa_l = gk.scale_kernel(s.kernel, float(np.sqrt(lam)))
-    # one eigensolve of B_{-c} gives the gate, det(I + B_c) and, when f is not
-    # constant, the right-hand side kernel (I + B_c)^{-1/2} - I
-    neg_c = gk.scale_kernel(gk.c_kernels(kappa_l, x), -1.0)
-    eig = op.spectrum(neg_c, vectors=not s.f.is_constant_one)
-    lam_neg = eig.lambda_max  # Lambda(B_{-c}) <= 0 always
+    # one eigensolve of B_c, read at the factor -lam, gives the gate, det(I + lam B_c)
+    # and, when f is not constant, the right-hand side kernel (I + lam B_c)^{-1/2} - I
+    eig = op.spectrum(gk.c_kernels(s.kernel, x), vectors=not s.f.is_constant_one).scaled(-lam)
+    lam_neg = eig.lambda_max  # Lambda(-lam B_c) <= 0 always
     _gate(report, lam_neg)
     report.gate["note"] = "gate kernel is -c(kappa); nonpositive by construction"
     report.checks["lambda_nonpositive"] = _check_bound(
         lam_neg, 0.0, 1e-10, note="Lambda(B_{-c}) <= 0"
     )
 
-    logdet_c = eig.logdet_complement()  # log det(I + B_c), I + B_c >= I
+    logdet_c = eig.logdet_complement()  # log det(I + lam B_c), I + lam B_c >= I
     if x is None:
-        m_k = op.assemble(kappa_l)
-        sign_b, logdet_b = np.linalg.slogdet(np.eye(m_k.shape[0]) + m_k.T @ m_k)
+        m_k = op.assemble(s.kernel)
+        sign_b, logdet_b = np.linalg.slogdet(np.eye(m_k.shape[0]) + lam * (m_k.T @ m_k))
         report.checks["det_dual_route"] = _check_close(
             logdet_b, logdet_c, 1e-10, note="det(I + B^T B) against det(I + B_c)"
         )
     report.spectra = {
         "det_log": logdet_c,
         "det_sign": 1,
-        "hs_norm": gk.kernel_l2_norm(kappa_l),
+        "hs_norm": float(np.sqrt(lam)) * gk.kernel_l2_norm(s.kernel),
     }
     rhs = Side(-0.5 * logdet_c,
                kernel=None if s.f.is_constant_one else eig.inverse_sqrt_kernel())
     del eig  # the eigenvectors are as large as the operator
-    lhs = Side(exponent=partial(st.h_functionals, kappa_l, x=x), c=-1.0)
+    lhs = Side(exponent=partial(st.h_functionals, s.kernel, x=x), c=-lam)
     return s.identity([(report, lhs, rhs)])[0]
 
 
@@ -847,7 +845,7 @@ def verify_cameron_martin(
     if p is None:
         return report
 
-    m = op.assemble(kappa_phi)  # the checks' matrix, not the hot path's
+    m = op.sylvester_matrix(kappa_phi)  # the checks' matrix: of order r for a LowRank form
     tr = float(np.trace(m))
     # the trace from phi itself, not from kappa_phi: the diagonal kappa_phi(t_i, t_i)
     # is the tail sum of phi(t_i, t_k) Delta over k >= i, so tr B_kappa_phi is the

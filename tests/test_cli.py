@@ -15,6 +15,7 @@ from orderone.cli import (
     EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
+    KINDS,
     main,
     parse_config,
 )
@@ -340,6 +341,22 @@ def test_run_bad_config_exit_code(tmp_path):
     cfg = _write_config(tmp_path, "[run]\nnope = 1\n")
     assert main(["run", "--config", cfg]) == EXIT_USAGE
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
+
+
+def test_run_unknown_kind_lists_the_kinds(tmp_path, capsys):
+    cfg = _write_config(tmp_path, MINIMAL.replace("verify = transf", "verify = nope"))
+    assert main(["run", "--config", cfg]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "verify must be one of" in err
+    assert all(kind in err for kind in KINDS)
+
+
+def test_run_out_under_a_regular_file_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _write_config(tmp_path, MINIMAL)
+    assert main(["run", "--config", cfg, "--out", str(blocker / "reports")]) == EXIT_USAGE
+    assert "cannot write reports" in capsys.readouterr().err
 
 
 def test_run_reruns_byte_identical(tmp_path):

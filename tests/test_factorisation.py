@@ -8,6 +8,7 @@ factorisation would pass regardless."""
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,34 +195,31 @@ def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch,
 N = 32  # the order of an operator on the grid fixture, d = 1
 
 
-@pytest.mark.parametrize("run, rank, lus, checks", [
-    (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1, [1], []),
+@pytest.mark.parametrize("run, rank, lus", [
+    (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1, [1]),
     # the second LU is rn_normalization's, of I + B_khat, whose form
     # (Q, X / Delta, Q) has one factor
     (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
-     1, [1, 1], []),
+     1, [1, 1]),
     # det2_sqrt_identity: an LU of I - c S per factor, S the Sylvester matrix
     # of B_eta, of order r
-    (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
-     1, [1], []),
+    (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1, [1]),
     (lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "one", g, n_paths=500),
-     1, [1, 1, 1], []),
-    (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 2, [2], []),
+     1, [1, 1, 1]),
+    (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 2, [2]),
     # kappa_phi has distinct factors, so its reduced matrix is of order 2r;
-    # det2_consistency: a dense slogdet of I + B_kphi
-    (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1, [2],
-     [("slogdet", N)]),
+    # det2_consistency: a slogdet of I + S, S the Sylvester matrix of order r
+    (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1, [2]),
 ], ids=["transf", "inverse", "surjective", "sweep", "gencv", "cameron_martin"])
-def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, rank, lus, checks):
-    # a rank-r kernel: eigensolves and LUs of order <= 2r, the LUs of exactly
-    # these orders; the order-N matrices are the check routes' alone
+def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, rank, lus):
+    # a rank-r kernel: every eigensolve, LU and slogdet, the check routes'
+    # included, is of order <= 2r, and the LUs are of exactly these orders
     calls = _counting(monkeypatch)
     reports = run(grid)
     for report in reports if isinstance(reports, list) else [reports]:
         assert report.verdict == "pass"
-    small = [(name, order) for name, order in calls.orders if order <= 2 * rank]
-    assert small and [order for name, order in small if name == "lu_factor"] == lus
-    assert sorted(o for o in calls.orders if o not in small) == sorted(checks)
+    assert calls.orders and max(order for _, order in calls.orders) <= 2 * rank
+    assert [order for name, order in calls.orders if name == "lu_factor"] == lus
 
 
 @pytest.mark.parametrize("run, expected", [
@@ -232,8 +230,9 @@ def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, r
     # det2_sqrt_identity reads the factors of eta, eta_roundtrip the stacked form
     (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 0),
     (lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "one", g, n_paths=500), 0),
-    # trace_formula and det2_consistency read one matrix
-    (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1),
+    # trace_formula and det2_consistency read the Sylvester matrix of kappa_phi's
+    # factors, of order r, not the operator matrix
+    (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 0),
     # a dense kernel: the gate and det2 (transf); the gate and det_dual_route (harmonic)
     (lambda g: verify_transf("volterra", "cos_end:1.0", grid=g, n_paths=500), 2),
     (lambda g: verify_harmonic("volterra", 1.0, grid=g, n_paths=500), 2),
@@ -390,6 +389,30 @@ def test_det2_consistency_sees_perturbed_pivots(grid, monkeypatch):
     assert run().checks["det2_consistency"].passed
     _perturb_pivots(monkeypatch)
     assert not run().checks["det2_consistency"].passed
+
+
+def test_cameron_martin_routes_agree_on_a_dense_phi(monkeypatch):
+    # the same drift as its LowRank form and as its dense copy: the checks read
+    # the order-r Sylvester matrix of the one and the operator matrix of the
+    # other.  The dense copy is the only dense phi here with a nonzero trace:
+    # volterra and expdiag are strictly lower, so their checks read 0
+    g = make_grid(1.0, 64)
+    phi = kernel_zoo("const:c=1", g)
+    reports, largest = [], []
+    for kernel in (phi, replace(phi, factored=None)):
+        calls = _counting(monkeypatch)
+        reports.append(verify_cameron_martin(kernel, "cos_end:1.0", grid=g, n_paths=2_000,
+                                             seed=5))
+        largest.append(max(order for _, order in calls.orders))
+    low, dense = reports
+    assert low.verdict == dense.verdict == "pass"
+    pairs = [(low.spectra["det_log"], dense.spectra["det_log"])] + [
+        (getattr(low.checks[key], attr), getattr(dense.checks[key], attr))
+        for key in ("trace_formula", "det2_consistency", "det2_product")
+        for attr in ("value", "target")]
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-10 * max(abs(b), 1.0)
+    assert largest == [2, 64]  # kappa_phi's reduced matrix of order 2r, then B_kappa_phi
 
 
 def _rotation_kernel(grid, angle=0.7):

@@ -398,7 +398,6 @@ def test_kappa_s_gate():
     g = make_grid(1.0, 64)
     with pytest.raises(NotContractiveError):
         kappa_s(kernel_zoo("rank1:b=1.0", g))
-    kappa_s(kernel_zoo("rank1:b=1.0", g), enforce_gate=False)  # explicit override
 
 
 def test_kappa_s_requires_symmetric(grid):

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderone import grid_kernel as gk, operator, scenarios as sc
+from orderone import grid_kernel as gk, operator, scenarios as sc, stochastic
 
 from orderone import (
     InvalidArgumentError,
@@ -328,6 +328,51 @@ def test_harmonic_rejects_negative_lambda(grid):
         verify_harmonic("volterra", -1.0, None, "one", grid, n_paths=10, seed=0)
 
 
+@pytest.mark.parametrize("functional", ["one", "cos_end:1"])
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("x", [None, [1.0, 0.0]], ids=["no-x", "x"])
+@pytest.mark.parametrize("spec", ["volterra", "expdiag:p=[0.5,-0.5]"])
+def test_harmonic_of_lambda_is_harmonic_of_the_scaled_kernel(spec, x, lam, functional):
+    # the identity of lambda is the identity of sqrt(lambda) kappa at lambda = 1:
+    # c(sqrt(lambda) kappa) = lambda c(kappa) and h(sqrt(lambda) kappa) = lambda h(kappa)
+    g = make_grid(1.0, 32)
+    args = dict(functional=functional, grid=g, dim=2, n_paths=500, seed=3)
+    got = verify_harmonic(spec, lam, x, **args)
+    scaled = scale_kernel(kernel_zoo(spec, g, 2), np.sqrt(lam))
+    want = verify_harmonic(scaled, 1.0, x, **args)
+
+    def close(a, b):
+        assert abs(a - b) <= 1e-10 * max(abs(b), 1.0)
+
+    close(got.gate["lambda_eta"], want.gate["lambda_eta"])
+    for key in ("det_log", "hs_norm"):
+        close(got.spectra[key], want.spectra[key])
+    assert got.checks.keys() == want.checks.keys()
+    for key, check in got.checks.items():
+        close(check.value, want.checks[key].value)
+    close(got.lhs.mean, want.lhs.mean)
+    close(got.rhs.mean, want.rhs.mean)
+    assert got.verdict == want.verdict == "pass"
+
+
+def test_harmonic_builds_one_dense_kernel_and_scales_none(monkeypatch):
+    # the c kernel of kappa is eigensolved once and read at the factor -lambda:
+    # no copy of sqrt(lambda) kappa, and no copy of c with its sign flipped
+    dense, post_init = [], gk.MatrixKernel.__post_init__
+
+    def recorded(self):
+        post_init(self)
+        dense.append(self.factored is None)
+
+    def no_scaling(*args):
+        raise AssertionError("scale_kernel called")
+    monkeypatch.setattr(gk.MatrixKernel, "__post_init__", recorded)
+    monkeypatch.setattr(gk, "scale_kernel", no_scaling)
+    r = verify_harmonic("volterra", 2.0, None, "one", make_grid(1.0, 32), n_paths=500)
+    assert r.passed
+    assert dense == [False, True]  # the zoo's form of kappa, then c(kappa)
+
+
 def test_zero_paths_is_a_typed_error(grid):
     # both Monte Carlo reducers: the path one and the plain Gaussian one
     with pytest.raises(InvalidArgumentError, match="paths must be >= 1"):
@@ -365,6 +410,24 @@ def test_probe_count_below_one_is_a_typed_error_before_any_work(grid, monkeypatc
     with pytest.raises(InvalidArgumentError, match="n_probe must be >= 1, got 0"):
         run(grid)
     assert not solved
+
+
+@pytest.mark.parametrize("run, verdict", [
+    # the gate 1 - 1e-6 admits the kernel; the LU pivot ratio 1e-15 is singular
+    (lambda g: verify_transf("remark_gencv:b1=1e12,b2=-0.999", "cos_end:1.0", g), "singular"),
+    (lambda g: verify_inverse("remark_gencv:b1=1e12,b2=-0.999", "cos_end:1.0", g), "singular"),
+    (lambda g: verify_inverse("rank1:b=-1", "cos_end:1.0", g), "rejected-by-hypothesis"),
+    # c = -2 / (1 + 1/N): I + B_kappa_phi is singular, so the gate reaches 1
+    (lambda g: verify_cameron_martin("const:c=-1.9692307692307693", "cos_end:1.0", g),
+     "rejected-by-hypothesis"),
+], ids=["transf-singular", "inverse-singular", "inverse-gate", "cameron_martin-gate"])
+def test_a_halted_scenario_draws_no_paths(monkeypatch, run, verdict):
+    drawn = []
+    monkeypatch.setattr(stochastic, "sample_paths", lambda *args, **kwargs: drawn.append(args))
+    r = run(make_grid(1.0, 64))
+    assert r.verdict == verdict
+    assert r.lhs is None and r.rhs is None
+    assert not drawn
 
 
 # ---------------------------------------------------------------------------
