@@ -13,7 +13,8 @@ Exit codes: 0 all pass, 1 numerical failure (a failed verdict, a singular
 operator, or a scenario that raised), 2 hypothesis-gate rejection, 3 usage or
 configuration error.  `run`, `verify` and `sweep-laplace` share one runner:
 every scenario is checked before the first one runs (a bad one exits 3), and
-each writes a report, one that raised included: verdict `singular` for a
+one that raises writes every report it would have written, its Laplace rows
+under their own names included, each with the halt verdict: `singular` for a
 singular operator, `rejected-by-hypothesis` for a failed contraction, else
 `error`, with the exception in its gate field (and its traceback on stderr).
 
@@ -268,9 +269,9 @@ def _arguments(spec: ScenarioSpec, config: RunConfig, keys) -> dict:
     return a
 
 
-def _jobs(config: RunConfig) -> list:
+def _jobs(config: RunConfig, **extra) -> list:
     """Every scenario of config as it will run, checked before any runs: the
-    run of its kind with its `_arguments`, and the report it halts with.
+    run of its kind with its `_arguments` and extra, and every report it halts with.
     `scenarios.resolve_scenario` checks the arguments on the scenario's own
     grid (a kernel's admissible parameters may depend on N), so that no rule
     is written here a second time.  Raises ConfigError."""
@@ -280,8 +281,8 @@ def _jobs(config: RunConfig) -> list:
     for spec in config.scenarios:
         kind = KINDS[spec.verify]
         try:
-            a = _arguments(spec, config, kind.keys)
-            halt = sc.resolve_scenario(spec.verify, **a).report
+            a = dict(_arguments(spec, config, kind.keys), **extra)
+            halt = sc.resolve_scenario(spec.verify, **a).reports
         except InvalidArgumentError as exc:
             raise ConfigError(f"scenario {spec.name!r}: {exc}" if spec.name else str(exc))
         jobs.append((functools.partial(kind.run, **a), halt))
@@ -328,33 +329,35 @@ def _print_table(reports) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
-def _halt(report, exc: Exception):
-    """report, the one a scenario was checked with, as the report of that
+def _halt(reports, exc: Exception):
+    """reports, every one a scenario was checked with, as those of that
     scenario raising exc: a singular operator and a failed contraction halt
-    it as they halt inside it, anything else is an 'error'."""
+    them as inside it, anything else is an 'error' (one traceback on stderr)."""
+    names = ", ".join(r.name for r in reports)
     if isinstance(exc, (SingularOperatorError, NotContractiveError)):
-        report.verdict = ("singular" if isinstance(exc, SingularOperatorError)
-                          else "rejected-by-hypothesis")
-        report.gate = {"error": str(exc)}
-        print(f"scenario {report.name}: {exc}", file=sys.stderr)
+        verdict, error = ("singular" if isinstance(exc, SingularOperatorError)
+                          else "rejected-by-hypothesis"), str(exc)
+        print(f"scenario {names}: {exc}", file=sys.stderr)
     else:
-        report.verdict, report.gate = "error", {"error": f"{type(exc).__name__}: {exc}"}
-        print(f"scenario {report.name} raised:", file=sys.stderr)
+        verdict, error = "error", f"{type(exc).__name__}: {exc}"
+        print(f"scenario {names} raised:", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
-    return report
+    for report in reports:
+        report.verdict, report.gate = verdict, {"error": error}
+    return reports
 
 
 def _run(jobs, out_dir: str | None, fmt: str) -> int:
     """The runner of run, verify and sweep-laplace: each checked job in turn,
     its reports written to out_dir (when given) and printed.  A scenario that
-    raises gets its halt report and the next one runs: one scenario's failure
-    must not lose the others' reports."""
+    raises gets its halt reports, every one it would have written, and the
+    next one runs: no failure loses a report."""
     reports = []
     for run, halt in jobs:
         try:
             reports.extend(run())
         except Exception as exc:
-            reports.append(_halt(halt, exc))
+            reports.extend(_halt(halt, exc))
     if out_dir:
         try:
             _write_reports(reports, out_dir, fmt)
@@ -501,14 +504,13 @@ def _cmd_verify(args) -> int:
         a = dict(matrix=np.diag(args.diag), functional=args.functional or "cos_sum",
                  n_samples=spec.overrides.get("n_paths", config.samples),
                  seed=spec.overrides.get("seed", config.seed), tol=spec.tolerance)
-        jobs = [(lambda: [sc.verify_finite_dim(**a)], sc.resolve_finite_dim(**a).report)]
+        jobs = [(lambda: [sc.verify_finite_dim(**a)], sc.resolve_finite_dim(**a).reports)]
     elif getattr(args, "diag", None) is not None:
         raise ConfigError(f"{kind} does not take --diag")
     else:
         config.scenarios = [_spec_from_flags(args, kind, KINDS[kind].keys)]
-        jobs = _jobs(config)
-        if args.command == "sweep-laplace":  # the sweep without the surjective identity
-            jobs = [(functools.partial(run, own=False), halt) for run, halt in jobs]
+        # sweep-laplace: the surjective kind's Laplace sweep without its own identity
+        jobs = _jobs(config, **({"own": False} if args.command == "sweep-laplace" else {}))
     return _run(jobs, args.out or os.environ.get("ORDERONE_OUT"), args.format)
 
 

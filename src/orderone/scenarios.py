@@ -368,14 +368,6 @@ def _finish(report: ScenarioReport) -> ScenarioReport:
     return report
 
 
-def _check_size(n_paths: int, tol: float) -> None:
-    """The Monte Carlo size and the tolerance of every scenario."""
-    if n_paths < 1:
-        raise InvalidArgumentError(f"the number of paths must be >= 1, got {n_paths}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise InvalidArgumentError(f"tolerance must be a finite real > 0, got {tol}")
-
-
 def _gate(report: ScenarioReport, lam_eta: float) -> str | None:
     """The moment guard of a gate eigenvalue, recorded with it in the report;
     None, the report halted at 'rejected-by-hypothesis', when it rejects."""
@@ -400,22 +392,19 @@ def resolve_finite_dim(
 ) -> Scenario:
     """Check the arguments of `verify_finite_dim` before any work: the
     Scenario of the kernel A on n unit steps (Delta = 1), whose transformation
-    is x -> x + Ax, and 'cos_sum' is cos_end:1 read on that image.  Raises
-    InvalidArgumentError."""
+    is x -> x + Ax, and 'cos_sum' is cos_end:1 read on that image; the rest,
+    the report included, is `resolve_scenario`'s.  Raises InvalidArgumentError."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InvalidArgumentError(f"matrix must be square and non-empty, got shape {a.shape}")
-    _check_size(n_samples, tol)
     n, f_name = a.shape[0], str(functional)
     if f_name not in _FINITE_DIM_FUNCTIONALS:
         raise InvalidArgumentError(f"unknown finite-dim functional {functional!r}")
     # unit steps make a path's increments the Philox N(0, I_n) draws themselves
     grid = TimeGrid(float(n), n)
-    prov = {"matrix_shape": n, "n_samples": n_samples, "seed": seed, "functional": f_name}
-    report = ScenarioReport(name or f"finite_dim[n={n}]", "finite_dim", None, None, None, None,
-                            tol, "undecided", provenance=prov)
-    return Scenario(grid, gk.kernel_from_values(grid, a),
-                    TestFunctional.parse(_FINITE_DIM_FUNCTIONALS[f_name]), n_samples, seed, report)
+    return resolve_scenario("finite_dim", gk.kernel_from_values(grid, a),
+                            _FINITE_DIM_FUNCTIONALS[f_name], grid, 1, n_samples, seed, tol,
+                            name or f"finite_dim[n={n}]")
 
 
 def verify_finite_dim(
@@ -474,14 +463,20 @@ _Factored = namedtuple("_Factored", "eta gate guard det2 kappa_hat")
 
 @dataclass
 class Scenario:
-    """A Wiener-space scenario's checked arguments and the report it fills in."""
+    """A Wiener-space scenario's checked arguments and every report it fills in: its own
+    (unless own=False), then one Laplace row per lambda, each of the factor c in factors."""
 
     grid: TimeGrid
     kernel: MatrixKernel
     f: TestFunctional | None
     n_paths: int
     seed: int
-    report: ScenarioReport
+    reports: list[ScenarioReport]
+    factors: list[float]
+
+    @property
+    def report(self) -> ScenarioReport:
+        return self.reports[0]
 
     def factor(self, kappa: MatrixKernel, inverse: bool = False) -> _Factored | None:
         """The prologue of transf, inverse, cameron_martin, gencv and finite_dim:
@@ -567,17 +562,25 @@ def resolve_scenario(
     kind: str, kernel=None, functional=None, grid: TimeGrid | None = None, dim: int = 1,
     n_paths: int = 100_000, seed: int = 0, tol: float = DEFAULT_TOL,
     name: str | None = None, lam: float | None = None, x=None, lambdas=None,
+    own: bool = True, n_probe: int = 1000,
 ) -> Scenario:
     """Check and resolve the arguments of a Wiener-space scenario of the given
-    kind before any work: the Monte Carlo size and tolerance, the harmonic
-    lambda (>= 0) and direction x (of the kernel's dimension), the surjective
-    lambdas (finite), the kernel spec (symmetric for surjective and
-    integrability; None only for gencv's own counterexample at its default
-    b1, b2) and the functional (None only for integrability, which reads
-    none; a cos_mid tau in [0, T]).  Every scenario starts here, and a
-    config is validated by calling it on each scenario's grid with the
-    arguments the scenario runs with.  Raises InvalidArgumentError."""
-    _check_size(n_paths, tol)
+    kind before any work: the Monte Carlo size and tolerance, n_probe (>= 1),
+    the harmonic lambda (>= 0) and direction x (of the kernel's dimension),
+    the surjective lambdas (finite), the kernel spec (symmetric for
+    surjective and integrability; None only for gencv's own counterexample
+    at its default b1, b2) and the functional (None only for integrability,
+    which reads none; a cos_mid tau in [0, T]).  Then decide every report it
+    writes and its provenance: its own unless own=False, one `laplace[spec,
+    lambda=c]` per lambda, cameron_martin's kernel_role.  Every scenario
+    starts here; a config is validated, and a raising scenario halted, by
+    what it returns on the scenario's arguments.  Raises InvalidArgumentError."""
+    if n_paths < 1:
+        raise InvalidArgumentError(f"the number of paths must be >= 1, got {n_paths}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidArgumentError(f"tolerance must be a finite real > 0, got {tol}")
+    if n_probe < 1:
+        raise InvalidArgumentError(f"n_probe must be >= 1, got {n_probe}")
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise InvalidArgumentError(f"lambda must be a finite real >= 0, got {lam}")
     if lambdas is not None and not np.all(np.isfinite(lambdas)):
@@ -606,14 +609,19 @@ def resolve_scenario(
             "dim": kappa.dim, "n_paths": n_paths, "seed": seed}
     if f is not None:
         prov["functional"] = str(f)
+    if kind == "cameron_martin":
+        prov["kernel_role"] = "phi"
     label = ""
     if lam is not None:
         prov["lambda"], label = float(lam), f", lambda={lam:g}"
     if x is not None:
         prov["x"] = gk.direction(x, kappa.dim).tolist()
-    report = ScenarioReport(name or f"{kind}[{spec}{label}]", kind, None, None, None, None,
-                            tol, "undecided", provenance=prov)
-    return Scenario(grid, kappa, f, n_paths, seed, report)
+    lambdas = [] if lambdas is None else [float(c) for c in lambdas]
+    titled = ([(name or f"{kind}[{spec}{label}]", prov)] if own else []) + [
+        (f"laplace[{spec}, lambda={c:g}]", {**prov, "lambda": c}) for c in lambdas]
+    reports = [ScenarioReport(title, kind, None, None, None, None, tol, "undecided",
+                              provenance=p) for title, p in titled]
+    return Scenario(grid, kappa, f, n_paths, seed, reports, ([1.0] if own else []) + lambdas)
 
 
 def verify_transf(
@@ -644,9 +652,8 @@ def verify_inverse(
 ) -> ScenarioReport:
     """Inverse-transformation identity, the pathwise round trip, and the unit
     mass of the Radon-Nikodym weight of the transformed measure."""
-    if n_probe < 1:
-        raise InvalidArgumentError(f"n_probe must be >= 1, got {n_probe}")
-    s = resolve_scenario("inverse", kernel, functional, grid, dim, n_paths, seed, tol, name)
+    s = resolve_scenario("inverse", kernel, functional, grid, dim, n_paths, seed, tol, name,
+                         n_probe=n_probe)
     kappa, report, p = s.kernel, s.report, s.factor(s.kernel, inverse=True)
     if p is None:
         return report
@@ -702,20 +709,12 @@ def surjective_scenario(
     the same paths for every factor, with one row per factor its gate admits.
     Every factor keeps its own gate and its own independent checks."""
     s = resolve_scenario("surjective", kernel, functional, grid, dim, n_paths, seed, tol, name,
-                         lambdas=lambdas)
-    prov = s.report.provenance
-    lambdas = [] if lambdas is None else [float(c) for c in lambdas]
-    factors = ([1.0] if own else []) + lambdas
-    reports = ([s.report] if own else []) + [
-        ScenarioReport(f"laplace[{prov['kernel']}, lambda={c:g}]", "surjective", None, None,
-                       None, None, tol, "undecided", provenance={**prov, "lambda": c})
-        for c in lambdas
-    ]
+                         lambdas=lambdas, own=own)
     eta = s.kernel
     eig = op.spectrum(eta, vectors=True)
     eta_norm = gk.kernel_l2_norm(eta)
     q, rows = partial(st.quadratic_form, eta), []  # q of c eta is c q
-    for c, report in zip(factors, reports):
+    for c, report in zip(s.factors, s.reports):
         scaled = eig.scaled(c)  # the spectrum of c B_eta
         lam = scaled.lambda_max
         guard = _gate(report, lam)
@@ -753,7 +752,7 @@ def surjective_scenario(
     eig = scaled = None  # the eigenvectors are as large as the operator
     if rows:
         s.identity(rows)
-    return reports
+    return s.reports
 
 
 def verify_surjective(
@@ -833,12 +832,9 @@ def verify_cameron_martin(
     equals the Wiener integral of the tail kernel, then Monte Carlos the
     identity with the exponent Psi built from the path (not the increments).
     """
-    if n_probe < 1:
-        raise InvalidArgumentError(f"n_probe must be >= 1, got {n_probe}")
     s = resolve_scenario("cameron_martin", phi_kernel, functional, grid, dim, n_paths, seed,
-                         tol, name)
+                         tol, name, n_probe=n_probe)
     phi, grid, report = s.kernel, s.grid, s.report
-    report.provenance["kernel_role"] = "phi"
 
     kappa_phi = gk.kappa_from_phi(phi)
     p = s.factor(kappa_phi)
@@ -886,7 +882,9 @@ def verify_gencv_example(
     """The spectral counterexample: s-kernel eigenvalue -2 min(b) may exceed 2
     while the eta gate stays below 1 and det2 stays positive, so the forward
     identity still holds where the generic change-of-variables route fails."""
-    spec = f"remark_gencv:b1={b1:g},b2={b2:g}"
+    b1, b2 = float(b1), float(b2)  # the kernel reads each back from its shortest decimal
+    texts = [np.format_float_positional(b, trim="-") for b in (b1, b2)]
+    spec = f"remark_gencv:b1={texts[0]},b2={texts[1]}"
     s = resolve_scenario("gencv", spec, functional, grid, 1, n_paths, seed, tol, name)
     report = s.report
 

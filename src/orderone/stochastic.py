@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
-from .grid_kernel import MatrixKernel, TimeGrid, direction
+from .grid_kernel import LowRank, MatrixKernel, TimeGrid, direction
 from .operator import GATE_MARGIN, lambda_max
 
 __all__ = [
@@ -319,7 +319,17 @@ def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
 
 
 def cm_trace_correction(phi: MatrixKernel) -> float:
-    """Deterministic gap between the trace-free and trace-corrected exponents."""
+    """Deterministic gap between the trace-free and trace-corrected exponents,
+    Delta^2 sum_{i<k} tr phi(t_i, t_k); of a LowRank phi = L C R^T it is
+    Delta^2 tr(C sum_k R_k^T L_{<k}), L_{<k} the sum of L's blocks of the
+    nodes i < k, in O(N d r^2).  The dense sum is the reference."""
+    form, n, dim = phi.factored, phi.grid.n_steps, phi.dim
+    if isinstance(form, LowRank):
+        left = form.left.reshape(n, dim, -1)
+        below = np.zeros_like(left)
+        np.cumsum(left[:-1], axis=0, out=below[1:])  # an exclusive cumulative sum
+        cross = np.einsum("kaq,kap->qp", form.right.reshape(n, dim, -1), below)
+        return float(np.trace(form.core @ cross) * phi.grid.step ** 2)
     tr_blocks = np.einsum("ijaa->ij", phi.values)
     return float(np.sum(np.triu(tr_blocks, k=1)) * phi.grid.step ** 2)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderone import scenarios
+from orderone import scenarios, stochastic
 from orderone.cli import (
     EXIT_GATE,
     EXIT_NUMERICAL,
@@ -303,6 +303,77 @@ kernel = rank1:b=0.3
     assert (out / "summary.csv").read_text().count("\n") == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: unexpected failure" in err
+
+
+HALT_CONFIG = """
+[run]
+n_steps = 16
+samples = 2000
+seed = 4
+
+[scenario sq]
+verify = surjective
+kernel = rank1:b=0.3
+lambdas = 0.25, 0.5
+
+[scenario cm]
+verify = cameron_martin
+kernel = const:c=1
+"""
+
+# the flags of a passing run of each kind (gencv's functional one has a bias
+# beyond 3 sigma at N = 16)
+HALT_FLAGS = {kind: ["--kernel", "rank1:b=0.3"] for kind in
+               ("transf", "inverse", "surjective", "harmonic", "integrability")}
+HALT_FLAGS.update(cameron_martin=["--kernel", "const:c=1"], gencv=["--functional", "cos_end:1.0"])
+HALT_RUNS = {
+    "run": (["run", "--config", "{config}"], 2),
+    "sweep-laplace": (["sweep-laplace", "rank1:b=0.5", "--lambdas", "0.25,0.5", "--grid", "16",
+                       "--paths", "2000"], 1),
+    "verify finite-dim": (["verify", "finite-dim", "--diag", "0.2,-0.1", "--paths", "2000"], 1),
+    **{f"verify {kind}": (["verify", kind, "--grid", "16", "--paths", "2000"] + flags, 1)
+       for kind, flags in HALT_FLAGS.items()},
+}
+
+
+@pytest.mark.parametrize("command", HALT_RUNS)
+def test_a_raising_scenario_writes_every_report_it_would_have_written(tmp_path, monkeypatch,
+                                                                      capsys, command):
+    # the halt was the resolver's own report alone: a surjective scenario lost
+    # its Laplace rows, sweep-laplace wrote one surjective[...] report in place
+    # of its laplace[...] rows, and cameron_martin's lacked its kernel_role
+    assert set(HALT_FLAGS) == set(KINDS)
+    argv, n_scenarios = HALT_RUNS[command]
+    config = tmp_path / "halt.cfg"
+    config.write_text(HALT_CONFIG)
+    argv = [arg.format(config=config) for arg in argv]
+
+    def written(out):
+        return [(r["name"], r["kind"], r["provenance"], r["verdict"], r["gate"])
+                for r in json.loads((out / "reports.json").read_text())]
+    assert main(argv + ["--out", str(tmp_path / "pass")]) == EXIT_PASS
+    passed = written(tmp_path / "pass")
+    capsys.readouterr()
+
+    def raises(*args, **kwargs):
+        raise RuntimeError("raised inside the scenario")
+    monkeypatch.setattr(stochastic, "sample_paths", raises)
+    assert main(argv + ["--out", str(tmp_path / "halt")]) == EXIT_NUMERICAL
+    halted = written(tmp_path / "halt")
+    assert [row[:3] for row in halted] == [row[:3] for row in passed]
+    assert all(row[3:] == ("error", {"error": "RuntimeError: raised inside the scenario"})
+               for row in halted)
+    assert capsys.readouterr().err.count("Traceback (most recent call last)") == n_scenarios
+    if command == "run":
+        assert [row[0] for row in halted] == [
+            "sq", "laplace[rank1:b=0.3, lambda=0.25]", "laplace[rank1:b=0.3, lambda=0.5]", "cm"]
+        assert halted[-1][2]["kernel_role"] == "phi"
+
+
+def test_finite_dim_report_carries_the_common_provenance():
+    report = scenarios.resolve_finite_dim(np.diag([0.2, -0.1]), n_samples=500, seed=7).report
+    assert report.provenance == {"kernel": "<custom>", "horizon": 2.0, "n_steps": 2, "dim": 1,
+                                 "n_paths": 500, "seed": 7, "functional": "cos_end:1"}
 
 
 def test_gencv_halt_report_records_its_own_kernel(tmp_path, monkeypatch):

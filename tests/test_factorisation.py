@@ -257,8 +257,13 @@ def test_dense_matrices_assembled_per_scenario(grid, monkeypatch, run, expected)
     lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
     lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
     lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "cos_end:1.0", g, n_paths=500),
+    # trace_formula reads the tail sums of phi from its factors
+    lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500),
+    lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500),
+    lambda g: verify_integrability_bound("rank1:b=0.3", grid=g, n_paths=500),
     lambda g: operator.det2_product_identity_check(kernel_zoo("rank1:b=0.3", g)),
-], ids=["transf", "inverse", "surjective", "sweep", "det2_product_identity_check"])
+], ids=["transf", "inverse", "surjective", "sweep", "cameron_martin", "gencv", "integrability",
+        "det2_product_identity_check"])
 def test_low_rank_hot_paths_build_no_matrix(grid, monkeypatch, run):
     # every kernel of these runs is its LowRank form: none is given values,
     # none has its matrix multiplied out on a read, and every symmetry scan

@@ -495,6 +495,16 @@ def test_gencv_closed_forms_hold_for_every_b(b1, b2):
     ]
 
 
+def test_gencv_builds_its_kernel_from_the_exact_b():
+    # the spec was formatted with :g, so b1 = -2.0000123 built the kernel of
+    # -2.00001 while the closed forms read -2.0000123: det2_value failed
+    r = verify_gencv_example(make_grid(1.0, 64), -2.0000123, -3.0, "cos_end:1.0", 2_000, 1)
+    assert r.provenance["kernel"] == "remark_gencv:b1=-2.0000123,b2=-3"
+    for check in ("lambda_s", "lambda_eta", "det2_value"):
+        assert r.checks[check].passed, (check, r.checks[check])
+    assert r.verdict == "pass"
+
+
 def test_gencv_closed_forms_on_two_nodes():
     # N = 2: the two directions of the kernel are the whole grid, with no zeros
     r = verify_gencv_example(make_grid(1.0, 2), 0.2, 0.3, "cos_end:1.0", 200, 5)

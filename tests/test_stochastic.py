@@ -306,6 +306,21 @@ def test_cm_trace_correction_constant():
     npt.assert_allclose(corr, c / 2.0, atol=2.0 * c / g.n_steps)
 
 
+@pytest.mark.parametrize("spec, dim", [
+    ("const:c=1", 1), ("const:c=-0.7", 2), ("const_phi:c=0.7", 1), ("const_phi:c=0.7", 2),
+    ("rank1:b=0.3", 1), ("rank2:b=0.2,c=0.3,member=2", 1), ("remark_gencv:b1=-2,b2=-3", 1),
+])
+def test_cm_trace_correction_of_the_factors_matches_the_dense_sum(spec, dim):
+    # a LowRank phi is read from its factors; its multiplied-out copy takes
+    # the dense sum, which stays the reference
+    g = make_grid(1.0, 64)
+    phi = kernel_zoo(spec, g, dim)
+    assert isinstance(phi.factored, grid_kernel.LowRank)
+    low = cm_trace_correction(phi)
+    npt.assert_allclose(low, cm_trace_correction(MatrixKernel(g, dim, phi.matrix)),
+                        rtol=1e-13, atol=1e-15)
+
+
 def test_cm_cross_term_unbiased_after_trace_correction():
     # the cross term has mean -(psi_tilde - psi); adding the deterministic
     # trace correction centers it, and the left-node convention keeps the
