@@ -2,12 +2,11 @@
 
 Every scenario follows the same contract: assemble the kernels, evaluate the
 hypothesis gate (top eigenvalue of the symmetric exponent kernel), and only
-then Monte Carlo both sides of the identity with two independent Philox
-streams, so the z-score of the comparison has a clean null.  The verdict is
-"pass" when the discrepancy is below max(tolerance, 3 combined standard
-errors) and every embedded operator-level check holds.  Degenerate rule: when
-the scenario's own kernel is zero, both sides are the same statistic of one
-batch, so the right-hand side reads the left-hand stream and z = 0 exactly.
+then estimate both sides of the identity: the side with the exponent by
+Monte Carlo on its own SFC64 stream, the side without one in closed form, so
+the z-score of the comparison has a clean null.  The verdict is "pass" when
+the discrepancy is below max(tolerance, 3 combined standard errors) and every
+embedded operator-level check holds.
 
 Sides as data.  A transformation of order one turns its change of variables
 into a quadratic-form exponent, so every side below, finite_dim's too, is a
@@ -15,9 +14,11 @@ into a quadratic-form exponent, so every side below, finite_dim's too, is a
 the transformation of a kernel (w itself without one) and q a per-path
 exponent (none: 1).  `Scenario.estimate` is the one Monte Carlo driver: it
 evaluates each distinct image and each distinct exponent once per chunk, so
-a lambda family evaluates q once and each row reads c q, and a side with no
-exponent under a constant f is exact.  `Scenario.identity` runs the two
-sides of rows of (report, lhs, rhs), one pass each, and decides the reports.
+a lambda family evaluates q once and each row reads c q.  A side with no
+exponent is exact and draws no path: f reads the image at one node, a linear
+image of the Gaussian increments, and `TestFunctional.mean` of its covariance
+is E[f].  `Scenario.identity` runs the two sides of rows of (report, lhs,
+rhs), one pass each, and decides the reports.
 Five kinds start at `Scenario.factor`, the gate and det2 prologue: transf,
 inverse, cameron_martin, gencv and finite_dim (A on n unit steps, where
 eta(A) is B).  `_gate` writes every gate and halts the reports it rejects.
@@ -50,22 +51,24 @@ family of factor 1 alone and `sweep_laplace` that of the lambdas alone.
 
 Chunk plan.  One Monte Carlo side of n paths of N d increments each runs as
 ceil(n / cap) chunks of near-equal size, cap = CHUNK_ELEMENTS // (N d);
-chunk idx draws its paths from the Philox stream (seed, side, idx).  Each
-chunk returns only its count, mean and M2 (the sum of squared deviations),
-the mean carried as a rounded value plus a correction, and the partials are
-merged in chunk order by the pairwise update of Chan, Golub and LeVeque,
-which does not cancel the way sum x^2 - n mean^2 does.  The chunks run on WORKERS =
-min(usable cores, 2^23 // CHUNK_ELEMENTS) threads (numpy's Philox fill, its
-ufuncs and BLAS release the GIL), so the increments in flight never exceed
-2^23 elements; a side of one chunk runs in the calling thread.  Each side
-allocates one draw buffer per thread up front and its chunks draw into those
-buffers, so its peak memory does not depend on how the threads interleave
-(per-chunk batches left the peak to the allocator's arenas and varied by
-tens of MiB from run to run).  The chunk
-sizes do not depend on the machine and the merge order is fixed, so every
-report is bit-for-bit the same whatever the worker count.  Transformed paths
-are read at the functional's node alone (see `stochastic`), so no side forms
-a transformed batch.
+chunk idx draws its paths from the SFC64 generator seeded by
+SeedSequence([seed, side, idx]).  Each chunk builds its own generator from its
+key and none is ever advanced or jumped, so no counter feature is needed and
+the fastest of numpy's generators serves.  Each chunk returns only its count,
+mean and M2 (the sum of squared deviations), the mean carried as a rounded
+value plus a correction, and the partials are merged in chunk order by the
+pairwise update of Chan, Golub and LeVeque, which does not cancel the way
+sum x^2 - n mean^2 does.  The chunks run on WORKERS = min(usable cores,
+2^23 // CHUNK_ELEMENTS) threads (numpy's SFC64 fill, its ufuncs and BLAS
+release the GIL), so the increments in flight never exceed 2^23 elements; a
+side of one chunk runs in the calling thread.  Each side allocates one draw
+buffer per thread up front and its chunks draw into those buffers, so its
+peak memory does not depend on how the threads interleave (per-chunk batches
+left the peak to the allocator's arenas and varied by tens of MiB from run to
+run).  The chunk sizes do not depend on the machine and the merge order is
+fixed, so every report is bit-for-bit the same whatever the worker count.
+Transformed paths are read at the functional's node alone (see `stochastic`),
+so no side forms a transformed batch.
 """
 
 from __future__ import annotations
@@ -205,11 +208,11 @@ def _moments(vals: np.ndarray) -> tuple:
 
 def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
               per_path, scale=1.0, ci_valid=True) -> list[MCEstimate]:
-    """Draw the chunks of n_paths Wiener paths (chunk idx from the Philox
-    stream (seed, stream_id, idx)), map per_path over them on the pool and
-    merge their moments in chunk order by the pairwise update of Chan, Golub
-    and LeVeque.  The next chunk reuses the draw buffer, so per_path must not
-    keep its batch past its return.
+    """Draw the chunks of n_paths Wiener paths (chunk idx from the SFC64
+    stream keyed by (seed, stream_id, idx)), map per_path over them on the
+    pool and merge their moments in chunk order by the pairwise update of
+    Chan, Golub and LeVeque.  The next chunk reuses the draw buffer, so
+    per_path must not keep its batch past its return.
 
     per_path gives a (rows, paths) array, merged row by row into a list of
     MCEstimates, one per row (one value per path: a list of one); scale and
@@ -400,7 +403,7 @@ def resolve_finite_dim(
     n, f_name = a.shape[0], str(functional)
     if f_name not in _FINITE_DIM_FUNCTIONALS:
         raise InvalidArgumentError(f"unknown finite-dim functional {functional!r}")
-    # unit steps make a path's increments the Philox N(0, I_n) draws themselves
+    # unit steps make a path's increments the N(0, I_n) draws themselves
     grid = TimeGrid(float(n), n)
     return resolve_scenario("finite_dim", gk.kernel_from_values(grid, a),
                             _FINITE_DIM_FUNCTIONALS[f_name], grid, 1, n_samples, seed, tol,
@@ -517,14 +520,20 @@ class Scenario:
         """The estimate of each side, f read along its image, in one pass over
         the paths of the stream: each distinct image (its node weights built
         once, before any chunk) and each distinct exponent are evaluated once
-        per chunk.  Exact when no side has an exponent and f is constant one."""
-        if f.is_constant_one and all(side.exponent is None for side in sides):
-            return [exact_estimate(np.exp(side.log_scale)) for side in sides]
+        per chunk.  Exact, and drawing nothing, when no side has an exponent:
+        the node value dW G that f reads is then N(0, Delta G^T G)."""
         node = f.node(self.grid)
         images = {(id(side.kernel), side.linear): side for side in sides}
         weights = {image: None if side.kernel is None or node is None
                    else st.node_weights(side.kernel, node, side.linear)
                    for image, side in images.items()}
+        if all(side.exponent is None for side in sides):
+            dt, eye = self.grid.step, np.eye(self.kernel.dim)
+            cov = {image: (node or 0) * dt * eye if w is None else dt * (w.T @ w)
+                   for image, w in weights.items()}  # W(t_k) itself: k Delta I
+            return [exact_estimate(np.exp(side.log_scale)
+                                   * f.mean(cov[id(side.kernel), side.linear]))
+                    for side in sides]
         exponents = {id(e): e for e in (side.exponent for side in sides) if e is not None}
 
         def per_path(batch):
@@ -544,12 +553,8 @@ class Scenario:
         pass and their right-hand sides in another, then compare each row's two
         sides as its report's 'identity' check and decide the report."""
         reports, lhs, rhs = zip(*rows)
-        # a zero scenario kernel degenerates both sides to the same statistic
-        # of one batch; sharing the stream then makes the discrepancy exactly
-        # zero.  Zero is read as an L2 norm of 0, from the factors of a LowRank form
-        stream = _STREAM_RHS if gk.kernel_l2_norm(self.kernel) > 0 else _STREAM_LHS
         for report, left, right in zip(reports, self.estimate(_STREAM_LHS, lhs, self.f),
-                                       self.estimate(stream, rhs, self.f)):
+                                       self.estimate(_STREAM_RHS, rhs, self.f)):
             report.lhs, report.rhs = left, right
             report.z_score, report.rel_error, ok = _compare(left, right, report.tolerance)
             report.checks["identity"] = Check(report.rel_error, 0.0, report.tolerance, ok,

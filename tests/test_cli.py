@@ -3,6 +3,7 @@ and rerun determinism."""
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -319,19 +320,22 @@ lambdas = 0.25, 0.5
 [scenario cm]
 verify = cameron_martin
 kernel = const:c=1
+n_steps = 128
 """
 
 # the flags of a passing run of each kind (gencv's functional one has a bias
-# beyond 3 sigma at N = 16)
-HALT_FLAGS = {kind: ["--kernel", "rank1:b=0.3"] for kind in
+# beyond 3 sigma at N = 16, and cameron_martin's grid bias at N = 16, about
+# 4%, twice the tolerance, failed most seeds)
+HALT_FLAGS = {kind: ["--grid", "16", "--kernel", "rank1:b=0.3"] for kind in
                ("transf", "inverse", "surjective", "harmonic", "integrability")}
-HALT_FLAGS.update(cameron_martin=["--kernel", "const:c=1"], gencv=["--functional", "cos_end:1.0"])
+HALT_FLAGS.update(cameron_martin=["--grid", "128", "--kernel", "const:c=1"],
+                  gencv=["--grid", "16", "--functional", "cos_end:1.0"])
 HALT_RUNS = {
     "run": (["run", "--config", "{config}"], 2),
     "sweep-laplace": (["sweep-laplace", "rank1:b=0.5", "--lambdas", "0.25,0.5", "--grid", "16",
                        "--paths", "2000"], 1),
     "verify finite-dim": (["verify", "finite-dim", "--diag", "0.2,-0.1", "--paths", "2000"], 1),
-    **{f"verify {kind}": (["verify", kind, "--grid", "16", "--paths", "2000"] + flags, 1)
+    **{f"verify {kind}": (["verify", kind, "--paths", "2000"] + flags, 1)
        for kind, flags in HALT_FLAGS.items()},
 }
 
@@ -785,17 +789,37 @@ def test_verify_defaults_to_functional_one(tmp_path):
     assert report["provenance"]["functional"] == "one"
 
 
+def test_demo_draws_no_right_hand_side_path(tmp_path, monkeypatch):
+    # every right-hand side of demo.cfg is exact: no path is drawn on the
+    # right-hand stream (id 1), and each report's rhs carries no error
+    text = (Path(__file__).parent.parent / "demo.cfg").read_text()
+    cfg = _write_config(tmp_path, re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", text))
+    streams, sample_paths = [], stochastic.sample_paths
+
+    def recorded(*args, **kwargs):
+        streams.append(kwargs["stream"])
+        return sample_paths(*args, **kwargs)
+    monkeypatch.setattr(stochastic, "sample_paths", recorded)
+    main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--format", "json",
+          "--grid", "32", "--paths", "2000"])
+    assert streams and all(stream[0] != scenarios._STREAM_RHS for stream in streams)
+    reports = json.loads((tmp_path / "out" / "reports.json").read_text())
+    assert len(reports) == 11
+    for report in reports:
+        assert report["rhs"]["n_samples"] == 0 and report["rhs"]["std_error"] == 0.0
+
+
 def test_one_sample_side_has_no_confidence_interval(tmp_path):
-    # one path gave std_error 0.0 on both sides and a z-score of Infinity,
-    # which is not JSON
+    # one path gave std_error 0.0 and a z-score of Infinity, which is not
+    # JSON; the right-hand side, without an exponent, is exact
     main(["verify", "transf", "--kernel", "rank1:b=0.3", "--functional", "cos_end:1.0",
           "--paths", "1", "--grid", "16", "--out", str(tmp_path)])
 
     def reject(constant):
         raise ValueError(f"reports.json holds {constant}")
     (report,) = json.loads((tmp_path / "reports.json").read_text(), parse_constant=reject)
-    for side in ("lhs", "rhs"):
-        assert report[side]["std_error"] is None and not report[side]["ci_valid"]
+    assert report["lhs"]["std_error"] is None and not report["lhs"]["ci_valid"]
+    assert report["rhs"]["std_error"] == 0.0 and report["rhs"]["n_samples"] == 0
     assert report["z_score"] is None
 
 

@@ -133,13 +133,13 @@ def test_one_factorisation_per_operator(grid, monkeypatch, run, expected, larges
     assert max(order for _, order in calls.orders) == largest
 
 
-@pytest.mark.parametrize("functional, sides", [("one", (0,)), ("cos_end:1.0", (0, 1))])
-def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functional, sides):
+@pytest.mark.parametrize("functional", ["one", "cos_end:1.0"])
+def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functional):
     # three factors: one eigh of B_eta, one LU of I - c S per factor (S the
-    # order-1 Sylvester matrix of B_eta), and each chunk of each Monte Carlo
-    # side drawn once (f == 1 has an exact right-hand side, so draws the
-    # left-hand side alone); q is evaluated once per chunk and each factor's
-    # row reads c q
+    # order-1 Sylvester matrix of B_eta), and each chunk of the left-hand side
+    # drawn once (the right-hand side has no exponent, so it is exact and
+    # draws nothing); q is evaluated once per chunk and each factor's row
+    # reads c q
     monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 32 * 200)  # 1,000 paths in 5 chunks
     calls = _counting(monkeypatch)
     drawn, sample_paths = [], stochastic.sample_paths
@@ -157,13 +157,12 @@ def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functi
     reports = sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], functional, grid, n_paths=1_000)
     assert [r.verdict for r in reports] == ["pass"] * 3
     assert calls.orders == [("eigh", 1)] + [("lu_factor", 1)] * 3
-    assert sorted(drawn) == [(side, idx) for side in sides for idx in range(5)]
+    assert sorted(drawn) == [(0, idx) for idx in range(5)]
     assert sorted(forms) == [(0, idx) for idx in range(5)]  # 5 chunks x 3 factors: 5, not 15
 
 
-@pytest.mark.parametrize("functional, sides", [("one", (0,)), ("cos_end:1.0", (0, 1))])
-def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch, functional,
-                                                    sides):
+@pytest.mark.parametrize("functional", ["one", "cos_end:1.0"])
+def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch, functional):
     # `run` verified a surjective scenario's own identity and then swept its
     # lambdas in a second pass: two eigensolves, and each chunk drawn twice;
     # now one eigh, and one LU of order 1 per factor
@@ -183,7 +182,7 @@ def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch,
     monkeypatch.setattr(stochastic, "sample_paths", recorded)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
     assert calls.orders == [("eigh", 1)] + [("lu_factor", 1)] * 4
-    assert sorted(drawn) == [(side, idx) for side in sides for idx in range(5)]
+    assert sorted(drawn) == [(0, idx) for idx in range(5)]  # the left-hand side alone
 
     got = json.loads((tmp_path / "reports.json").read_text())
     args = (functional, grid, 1, 1000, 5)

@@ -59,6 +59,18 @@ def test_sampling_is_deterministic(grid):
     assert np.any(c.increments != a.increments)
 
 
+@pytest.mark.parametrize("dim, n_paths, seed, stream", [(1, 5, 0, ()), (2, 3, 42, (0, 7)),
+                                                      (1, 4, -1, (1, 0))])
+def test_sampling_generator_is_pinned(grid, dim, n_paths, seed, stream):
+    # SFC64 seeded by SeedSequence([seed, *stream]), scaled by sqrt(Delta): a
+    # change of generator moves every number the package reports
+    key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *stream])
+    want = np.random.Generator(np.random.SFC64(key)).standard_normal(
+        (n_paths, grid.n_steps, dim)) * np.sqrt(grid.step)
+    got = sample_paths(grid, dim, n_paths, seed, stream).increments
+    assert got.tobytes() == want.tobytes()
+
+
 def test_sampling_streams_are_distinct(grid):
     a = sample_paths(grid, 1, 8, seed=1, stream=(0, 0))
     b = sample_paths(grid, 1, 8, seed=1, stream=(0, 1))
