@@ -36,7 +36,6 @@ from .operator import (
     SpectralSummary,
     assemble,
     det2,
-    det2_product_identity_check,
     inverse_kernel,
     kappa_s,
     kernel_from_matrix,
@@ -54,12 +53,10 @@ from .stochastic import (
     cm_trace_correction,
     exp_q_moment_guard,
     h_functionals,
-    linear_node_value,
     node_value,
     node_weights,
     quadratic_form,
     sample_paths,
-    transformed_node_value,
     wiener_integral,
 )
 from .scenarios import (

@@ -32,30 +32,31 @@ reads the form instead of the dense (N d)^2 matrix:
     LowRank     the matrix is L C R^T, with L and R of shape (N d, r) and a
                 core C of shape (r, r); set by the zoo for zero (const with
                 c = 0), rank1, rank2, remark_gencv, const and const_phi
-    LowerExp    scale * 1_{s < t} diag(e^{(t - s) p}), or its adjoint; set by
-                the zoo for volterra (p = 0) and expdiag
+    LowerExp    1_{s < t} diag(e^{(t - s) p}); set by the zoo for volterra
+                (p = 0) and expdiag
 
 A factored kernel is its form: `kernel_from_form` stores no matrix, and
 `matrix` and `values` are multiplied out from the form's `rows` only when a
 dense route first reads them (then kept).  The zoo, `eta_of_kappa`,
 `s_of_kappa` and `kappa_from_phi` of a LowRank kernel (a rank-r kappa gives
-an eta or s kernel of rank at most 2r; the tail integral acts on R alone),
-`scale_kernel` and `adjoint_kernel` of any factored kernel, and the operator
-layer's inverse and square-root kernels of a LowRank one build kernels this
-way, and `kernel_l2_norm` and `kernel_distance` read LowRank kernels from
-their factors.  The dense formulas run for every other kernel, and stay the
-tested reference; the other constructors carry no form.  Construction
-checks that the form reproduces every entry of its matrix to FACTOR_TOL of
-the form's magnitude (its largest entry before cancellation), read through
-the route the path functionals run: each row slab of the form's `rows`,
-multiplied out and kept nowhere, against the form's `apply_adjoint` of unit
-rows.  So a route that reads the matrix and one that reads the form always
-see one kernel.  A factored kernel is finite when its magnitude is.  A form
-with one factor array for both sides and an exactly symmetric core,
-L C L^T, is symmetric by construction and is not scanned; any other kernel
-flagged symmetric is.  The path layer never inspects the form: `apply`
-(x -> x K^T), `apply_adjoint` (x -> x K) and `diagonal_blocks` hide it, and
-fall back to the matrix when there is none.
+an eta or s kernel of rank at most 2r; the tail integral acts on R alone)
+and the operator layer's inverse and square-root kernels of a LowRank one
+build kernels this way, and `kernel_l2_norm` and `kernel_distance` read
+LowRank kernels from their factors.  The dense formulas run for every other
+kernel, and stay the tested reference; the other constructors carry no form,
+`scale_kernel` and `adjoint_kernel` among them: the algebra needs kappa*
+only inside eta, and scaling only on spectra (`operator.Spectrum.scaled`).
+Construction checks that the form reproduces every entry of its matrix to
+FACTOR_TOL of the form's magnitude (its largest entry before cancellation),
+read through the route the path functionals run: each row slab of the
+form's `rows`, multiplied out and kept nowhere, against the form's adjoint
+`apply` of unit rows.  So a route that reads the matrix and one that reads
+the form always see one kernel.  A factored kernel is finite when its
+magnitude is.  A form with one factor array for both sides and an exactly
+symmetric core, L C L^T, is symmetric by construction and is not scanned;
+any other kernel flagged symmetric is.  The path layer never inspects the
+form: `apply` (x -> x K^T), `apply_adjoint` (x -> x K) and
+`diagonal_blocks` hide it, and fall back to the matrix when there is none.
 
 The rank-k constructors draw their orthonormal family from
 e_n'(t) = sqrt(2/T) cos((n - 1/2) pi t / T), re-orthonormalized in the
@@ -182,9 +183,6 @@ class LowRank:
     def scaled(self, factor: float) -> "LowRank":
         return LowRank(self.left, self.core * factor, self.right)
 
-    def adjoint(self) -> "LowRank":
-        return LowRank(self.right, np.ascontiguousarray(self.core.T), self.left)
-
     def rows(self, grid: TimeGrid, start: int, stop: int) -> np.ndarray:
         """Rows start..stop of the matrix L C R^T, multiplied out."""
         return self.left[start:stop] @ self.core @ self.right.T
@@ -216,45 +214,35 @@ EXP_RANGE = 16.0
 
 @dataclass(frozen=True)
 class LowerExp:
-    """scale * 1_{s < t} diag(e^{(t - s) rates}); `transposed` holds its adjoint."""
+    """The strictly lower kernel 1_{s < t} diag(e^{(t - s) rates})."""
 
     rates: np.ndarray  # (d,)
-    scale: float = 1.0
-    transposed: bool = False
 
     def apply(self, x: np.ndarray, grid: TimeGrid, adjoint: bool) -> np.ndarray:
         out = np.empty(x.shape)
-        if adjoint == self.transposed:  # sum over earlier nodes
-            _exp_causal_sum(x, self.rates, grid.step, self.scale, out)
+        if not adjoint:  # sum over earlier nodes
+            _exp_causal_sum(x, self.rates, grid.step, out)
             return out
         # sum over later nodes: the same recursion run backwards in time, on a
         # contiguous reversed copy, so that no slab is read at a negative stride
-        _exp_causal_sum(np.ascontiguousarray(x[:, ::-1]), self.rates, grid.step, self.scale, out)
+        _exp_causal_sum(np.ascontiguousarray(x[:, ::-1]), self.rates, grid.step, out)
         return out[:, ::-1]
 
     def diagonal_blocks(self, grid: TimeGrid, dim: int) -> np.ndarray:
         return np.zeros((grid.n_steps, dim, dim))
 
     def magnitude(self, grid: TimeGrid) -> float:
-        """|scale| max e^{k step p}: the largest entry, at lag k = 1 or N - 1."""
+        """max e^{k step p}: the largest entry, at lag k = 1 or N - 1."""
         k = np.array([1, grid.n_steps - 1]) * grid.step
-        return abs(self.scale) * float(np.max(np.exp(np.multiply.outer(self.rates, k))))
-
-    def scaled(self, factor: float) -> "LowerExp":
-        return LowerExp(self.rates, self.scale * factor, self.transposed)
-
-    def adjoint(self) -> "LowerExp":
-        return LowerExp(self.rates, self.scale, not self.transposed)
+        return float(np.max(np.exp(np.multiply.outer(self.rates, k))))
 
     def rows(self, grid: TimeGrid, start: int, stop: int) -> np.ndarray:
         """Rows start..stop of the matrix.  Row (i, a) is the window at N - 1 - i
-        of [e^{k step p_a}, lags k = N-1 .. 1; N zeros] (transposed: [N zeros;
-        lags 1 .. N-1]), scaled: one exp per lag, and all rates zero give the
-        Volterra indicator exactly."""
+        of [e^{k step p_a}, lags k = N-1 .. 1; N zeros]: one exp per lag, and
+        all rates zero give the Volterra indicator exactly."""
         n, d = grid.n_steps, len(self.rates)
-        lags = self.scale * np.exp(np.multiply.outer(self.rates, np.arange(1, n) * grid.step))
-        zeros = np.zeros((d, n))
-        seq = np.hstack([zeros, lags] if self.transposed else [lags[:, ::-1], zeros])
+        lags = np.exp(np.multiply.outer(self.rates, np.arange(1, n) * grid.step))
+        seq = np.hstack([lags[:, ::-1], np.zeros((d, n))])
         windows = np.lib.stride_tricks.sliding_window_view(seq, n, axis=1)  # (d, N, N)
         lo, hi = start // d, -(-stop // d)  # the nodes of rows start..stop
         out = np.zeros((hi - lo, d, n, d))
@@ -263,9 +251,8 @@ class LowerExp:
         return out.reshape((hi - lo) * d, n * d)[start - lo * d:stop - lo * d]
 
 
-def _exp_causal_sum(x: np.ndarray, rates: np.ndarray, step: float, scale: float,
-                    out: np.ndarray) -> None:
-    """out[m, i, a] = scale sum_{j<i} e^{(i - j) step rates[a]} x[m, j, a] for
+def _exp_causal_sum(x: np.ndarray, rates: np.ndarray, step: float, out: np.ndarray) -> None:
+    """out[m, i, a] = sum_{j<i} e^{(i - j) step rates[a]} x[m, j, a] for
     (M, N, d) arrays or views; O(M N d).
 
     Inside a block starting at node i0 the sum is e^{k step p} times an
@@ -280,7 +267,7 @@ def _exp_causal_sum(x: np.ndarray, rates: np.ndarray, step: float, scale: float,
     block = n if top * n <= EXP_RANGE else max(1, int(EXP_RANGE / top))
     k = np.arange(block)[:, None] * step
     weight_in = np.exp(-k * rates)  # (block, d)
-    weight_out = np.exp(k * rates) * scale
+    weight_out = np.exp(k * rates)
     jump = np.exp(block * step * rates)
     plain = not np.any(rates)  # Volterra: the weights are all one
     carry = None
@@ -297,7 +284,7 @@ def _exp_causal_sum(x: np.ndarray, rates: np.ndarray, step: float, scale: float,
             seg += carry[:, None, :]
         if i0 + width < n:
             carry = (seg[:, -1] + xs[:, -1] * weight_in[width - 1]) * jump
-        if not (plain and scale == 1.0):
+        if not plain:
             seg *= weight_out[:width]
 
 
@@ -507,19 +494,10 @@ def kernel_distance(a: MatrixKernel, b: MatrixKernel, c: float = 1.0) -> float:
     return kernel_l2_norm(MatrixKernel(a.grid, a.dim, a.matrix - c * b.matrix))
 
 
-def _transformed(kappa: MatrixKernel, form, dense: Callable) -> MatrixKernel:
-    """kappa under a transform that maps its form to `form`: from that form
-    alone when kappa has one, else the matrix dense(kappa.matrix)."""
-    if form is not None:
-        return kernel_from_form(kappa.grid, kappa.dim, form, kappa.symmetric)
-    return MatrixKernel(kappa.grid, kappa.dim, dense(kappa.matrix), kappa.symmetric)
-
-
 def adjoint_kernel(kappa: MatrixKernel) -> MatrixKernel:
     """kappa*(t,s) = kappa(s,t)^T, the transposed matrix; an involution and an
     L2 isometry."""
-    form = None if kappa.factored is None else kappa.factored.adjoint()
-    return _transformed(kappa, form, lambda m: m.T)
+    return MatrixKernel(kappa.grid, kappa.dim, kappa.matrix.T, kappa.symmetric)
 
 
 def compose_kernels(a: MatrixKernel, b: MatrixKernel) -> MatrixKernel:
@@ -613,34 +591,24 @@ def kappa_from_phi(phi: MatrixKernel) -> MatrixKernel:
 
 
 def scale_kernel(kappa: MatrixKernel, factor: float) -> MatrixKernel:
-    factor = float(factor)
-    form = None if kappa.factored is None else kappa.factored.scaled(factor)
-    return _transformed(kappa, form, lambda m: m * factor)
+    """factor * kappa, the scaled matrix."""
+    return MatrixKernel(kappa.grid, kappa.dim, float(factor) * kappa.matrix, kappa.symmetric)
 
 
 # ---------------------------------------------------------------------------
 # orthonormal family and the constructor zoo
 # ---------------------------------------------------------------------------
 
-def orthonormal_columns(grid: TimeGrid, count: int, kind: str = "cosine") -> np.ndarray:
-    """Columns orthonormal in the Delta-weighted inner product sum v_i w_i Delta.
-
-    kind="cosine" samples e_n'(t) = sqrt(2/T) cos((n-1/2) pi t / T) and applies
-    a weighted QR; the result deviates from the raw samples by O(Delta).
-    kind="legendre" provides an unrelated family for basis-independence checks.
-    """
+def orthonormal_columns(grid: TimeGrid, count: int) -> np.ndarray:
+    """Columns orthonormal in the Delta-weighted inner product sum v_i w_i Delta:
+    the samples of e_n'(t) = sqrt(2/T) cos((n-1/2) pi t / T) after a weighted
+    QR, which moves them by O(Delta)."""
     if count < 1 or count > grid.n_steps:
         raise InvalidArgumentError(f"count must be in 1..{grid.n_steps}, got {count}")
-    t = grid.nodes
-    if kind == "cosine":
-        n = np.arange(1, count + 1)
-        raw = np.sqrt(2.0 / grid.horizon) * np.cos(
-            (n[None, :] - 0.5) * np.pi * t[:, None] / grid.horizon
-        )
-    elif kind == "legendre":
-        raw = np.polynomial.legendre.legvander(2.0 * t / grid.horizon - 1.0, count - 1)
-    else:
-        raise InvalidArgumentError(f"unknown orthonormal family {kind!r}")
+    n = np.arange(1, count + 1)
+    raw = np.sqrt(2.0 / grid.horizon) * np.cos(
+        (n[None, :] - 0.5) * np.pi * grid.nodes[:, None] / grid.horizon
+    )
     sqrt_dt = np.sqrt(grid.step)
     q, r = np.linalg.qr(raw * sqrt_dt)
     q = q * np.sign(np.diag(r))[None, :]  # keep each column aligned with its seed
@@ -693,14 +661,11 @@ param       := key '=' value        value := real | int | '[' real (',' real)* '
   const_phi:c=<r>               tail integral of the constant drift phi == c I_d
 """
 
-_ALIASES = {"remark12": "rank2"}
-
-
 def parse_kernel_spec(spec: str) -> tuple[str, dict]:
     """(name, {key: value text}) of a kernel spec; see KERNEL_GRAMMAR."""
     spec = spec.strip()
     name, _, body = spec.partition(":")
-    name = _ALIASES.get(name.strip(), name.strip())
+    name = name.strip()
     params = {}
     if body:
         for part in re.split(r",(?![^\[]*\])", body):  # the commas outside [...]

@@ -145,7 +145,6 @@ __all__ = [
     "det2_matrix",
     "sylvester_matrix",
     "det2_product",
-    "det2_product_identity_check",
     "trace",
     "trace_product",
     "inverse_kernel",
@@ -258,7 +257,9 @@ class Spectrum:
         eigenvectors, shared, not copied."""
         order = slice(None, None, -1 if factor < 0 else 1)
         vectors = None if self.vectors is None else self.vectors[:, order]
-        return Spectrum(factor * self.values[order], vectors, self.grid, self.dim, self.zeros)
+        # + 0.0 turns the -0.0 of a zero eigenvalue under factor < 0 into 0.0
+        values = factor * self.values[order] + 0.0
+        return Spectrum(values, vectors, self.grid, self.dim, self.zeros)
 
     def logdet_complement(self) -> float:
         """log det(I - M) = sum log(1 - w); requires lambda_max < 1."""
@@ -421,33 +422,6 @@ def det2_product(gate: Spectrum, det2: Det2, hs_norm: float) -> tuple[float, flo
     the L2 norm: the two sides of Carleman's product formula for
     I - B_eta = (I + B)^*(I + B), equal whenever I + B is invertible."""
     return gate.det2_complement().log_modulus, 2.0 * det2.log_modulus - hs_norm ** 2
-
-
-@dataclass(frozen=True)
-class Det2ProductReport:
-    """Both sides of `det2_product` and their agreement: lhs_log from the
-    eigensolve of B_eta, rhs_log from the LU of I + B and the norm."""
-
-    lhs_log: float
-    rhs_log: float
-    discrepancy: float
-    singular: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.singular and self.discrepancy <= 1e-10
-
-
-def det2_product_identity_check(kappa: MatrixKernel) -> Det2ProductReport:
-    """Check det2((I+B*)(I+B)) = det2(I+B) det2(I+B*) e^{-tr(B*B)}, where
-    (I+B*)(I+B) = I - B_eta: `det2_product` of one eigensolve of B_eta, one
-    LU of I+B and the norm, with no operator matrix assembled."""
-    d2 = det2(kappa)
-    if d2.singular:
-        return Det2ProductReport(-np.inf, -np.inf, np.inf, True)
-    lhs_log, rhs_log = det2_product(spectrum(eta_of_kappa(kappa)), d2, kernel_l2_norm(kappa))
-    # |ratio - 1| of the two positive values
-    return Det2ProductReport(lhs_log, rhs_log, float(abs(np.expm1(lhs_log - rhs_log))), False)
 
 
 def inverse_kernel(kappa: MatrixKernel) -> MatrixKernel:

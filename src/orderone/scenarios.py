@@ -117,6 +117,8 @@ OPERATOR_TOL = 1e-8      # operator-only assertions
 CONSISTENCY_FACTOR = 5.0  # widened tolerance for CI-less (median) comparisons
 CHUNK_ELEMENTS = 1 << 22  # cap on the elements of one chunk's increment array
 _IN_FLIGHT_ELEMENTS = 1 << 23  # cap on the elements of all chunks running at once
+PROBE_PATHS = 1000  # paths of the pathwise checks of inverse and cameron_martin
+GENCV_B = (-2.0, -3.0)  # gencv's own counterexample: its default b1, b2
 
 
 def _usable_cores() -> int:
@@ -567,25 +569,23 @@ def resolve_scenario(
     kind: str, kernel=None, functional=None, grid: TimeGrid | None = None, dim: int = 1,
     n_paths: int = 100_000, seed: int = 0, tol: float = DEFAULT_TOL,
     name: str | None = None, lam: float | None = None, x=None, lambdas=None,
-    own: bool = True, n_probe: int = 1000,
+    own: bool = True,
 ) -> Scenario:
     """Check and resolve the arguments of a Wiener-space scenario of the given
-    kind before any work: the Monte Carlo size and tolerance, n_probe (>= 1),
-    the harmonic lambda (>= 0) and direction x (of the kernel's dimension),
-    the surjective lambdas (finite), the kernel spec (symmetric for
-    surjective and integrability; None only for gencv's own counterexample
-    at its default b1, b2) and the functional (None only for integrability,
-    which reads none; a cos_mid tau in [0, T]).  Then decide every report it
-    writes and its provenance: its own unless own=False, one `laplace[spec,
-    lambda=c]` per lambda, cameron_martin's kernel_role.  Every scenario
-    starts here; a config is validated, and a raising scenario halted, by
-    what it returns on the scenario's arguments.  Raises InvalidArgumentError."""
+    kind before any work: the Monte Carlo size and tolerance, the harmonic
+    lambda (>= 0) and direction x (of the kernel's dimension), the
+    surjective lambdas (finite), the kernel spec (symmetric for surjective
+    and integrability; None only for gencv's own counterexample at GENCV_B)
+    and the functional (None only for integrability, which reads none; a
+    cos_mid tau in [0, T]).  Then decide every report it writes and its
+    provenance: its own unless own=False, one `laplace[spec, lambda=c]` per
+    lambda, cameron_martin's kernel_role.  Every scenario starts here; a
+    config is validated, and a raising scenario halted, by what it returns
+    on the scenario's arguments.  Raises InvalidArgumentError."""
     if n_paths < 1:
         raise InvalidArgumentError(f"the number of paths must be >= 1, got {n_paths}")
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tolerance must be a finite real > 0, got {tol}")
-    if n_probe < 1:
-        raise InvalidArgumentError(f"n_probe must be >= 1, got {n_probe}")
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise InvalidArgumentError(f"lambda must be a finite real >= 0, got {lam}")
     if lambdas is not None and not np.all(np.isfinite(lambdas)):
@@ -593,7 +593,7 @@ def resolve_scenario(
     if kernel is None:
         if kind != "gencv":
             raise InvalidArgumentError(f"{kind} needs a kernel")
-        kernel = "remark_gencv:b1=-2,b2=-3"
+        kernel = _gencv_spec(*GENCV_B)
     grid = grid or make_grid(1.0, 256)
     if isinstance(kernel, MatrixKernel):
         if kernel.grid != grid:
@@ -653,12 +653,11 @@ def _transf_row(s: Scenario, p: _Factored) -> tuple:
 def verify_inverse(
     kernel, functional="cos_end:1.0", grid: TimeGrid | None = None, dim: int = 1,
     n_paths: int = 100_000, seed: int = 0, tol: float = DEFAULT_TOL,
-    n_probe: int = 1000, name: str | None = None,
+    name: str | None = None,
 ) -> ScenarioReport:
     """Inverse-transformation identity, the pathwise round trip, and the unit
     mass of the Radon-Nikodym weight of the transformed measure."""
-    s = resolve_scenario("inverse", kernel, functional, grid, dim, n_paths, seed, tol, name,
-                         n_probe=n_probe)
+    s = resolve_scenario("inverse", kernel, functional, grid, dim, n_paths, seed, tol, name)
     kappa, report, p = s.kernel, s.report, s.factor(s.kernel, inverse=True)
     if p is None:
         return report
@@ -666,7 +665,7 @@ def verify_inverse(
 
     # pathwise round trip: both composition orders return the increments, one
     # order at a time, so that one transformed probe batch is alive, not two
-    probe = st.sample_paths(s.grid, kappa.dim, n_probe, seed, stream=(_STREAM_PROBE, 0))
+    probe = st.sample_paths(s.grid, kappa.dim, PROBE_PATHS, seed, stream=(_STREAM_PROBE, 0))
     scale = max(1.0, float(np.max(np.abs(probe.increments))))
     err = max(float(np.max(np.abs(
         st.apply_transformation(outer, st.apply_transformation(inner, probe)).increments
@@ -828,7 +827,7 @@ def verify_harmonic(
 def verify_cameron_martin(
     phi_kernel, functional="cos_end:1.0", grid: TimeGrid | None = None, dim: int = 1,
     n_paths: int = 100_000, seed: int = 0, tol: float = DEFAULT_TOL,
-    n_probe: int = 1000, name: str | None = None,
+    name: str | None = None,
 ) -> ScenarioReport:
     """Linear-transformation identity with trace-class determinant.
 
@@ -838,7 +837,7 @@ def verify_cameron_martin(
     identity with the exponent Psi built from the path (not the increments).
     """
     s = resolve_scenario("cameron_martin", phi_kernel, functional, grid, dim, n_paths, seed,
-                         tol, name, n_probe=n_probe)
+                         tol, name)
     phi, grid, report = s.kernel, s.grid, s.report
 
     kappa_phi = gk.kappa_from_phi(phi)
@@ -864,7 +863,7 @@ def verify_cameron_martin(
     report.spectra["det_log"] = float(p.det2.log_modulus + tr)
 
     # pathwise: the linear drift is the Wiener integral of the tail kernel
-    probe = st.sample_paths(grid, phi.dim, n_probe, seed, stream=(_STREAM_PROBE, 0))
+    probe = st.sample_paths(grid, phi.dim, PROBE_PATHS, seed, stream=(_STREAM_PROBE, 0))
     drift = st.cameron_martin_drift(phi, probe)
     integral = st.wiener_integral(kappa_phi, probe)
     scale = max(1.0, float(np.max(np.abs(integral))))
@@ -879,18 +878,24 @@ def verify_cameron_martin(
     return s.identity([(report, lhs, Side())])[0]
 
 
+def _gencv_spec(b1: float, b2: float) -> str:
+    """The remark_gencv spec of b1, b2, each written as its shortest decimal,
+    from which the kernel reads it back exactly."""
+    b1, b2 = (np.format_float_positional(float(b), trim="-") for b in (b1, b2))
+    return f"remark_gencv:b1={b1},b2={b2}"
+
+
 def verify_gencv_example(
-    grid: TimeGrid | None = None, b1: float = -2.0, b2: float = -3.0,
+    grid: TimeGrid | None = None, b1: float = GENCV_B[0], b2: float = GENCV_B[1],
     functional="cos_end:1.0", n_paths: int = 100_000, seed: int = 0,
     tol: float = DEFAULT_TOL, name: str | None = None,
 ) -> ScenarioReport:
     """The spectral counterexample: s-kernel eigenvalue -2 min(b) may exceed 2
     while the eta gate stays below 1 and det2 stays positive, so the forward
     identity still holds where the generic change-of-variables route fails."""
-    b1, b2 = float(b1), float(b2)  # the kernel reads each back from its shortest decimal
-    texts = [np.format_float_positional(b, trim="-") for b in (b1, b2)]
-    spec = f"remark_gencv:b1={texts[0]},b2={texts[1]}"
-    s = resolve_scenario("gencv", spec, functional, grid, 1, n_paths, seed, tol, name)
+    b1, b2 = float(b1), float(b2)
+    s = resolve_scenario("gencv", _gencv_spec(b1, b2), functional, grid, 1, n_paths, seed, tol,
+                         name)
     report = s.report
 
     lam_s = op.lambda_max(gk.s_of_kappa(s.kernel))

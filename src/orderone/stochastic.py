@@ -44,11 +44,11 @@ Node read.  Every test functional reads the path at one node k alone
 (`TestFunctional.node`; 'one' reads none), and the image of a path under
 either transformation is affine in its increments.  So W'(t_k) is dW G for
 weights G of shape (N d, d) built once per kernel and node (`node_weights`:
-one product of d rows with the kernel), and `transformed_node_value` /
-`linear_node_value` cost O(M N d^2) per batch for every representation,
-dense included, without forming the transformed (M, N, d) batch.  The
-Monte Carlo sides read transformed paths this way; `apply_transformation`
-and `apply_linear_transformation` remain for pathwise checks.  Being linear in
+one product of d rows with the kernel), and `node_value` reads it in
+O(M N d^2) per batch for every representation, dense included, without
+forming the transformed (M, N, d) batch.  The Monte Carlo sides read
+transformed paths this way; `apply_transformation` and
+`apply_linear_transformation` remain for pathwise checks.  Being linear in
 the Gaussian increments, W'(t_k) is N(0, Delta G^T G), so a side without an
 exponent has the closed form `TestFunctional.mean` of that covariance
 (Mathai and Provost, Quadratic Forms in Random Variables, 1992).
@@ -77,8 +77,6 @@ __all__ = [
     "apply_linear_transformation",
     "node_weights",
     "node_value",
-    "transformed_node_value",
-    "linear_node_value",
     "cm_exponent",
     "cm_trace_correction",
     "exp_q_moment_guard",
@@ -111,10 +109,6 @@ class PathBatch:
     def left_node_values(self) -> np.ndarray:
         """W(t_k) = sum_{i<k} dW_i for k = 0 .. N-1 (so W(t_0) = 0)."""
         return _left_node_values(self.increments)
-
-    def terminal_values(self) -> np.ndarray:
-        """W(T) per path, shape (M, d)."""
-        return self.increments.sum(axis=1)
 
     def value_at_node(self, k: int) -> np.ndarray:
         """W(t_k) per path for k = 0 .. N (k = N gives W(T))."""
@@ -288,18 +282,6 @@ def node_value(batch: PathBatch, weights: np.ndarray) -> np.ndarray:
     """dW G per path, shape (M, d): W'(t_k) for the weights of `node_weights`.
     O(M N d^2), and no transformed batch is formed."""
     return batch.increments.reshape(batch.n_paths, -1) @ weights
-
-
-def transformed_node_value(kernel: MatrixKernel, batch: PathBatch, k: int) -> np.ndarray:
-    """W'(t_k) of apply_transformation(kernel, batch), read without forming it."""
-    _check_grid(kernel, batch)
-    return node_value(batch, node_weights(kernel, k))
-
-
-def linear_node_value(phi: MatrixKernel, batch: PathBatch, k: int) -> np.ndarray:
-    """W'(t_k) of apply_linear_transformation(phi, batch), read without forming it."""
-    _check_grid(phi, batch)
-    return node_value(batch, node_weights(phi, k, linear=True))
 
 
 def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:

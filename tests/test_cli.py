@@ -2,6 +2,7 @@
 and rerun determinism."""
 
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderone import scenarios, stochastic
+from orderone import grid_kernel, scenarios, stochastic
 from orderone.cli import (
     EXIT_GATE,
     EXIT_NUMERICAL,
@@ -520,6 +521,36 @@ def test_verify_subcommand_harmonic(capsys):
     assert code == EXIT_PASS
     out = capsys.readouterr().out
     assert "harmonic" in out and "pass" in out
+
+
+def test_harmonic_zero_gate_is_written_as_plus_zero(tmp_path, capsys):
+    # the gate of -lambda B_c is read from a zero eigenvalue of B_c: it is
+    # 0.0, never -0.0, in the report and in the table
+    out = str(tmp_path / "harmonic")
+    code = main(["verify", "harmonic", "--kernel", "volterra", "--lambda", "1",
+                 "--grid", "64", "--paths", "500", "--out", out])
+    assert code == EXIT_PASS
+    (report,) = json.loads(Path(out, "reports.json").read_text())
+    for value in (report["gate"]["lambda_eta"], report["checks"]["lambda_nonpositive"]["value"]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert "-0" not in capsys.readouterr().out.split()
+
+
+def test_demo_runs_without_scaling_or_adjoining_a_kernel(tmp_path, monkeypatch):
+    # every kind of demo.cfg, at a small grid and few paths: no program path
+    # builds a scaled or adjoint copy of a kernel
+    def refused(*args):
+        raise AssertionError("a program path built a scaled or adjoint kernel")
+    monkeypatch.setattr(grid_kernel, "scale_kernel", refused)
+    monkeypatch.setattr(grid_kernel, "adjoint_kernel", refused)
+    demo = (Path(__file__).parents[1] / "demo.cfg").read_text()
+    assert {"transf", "inverse", "surjective", "harmonic", "cameron_martin", "gencv",
+            "integrability"} <= set(re.findall(r"^verify = (\w+)$", demo, re.M))
+    # the [run] values and every scenario's own grid and sample size yield to the flags
+    cfg = _write_config(tmp_path, re.sub(r"^(n_steps|samples) = .*$", "", demo, flags=re.M))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "demo"),
+                 "--grid", "32", "--paths", "500"])
+    assert code == EXIT_PASS
 
 
 def test_expdiag_dim_must_match_its_rates():

@@ -106,7 +106,7 @@ def _perturb_pivots(monkeypatch):
 @pytest.mark.parametrize("run, expected, largest", [
     (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
      {"eigvalsh": 1, "lu_factor": 1}, 2),
-    (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
+    (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
      {"eigvalsh": 1, "lu_factor": 2}, 2),
     # det2_sqrt_identity: the LU of the order-1 Sylvester matrix, not of I - B_eta
     (lambda g: verify_surjective("rank1:b=0.3", "one", grid=g, n_paths=500),
@@ -198,7 +198,7 @@ N = 32  # the order of an operator on the grid fixture, d = 1
     (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1, [1]),
     # the second LU is rn_normalization's, of I + B_khat, whose form
     # (Q, X / Delta, Q) has one factor
-    (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
+    (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
      1, [1, 1]),
     # det2_sqrt_identity: an LU of I - c S per factor, S the Sylvester matrix
     # of B_eta, of order r
@@ -223,7 +223,7 @@ def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, r
 
 @pytest.mark.parametrize("run, expected", [
     (lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 0),
-    (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50), 0),
+    (lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 0),
     (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 0),
     (lambda g: verify_integrability_bound("rank1:b=0.3", grid=g, n_paths=500), 0),
     # det2_sqrt_identity reads the factors of eta, eta_roundtrip the stacked form
@@ -253,16 +253,14 @@ def test_dense_matrices_assembled_per_scenario(grid, monkeypatch, run, expected)
 
 @pytest.mark.parametrize("run", [
     lambda g: verify_transf("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
-    lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500, n_probe=50),
+    lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
     lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
     lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "cos_end:1.0", g, n_paths=500),
     # trace_formula reads the tail sums of phi from its factors
     lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500),
     lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500),
     lambda g: verify_integrability_bound("rank1:b=0.3", grid=g, n_paths=500),
-    lambda g: operator.det2_product_identity_check(kernel_zoo("rank1:b=0.3", g)),
-], ids=["transf", "inverse", "surjective", "sweep", "cameron_martin", "gencv", "integrability",
-        "det2_product_identity_check"])
+], ids=["transf", "inverse", "surjective", "sweep", "cameron_martin", "gencv", "integrability"])
 def test_low_rank_hot_paths_build_no_matrix(grid, monkeypatch, run):
     # every kernel of these runs is its LowRank form: none is given values,
     # none has its matrix multiplied out on a read, and every symmetry scan
@@ -288,7 +286,7 @@ def test_low_rank_hot_paths_build_no_matrix(grid, monkeypatch, run):
         monkeypatch.setattr(module, "symmetry", counted_symmetry)
     reports = run(grid)
     for report in reports if isinstance(reports, list) else [reports]:
-        assert report.ok if isinstance(report, operator.Det2ProductReport) else report.passed
+        assert report.passed
     assert given and not any(given)
     assert [name for name in read if name in ("matrix", "values")] == []
     assert all(order <= 2 for order in scanned)

@@ -448,20 +448,6 @@ def test_missing_functional_is_a_typed_error_before_any_work(grid, monkeypatch, 
     assert not solved
 
 
-@pytest.mark.parametrize("run", [
-    lambda g: verify_inverse("rank1:b=0.3", "cos_end:1.0", g, n_probe=0),
-    lambda g: verify_cameron_martin("const:c=1", "cos_end:1.0", g, n_probe=0),
-], ids=["inverse", "cameron_martin"])
-def test_probe_count_below_one_is_a_typed_error_before_any_work(grid, monkeypatch, run):
-    # n_probe = 0 used to run the gate eigensolve and the LU, then fail in
-    # sample_paths with a message about n_paths
-    solved = []
-    monkeypatch.setattr(operator, "spectrum", lambda *args, **kwargs: solved.append(args))
-    with pytest.raises(InvalidArgumentError, match="n_probe must be >= 1, got 0"):
-        run(grid)
-    assert not solved
-
-
 @pytest.mark.parametrize("run, verdict", [
     # the gate 1 - 1e-6 admits the kernel; the LU pivot ratio 1e-15 is singular
     (lambda g: verify_transf("remark_gencv:b1=1e12,b2=-0.999", "cos_end:1.0", g), "singular"),
@@ -666,9 +652,8 @@ def test_worker_count_does_not_change_estimates(monkeypatch):
         monkeypatch.setattr(sc, "WORKERS", workers)
         runs[workers] = [
             verify_transf("rank1:b=0.3", "cos_end:1.0", g, n_paths=1_100, seed=5),
-            verify_inverse("volterra", "cos_mid:1.0,0.5", g, n_paths=1_100, seed=5, n_probe=10),
-            verify_cameron_martin("const:c=1", "cos_end:1.0", g, n_paths=1_100, seed=5,
-                                  n_probe=10),
+            verify_inverse("volterra", "cos_mid:1.0,0.5", g, n_paths=1_100, seed=5),
+            verify_cameron_martin("const:c=1", "cos_end:1.0", g, n_paths=1_100, seed=5),
             verify_surjective("rank1:b=0.5", "exp_negsq", g, n_paths=1_100, seed=5),
             verify_finite_dim(np.diag([0.2, -0.1]), "cos_sum", n_samples=3_300, seed=5),
             # one row per lambda on each side, merged row by row
@@ -694,13 +679,13 @@ def test_chunk_exception_propagates_and_the_pool_stops(monkeypatch):
     def per_path(batch):
         if batch.stream[1] == 3:
             raise _ChunkFailure("chunk 3")
-        return batch.terminal_values()[:, 0]
+        return batch.value_at_node(g.n_steps)[:, 0]
 
     before = threading.active_count()
     with pytest.raises(_ChunkFailure, match="chunk 3"):
         sc._mc_paths(g, 1, 80, 0, 0, per_path)
     assert threading.active_count() == before
-    (est,) = sc._mc_paths(g, 1, 80, 0, 0, lambda b: b.terminal_values()[:, 0])
+    (est,) = sc._mc_paths(g, 1, 80, 0, 0, lambda b: b.value_at_node(g.n_steps)[:, 0])
     assert est.n_samples == 80 and len(est.chunk_means) == 8
 
 
@@ -715,13 +700,13 @@ def test_chunks_reuse_one_draw_buffer_per_worker(monkeypatch, workers):
     def per_path(batch):
         with lock:
             heads.add(batch.increments.__array_interface__["data"][0])
-        return batch.terminal_values()[:, 0]
+        return batch.value_at_node(g.n_steps)[:, 0]
 
     (est,) = sc._mc_paths(g, 1, 80, 0, 0, per_path)
     assert len(est.chunk_means) == 8 and 1 <= len(heads) <= workers
     for idx, size in enumerate(sc._chunk_sizes(80, 16)):
         fresh = sample_paths(g, 1, size, 0, stream=(0, idx))
-        npt.assert_allclose(est.chunk_means[idx], fresh.terminal_values()[:, 0].mean(),
+        npt.assert_allclose(est.chunk_means[idx], fresh.value_at_node(g.n_steps)[:, 0].mean(),
                             rtol=1e-13, atol=1e-15)
 
 

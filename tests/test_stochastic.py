@@ -28,13 +28,13 @@ from orderone import (
     kernel_from_values,
     kappa_s,
     kernel_zoo,
-    linear_node_value,
     make_grid,
+    node_value,
+    node_weights,
     orthonormal_columns,
     quadratic_form,
     sample_paths,
     scale_kernel,
-    transformed_node_value,
     wiener_integral,
 )
 from orderone import grid_kernel
@@ -93,7 +93,7 @@ def test_sampling_into_a_buffer_gives_the_same_bits(grid):
 def test_terminal_variance_matches_horizon():
     g = make_grid(2.0, 32)
     batch = sample_paths(g, 1, 100_000, seed=7)
-    end = batch.terminal_values()[:, 0]
+    end = batch.value_at_node(g.n_steps)[:, 0]
     var = end.var(ddof=1)
     # sampling std of the variance estimator is about T sqrt(2/M)
     assert abs(var - 2.0) <= 5.0 * 2.0 * np.sqrt(2.0 / 100_000)
@@ -103,7 +103,7 @@ def test_terminal_variance_matches_horizon():
 def test_coordinates_uncorrelated():
     g = make_grid(1.0, 16)
     batch = sample_paths(g, 2, 100_000, seed=8)
-    end = batch.terminal_values()
+    end = batch.value_at_node(g.n_steps)
     corr = np.mean(end[:, 0] * end[:, 1])
     assert abs(corr) <= 5.0 / np.sqrt(100_000)
 
@@ -113,7 +113,7 @@ def test_left_node_values_start_at_zero(grid):
     w = batch.left_node_values()
     assert np.all(w[:, 0] == 0)
     npt.assert_allclose(w[:, 5], batch.increments[:, :5].sum(axis=1), atol=1e-15)
-    npt.assert_allclose(batch.value_at_node(grid.n_steps), batch.terminal_values())
+    npt.assert_allclose(batch.value_at_node(grid.n_steps), batch.increments.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_quadratic_form_volterra_algebraic_identity():
     )
     batch = sample_paths(g, 1, 50, seed=6)
     q = 2.0 * quadratic_form(sym, batch)  # the two triangles contribute equally
-    end = batch.terminal_values()[:, 0]
+    end = batch.value_at_node(g.n_steps)[:, 0]
     expected = 0.5 * (end**2 - np.sum(batch.increments[:, :, 0] ** 2, axis=1))
     npt.assert_allclose(q, expected, atol=1e-12)
 
@@ -403,7 +403,7 @@ def test_functional_parse_errors():
 
 def test_functional_evaluations(grid):
     batch = sample_paths(grid, 1, 50, seed=17)
-    end = batch.terminal_values()[:, 0]
+    end = batch.value_at_node(grid.n_steps)[:, 0]
     npt.assert_allclose(
         TestFunctional.parse("cos_end:2.0").evaluate(batch), np.cos(2.0 * end), atol=1e-15
     )
@@ -519,15 +519,13 @@ def test_quadratic_form_matches_strict_lower_sum():
 
 def test_factored_form_survives_scenario_chains(grid):
     # transf and inverse take q from the eta of a rank-one kernel; harmonic
-    # takes h from sqrt(lambda) times volterra or expdiag
+    # takes h from volterra or expdiag itself, at the factor lambda
     assert isinstance(kernel_zoo("rank1:b=0.3", grid).factored, LowRank)
     eta = eta_of_kappa(kernel_zoo("rank1:b=0.3", grid))
     assert isinstance(eta.factored, LowRank) and eta.factored.core.shape == (2, 2)
-    assert isinstance(scale_kernel(eta, 0.5).factored, LowRank)
     assert isinstance(kappa_from_phi(kernel_zoo("const:c=1", grid)).factored, LowRank)
     for spec, dim in (("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2)):
-        scaled = scale_kernel(kernel_zoo(spec, grid, dim), np.sqrt(0.5))
-        assert isinstance(scaled.factored, LowerExp)
+        assert isinstance(kernel_zoo(spec, grid, dim).factored, LowerExp)
     # kernels built by dense algebra, or by the operator layer from a dense
     # kernel, carry no form; the operator layer keeps a LowRank one
     assert eta_of_kappa(kernel_zoo("volterra", grid)).factored is None
@@ -538,10 +536,10 @@ def test_factored_form_survives_scenario_chains(grid):
 def test_values_with_a_form_are_rejected(grid):
     # a kernel is its values or its form: a form given beside values is
     # refused whether it agrees with them or not, and so is neither
-    for spec in ("rank1:b=0.3", "volterra", "zero"):
+    for spec, other in (("rank1:b=0.3", "rank1:b=0.3000000003"),
+                        ("volterra", "expdiag:p=[1e-9]"), ("zero", "const:c=1e-9")):
         kernel = kernel_zoo(spec, grid)
-        form = kernel.factored
-        for given in (form, form.scaled(1.0 + 1e-9), form.adjoint()):
+        for given in (kernel.factored, kernel_zoo(other, grid).factored):
             with pytest.raises(InvalidArgumentError, match="not both"):
                 MatrixKernel(grid, 1, kernel.matrix.copy(), kernel.symmetric, given)
     with pytest.raises(InvalidArgumentError, match="not both"):
@@ -627,11 +625,11 @@ def _assert_node_read_matches(f, image, read, batch):
 
 @pytest.mark.parametrize("text", NODE_FUNCTIONALS)
 @pytest.mark.parametrize("name", sorted(NODE_KERNELS))
-def test_transformed_node_value_matches_transformed_batch(name, text):
+def test_node_value_matches_transformed_batch(name, text):
     kernel, f = NODE_KERNELS[name], TestFunctional.parse(text)
     batch = sample_paths(NODE_GRID, kernel.dim, 30, seed=31)
     _assert_node_read_matches(f, apply_transformation(kernel, batch),
-                              lambda k: transformed_node_value(kernel, batch, k), batch)
+                              lambda k: node_value(batch, node_weights(kernel, k)), batch)
 
 
 @pytest.mark.parametrize("text", NODE_FUNCTIONALS)
@@ -641,7 +639,8 @@ def test_linear_node_value_matches_linear_transformation(spec, dim, text):
     phi, f = kernel_zoo(spec, NODE_GRID, dim), TestFunctional.parse(text)
     batch = sample_paths(NODE_GRID, dim, 30, seed=32)
     _assert_node_read_matches(f, apply_linear_transformation(phi, batch),
-                              lambda k: linear_node_value(phi, batch, k), batch)
+                              lambda k: node_value(batch, node_weights(phi, k, linear=True)),
+                              batch)
 
 
 def test_functional_nodes():
@@ -655,5 +654,5 @@ def test_functional_nodes():
     for tau in (-1, 7, 1.0000001):
         with pytest.raises(InvalidArgumentError, match=r"outside \[0, 1\]"):
             TestFunctional.parse(f"cos_mid:1,{tau}").node(g)
-    with pytest.raises(InvalidArgumentError):
-        transformed_node_value(kernel_zoo("volterra", g), sample_paths(g, 1, 3, seed=1), 41)
+    with pytest.raises(InvalidArgumentError, match="node index 41 outside"):
+        node_weights(kernel_zoo("volterra", g), 41)
