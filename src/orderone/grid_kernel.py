@@ -35,8 +35,8 @@ reads the form instead of the dense (N d)^2 matrix:
     LowerExp    1_{s < t} diag(e^{(t - s) p}); set by the zoo for volterra
                 (p = 0) and expdiag
 
-A factored kernel is its form: `kernel_from_form` stores no matrix, and
-`matrix` and `values` are multiplied out from the form's `rows` only when a
+A factored kernel is its form: `kernel_from_form` stores a copy of the form
+and no matrix, and `matrix` and `values` are multiplied out only when a
 dense route first reads them (then kept).  The zoo, `eta_of_kappa`,
 `s_of_kappa` and `kappa_from_phi` of a LowRank kernel (a rank-r kappa gives
 an eta or s kernel of rank at most 2r; the tail integral acts on R alone)
@@ -46,16 +46,15 @@ LowRank kernels from their factors.  The dense formulas run for every other
 kernel, and stay the tested reference; the other constructors carry no form,
 `scale_kernel` and `adjoint_kernel` among them: the algebra needs kappa*
 only inside eta, and scaling only on spectra (`operator.Spectrum.scaled`).
-Construction checks that the form reproduces every entry of its matrix to
-FACTOR_TOL of the form's magnitude (its largest entry before cancellation),
-read through the route the path functionals run: each row slab of the
-form's `rows`, multiplied out and kept nowhere, against the form's adjoint
-`apply` of unit rows.  So a route that reads the matrix and one that reads
-the form always see one kernel.  A factored kernel is finite when its
-magnitude is.  A form with one factor array for both sides and an exactly
-symmetric core, L C L^T, is symmetric by construction and is not scanned;
-any other kernel flagged symmetric is.  The path layer never inspects the
-form: `apply` (x -> x K^T), `apply_adjoint` (x -> x K) and
+The form's adjoint `apply`, the route the path functionals run, is the one
+way to its entries: row r of the matrix is that `apply` of the unit row e_r,
+so a route that reads the matrix and one that reads the form see one kernel,
+entry for entry.  Construction checks only that the form fits the kernel; a
+factored kernel is finite when its magnitude (its largest entry before
+cancellation) is.  A form with one factor array for both sides and an
+exactly symmetric core, L C L^T, is symmetric by construction and is not
+scanned; any other kernel flagged symmetric is.  The path layer never
+inspects the form: `apply` (x -> x K^T), `apply_adjoint` (x -> x K) and
 `diagonal_blocks` hide it, and fall back to the matrix when there is none.
 
 The rank-k constructors draw their orthonormal family from
@@ -105,7 +104,7 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
-_CHECK_ELEMENTS = 1 << 16  # matrix entries compared at a time by the construction checks
+_CHECK_ELEMENTS = 1 << 16  # matrix entries a symmetry scan or a multiply-out forms at a time
 
 
 def symmetry(matrix: np.ndarray) -> tuple[bool, float]:
@@ -183,10 +182,6 @@ class LowRank:
     def scaled(self, factor: float) -> "LowRank":
         return LowRank(self.left, self.core * factor, self.right)
 
-    def rows(self, grid: TimeGrid, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop of the matrix L C R^T, multiplied out."""
-        return self.left[start:stop] @ self.core @ self.right.T
-
     def symmetric_by_construction(self) -> bool:
         """One factor array for both sides and an exactly symmetric core: L C L^T."""
         return self.left is self.right and np.array_equal(self.core, self.core.T)
@@ -236,19 +231,20 @@ class LowerExp:
         k = np.array([1, grid.n_steps - 1]) * grid.step
         return float(np.max(np.exp(np.multiply.outer(self.rates, k))))
 
-    def rows(self, grid: TimeGrid, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop of the matrix.  Row (i, a) is the window at N - 1 - i
-        of [e^{k step p_a}, lags k = N-1 .. 1; N zeros]: one exp per lag, and
-        all rates zero give the Volterra indicator exactly."""
-        n, d = grid.n_steps, len(self.rates)
-        lags = np.exp(np.multiply.outer(self.rates, np.arange(1, n) * grid.step))
-        seq = np.hstack([lags[:, ::-1], np.zeros((d, n))])
-        windows = np.lib.stride_tricks.sliding_window_view(seq, n, axis=1)  # (d, N, N)
-        lo, hi = start // d, -(-stop // d)  # the nodes of rows start..stop
-        out = np.zeros((hi - lo, d, n, d))
-        for a in range(d):
-            out[:, a, :, a] = windows[a, n - hi:n - lo][::-1]
-        return out.reshape((hi - lo) * d, n * d)[start - lo * d:stop - lo * d]
+
+def _multiply_out(form: LowRank | LowerExp, grid: TimeGrid, dim: int) -> np.ndarray:
+    """The (N d)^2 matrix of a form, read through its adjoint `apply`, the
+    route of the path functionals: row r is e_r K for the unit row e_r, in
+    slabs of about _CHECK_ELEMENTS entries."""
+    n = grid.n_steps
+    nd = n * dim
+    out = np.empty((nd, nd))
+    step = max(1, _CHECK_ELEMENTS // nd)
+    for r0 in range(0, nd, step):
+        h = min(step, nd - r0)  # the unit rows e_r0 .. e_{r0+h-1}
+        out[r0:r0 + h] = form.apply(np.eye(h, nd, r0).reshape(h, n, dim), grid,
+                                    adjoint=True).reshape(h, nd)
+    return out
 
 
 def _exp_causal_sum(x: np.ndarray, rates: np.ndarray, step: float, out: np.ndarray) -> None:
@@ -288,11 +284,6 @@ def _exp_causal_sum(x: np.ndarray, rates: np.ndarray, step: float, out: np.ndarr
             seg *= weight_out[:width]
 
 
-# reconstruction of a factored form must match the matrix to this error,
-# relative to the form's magnitude (its largest entry before cancellation)
-FACTOR_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class MatrixKernel:
     """Sampled d x d matrix kernel: its unweighted (N d) x (N d) matrix, or a
@@ -301,11 +292,12 @@ class MatrixKernel:
     values[i, j] = kappa(t_i, t_j), converted once; it reads back as the
     read-only (N, N, d, d) view of `matrix`.  It owns the array it is given
     and makes it read-only: its callers pass temporaries, where a copy would
-    add an (N d)^2 transient; `kernel_from_values` copies a caller's array.
+    add an (N d)^2 transient; `kernel_from_values` copies a caller's array,
+    and `kernel_from_form` a caller's form.
 
     A kernel given no values (None) is its form alone: `matrix` and `values`
-    are multiplied out from the form's `rows` on their first read, by a dense
-    route, and kept; no factored route reads them."""
+    are multiplied out through the form's `apply` on their first read, by a
+    dense route, and kept; no factored route reads them."""
 
     grid: TimeGrid
     dim: int
@@ -323,7 +315,7 @@ class MatrixKernel:
             self._check_factored()
             if self.symmetric and not (isinstance(form, LowRank)
                                        and form.symmetric_by_construction()):
-                self._check_symmetric(form.rows(self.grid, 0, n * d))
+                self._check_symmetric(_multiply_out(form, self.grid, d))
             return
         v = np.asarray(self.values, dtype=float)
         if v.shape not in ((n, n, d, d), (n * d, n * d)):
@@ -348,7 +340,7 @@ class MatrixKernel:
         form = self.__dict__.get("factored")
         if name not in ("matrix", "values") or form is None:
             raise AttributeError(name)
-        self._keep(form.rows(self.grid, 0, self.grid.n_steps * self.dim))
+        self._keep(_multiply_out(form, self.grid, self.dim))
         return self.__dict__[name]
 
     def _keep(self, m: np.ndarray):
@@ -365,12 +357,9 @@ class MatrixKernel:
             raise InvalidArgumentError(f"kernel flagged symmetric but max asymmetry is {asym:.3e}")
 
     def _check_factored(self):
-        """The form must fit the kernel and reproduce every entry of its
-        matrix along the route of the path functionals: each row slab of
-        about _CHECK_ELEMENTS entries of the form's `rows`, multiplied out
-        and kept nowhere, is compared with the form's `apply` (adjoint) of
-        the matching unit rows, so that the check stays in cache.  The
-        kernel is finite when the form's magnitude is: no entry exceeds it."""
+        """The form must fit the kernel: factors of its shape, or one rate
+        per dimension.  The factors become read-only, and the kernel is
+        finite when the form's magnitude is: no entry exceeds it."""
         n, d, form = self.grid.n_steps, self.dim, self.factored
         nd = n * d
         if isinstance(form, LowRank):
@@ -392,24 +381,6 @@ class MatrixKernel:
             scale = form.magnitude(self.grid)
         if not np.isfinite(scale):
             raise InvalidArgumentError("kernel values must be finite")
-        step = min(nd, max(1, _CHECK_ELEMENTS // nd))
-        # the unit rows reuse one buffer
-        unit, diag = np.zeros((step, nd)), np.arange(step)
-        err = 0.0
-        for r0 in range(0, nd, step):
-            h = min(step, nd - r0)
-            ones = (diag[:h], r0 + diag[:h])
-            unit[ones] = 1.0
-            diff = form.apply(unit[:h].reshape(h, n, d), self.grid, adjoint=True).reshape(h, nd)
-            unit[ones] = 0.0
-            # e_r K, for the unit rows e_r
-            np.subtract(diff, form.rows(self.grid, r0, r0 + h), out=diff)
-            err = max(err, float(np.max(np.abs(diff, out=diff))))
-        if not err <= FACTOR_TOL * scale:
-            raise InvalidArgumentError(
-                f"factored form departs from the kernel values by {err:.3e} "
-                f"(scale {scale:.3e})"
-            )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """out[m, i] = sum_j kappa(t_i, t_j) x[m, j] for x of shape (M, N, d):
@@ -447,8 +418,15 @@ def kernel_from_values(grid: TimeGrid, values: np.ndarray, symmetric: bool = Fal
 def kernel_from_form(grid: TimeGrid, dim: int, form: LowRank | LowerExp,
                      symmetric: bool = False) -> MatrixKernel:
     """The kernel whose matrix is that of a LowRank or LowerExp form, given by
-    that form alone: the matrix is multiplied out only if a dense route reads
+    a copy of that form alone, so the caller's arrays stay its own (one copy
+    when L is R): the matrix is multiplied out only if a dense route reads
     it."""
+    if isinstance(form, LowRank):
+        left = np.array(form.left, dtype=float)
+        right = left if form.right is form.left else np.array(form.right, dtype=float)
+        form = LowRank(left, np.array(form.core, dtype=float), right)
+    else:
+        form = LowerExp(np.array(form.rates, dtype=float))
     return MatrixKernel(grid, dim, None, symmetric, form)
 
 

@@ -419,7 +419,9 @@ class TestFunctional:
         return cls(name, **dict(zip(params, values)))
 
     def __str__(self) -> str:
-        params = ",".join(f"{getattr(self, p):g}" for p in _TAGS[self.tag].params)
+        # each parameter as its shortest exact decimal, which `parse` reads back
+        params = ",".join(np.format_float_positional(float(getattr(self, p)), trim="-")
+                          for p in _TAGS[self.tag].params)
         return f"{self.tag}:{params}" if params else self.tag
 
     @property

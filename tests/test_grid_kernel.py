@@ -348,16 +348,16 @@ def test_zoo_expdiag_tabulation():
                 assert np.all(k.values[i, j] == 0)
 
 
-def test_expdiag_check_reads_contiguous_slabs(monkeypatch):
-    # the construction check runs the recursion backwards in time on a
-    # reversed copy, never on a negative-stride view
+def test_expdiag_multiply_out_reads_contiguous_slabs(monkeypatch):
+    # the multiply-out runs the recursion backwards in time on a reversed
+    # copy, never on a negative-stride view
     contiguous, recursion = [], grid_kernel._exp_causal_sum
 
     def spy(x, *args):
         contiguous.append(x.flags.c_contiguous)
         return recursion(x, *args)
     monkeypatch.setattr(grid_kernel, "_exp_causal_sum", spy)
-    kernel_zoo("expdiag:p=[0.5,-0.5]", make_grid(1.0, 512), 2)
+    kernel_zoo("expdiag:p=[0.5,-0.5]", make_grid(1.0, 512), 2).matrix
     assert contiguous and all(contiguous)
 
 
@@ -410,45 +410,57 @@ def test_zoo_dim_is_the_one_the_spec_fixes(grid):
             kernel_zoo(spec, grid, dim)
 
 
+def lower_exp_closed_form(grid, rates):
+    """The matrix of kappa(t, s) = 1_{s < t} diag(e^{(t - s) p}) from its
+    definition, at the lags (i - j) Delta; all rates zero give volterra's
+    indicator exactly."""
+    n, d = grid.n_steps, len(rates)
+    lag = np.subtract.outer(np.arange(n), np.arange(n)) * grid.step
+    blocks = np.exp(np.maximum(lag, 0.0)[:, :, None] * np.asarray(rates, dtype=float))
+    blocks[lag <= 0] = 0.0
+    return np.einsum("ija,ab->iajb", blocks, np.eye(d)).reshape(n * d, n * d)
+
+
 def _zoo_closed_form(name, grid, dim):
     """The matrix of a zero, volterra or expdiag:p=[0.5,-0.5] kernel from its
-    definition, kappa(t, s) = 1_{s < t} diag(e^{(t - s) p}), or None."""
-    n = grid.n_steps
+    definition, or None."""
     if name == "zero":
-        return np.zeros((n * dim, n * dim))
-    lag = np.subtract.outer(grid.nodes, grid.nodes)
-    if name == "volterra":
-        return np.kron(np.tril(np.ones((n, n)), k=-1), np.eye(dim))
-    if name == "expdiag":
-        blocks = np.where(lag[:, :, None] > 0, np.exp(lag[:, :, None] * [0.5, -0.5]), 0.0)
-        return np.einsum("ija,ab->iajb", blocks, np.eye(dim)).reshape(n * dim, n * dim)
+        return np.zeros((grid.n_steps * dim, grid.n_steps * dim))
+    if name in ("volterra", "expdiag"):
+        return lower_exp_closed_form(grid, np.zeros(dim) if name == "volterra" else [0.5, -0.5])
     return None
 
 
 @pytest.mark.parametrize("name", sorted(grid_kernel._ZOO))
 def test_zoo_kernels_build_no_matrix_until_a_dense_read(name, monkeypatch):
     # at N d = 2048 (d = 2 where the row allows it), a zoo kernel is its
-    # form: building it stays below one (N d)^2 array, and the first dense
-    # read multiplies the form out once
+    # form: building it runs no product of the form and stays below one
+    # (N d)^2 array, and the first dense read multiplies the form out once
     import tracemalloc
 
     nd = 2048
     dim = 1 if grid_kernel._ZOO[name].dim is grid_kernel._SCALAR else 2
     g = make_grid(1.0, nd // dim)
+    products = []
+    for owner, attr in ((grid_kernel.LowRank, "apply"), (grid_kernel.LowerExp, "apply"),
+                        (grid_kernel, "_exp_causal_sum")):
+        monkeypatch.setattr(owner, attr, lambda *a, attr=attr, real=getattr(owner, attr), **kw:
+                            products.append(attr) or real(*a, **kw))
     tracemalloc.start()
     try:
         k = kernel_zoo(ZOO_EXAMPLES[name].format(rates="0.5,-0.5"), g, dim)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < nd * nd * 8, peak
+    monkeypatch.undo()
+    assert products == [] and peak < nd * nd * 8, (products, peak)
     closed = _zoo_closed_form(name, g, dim)
     assert "matrix" not in k.__dict__ and "values" not in k.__dict__
-    built, rows = [], type(k.factored).rows
-    monkeypatch.setattr(type(k.factored), "rows",
-                        lambda form, *args: built.append(args[1:]) or rows(form, *args))
+    built, multiply_out = [], grid_kernel._multiply_out
+    monkeypatch.setattr(grid_kernel, "_multiply_out",
+                        lambda form, *args: built.append(form) or multiply_out(form, *args))
     m = k.matrix
-    assert k.matrix is m and np.shares_memory(k.values, m) and built == [(0, nd)]
+    assert k.matrix is m and np.shares_memory(k.values, m) and built == [k.factored]
     if name == "expdiag":
         npt.assert_allclose(m, closed, rtol=1e-15, atol=0)
     elif closed is not None:
@@ -461,6 +473,22 @@ def test_kernel_from_values_leaves_the_callers_array_alone():
     assert a.flags.writeable
     a[0, 0] = 5.0
     assert kernel.matrix[0, 0] == 1.0
+
+
+def test_kernel_from_form_leaves_the_callers_arrays_alone():
+    # the kernel keeps a copy of the form, one array for both sides when the
+    # caller gave one, so a form L C L^T stays symmetric by construction
+    g = make_grid(1.0, 8)
+    basis, core, rates = orthonormal_columns(g, 2), np.array([[1.0, 0.5], [0.5, 2.0]]), np.ones(1)
+    want = basis @ core @ basis.T
+    low = grid_kernel.kernel_from_form(g, 1, grid_kernel.LowRank(basis, core, basis), True)
+    exp = grid_kernel.kernel_from_form(g, 1, grid_kernel.LowerExp(rates))
+    assert low.factored.left is low.factored.right
+    for a in (basis, core, rates):
+        assert a.flags.writeable
+        a[...] = 7.0
+    npt.assert_allclose(low.matrix, want, rtol=1e-15, atol=1e-15)
+    npt.assert_allclose(exp.matrix, lower_exp_closed_form(g, [1.0]), rtol=1e-15, atol=0)
 
 
 def test_orthonormal_family_within_quadrature_tolerance():

@@ -40,6 +40,7 @@ from orderone import (
 from orderone import grid_kernel
 from orderone.grid_kernel import LowerExp, LowRank
 from orderone.operator import spectrum
+from test_grid_kernel import lower_exp_closed_form
 
 
 @pytest.fixture
@@ -389,6 +390,18 @@ def test_functional_family_bounded(grid):
         vals = f.evaluate(batch)
         assert np.all(np.abs(vals) <= 1.0 + 1e-15)
         assert str(TestFunctional.parse(str(f))) == str(f)
+    assert str(TestFunctional.parse("cos_end:1.0")) == "cos_end:1"  # as demo writes it
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=_FINITE, tau=_FINITE)
+def test_functional_text_reads_back_exactly(a, tau):
+    # provenance writes each parameter as its shortest exact decimal
+    for f in (TestFunctional("cos_end", a=a), TestFunctional("cos_mid", a=a, tau=tau)):
+        assert TestFunctional.parse(str(f)) == f
 
 
 def test_functional_parse_errors():
@@ -426,34 +439,42 @@ FACTORED_ZOO = [
     ("remark_gencv:b1=-2,b2=-3", 1), ("expdiag:p=[0.5,-0.5]", 2), ("expdiag:p=[-3]", 1),
     ("const:c=1", 1), ("const:c=0.7", 2), ("const_phi:c=1", 1), ("const_phi:c=-0.4", 2),
 ]
-DERIVED = {
-    "as built": lambda k: k,
-    "scaled": lambda k: scale_kernel(k, -1.7),
-    "adjoint": adjoint_kernel,
-    "eta": eta_of_kappa,
-    "tail": kappa_from_phi,
-}
+DERIVED = {"as built": lambda k: k, "eta": eta_of_kappa, "tail": kappa_from_phi}
+# eta and the tail integral of a LowerExp kernel are dense: they carry no form
+FACTORED_CASES = [(spec, dim, derive) for spec, dim in FACTORED_ZOO for derive in sorted(DERIVED)
+                  if derive == "as built" or not spec.startswith(("volterra", "expdiag"))]
 
 
 def _dense(kernel):
-    return replace(kernel, factored=None)
-
-
-def _magnitudes(kernel):
-    """The kernel's entries before any cancellation: |L| |C| |R|^T for a
-    low-rank form, |values| otherwise."""
+    """The dense kernel of the form's definition, L C R^T or
+    1_{s < t} diag(e^{(t - s) p}), independent of the form's `apply`."""
     form = kernel.factored
-    vals = np.abs(kernel.values)
+    if isinstance(form, LowRank):
+        matrix = form.left @ form.core @ form.right.T
+    else:
+        matrix = lower_exp_closed_form(kernel.grid, form.rates)
+    return MatrixKernel(kernel.grid, kernel.dim, matrix, kernel.symmetric)
+
+
+def _magnitudes(kernel, dense):
+    """The kernel's entries before any cancellation: |L| |C| |R|^T for a
+    low-rank form, |dense| otherwise."""
+    form = kernel.factored
     if isinstance(form, LowRank):
         vals = np.abs(form.left) @ np.abs(form.core) @ np.abs(form.right).T
+    else:
+        vals = np.abs(dense.matrix)
     return MatrixKernel(kernel.grid, kernel.dim, np.ascontiguousarray(vals), kernel.symmetric)
 
 
 def _assert_functionals_match(kernel, batch):
     """Every path functional on the factored kernel equals the dense product
-    to 1e-12 of its magnitude: the larger of the dense result and the same
-    functional of |kernel| on |dW|, which bounds the terms before they cancel."""
-    dense, bound = _dense(kernel), _magnitudes(kernel)
+    of its definition to 1e-12 of its magnitude: the larger of the dense
+    result and the same functional of |kernel| on |dW|, which bounds the
+    terms before they cancel."""
+    assert kernel.factored is not None
+    dense = _dense(kernel)
+    bound = _magnitudes(kernel, dense)
     abs_batch = replace(batch, increments=np.abs(batch.increments))
     x = np.linspace(1.0, 0.5, kernel.dim)
     functionals = [wiener_integral, h_functionals, cameron_martin_drift,
@@ -466,8 +487,7 @@ def _assert_functionals_match(kernel, batch):
         npt.assert_allclose(fn(kernel, batch), want, rtol=0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("derive", sorted(DERIVED))
-@pytest.mark.parametrize("spec,dim", FACTORED_ZOO)
+@pytest.mark.parametrize("spec,dim,derive", FACTORED_CASES)
 def test_factored_functionals_match_dense(spec, dim, derive):
     # N = 150 is not a multiple of anything the recursions block by
     g = make_grid(1.0, 150)
@@ -486,18 +506,17 @@ _COEFF = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
     rates=st.lists(st.floats(-400.0, 40.0), min_size=1, max_size=2),
     b=_COEFF,
     c=_COEFF,
-    factor=_COEFF,
 )
-def test_factored_forms_match_dense_property(n, rates, b, c, factor):
+def test_factored_forms_match_dense_property(n, rates, b, c):
     g = make_grid(2.0, n)
     specs = [(f"expdiag:p=[{','.join(map(repr, rates))}]", len(rates)),
              (f"remark_gencv:b1={b!r},b2={c!r}", 1), (f"const_phi:c={b!r}", len(rates))]
     batch = {d: sample_paths(g, d, 8, seed=n) for d in (1, len(rates))}
     for spec, dim in specs:
         kernel = kernel_zoo(spec, g, dim)
-        for derived in (kernel, scale_kernel(kernel, factor), adjoint_kernel(kernel),
-                        eta_of_kappa(kernel)):
-            _assert_functionals_match(derived, batch[dim])
+        _assert_functionals_match(kernel, batch[dim])
+        if isinstance(kernel.factored, LowRank):  # the eta of a LowerExp kernel is dense
+            _assert_functionals_match(eta_of_kappa(kernel), batch[dim])
 
 
 def test_quadratic_form_matches_strict_lower_sum():
@@ -552,9 +571,10 @@ def test_values_with_a_form_are_rejected(grid):
             grid_kernel.kernel_from_form(grid, 1, wrong)
 
 
-def test_form_check_reads_the_route_of_the_path_functionals(grid, monkeypatch):
-    # a form is checked through its `apply`, which every path functional runs,
-    # so a slip of 1e-9 there stops the kernel at construction
+def test_closed_forms_catch_a_slip_of_the_form_route(grid, monkeypatch):
+    # a kernel's matrix is its form's adjoint `apply` of unit rows, the
+    # route every path functional runs, so a slip of 1e-9 there reaches the
+    # matrix too; only the comparison with the form's definition catches it
     causal_sum, apply = grid_kernel._exp_causal_sum, LowRank.apply
 
     def off_sum(*args):
@@ -562,12 +582,16 @@ def test_form_check_reads_the_route_of_the_path_functionals(grid, monkeypatch):
         args[-1][...] *= 1.0 + 1e-9  # out, the last argument
 
     monkeypatch.setattr(grid_kernel, "_exp_causal_sum", off_sum)
-    for spec, dim in (("volterra", None), ("expdiag:p=[0.5,-0.5]", 2)):
-        with pytest.raises(InvalidArgumentError, match="factored form departs"):
-            kernel_zoo(spec, grid, dim)
     monkeypatch.setattr(LowRank, "apply", lambda *a, **kw: apply(*a, **kw) * (1.0 + 1e-9))
-    with pytest.raises(InvalidArgumentError, match="factored form departs"):
-        kernel_zoo("rank1:b=0.3", grid)
+    batch = {d: sample_paths(grid, d, 8, seed=3) for d in (1, 2)}
+    for spec, dim in (("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2), ("rank1:b=0.3", 1)):
+        kernel = kernel_zoo(spec, grid, dim)
+        nd = grid.n_steps * dim
+        rows = [kernel.apply_adjoint(np.eye(nd)[r:r + 1].reshape(1, grid.n_steps, dim))
+                for r in range(nd)]
+        npt.assert_array_equal(kernel.matrix, np.reshape(rows, (nd, nd)))
+        with pytest.raises(AssertionError):
+            _assert_functionals_match(kernel, batch[dim])
 
 
 def test_expdiag_large_negative_rate_is_finite():
@@ -577,7 +601,7 @@ def test_expdiag_large_negative_rate_is_finite():
     batch = sample_paths(g, 2, 20, seed=9)
     for k in (kernel, adjoint_kernel(kernel), scale_kernel(kernel, 3.0)):
         assert np.all(np.isfinite(wiener_integral(k, batch)))
-        _assert_functionals_match(k, batch)
+    _assert_functionals_match(kernel, batch)
 
 
 # ---------------------------------------------------------------------------
