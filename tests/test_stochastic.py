@@ -439,10 +439,15 @@ FACTORED_ZOO = [
     ("remark_gencv:b1=-2,b2=-3", 1), ("expdiag:p=[0.5,-0.5]", 2), ("expdiag:p=[-3]", 1),
     ("const:c=1", 1), ("const:c=0.7", 2), ("const_phi:c=1", 1), ("const_phi:c=-0.4", 2),
 ]
-DERIVED = {"as built": lambda k: k, "eta": eta_of_kappa, "tail": kappa_from_phi}
-# eta and the tail integral of a LowerExp kernel are dense: they carry no form
-FACTORED_CASES = [(spec, dim, derive) for spec, dim in FACTORED_ZOO for derive in sorted(DERIVED)
-                  if derive == "as built" or not spec.startswith(("volterra", "expdiag"))]
+# scale_kernel and adjoint_kernel give dense kernels, as do eta and the tail
+# integral of a LowerExp kernel: their matrix is the form multiplied out
+DERIVED = {
+    "as built": lambda k: k,
+    "scaled": lambda k: scale_kernel(k, -1.7),
+    "adjoint": adjoint_kernel,
+    "eta": eta_of_kappa,
+    "tail": kappa_from_phi,
+}
 
 
 def _dense(kernel):
@@ -467,13 +472,13 @@ def _magnitudes(kernel, dense):
     return MatrixKernel(kernel.grid, kernel.dim, np.ascontiguousarray(vals), kernel.symmetric)
 
 
-def _assert_functionals_match(kernel, batch):
-    """Every path functional on the factored kernel equals the dense product
-    of its definition to 1e-12 of its magnitude: the larger of the dense
-    result and the same functional of |kernel| on |dW|, which bounds the
-    terms before they cancel."""
+def _assert_functionals_match(kernel, batch, derive=lambda k: k):
+    """Every path functional on derive(kernel), for a factored kernel, equals
+    the dense product of derive of the form's definition to 1e-12 of its
+    magnitude: the larger of the dense result and the same functional of
+    |kernel| on |dW|, which bounds the terms before they cancel."""
     assert kernel.factored is not None
-    dense = _dense(kernel)
+    kernel, dense = derive(kernel), derive(_dense(kernel))
     bound = _magnitudes(kernel, dense)
     abs_batch = replace(batch, increments=np.abs(batch.increments))
     x = np.linspace(1.0, 0.5, kernel.dim)
@@ -487,12 +492,13 @@ def _assert_functionals_match(kernel, batch):
         npt.assert_allclose(fn(kernel, batch), want, rtol=0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("spec,dim,derive", FACTORED_CASES)
+@pytest.mark.parametrize("derive", sorted(DERIVED))
+@pytest.mark.parametrize("spec,dim", FACTORED_ZOO)
 def test_factored_functionals_match_dense(spec, dim, derive):
     # N = 150 is not a multiple of anything the recursions block by
     g = make_grid(1.0, 150)
-    kernel = DERIVED[derive](kernel_zoo(spec, g, dim))
-    _assert_functionals_match(kernel, sample_paths(g, dim, 40, seed=21))
+    _assert_functionals_match(kernel_zoo(spec, g, dim), sample_paths(g, dim, 40, seed=21),
+                              DERIVED[derive])
 
 
 # coefficients are 0 or of normal size: a subnormal kernel has no 1e-12
@@ -506,17 +512,18 @@ _COEFF = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
     rates=st.lists(st.floats(-400.0, 40.0), min_size=1, max_size=2),
     b=_COEFF,
     c=_COEFF,
+    factor=_COEFF,
 )
-def test_factored_forms_match_dense_property(n, rates, b, c):
+def test_factored_forms_match_dense_property(n, rates, b, c, factor):
     g = make_grid(2.0, n)
     specs = [(f"expdiag:p=[{','.join(map(repr, rates))}]", len(rates)),
              (f"remark_gencv:b1={b!r},b2={c!r}", 1), (f"const_phi:c={b!r}", len(rates))]
     batch = {d: sample_paths(g, d, 8, seed=n) for d in (1, len(rates))}
     for spec, dim in specs:
         kernel = kernel_zoo(spec, g, dim)
-        _assert_functionals_match(kernel, batch[dim])
-        if isinstance(kernel.factored, LowRank):  # the eta of a LowerExp kernel is dense
-            _assert_functionals_match(eta_of_kappa(kernel), batch[dim])
+        for derive in (lambda k: k, lambda k: scale_kernel(k, factor), adjoint_kernel,
+                       eta_of_kappa):
+            _assert_functionals_match(kernel, batch[dim], derive)
 
 
 def test_quadratic_form_matches_strict_lower_sum():
@@ -590,8 +597,9 @@ def test_closed_forms_catch_a_slip_of_the_form_route(grid, monkeypatch):
         rows = [kernel.apply_adjoint(np.eye(nd)[r:r + 1].reshape(1, grid.n_steps, dim))
                 for r in range(nd)]
         npt.assert_array_equal(kernel.matrix, np.reshape(rows, (nd, nd)))
-        with pytest.raises(AssertionError):
-            _assert_functionals_match(kernel, batch[dim])
+        for derive in DERIVED.values():  # dense derivations read the slipped matrix
+            with pytest.raises(AssertionError):
+                _assert_functionals_match(kernel, batch[dim], derive)
 
 
 def test_expdiag_large_negative_rate_is_finite():
@@ -599,9 +607,9 @@ def test_expdiag_large_negative_rate_is_finite():
     g = make_grid(1.0, 64)
     kernel = kernel_zoo("expdiag:p=[-2000,-300]", g)
     batch = sample_paths(g, 2, 20, seed=9)
-    for k in (kernel, adjoint_kernel(kernel), scale_kernel(kernel, 3.0)):
-        assert np.all(np.isfinite(wiener_integral(k, batch)))
-    _assert_functionals_match(kernel, batch)
+    for derive in (lambda k: k, adjoint_kernel, lambda k: scale_kernel(k, 3.0)):
+        assert np.all(np.isfinite(wiener_integral(derive(kernel), batch)))
+        _assert_functionals_match(kernel, batch, derive)
 
 
 # ---------------------------------------------------------------------------
