@@ -53,9 +53,11 @@ entry for entry.  Construction checks only that the form fits the kernel; a
 factored kernel is finite when its magnitude (its largest entry before
 cancellation) is.  A form with one factor array for both sides and an
 exactly symmetric core, L C L^T, is symmetric by construction and is not
-scanned; any other kernel flagged symmetric is.  The path layer never
-inspects the form: `apply` (x -> x K^T), `apply_adjoint` (x -> x K) and
-`diagonal_blocks` hide it, and fall back to the matrix when there is none.
+scanned; any other kernel flagged symmetric is.  The path layer reaches
+a kernel through `apply` (x -> x K^T), `apply_adjoint` (x -> x K) and
+`diagonal_blocks`, which fall back to the matrix when there is no form; its
+per-path reductions (q, h, psi) and `cm_trace_correction` read the factors
+of a LowRank form directly.
 
 The rank-k constructors draw their orthonormal family from
 e_n'(t) = sqrt(2/T) cos((n - 1/2) pi t / T), re-orthonormalized in the

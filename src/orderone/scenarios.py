@@ -60,8 +60,10 @@ value plus a correction, and the partials are merged in chunk order by the
 pairwise update of Chan, Golub and LeVeque, which does not cancel the way
 sum x^2 - n mean^2 does.  The chunks run on WORKERS = min(usable cores,
 2^23 // CHUNK_ELEMENTS) threads (numpy's SFC64 fill, its ufuncs and BLAS
-release the GIL), so the increments in flight never exceed 2^23 elements; a
-side of one chunk runs in the calling thread.  Each side allocates one draw
+release the GIL; every product inside a chunk runs over one block of paths at
+a time, see `stochastic`, too small for BLAS to spread over threads of its
+own that would compete with the chunk threads), so the increments in flight never exceed 2^23 elements; a side of one
+chunk runs in the calling thread.  Each side allocates one draw
 buffer per thread up front and its chunks draw into those buffers, so its
 peak memory does not depend on how the threads interleave (per-chunk batches
 left the peak to the allocator's arenas and varied by tens of MiB from run to

@@ -28,17 +28,25 @@ eta is symmetric, the two triangles contribute equally, so
 
 which needs only the product with the whole kernel and its diagonal blocks.
 
-Every functional reaches its kernel through `MatrixKernel.apply` (x K^T),
-`apply_adjoint` (x K) and `diagonal_blocks`, never through the
-representation.  Cost per call on M paths, with n = N d:
+The Wiener integral, the transformations and the linear drift reach their
+kernel through `MatrixKernel.apply` (x K^T) and `apply_adjoint` (x K), and so
+do q, h and psi of a dense or LowerExp kernel.  q, h and psi of a LowRank
+kernel L C R^T read its factors instead: each is a bilinear form, with an
+r x r core, of the projections dW L and dW R of each path (dW R~ in psi, R~ a
+cumulative sum of R).  Cost per call on M paths, with n = N d:
 
     dense values                  O(M n^2)   one (M, n) x (n, n) product
-    LowRank, rank r               O(M n r)   three thin products
+    LowRank, rank r               O(M n r)   q, h, psi: the read-only thin
+                                             projections, no (M, n) product;
+                                             apply: three thin products
     LowerExp (volterra, expdiag)  O(M n)     a weighted cumulative sum
 
-Per-path reductions (q, h, psi) run over blocks of about PATH_BLOCK
-increments, so their intermediates stay in cache; each value still depends on
-its own path alone.
+The per-path reductions (q, h, psi) and the node read `node_value` run over
+blocks of about PATH_BLOCK increments, so their intermediates stay in cache
+and no product inside a chunk is large enough for BLAS to spread over threads
+of its own, which would compete with the chunk threads for the cores.  Each
+value still depends on its own path alone; the fixed block plan keeps its
+last bits the same at any worker count.
 
 Node read.  Every test functional reads the path at one node k alone
 (`TestFunctional.node`; 'one' reads none), and the image of a path under
@@ -155,24 +163,45 @@ def _left_node_values(increments: np.ndarray) -> np.ndarray:
     return w
 
 
+def _sum_of_later(a: np.ndarray, axis: int) -> np.ndarray:
+    """out[i] = sum_{j>i} a[j] along axis: a reversed exclusive cumulative sum."""
+    out = np.zeros_like(a)
+    np.cumsum(np.moveaxis(a, axis, 0)[:0:-1], axis=0, out=np.moveaxis(out, axis, 0)[-2::-1])
+    return out
+
+
 def _check_grid(kernel: MatrixKernel, batch: PathBatch):
     if kernel.grid != batch.grid or kernel.dim != batch.dim:
         raise InvalidArgumentError("kernel and path batch live on different grids")
 
 
 # increment elements per block of paths in a per-path reduction, so that its
-# (paths, N, d) intermediates stay in cache
+# (paths, N, d) intermediates stay in cache and no product inside a chunk is
+# large enough for BLAS to split over threads of its own
 PATH_BLOCK = 1 << 17
 
 
 def _per_path(reduce, increments: np.ndarray) -> np.ndarray:
-    """reduce(dW block) -> one value per path, run over blocks of paths."""
+    """reduce(dW block) -> its values per path (a leading axis of the block's
+    paths), run over blocks of paths and stacked."""
     m, n, d = increments.shape
     rows = max(1, PATH_BLOCK // (n * d))
-    out = np.empty(m)
-    for r0 in range(0, m, rows):
-        out[r0:r0 + rows] = reduce(increments[r0:r0 + rows])
-    return out
+    return np.concatenate([reduce(increments[r0:r0 + rows]) for r0 in range(0, m, rows)])
+
+
+def _bilinear(a: np.ndarray, core: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_m core b_m^T per path m, for projections a and b of shape (M, r)."""
+    return np.einsum("mr,rs,ms->m", a, core, b)
+
+
+def _project(dw: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """dW F per path: the (M, r) projections of a block on a factor of shape (N d, r)."""
+    return dw.reshape(dw.shape[0], -1) @ factor
+
+
+def _gram(form: LowRank, left: np.ndarray) -> np.ndarray:
+    """C^T (L^T L) C, the r x r core of |x R C^T L^T|^2 = (x R) C^T L^T L C (x R)^T."""
+    return form.core.T @ (left.T @ left) @ form.core
 
 
 def wiener_integral(kappa: MatrixKernel, batch: PathBatch) -> np.ndarray:
@@ -200,15 +229,22 @@ def apply_transformation(kappa: MatrixKernel, batch: PathBatch) -> PathBatch:
 
 def quadratic_form(eta: MatrixKernel, batch: PathBatch) -> np.ndarray:
     """Double Ito sum of a symmetric kernel over the strict lower triangle,
-    evaluated as 1/2 (<dW, eta dW> - sum_i <dW_i, eta_ii dW_i>)."""
+    evaluated as 1/2 (<dW, eta dW> - sum_i <dW_i, eta_ii dW_i>); of a LowRank
+    eta = L C R^T, <dW, eta dW> = (dW L) C (dW R)^T."""
     if not eta.symmetric:
         raise PreconditionError("quadratic_form requires a symmetric kernel")
     _check_grid(eta, batch)
-    blocks = eta.diagonal_blocks()
+    blocks, form = eta.diagonal_blocks(), eta.factored
+
+    def full(dw):
+        if not isinstance(form, LowRank):
+            return np.einsum("mia,mia->m", eta.apply(dw), dw)
+        left = _project(dw, form.left)
+        return _bilinear(left, form.core,
+                         left if form.right is form.left else _project(dw, form.right))
 
     def reduce(dw):
-        full = np.einsum("mia,mia->m", eta.apply(dw), dw)
-        return 0.5 * (full - np.einsum("mia,iab,mib->m", dw, blocks, dw))
+        return 0.5 * (full(dw) - np.einsum("mia,iab,mib->m", dw, blocks, dw))
 
     return _per_path(reduce, batch.increments)
 
@@ -216,17 +252,30 @@ def quadratic_form(eta: MatrixKernel, batch: PathBatch) -> np.ndarray:
 def h_functionals(
     kappa: MatrixKernel, batch: PathBatch, x: np.ndarray | None = None
 ) -> np.ndarray:
-    """Oscillator energies: 1/2 int <x, I(t)>^2 dt, or 1/2 int |I(t)|^2 dt without x."""
+    """Oscillator energies: 1/2 int <x, I(t)>^2 dt, or 1/2 int |I(t)|^2 dt without x.
+
+    Of a LowRank kappa = L C R^T, I = (dW R) C^T L^T, so the energy is
+    1/2 Delta (dW R) C^T (L^T L) C (dW R)^T, with L_x[i] = sum_a x_a L[(i, a)]
+    in place of L when x is given."""
     _check_grid(kappa, batch)
+    dt, form = kappa.grid.step, kappa.factored
     if x is not None:
         x = direction(x, kappa.dim)
+    if isinstance(form, LowRank):
+        left = form.left if x is None else form.left.reshape(
+            kappa.grid.n_steps, kappa.dim, -1).transpose(0, 2, 1) @ x
+        gram = _gram(form, left)
 
-    def reduce(dw):
-        integral = kappa.apply(dw)
-        if x is None:
-            return 0.5 * np.einsum("mia,mia->m", integral, integral) * kappa.grid.step
-        proj = integral @ x
-        return 0.5 * np.einsum("mi,mi->m", proj, proj) * kappa.grid.step
+        def reduce(dw):
+            right = _project(dw, form.right)
+            return 0.5 * _bilinear(right, gram, right) * dt
+    else:
+        def reduce(dw):
+            integral = kappa.apply(dw)
+            if x is None:
+                return 0.5 * np.einsum("mia,mia->m", integral, integral) * dt
+            proj = integral @ x
+            return 0.5 * np.einsum("mi,mi->m", proj, proj) * dt
 
     return _per_path(reduce, batch.increments)
 
@@ -269,9 +318,7 @@ def node_weights(kernel: MatrixKernel, k: int, linear: bool = False) -> np.ndarr
     u[:, :k] = np.eye(d)[:, None, :]
     v = kernel.apply_adjoint(u)
     if linear:
-        tail = np.zeros_like(v)
-        np.cumsum(v[:, :0:-1], axis=1, out=tail[:, -2::-1])
-        v = tail * dt * dt
+        v = _sum_of_later(v, axis=1) * dt * dt
     else:
         v *= dt
     v += u  # the path itself: W(t_k) = sum_{i<k} dW_i
@@ -280,8 +327,8 @@ def node_weights(kernel: MatrixKernel, k: int, linear: bool = False) -> np.ndarr
 
 def node_value(batch: PathBatch, weights: np.ndarray) -> np.ndarray:
     """dW G per path, shape (M, d): W'(t_k) for the weights of `node_weights`.
-    O(M N d^2), and no transformed batch is formed."""
-    return batch.increments.reshape(batch.n_paths, -1) @ weights
+    O(M N d^2) over blocks of paths, and no transformed batch is formed."""
+    return _per_path(lambda dw: _project(dw, weights), batch.increments)
 
 
 def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
@@ -293,16 +340,30 @@ def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
     The path enters at left nodes, so dW_j is independent of the W(t_j) it is
     paired with and the cross term is unbiased.  The trace-corrected exponent
     is psi + `cm_trace_correction`.
+
+    Of a LowRank phi = L C R^T, W R = dW R~ with R~[i] = sum_{j>i} R[j] (a
+    reversed exclusive cumulative sum over the nodes), so W is not formed:
+
+        psi = - Delta (dW L) C (dW R~)^T - 1/2 Delta^3 (dW R~) C^T (L^T L) C (dW R~)^T.
     """
     _check_grid(phi, batch)
-    dt = phi.grid.step
+    dt, form = phi.grid.step, phi.factored
+    if isinstance(form, LowRank):
+        n, dim = phi.grid.n_steps, phi.dim
+        tail = _sum_of_later(form.right.reshape(n, dim, -1), axis=0).reshape(n * dim, -1)
+        gram = _gram(form, form.left)
 
-    def reduce(dw):
-        w = _left_node_values(dw)
-        cross = phi.apply_adjoint(dw)  # cross[m, j] = sum_i phi_ij^T dW_i
-        term1 = -np.einsum("mjb,mjb->m", cross, w) * dt
-        drift = phi.apply(w) * dt
-        return term1 - 0.5 * np.einsum("mia,mia->m", drift, drift) * dt
+        def reduce(dw):
+            left, w_right = _project(dw, form.left), _project(dw, tail)
+            return (-_bilinear(left, form.core, w_right) * dt
+                    - 0.5 * _bilinear(w_right, gram, w_right) * dt ** 3)
+    else:
+        def reduce(dw):
+            w = _left_node_values(dw)
+            cross = phi.apply_adjoint(dw)  # cross[m, j] = sum_i phi_ij^T dW_i
+            term1 = -np.einsum("mjb,mjb->m", cross, w) * dt
+            drift = phi.apply(w) * dt
+            return term1 - 0.5 * np.einsum("mia,mia->m", drift, drift) * dt
 
     return _per_path(reduce, batch.increments)
 

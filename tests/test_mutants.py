@@ -5,18 +5,25 @@ The det2 mutants perturb `operator.factor_identity_plus`, the one LU that
 every det2 is read from.  Each kind that starts at `Scenario.factor` checks
 that det2 against the gate eigensolve of B_eta, which the mutant does not
 touch (`det2_product`), so every such demo scenario must fail that check at
-its full size."""
+its full size.
+
+The Ito/Stratonovich mutant keeps the diagonal blocks in the quadratic form
+q, the Ito sum's one convention.  It wraps `stochastic.quadratic_form`, so the
+dense route and the factored one see it alike, and every demo.cfg scenario
+that reaches q must fail, at the golden pin's reduced size."""
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from orderone import cli, operator
+from orderone import cli, operator, stochastic
 
 DEMO_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demo.cfg")
 FACTOR_SCENARIOS = ("forward_rank1", "inverse_rank1", "linear_const", "counterexample")
+Q_SCENARIOS = ("forward_rank1", "inverse_rank1", "square_root", "counterexample", "moment_bound")
 
 
 def _det2_scaled(lu):
@@ -44,3 +51,24 @@ def test_det2_mutants_fail_det2_product(monkeypatch, mutant):
         run, _ = jobs[name]
         report = run()[0]
         assert not report.checks["det2_product"].passed, name
+
+
+def test_ito_mutant_fails_every_scenario_reaching_q(monkeypatch):
+    quadratic_form = stochastic.quadratic_form
+
+    def stratonovich(eta, batch):
+        """q with its diagonal blocks kept: 1/2 <dW, eta dW>."""
+        dw = batch.increments
+        return quadratic_form(eta, batch) + 0.5 * np.einsum(
+            "mia,iab,mib->m", dw, eta.diagonal_blocks(), dw)
+    monkeypatch.setattr(stochastic, "quadratic_form", stratonovich)
+    with open(DEMO_CFG) as fh:  # the golden pin's size: N = 64, 4,000 paths
+        config = cli.parse_config(re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", fh.read()))
+    config.n_steps, config.samples = 64, 4000
+    jobs = dict(zip((spec.name for spec in config.scenarios), cli._jobs(config)))
+    for name in Q_SCENARIOS:
+        run, _ = jobs[name]
+        reports = run()
+        assert len(reports) == (4 if name == "square_root" else 1), name  # 3 Laplace rows
+        for report in reports:
+            assert report.verdict == "fail", report.name

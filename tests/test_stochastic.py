@@ -37,7 +37,7 @@ from orderone import (
     scale_kernel,
     wiener_integral,
 )
-from orderone import grid_kernel
+from orderone import grid_kernel, stochastic
 from orderone.grid_kernel import LowerExp, LowRank
 from orderone.operator import spectrum
 from test_grid_kernel import lower_exp_closed_form
@@ -472,24 +472,33 @@ def _magnitudes(kernel, dense):
     return MatrixKernel(kernel.grid, kernel.dim, np.ascontiguousarray(vals), kernel.symmetric)
 
 
-def _assert_functionals_match(kernel, batch, derive=lambda k: k):
-    """Every path functional on derive(kernel), for a factored kernel, equals
-    the dense product of derive of the form's definition to 1e-12 of its
-    magnitude: the larger of the dense result and the same functional of
+# every path functional of a kernel, by name; q only of a symmetric one
+_FUNCTIONALS = {
+    "wiener_integral": wiener_integral,
+    "h": h_functionals,
+    "h_x": lambda k, b: h_functionals(k, b, np.linspace(1.0, 0.5, k.dim)),
+    "drift": cameron_martin_drift,
+    "psi": cm_exponent,
+    "q": quadratic_form,
+}
+
+
+def _assert_functionals_match(kernel, batch, derive=lambda k: k, names=tuple(_FUNCTIONALS)):
+    """Every path functional named on derive(kernel), for a factored kernel,
+    equals the dense product of derive of the form's definition to 1e-12 of
+    its magnitude: the larger of the dense result and the same functional of
     |kernel| on |dW|, which bounds the terms before they cancel."""
     assert kernel.factored is not None
     kernel, dense = derive(kernel), derive(_dense(kernel))
     bound = _magnitudes(kernel, dense)
     abs_batch = replace(batch, increments=np.abs(batch.increments))
-    x = np.linspace(1.0, 0.5, kernel.dim)
-    functionals = [wiener_integral, h_functionals, cameron_martin_drift,
-                   lambda k, b: h_functionals(k, b, x), cm_exponent]
-    if kernel.symmetric:
-        functionals.append(quadratic_form)
-    for fn in functionals:
+    for name in names:
+        if name == "q" and not kernel.symmetric:
+            continue
+        fn = _FUNCTIONALS[name]
         want = fn(dense, batch)
         scale = max(np.max(np.abs(want)), np.max(np.abs(fn(bound, abs_batch))))
-        npt.assert_allclose(fn(kernel, batch), want, rtol=0, atol=1e-12 * scale)
+        npt.assert_allclose(fn(kernel, batch), want, rtol=0, atol=1e-12 * scale, err_msg=name)
 
 
 @pytest.mark.parametrize("derive", sorted(DERIVED))
@@ -600,6 +609,78 @@ def test_closed_forms_catch_a_slip_of_the_form_route(grid, monkeypatch):
         for derive in DERIVED.values():  # dense derivations read the slipped matrix
             with pytest.raises(AssertionError):
                 _assert_functionals_match(kernel, batch[dim], derive)
+
+
+# LowRank kernels, one of them with an antisymmetric core
+SLIP_KERNELS = [("rank1:b=0.3", 1), ("rank2:b=0.2,c=0.3,member=2", 1), ("const_phi:c=-0.4", 2)]
+
+
+@pytest.mark.parametrize("spec,dim", SLIP_KERNELS)
+def test_closed_forms_catch_a_slip_of_the_projection_route(spec, dim, monkeypatch):
+    # q, h and psi of a LowRank kernel read its r projections through one
+    # bilinear form; a slip of 1e-9 there must fail each of them on its own
+    g = make_grid(1.0, 64)
+    kernel, batch = kernel_zoo(spec, g, dim), sample_paths(g, dim, 8, seed=3)
+    bilinear = stochastic._bilinear
+    monkeypatch.setattr(stochastic, "_bilinear", lambda *a: bilinear(*a) * (1.0 + 1e-9))
+    slipped = set()
+    for derive in ("as built", "eta", "tail"):
+        derived = DERIVED[derive](kernel)
+        assert isinstance(derived.factored, LowRank)
+        for name in ("q", "h", "h_x", "psi"):
+            if name == "q" and not derived.symmetric:
+                continue
+            with pytest.raises(AssertionError):
+                _assert_functionals_match(kernel, batch, DERIVED[derive], [name])
+            slipped.add(name)
+        # the routes that do not read the projections keep their precision
+        _assert_functionals_match(kernel, batch, DERIVED[derive], ["wiener_integral", "drift"])
+    assert slipped == {"q", "h", "h_x", "psi"}
+
+
+def test_low_rank_reductions_read_no_apply(grid, monkeypatch):
+    # q, h and psi of a LowRank kernel never form the (M, N d) product
+    kernels = [(kernel_zoo(spec, grid, dim), dim) for spec, dim in SLIP_KERNELS]
+    kernels += [(eta_of_kappa(kappa), dim) for kappa, dim in kernels]
+
+    def raises(*args, **kwargs):
+        raise AssertionError("LowRank.apply called")
+    monkeypatch.setattr(LowRank, "apply", raises)
+    for kernel, dim in kernels:
+        batch = sample_paths(grid, dim, 10, seed=8)
+        assert isinstance(kernel.factored, LowRank)
+        h_functionals(kernel, batch)
+        h_functionals(kernel, batch, np.ones(dim))
+        cm_exponent(kernel, batch)
+        if kernel.symmetric:
+            quadratic_form(kernel, batch)
+    with pytest.raises(AssertionError, match="LowRank.apply"):
+        wiener_integral(kernels[0][0], sample_paths(grid, 1, 10, seed=8))
+
+
+@pytest.mark.parametrize("spec,dim", [("rank1:b=0.3", 1), ("const_phi:c=-0.4", 2),
+                                      ("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2)])
+def test_reductions_do_not_depend_on_the_path_block(spec, dim, monkeypatch):
+    # 50 paths in blocks of 7: seven full blocks and a ragged one of 1 path,
+    # on the factored kernel, its eta and a dense copy of it.  BLAS may sum a
+    # block's products in another order, so values agree to 1e-13 of their
+    # largest: h with x of the dense const_phi copy has a path that cancels to
+    # 3.7e-7, whose last bits move by 1.3e-13 of itself
+    g = make_grid(1.0, 64)
+    kappa, batch = kernel_zoo(spec, g, dim), sample_paths(g, dim, 50, seed=11)
+    kernels = [kappa, eta_of_kappa(kappa), scale_kernel(kappa, 1.0)]
+    weights = node_weights(kappa, 40)
+
+    def values():
+        return ([quadratic_form(kernels[1], batch)]
+                + [fn(k, batch) for k in kernels
+                   for fn in (h_functionals, _FUNCTIONALS["h_x"], cm_exponent)]
+                + [node_value(batch, weights)])
+
+    whole = values()
+    monkeypatch.setattr(stochastic, "PATH_BLOCK", 7 * 64 * dim)
+    for got, want in zip(values(), whole, strict=True):
+        npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_expdiag_large_negative_rate_is_finite():
