@@ -52,23 +52,26 @@ family of factor 1 alone and `sweep_laplace` that of the lambdas alone.
 Chunk plan.  One Monte Carlo side of n paths of N d increments each runs as
 ceil(n / cap) chunks of near-equal size, cap = CHUNK_ELEMENTS // (N d);
 chunk idx draws its paths from the SFC64 generator seeded by
-SeedSequence([seed, side, idx]).  Each chunk builds its own generator from its
-key and none is ever advanced or jumped, so no counter feature is needed and
-the fastest of numpy's generators serves.  Each chunk returns only its count,
-mean and M2 (the sum of squared deviations), the mean carried as a rounded
-value plus a correction, and the partials are merged in chunk order by the
-pairwise update of Chan, Golub and LeVeque, which does not cancel the way
-sum x^2 - n mean^2 does.  The chunks run on WORKERS = min(usable cores,
-2^23 // CHUNK_ELEMENTS) threads (numpy's SFC64 fill, its ufuncs and BLAS
-release the GIL; every product inside a chunk runs over one block of paths at
-a time, see `stochastic`, too small for BLAS to spread over threads of its
-own that would compete with the chunk threads), so the increments in flight never exceed 2^23 elements; a side of one
-chunk runs in the calling thread.  Each side allocates one draw
-buffer per thread up front and its chunks draw into those buffers, so its
-peak memory does not depend on how the threads interleave (per-chunk batches
-left the peak to the allocator's arenas and varied by tens of MiB from run to
-run).  The chunk sizes do not depend on the machine and the merge order is
-fixed, so every report is bit-for-bit the same whatever the worker count.
+SeedSequence([seed, side, idx]).  CHUNK_ELEMENTS is no memory cap: it fixes
+how many paths share one generator key and one sub-batch mean of the median
+fallback, so changing it moves every number.  Each chunk builds its own
+generator from its key and none is ever advanced or jumped, so no counter
+feature is needed and the fastest of numpy's generators serves.  `_mc_paths`
+owns the block plan: a chunk is drawn from its generator in successive
+blocks of max(1, PATH_BLOCK // (N d)) paths into one small buffer
+(`stochastic.path_blocks`, the bits of one draw), and each block goes
+through the path functionals whole, so their intermediates stay in cache
+and no product inside a chunk is large enough for BLAS to spread over
+threads of its own that would compete with the chunk threads.  Each chunk
+returns only its count, mean and M2 (the sum of squared deviations) of its
+blocks' values, the mean carried as a rounded value plus a correction, and
+the partials are merged in chunk order by the pairwise update of Chan, Golub
+and LeVeque, which does not cancel the way sum x^2 - n mean^2 does.  The
+chunks run on WORKERS = usable cores threads (numpy's SFC64 fill, its ufuncs
+and BLAS release the GIL), so at most WORKERS x PATH_BLOCK increments are in
+flight; a side of one chunk runs in the calling thread.  The chunk and block
+sizes do not depend on the machine and the merge order is fixed, so every
+report is bit-for-bit the same whatever the worker count.
 Transformed paths are read at the functional's node alone (see `stochastic`),
 so no side forms a transformed batch.
 """
@@ -80,7 +83,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 import os
-import queue
 from typing import Callable
 
 import numpy as np
@@ -117,8 +119,8 @@ __all__ = [
 DEFAULT_TOL = 0.02       # relative tolerance absorbing O(Delta) discretization bias
 OPERATOR_TOL = 1e-8      # operator-only assertions
 CONSISTENCY_FACTOR = 5.0  # widened tolerance for CI-less (median) comparisons
-CHUNK_ELEMENTS = 1 << 22  # cap on the elements of one chunk's increment array
-_IN_FLIGHT_ELEMENTS = 1 << 23  # cap on the elements of all chunks running at once
+CHUNK_ELEMENTS = 1 << 22  # increments per generator key and per sub-batch mean
+PATH_BLOCK = 1 << 17  # increments per block of paths drawn and reduced at once
 PROBE_PATHS = 1000  # paths of the pathwise checks of inverse and cameron_martin
 GENCV_B = (-2.0, -3.0)  # gencv's own counterexample: its default b1, b2
 
@@ -131,7 +133,7 @@ def _usable_cores() -> int:
 
 
 # threads that run chunks; reports do not depend on it
-WORKERS = max(1, min(_usable_cores(), _IN_FLIGHT_ELEMENTS // CHUNK_ELEMENTS))
+WORKERS = _usable_cores()
 
 _STREAM_LHS, _STREAM_RHS, _STREAM_PROBE, _STREAM_RN = 0, 1, 2, 3
 
@@ -213,10 +215,11 @@ def _moments(vals: np.ndarray) -> tuple:
 def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
               per_path, scale=1.0, ci_valid=True) -> list[MCEstimate]:
     """Draw the chunks of n_paths Wiener paths (chunk idx from the SFC64
-    stream keyed by (seed, stream_id, idx)), map per_path over them on the
-    pool and merge their moments in chunk order by the pairwise update of
-    Chan, Golub and LeVeque.  The next chunk reuses the draw buffer, so
-    per_path must not keep its batch past its return.
+    stream keyed by (seed, stream_id, idx)), each in blocks of
+    max(1, PATH_BLOCK // (N dim)) paths, map per_path over the blocks on the
+    pool, and merge the chunks' moments in chunk order by the pairwise update
+    of Chan, Golub and LeVeque.  The next block is drawn into the same
+    buffer, so per_path must not keep its batch past its return.
 
     per_path gives a (rows, paths) array, merged row by row into a list of
     MCEstimates, one per row (one value per path: a list of one); scale and
@@ -224,22 +227,14 @@ def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
     `_PAST_RANGE`: a value past the float range stays inf or nan, unwarned."""
     elements = grid.n_steps * dim
     sizes = _chunk_sizes(n_paths, elements)
-    # one draw buffer per thread, allocated here and reused by every chunk:
-    # a chunk then allocates no batch of its own, and a side's memory does not
-    # depend on how the threads interleave or which allocator arena serves them
-    free = queue.SimpleQueue()
-    for _ in range(min(WORKERS, len(sizes))):
-        free.put(np.empty(sizes[0] * elements))
+    rows = max(1, PATH_BLOCK // elements)
 
     def run(idx):
-        buf = free.get()
-        try:
-            with np.errstate(**_PAST_RANGE):  # per thread: the caller's misses the pool's
-                batch = st.sample_paths(grid, dim, sizes[idx], seed, stream=(stream_id, idx),
-                                        out=buf)
-                return _moments(np.asarray(per_path(batch), dtype=float))
-        finally:
-            free.put(buf)
+        with np.errstate(**_PAST_RANGE):  # per thread: the caller's misses the pool's
+            blocks = st.path_blocks(grid, dim, sizes[idx], seed, stream=(stream_id, idx),
+                                    rows=rows)
+            return _moments(np.concatenate(
+                [np.asarray(per_path(batch), dtype=float) for batch in blocks], axis=-1))
 
     parts = _map_chunks(run, len(sizes))
     count, mean, corr, m2 = parts[0]

@@ -41,12 +41,16 @@ cumulative sum of R).  Cost per call on M paths, with n = N d:
                                              apply: three thin products
     LowerExp (volterra, expdiag)  O(M n)     a weighted cumulative sum
 
-The per-path reductions (q, h, psi) and the node read `node_value` run over
-blocks of about PATH_BLOCK increments, so their intermediates stay in cache
-and no product inside a chunk is large enough for BLAS to spread over threads
-of its own, which would compete with the chunk threads for the cores.  Each
-value still depends on its own path alone; the fixed block plan keeps its
-last bits the same at any worker count.
+Each functional works on the whole batch it is given.  The Monte Carlo
+runner (`scenarios`) owns the block plan: it draws each chunk of paths from
+the chunk's one generator in blocks of about `scenarios.PATH_BLOCK`
+increments (`path_blocks`), so a block's intermediates stay in cache and no
+product is large enough for BLAS to spread over threads of its own, which
+would compete with the chunk threads for the cores.  Sequential draws from
+one generator give the bits of one draw, so `sample_paths` is the one-block
+case.  A value depends on its own path alone, but BLAS may sum a block's
+products in another order at another block size; the fixed block plan keeps
+its last bits.
 
 Node read.  Every test functional reads the path at one node k alone
 (`TestFunctional.node`; 'one' reads none), and the image of a path under
@@ -77,6 +81,7 @@ __all__ = [
     "PathBatch",
     "TestFunctional",
     "sample_paths",
+    "path_blocks",
     "wiener_integral",
     "apply_transformation",
     "quadratic_form",
@@ -116,7 +121,10 @@ class PathBatch:
 
     def left_node_values(self) -> np.ndarray:
         """W(t_k) = sum_{i<k} dW_i for k = 0 .. N-1 (so W(t_0) = 0)."""
-        return _left_node_values(self.increments)
+        w = np.empty(self.increments.shape)
+        w[:, 0] = 0.0
+        np.cumsum(self.increments[:, :-1], axis=1, out=w[:, 1:])
+        return w
 
     def value_at_node(self, k: int) -> np.ndarray:
         """W(t_k) per path for k = 0 .. N (k = N gives W(T))."""
@@ -125,42 +133,40 @@ class PathBatch:
         return self.increments[:, :k].sum(axis=1)
 
 
-def sample_paths(
-    grid: TimeGrid, dim: int, n_paths: int, seed: int, stream: tuple = (),
-    out: np.ndarray | None = None,
-) -> PathBatch:
+def sample_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
+                 stream: tuple = ()) -> PathBatch:
     """Draw a batch of increments from the SFC64 generator seeded by
     SeedSequence([seed, *stream]).
 
     The draw is a single deterministic pass: identical arguments give identical
-    bits regardless of how callers schedule batches.  With out, a contiguous
-    float64 buffer of at least n_paths N dim elements, the increments are drawn
-    into its head (same bits) and the batch is a view of it.
+    bits regardless of how callers schedule batches.
+    """
+    return next(path_blocks(grid, dim, n_paths, seed, stream=stream))
+
+
+def path_blocks(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream: tuple = (),
+                rows: int | None = None):
+    """The batch of `sample_paths` with the same arguments, as successive
+    batches of `rows` paths (the last one ragged; None: one batch).
+
+    Every block is drawn from the one generator into one buffer of rows
+    paths, so the blocks together hold the bits of the whole batch, and each
+    block is overwritten by the next: a reader must not keep one past its
+    turn.
     """
     if n_paths < 1:
         raise InvalidArgumentError(f"n_paths must be >= 1, got {n_paths}")
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
+    rows = n_paths if rows is None else rows
     key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, stream)])
     rng = np.random.Generator(np.random.SFC64(key))
-    shape = (n_paths, grid.n_steps, dim)
-    if out is not None:
-        size = n_paths * grid.n_steps * dim
-        if out.dtype != np.float64 or out.ndim != 1 or out.size < size:
-            raise InvalidArgumentError(
-                f"out must be a flat float64 buffer of at least {size} elements")
-        out = out[:size].reshape(shape)
-    inc = rng.standard_normal(shape, out=out)
-    inc *= np.sqrt(grid.step)  # in place: one copy of the batch, not two
-    return PathBatch(grid, dim, inc, int(seed), tuple(stream))
-
-
-def _left_node_values(increments: np.ndarray) -> np.ndarray:
-    m, n, d = increments.shape
-    w = np.empty((m, n, d))
-    w[:, 0] = 0.0
-    np.cumsum(increments[:, :-1], axis=1, out=w[:, 1:])
-    return w
+    buf = np.empty((min(rows, n_paths), grid.n_steps, dim))
+    for start in range(0, n_paths, rows):
+        inc = buf[:n_paths - start]  # the head of the buffer: contiguous
+        rng.standard_normal(out=inc)
+        inc *= np.sqrt(grid.step)  # in place: one copy of the block, not two
+        yield PathBatch(grid, dim, inc, int(seed), tuple(stream))
 
 
 def _sum_of_later(a: np.ndarray, axis: int) -> np.ndarray:
@@ -173,20 +179,6 @@ def _sum_of_later(a: np.ndarray, axis: int) -> np.ndarray:
 def _check_grid(kernel: MatrixKernel, batch: PathBatch):
     if kernel.grid != batch.grid or kernel.dim != batch.dim:
         raise InvalidArgumentError("kernel and path batch live on different grids")
-
-
-# increment elements per block of paths in a per-path reduction, so that its
-# (paths, N, d) intermediates stay in cache and no product inside a chunk is
-# large enough for BLAS to split over threads of its own
-PATH_BLOCK = 1 << 17
-
-
-def _per_path(reduce, increments: np.ndarray) -> np.ndarray:
-    """reduce(dW block) -> its values per path (a leading axis of the block's
-    paths), run over blocks of paths and stacked."""
-    m, n, d = increments.shape
-    rows = max(1, PATH_BLOCK // (n * d))
-    return np.concatenate([reduce(increments[r0:r0 + rows]) for r0 in range(0, m, rows)])
 
 
 def _bilinear(a: np.ndarray, core: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,19 +226,14 @@ def quadratic_form(eta: MatrixKernel, batch: PathBatch) -> np.ndarray:
     if not eta.symmetric:
         raise PreconditionError("quadratic_form requires a symmetric kernel")
     _check_grid(eta, batch)
-    blocks, form = eta.diagonal_blocks(), eta.factored
-
-    def full(dw):
-        if not isinstance(form, LowRank):
-            return np.einsum("mia,mia->m", eta.apply(dw), dw)
+    dw, form = batch.increments, eta.factored
+    if isinstance(form, LowRank):
         left = _project(dw, form.left)
-        return _bilinear(left, form.core,
+        full = _bilinear(left, form.core,
                          left if form.right is form.left else _project(dw, form.right))
-
-    def reduce(dw):
-        return 0.5 * (full(dw) - np.einsum("mia,iab,mib->m", dw, blocks, dw))
-
-    return _per_path(reduce, batch.increments)
+    else:
+        full = np.einsum("mia,mia->m", eta.apply(dw), dw)
+    return 0.5 * (full - np.einsum("mia,iab,mib->m", dw, eta.diagonal_blocks(), dw))
 
 
 def h_functionals(
@@ -264,20 +251,13 @@ def h_functionals(
     if isinstance(form, LowRank):
         left = form.left if x is None else form.left.reshape(
             kappa.grid.n_steps, kappa.dim, -1).transpose(0, 2, 1) @ x
-        gram = _gram(form, left)
-
-        def reduce(dw):
-            right = _project(dw, form.right)
-            return 0.5 * _bilinear(right, gram, right) * dt
-    else:
-        def reduce(dw):
-            integral = kappa.apply(dw)
-            if x is None:
-                return 0.5 * np.einsum("mia,mia->m", integral, integral) * dt
-            proj = integral @ x
-            return 0.5 * np.einsum("mi,mi->m", proj, proj) * dt
-
-    return _per_path(reduce, batch.increments)
+        right = _project(batch.increments, form.right)
+        return 0.5 * _bilinear(right, _gram(form, left), right) * dt
+    integral = kappa.apply(batch.increments)
+    if x is None:
+        return 0.5 * np.einsum("mia,mia->m", integral, integral) * dt
+    proj = integral @ x
+    return 0.5 * np.einsum("mi,mi->m", proj, proj) * dt
 
 
 def cameron_martin_drift(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
@@ -327,8 +307,8 @@ def node_weights(kernel: MatrixKernel, k: int, linear: bool = False) -> np.ndarr
 
 def node_value(batch: PathBatch, weights: np.ndarray) -> np.ndarray:
     """dW G per path, shape (M, d): W'(t_k) for the weights of `node_weights`.
-    O(M N d^2) over blocks of paths, and no transformed batch is formed."""
-    return _per_path(lambda dw: _project(dw, weights), batch.increments)
+    O(M N d^2), and no transformed batch is formed."""
+    return _project(batch.increments, weights)
 
 
 def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
@@ -347,25 +327,18 @@ def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
         psi = - Delta (dW L) C (dW R~)^T - 1/2 Delta^3 (dW R~) C^T (L^T L) C (dW R~)^T.
     """
     _check_grid(phi, batch)
-    dt, form = phi.grid.step, phi.factored
+    dw, dt, form = batch.increments, phi.grid.step, phi.factored
     if isinstance(form, LowRank):
         n, dim = phi.grid.n_steps, phi.dim
         tail = _sum_of_later(form.right.reshape(n, dim, -1), axis=0).reshape(n * dim, -1)
-        gram = _gram(form, form.left)
-
-        def reduce(dw):
-            left, w_right = _project(dw, form.left), _project(dw, tail)
-            return (-_bilinear(left, form.core, w_right) * dt
-                    - 0.5 * _bilinear(w_right, gram, w_right) * dt ** 3)
-    else:
-        def reduce(dw):
-            w = _left_node_values(dw)
-            cross = phi.apply_adjoint(dw)  # cross[m, j] = sum_i phi_ij^T dW_i
-            term1 = -np.einsum("mjb,mjb->m", cross, w) * dt
-            drift = phi.apply(w) * dt
-            return term1 - 0.5 * np.einsum("mia,mia->m", drift, drift) * dt
-
-    return _per_path(reduce, batch.increments)
+        left, w_right = _project(dw, form.left), _project(dw, tail)
+        return (-_bilinear(left, form.core, w_right) * dt
+                - 0.5 * _bilinear(w_right, _gram(form, form.left), w_right) * dt ** 3)
+    w = batch.left_node_values()
+    cross = phi.apply_adjoint(dw)  # cross[m, j] = sum_i phi_ij^T dW_i
+    term1 = -np.einsum("mjb,mjb->m", cross, w) * dt
+    drift = phi.apply(w) * dt
+    return term1 - 0.5 * np.einsum("mia,mia->m", drift, drift) * dt
 
 
 def cm_trace_correction(phi: MatrixKernel) -> float:

@@ -362,7 +362,7 @@ def test_a_raising_scenario_writes_every_report_it_would_have_written(tmp_path, 
 
     def raises(*args, **kwargs):
         raise RuntimeError("raised inside the scenario")
-    monkeypatch.setattr(stochastic, "sample_paths", raises)
+    monkeypatch.setattr(stochastic, "path_blocks", raises)
     assert main(argv + ["--out", str(tmp_path / "halt")]) == EXIT_NUMERICAL
     halted = written(tmp_path / "halt")
     assert [row[:3] for row in halted] == [row[:3] for row in passed]
@@ -825,12 +825,12 @@ def test_demo_draws_no_right_hand_side_path(tmp_path, monkeypatch):
     # right-hand stream (id 1), and each report's rhs carries no error
     text = (Path(__file__).parent.parent / "demo.cfg").read_text()
     cfg = _write_config(tmp_path, re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", text))
-    streams, sample_paths = [], stochastic.sample_paths
+    streams, path_blocks = [], stochastic.path_blocks
 
     def recorded(*args, **kwargs):
         streams.append(kwargs["stream"])
-        return sample_paths(*args, **kwargs)
-    monkeypatch.setattr(stochastic, "sample_paths", recorded)
+        return path_blocks(*args, **kwargs)
+    monkeypatch.setattr(stochastic, "path_blocks", recorded)
     main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--format", "json",
           "--grid", "32", "--paths", "2000"])
     assert streams and all(stream[0] != scenarios._STREAM_RHS for stream in streams)

@@ -142,17 +142,17 @@ def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functi
     # reads c q
     monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 32 * 200)  # 1,000 paths in 5 chunks
     calls = _counting(monkeypatch)
-    drawn, sample_paths = [], stochastic.sample_paths
+    drawn, path_blocks = [], stochastic.path_blocks
     forms, quadratic_form = [], stochastic.quadratic_form
 
     def recorded(*args, **kwargs):
         drawn.append(kwargs["stream"])
-        return sample_paths(*args, **kwargs)
+        return path_blocks(*args, **kwargs)
 
     def counted(eta, batch):
         forms.append(batch.stream)
         return quadratic_form(eta, batch)
-    monkeypatch.setattr(stochastic, "sample_paths", recorded)
+    monkeypatch.setattr(stochastic, "path_blocks", recorded)
     monkeypatch.setattr(stochastic, "quadratic_form", counted)
     reports = sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], functional, grid, n_paths=1_000)
     assert [r.verdict for r in reports] == ["pass"] * 3
@@ -174,12 +174,12 @@ def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch,
                    f"verify = surjective\nkernel = rank1:b=0.3\nfunctional = {functional}\n"
                    f"lambdas = 0.25, 0.5, 0.75\n")
     calls = _counting(monkeypatch)
-    drawn, sample_paths = [], stochastic.sample_paths
+    drawn, path_blocks = [], stochastic.path_blocks
 
     def recorded(*args, **kwargs):
         drawn.append(kwargs["stream"])
-        return sample_paths(*args, **kwargs)
-    monkeypatch.setattr(stochastic, "sample_paths", recorded)
+        return path_blocks(*args, **kwargs)
+    monkeypatch.setattr(stochastic, "path_blocks", recorded)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
     assert calls.orders == [("eigh", 1)] + [("lu_factor", 1)] * 4
     assert sorted(drawn) == [(0, idx) for idx in range(5)]  # the left-hand side alone

@@ -459,7 +459,7 @@ def test_missing_functional_is_a_typed_error_before_any_work(grid, monkeypatch, 
 ], ids=["transf-singular", "inverse-singular", "inverse-gate", "cameron_martin-gate"])
 def test_a_halted_scenario_draws_no_paths(monkeypatch, run, verdict):
     drawn = []
-    monkeypatch.setattr(stochastic, "sample_paths", lambda *args, **kwargs: drawn.append(args))
+    monkeypatch.setattr(stochastic, "path_blocks", lambda *args, **kwargs: drawn.append(args))
     r = run(make_grid(1.0, 64))
     assert r.verdict == verdict
     assert r.lhs is None and r.rhs is None
@@ -690,24 +690,66 @@ def test_chunk_exception_propagates_and_the_pool_stops(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_chunks_reuse_one_draw_buffer_per_worker(monkeypatch, workers):
-    # 8 chunks of 10 paths draw into the same `workers` buffers
+def test_chunk_blocks_reproduce_the_fresh_chunk(monkeypatch, workers):
+    # 8 chunks of 10 paths, each drawn in blocks of 3, 3, 3 and 1 paths
     monkeypatch.setattr(sc, "CHUNK_ELEMENTS", 16 * 10)
+    monkeypatch.setattr(sc, "PATH_BLOCK", 16 * 3)
     monkeypatch.setattr(sc, "WORKERS", workers)
     g = make_grid(1.0, 16)
-    heads, lock = set(), threading.Lock()
+    blocks, lock = [], threading.Lock()
 
     def per_path(batch):
         with lock:
-            heads.add(batch.increments.__array_interface__["data"][0])
+            blocks.append(batch.n_paths)
         return batch.value_at_node(g.n_steps)[:, 0]
 
     (est,) = sc._mc_paths(g, 1, 80, 0, 0, per_path)
-    assert len(est.chunk_means) == 8 and 1 <= len(heads) <= workers
+    assert len(est.chunk_means) == 8 and sorted(blocks) == [1] * 8 + [3] * 24
     for idx, size in enumerate(sc._chunk_sizes(80, 16)):
         fresh = sample_paths(g, 1, size, 0, stream=(0, idx))
         npt.assert_allclose(est.chunk_means[idx], fresh.value_at_node(g.n_steps)[:, 0].mean(),
                             rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec,dim", [("rank1:b=0.3", 1), ("const_phi:c=-0.4", 2),
+                                      ("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2)])
+def test_reductions_do_not_depend_on_the_path_block(spec, dim, monkeypatch):
+    # 50 paths of one chunk, in one block and in blocks of 7: seven full
+    # blocks and a ragged one of 1 path, on the factored kernel, its eta and a
+    # dense copy of it.  BLAS may sum a block's products in another order, so
+    # the moments agree to 1e-13 of the largest value: h with x of the dense
+    # const_phi copy has a path that cancels to 3.7e-7, whose last bits move
+    # by 1.3e-13 of itself
+    g = make_grid(1.0, 64)
+    kappa = kernel_zoo(spec, g, dim)
+    kernels = [kappa, gk.eta_of_kappa(kappa), scale_kernel(kappa, 1.0)]
+    weights, x = stochastic.node_weights(kappa, 40), np.linspace(1.0, 0.5, dim)
+    largest, blocks = np.zeros(1 + 3 * len(kernels) + dim), []
+
+    def per_path(batch):
+        blocks.append(batch.n_paths)
+        vals = np.array([stochastic.quadratic_form(kernels[1], batch)]
+                        + [fn(k, batch) for k in kernels
+                           for fn in (stochastic.h_functionals,
+                                      lambda k, b: stochastic.h_functionals(k, b, x),
+                                      stochastic.cm_exponent)]
+                        + list(stochastic.node_value(batch, weights).T))
+        np.maximum(largest, np.max(np.abs(vals), axis=1), out=largest)
+        return vals
+
+    def moments():
+        blocks.clear()
+        ests = sc._mc_paths(g, dim, 50, 11, 0, per_path)
+        assert max(blocks) <= max(1, sc.PATH_BLOCK // (64 * dim))
+        return np.array([(e.mean, e.std_error) for e in ests])
+
+    whole = moments()
+    assert blocks == [50]
+    monkeypatch.setattr(sc, "PATH_BLOCK", 7 * 64 * dim)
+    blocked = moments()
+    assert blocks == [7] * 7 + [1]
+    for row, (got, want) in enumerate(zip(blocked, whole)):
+        npt.assert_allclose(got, want, rtol=0, atol=1e-13 * largest[row], err_msg=f"row {row}")
 
 
 @pytest.mark.parametrize("n_paths,n_steps,sizes", [

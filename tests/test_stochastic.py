@@ -78,17 +78,18 @@ def test_sampling_streams_are_distinct(grid):
     assert np.any(a.increments != b.increments)
 
 
-def test_sampling_into_a_buffer_gives_the_same_bits(grid):
-    fresh = sample_paths(grid, 2, 9, seed=4, stream=(1, 3))
-    buf = np.full(9 * grid.n_steps * 2 + 5, -1.0)
-    into = sample_paths(grid, 2, 9, seed=4, stream=(1, 3), out=buf)
-    npt.assert_array_equal(into.increments, fresh.increments)
-    assert np.shares_memory(into.increments, buf)
-    assert np.all(buf[-5:] == -1.0)  # only the head is drawn into
-    for bad in (np.empty(9 * grid.n_steps * 2 - 1), np.empty((9, grid.n_steps * 2)),
-                np.empty(9 * grid.n_steps * 2, dtype=np.float32)):
-        with pytest.raises(InvalidArgumentError):
-            sample_paths(grid, 2, 9, seed=4, out=bad)
+@pytest.mark.parametrize("rows", [1, 7, 9, 14])
+def test_path_blocks_give_the_bits_of_one_draw(grid, rows):
+    # 9 paths in blocks of 1, 7 (a ragged last block of 2), 9 and 9 + 5 rows
+    whole = sample_paths(grid, 2, 9, seed=4, stream=(1, 3)).increments
+    heads, parts = set(), []
+    for block in stochastic.path_blocks(grid, 2, 9, seed=4, stream=(1, 3), rows=rows):
+        assert block.stream == (1, 3) and not block.increments.flags.writeable
+        heads.add(block.increments.__array_interface__["data"][0])
+        parts.append(block.increments.copy())
+    assert [len(p) for p in parts] == [min(rows, 9 - r0) for r0 in range(0, 9, rows)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert len(heads) == 1  # every block is the head of one buffer
 
 
 def test_terminal_variance_matches_horizon():
@@ -656,31 +657,6 @@ def test_low_rank_reductions_read_no_apply(grid, monkeypatch):
             quadratic_form(kernel, batch)
     with pytest.raises(AssertionError, match="LowRank.apply"):
         wiener_integral(kernels[0][0], sample_paths(grid, 1, 10, seed=8))
-
-
-@pytest.mark.parametrize("spec,dim", [("rank1:b=0.3", 1), ("const_phi:c=-0.4", 2),
-                                      ("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2)])
-def test_reductions_do_not_depend_on_the_path_block(spec, dim, monkeypatch):
-    # 50 paths in blocks of 7: seven full blocks and a ragged one of 1 path,
-    # on the factored kernel, its eta and a dense copy of it.  BLAS may sum a
-    # block's products in another order, so values agree to 1e-13 of their
-    # largest: h with x of the dense const_phi copy has a path that cancels to
-    # 3.7e-7, whose last bits move by 1.3e-13 of itself
-    g = make_grid(1.0, 64)
-    kappa, batch = kernel_zoo(spec, g, dim), sample_paths(g, dim, 50, seed=11)
-    kernels = [kappa, eta_of_kappa(kappa), scale_kernel(kappa, 1.0)]
-    weights = node_weights(kappa, 40)
-
-    def values():
-        return ([quadratic_form(kernels[1], batch)]
-                + [fn(k, batch) for k in kernels
-                   for fn in (h_functionals, _FUNCTIONALS["h_x"], cm_exponent)]
-                + [node_value(batch, weights)])
-
-    whole = values()
-    monkeypatch.setattr(stochastic, "PATH_BLOCK", 7 * 64 * dim)
-    for got, want in zip(values(), whole, strict=True):
-        npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_expdiag_large_negative_rate_is_finite():
