@@ -102,7 +102,11 @@ a dense route multiplies out on its first read):
                                                                       lambda_eta, det2
     finite_dim      dense    eigvalsh B_eta(A) on unit steps: gate  det2_product
                              LU I+A: det2, |det| = |det2| e^{tr A}
-    integrability   kernel   eigvalsh B_eta: gate, guard            closed-form bound, oracle
+    integrability   kernel   one eigh B_eta, as surjective at       det2_sqrt_identity and
+                               factor 1 with f = 1 (no khat_s)        eta_roundtrip, as
+                                                                      surjective
+                                                                    bound: closed-form
+                                                                      exponential moment
 
 No factorisation outlives the verification that made it: a dense one is as
 large as the operator, so none is attached to a kernel.

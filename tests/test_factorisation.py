@@ -205,11 +205,14 @@ N = 32  # the order of an operator on the grid fixture, d = 1
     (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500), 1, [1]),
     (lambda g: sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], "one", g, n_paths=500),
      1, [1, 1, 1]),
+    # the surjective family at factor 1: the same LU as surjective's
+    (lambda g: verify_integrability_bound("rank1:b=0.3", grid=g, n_paths=500), 1, [1]),
     (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500), 2, [2]),
     # kappa_phi has distinct factors, so its reduced matrix is of order 2r;
     # det2_consistency: a slogdet of I + S, S the Sylvester matrix of order r
     (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1, [2]),
-], ids=["transf", "inverse", "surjective", "sweep", "gencv", "cameron_martin"])
+], ids=["transf", "inverse", "surjective", "sweep", "integrability", "gencv",
+        "cameron_martin"])
 def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, rank, lus):
     # a rank-r kernel: every eigensolve, LU and slogdet, the check routes'
     # included, is of order <= 2r, and the LUs are of exactly these orders

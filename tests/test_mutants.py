@@ -7,10 +7,16 @@ that det2 against the gate eigensolve of B_eta, which the mutant does not
 touch (`det2_product`), so every such demo scenario must fail that check at
 its full size.
 
+The det2_complement mutant perturbs `operator.Spectrum.det2_complement`, the
+det2(I - c B_eta) that the surjective family (its Laplace rows and
+integrability included) reads from its one eigensolve.  det2_sqrt_identity
+checks it against an LU that shares nothing with that eigensolve, so every
+report of the family must fail that check, at the golden pin's reduced size.
+
 The Ito/Stratonovich mutant keeps the diagonal blocks in the quadratic form
 q, the Ito sum's one convention.  It wraps `stochastic.quadratic_form`, so the
 dense route and the factored one see it alike, and every demo.cfg scenario
-that reaches q must fail, at the golden pin's reduced size."""
+that reaches q must fail its identity, at the golden pin's reduced size."""
 
 import os
 import re
@@ -24,6 +30,20 @@ from orderone import cli, operator, stochastic
 DEMO_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demo.cfg")
 FACTOR_SCENARIOS = ("forward_rank1", "inverse_rank1", "linear_const", "counterexample")
 Q_SCENARIOS = ("forward_rank1", "inverse_rank1", "square_root", "counterexample", "moment_bound")
+FAMILY_SCENARIOS = ("square_root", "moment_bound")  # the surjective family's
+
+
+def _small_demo_reports(names):
+    """{name: reports} of the named demo.cfg scenarios at the golden pin's
+    size: N = 64, 4,000 paths."""
+    with open(DEMO_CFG) as fh:
+        config = cli.parse_config(re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", fh.read()))
+    config.n_steps, config.samples = 64, 4000
+    jobs = dict(zip((spec.name for spec in config.scenarios), cli._jobs(config)))
+    reports = {name: jobs[name][0]() for name in names}
+    for name in names:  # square_root has 3 Laplace rows
+        assert len(reports[name]) == (4 if name == "square_root" else 1), name
+    return reports
 
 
 def _det2_scaled(lu):
@@ -62,13 +82,21 @@ def test_ito_mutant_fails_every_scenario_reaching_q(monkeypatch):
         return quadratic_form(eta, batch) + 0.5 * np.einsum(
             "mia,iab,mib->m", dw, eta.diagonal_blocks(), dw)
     monkeypatch.setattr(stochastic, "quadratic_form", stratonovich)
-    with open(DEMO_CFG) as fh:  # the golden pin's size: N = 64, 4,000 paths
-        config = cli.parse_config(re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", fh.read()))
-    config.n_steps, config.samples = 64, 4000
-    jobs = dict(zip((spec.name for spec in config.scenarios), cli._jobs(config)))
-    for name in Q_SCENARIOS:
-        run, _ = jobs[name]
-        reports = run()
-        assert len(reports) == (4 if name == "square_root" else 1), name  # 3 Laplace rows
+    for reports in _small_demo_reports(Q_SCENARIOS).values():
         for report in reports:
             assert report.verdict == "fail", report.name
+            assert not report.checks["identity"].passed, report.name
+
+
+def test_det2_complement_mutant_fails_det2_sqrt_identity(monkeypatch):
+    det2_complement = operator.Spectrum.det2_complement
+
+    def scaled(self):
+        """det2 x 1.01."""
+        d2 = det2_complement(self)
+        return replace(d2, log_modulus=d2.log_modulus + np.log(1.01))
+    monkeypatch.setattr(operator.Spectrum, "det2_complement", scaled)
+    for reports in _small_demo_reports(FAMILY_SCENARIOS).values():
+        for report in reports:
+            assert report.verdict == "fail", report.name
+            assert not report.checks["det2_sqrt_identity"].passed, report.name

@@ -580,27 +580,61 @@ def test_integrability_rank_one_numbers(grid):
     npt.assert_allclose(rank1_exp_q_moment(0.5), 1.1014, atol=1e-4)
     r = verify_integrability_bound("rank1:b=0.5", grid, n_paths=60_000, seed=5)
     assert r.passed
-    assert r.checks["bound"].passed and r.checks["exact_oracle"].passed
+    assert r.checks["bound"].passed and r.checks["identity"].passed
+    _assert_exact_rhs(r, rank1_exp_q_moment(0.5))
+    assert r.spectra["exact_value"] == r.rhs.mean
     assert r.gate["guard"] == "ok_no_ci"
 
 
 @pytest.mark.parametrize("spec", [" rank1:b=0.5", "rank1 : b = 0.5 ", "rank1:n=1, b=0.5"])
-def test_integrability_oracle_reads_the_spec_grammar(grid, spec):
-    # the oracle used to split the spec itself and drop the check for these
-    want = verify_integrability_bound("rank1:b=0.5", grid, n_paths=2_000, seed=5)
-    got = verify_integrability_bound(spec, grid, n_paths=2_000, seed=5)
-    assert got.checks["exact_oracle"].to_dict() == want.checks["exact_oracle"].to_dict()
-    assert got.spectra["exact_value"] == rank1_exp_q_moment(0.5)
+def test_integrability_equivalent_spellings_give_equal_reports(grid, spec):
+    # the report reads the kernel, not its spelling: only the name and the
+    # provenance's kernel, the spec as given, may differ
+    def spelled_out(s):
+        d = verify_integrability_bound(s, grid, n_paths=2_000, seed=5).to_dict()
+        assert d.pop("name") == f"integrability[{s}]" and d["provenance"].pop("kernel") == s
+        return d
+    assert spelled_out(spec) == spelled_out("rank1:b=0.5")
 
 
 def test_integrability_negative_spectrum(grid):
     # 0 v lambda = 0: bound collapses to exp(||eta||^2 / 4) = e
     r = verify_integrability_bound("rank1:b=-2", grid, n_paths=40_000, seed=6)
-    assert r.passed
+    assert r.passed and r.checks["identity"].passed
     npt.assert_allclose(r.spectra["bound"], np.exp(1.0), rtol=1e-10)
-    npt.assert_allclose(
-        r.spectra["exact_value"], (3.0 * np.exp(-2.0)) ** -0.5, rtol=1e-12
-    )
+    _assert_exact_rhs(r, rank1_exp_q_moment(-2.0))
+    npt.assert_allclose(r.rhs.mean, (3.0 * np.exp(-2.0)) ** -0.5, rtol=1e-12)
+
+
+NO_ORACLE_ETAS = [("const:c=0.2", 1), ("const:c=0.2", 2), ("rank2:b=0.2,c=0.3,member=1", 1),
+                  ("remark_gencv:b1=0.1,b2=0.2", 1)]
+
+
+@pytest.mark.parametrize("spec, dim", NO_ORACLE_ETAS)
+def test_integrability_is_the_surjective_identity_for_any_eta(monkeypatch, spec, dim):
+    # the right-hand side is det2(I - B_eta)^{-1/2}, here against an eigvalsh
+    # of the assembled operator matrix; the left-hand side is surjective's
+    # with f = 1, drawn from the left-hand stream alone
+    g = make_grid(1.0, 64)
+    w = np.linalg.eigvalsh(operator.assemble(kernel_zoo(spec, g, dim)))
+    streams, path_blocks = [], stochastic.path_blocks
+
+    def recorded(*args, **kwargs):
+        streams.append(kwargs["stream"])
+        return path_blocks(*args, **kwargs)
+    monkeypatch.setattr(stochastic, "path_blocks", recorded)
+    r = verify_integrability_bound(spec, g, dim, n_paths=3_000, seed=4)
+    assert streams and all(stream[0] == 0 for stream in streams)
+    assert r.passed and r.checks["identity"].passed and r.checks["bound"].passed
+    _assert_exact_rhs(r, np.prod((1.0 - w) * np.exp(w)) ** -0.5)
+    assert r.lhs == verify_surjective(spec, "one", g, dim, n_paths=3_000, seed=4).lhs
+
+
+def test_integrability_fails_a_bound_below_the_estimate(grid, monkeypatch):
+    monkeypatch.setattr(sc, "integrability_bound", lambda lam, hs_norm: 0.5)
+    r = verify_integrability_bound("rank1:b=0.2", grid, n_paths=4_000, seed=5)
+    assert r.checks["identity"].passed and not r.checks["bound"].passed
+    assert r.verdict == "fail"
 
 
 def test_integrability_gate(grid):
