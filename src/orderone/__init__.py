@@ -56,6 +56,7 @@ from .stochastic import (
     node_value,
     node_weights,
     quadratic_form,
+    ramer_exponent,
     sample_paths,
     wiener_integral,
 )

@@ -19,7 +19,7 @@ plain matrix arithmetic on the matrices, or on LowRank factors:
     s kernel       s(kappa)(t,s)    = -{kappa(t,s) + kappa(s,t)^T}
     c kernels      c(kappa; x)(t,s) = int (kappa(u,s)^T x) (kappa(u,t)^T x)^T du
                    c(kappa)(t,s)    = int kappa(u,t)^T kappa(u,s) du
-    tail integral  kappa_phi(t,s)   = int_s^T phi(t,u) du
+    tail integral  kappa_phi(t,s)   = int_s^T phi(t,u) du  (a sum over nodes u > s)
 
 Symmetric kernels (eta(t,s)^T = eta(s,t), a symmetric matrix) carry a
 `symmetric` flag that is validated at construction (`symmetry`); the eta/s/c
@@ -551,22 +551,29 @@ def c_kernels(kappa: MatrixKernel, x: np.ndarray | None = None) -> MatrixKernel:
     return MatrixKernel(kappa.grid, d, _symmetrize(vals), symmetric=True)
 
 
+def _sum_of_later(a: np.ndarray, axis: int) -> np.ndarray:
+    """out[i] = sum_{j>i} a[j] along axis: a reversed exclusive cumulative sum."""
+    out = np.zeros_like(a)
+    np.cumsum(np.moveaxis(a, axis, 0)[:0:-1], axis=0, out=np.moveaxis(out, axis, 0)[-2::-1])
+    return out
+
+
 def kappa_from_phi(phi: MatrixKernel) -> MatrixKernel:
     """Tail integral kappa_phi(t, s) = int_s^T phi(t, u) du.
 
-    Discretized as the tail sum over left nodes u >= s, so a constant phi gives
-    kappa_phi(t_i, t_j) = c (T - t_j) exactly at the nodes.
+    Discretized as the tail sum over the nodes u > s, so a constant phi gives
+    kappa_phi(t_i, t_j) = c (T - t_{j+1}) at the nodes, and the Wiener integral
+    of kappa_phi is the linear drift sum_u phi(t_i, t_u) W(t_u) Delta exactly.
     """
     grid, dim, form = phi.grid, phi.dim, phi.factored
     n = grid.n_steps
     if isinstance(form, LowRank):
         # the tail sum over the second argument acts on the right factor alone
-        right = form.right.reshape(n, dim, -1)
-        right = np.cumsum(right[::-1], axis=0)[::-1] * grid.step
+        right = _sum_of_later(form.right.reshape(n, dim, -1), axis=0) * grid.step
         return kernel_from_form(grid, dim, LowRank(form.left, form.core,
                                                    right.reshape(form.right.shape)))
-    cols = phi.matrix.reshape(n * dim, n, dim)  # [(i, a), j, b]
-    tail = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1] * grid.step
+    tail = _sum_of_later(phi.matrix.reshape(n * dim, n, dim), axis=1)  # [(i, a), j, b]
+    tail *= grid.step
     return MatrixKernel(grid, dim, tail.reshape(n * dim, n * dim))
 
 
@@ -638,7 +645,8 @@ param       := key '=' value        value := real | int | '[' real (',' real)* '
   remark_gencv:b1=<r>,b2=<r>    b1 e1(t)e1(s) + b2 e2(t)e2(s), d = 1
   expdiag:p=[<r>,...]           1_{s < t} diag(e^{(t-s) p_k}), d = len(p)
   const:c=<r>                   constant kernel c I_d (a drift kernel phi)
-  const_phi:c=<r>               tail integral of the constant drift phi == c I_d
+  const_phi:c=<r>               tail integral of the constant drift phi == c I_d,
+                                c (T - t_{j+1}) I_d: the sum over the nodes u > s
 """
 
 def parse_kernel_spec(spec: str) -> tuple[str, dict]:

@@ -32,7 +32,8 @@ Identities covered (f ranges over the bounded functional family):
                   Radon-Nikodym weight |det2(I+B_khat)| e^{-||khat||^2/2} e^{qhat}
     surjective    E[f e^{q_eta}] = det2(I-B_eta)^{-1/2} E[f(w+F_khat_s(w))]
     harmonic      E[f e^{-h}] = det(I+C)^{-1/2} E[f(w+F_chat(w))], trace-class C
-    cameron_martin|det(I+B_kphi)| E[f(w+G_phi(w)) e^{Psi}] = E[f]
+    cameron_martin|det(I+B_kphi)| E[f(w+G_phi(w)) e^{Psi}] = E[f],  G_phi = F_kphi:
+                  the transformation of order one of kphi, exact on the grid
     gencv         the spectral counterexample (lambda_s > 2 yet gate < 1)
     integrability surjective with f = 1, E[e^{q_eta}] = det2(I-B_eta)^{-1/2} for
                   any symmetric eta, plus E[e^{q_eta}] below the exponential bound
@@ -422,15 +423,12 @@ def verify_finite_dim(
     p = s.factor(s.kernel)
     if p is None:
         return s.report
-    # on unit steps B is eta(A), and |det(I + A)| = |det2(I + A)| e^{tr A}
-    b, logdet = p.eta.matrix, p.det2.log_modulus + s.report.spectra["trace"]
+    # on unit steps B is eta(A), so <Bx, x> / 2 is the Ramer exponent of A,
+    # and |det(I + A)| = |det2(I + A)| e^{tr A}
+    logdet = p.det2.log_modulus + s.report.spectra["trace"]
     s.report.spectra["det_abs"] = float(np.exp(logdet))
-
-    def half_bxx(batch):  # <Bx, x> / 2, x the n increments of each path
-        x = batch.increments.reshape(batch.n_paths, -1)
-        return 0.5 * np.einsum("mi,mi->m", x @ b.T, x)
-
-    lhs = Side(logdet, half_bxx, kernel=s.kernel, ci_valid=p.guard == "ok")
+    lhs = Side(logdet, partial(st.ramer_exponent, s.kernel), kernel=s.kernel,
+               ci_valid=p.guard == "ok")
     return s.identity([(s.report, lhs, Side())])[0]
 
 
@@ -444,8 +442,8 @@ _SYMMETRIC_KINDS = ("surjective", "integrability")  # their kernel is a quadrati
 @dataclass(frozen=True)
 class Side:
     """One side of an identity, e^{log_scale} E[f(w') e^{c q(w)}]: w' the image
-    of the path w under the transformation of kernel (under the linear
-    transformation of phi = kernel when linear; w itself when kernel is None),
+    of the path w under the transformation of kernel (w itself when kernel is
+    None; G_phi = F_kappa_phi, so a linear transformation is its tail kernel's),
     q the per-path exponent (none: e^0).  Sides that share an exponent object
     evaluate it once per chunk.  ci_valid is False when the moment guard says
     the second moment is infinite."""
@@ -454,7 +452,6 @@ class Side:
     exponent: Callable | None = None
     c: float = 1.0
     kernel: MatrixKernel | None = None
-    linear: bool = False
     ci_valid: bool = True
 
 
@@ -524,16 +521,14 @@ class Scenario:
         per chunk.  Exact, and drawing nothing, when no side has an exponent:
         the node value dW G that f reads is then N(0, Delta G^T G)."""
         node = f.node(self.grid)
-        images = {(id(side.kernel), side.linear): side for side in sides}
-        weights = {image: None if side.kernel is None or node is None
-                   else st.node_weights(side.kernel, node, side.linear)
-                   for image, side in images.items()}
+        images = {id(side.kernel): side.kernel for side in sides}
+        weights = {image: None if kernel is None or node is None
+                   else st.node_weights(kernel, node) for image, kernel in images.items()}
         if all(side.exponent is None for side in sides):
             dt, eye = self.grid.step, np.eye(self.kernel.dim)
             cov = {image: (node or 0) * dt * eye if w is None else dt * (w.T @ w)
                    for image, w in weights.items()}  # W(t_k) itself: k Delta I
-            return [exact_estimate(np.exp(side.log_scale)
-                                   * f.mean(cov[id(side.kernel), side.linear]))
+            return [exact_estimate(np.exp(side.log_scale) * f.mean(cov[id(side.kernel)]))
                     for side in sides]
         exponents = {id(e): e for e in (side.exponent for side in sides) if e is not None}
 
@@ -541,8 +536,8 @@ class Scenario:
             f_at = {image: f.evaluate(batch) if w is None else f.at_node(st.node_value(batch, w))
                     for image, w in weights.items()}
             q = {key: exponent(batch) for key, exponent in exponents.items()}
-            return [f_at[id(side.kernel), side.linear] if side.exponent is None
-                    else f_at[id(side.kernel), side.linear] * np.exp(side.c * q[id(side.exponent)])
+            return [f_at[id(side.kernel)] if side.exponent is None
+                    else f_at[id(side.kernel)] * np.exp(side.c * q[id(side.exponent)])
                     for side in sides]
 
         return _mc_paths(self.grid, self.kernel.dim, self.n_paths, self.seed, stream_id,
@@ -837,10 +832,10 @@ def verify_cameron_martin(
 ) -> ScenarioReport:
     """Linear-transformation identity with trace-class determinant.
 
-    Builds the tail kernel of phi, checks the trace formula and the
+    Builds the tail kernel kappa_phi of phi, checks the trace formula and the
     det = det2 * e^{tr} consistency, verifies pathwise that the linear drift
-    equals the Wiener integral of the tail kernel, then Monte Carlos the
-    identity with the exponent Psi built from the path (not the increments).
+    equals the Wiener integral of kappa_phi, then Monte Carlos the identity as
+    the transformation of order one of kappa_phi, exact on the grid.
     """
     s = resolve_scenario("cameron_martin", phi_kernel, functional, grid, dim, n_paths, seed,
                          tol, name)
@@ -854,11 +849,10 @@ def verify_cameron_martin(
     m = op.sylvester_matrix(kappa_phi)  # the checks' matrix: of order r for a LowRank form
     tr = float(np.trace(m))
     # the trace from phi itself, not from kappa_phi: the diagonal kappa_phi(t_i, t_i)
-    # is the tail sum of phi(t_i, t_k) Delta over k >= i, so tr B_kappa_phi is the
-    # exponent's trace correction (the k > i terms) plus Delta^2 sum_i tr phi(t_i, t_i)
-    phi_diagonal = float(np.einsum("iaa->", phi.diagonal_blocks())) * grid.step ** 2
+    # is the tail sum of phi(t_i, t_k) Delta over k > i, so tr B_kappa_phi is the
+    # exponent's trace correction Delta^2 sum_{i<k} tr phi(t_i, t_k)
     report.checks["trace_formula"] = _check_close(
-        tr, st.cm_trace_correction(phi) + phi_diagonal, 1e-12,
+        tr, st.cm_trace_correction(phi), 1e-12,
         note="matrix trace of B_kappa_phi against the tail sums of phi",
     )
     sign_d, logdet_d = np.linalg.slogdet(np.eye(m.shape[0]) + m)
@@ -868,18 +862,17 @@ def verify_cameron_martin(
     )
     report.spectra["det_log"] = float(p.det2.log_modulus + tr)
 
-    # pathwise: the linear drift is the Wiener integral of the tail kernel
+    # pathwise: the linear drift of phi is the Wiener integral of kappa_phi
     probe = st.sample_paths(grid, phi.dim, PROBE_PATHS, seed, stream=(_STREAM_PROBE, 0))
     drift = st.cameron_martin_drift(phi, probe)
     integral = st.wiener_integral(kappa_phi, probe)
     scale = max(1.0, float(np.max(np.abs(integral))))
     report.checks["pathwise_drift"] = _check_close(
-        float(np.max(np.abs(drift - integral))) / scale, 0.0,
-        5.0 * np.sqrt(grid.step), relative=False,
-        note="max |linear drift - Wiener integral| / scale, Ito-vs-path gap",
+        float(np.max(np.abs(drift - integral))) / scale, 0.0, OPERATOR_TOL, relative=False,
+        note="max |linear drift - Wiener integral of kappa_phi| / scale",
     )
 
-    lhs = Side(p.det2.log_modulus + tr, partial(st.cm_exponent, phi), kernel=phi, linear=True,
+    lhs = Side(p.det2.log_modulus + tr, partial(st.ramer_exponent, kappa_phi), kernel=kappa_phi,
                ci_valid=p.guard == "ok")
     return s.identity([(report, lhs, Side())])[0]
 

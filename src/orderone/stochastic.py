@@ -16,8 +16,7 @@ Functionals of a batch:
     transformation      dW'[m,i] = dW[m, i] + I[m, i] Delta
     quadratic form      q[m]     = sum_i < sum_{j<i} eta(t_i,t_j) dW[m,j], dW[m,i] >
     oscillator energy   h[m]     = 1/2 sum_i |I[m, i]|^2 Delta   (or <x, I>^2)
-    linear-drift weight psi[m]   = - sum_j < sum_i phi(t_i,t_j)^T dW[m,i], W(t_j) > Delta
-                                   - 1/2 sum_i |sum_j phi(t_i,t_j) W(t_j) Delta|^2 Delta
+    Ramer exponent      psi[m]   = - sum_i < I[m, i], dW[m, i] > - 1/2 sum_i |I[m, i]|^2 Delta
 
 The quadratic form excludes the diagonal (strict lower triangle), matching the
 defining Riemann sums of the Ito integral; evaluating the path at left nodes
@@ -28,12 +27,18 @@ eta is symmetric, the two triangles contribute equally, so
 
 which needs only the product with the whole kernel and its diagonal blocks.
 
+psi, the grid form of Ramer's exponent (J. Funct. Anal. 15, 1974), is the
+exponent of the exact change of variables of dW' = (I + Delta K) dW; it is
+1/2 <dW, eta(kappa) dW>, the q of eta(kappa) plus half its diagonal term.  The
+linear transformation of a drift phi is that of its tail kernel
+(`kappa_from_phi`), so its exponent Psi is psi of that kernel (`cm_exponent`).
+
 The Wiener integral, the transformations and the linear drift reach their
 kernel through `MatrixKernel.apply` (x K^T) and `apply_adjoint` (x K), and so
 do q, h and psi of a dense or LowerExp kernel.  q, h and psi of a LowRank
 kernel L C R^T read its factors instead: each is a bilinear form, with an
-r x r core, of the projections dW L and dW R of each path (dW R~ in psi, R~ a
-cumulative sum of R).  Cost per call on M paths, with n = N d:
+r x r core, of the projections dW L and dW R of each path.  Cost per call on
+M paths, with n = N d:
 
     dense values                  O(M n^2)   one (M, n) x (n, n) product
     LowRank, rank r               O(M n r)   q, h, psi: the read-only thin
@@ -54,13 +59,13 @@ its last bits.
 
 Node read.  Every test functional reads the path at one node k alone
 (`TestFunctional.node`; 'one' reads none), and the image of a path under
-either transformation is affine in its increments.  So W'(t_k) is dW G for
+the transformation is affine in its increments.  So W'(t_k) is dW G for
 weights G of shape (N d, d) built once per kernel and node (`node_weights`:
 one product of d rows with the kernel), and `node_value` reads it in
 O(M N d^2) per batch for every representation, dense included, without
 forming the transformed (M, N, d) batch.  The Monte Carlo sides read
-transformed paths this way; `apply_transformation` and
-`apply_linear_transformation` remain for pathwise checks.  Being linear in
+transformed paths this way; `apply_transformation` remains for pathwise
+checks, and no check calls `apply_linear_transformation`.  Being linear in
 the Gaussian increments, W'(t_k) is N(0, Delta G^T G), so a side without an
 exponent has the closed form `TestFunctional.mean` of that covariance
 (Mathai and Provost, Quadratic Forms in Random Variables, 1992).
@@ -74,7 +79,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
-from .grid_kernel import LowRank, MatrixKernel, TimeGrid, direction
+from .grid_kernel import LowRank, MatrixKernel, TimeGrid, direction, kappa_from_phi
 from .operator import GATE_MARGIN, lambda_max
 
 __all__ = [
@@ -90,6 +95,7 @@ __all__ = [
     "apply_linear_transformation",
     "node_weights",
     "node_value",
+    "ramer_exponent",
     "cm_exponent",
     "cm_trace_correction",
     "exp_q_moment_guard",
@@ -169,13 +175,6 @@ def path_blocks(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream: tuple
         yield PathBatch(grid, dim, inc, int(seed), tuple(stream))
 
 
-def _sum_of_later(a: np.ndarray, axis: int) -> np.ndarray:
-    """out[i] = sum_{j>i} a[j] along axis: a reversed exclusive cumulative sum."""
-    out = np.zeros_like(a)
-    np.cumsum(np.moveaxis(a, axis, 0)[:0:-1], axis=0, out=np.moveaxis(out, axis, 0)[-2::-1])
-    return out
-
-
 def _check_grid(kernel: MatrixKernel, batch: PathBatch):
     if kernel.grid != batch.grid or kernel.dim != batch.dim:
         raise InvalidArgumentError("kernel and path batch live on different grids")
@@ -189,6 +188,17 @@ def _bilinear(a: np.ndarray, core: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _project(dw: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """dW F per path: the (M, r) projections of a block on a factor of shape (N d, r)."""
     return dw.reshape(dw.shape[0], -1) @ factor
+
+
+def _double_sum(kernel: MatrixKernel, dw: np.ndarray) -> np.ndarray:
+    """<dW, K dW> = sum_{i,j} <dW_i, kernel(t_i, t_j) dW_j> per path; of a
+    LowRank kernel L C R^T it is (dW L) C (dW R)^T."""
+    form = kernel.factored
+    if isinstance(form, LowRank):
+        left = _project(dw, form.left)
+        return _bilinear(left, form.core,
+                         left if form.right is form.left else _project(dw, form.right))
+    return np.einsum("mia,mia->m", kernel.apply(dw), dw)
 
 
 def _gram(form: LowRank, left: np.ndarray) -> np.ndarray:
@@ -226,14 +236,11 @@ def quadratic_form(eta: MatrixKernel, batch: PathBatch) -> np.ndarray:
     if not eta.symmetric:
         raise PreconditionError("quadratic_form requires a symmetric kernel")
     _check_grid(eta, batch)
-    dw, form = batch.increments, eta.factored
-    if isinstance(form, LowRank):
-        left = _project(dw, form.left)
-        full = _bilinear(left, form.core,
-                         left if form.right is form.left else _project(dw, form.right))
-    else:
-        full = np.einsum("mia,mia->m", eta.apply(dw), dw)
-    return 0.5 * (full - np.einsum("mia,iab,mib->m", dw, eta.diagonal_blocks(), dw))
+    dw, blocks = batch.increments, eta.diagonal_blocks()
+    # d^2 fused sums of products: one einsum over a, i and b is ten times slower at d = 2
+    diagonal = sum(np.einsum("mi,i,mi->m", dw[:, :, a], blocks[:, a, b], dw[:, :, b])
+                   for a in range(eta.dim) for b in range(eta.dim))
+    return 0.5 * (_double_sum(eta, dw) - diagonal)
 
 
 def h_functionals(
@@ -260,10 +267,18 @@ def h_functionals(
     return 0.5 * np.einsum("mi,mi->m", proj, proj) * dt
 
 
+def ramer_exponent(kappa: MatrixKernel, batch: PathBatch) -> np.ndarray:
+    """Exponent of the change of variables of the transformation of kappa on
+    the grid, psi = - <dW, K dW> - h per path: the full double sum, diagonal
+    blocks included, and the energy h = 1/2 Delta |I|^2 of `h_functionals`."""
+    _check_grid(kappa, batch)
+    return -_double_sum(kappa, batch.increments) - h_functionals(kappa, batch)
+
+
 def cameron_martin_drift(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
     """G[m, i] = sum_j phi(t_i, t_j) W(t_j) Delta, the derivative of the linear
-    transformation's shift; agrees with the Wiener integral of the tail kernel
-    of phi up to an O(sqrt(Delta)) pathwise error."""
+    transformation's shift, read from the path at the left nodes; on the grid
+    it is the Wiener integral of the tail kernel `kappa_from_phi(phi)`."""
     _check_grid(phi, batch)
     return phi.apply(batch.left_node_values()) * phi.grid.step
 
@@ -277,30 +292,24 @@ def apply_linear_transformation(phi: MatrixKernel, batch: PathBatch) -> PathBatc
     return replace(batch, increments=inc)
 
 
-def node_weights(kernel: MatrixKernel, k: int, linear: bool = False) -> np.ndarray:
+def node_weights(kernel: MatrixKernel, k: int) -> np.ndarray:
     """Weights G of shape (N d, d) with W'(t_k) = dW G, W' the image of each
-    path under the transformation of kernel (under the linear transformation
-    of phi = kernel when linear), dW flattened to (M, N d).
+    path under the transformation of kernel, dW flattened to (M, N d).
 
     With U[a, i, b] = 1_{i<k} delta_ab and V = kernel.apply_adjoint(U), so
     V[a, j, b] = sum_{i<k} kernel(t_i, t_j)[a, b]:
 
-        transformation   W'(t_k) = W(t_k) + Delta sum_{j,b} dW_{j,b} V[a, j, b]
-        linear           W'(t_k) = W(t_k) + Delta^2 sum_j <V[a, j], W(t_j)>,
+        W'(t_k) = W(t_k) + Delta sum_{j,b} dW_{j,b} V[a, j, b].
 
-    and the linear sum equals sum_{i,b} dW_{i,b} sum_{j>i} V[a, j, b], a
-    reversed exclusive cumulative sum of V.  One kernel product of d rows.
+    One kernel product of d rows.
     """
-    n, d, dt = kernel.grid.n_steps, kernel.dim, kernel.grid.step
+    n, d = kernel.grid.n_steps, kernel.dim
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"node index {k} outside 0..{n}")
     u = np.zeros((d, n, d))
     u[:, :k] = np.eye(d)[:, None, :]
     v = kernel.apply_adjoint(u)
-    if linear:
-        v = _sum_of_later(v, axis=1) * dt * dt
-    else:
-        v *= dt
+    v *= kernel.grid.step
     v += u  # the path itself: W(t_k) = sum_{i<k} dW_i
     return np.ascontiguousarray(v.reshape(d, n * d).T)
 
@@ -312,33 +321,10 @@ def node_value(batch: PathBatch, weights: np.ndarray) -> np.ndarray:
 
 
 def cm_exponent(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:
-    """Exponent of the linear change-of-variables weight: psi per path,
-
-        psi = - sum_j < sum_i phi(t_i,t_j)^T dW_i, W(t_j) > Delta
-              - 1/2 sum_i |sum_j phi(t_i,t_j) W(t_j) Delta|^2 Delta.
-
-    The path enters at left nodes, so dW_j is independent of the W(t_j) it is
-    paired with and the cross term is unbiased.  The trace-corrected exponent
-    is psi + `cm_trace_correction`.
-
-    Of a LowRank phi = L C R^T, W R = dW R~ with R~[i] = sum_{j>i} R[j] (a
-    reversed exclusive cumulative sum over the nodes), so W is not formed:
-
-        psi = - Delta (dW L) C (dW R~)^T - 1/2 Delta^3 (dW R~) C^T (L^T L) C (dW R~)^T.
-    """
-    _check_grid(phi, batch)
-    dw, dt, form = batch.increments, phi.grid.step, phi.factored
-    if isinstance(form, LowRank):
-        n, dim = phi.grid.n_steps, phi.dim
-        tail = _sum_of_later(form.right.reshape(n, dim, -1), axis=0).reshape(n * dim, -1)
-        left, w_right = _project(dw, form.left), _project(dw, tail)
-        return (-_bilinear(left, form.core, w_right) * dt
-                - 0.5 * _bilinear(w_right, _gram(form, form.left), w_right) * dt ** 3)
-    w = batch.left_node_values()
-    cross = phi.apply_adjoint(dw)  # cross[m, j] = sum_i phi_ij^T dW_i
-    term1 = -np.einsum("mjb,mjb->m", cross, w) * dt
-    drift = phi.apply(w) * dt
-    return term1 - 0.5 * np.einsum("mia,mia->m", drift, drift) * dt
+    """Exponent Psi of the linear change-of-variables weight, the Ramer exponent
+    of the tail kernel of phi: -<G, dW> - 1/2 Delta |G|^2, G the linear drift.
+    Its cross term has the mean -`cm_trace_correction`."""
+    return ramer_exponent(kappa_from_phi(phi), batch)
 
 
 def cm_trace_correction(phi: MatrixKernel) -> float:

@@ -344,8 +344,8 @@ def test_spectrum_readers_match_direct_routes(spec, dim):
 ])
 @pytest.mark.parametrize("spec, dim", [
     ("rank1:b=-1", 1),
-    # c = -2 / (1 + 1/N): singular on a reduced matrix of order 2r, padded with ones
-    ("const_phi:c=-1.9692307692307693", 1), ("const_phi:c=-1.9692307692307693", 2),
+    # c = -2 / (1 - 1/N): singular on a reduced matrix of order 2r, padded with ones
+    ("const_phi:c=-2.0317460317460316", 1), ("const_phi:c=-2.0317460317460316", 2),
 ])
 def test_singular_operator_has_no_inverse(inverse, spec, dim):
     kappa = kernel_zoo(spec, make_grid(1.0, 64), dim)

@@ -274,7 +274,8 @@ def test_kappa_from_phi_constant_exact():
     c = 1.7
     phi = kernel_from_values(g, np.full((64, 64), c))
     out = kappa_from_phi(phi)
-    expected = np.broadcast_to(c * (1.0 - g.nodes)[None, :], (64, 64))
+    # the sum over the nodes u > s: c (T - t_{j+1})
+    expected = np.broadcast_to(c * (1.0 - g.nodes - g.step)[None, :], (64, 64))
     npt.assert_allclose(out.values[:, :, 0, 0], expected, atol=1e-13)
 
 

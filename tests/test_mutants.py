@@ -16,7 +16,14 @@ report of the family must fail that check, at the golden pin's reduced size.
 The Ito/Stratonovich mutant keeps the diagonal blocks in the quadratic form
 q, the Ito sum's one convention.  It wraps `stochastic.quadratic_form`, so the
 dense route and the factored one see it alike, and every demo.cfg scenario
-that reaches q must fail its identity, at the golden pin's reduced size."""
+that reaches q must fail its identity, at the golden pin's reduced size.
+
+The tail-convention mutant sums the tail kernel kappa_phi of cameron_martin
+over the nodes u >= s in place of u > s.  The linear drift, read from the
+path at the left nodes, is then no longer the Wiener integral of kappa_phi,
+and the trace of B_kappa_phi gains Delta^2 sum_i tr phi(t_i, t_i), so
+linear_const must fail pathwise_drift and trace_formula at the golden pin's
+size: deterministic kills, with no Monte Carlo comparison involved."""
 
 import os
 import re
@@ -25,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orderone import cli, operator, stochastic
+from orderone import cli, grid_kernel, operator, stochastic
 
 DEMO_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demo.cfg")
 FACTOR_SCENARIOS = ("forward_rank1", "inverse_rank1", "linear_const", "counterexample")
@@ -100,3 +107,17 @@ def test_det2_complement_mutant_fails_det2_sqrt_identity(monkeypatch):
         for report in reports:
             assert report.verdict == "fail", report.name
             assert not report.checks["det2_sqrt_identity"].passed, report.name
+
+
+def test_inclusive_tail_mutant_fails_the_deterministic_checks(monkeypatch):
+    kappa_from_phi = grid_kernel.kappa_from_phi
+
+    def inclusive_tail(phi):
+        """kappa_phi summed over u >= s: the tail kernel plus phi Delta."""
+        return grid_kernel.MatrixKernel(
+            phi.grid, phi.dim, kappa_from_phi(phi).matrix + phi.matrix * phi.grid.step)
+    monkeypatch.setattr(grid_kernel, "kappa_from_phi", inclusive_tail)
+    (report,) = _small_demo_reports(("linear_const",))["linear_const"]
+    assert report.verdict == "fail"
+    for check in ("pathwise_drift", "trace_formula"):
+        assert not report.checks[check].passed, check

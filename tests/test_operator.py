@@ -564,8 +564,8 @@ def _assert_low_rank_routes_match_dense(kernel, what):
 @example(n=64, case=("rank1:b={b}", 1), b=-0.999999, c=0.0)
 @example(n=512, case=("remark_gencv:b1={b},b2={c}", 1), b=-2.0, c=-3.0)
 # I + B singular, decided by the padded rank rule on a reduced matrix of order 2r
-@example(n=64, case=("const_phi:c={b}", 1), b=-1.9692307692307693, c=0.0)
-@example(n=64, case=("const_phi:c={b}", 2), b=-1.9692307692307693, c=0.0)
+@example(n=64, case=("const_phi:c={b}", 1), b=-2.0317460317460316, c=0.0)
+@example(n=64, case=("const_phi:c={b}", 2), b=-2.0317460317460316, c=0.0)
 def test_low_rank_routes_match_dense_property(n, case, b, c):
     template, dim = case
     spec = template.format(b=repr(b), c=repr(c))

@@ -300,27 +300,27 @@ def test_zero_kernel_has_an_exact_rhs(grid, run):
 
 
 MEAN_GRID = make_grid(1.0, 16)
-# images f is read along: (kernel spec, d, linear); None is the path itself
-MEAN_IMAGES = [(None, 1, False), ("volterra", 1, False), ("expdiag:p=[1.5,-0.5]", 2, False),
-               ("const:c=1", 1, True)]
+# images f is read along: (kernel spec, d); None is the path itself, and the
+# linear image of phi = const:c=1 is that of its tail kernel
+MEAN_IMAGES = [(None, 1), ("volterra", 1), ("expdiag:p=[1.5,-0.5]", 2), ("const_phi:c=1", 1)]
 
 
 @pytest.mark.parametrize("text", ["one", "cos_end:1.0", "exp_negsq", "cos_mid:2.0,0.3"])
-@pytest.mark.parametrize("spec, dim, linear", MEAN_IMAGES,
+@pytest.mark.parametrize("spec, dim", MEAN_IMAGES,
                          ids=["path", "volterra", "expdiag-d2", "const-linear"])
-def test_exact_side_agrees_with_monte_carlo(spec, dim, linear, text):
+def test_exact_side_agrees_with_monte_carlo(spec, dim, text):
     # a side without an exponent is TestFunctional.mean of the Gaussian node
     # value it reads; 200k paths of the same side agree within 4 sigma
     f = TestFunctional.parse(text)
     s = sc.resolve_scenario("transf", spec or "zero", f, MEAN_GRID, dim, n_paths=200_000, seed=8)
     kernel = None if spec is None else s.kernel
-    (exact,) = s.estimate(sc._STREAM_LHS, [sc.Side(kernel=kernel, linear=linear)], f)
+    (exact,) = s.estimate(sc._STREAM_LHS, [sc.Side(kernel=kernel)], f)
     assert exact.n_samples == 0 and exact.std_error == 0.0
     k = f.node(MEAN_GRID)
     if k is None:
         assert exact.mean == 1.0
         return
-    weights = None if kernel is None else stochastic.node_weights(kernel, k, linear)
+    weights = None if kernel is None else stochastic.node_weights(kernel, k)
 
     def per_path(batch):
         w = batch.value_at_node(k) if weights is None else stochastic.node_value(batch, weights)
@@ -453,8 +453,8 @@ def test_missing_functional_is_a_typed_error_before_any_work(grid, monkeypatch, 
     (lambda g: verify_transf("remark_gencv:b1=1e12,b2=-0.999", "cos_end:1.0", g), "singular"),
     (lambda g: verify_inverse("remark_gencv:b1=1e12,b2=-0.999", "cos_end:1.0", g), "singular"),
     (lambda g: verify_inverse("rank1:b=-1", "cos_end:1.0", g), "rejected-by-hypothesis"),
-    # c = -2 / (1 + 1/N): I + B_kappa_phi is singular, so the gate reaches 1
-    (lambda g: verify_cameron_martin("const:c=-1.9692307692307693", "cos_end:1.0", g),
+    # c = -2 / (1 - 1/N): I + B_kappa_phi is singular, so the gate reaches 1
+    (lambda g: verify_cameron_martin("const:c=-2.0317460317460316", "cos_end:1.0", g),
      "rejected-by-hypothesis"),
 ], ids=["transf-singular", "inverse-singular", "inverse-gate", "cameron_martin-gate"])
 def test_a_halted_scenario_draws_no_paths(monkeypatch, run, verdict):
@@ -480,30 +480,40 @@ def test_cameron_martin_constant_phi():
     g = make_grid(1.0, 512)
     r = verify_cameron_martin("const:c=1", "cos_end:1.0", g, n_paths=60_000, seed=7)
     assert r.passed
-    # rank-one Fredholm determinant: 1 + c T^2/2 + the exact 1/(2N) grid shift
+    # rank-one Fredholm determinant: 1 + c T^2/2 - the exact 1/(2N) grid shift
     det = np.exp(r.spectra["det_log"])
-    npt.assert_allclose(det, 1.5 + 1.0 / (2.0 * g.n_steps), rtol=1e-10)
+    npt.assert_allclose(det, 1.5 - 1.0 / (2.0 * g.n_steps), rtol=1e-10)
     assert abs(det - 1.5) <= 1e-3
     for check in ("trace_formula", "det2_consistency", "pathwise_drift"):
         assert r.checks[check].passed
 
 
-def test_trace_formula_sees_an_exclusive_tail_sum(monkeypatch):
-    # the check compared the trace of B_kappa_phi with the quadrature of
-    # kappa_phi's own diagonal, so it held whatever kappa_from_phi summed
+def test_trace_formula_sees_an_inclusive_tail_sum(monkeypatch):
+    # the target is the exponent's trace correction alone, the sum over u > s,
+    # so a tail sum over u >= s fails it
     g = make_grid(1.0, 64)
 
-    def exclusive_tail(phi):
-        tail = np.cumsum(phi.values[:, ::-1], axis=1)[:, ::-1] - phi.values
+    def inclusive_tail(phi):
+        tail = np.cumsum(phi.values[:, ::-1], axis=1)[:, ::-1]
         return gk.MatrixKernel(g, phi.dim, np.ascontiguousarray(tail) * g.step)
 
     check = verify_cameron_martin("const:c=1", "one", g, n_paths=200).checks["trace_formula"]
     assert check.passed
-    monkeypatch.setattr(gk, "kappa_from_phi", exclusive_tail)
+    monkeypatch.setattr(gk, "kappa_from_phi", inclusive_tail)
     check = verify_cameron_martin("const:c=1", "one", g, n_paths=200).checks["trace_formula"]
-    # the tail sum drops the diagonal phi(t_i, t_i) Delta: N Delta^2 = 1 / N of the trace
+    # the tail sum keeps the diagonal phi(t_i, t_i) Delta: N Delta^2 = 1 / N of the trace
     assert not check.passed
-    npt.assert_allclose(check.target - check.value, 1.0 / 64, rtol=1e-9)
+    npt.assert_allclose(check.value - check.target, 1.0 / 64, rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_cameron_martin_is_exact_on_a_coarse_grid(seed):
+    # the identity is the exact change of variables on R^{N d}, so at N = 16
+    # the z measures Monte Carlo error alone; a tail sum over u >= s biases
+    # it by O(Delta), to z of about 22 to 25 at these seeds
+    r = verify_cameron_martin("const:c=1", "cos_end:1.0", make_grid(1.0, 16),
+                              n_paths=400_000, seed=seed)
+    assert r.passed and abs(r.z_score) <= 4.0
 
 
 # ---------------------------------------------------------------------------

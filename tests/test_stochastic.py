@@ -33,6 +33,7 @@ from orderone import (
     node_weights,
     orthonormal_columns,
     quadratic_form,
+    ramer_exponent,
     sample_paths,
     scale_kernel,
     wiener_integral,
@@ -352,15 +353,49 @@ def test_cm_cross_term_unbiased_after_trace_correction():
 
 
 def test_cm_drift_matches_wiener_integral_of_tail():
-    from orderone import kappa_from_phi
-
+    # the tail sum over u > s makes the linear drift the Wiener integral of
+    # kappa_phi path by path, not only up to an O(sqrt(Delta)) gap
     g = make_grid(1.0, 256)
     phi = kernel_zoo("const:c=1", g)
     batch = sample_paths(g, 1, 500, seed=14)
     drift = cameron_martin_drift(phi, batch)
     integral = wiener_integral(kappa_from_phi(phi), batch)
     scale = max(1.0, np.max(np.abs(integral)))
-    assert np.max(np.abs(drift - integral)) <= 5.0 * np.sqrt(g.step) * scale
+    assert np.max(np.abs(drift - integral)) <= 1e-12 * scale
+
+
+# drift kernels phi, or kernels kappa, at d = 1 and d = 2
+RAMER_KERNELS = [("rank1:b=0.3", 1), ("rank2:b=0.2,c=0.3,member=2", 1), ("volterra", 1),
+                 ("volterra", 2), ("expdiag:p=[0.5,-0.5]", 2), ("const_phi:c=-0.4", 2),
+                 ("const:c=1", 1), ("const:c=0.7", 2)]
+
+
+@pytest.mark.parametrize("spec,dim", RAMER_KERNELS)
+def test_cm_exponent_is_the_path_based_psi(spec, dim):
+    # Psi as the paper writes it, from the path at the left nodes:
+    # - sum_j < sum_i phi_ij^T dW_i, W(t_j) > Delta - 1/2 Delta |G|^2,
+    # G_i = sum_j phi(t_i, t_j) W(t_j) Delta
+    g = make_grid(1.0, 48)
+    phi, batch = kernel_zoo(spec, g, dim), sample_paths(g, dim, 30, seed=16)
+    dw, w = batch.increments, batch.left_node_values()
+    drift = np.einsum("ijab,mjb->mia", phi.values, w) * g.step
+    psi = (-np.einsum("ijab,mia,mjb->m", phi.values, dw, w) * g.step
+           - 0.5 * np.einsum("mia,mia->m", drift, drift) * g.step)
+    npt.assert_allclose(cm_exponent(phi, batch), psi, rtol=0,
+                        atol=1e-12 * max(1.0, np.max(np.abs(psi))))
+
+
+@pytest.mark.parametrize("spec,dim", RAMER_KERNELS)
+def test_ramer_exponent_is_q_of_eta_plus_its_diagonal(spec, dim):
+    # the first line of the forward theorem path by path: with I = K dW,
+    # -<I, dW> - 1/2 Delta |I|^2 = q_eta(kappa) + 1/2 sum_i <dW_i, eta_ii dW_i>
+    g = make_grid(1.0, 48)
+    kappa, batch = kernel_zoo(spec, g, dim), sample_paths(g, dim, 30, seed=17)
+    eta, dw = eta_of_kappa(kappa), batch.increments
+    want = (quadratic_form(eta, batch)
+            + 0.5 * np.einsum("mia,iab,mib->m", dw, eta.diagonal_blocks(), dw))
+    got = ramer_exponent(kappa, batch)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
 
 
 def test_apply_linear_transformation_shifts_by_drift(grid):
@@ -480,6 +515,7 @@ _FUNCTIONALS = {
     "h_x": lambda k, b: h_functionals(k, b, np.linspace(1.0, 0.5, k.dim)),
     "drift": cameron_martin_drift,
     "psi": cm_exponent,
+    "ramer": ramer_exponent,
     "q": quadratic_form,
 }
 
@@ -628,7 +664,7 @@ def test_closed_forms_catch_a_slip_of_the_projection_route(spec, dim, monkeypatc
     for derive in ("as built", "eta", "tail"):
         derived = DERIVED[derive](kernel)
         assert isinstance(derived.factored, LowRank)
-        for name in ("q", "h", "h_x", "psi"):
+        for name in ("q", "h", "h_x", "psi", "ramer"):
             if name == "q" and not derived.symmetric:
                 continue
             with pytest.raises(AssertionError):
@@ -636,7 +672,7 @@ def test_closed_forms_catch_a_slip_of_the_projection_route(spec, dim, monkeypatc
             slipped.add(name)
         # the routes that do not read the projections keep their precision
         _assert_functionals_match(kernel, batch, DERIVED[derive], ["wiener_integral", "drift"])
-    assert slipped == {"q", "h", "h_x", "psi"}
+    assert slipped == {"q", "h", "h_x", "psi", "ramer"}
 
 
 def test_low_rank_reductions_read_no_apply(grid, monkeypatch):
@@ -653,6 +689,7 @@ def test_low_rank_reductions_read_no_apply(grid, monkeypatch):
         h_functionals(kernel, batch)
         h_functionals(kernel, batch, np.ones(dim))
         cm_exponent(kernel, batch)
+        ramer_exponent(kernel, batch)
         if kernel.symmetric:
             quadratic_form(kernel, batch)
     with pytest.raises(AssertionError, match="LowRank.apply"):
@@ -727,8 +764,9 @@ def test_node_value_matches_transformed_batch(name, text):
 def test_linear_node_value_matches_linear_transformation(spec, dim, text):
     phi, f = kernel_zoo(spec, NODE_GRID, dim), TestFunctional.parse(text)
     batch = sample_paths(NODE_GRID, dim, 30, seed=32)
+    # the linear image of phi is the image of its tail kernel
     _assert_node_read_matches(f, apply_linear_transformation(phi, batch),
-                              lambda k: node_value(batch, node_weights(phi, k, linear=True)),
+                              lambda k: node_value(batch, node_weights(kappa_from_phi(phi), k)),
                               batch)
 
 
