@@ -41,8 +41,10 @@ dense route first reads them (then kept).  The zoo, `eta_of_kappa`,
 `s_of_kappa` and `kappa_from_phi` of a LowRank kernel (a rank-r kappa gives
 an eta or s kernel of rank at most 2r; the tail integral acts on R alone)
 and the operator layer's inverse and square-root kernels of a LowRank one
-build kernels this way, and `kernel_l2_norm` and `kernel_distance` read
-LowRank kernels from their factors.  The dense formulas run for every other
+build kernels this way, and so does `c_kernels` of a LowRank kernel, the
+form R (C^T L^T L C Delta) R^T.  `kernel_l2_norm` and `kernel_distance`
+read LowRank kernels from their factors, and `kernel_l2_norm` reads a
+LowerExp kernel from its rates.  The dense formulas run for every other
 kernel, and stay the tested reference; the other constructors carry no form,
 `scale_kernel` and `adjoint_kernel` among them: the algebra needs kappa*
 only inside eta, and scaling only on spectra (`operator.Spectrum.scaled`).
@@ -196,6 +198,13 @@ class LowRank:
         right = left if shared else np.hstack([self.right, other.right])
         zero = np.zeros((self.core.shape[0], other.core.shape[1]))
         return LowRank(left, np.block([[self.core, zero], [zero.T, -other.core]]), right)
+
+    def energy_core(self, grid: TimeGrid, dim: int, x: np.ndarray | None = None) -> np.ndarray:
+        """C^T (L^T L) C, the r x r core of |y R C^T L^T|^2 = (y R) C^T (L^T L) C (y R)^T;
+        with a direction x, L_x[i] = sum_a x_a L[(i, a)] in place of L."""
+        left = self.left if x is None else self.left.reshape(
+            grid.n_steps, dim, -1).transpose(0, 2, 1) @ x
+        return self.core.T @ (left.T @ left) @ self.core
 
     def frobenius(self) -> float:
         """||L C R^T||_F = sqrt tr(C^T (L^T L) C (R^T R)), from the two Grams."""
@@ -451,9 +460,17 @@ def _symmetrize(matrix: np.ndarray) -> np.ndarray:
 def kernel_l2_norm(kappa: MatrixKernel) -> float:
     """Quadrature value of the L2 norm: (sum |kappa(t_i,t_j)|_F^2 Delta^2)^(1/2),
     the Frobenius norm of the matrix times Delta; read from the factors of a
-    LowRank form (`LowRank.frobenius`)."""
-    if isinstance(kappa.factored, LowRank):
-        return kappa.factored.frobenius() * kappa.grid.step
+    LowRank form (`LowRank.frobenius`), and in closed form from the rates of a
+    LowerExp one: Delta^2 sum_a sum_{k=1}^{N-1} (N - k) e^{2 k Delta p_a}, the
+    N - k entries of lag k counted once."""
+    form, grid = kappa.factored, kappa.grid
+    if isinstance(form, LowRank):
+        return form.frobenius() * grid.step
+    if isinstance(form, LowerExp):
+        lag = np.arange(1, grid.n_steps)
+        with np.errstate(over="ignore"):  # past the float range, as the dense sum is
+            squares = np.exp(np.multiply.outer(2.0 * grid.step * form.rates, lag))
+        return float(np.sqrt(np.sum(squares @ (grid.n_steps - lag))) * grid.step)
     v = kappa.matrix.reshape(-1)  # a view, not an (N d)^2 temporary
     return float(np.sqrt(v @ v) * kappa.grid.step)
 
@@ -538,13 +555,22 @@ def c_kernels(kappa: MatrixKernel, x: np.ndarray | None = None) -> MatrixKernel:
         c(kappa; x)(t_i, t_j) = sum_u (kappa(t_u,t_j)^T x) outer (kappa(t_u,t_i)^T x) Delta,
     where (v outer w)[a, b] = w_a v_b.  Without x:
         c(kappa)(t_i, t_j)    = sum_u kappa(t_u,t_i)^T kappa(t_u,t_j) Delta.
-    Both are symmetric and positive semi-definite as operators.
+    Both are symmetric and positive semi-definite as operators.  Of a LowRank
+    kappa = L C R^T the c kernel is K^T K Delta = R (C^T (L^T L) C Delta) R^T,
+    with L_x in place of L when x is given (`LowRank.energy_core`): a form
+    with one factor array for both sides, of the rank of kappa.
     """
-    m, n, d = kappa.matrix, kappa.grid.n_steps, kappa.dim
+    form, n, d = kappa.factored, kappa.grid.n_steps, kappa.dim
+    if x is not None:
+        x = direction(x, d)
+    if isinstance(form, LowRank):
+        core = _symmetrize(form.energy_core(kappa.grid, d, x) * kappa.grid.step)
+        return kernel_from_form(kappa.grid, d, LowRank(form.right, core, form.right),
+                                symmetric=True)
+    m = kappa.matrix
     if x is None:
         return MatrixKernel(kappa.grid, d, _symmetrize(m.T @ m * kappa.grid.step),
                             symmetric=True)
-    x = direction(x, d)
     # proj[u, (i, a)] = (kappa(t_u, t_i)^T x)_a
     proj = x @ m.reshape(n, d, n * d)
     vals = proj.T @ proj * kappa.grid.step

@@ -65,8 +65,21 @@ form of a LowRank difference, the matrices otherwise).  Every kind that
 starts at `Scenario.factor` checks its gate eigensolve against its LU by
 Carleman's product formula (`det2_product`; B. Simon, Trace Ideals, 2nd
 ed., ch. 9).  det2_consistency reads the Sylvester matrix of B_kappa_phi,
-of order r for a LowRank form; det_dual_route alone factorises the
-operator matrix itself, I + lam B^T B (dense, whatever the form).
+of order r for a LowRank form.  det_dual_route reads det(I + lam B^T B)
+from the kernel's own form (`gram_logdet`): Sylvester's determinant of
+order r from the Grams of L and R for a LowRank kernel, a closed form per
+rate for a LowerExp one whatever f, and the slogdet of the dense matrix
+for a dense kernel.
+
+The c kernel of the harmonic scenario, B_c = B^T B, takes the route of the
+kernel's form too.  Of a LowRank kernel it is the form R (C^T L^T L C) R^T
+(`grid_kernel.c_kernels`), which `_reduced` takes to order r.  Of a
+LowerExp kernel B is block diagonal over the rates, each block strictly
+lower, so det(I + lam B_c) is one scalar Riccati recursion per rate
+(`c_logdet`, O(N d), no matrix) and the gate is 0; only a direction x or
+a non-constant f, whose image kernel (I + lam B_c)^{-1/2} - I is dense,
+takes it to the dense route.
+
 Per scenario, with the form its hot-path factorisations take (kernel: that
 of the scenario's kernel; LowRank for zero, rank1, rank2, remark_gencv,
 const and const_phi; dense for volterra and expdiag, whose LowerExp matrix
@@ -90,8 +103,12 @@ a dense route multiplies out on its first read):
                                when f is not constant               eta_roundtrip: eta of
                                                                       kappa_s against c eta,
                                                                       in stacked factors
-    harmonic        dense    eigvalsh/eigh of B_c, read at the      det_dual_route: slogdet
-                               factor -lam: gate, det, c'_hat         of I + lam B^T B (no x)
+    harmonic        kernel   LowerExp, f = 1, no x: one Riccati     det_dual_route (no x),
+                               recursion per rate: det; gate 0        I + lam B^T B:
+                             else eigvalsh/eigh of B_c, read at       LowerExp: closed form
+                               the factor -lam: gate, det, c'_hat     LowRank: Sylvester's,
+                               (LowerExp: dense B_c)                    of order r
+                                                                      dense: slogdet
     cameron_martin  kernel   eigvalsh B_eta: gate, guard            det2_product
                              LU I+B_kphi: det2                      det2_consistency: slogdet
                                                                       of I+S, S Sylvester's
@@ -115,17 +132,20 @@ large as the operator, so none is attached to a kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import warnings
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
+    InvalidArgumentError,
     NotContractiveError,
     PreconditionError,
     SingularOperatorError,
 )
 from .grid_kernel import (
+    LowerExp,
     LowRank,
     MatrixKernel,
     TimeGrid,
@@ -154,6 +174,8 @@ __all__ = [
     "inverse_kernel",
     "inverse_kernel_from",
     "kappa_s",
+    "c_logdet",
+    "gram_logdet",
     "spectral_summary",
     "GATE_MARGIN",
     "PIVOT_RTOL",
@@ -204,6 +226,115 @@ def _reduced(op: MatrixKernel | np.ndarray) -> tuple[np.ndarray | None, np.ndarr
         q, r = np.linalg.qr(np.hstack([form.left, form.right]))
         r_left, r_right = np.hsplit(r, [form.core.shape[0]])
     return q, op.grid.step * (r_left @ form.core @ r_right.T)
+
+
+def c_logdet(kappa: MatrixKernel, lam: float) -> float:
+    """log det(I + lam B_c) of a LowerExp kernel, B_c = B^T B its c kernel's
+    operator, in O(N d) and with no matrix: B is block diagonal over the
+    rates, and each block's determinant is one scalar Riccati recursion
+    (`_riccati_logdet`)."""
+    return _lower_exp_sum(kappa, lam, _riccati_logdet)
+
+
+def _lower_exp_sum(kappa: MatrixKernel, lam: float, per_rate) -> float:
+    """The sum over the rates p of a LowerExp kappa of per_rate(Delta p, lam Delta^2, N).
+    A rate so large that the sum leaves the float range (e^{2 Delta p} past it)
+    raises, as the dense route does on the inf entries of its B_c."""
+    form, grid = kappa.factored, kappa.grid
+    if not isinstance(form, LowerExp):
+        raise PreconditionError("the Riccati route needs a LowerExp kernel")
+    c = lam * grid.step ** 2
+    try:
+        value = math.fsum(per_rate(grid.step * p, c, grid.n_steps) for p in form.rates.tolist())
+    except (OverflowError, ValueError):  # math.exp past the range; inf - inf in fsum
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidArgumentError(
+            f"log det(I + lam B^T B) of the rates {form.rates.tolist()} at lam = {lam} "
+            f"on {grid.n_steps} steps is past the float range")
+    return value
+
+
+def _riccati_logdet(rate_step: float, c: float, n: int) -> float:
+    """log det(I + c K^T K) for the n x n strictly lower K[i, j] = alpha^(i - j),
+    alpha = e^{rate_step}: K x is the state s_{i+1} = alpha (s_i + x_i), s_0 = 0,
+    so I + c K K^T is the covariance of the observations sqrt(c) s_i + e_i of
+    white x and e, and its log determinant the sum of the log innovation
+    variances of the Kalman filter: P_0 = 0, S_i = 1 + c P_i,
+    P_{i+1} = alpha^2 (P_i / S_i + 1), log det = sum_i log1p(c P_i).  It runs
+    on Q_i = c P_i, Q_{i+1} = alpha^2 (Q_i / (1 + Q_i) + c), which stays below
+    alpha^2 (1 + c) however small c is.  At c = 0 it is 0."""
+    if c == 0.0:
+        return 0.0
+    alpha2, q, terms = math.exp(2.0 * rate_step), 0.0, []
+    for _ in range(n):
+        terms.append(math.log1p(q))
+        q = alpha2 * (q / (1.0 + q) + c)
+    return math.fsum(terms)
+
+
+def _lower_exp_gram_logdet(rate_step: float, c: float, n: int) -> float:
+    """log det(I + c K^T K) for K[i, j] = alpha^(i - j), j < i, alpha = e^{rate_step},
+    in closed form.  K = alpha Z A^{-1} with Z the down shift and A = I - alpha Z
+    of determinant 1, so I + c K^T K = A^{-T} T A^{-1}, T = A^T A + c alpha^2 Z^T Z
+    tridiagonal (diagonal 1 + alpha^2 (1 + c), its last entry 1, off-diagonal
+    -alpha), and det T = alpha^{n-1} [sinh n theta - alpha sinh (n-1) theta] / sinh theta,
+    cosh theta = (1 + alpha^2 (1 + c)) / (2 alpha).
+
+    With w, w' = e^{rate_step +- theta} the roots of
+    w^2 - (1 + alpha^2 (1 + c)) w + alpha^2 = 0, X = w - 1 and Y = 1 - w' (both
+    positive, X Y = alpha^2 c and X + Y = s, the root of the discriminant),
+    det T = [Y w^n + X w'^n] / s.  X or Y, whichever has the sign of
+    w + w' - 2, is computed without cancellation and the other from the
+    product, and the log is taken around the larger of the two terms, so
+    no theta divides and the error vanishes with c, at theta = 0 included.
+    It is 0 at c = 0."""
+    if c == 0.0:
+        return 0.0
+    a2c = math.exp(2.0 * rate_step) * c
+    em = math.expm1(rate_step)  # alpha - 1
+    # two roots, not the root of the product, which overflows past rate_step = 177
+    s = math.sqrt(em * em + a2c) * math.sqrt((2.0 + em) ** 2 + a2c)
+    e = math.expm1(2.0 * rate_step) + a2c  # w + w' - 2 = X - Y
+    if e >= 0.0:
+        x = 0.5 * (s + e)
+        y = a2c / x
+    else:
+        y = 0.5 * (s - e)
+        x = a2c / y
+    log_w = math.log1p(x)
+    # log w' from Y where w' is near 1, and as log(alpha^2 / w) where it is small
+    log_w2 = math.log1p(-y) if y < 0.5 else 2.0 * rate_step - log_w
+    spread = max(n * (log_w - log_w2), 0.0)  # 2 n theta
+    if x <= y:  # X w'^n / s <= Y w^n / s
+        return n * log_w + math.log1p(-(x / s) * -math.expm1(-spread))
+    if spread < 700.0:  # e^{2 n theta} within the float range
+        return n * log_w2 + math.log1p((y / s) * math.expm1(spread))
+    # log(Y / s + (X / s) e^{-2 n theta}), each term in the log domain: Y / s
+    # underflows where alpha^2 is near the float range and c tiny
+    log_s = math.log(s)
+    big, small = math.log(y) - log_s, math.log(x) - log_s - spread
+    big, small = max(big, small), min(big, small)
+    return n * log_w + big + math.log1p(math.exp(small - big))
+
+
+def gram_logdet(kappa: MatrixKernel, lam: float) -> float:
+    """log det(I + lam B^T B), along a route that shares nothing with the
+    spectrum of the c kernel or with `c_logdet`: the closed form of
+    `_lower_exp_gram_logdet` per rate of a LowerExp kernel; for a LowRank
+    kernel B = Delta L C R^T, Sylvester's determinant of order r from the
+    other side, det(I + lam B B^T) = det(I_r + lam Delta^2 C (R^T R) C^T (L^T L)),
+    read from the two Grams; the slogdet of the dense matrix otherwise."""
+    form, grid = kappa.factored, kappa.grid
+    if isinstance(form, LowerExp):
+        return _lower_exp_sum(kappa, lam, _lower_exp_gram_logdet)
+    if isinstance(form, LowRank):
+        gram_left, gram_right = form.left.T @ form.left, form.right.T @ form.right
+        m = (lam * grid.step ** 2) * (form.core @ gram_right @ form.core.T @ gram_left)
+    else:
+        b = assemble(kappa)
+        m = lam * (b.T @ b)
+    return float(np.linalg.slogdet(np.eye(m.shape[0]) + m)[1])
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,12 @@ rhs), one pass each, and decides the reports.
 Five kinds start at `Scenario.factor`, the gate and det2 prologue: transf,
 inverse, cameron_martin, gencv and finite_dim (A on n unit steps, where
 eta(A) is B).  `_gate` writes every gate and halts the reports it rejects.
+harmonic asks `operator` for its determinants by the kernel's form.
+det(I + lam B_c): of a LowerExp kernel with f = 1 and no direction, a
+Riccati recursion per rate, with no matrix; of a LowRank one, the spectrum
+of the c kernel's order-r form; otherwise the dense eigensolve.
+det(I + lam B^T B): the closed form per rate of a LowerExp kernel,
+Sylvester's determinant of a LowRank one, the dense slogdet otherwise.
 
 Identities covered (f ranges over the bounded functional family):
 
@@ -791,37 +797,44 @@ def verify_harmonic(
 
     The identity of sqrt(lam) * kappa, whose c kernel is lam c(kappa), so
     the weight is exp(-lam * h(kappa)); the determinant side is computed
-    along two routes (the c kernel and B^T B) that must agree."""
+    along two routes (the c kernel and B^T B) that must agree.  Of a LowerExp
+    kappa with f = 1 and no x, det(I + lam B_c) is one Riccati recursion per
+    rate (`operator.c_logdet`), and the gate is 0: B_c = B^T B is positive
+    semi-definite and singular, the last column of a strictly lower K being
+    zero.  Otherwise one eigensolve of B_c, read at the factor -lam, gives
+    the gate, det(I + lam B_c) and, when f is not constant, the right-hand
+    side kernel (I + lam B_c)^{-1/2} - I: of order r for a LowRank kappa,
+    dense for any other, a LowerExp one included.  det_dual_route reads
+    det(I + lam B^T B) from the form whatever f (`operator.gram_logdet`)."""
     s = resolve_scenario("harmonic", kernel, functional, grid, dim, n_paths, seed, tol, name,
                          lam=lam, x=x)
-    report = s.report
+    kappa, report = s.kernel, s.report
 
-    # one eigensolve of B_c, read at the factor -lam, gives the gate, det(I + lam B_c)
-    # and, when f is not constant, the right-hand side kernel (I + lam B_c)^{-1/2} - I
-    eig = op.spectrum(gk.c_kernels(s.kernel, x), vectors=not s.f.is_constant_one).scaled(-lam)
-    lam_neg = eig.lambda_max  # Lambda(-lam B_c) <= 0 always
+    if isinstance(kappa.factored, gk.LowerExp) and x is None and s.f.is_constant_one:
+        lam_neg, logdet_c, image = 0.0, op.c_logdet(kappa, lam), None
+    else:
+        eig = op.spectrum(gk.c_kernels(kappa, x), vectors=not s.f.is_constant_one).scaled(-lam)
+        lam_neg = eig.lambda_max  # Lambda(-lam B_c) <= 0 always
+        logdet_c = eig.logdet_complement()  # log det(I + lam B_c), I + lam B_c >= I
+        image = None if s.f.is_constant_one else eig.inverse_sqrt_kernel()
+        del eig  # the eigenvectors are as large as the operator
     _gate(report, lam_neg)
     report.gate["note"] = "gate kernel is -c(kappa); nonpositive by construction"
     report.checks["lambda_nonpositive"] = _check_bound(
         lam_neg, 0.0, 1e-10, note="Lambda(B_{-c}) <= 0"
     )
-
-    logdet_c = eig.logdet_complement()  # log det(I + lam B_c), I + lam B_c >= I
     if x is None:
-        m_k = op.assemble(s.kernel)
-        sign_b, logdet_b = np.linalg.slogdet(np.eye(m_k.shape[0]) + lam * (m_k.T @ m_k))
         report.checks["det_dual_route"] = _check_close(
-            logdet_b, logdet_c, 1e-10, note="det(I + B^T B) against det(I + B_c)"
+            op.gram_logdet(kappa, lam), logdet_c, 1e-10,
+            note="det(I + B^T B) against det(I + B_c)",
         )
     report.spectra = {
         "det_log": logdet_c,
         "det_sign": 1,
-        "hs_norm": float(np.sqrt(lam)) * gk.kernel_l2_norm(s.kernel),
+        "hs_norm": float(np.sqrt(lam)) * gk.kernel_l2_norm(kappa),
     }
-    rhs = Side(-0.5 * logdet_c,
-               kernel=None if s.f.is_constant_one else eig.inverse_sqrt_kernel())
-    del eig  # the eigenvectors are as large as the operator
-    lhs = Side(exponent=partial(st.h_functionals, s.kernel, x=x), c=-lam)
+    rhs = Side(-0.5 * logdet_c, kernel=image)
+    lhs = Side(exponent=partial(st.h_functionals, kappa, x=x), c=-lam)
     return s.identity([(report, lhs, rhs)])[0]
 
 

@@ -201,11 +201,6 @@ def _double_sum(kernel: MatrixKernel, dw: np.ndarray) -> np.ndarray:
     return np.einsum("mia,mia->m", kernel.apply(dw), dw)
 
 
-def _gram(form: LowRank, left: np.ndarray) -> np.ndarray:
-    """C^T (L^T L) C, the r x r core of |x R C^T L^T|^2 = (x R) C^T L^T L C (x R)^T."""
-    return form.core.T @ (left.T @ left) @ form.core
-
-
 def wiener_integral(kappa: MatrixKernel, batch: PathBatch) -> np.ndarray:
     """I[m, i] = sum_j kappa(t_i, t_j) dW[m, j], shape (M, N, d).
 
@@ -256,11 +251,13 @@ def h_functionals(
     if x is not None:
         x = direction(x, kappa.dim)
     if isinstance(form, LowRank):
-        left = form.left if x is None else form.left.reshape(
-            kappa.grid.n_steps, kappa.dim, -1).transpose(0, 2, 1) @ x
         right = _project(batch.increments, form.right)
-        return 0.5 * _bilinear(right, _gram(form, left), right) * dt
-    integral = kappa.apply(batch.increments)
+        return 0.5 * _bilinear(right, form.energy_core(kappa.grid, kappa.dim, x), right) * dt
+    return _energy(kappa.apply(batch.increments), dt, x)
+
+
+def _energy(integral: np.ndarray, dt: float, x: np.ndarray | None = None) -> np.ndarray:
+    """1/2 Delta sum_i |I[m, i]|^2 per path, or of <x, I[m, i]> when x is given."""
     if x is None:
         return 0.5 * np.einsum("mia,mia->m", integral, integral) * dt
     proj = integral @ x
@@ -270,9 +267,15 @@ def h_functionals(
 def ramer_exponent(kappa: MatrixKernel, batch: PathBatch) -> np.ndarray:
     """Exponent of the change of variables of the transformation of kappa on
     the grid, psi = - <dW, K dW> - h per path: the full double sum, diagonal
-    blocks included, and the energy h = 1/2 Delta |I|^2 of `h_functionals`."""
+    blocks included, and the energy h = 1/2 Delta |I|^2 of `h_functionals`.
+    Of a dense or LowerExp kernel both terms read one Wiener integral
+    I = K dW, as -<I, dW> and 1/2 Delta |I|^2."""
     _check_grid(kappa, batch)
-    return -_double_sum(kappa, batch.increments) - h_functionals(kappa, batch)
+    if isinstance(kappa.factored, LowRank):
+        return -_double_sum(kappa, batch.increments) - h_functionals(kappa, batch)
+    dw = batch.increments
+    integral = kappa.apply(dw)
+    return -np.einsum("mia,mia->m", integral, dw) - _energy(integral, kappa.grid.step)
 
 
 def cameron_martin_drift(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:

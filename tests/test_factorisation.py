@@ -113,24 +113,35 @@ def _perturb_pivots(monkeypatch):
      {"eigh": 1, "lu_factor": 1}, 1),
     (lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", grid=g, n_paths=500),
      {"eigh": 1, "lu_factor": 1}, 1),
-    (lambda g: verify_harmonic("volterra", 1.0, None, "one", grid=g, n_paths=500),
+    # a LowerExp kernel with f = 1: one Riccati recursion per rate and the
+    # closed form of det(I + lam B^T B), no factorisation
+    (lambda g: verify_harmonic("volterra", 1.0, None, "one", grid=g, n_paths=500), {}, 0),
+    # the same kernel given by its matrix: the dense route, the eigensolve of
+    # B_c and the slogdet of I + lam B^T B
+    (lambda g: verify_harmonic(replace(kernel_zoo("volterra", g), factored=None), 1.0, None,
+                               "one", grid=g, n_paths=500),
      {"eigvalsh": 1, "slogdet": 1}, 32),
+    # cos_end takes volterra to the dense eigensolve of B_c; det_dual_route
+    # stays the closed form
     (lambda g: verify_harmonic("volterra", 1.0, None, "cos_end:1.0", grid=g, n_paths=500),
-     {"eigh": 1, "slogdet": 1}, 32),
+     {"eigh": 1}, 32),
     (lambda g: verify_harmonic("expdiag:p=[0.5,-0.5]", 0.5, [1.0, 0.0], "one", grid=g, dim=2,
                                n_paths=500),
      {"eigvalsh": 1}, 64),
+    # the order-r c form, and Sylvester's determinant of order r
+    (lambda g: verify_harmonic("rank1:b=0.3", 1.0, None, "cos_end:1.0", grid=g, n_paths=500),
+     {"eigh": 1, "slogdet": 1}, 1),
     # the s-kernel gate, then its own prologue: the eta gate and the LU of det2
     (lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500),
      {"eigvalsh": 2, "lu_factor": 1}, 4),
 ], ids=["transf", "inverse", "surjective-one", "surjective-cos", "harmonic-one",
-        "harmonic-cos", "harmonic-x", "gencv"])
+        "harmonic-dense-one", "harmonic-cos", "harmonic-x", "harmonic-low-rank", "gencv"])
 def test_one_factorisation_per_operator(grid, monkeypatch, run, expected, largest):
     calls = _counting(monkeypatch)
     report = run(grid)
     assert report.verdict == "pass"
     assert dict(calls) == expected
-    assert max(order for _, order in calls.orders) == largest
+    assert max((order for _, order in calls.orders), default=0) == largest
 
 
 @pytest.mark.parametrize("functional", ["one", "cos_end:1.0"])
@@ -211,8 +222,11 @@ N = 32  # the order of an operator on the grid fixture, d = 1
     # kappa_phi has distinct factors, so its reduced matrix is of order 2r;
     # det2_consistency: a slogdet of I + S, S the Sylvester matrix of order r
     (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 1, [2]),
+    # the c kernel's form of order r, and det_dual_route's Sylvester determinant
+    (lambda g: verify_harmonic("rank1:b=0.3", 1.0, None, "cos_end:1.0", grid=g, n_paths=500),
+     1, []),
 ], ids=["transf", "inverse", "surjective", "sweep", "integrability", "gencv",
-        "cameron_martin"])
+        "cameron_martin", "harmonic"])
 def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, rank, lus):
     # a rank-r kernel: every eigensolve, LU and slogdet, the check routes'
     # included, is of order <= 2r, and the LUs are of exactly these orders
@@ -235,11 +249,15 @@ def test_low_rank_hot_paths_factor_only_small_matrices(grid, monkeypatch, run, r
     # trace_formula and det2_consistency read the Sylvester matrix of kappa_phi's
     # factors, of order r, not the operator matrix
     (lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500), 0),
-    # a dense kernel: the gate and det2 (transf); the gate and det_dual_route (harmonic)
+    (lambda g: verify_harmonic("rank1:b=0.3", 1.0, None, "cos_end:1.0", grid=g, n_paths=500), 0),
+    # a LowerExp kernel with f = 1: the Riccati recursion and the closed form
+    (lambda g: verify_harmonic("volterra", 1.0, grid=g, n_paths=500), 0),
+    # a dense route: the gate and det2 (transf); the c kernel of harmonic,
+    # whose image kernel takes a LowerExp kernel dense
     (lambda g: verify_transf("volterra", "cos_end:1.0", grid=g, n_paths=500), 2),
-    (lambda g: verify_harmonic("volterra", 1.0, grid=g, n_paths=500), 2),
+    (lambda g: verify_harmonic("volterra", 1.0, None, "cos_end:1.0", grid=g, n_paths=500), 1),
 ], ids=["transf", "inverse", "gencv", "integrability", "surjective", "sweep",
-        "cameron_martin", "transf-dense", "harmonic-dense"])
+        "cameron_martin", "harmonic", "harmonic-lower-exp", "transf-dense", "harmonic-dense"])
 def test_dense_matrices_assembled_per_scenario(grid, monkeypatch, run, expected):
     # an order-N matrix is assembled only for the dense route and the checks
     orders, assemble = [], operator.assemble
@@ -263,7 +281,10 @@ def test_dense_matrices_assembled_per_scenario(grid, monkeypatch, run, expected)
     lambda g: verify_cameron_martin("const:c=1", grid=g, n_paths=500),
     lambda g: verify_gencv_example(g, functional="cos_end:1.0", n_paths=500),
     lambda g: verify_integrability_bound("rank1:b=0.3", grid=g, n_paths=500),
-], ids=["transf", "inverse", "surjective", "sweep", "cameron_martin", "gencv", "integrability"])
+    # c(kappa) is the form R (C^T (L^T L) C Delta) R^T, its image (V, ., V)
+    lambda g: verify_harmonic("rank1:b=0.3", 1.0, None, "cos_end:1.0", grid=g, n_paths=500),
+], ids=["transf", "inverse", "surjective", "sweep", "cameron_martin", "gencv", "integrability",
+        "harmonic"])
 def test_low_rank_hot_paths_build_no_matrix(grid, monkeypatch, run):
     # every kernel of these runs is its LowRank form: none is given values,
     # none has its matrix multiplied out on a read, and every symmetry scan
@@ -383,10 +404,52 @@ def test_det2_sqrt_identity_sees_perturbed_pivots(grid, monkeypatch):
 
 
 def test_harmonic_dual_route_sees_a_perturbed_spectrum(grid, monkeypatch):
-    run = lambda: verify_harmonic("volterra", 1.0, grid=grid, n_paths=500)  # noqa: E731
+    # cos_end takes volterra's dense route: the eigensolve of the dense B_c
+    run = lambda: verify_harmonic("volterra", 1.0, None, "cos_end:1.0", grid=grid,  # noqa: E731
+                                  n_paths=500)
     assert run().checks["det_dual_route"].passed
     _perturb_eigenvalues(monkeypatch)
     assert not run().checks["det_dual_route"].passed
+
+
+def test_harmonic_sylvester_route_sees_a_perturbed_spectrum(grid, monkeypatch):
+    # the eigensolve of the c kernel's order-r core, against Sylvester's determinant
+    run = lambda: verify_harmonic("rank1:b=0.3", 1.0, None, "one", grid=grid,  # noqa: E731
+                                  n_paths=500)
+    assert run().checks["det_dual_route"].passed
+    _perturb_eigenvalues(monkeypatch)
+    assert not run().checks["det_dual_route"].passed
+
+
+@pytest.mark.parametrize("spec, dim", [("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2)])
+def test_lower_exp_harmonic_reads_assembles_and_factorises_nothing(grid, monkeypatch, spec, dim):
+    # f = 1: det(I + lam B_c) by the Riccati recursion, det_dual_route by the
+    # closed form and hs_norm from the rates; no kernel is given values or
+    # has them multiplied out, and no operator is assembled or factorised
+    calls = _counting(monkeypatch)
+    given, read, assembled = [], [], []
+    post_init, getattr_, assemble_ = (MatrixKernel.__post_init__, MatrixKernel.__getattr__,
+                                      operator.assemble)
+
+    def counted_post_init(self):
+        post_init(self)
+        given.append("matrix" in self.__dict__)
+
+    def counted_getattr(self, name):
+        read.append(name)
+        return getattr_(self, name)
+
+    def counted_assemble(kappa):
+        assembled.append(kappa)
+        return assemble_(kappa)
+    monkeypatch.setattr(MatrixKernel, "__post_init__", counted_post_init)
+    monkeypatch.setattr(MatrixKernel, "__getattr__", counted_getattr)
+    monkeypatch.setattr(operator, "assemble", counted_assemble)
+    report = verify_harmonic(spec, 0.5, None, "one", grid=grid, dim=dim, n_paths=500)
+    assert report.passed and report.checks["det_dual_route"].passed
+    assert given == [False]  # the zoo's form of kappa alone
+    assert [name for name in read if name in ("matrix", "values")] == []
+    assert assembled == [] and dict(calls) == {}
 
 
 def test_det2_consistency_sees_perturbed_pivots(grid, monkeypatch):

@@ -97,6 +97,16 @@ def test_l2_norm_brute_force_quadrature():
     npt.assert_allclose(kernel_l2_norm(k), np.sqrt(acc), rtol=1e-13)
 
 
+@pytest.mark.parametrize("rates", [[0.0], [0.5, -0.5], [3.0], [-50.0], [-2000.0], [20.0]])
+@pytest.mark.parametrize("n", [2, 3, 64, 512])
+def test_l2_norm_of_lower_exp_is_its_closed_form(rates, n):
+    # read from the rates, against the Frobenius norm of the matrix multiplied out
+    g = make_grid(1.0, n)
+    kappa = kernel_zoo(f"expdiag:p=[{','.join(map(str, rates))}]", g)
+    dense = MatrixKernel(g, len(rates), lower_exp_closed_form(g, rates))
+    npt.assert_allclose(kernel_l2_norm(kappa), kernel_l2_norm(dense), rtol=1e-13)
+
+
 def test_l2_norm_rank_one():
     # continuum oracle: ||b e x e||_2 = |b| (int e'^2 dt)^... = |b| for unit e
     g = make_grid(1.0, 256)
@@ -235,6 +245,23 @@ def test_s_of_gencv_kernel():
 def test_s_of_symmetric_kernel_is_minus_two(grid):
     k = random_kernel(grid, seed=11, symmetric=True)
     npt.assert_allclose(s_of_kappa(k).values, -2.0 * k.values, atol=1e-13)
+
+
+@pytest.mark.parametrize("x", [None, "ones", "tilted"])
+@pytest.mark.parametrize("spec, dim", [("rank1:b=0.3", 1), ("rank2:b=0.2,c=0.3,member=2", 1),
+                                       ("const_phi:c=-0.4", 1), ("const_phi:c=-0.4", 2),
+                                       ("const:c=1", 2)])
+def test_c_kernel_of_a_low_rank_form_matches_the_dense_one(grid, spec, dim, x):
+    # R (C^T (L^T L) C Delta) R^T, L_x in place of L, against the dense product
+    kappa = kernel_zoo(spec, grid, dim)
+    x = {None: None, "ones": np.ones(dim), "tilted": np.linspace(1.0, -0.5, dim)}[x]
+    got = c_kernels(kappa, x)
+    want = c_kernels(MatrixKernel(grid, dim, kappa.matrix), x)
+    form = got.factored
+    assert got.symmetric and form.left is form.right
+    assert form.core.shape[0] == kappa.factored.core.shape[0]
+    scale = max(1.0, float(np.max(np.abs(want.matrix))))
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-13 * scale
 
 
 def test_c_kernel_zero_direction(grid):

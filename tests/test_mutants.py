@@ -23,7 +23,15 @@ over the nodes u >= s in place of u > s.  The linear drift, read from the
 path at the left nodes, is then no longer the Wiener integral of kappa_phi,
 and the trace of B_kappa_phi gains Delta^2 sum_i tr phi(t_i, t_i), so
 linear_const must fail pathwise_drift and trace_formula at the golden pin's
-size: deterministic kills, with no Monte Carlo comparison involved."""
+size: deterministic kills, with no Monte Carlo comparison involved.
+
+The harmonic mutants perturb the route det(I + lam B_c) is read from: the
+Riccati recursion of a LowerExp kernel (its weight c, or its transition
+applied after the update, which only a rate p != 0 can tell apart) and the
+core of the c kernel's LowRank form, or `LowRank.energy_core` it is read
+from.  det_dual_route reads a closed form, or Sylvester's determinant from
+the Grams of L and R, from the kernel's own form, so each must fail that
+check at the golden pin's size, with no Monte Carlo comparison involved."""
 
 import os
 import re
@@ -32,7 +40,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orderone import cli, grid_kernel, operator, stochastic
+from orderone import cli, grid_kernel, operator, scenarios, stochastic
 
 DEMO_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demo.cfg")
 FACTOR_SCENARIOS = ("forward_rank1", "inverse_rank1", "linear_const", "counterexample")
@@ -121,3 +129,68 @@ def test_inclusive_tail_mutant_fails_the_deterministic_checks(monkeypatch):
     assert report.verdict == "fail"
     for check in ("pathwise_drift", "trace_formula"):
         assert not report.checks[check].passed, check
+
+
+def _riccati_weight_scaled(rate_step, c, n, riccati=operator._riccati_logdet):
+    """The recursion with its weight c x (1 + 1e-6)."""
+    return riccati(rate_step, c * (1.0 + 1e-6), n)
+
+
+def _riccati_late_transition(rate_step, c, n):
+    """The transition applied after the update: P_{i+1} = alpha^2 P_i / S_i + 1,
+    on Q = c P."""
+    alpha2, q, total = np.exp(2.0 * rate_step), 0.0, 0.0
+    for _ in range(n):
+        total += np.log1p(q)
+        q = alpha2 * q / (1.0 + q) + c
+    return total
+
+
+@pytest.mark.parametrize("mutant, names", [
+    (_riccati_weight_scaled, ("oscillator", "oscillator_matrix")),
+    # at p = 0 (oscillator's volterra) alpha^2 = 1 and the two orders agree
+    (_riccati_late_transition, ("oscillator_matrix",)),
+], ids=["weight_x1.000001", "late_transition"])
+def test_riccati_mutants_fail_det_dual_route(monkeypatch, mutant, names):
+    monkeypatch.setattr(operator, "_riccati_logdet", mutant)
+    for name, reports in _small_demo_reports(names).items():
+        (report,) = reports
+        assert report.verdict == "fail", name
+        assert not report.checks["det_dual_route"].passed, name
+
+
+def test_low_rank_c_core_mutant_fails_det_dual_route(monkeypatch):
+    # const_phi's L and R differ, so Sylvester's route reads both Grams
+    c_kernels = grid_kernel.c_kernels
+
+    def scaled_core(kappa, x=None):
+        """The c kernel with its LowRank core x (1 + 1e-6)."""
+        c = c_kernels(kappa, x)
+        return grid_kernel.kernel_from_form(c.grid, c.dim, c.factored.scaled(1.0 + 1e-6),
+                                            symmetric=True)
+    grid = grid_kernel.make_grid(1.0, 64)
+    run = lambda: scenarios.verify_harmonic(  # noqa: E731
+        "const_phi:c=-0.4", 1.0, None, "one", grid, n_paths=4000, seed=42)
+    assert run().checks["det_dual_route"].passed
+    monkeypatch.setattr(grid_kernel, "c_kernels", scaled_core)
+    report = run()
+    assert report.verdict == "fail"
+    assert not report.checks["det_dual_route"].passed
+
+
+def test_low_rank_energy_core_mutant_fails_det_dual_route(monkeypatch):
+    # the c kernel's core is read from LowRank.energy_core; Sylvester's route
+    # reads the Grams of L and R alone, so a slip there shows
+    energy_core = grid_kernel.LowRank.energy_core
+
+    def scaled(self, grid, dim, x=None):
+        """C^T (L^T L) C x (1 + 1e-6)."""
+        return energy_core(self, grid, dim, x) * (1.0 + 1e-6)
+    grid = grid_kernel.make_grid(1.0, 64)
+    run = lambda: scenarios.verify_harmonic(  # noqa: E731
+        "const_phi:c=-0.4", 1.0, None, "one", grid, n_paths=4000, seed=42)
+    assert run().checks["det_dual_route"].passed
+    monkeypatch.setattr(grid_kernel.LowRank, "energy_core", scaled)
+    report = run()
+    assert report.verdict == "fail"
+    assert not report.checks["det_dual_route"].passed

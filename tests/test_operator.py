@@ -2,6 +2,7 @@
 roots, and the identities tying them to the kernel algebra."""
 
 from dataclasses import replace
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -33,11 +34,11 @@ from orderone import (
 from orderone import InvalidArgumentError
 from orderone import grid_kernel
 from orderone.grid_kernel import (
-    SYMMETRY_TOL, LowRank, MatrixKernel, kernel_distance, kernel_from_form,
+    SYMMETRY_TOL, LowRank, MatrixKernel, c_kernels, kernel_distance, kernel_from_form,
 )
 from orderone.operator import (
-    GATE_MARGIN, PIVOT_RTOL, Det2, det2_matrix, det2_product, factor_identity_plus, spectrum,
-    sylvester_matrix, trace_product,
+    GATE_MARGIN, PIVOT_RTOL, Det2, c_logdet, det2_matrix, det2_product, factor_identity_plus,
+    gram_logdet, spectrum, sylvester_matrix, trace_product,
 )
 from orderone.scenarios import OPERATOR_TOL
 
@@ -673,3 +674,91 @@ def test_form_with_a_non_finite_factor_is_rejected(grid):
         basis = np.full((64, 1), factor)
         with pytest.raises(InvalidArgumentError, match="must be finite"):
             kernel_from_form(grid, 1, LowRank(basis, np.array([[core]]), basis))
+
+
+# ---------------------------------------------------------------------------
+# det(I + lam B^T B): the Riccati recursion, the closed form, Sylvester's
+# ---------------------------------------------------------------------------
+
+LOWER_EXP_ZOO = [("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2), ("expdiag:p=[3.0]", 1),
+                 ("expdiag:p=[-50]", 1), ("expdiag:p=[-2000]", 1), ("expdiag:p=[20]", 1)]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 8192])
+def test_volterra_riccati_matches_the_cosh_product(n):
+    # the eigenvalues of B_c of volterra are Delta^2 / (4 sin^2((2k-1) pi / (4N-2))),
+    # k = 1 .. N-1, and one more that is 0
+    g = make_grid(1.0, n)
+    kappa = kernel_zoo("volterra", g)
+    for lam in (0.5, 1.0, 4.0):
+        k = np.arange(1, n)
+        ref = math.fsum(np.log1p(lam * g.step ** 2
+                                 / (4.0 * np.sin((2 * k - 1) * np.pi / (4 * n - 2)) ** 2)))
+        assert abs(c_logdet(kappa, lam) - ref) <= 1e-14 * ref
+        assert abs(gram_logdet(kappa, lam) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1024, 8192])
+@pytest.mark.parametrize("spec, dim", LOWER_EXP_ZOO)
+def test_lower_exp_closed_form_matches_the_riccati_recursion(spec, dim, n):
+    # the gap det_dual_route reads, at every size up to N = 8192
+    kappa = kernel_zoo(spec, make_grid(1.0, n), dim)
+    for lam in (1e-300, 1e-12, 1e-8, 0.5, 1.0, 4.0, 100.0):
+        riccati = c_logdet(kappa, lam)
+        assert riccati >= 0.0
+        assert abs(gram_logdet(kappa, lam) - riccati) <= 1e-12 * max(1.0, riccati)
+
+
+@pytest.mark.parametrize("spec, dim", LOWER_EXP_ZOO)
+def test_lower_exp_logdets_vanish_at_lambda_zero_and_scale_at_tiny_lambda(spec, dim):
+    # det = 1 at lam = 0, unwarned (pytest turns warnings into errors), and
+    # log det = lam ||kappa||^2 (1 + O(lam)) as lam -> 0.  The recursion keeps
+    # its relative precision there; so does the closed form, but at theta = 0
+    # (volterra), where its two terms of order sqrt(lam) cancel
+    kappa = kernel_zoo(spec, make_grid(1.0, 256), dim)
+    assert c_logdet(kappa, 0.0) == 0.0 and gram_logdet(kappa, 0.0) == 0.0
+    for lam in (1e-250, 1e-150, 1e-100):  # lam ||kappa||^2 above the subnormals
+        first = lam * kernel_l2_norm(kappa) ** 2
+        assert abs(c_logdet(kappa, lam) - first) <= 1e-13 * first
+        assert abs(gram_logdet(kappa, lam) - first) <= 1e-13 * first + 1e-15 * math.sqrt(lam)
+
+
+@pytest.mark.parametrize("x", [None, "x"])
+@pytest.mark.parametrize("spec, dim", [("rank1:b=0.3", 1), ("const_phi:c=-0.4", 1),
+                                       ("const_phi:c=-0.4", 2), ("rank2:b=0.2,c=0.3,member=2", 1)])
+def test_low_rank_c_routes_match_the_dense_ones(spec, dim, x):
+    # the spectrum of the c kernel's order-r form and Sylvester's determinant,
+    # against the eigensolve of the dense c kernel and the slogdet of I + lam B^T B
+    g = make_grid(1.0, 64)
+    kappa = kernel_zoo(spec, g, dim)
+    dense = replace(kappa, factored=None)
+    x = None if x is None else np.linspace(1.0, -0.5, dim)
+    for lam in (0.5, 4.0):
+        low = spectrum(c_kernels(kappa, x)).scaled(-lam).logdet_complement()
+        ref = spectrum(c_kernels(dense, x)).scaled(-lam).logdet_complement()
+        assert abs(low - ref) <= 1e-12 * max(1.0, abs(ref))
+        if x is None:
+            assert abs(gram_logdet(kappa, lam) - gram_logdet(dense, lam)) <= 1e-12 * max(1.0, ref)
+            assert abs(gram_logdet(dense, lam) - ref) <= 1e-12 * max(1.0, ref)
+
+
+def test_riccati_route_needs_a_lower_exp_kernel(grid):
+    with pytest.raises(PreconditionError, match="LowerExp"):
+        c_logdet(kernel_zoo("rank1:b=0.3", grid), 1.0)
+
+
+def test_lower_exp_logdets_of_a_large_rate_are_finite_or_raise():
+    # expdiag:p=[400] at N = 64 and p = 700 at N = 2 are accepted
+    # (e^{p (T - Delta)} is finite); the Riccati state Q = c P stays below
+    # alpha^2 (1 + c) whatever lam, so both routes are finite and agree.  At N = 2, p = 800 takes e^{2 Delta p} past
+    # the float range, and both raise rather than return inf or nan
+    for spec, n in (("expdiag:p=[400]", 64), ("expdiag:p=[700]", 2)):
+        kappa = kernel_zoo(spec, make_grid(1.0, n))
+        for lam in (1e-300, 1e-8, 1.0, 100.0):
+            riccati = c_logdet(kappa, lam)
+            assert math.isfinite(riccati)
+            assert abs(gram_logdet(kappa, lam) - riccati) <= 1e-12 * riccati
+    kappa = kernel_zoo("expdiag:p=[800]", make_grid(1.0, 2))
+    for route in (c_logdet, gram_logdet):
+        with pytest.raises(InvalidArgumentError, match="float range"):
+            route(kappa, 1.0)

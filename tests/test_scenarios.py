@@ -2,6 +2,7 @@
 downgrade behavior, determinism, and the pooled chunk reducer."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -405,9 +406,40 @@ def test_harmonic_of_lambda_is_harmonic_of_the_scaled_kernel(spec, x, lam, funct
     assert got.verdict == want.verdict == "pass"
 
 
-def test_harmonic_builds_one_dense_kernel_and_scales_none(monkeypatch):
-    # the c kernel of kappa is eigensolved once and read at the factor -lambda:
-    # no copy of sqrt(lambda) kappa, and no copy of c with its sign flipped
+@pytest.mark.parametrize("n, lams", [(64, [0.0, 1e-8, 0.5, 1.0, 4.0]), (512, [1.0])])
+@pytest.mark.parametrize("spec, dim", [("volterra", 1), ("expdiag:p=[0.5,-0.5]", 2),
+                                       ("expdiag:p=[3.0]", 1), ("expdiag:p=[-50]", 1),
+                                       ("expdiag:p=[-2000]", 1)])
+def test_lower_exp_harmonic_matches_the_dense_route(spec, dim, n, lams):
+    # the Riccati recursion, the gate 0, the closed-form norm and determinant
+    # against the eigensolve, the Frobenius norm and the slogdet of the same
+    # kernel given by its matrix
+    g = make_grid(1.0, n)
+    kappa = kernel_zoo(spec, g, dim)
+    dense = replace(kappa, factored=None)
+    for lam in lams:
+        got, want = (verify_harmonic(k, lam, None, "one", g, dim=dim, n_paths=100, seed=2)
+                     for k in (kappa, dense))
+        pairs = [(got.gate["lambda_eta"], want.gate["lambda_eta"])]
+        pairs += [(got.spectra[key], want.spectra[key]) for key in ("det_log", "hs_norm")]
+        dual, dual_dense = got.checks["det_dual_route"], want.checks["det_dual_route"]
+        pairs += [(dual.value, dual_dense.value), (dual.target, dual_dense.target)]
+        for a, b in pairs:
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (lam, a, b)
+        assert dual.passed and got.checks["lambda_nonpositive"].passed
+
+
+def test_lower_exp_harmonic_of_a_large_rate_reads_a_finite_determinant():
+    # an accepted kernel whose dense B_c is past the float range: the
+    # Riccati recursion and the closed form stay finite and agree
+    r = verify_harmonic("expdiag:p=[400]", 1.0, None, "one", make_grid(1.0, 64),
+                        n_paths=200, seed=0)
+    assert np.isfinite(r.spectra["det_log"])
+    assert r.checks["det_dual_route"].passed
+
+
+def _record_kernels(monkeypatch) -> list:
+    """Whether each kernel built is dense, in order; scale_kernel raises."""
     dense, post_init = [], gk.MatrixKernel.__post_init__
 
     def recorded(self):
@@ -418,9 +450,25 @@ def test_harmonic_builds_one_dense_kernel_and_scales_none(monkeypatch):
         raise AssertionError("scale_kernel called")
     monkeypatch.setattr(gk.MatrixKernel, "__post_init__", recorded)
     monkeypatch.setattr(gk, "scale_kernel", no_scaling)
+    return dense
+
+
+def test_harmonic_builds_one_dense_kernel_and_scales_none(monkeypatch):
+    # the c kernel of kappa is eigensolved once and read at the factor -lambda:
+    # no copy of sqrt(lambda) kappa, and no copy of c with its sign flipped.
+    # A direction takes volterra's dense route
+    dense = _record_kernels(monkeypatch)
+    r = verify_harmonic("volterra", 2.0, [1.0], "one", make_grid(1.0, 32), n_paths=500)
+    assert r.passed
+    assert dense == [False, True]  # the zoo's form of kappa, then c(kappa; x)
+
+
+def test_lower_exp_harmonic_builds_no_kernel_and_scales_none(monkeypatch):
+    # f = 1 and no direction: the Riccati recursion reads the rates of kappa
+    dense = _record_kernels(monkeypatch)
     r = verify_harmonic("volterra", 2.0, None, "one", make_grid(1.0, 32), n_paths=500)
     assert r.passed
-    assert dense == [False, True]  # the zoo's form of kappa, then c(kappa)
+    assert dense == [False]  # the zoo's form of kappa alone
 
 
 def test_zero_paths_is_a_typed_error(grid):

@@ -696,6 +696,25 @@ def test_low_rank_reductions_read_no_apply(grid, monkeypatch):
         wiener_integral(kernels[0][0], sample_paths(grid, 1, 10, seed=8))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ramer_exponent_forms_one_wiener_integral(grid, monkeypatch, dim):
+    # -<I, dW> and 1/2 Delta |I|^2 both read one product I = K dW, and the
+    # value is the sum of the two functionals that form it on their own
+    kappa = kappa_from_phi(kernel_zoo("volterra", grid, dim))
+    batch = sample_paths(grid, dim, 10, seed=4)
+    dw = batch.increments
+    want = -np.einsum("mia,mia->m", kappa.apply(dw), dw) - h_functionals(kappa, batch)
+    calls, apply = [], MatrixKernel.apply
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return apply(self, x)
+    monkeypatch.setattr(MatrixKernel, "apply", counted)
+    got = ramer_exponent(kappa, batch)
+    assert calls == [dw.shape]
+    assert np.array_equal(got, want)
+
+
 def test_expdiag_large_negative_rate_is_finite():
     # e^{-p t} alone would overflow at p t = 2000; the blocked recursion does not
     g = make_grid(1.0, 64)
