@@ -64,7 +64,6 @@ from .scenarios import (
     MCEstimate,
     ScenarioReport,
     integrability_bound,
-    rank1_exp_q_moment,
     sweep_laplace,
     verify_cameron_martin,
     verify_finite_dim,

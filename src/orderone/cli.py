@@ -159,22 +159,17 @@ _RUN_KEYS = {"horizon": float, "n_steps": int, "dim": int, "samples": int, "seed
              "out_dir": str, "format": _format}
 
 
-class Kind(NamedTuple):
-    keys: tuple[str, ...]  # every config key (verify flag) the kind takes
-    run: Callable          # keyword arguments of `_arguments` -> reports
-
-
 _COMMON = ("tolerance", "samples", "n_steps", "horizon", "seed")
 _KERNEL = _COMMON + ("kernel", "functional", "dim")
+# every config key (verify flag) each kind takes; its run is `scenarios.Scenario.run`
 KINDS = {
-    "transf": Kind(_KERNEL, lambda **a: [sc.verify_transf(**a)]),
-    "inverse": Kind(_KERNEL, lambda **a: [sc.verify_inverse(**a)]),
-    "surjective": Kind(_KERNEL + ("lambdas",), lambda **a: sc.surjective_scenario(**a)),
-    "harmonic": Kind(_KERNEL + ("lambda", "x"), lambda **a: [sc.verify_harmonic(**a)]),
-    "cameron_martin": Kind(_KERNEL, lambda kernel, **a: [sc.verify_cameron_martin(kernel, **a)]),
-    "gencv": Kind(_COMMON + ("functional",), lambda **a: [sc.verify_gencv_example(**a)]),
-    "integrability": Kind(_COMMON + ("kernel", "dim"), lambda kernel, **a: [
-        sc.verify_integrability_bound(kernel, **a)]),
+    "transf": _KERNEL,
+    "inverse": _KERNEL,
+    "surjective": _KERNEL + ("lambdas",),
+    "harmonic": _KERNEL + ("lambda", "x"),
+    "cameron_martin": _KERNEL,
+    "gencv": _COMMON + ("functional",),
+    "integrability": _COMMON + ("kernel", "dim"),
 }
 _FINITE_DIM_KEYS = ("functional", "tolerance", "samples", "seed")
 
@@ -246,7 +241,7 @@ def _read_config(text: str) -> RunConfig:
         for key, (value, line_no) in entries.items():
             if key not in _KEYS:
                 raise ConfigError(f"line {line_no}: unknown key {key!r} in [scenario {name}]")
-            if key not in KINDS[kind].keys:
+            if key not in KINDS[kind]:
                 raise ConfigError(f"line {line_no}: verify = {kind} does not take {key!r}")
             _assign(spec, key, _parse(_KEYS[key].parse, key, value, line_no))
         config.scenarios.append(spec)
@@ -271,21 +266,20 @@ def _arguments(spec: ScenarioSpec, config: RunConfig, keys) -> dict:
 
 def _jobs(config: RunConfig, **extra) -> list:
     """Every scenario of config as it will run, checked before any runs: the
-    run of its kind with its `_arguments` and extra, and every report it halts with.
-    `scenarios.resolve_scenario` checks the arguments on the scenario's own
-    grid (a kernel's admissible parameters may depend on N), so that no rule
-    is written here a second time.  Raises ConfigError."""
+    `scenarios.resolve_scenario` of its kind with its `_arguments` and extra,
+    and every report it halts with.  The resolver checks the arguments on the
+    scenario's own grid (a kernel's admissible parameters may depend on N),
+    so that no rule is written here a second time.  Raises ConfigError."""
     if not config.scenarios:
         raise ConfigError("config defines no scenarios")
     jobs = []
     for spec in config.scenarios:
-        kind = KINDS[spec.verify]
         try:
-            a = dict(_arguments(spec, config, kind.keys), **extra)
+            a = dict(_arguments(spec, config, KINDS[spec.verify]), **extra)
             halt = sc.resolve_scenario(spec.verify, **a).reports
         except InvalidArgumentError as exc:
             raise ConfigError(f"scenario {spec.name!r}: {exc}" if spec.name else str(exc))
-        jobs.append((functools.partial(kind.run, **a), halt))
+        jobs.append((functools.partial(sc.resolve_scenario, spec.verify, **a), halt))
     return jobs
 
 
@@ -341,23 +335,29 @@ def _halt(reports, exc: Exception):
     else:
         verdict, error = "error", f"{type(exc).__name__}: {exc}"
         print(f"scenario {names} raised:", file=sys.stderr)
-        traceback.print_exc(file=sys.stderr)
+        traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
     for report in reports:
         report.verdict, report.gate = verdict, {"error": error}
     return reports
 
 
+_GROUP = ("horizon", "n_steps", "dim", "n_paths", "seed")  # of the jobs that share streams
+
+
 def _run(jobs, out_dir: str | None, fmt: str) -> int:
-    """The runner of run, verify and sweep-laplace: each checked job in turn,
-    its reports written to out_dir (when given) and printed.  A scenario that
-    raises gets its halt reports, every one it would have written, and the
-    next one runs: no failure loses a report."""
-    reports = []
-    for run, halt in jobs:
-        try:
-            reports.extend(run())
-        except Exception as exc:
-            reports.extend(_halt(halt, exc))
+    """The runner of run, verify and sweep-laplace: the checked jobs group by
+    group under `scenarios.drive`, so a stream a group shares is drawn once
+    and one group is alive at a time; the reports, in the jobs' order, are
+    written to out_dir (when given) and printed.  A scenario that raises gets
+    its halt reports, every one it would have written: no failure loses one."""
+    groups, results = {}, [None] * len(jobs)
+    for i, (_, halt) in enumerate(jobs):  # by the resolved grid, dim, n_paths and seed
+        groups.setdefault(tuple(halt[0].provenance[k] for k in _GROUP), []).append(i)
+    for members in groups.values():
+        done = sc.drive([jobs[i][0]().run() for i in members])
+        for i, result in zip(members, done):
+            results[i] = _halt(jobs[i][1], result) if isinstance(result, Exception) else result
+    reports = [report for result in results for report in result]
     if out_dir:
         try:
             _write_reports(reports, out_dir, fmt)
@@ -504,11 +504,11 @@ def _cmd_verify(args) -> int:
         a = dict(matrix=np.diag(args.diag), functional=args.functional or "cos_sum",
                  n_samples=spec.overrides.get("n_paths", config.samples),
                  seed=spec.overrides.get("seed", config.seed), tol=spec.tolerance)
-        jobs = [(lambda: [sc.verify_finite_dim(**a)], sc.resolve_finite_dim(**a).reports)]
+        jobs = [(functools.partial(sc.resolve_finite_dim, **a), sc.resolve_finite_dim(**a).reports)]
     elif getattr(args, "diag", None) is not None:
         raise ConfigError(f"{kind} does not take --diag")
     else:
-        config.scenarios = [_spec_from_flags(args, kind, KINDS[kind].keys)]
+        config.scenarios = [_spec_from_flags(args, kind, KINDS[kind])]
         # sweep-laplace: the surjective kind's Laplace sweep without its own identity
         jobs = _jobs(config, **({"own": False} if args.command == "sweep-laplace" else {}))
     return _run(jobs, args.out or os.environ.get("ORDERONE_OUT"), args.format)

@@ -12,20 +12,34 @@ Sides as data.  A transformation of order one turns its change of variables
 into a quadratic-form exponent, so every side below, finite_dim's too, is a
 `Side`: e^{log_scale} E[f(w') e^{c q(w)}], w' the image of the path w under
 the transformation of a kernel (w itself without one) and q a per-path
-exponent (none: 1).  `Scenario.estimate` is the one Monte Carlo driver: it
-evaluates each distinct image and each distinct exponent once per chunk, so
-a lambda family evaluates q once and each row reads c q.  A side with no
-exponent is exact and draws no path: f reads the image at one node, a linear
-image of the Gaussian increments, and `TestFunctional.mean` of its covariance
-is E[f].  `Scenario.identity` runs the two sides of rows of (report, lhs,
-rhs), one pass each, and decides the reports.
+exponent (none: 1).  `Scenario.estimate` evaluates each distinct image and
+each distinct exponent once per block, so a lambda family evaluates q once
+and each row reads c q.  A side with no exponent is exact and draws no path:
+f reads the image at one node, a linear image of the Gaussian increments,
+and `TestFunctional.mean` of its covariance is E[f].  `Scenario.identity`
+runs the two sides of rows of (report, lhs, rhs), one pass each, and checks
+each report's identity.
+
+Two phases, one draw per stream.  Each kind's body (`_BODIES`) is a
+generator: its prologue runs up to a Monte Carlo pass, which `estimate`
+yields as a `_Request` keyed by its stream (grid, dim, n_paths, seed, stream
+id), and its reports are decided from the estimates sent back.  `drive` runs
+the requests of one key as one `_mc_paths` pass: each block is drawn once,
+each request's rows are reduced as in a pass of its own, and a request that
+raises halts its own run alone.  demo.cfg's five scenarios at N = 256,
+d = 1, 50,000 paths share one left-hand draw (inverse requests it before its
+Radon-Nikodym mass): 103,168,000 increments per run, not 154,368,000.  `cli`
+drives one (grid, dim, n_paths, seed) group at a time, so one group's
+prologues are alive at once; each public verify_* drives its scenario alone.
+Probe paths are drawn per scenario.
+
 Five kinds start at `Scenario.factor`, the gate and det2 prologue: transf,
 inverse, cameron_martin, gencv and finite_dim (A on n unit steps, where
 eta(A) is B).  `_gate` writes every gate and halts the reports it rejects.
 harmonic asks `operator` for its determinants by the kernel's form.
-det(I + lam B_c): of a LowerExp kernel with f = 1 and no direction, a
-Riccati recursion per rate, with no matrix; of a LowRank one, the spectrum
-of the c kernel's order-r form; otherwise the dense eigensolve.
+det(I + lam B_c): of a LowerExp kernel with no direction, a Riccati
+recursion per rate, with no matrix, whatever f; of a LowRank one, the
+spectrum of the c kernel's order-r form; otherwise the dense eigensolve.
 det(I + lam B^T B): the closed form per rate of a LowerExp kernel,
 Sylvester's determinant of a LowRank one, the dense slogdet otherwise.
 
@@ -58,7 +72,7 @@ lambdas) form one family (`surjective_scenario`); `verify_surjective` is the
 family of factor 1 alone and `sweep_laplace` that of the lambdas alone;
 `verify_integrability_bound` is that of factor 1 with f = 1, plus its bound.
 
-Chunk plan.  One Monte Carlo side of n paths of N d increments each runs as
+Chunk plan.  One Monte Carlo pass of n paths of N d increments each runs as
 ceil(n / cap) chunks of near-equal size, cap = CHUNK_ELEMENTS // (N d);
 chunk idx draws its paths from the SFC64 generator seeded by
 SeedSequence([seed, side, idx]).  CHUNK_ELEMENTS is no memory cap: it fixes
@@ -69,16 +83,18 @@ feature is needed and the fastest of numpy's generators serves.  `_mc_paths`
 owns the block plan: a chunk is drawn from its generator in successive
 blocks of max(1, PATH_BLOCK // (N d)) paths into one small buffer
 (`stochastic.path_blocks`, the bits of one draw), and each block goes
-through the path functionals whole, so their intermediates stay in cache
+through the path functionals of every request on its stream whole, one
+request after the other, so their intermediates stay in cache
 and no product inside a chunk is large enough for BLAS to spread over
 threads of its own that would compete with the chunk threads.  Each chunk
-returns only its count, mean and M2 (the sum of squared deviations) of its
-blocks' values, the mean carried as a rounded value plus a correction, and
-the partials are merged in chunk order by the pairwise update of Chan, Golub
-and LeVeque, which does not cancel the way sum x^2 - n mean^2 does.  The
+returns, per request, only its count, mean and M2 (the sum of squared
+deviations) of its blocks' values, the mean carried as a rounded value plus
+a correction, and the partials are merged in chunk order by the pairwise
+update of Chan, Golub and LeVeque, which does not cancel the way
+sum x^2 - n mean^2 does.  The
 chunks run on WORKERS = usable cores threads (numpy's SFC64 fill, its ufuncs
 and BLAS release the GIL), so at most WORKERS x PATH_BLOCK increments are in
-flight; a side of one chunk runs in the calling thread.  The chunk and block
+flight; a pass of one chunk runs in the calling thread.  The chunk and block
 sizes do not depend on the machine and the merge order is fixed, so every
 report is bit-for-bit the same whatever the worker count.
 Transformed paths are read at the functional's node alone (see `stochastic`),
@@ -89,6 +105,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
+import copy
 from dataclasses import dataclass, field
 from functools import partial
 import os
@@ -108,6 +125,7 @@ __all__ = [
     "ScenarioReport",
     "resolve_scenario",
     "resolve_finite_dim",
+    "drive",
     "verify_finite_dim",
     "verify_transf",
     "verify_inverse",
@@ -118,7 +136,6 @@ __all__ = [
     "verify_cameron_martin",
     "verify_gencv_example",
     "verify_integrability_bound",
-    "rank1_exp_q_moment",
     "integrability_bound",
     "CSV_HEADER",
     "DEFAULT_TOL",
@@ -221,31 +238,58 @@ def _moments(vals: np.ndarray) -> tuple:
     return n, mean[..., 0], corr, dev.sum(axis=-1) - n * corr * corr
 
 
-def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
-              per_path, scale=1.0, ci_valid=True) -> list[MCEstimate]:
-    """Draw the chunks of n_paths Wiener paths (chunk idx from the SFC64
-    stream keyed by (seed, stream_id, idx)), each in blocks of
-    max(1, PATH_BLOCK // (N dim)) paths, map per_path over the blocks on the
-    pool, and merge the chunks' moments in chunk order by the pairwise update
-    of Chan, Golub and LeVeque.  The next block is drawn into the same
-    buffer, so per_path must not keep its batch past its return.
+# a pending pass: its stream key (grid, dim, n_paths, seed, stream_id), what it reads
+_Request = namedtuple("_Request", "key per_path scale ci_valid")
 
-    per_path gives a (rows, paths) array, merged row by row into a list of
-    MCEstimates, one per row (one value per path: a list of one); scale and
-    ci_valid hold one entry per row (or one for all).  Each chunk runs under
-    `_PAST_RANGE`: a value past the float range stays inf or nan, unwarned."""
+
+@np.errstate(**_PAST_RANGE)
+def _mc_paths(key: tuple, requests) -> list:
+    """One pass over the stream of key = (grid, dim, n_paths, seed,
+    stream_id) for every `_Request`: draw the chunks of n_paths Wiener paths
+    (chunk idx from the SFC64 stream keyed by (seed, stream_id, idx)), each
+    in blocks of max(1, PATH_BLOCK // (N dim)) paths, map each per_path over
+    the blocks on the pool, and merge each request's chunk moments in chunk
+    order by the pairwise update of Chan, Golub and LeVeque.  The next block
+    is drawn into the same buffer, so per_path must not keep its batch.
+
+    per_path gives a (rows, paths) array, merged row by row, as in a pass of
+    its own, into one MCEstimate per row; scale and ci_valid hold one entry
+    per row (or one for all).  Per request, its list, or the first exception
+    its per_path raised (a failed draw's is every request's).  Each chunk runs
+    under `_PAST_RANGE`: a value past the float range stays inf or nan."""
+    grid, dim, n_paths, seed, stream_id = key
     elements = grid.n_steps * dim
     sizes = _chunk_sizes(n_paths, elements)
     rows = max(1, PATH_BLOCK // elements)
 
     def run(idx):
         with np.errstate(**_PAST_RANGE):  # per thread: the caller's misses the pool's
-            blocks = st.path_blocks(grid, dim, sizes[idx], seed, stream=(stream_id, idx),
-                                    rows=rows)
-            return _moments(np.concatenate(
-                [np.asarray(per_path(batch), dtype=float) for batch in blocks], axis=-1))
+            vals = [[] for _ in requests]  # per request, its values or the exception it raised
+            for batch in st.path_blocks(grid, dim, sizes[idx], seed, stream=(stream_id, idx),
+                                        rows=rows):
+                for r, request in enumerate(requests):
+                    if isinstance(vals[r], list):
+                        try:
+                            vals[r].append(np.asarray(request.per_path(batch), dtype=float))
+                        except Exception as exc:  # this request's alone: the others go on
+                            vals[r] = exc
+            return [_moments(np.concatenate(v, axis=-1)) if isinstance(v, list) else v
+                    for v in vals]
 
-    parts = _map_chunks(run, len(sizes))
+    try:
+        parts = _map_chunks(run, len(sizes))
+    except Exception as exc:  # the draw failed: every request's pass did, each its own copy
+        return [exc] + [copy.copy(exc).with_traceback(exc.__traceback__) for _ in requests[1:]]
+    return [_merged([part[r] for part in parts], request.scale, request.ci_valid)
+            for r, request in enumerate(requests)]
+
+
+def _merged(parts, scale, ci_valid) -> list[MCEstimate] | Exception:
+    """The MCEstimates of a request's chunk moments, parts in chunk order;
+    the first exception among them instead, if any."""
+    failed = [part for part in parts if isinstance(part, Exception)]
+    if failed:
+        return failed[0]
     count, mean, corr, m2 = parts[0]
     for n_b, mean_b, corr_b, m2_b in parts[1:]:
         # not in place: the moments are arrays, and those of parts[0] are read below
@@ -265,6 +309,40 @@ def _mc_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream_id: int,
                    tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in parts))
         for r in np.ndindex(shape)
     ]
+
+
+def drive(runs) -> list:
+    """Run each generator of runs (a `Scenario.run`, or a side's `estimate`),
+    which yields `_Request`s and is sent back their estimates, to its end.
+    Each round runs the pending requests of one stream key as one `_mc_paths`
+    pass; a request's exception is thrown back into its own run alone.  Per
+    run: its return value, or the exception that halted it."""
+    results, sent = [None] * len(runs), dict.fromkeys(range(len(runs)))
+    while sent:
+        pending, rounds = {}, {}
+        for i, value in sent.items():
+            try:
+                pending[i] = (runs[i].throw if isinstance(value, Exception)
+                              else runs[i].send)(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as exc:
+                results[i] = exc
+        for i, request in pending.items():
+            rounds.setdefault(request.key, []).append(i)
+        sent = {}
+        for key, members in rounds.items():
+            sent.update(zip(members, _mc_paths(key, [pending[i] for i in members])))
+    return results
+
+
+def _alone(s: Scenario) -> list[ScenarioReport]:
+    """The reports of s, run alone under `drive`; the exception that halted it
+    is raised."""
+    (result,) = drive([s.run()])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -372,13 +450,6 @@ def _compare(lhs: MCEstimate, rhs: MCEstimate, tol: float):
     return None, diff / scale, diff <= CONSISTENCY_FACTOR * tol * scale
 
 
-def _finish(report: ScenarioReport) -> ScenarioReport:
-    if report.verdict == "undecided":
-        ok = all(c.passed for c in report.checks.values())
-        report.verdict = "pass" if ok and report.checks else "fail"
-    return report
-
-
 def _gate(report: ScenarioReport, lam_eta: float) -> str | None:
     """The moment guard of a gate eigenvalue, recorded with it in the report;
     None, the report halted at 'rejected-by-hypothesis', when it rejects."""
@@ -425,17 +496,20 @@ def verify_finite_dim(
     """Gaussian change of variables in R^n for x -> x + Ax with quadratic
     weight exp(<Bx,x>/2), B = -(A + A^T + A^T A), gated on lambda_max(B) < 1
     and guarded like the Wiener-space weights: no CI when 2 lambda_max(B) >= 1."""
-    s = resolve_finite_dim(matrix, functional, n_samples, seed, tol, name)
+    return _alone(resolve_finite_dim(matrix, functional, n_samples, seed, tol, name))[0]
+
+
+def _finite_dim(s: Scenario):
     p = s.factor(s.kernel)
     if p is None:
-        return s.report
+        return s.reports
     # on unit steps B is eta(A), so <Bx, x> / 2 is the Ramer exponent of A,
     # and |det(I + A)| = |det2(I + A)| e^{tr A}
     logdet = p.det2.log_modulus + s.report.spectra["trace"]
     s.report.spectra["det_abs"] = float(np.exp(logdet))
     lhs = Side(logdet, partial(st.ramer_exponent, s.kernel), kernel=s.kernel,
                ci_valid=p.guard == "ok")
-    return s.identity([(s.report, lhs, Side())])[0]
+    return (yield from s.identity([(s.report, lhs, Side())]))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +554,8 @@ class Scenario:
     seed: int
     reports: list[ScenarioReport]
     factors: list[float]
+    kind: str
+    params: dict  # keyword arguments of its kind's body beyond the scenario: harmonic's, gencv's
 
     @property
     def report(self) -> ScenarioReport:
@@ -519,23 +595,35 @@ class Scenario:
         return _Factored(eta, gate, guard, d2,
                          op.inverse_kernel_from(lu, kappa) if inverse else None)
 
-    @np.errstate(**_PAST_RANGE)
-    def estimate(self, stream_id: int, sides, f: TestFunctional) -> list[MCEstimate]:
+    def run(self):
+        """This scenario's run for `drive`: its kind's body fills in its reports,
+        and each one left undecided passes when it has checks and all hold."""
+        reports = yield from _BODIES[self.kind](self, **self.params)
+        for report in reports:
+            if report.verdict == "undecided":
+                ok = report.checks and all(c.passed for c in report.checks.values())
+                report.verdict = "pass" if ok else "fail"
+        return reports
+
+    def estimate(self, stream_id: int, sides, f: TestFunctional):
         """The estimate of each side, f read along its image, in one pass over
         the paths of the stream: each distinct image (its node weights built
         once, before any chunk) and each distinct exponent are evaluated once
-        per chunk.  Exact, and drawing nothing, when no side has an exponent:
-        the node value dW G that f reads is then N(0, Delta G^T G)."""
-        node = f.node(self.grid)
-        images = {id(side.kernel): side.kernel for side in sides}
-        weights = {image: None if kernel is None or node is None
-                   else st.node_weights(kernel, node) for image, kernel in images.items()}
-        if all(side.exponent is None for side in sides):
-            dt, eye = self.grid.step, np.eye(self.kernel.dim)
-            cov = {image: (node or 0) * dt * eye if w is None else dt * (w.T @ w)
-                   for image, w in weights.items()}  # W(t_k) itself: k Delta I
-            return [exact_estimate(np.exp(side.log_scale) * f.mean(cov[id(side.kernel)]))
-                    for side in sides]
+        per block.  The pass is yielded to `drive` as a `_Request`.  Exact,
+        with nothing drawn or yielded, when no side has an exponent: the node
+        value dW G that f reads is then N(0, Delta G^T G)."""
+        with np.errstate(**_PAST_RANGE):
+            node = f.node(self.grid)
+            images = {id(side.kernel): side.kernel for side in sides}
+            weights = {image: None if kernel is None or node is None
+                       else st.node_weights(kernel, node) for image, kernel in images.items()}
+            if all(side.exponent is None for side in sides):
+                dt, eye = self.grid.step, np.eye(self.kernel.dim)
+                cov = {image: (node or 0) * dt * eye if w is None else dt * (w.T @ w)
+                       for image, w in weights.items()}  # W(t_k) itself: k Delta I
+                return [exact_estimate(np.exp(side.log_scale) * f.mean(cov[id(side.kernel)]))
+                        for side in sides]
+            scale = [np.exp(side.log_scale) for side in sides]
         exponents = {id(e): e for e in (side.exponent for side in sides) if e is not None}
 
         def per_path(batch):
@@ -546,22 +634,21 @@ class Scenario:
                     else f_at[id(side.kernel)] * np.exp(side.c * q[id(side.exponent)])
                     for side in sides]
 
-        return _mc_paths(self.grid, self.kernel.dim, self.n_paths, self.seed, stream_id,
-                         per_path, [np.exp(side.log_scale) for side in sides],
-                         [side.ci_valid for side in sides])
+        key = (self.grid, self.kernel.dim, self.n_paths, self.seed, stream_id)
+        return (yield _Request(key, per_path, scale, [side.ci_valid for side in sides]))
 
-    def identity(self, rows) -> list[ScenarioReport]:
+    def identity(self, rows):
         """Estimate the left-hand sides of rows of (report, lhs, rhs) in one
         pass and their right-hand sides in another, then compare each row's two
-        sides as its report's 'identity' check and decide the report."""
+        sides as its report's 'identity' check (a generator, as `estimate`)."""
         reports, lhs, rhs = zip(*rows)
-        for report, left, right in zip(reports, self.estimate(_STREAM_LHS, lhs, self.f),
-                                       self.estimate(_STREAM_RHS, rhs, self.f)):
+        lefts = yield from self.estimate(_STREAM_LHS, lhs, self.f)
+        rights = yield from self.estimate(_STREAM_RHS, rhs, self.f)
+        for report, left, right in zip(reports, lefts, rights):
             report.lhs, report.rhs = left, right
             report.z_score, report.rel_error, ok = _compare(left, right, report.tolerance)
             report.checks["identity"] = Check(report.rel_error, 0.0, report.tolerance, ok,
                                               "main comparison")
-            _finish(report)
         return list(reports)
 
 
@@ -594,7 +681,9 @@ def resolve_scenario(
     if kernel is None:
         if kind != "gencv":
             raise InvalidArgumentError(f"{kind} needs a kernel")
-        kernel = _gencv_spec(*GENCV_B)
+        kernel, params = _gencv_spec(*GENCV_B), dict(zip(("b1", "b2"), GENCV_B))
+    else:
+        params = dict(lam=lam, x=x) if kind == "harmonic" else {}
     grid = grid or make_grid(1.0, 256)
     if isinstance(kernel, MatrixKernel):
         if kernel.grid != grid:
@@ -628,7 +717,7 @@ def resolve_scenario(
     reports = [ScenarioReport(title, kind, None, None, None, None, tol, "undecided",
                               provenance=p) for title, p in titled]
     return Scenario(grid, kappa, _ONE if f is None else f, n_paths, seed, reports,
-                    ([1.0] if own else []) + lambdas)
+                    ([1.0] if own else []) + lambdas, kind, params)
 
 
 def verify_transf(
@@ -638,11 +727,15 @@ def verify_transf(
 ) -> ScenarioReport:
     """Forward identity: transformed-and-weighted expectation against the
     plain one, scaled by |det2| and exp(||kappa||^2 / 2)."""
-    s = resolve_scenario("transf", kernel, functional, grid, dim, n_paths, seed, tol, name)
+    return _alone(resolve_scenario("transf", kernel, functional, grid, dim, n_paths, seed, tol,
+                                   name))[0]
+
+
+def _transf(s: Scenario):
     p = s.factor(s.kernel)
     if p is None:
-        return s.report
-    return s.identity([_transf_row(s, p)])[0]
+        return s.reports
+    return (yield from s.identity([_transf_row(s, p)]))
 
 
 def _transf_row(s: Scenario, p: _Factored) -> tuple:
@@ -659,15 +752,19 @@ def verify_inverse(
 ) -> ScenarioReport:
     """Inverse-transformation identity, the pathwise round trip, and the unit
     mass of the Radon-Nikodym weight of the transformed measure."""
-    s = resolve_scenario("inverse", kernel, functional, grid, dim, n_paths, seed, tol, name)
+    return _alone(resolve_scenario("inverse", kernel, functional, grid, dim, n_paths, seed, tol,
+                                   name))[0]
+
+
+def _inverse(s: Scenario):
     kappa, report, p = s.kernel, s.report, s.factor(s.kernel, inverse=True)
     if p is None:
-        return report
+        return s.reports
     kappa_hat = p.kappa_hat
 
     # pathwise round trip: both composition orders return the increments, one
     # order at a time, so that one transformed probe batch is alive, not two
-    probe = st.sample_paths(s.grid, kappa.dim, PROBE_PATHS, seed, stream=(_STREAM_PROBE, 0))
+    probe = st.sample_paths(s.grid, kappa.dim, PROBE_PATHS, s.seed, stream=(_STREAM_PROBE, 0))
     scale = max(1.0, float(np.max(np.abs(probe.increments))))
     err = max(float(np.max(np.abs(
         st.apply_transformation(outer, st.apply_transformation(inner, probe)).increments
@@ -689,18 +786,20 @@ def verify_inverse(
         p.det2.log_modulus + d2_hat.log_modulus, op.trace_product(kappa, kappa_hat), OPERATOR_TOL,
         note="log|det2(I+B)| + log|det2(I+B_hat)| against tr(B B_hat)",
     )
-    rn = s.estimate(_STREAM_RN, [Side(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2,
-                                      partial(st.quadratic_form, eta_hat),
-                                      ci_valid=guard_hat == "ok")], _ONE)[0]
-    _, _, rn_ok = _compare(rn, exact_estimate(1.0), tol)
-    report.checks["rn_normalization"] = Check(
-        rn.mean, 1.0, tol, rn_ok,
-        f"Radon-Nikodym weight mass (guard {guard_hat})",
-    )
 
     lhs = Side(p.det2.log_modulus, partial(st.quadratic_form, p.eta), ci_valid=p.guard == "ok")
     rhs = Side(0.5 * gk.kernel_l2_norm(kappa) ** 2, kernel=kappa_hat)
-    return s.identity([(report, lhs, rhs)])[0]
+    yield from s.identity([(report, lhs, rhs)])  # in the round of its stream's other readers
+    rn = (yield from s.estimate(
+        _STREAM_RN, [Side(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2,
+                          partial(st.quadratic_form, eta_hat), ci_valid=guard_hat == "ok")],
+        _ONE))[0]
+    _, _, rn_ok = _compare(rn, exact_estimate(1.0), report.tolerance)
+    report.checks["rn_normalization"] = Check(
+        rn.mean, 1.0, report.tolerance, rn_ok,
+        f"Radon-Nikodym weight mass (guard {guard_hat})",
+    )
+    return s.reports
 
 
 def surjective_scenario(
@@ -714,13 +813,12 @@ def surjective_scenario(
     lambdas): one eigensolve of B_eta and one Monte Carlo pass per side, on
     the same paths for every factor, with one row per factor its gate admits.
     Every factor keeps its own gate and its own independent checks."""
-    return _surjective_family(resolve_scenario(
-        "surjective", kernel, functional, grid, dim, n_paths, seed, tol, name,
-        lambdas=lambdas, own=own))
+    return _alone(resolve_scenario("surjective", kernel, functional, grid, dim, n_paths, seed,
+                                   tol, name, lambdas=lambdas, own=own))
 
 
-def _surjective_family(s: Scenario) -> list[ScenarioReport]:
-    """Fill in and decide every report of s as the family of `surjective_scenario`."""
+def _surjective_family(s: Scenario):
+    """Fill in every report of s as the family of `surjective_scenario`."""
     eta = s.kernel
     eig = op.spectrum(eta, vectors=True)
     eta_norm = gk.kernel_l2_norm(eta)
@@ -762,7 +860,7 @@ def _surjective_family(s: Scenario) -> list[ScenarioReport]:
                      Side(-0.5 * d2_eta.log_modulus, kernel=image)))
     eig = scaled = None  # the eigenvectors are as large as the operator
     if rows:
-        s.identity(rows)
+        yield from s.identity(rows)
     return s.reports
 
 
@@ -796,26 +894,26 @@ def verify_harmonic(
     trace-class determinant of the covariance-type kernel.
 
     The identity of sqrt(lam) * kappa, whose c kernel is lam c(kappa), so
-    the weight is exp(-lam * h(kappa)); the determinant side is computed
-    along two routes (the c kernel and B^T B) that must agree.  Of a LowerExp
-    kappa with f = 1 and no x, det(I + lam B_c) is one Riccati recursion per
-    rate (`operator.c_logdet`), and the gate is 0: B_c = B^T B is positive
-    semi-definite and singular, the last column of a strictly lower K being
-    zero.  Otherwise one eigensolve of B_c, read at the factor -lam, gives
-    the gate, det(I + lam B_c) and, when f is not constant, the right-hand
-    side kernel (I + lam B_c)^{-1/2} - I: of order r for a LowRank kappa,
-    dense for any other, a LowerExp one included.  det_dual_route reads
-    det(I + lam B^T B) from the form whatever f (`operator.gram_logdet`)."""
-    s = resolve_scenario("harmonic", kernel, functional, grid, dim, n_paths, seed, tol, name,
-                         lam=lam, x=x)
-    kappa, report = s.kernel, s.report
+    the weight is exp(-lam * h(kappa)); det(I + lam B_c) and det(I + lam B^T B)
+    (`operator.gram_logdet`, det_dual_route) must agree.  Of a LowerExp kappa
+    with no x, det(I + lam B_c) is one Riccati recursion per rate
+    (`operator.c_logdet`) and the gate 0 (B_c = B^T B is singular: the last
+    column of a strictly lower K is zero).  Otherwise one eigensolve of B_c,
+    read at the factor -lam, gives both.  When f is not constant, an
+    eigensolve with vectors gives the right-hand side kernel
+    (I + lam B_c)^{-1/2} - I: of order r for a LowRank kappa, else dense."""
+    return _alone(resolve_scenario("harmonic", kernel, functional, grid, dim, n_paths, seed, tol,
+                                   name, lam=lam, x=x))[0]
 
-    if isinstance(kappa.factored, gk.LowerExp) and x is None and s.f.is_constant_one:
-        lam_neg, logdet_c, image = 0.0, op.c_logdet(kappa, lam), None
-    else:
+
+def _harmonic(s: Scenario, lam: float, x):
+    kappa, report = s.kernel, s.report
+    riccati = isinstance(kappa.factored, gk.LowerExp) and x is None
+    lam_neg, logdet_c, image = 0.0, op.c_logdet(kappa, lam) if riccati else None, None
+    if not (riccati and s.f.is_constant_one):
         eig = op.spectrum(gk.c_kernels(kappa, x), vectors=not s.f.is_constant_one).scaled(-lam)
-        lam_neg = eig.lambda_max  # Lambda(-lam B_c) <= 0 always
-        logdet_c = eig.logdet_complement()  # log det(I + lam B_c), I + lam B_c >= I
+        if not riccati:  # Lambda(-lam B_c) <= 0 and log det(I + lam B_c), I + lam B_c >= I
+            lam_neg, logdet_c = eig.lambda_max, eig.logdet_complement()
         image = None if s.f.is_constant_one else eig.inverse_sqrt_kernel()
         del eig  # the eigenvectors are as large as the operator
     _gate(report, lam_neg)
@@ -835,7 +933,7 @@ def verify_harmonic(
     }
     rhs = Side(-0.5 * logdet_c, kernel=image)
     lhs = Side(exponent=partial(st.h_functionals, kappa, x=x), c=-lam)
-    return s.identity([(report, lhs, rhs)])[0]
+    return (yield from s.identity([(report, lhs, rhs)]))
 
 
 def verify_cameron_martin(
@@ -850,14 +948,17 @@ def verify_cameron_martin(
     equals the Wiener integral of kappa_phi, then Monte Carlos the identity as
     the transformation of order one of kappa_phi, exact on the grid.
     """
-    s = resolve_scenario("cameron_martin", phi_kernel, functional, grid, dim, n_paths, seed,
-                         tol, name)
+    return _alone(resolve_scenario("cameron_martin", phi_kernel, functional, grid, dim, n_paths,
+                                   seed, tol, name))[0]
+
+
+def _cameron_martin(s: Scenario):
     phi, grid, report = s.kernel, s.grid, s.report
 
     kappa_phi = gk.kappa_from_phi(phi)
     p = s.factor(kappa_phi)
     if p is None:
-        return report
+        return s.reports
 
     m = op.sylvester_matrix(kappa_phi)  # the checks' matrix: of order r for a LowRank form
     tr = float(np.trace(m))
@@ -876,7 +977,7 @@ def verify_cameron_martin(
     report.spectra["det_log"] = float(p.det2.log_modulus + tr)
 
     # pathwise: the linear drift of phi is the Wiener integral of kappa_phi
-    probe = st.sample_paths(grid, phi.dim, PROBE_PATHS, seed, stream=(_STREAM_PROBE, 0))
+    probe = st.sample_paths(grid, phi.dim, PROBE_PATHS, s.seed, stream=(_STREAM_PROBE, 0))
     drift = st.cameron_martin_drift(phi, probe)
     integral = st.wiener_integral(kappa_phi, probe)
     scale = max(1.0, float(np.max(np.abs(integral))))
@@ -885,9 +986,10 @@ def verify_cameron_martin(
         note="max |linear drift - Wiener integral of kappa_phi| / scale",
     )
 
+
     lhs = Side(p.det2.log_modulus + tr, partial(st.ramer_exponent, kappa_phi), kernel=kappa_phi,
                ci_valid=p.guard == "ok")
-    return s.identity([(report, lhs, Side())])[0]
+    return (yield from s.identity([(report, lhs, Side())]))
 
 
 def _gencv_spec(b1: float, b2: float) -> str:
@@ -908,8 +1010,12 @@ def verify_gencv_example(
     b1, b2 = float(b1), float(b2)
     s = resolve_scenario("gencv", _gencv_spec(b1, b2), functional, grid, 1, n_paths, seed, tol,
                          name)
-    report = s.report
+    s.params = dict(b1=b1, b2=b2)
+    return _alone(s)[0]
 
+
+def _gencv(s: Scenario, b1: float, b2: float):
+    report = s.report
     lam_s = op.lambda_max(gk.s_of_kappa(s.kernel))
     # the prologue and the row of the forward identity, on this scenario's kernel
     p = s.factor(s.kernel)
@@ -918,7 +1024,7 @@ def verify_gencv_example(
         # the gate 1 - (1 + b)^2 of this family reaches 1 exactly where
         # det2 = (1 + b1)(1 + b2) e^{-(b1 + b2)} vanishes
         report.verdict = "singular"
-        return report
+        return s.reports
 
     # B_s and B_eta have the eigenvalues -2 b and 1 - (1 + b)^2 on the two
     # directions of the kernel, and 0 on the other N - 2 grid directions
@@ -934,14 +1040,7 @@ def verify_gencv_example(
     report.checks["det2_value"] = _check_close(
         p.det2.value, (1.0 + b1) * (1.0 + b2) * np.exp(-(b1 + b2)), 1e-6, note="det2 closed form"
     )
-    return s.identity([_transf_row(s, p)])[0]
-
-
-def rank1_exp_q_moment(a: float) -> float:
-    """Closed form of E[exp(q)] for a rank-one kernel with eigenvalue a < 1."""
-    if a >= 1:
-        return float("inf")
-    return float(((1.0 - a) * np.exp(a)) ** -0.5)
+    return (yield from s.identity([_transf_row(s, p)]))
 
 
 def integrability_bound(lam: float, hs_norm: float) -> float:
@@ -958,17 +1057,28 @@ def verify_integrability_bound(
     """The surjective identity with f = 1, E[e^{q_eta}] = det2(I-B_eta)^{-1/2}
     for any symmetric eta (`_surjective_family`), plus the Monte Carlo
     moment below the closed-form exponential-moment bound, guard-aware."""
-    s = resolve_scenario("integrability", eta_kernel, None, grid, dim, n_paths, seed, tol, name)
-    report = _surjective_family(s)[0]
+    return _alone(resolve_scenario("integrability", eta_kernel, None, grid, dim, n_paths, seed,
+                                   tol, name))[0]
+
+
+def _integrability(s: Scenario):
+    report = (yield from _surjective_family(s))[0]
     est = report.lhs
     if est is None:  # halted at the gate
-        return report
+        return [report]
     bound = integrability_bound(report.gate["lambda_eta"], report.spectra["hs_norm"])
     report.spectra.update(bound=bound, exact_value=report.rhs.mean)
-    slack = 3.0 * est.std_error if est.ci_valid else CONSISTENCY_FACTOR * tol * bound
+    slack = 3.0 * est.std_error if est.ci_valid else CONSISTENCY_FACTOR * report.tolerance * bound
     report.checks["bound"] = _check_bound(
         est.mean if est.ci_valid else est.median, bound, slack,
         note="E[e^q] below the exponential-moment bound",
     )
-    report.verdict = "undecided"  # decided again, the bound included
-    return _finish(report)
+    return [report]
+
+
+# the body of each kind: its run once resolved; see `Scenario.run`
+_BODIES = {
+    "finite_dim": _finite_dim, "transf": _transf, "inverse": _inverse,
+    "surjective": _surjective_family, "harmonic": _harmonic, "cameron_martin": _cameron_martin,
+    "gencv": _gencv, "integrability": _integrability,
+}

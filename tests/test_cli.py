@@ -269,7 +269,7 @@ def test_run_reports_a_scenario_error_as_its_halt(tmp_path, monkeypatch, command
     # operator and left main as a traceback on any other exception
     def fails(*args, **kwargs):
         raise error("raised inside the scenario")
-    monkeypatch.setattr(scenarios, "verify_transf", fails)
+    monkeypatch.setitem(scenarios._BODIES, "transf", fails)
     out = tmp_path / "r"
     if command == "run":
         argv = ["run", "--config", _write_config(tmp_path, MINIMAL + "seed = 17\n")]
@@ -288,7 +288,7 @@ def test_run_keeps_the_other_reports_when_a_scenario_raises(tmp_path, monkeypatc
     # any other exception lost the reports of every scenario
     def crashes(*args, **kwargs):
         raise RuntimeError("unexpected failure inside the scenario")
-    monkeypatch.setattr(scenarios, "verify_transf", crashes)
+    monkeypatch.setitem(scenarios._BODIES, "transf", crashes)
     text = MINIMAL + """
 [scenario after]
 verify = integrability
@@ -384,7 +384,7 @@ def test_gencv_halt_report_records_its_own_kernel(tmp_path, monkeypatch):
     # report recorded that placeholder
     def fails(*args, **kwargs):
         raise RuntimeError("raised inside the scenario")
-    monkeypatch.setattr(scenarios, "verify_gencv_example", fails)
+    monkeypatch.setitem(scenarios._BODIES, "gencv", fails)
     cfg = _write_config(tmp_path, "[run]\nn_steps = 16\n[scenario g]\nverify = gencv\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
     (report,) = json.loads((tmp_path / "reports.json").read_text())
@@ -661,14 +661,13 @@ CONFIG_DEFECTS = {
 
 
 def _record_scenarios(monkeypatch):
+    # every run, of a config, a flag or a public verify_*, starts at its kind's body
     calls = []
-    for name in ("verify_transf", "verify_inverse", "verify_surjective", "sweep_laplace",
-                 "verify_harmonic", "verify_cameron_martin", "verify_gencv_example",
-                 "verify_integrability_bound"):
-        def recorded(*args, _name=name, _original=getattr(scenarios, name), **kwargs):
+    for name, body in scenarios._BODIES.items():
+        def recorded(*args, _name=name, _original=body, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
-        monkeypatch.setattr(scenarios, name, recorded)
+        monkeypatch.setitem(scenarios._BODIES, name, recorded)
     return calls
 
 
@@ -836,6 +835,88 @@ def test_demo_draws_no_right_hand_side_path(tmp_path, monkeypatch):
     assert len(reports) == 11
     for report in reports:
         assert report["rhs"]["n_samples"] == 0 and report["rhs"]["std_error"] == 0.0
+
+
+def _spy_draws(monkeypatch):
+    """The (grid, dim, n_paths, seed, stream) key of every draw of stochastic.path_blocks."""
+    keys, path_blocks = [], stochastic.path_blocks
+
+    def recorded(grid, dim, n_paths, seed, stream=(), rows=None):
+        keys.append((grid, dim, n_paths, seed, tuple(stream)))
+        return path_blocks(grid, dim, n_paths, seed, stream=stream, rows=rows)
+    monkeypatch.setattr(stochastic, "path_blocks", recorded)
+    return keys
+
+
+def _json_rows(argv, out):
+    main(argv + ["--out", str(out), "--format", "json"])
+    return [json.dumps(r, sort_keys=True) for r in json.loads((out / "reports.json").read_text())]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fused_run_writes_what_each_scenario_writes_alone(tmp_path, monkeypatch, workers):
+    # demo.cfg at the golden pin's size (its sample overrides removed, so that
+    # six scenarios share the N = 64, d = 1 stream; linear_const keeps its
+    # N = 512), their passes in 4 chunks of blocks of 300 paths: every report is
+    # the one its scenario writes in a config of its own, and no stream, the
+    # probes included, is drawn twice (inverse requests its left-hand side
+    # in the round of the others')
+    monkeypatch.setattr(scenarios, "WORKERS", workers)
+    monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 64 * 1000)
+    monkeypatch.setattr(scenarios, "PATH_BLOCK", 64 * 300)
+    text = (Path(__file__).parent.parent / "demo.cfg").read_text()
+    text = re.sub(r"(?m)^\s*samples\s*=.*$", "", text)
+    head, *sections = re.split(r"(?m)^(?=\[scenario )", text)
+    flags = ["--grid", "64", "--paths", "4000"]
+    keys = _spy_draws(monkeypatch)
+    fused = _json_rows(["run", "--config", _write_config(tmp_path, text)] + flags,
+                       tmp_path / "fused")
+    assert len(keys) == len(set(keys))
+    # one left-hand stream per group: (N, d) = (64, 1), (64, 2) and (512, 1)
+    assert len({key[:2] for key in keys if key[4][0] == scenarios._STREAM_LHS}) == 3
+    alone = [row for i, section in enumerate(sections)
+             for row in _json_rows(["run", "--config", _write_config(tmp_path, head + section)]
+                                   + flags, tmp_path / f"alone{i}")]
+    assert len(fused) == 11 and fused == alone
+
+
+ONE_STREAM = """
+[run]
+n_steps = 64
+samples = 4000
+seed = 5
+
+[scenario forward]
+verify = transf
+kernel = rank1:b=0.3
+functional = cos_end:1.0
+
+[scenario oscillator]
+verify = harmonic
+kernel = volterra
+"""
+
+
+def test_a_raising_reader_of_a_shared_stream_halts_alone(tmp_path, monkeypatch, capsys):
+    # forward and oscillator read one pass of one stream; oscillator's exponent
+    # raises inside it, and only oscillator halts
+    argv = ["run", "--config", _write_config(tmp_path, ONE_STREAM)]
+    keys = _spy_draws(monkeypatch)
+    forward, oscillator = _json_rows(argv, tmp_path / "pass")
+    assert len(keys) == len(set(keys)) == 1
+    capsys.readouterr()
+
+    def raises(*args, **kwargs):
+        raise RuntimeError("raised inside h_functionals")
+    monkeypatch.setattr(stochastic, "h_functionals", raises)
+    assert main(argv + ["--out", str(tmp_path / "halt")]) == EXIT_NUMERICAL
+    halted = json.loads((tmp_path / "halt" / "reports.json").read_text())
+    assert json.dumps(halted[0], sort_keys=True) == forward
+    assert halted[1]["name"] == "oscillator" and halted[1]["verdict"] == "error"
+    assert halted[1]["gate"] == {"error": "RuntimeError: raised inside h_functionals"}
+    assert json.loads(oscillator)["verdict"] == "pass"
+    assert capsys.readouterr().err.count("Traceback (most recent call last)") == 1
+    assert len(keys) == 2 and keys[0] == keys[1]  # one draw per run
 
 
 def test_one_sample_side_has_no_confidence_interval(tmp_path):

@@ -23,6 +23,7 @@ from orderone import (
     lambda_max,
     make_grid,
     orthonormal_columns,
+    scale_kernel,
     sweep_laplace,
     verify_cameron_martin,
     verify_gencv_example,
@@ -404,8 +405,9 @@ def test_det2_sqrt_identity_sees_perturbed_pivots(grid, monkeypatch):
 
 
 def test_harmonic_dual_route_sees_a_perturbed_spectrum(grid, monkeypatch):
-    # cos_end takes volterra's dense route: the eigensolve of the dense B_c
-    run = lambda: verify_harmonic("volterra", 1.0, None, "cos_end:1.0", grid=grid,  # noqa: E731
+    # a dense copy of volterra takes the dense route: the eigensolve of the dense B_c
+    dense = scale_kernel(kernel_zoo("volterra", grid), 1.0)
+    run = lambda: verify_harmonic(dense, 1.0, None, "cos_end:1.0", grid=grid,  # noqa: E731
                                   n_paths=500)
     assert run().checks["det_dual_route"].passed
     _perturb_eigenvalues(monkeypatch)

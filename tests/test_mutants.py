@@ -48,6 +48,11 @@ Q_SCENARIOS = ("forward_rank1", "inverse_rank1", "square_root", "counterexample"
 FAMILY_SCENARIOS = ("square_root", "moment_bound")  # the surjective family's
 
 
+def _run(job):
+    """The reports of a checked config job, its scenario run alone."""
+    return scenarios._alone(job[0]())
+
+
 def _small_demo_reports(names):
     """{name: reports} of the named demo.cfg scenarios at the golden pin's
     size: N = 64, 4,000 paths."""
@@ -55,7 +60,7 @@ def _small_demo_reports(names):
         config = cli.parse_config(re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", fh.read()))
     config.n_steps, config.samples = 64, 4000
     jobs = dict(zip((spec.name for spec in config.scenarios), cli._jobs(config)))
-    reports = {name: jobs[name][0]() for name in names}
+    reports = {name: _run(jobs[name]) for name in names}
     for name in names:  # square_root has 3 Laplace rows
         assert len(reports[name]) == (4 if name == "square_root" else 1), name
     return reports
@@ -83,8 +88,7 @@ def test_det2_mutants_fail_det2_product(monkeypatch, mutant):
         config = cli.parse_config(fh.read())
     jobs = dict(zip((spec.name for spec in config.scenarios), cli._jobs(config)))
     for name in FACTOR_SCENARIOS:
-        run, _ = jobs[name]
-        report = run()[0]
+        report = _run(jobs[name])[0]
         assert not report.checks["det2_product"].passed, name
 
 

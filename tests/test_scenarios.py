@@ -18,7 +18,6 @@ from orderone import (
     integrability_bound,
     kernel_zoo,
     make_grid,
-    rank1_exp_q_moment,
     sample_paths,
     scale_kernel,
     sweep_laplace,
@@ -31,6 +30,22 @@ from orderone import (
     verify_surjective,
     verify_transf,
 )
+
+
+def rank1_exp_q_moment(a: float) -> float:
+    """The oracle E[exp(q)] of a rank-one kernel with eigenvalue a < 1:
+    ((1 - a) e^a)^{-1/2}."""
+    return float(((1.0 - a) * np.exp(a)) ** -0.5)
+
+
+def _pass(grid, dim, n_paths, seed, stream_id, per_path):
+    """The estimates of per_path's rows over one stream, as one side's pass;
+    the exception per_path raised is raised."""
+    (out,) = sc._mc_paths((grid, dim, n_paths, seed, stream_id),
+                          [sc._Request(None, per_path, 1.0, True)])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +330,7 @@ def test_exact_side_agrees_with_monte_carlo(spec, dim, text):
     f = TestFunctional.parse(text)
     s = sc.resolve_scenario("transf", spec or "zero", f, MEAN_GRID, dim, n_paths=200_000, seed=8)
     kernel = None if spec is None else s.kernel
-    (exact,) = s.estimate(sc._STREAM_LHS, [sc.Side(kernel=kernel)], f)
+    (exact,) = sc.drive([s.estimate(sc._STREAM_LHS, [sc.Side(kernel=kernel)], f)])[0]
     assert exact.n_samples == 0 and exact.std_error == 0.0
     k = f.node(MEAN_GRID)
     if k is None:
@@ -326,7 +341,7 @@ def test_exact_side_agrees_with_monte_carlo(spec, dim, text):
     def per_path(batch):
         w = batch.value_at_node(k) if weights is None else stochastic.node_value(batch, weights)
         return f.at_node(w)
-    (mc,) = sc._mc_paths(MEAN_GRID, dim, 200_000, 8, sc._STREAM_LHS, per_path)
+    (mc,) = _pass(MEAN_GRID, dim, 200_000, 8, sc._STREAM_LHS, per_path)
     assert abs(mc.mean - exact.mean) <= 4.0 * mc.std_error
 
 
@@ -372,6 +387,18 @@ def test_harmonic_with_direction(grid):
                         dim=2, n_paths=40_000, seed=7)
     assert r.passed
     assert r.checks["lambda_nonpositive"].passed
+
+
+def test_lower_exp_harmonic_reads_the_riccati_determinant_whatever_f():
+    # with f = cos_end the eigensolve of the dense B_c gave det_log 32.5938
+    # against 32.6205 from the closed form (det_dual_route failed) and a gate
+    # of 0.018 (lambda_nonpositive failed); it now builds the image kernel alone
+    g = make_grid(1.0, 64)
+    r = verify_harmonic("expdiag:p=[20]", 1.0, None, "cos_end:1", g, n_paths=500)
+    assert r.checks["det_dual_route"].passed and r.checks["lambda_nonpositive"].passed
+    assert r.gate["lambda_eta"] == 0.0
+    want = operator.c_logdet(kernel_zoo("expdiag:p=[20]", g), 1.0)
+    assert abs(r.spectra["det_log"] - want) <= 1e-12 * abs(want)
 
 
 def test_harmonic_rejects_negative_lambda(grid):
@@ -775,9 +802,9 @@ def test_chunk_exception_propagates_and_the_pool_stops(monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(_ChunkFailure, match="chunk 3"):
-        sc._mc_paths(g, 1, 80, 0, 0, per_path)
+        _pass(g, 1, 80, 0, 0, per_path)
     assert threading.active_count() == before
-    (est,) = sc._mc_paths(g, 1, 80, 0, 0, lambda b: b.value_at_node(g.n_steps)[:, 0])
+    (est,) = _pass(g, 1, 80, 0, 0, lambda b: b.value_at_node(g.n_steps)[:, 0])
     assert est.n_samples == 80 and len(est.chunk_means) == 8
 
 
@@ -795,7 +822,7 @@ def test_chunk_blocks_reproduce_the_fresh_chunk(monkeypatch, workers):
             blocks.append(batch.n_paths)
         return batch.value_at_node(g.n_steps)[:, 0]
 
-    (est,) = sc._mc_paths(g, 1, 80, 0, 0, per_path)
+    (est,) = _pass(g, 1, 80, 0, 0, per_path)
     assert len(est.chunk_means) == 8 and sorted(blocks) == [1] * 8 + [3] * 24
     for idx, size in enumerate(sc._chunk_sizes(80, 16)):
         fresh = sample_paths(g, 1, size, 0, stream=(0, idx))
@@ -831,7 +858,7 @@ def test_reductions_do_not_depend_on_the_path_block(spec, dim, monkeypatch):
 
     def moments():
         blocks.clear()
-        ests = sc._mc_paths(g, dim, 50, 11, 0, per_path)
+        ests = _pass(g, dim, 50, 11, 0, per_path)
         assert max(blocks) <= max(1, sc.PATH_BLOCK // (64 * dim))
         return np.array([(e.mean, e.std_error) for e in ests])
 
@@ -873,7 +900,7 @@ def test_merged_variance_is_stable_for_any_chunking(monkeypatch):
     for cap in (1 << 22, 3_000, 1_024, 7):
         monkeypatch.setattr(sc, "CHUNK_ELEMENTS", cap)
         drawn = []
-        (est,) = sc._mc_paths(TimeGrid(1.0, 1), 1, 10_000, 3, 0, per_sample)
+        (est,) = _pass(TimeGrid(1.0, 1), 1, 10_000, 3, 0, per_sample)
         vals = np.concatenate(drawn)
         two_pass = np.var(vals, ddof=1)
         npt.assert_allclose(est.std_error ** 2 * est.n_samples, two_pass, rtol=1e-12)
