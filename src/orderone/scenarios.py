@@ -98,7 +98,9 @@ flight; a pass of one chunk runs in the calling thread.  The chunk and block
 sizes do not depend on the machine and the merge order is fixed, so every
 report is bit-for-bit the same whatever the worker count.
 Transformed paths are read at the functional's node alone (see `stochastic`),
-so no side forms a transformed batch.
+so no side forms a transformed batch.  Every draw follows the block plan: the
+PROBE_PATHS probes of the pathwise checks too, one block at a time in the
+calling thread (`_probe_gap`), so no run forms a (paths, N d) batch.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ OPERATOR_TOL = 1e-8      # operator-only assertions
 CONSISTENCY_FACTOR = 5.0  # widened tolerance for CI-less (median) comparisons
 CHUNK_ELEMENTS = 1 << 22  # increments per generator key and per sub-batch mean
 PATH_BLOCK = 1 << 17  # increments per block of paths drawn and reduced at once
-PROBE_PATHS = 1000  # paths of the pathwise checks of inverse and cameron_martin
+PROBE_PATHS = 1000  # paths of inverse's and cameron_martin's pathwise checks, drawn in blocks
 GENCV_B = (-2.0, -3.0)  # gencv's own counterexample: its default b1, b2
 
 
@@ -309,6 +311,20 @@ def _merged(parts, scale, ci_valid) -> list[MCEstimate] | Exception:
                    tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in parts))
         for r in np.ndindex(shape)
     ]
+
+
+def _probe_gap(s: Scenario, dim: int, gap) -> float:
+    """The largest deviation over the PROBE_PATHS probe paths of s (stream
+    (_STREAM_PROBE, 0)) over max(1, largest |entry| of a reference), gap(batch)
+    giving a batch's largest deviation and its reference.  The paths are drawn
+    in the blocks of `_mc_paths`; a max does not depend on the block order, so
+    the value is that of one whole batch, which is never formed."""
+    dev, scale = 0.0, 1.0
+    for batch in st.path_blocks(s.grid, dim, PROBE_PATHS, s.seed, stream=(_STREAM_PROBE, 0),
+                                rows=max(1, PATH_BLOCK // (s.grid.n_steps * dim))):
+        block_dev, ref = gap(batch)
+        dev, scale = np.maximum(dev, block_dev), np.maximum(scale, np.max(np.abs(ref)))
+    return float(dev / scale)
 
 
 def drive(runs) -> list:
@@ -762,15 +778,13 @@ def _inverse(s: Scenario):
         return s.reports
     kappa_hat = p.kappa_hat
 
-    # pathwise round trip: both composition orders return the increments, one
-    # order at a time, so that one transformed probe batch is alive, not two
-    probe = st.sample_paths(s.grid, kappa.dim, PROBE_PATHS, s.seed, stream=(_STREAM_PROBE, 0))
-    scale = max(1.0, float(np.max(np.abs(probe.increments))))
-    err = max(float(np.max(np.abs(
-        st.apply_transformation(outer, st.apply_transformation(inner, probe)).increments
-        - probe.increments))) for inner, outer in ((kappa_hat, kappa), (kappa, kappa_hat)))
+    # pathwise round trip: both composition orders return the increments
+    def roundtrip(probe):
+        return np.max([np.max(np.abs(st.apply_transformation(
+            outer, st.apply_transformation(inner, probe)).increments - probe.increments))
+            for inner, outer in ((kappa_hat, kappa), (kappa, kappa_hat))]), probe.increments
     report.checks["composition_roundtrip"] = _check_close(
-        err / scale, 0.0, OPERATOR_TOL, relative=False,
+        _probe_gap(s, kappa.dim, roundtrip), 0.0, OPERATOR_TOL, relative=False,
         note="max increment deviation / path scale over both orders",
     )
 
@@ -953,7 +967,7 @@ def verify_cameron_martin(
 
 
 def _cameron_martin(s: Scenario):
-    phi, grid, report = s.kernel, s.grid, s.report
+    phi, report = s.kernel, s.report
 
     kappa_phi = gk.kappa_from_phi(phi)
     p = s.factor(kappa_phi)
@@ -977,12 +991,11 @@ def _cameron_martin(s: Scenario):
     report.spectra["det_log"] = float(p.det2.log_modulus + tr)
 
     # pathwise: the linear drift of phi is the Wiener integral of kappa_phi
-    probe = st.sample_paths(grid, phi.dim, PROBE_PATHS, s.seed, stream=(_STREAM_PROBE, 0))
-    drift = st.cameron_martin_drift(phi, probe)
-    integral = st.wiener_integral(kappa_phi, probe)
-    scale = max(1.0, float(np.max(np.abs(integral))))
+    def drift_gap(probe):
+        integral = st.wiener_integral(kappa_phi, probe)
+        return np.max(np.abs(st.cameron_martin_drift(phi, probe) - integral)), integral
     report.checks["pathwise_drift"] = _check_close(
-        float(np.max(np.abs(drift - integral))) / scale, 0.0, OPERATOR_TOL, relative=False,
+        _probe_gap(s, phi.dim, drift_gap), 0.0, OPERATOR_TOL, relative=False,
         note="max |linear drift - Wiener integral of kappa_phi| / scale",
     )
 

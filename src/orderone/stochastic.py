@@ -47,15 +47,15 @@ M paths, with n = N d:
     LowerExp (volterra, expdiag)  O(M n)     a weighted cumulative sum
 
 Each functional works on the whole batch it is given.  The Monte Carlo
-runner (`scenarios`) owns the block plan: it draws each chunk of paths from
-the chunk's one generator in blocks of about `scenarios.PATH_BLOCK`
+runner (`scenarios`) owns the block plan: it draws every stream, the probes
+of its pathwise checks too, in blocks of about `scenarios.PATH_BLOCK`
 increments (`path_blocks`), so a block's intermediates stay in cache and no
 product is large enough for BLAS to spread over threads of its own, which
 would compete with the chunk threads for the cores.  Sequential draws from
-one generator give the bits of one draw, so `sample_paths` is the one-block
-case.  A value depends on its own path alone, but BLAS may sum a block's
-products in another order at another block size; the fixed block plan keeps
-its last bits.
+one generator give the bits of one draw, so `sample_paths`, which no program
+path calls, is the one-block case.  A value depends on its own path alone,
+but BLAS may sum a block's products in another order at another block size;
+the fixed block plan keeps its last bits.
 
 Node read.  Every test functional reads the path at one node k alone
 (`TestFunctional.node`; 'one' reads none), and the image of a path under
@@ -64,11 +64,11 @@ weights G of shape (N d, d) built once per kernel and node (`node_weights`:
 one product of d rows with the kernel), and `node_value` reads it in
 O(M N d^2) per batch for every representation, dense included, without
 forming the transformed (M, N, d) batch.  The Monte Carlo sides read
-transformed paths this way; `apply_transformation` remains for pathwise
-checks, and no check calls `apply_linear_transformation`.  Being linear in
-the Gaussian increments, W'(t_k) is N(0, Delta G^T G), so a side without an
-exponent has the closed form `TestFunctional.mean` of that covariance
-(Mathai and Provost, Quadratic Forms in Random Variables, 1992).
+transformed paths this way; `apply_transformation` remains for inverse's
+probe round trip, and no check calls `apply_linear_transformation`.  Being
+linear in the Gaussian increments, W'(t_k) is N(0, Delta G^T G), so a side
+without an exponent has the closed form `TestFunctional.mean` of that
+covariance (Mathai and Provost, Quadratic Forms in Random Variables, 1992).
 """
 
 from __future__ import annotations

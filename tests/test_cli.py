@@ -837,6 +837,37 @@ def test_demo_draws_no_right_hand_side_path(tmp_path, monkeypatch):
         assert report["rhs"]["n_samples"] == 0 and report["rhs"]["std_error"] == 0.0
 
 
+@pytest.mark.parametrize("path_block", [scenarios.PATH_BLOCK, 64 * 300],
+                         ids=["default", "blocks_of_300"])
+def test_every_draw_follows_the_block_plan(tmp_path, monkeypatch, path_block):
+    # demo.cfg at the golden pin's size: no program path draws a whole batch
+    # through sample_paths, and every stream, the probes of inverse and
+    # cameron_martin included, is drawn in blocks of max(1, PATH_BLOCK // (N d))
+    monkeypatch.setattr(scenarios, "PATH_BLOCK", path_block)
+    text = (Path(__file__).parent.parent / "demo.cfg").read_text()
+    cfg = _write_config(tmp_path, re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", text))
+    sampled, draws, path_blocks = [], [], stochastic.path_blocks
+    monkeypatch.setattr(stochastic, "sample_paths", lambda *args, **kwargs: sampled.append(args))
+
+    def recorded(grid, dim, n_paths, seed, stream=(), rows=None):
+        sizes = []
+        draws.append((grid.n_steps * dim, n_paths, stream[0], rows, sizes))
+        for batch in path_blocks(grid, dim, n_paths, seed, stream=stream, rows=rows):
+            sizes.append(batch.n_paths)
+            yield batch
+    monkeypatch.setattr(stochastic, "path_blocks", recorded)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--format", "json",
+                 "--grid", "64", "--paths", "4000"]) == EXIT_PASS
+    assert not sampled
+    for elements, n_paths, _, rows, sizes in draws:
+        assert rows == max(1, path_block // elements)
+        assert sum(sizes) == n_paths and all(size <= rows for size in sizes)
+    probes = [draw for draw in draws if draw[2] == scenarios._STREAM_PROBE]
+    # inverse_rank1 and linear_const, each drawing its own
+    assert [draw[1] for draw in probes] == [scenarios.PROBE_PATHS] * 2
+    assert [len(draw[4]) for draw in probes] == [-(-scenarios.PROBE_PATHS // probes[0][3])] * 2
+
+
 def _spy_draws(monkeypatch):
     """The (grid, dim, n_paths, seed, stream) key of every draw of stochastic.path_blocks."""
     keys, path_blocks = [], stochastic.path_blocks

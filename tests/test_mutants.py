@@ -25,6 +25,13 @@ and the trace of B_kappa_phi gains Delta^2 sum_i tr phi(t_i, t_i), so
 linear_const must fail pathwise_drift and trace_formula at the golden pin's
 size: deterministic kills, with no Monte Carlo comparison involved.
 
+The inverse-sign mutant negates the inverse kernel kappa_hat that inverse
+reads from the LU of I + B_kappa (`operator.inverse_kernel_from`).  Its
+pathwise round trip, (I + Delta K_hat)(I + Delta K) dW against dW over the
+1,000 probe paths drawn in the blocks of the block plan, no longer returns
+the increments, and det2_inverse no longer holds, so inverse_rank1 must fail
+both at the golden pin's size: deterministic kills.
+
 The harmonic mutants perturb the route det(I + lam B_c) is read from: the
 Riccati recursion of a LowerExp kernel (its weight c, or its transition
 applied after the update, which only a rate p != 0 can tell apart) and the
@@ -132,6 +139,19 @@ def test_inclusive_tail_mutant_fails_the_deterministic_checks(monkeypatch):
     (report,) = _small_demo_reports(("linear_const",))["linear_const"]
     assert report.verdict == "fail"
     for check in ("pathwise_drift", "trace_formula"):
+        assert not report.checks[check].passed, check
+
+
+def test_negated_inverse_kernel_mutant_fails_composition_roundtrip(monkeypatch):
+    inverse_kernel_from = operator.inverse_kernel_from
+
+    def negated(lu, kappa):
+        """-kappa_hat: the inverse kernel with its sign flipped."""
+        return grid_kernel.scale_kernel(inverse_kernel_from(lu, kappa), -1.0)
+    monkeypatch.setattr(operator, "inverse_kernel_from", negated)
+    (report,) = _small_demo_reports(("inverse_rank1",))["inverse_rank1"]
+    assert report.verdict == "fail"
+    for check in ("composition_roundtrip", "det2_inverse"):
         assert not report.checks[check].passed, check
 
 

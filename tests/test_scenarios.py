@@ -591,6 +591,46 @@ def test_cameron_martin_is_exact_on_a_coarse_grid(seed):
     assert r.passed and abs(r.z_score) <= 4.0
 
 
+def _whole_batch_probe_gap(kind, kernel, seed):
+    """The pathwise check's value from one (PROBE_PATHS, N d) batch of the
+    probe stream: the round trip of inverse, or the drift of cameron_martin."""
+    probe = sample_paths(kernel.grid, kernel.dim, sc.PROBE_PATHS, seed,
+                         stream=(sc._STREAM_PROBE, 0))
+    if kind == "inverse":
+        kappa_hat = operator.inverse_kernel(kernel)
+        err = max(np.max(np.abs(stochastic.apply_transformation(
+            outer, stochastic.apply_transformation(inner, probe)).increments - probe.increments))
+            for inner, outer in ((kappa_hat, kernel), (kernel, kappa_hat)))
+        return err / max(1.0, np.max(np.abs(probe.increments)))
+    integral = stochastic.wiener_integral(gk.kappa_from_phi(kernel), probe)
+    err = np.max(np.abs(stochastic.cameron_martin_drift(kernel, probe) - integral))
+    return err / max(1.0, np.max(np.abs(integral)))
+
+
+@pytest.mark.parametrize("kind, spec, check", [
+    ("inverse", "rank1:b=0.1", "composition_roundtrip"),
+    ("cameron_martin", "const:c=1", "pathwise_drift"),
+])
+def test_probe_checks_run_in_blocks_and_read_the_whole_batch_value(kind, spec, check):
+    # at N d = 4096 one (PROBE_PATHS, N d) batch is 31 MiB: the probes run in
+    # blocks of PATH_BLOCK increments, so the whole run peaks below a quarter
+    # of one, and the check reads the value of the whole batch
+    import tracemalloc
+
+    g, seed = make_grid(1.0, 4096), 3
+    run = verify_inverse if kind == "inverse" else verify_cameron_martin
+    tracemalloc.start()
+    try:
+        r = run(spec, "one", g, n_paths=256, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.passed
+    assert peak < sc.PROBE_PATHS * g.n_steps * 8 / 4
+    want = _whole_batch_probe_gap(kind, kernel_zoo(spec, g), seed)
+    assert abs(r.checks[check].value - want) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # general-change-of-variables counterexample
 # ---------------------------------------------------------------------------
