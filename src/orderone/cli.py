@@ -341,7 +341,7 @@ def _halt(reports, exc: Exception):
     return reports
 
 
-_GROUP = ("horizon", "n_steps", "dim", "n_paths", "seed")  # of the jobs that share streams
+_GROUP = ("horizon", "n_steps", "seed")  # of the jobs that share streams
 
 
 def _run(jobs, out_dir: str | None, fmt: str) -> int:
@@ -351,7 +351,7 @@ def _run(jobs, out_dir: str | None, fmt: str) -> int:
     written to out_dir (when given) and printed.  A scenario that raises gets
     its halt reports, every one it would have written: no failure loses one."""
     groups, results = {}, [None] * len(jobs)
-    for i, (_, halt) in enumerate(jobs):  # by the resolved grid, dim, n_paths and seed
+    for i, (_, halt) in enumerate(jobs):  # by the resolved grid and seed
         groups.setdefault(tuple(halt[0].provenance[k] for k in _GROUP), []).append(i)
     for members in groups.values():
         done = sc.drive([jobs[i][0]().run() for i in members])

@@ -21,17 +21,22 @@ runs the two sides of rows of (report, lhs, rhs), one pass each, and checks
 each report's identity.
 
 Two phases, one draw per stream.  Each kind's body (`_BODIES`) is a
-generator: its prologue runs up to a Monte Carlo pass, which `estimate`
-yields as a `_Request` keyed by its stream (grid, dim, n_paths, seed, stream
-id), and its reports are decided from the estimates sent back.  `drive` runs
-the requests of one key as one `_mc_paths` pass: each block is drawn once,
-each request's rows are reduced as in a pass of its own, and a request that
-raises halts its own run alone.  demo.cfg's five scenarios at N = 256,
-d = 1, 50,000 paths share one left-hand draw (inverse requests it before its
-Radon-Nikodym mass): 103,168,000 increments per run, not 154,368,000.  `cli`
-drives one (grid, dim, n_paths, seed) group at a time, so one group's
-prologues are alive at once; each public verify_* drives its scenario alone.
-Probe paths are drawn per scenario.
+generator: its prologue runs up to a Monte Carlo pass, which it yields as a
+`_Request` on its stream key (grid, seed, stream id) that reads the first
+n_paths paths and dim components of that stream, and its reports are decided
+from the results sent back.  A stream is one prefix-closed draw, so `drive`
+runs the requests of one key as one `_mc_paths` pass, which draws each
+component once, for the most paths a request reads of it: each request's
+rows are reduced as in a pass of its own, and a request that raises halts
+its own run alone.  Each round serves the pending streams in the order in
+which a body requests them (probe, left-hand side, right-hand side), so the
+pathwise checks of one group share one probe draw and every left-hand side
+meets in the next round.  demo.cfg's seven
+scenarios at N = 256, one of them at 100,000 paths and one at d = 2, share
+one left-hand draw, which holds inverse's Radon-Nikodym mass too:
+64,768,000 increments per run, not 103,168,000.  `cli` drives one (grid,
+seed) group at a time, so one group's prologues are alive at once; each
+public verify_* drives its scenario alone.
 
 Five kinds start at `Scenario.factor`, the gate and det2 prologue: transf,
 inverse, cameron_martin, gencv and finite_dim (A on n unit steps, where
@@ -72,35 +77,40 @@ lambdas) form one family (`surjective_scenario`); `verify_surjective` is the
 family of factor 1 alone and `sweep_laplace` that of the lambdas alone;
 `verify_integrability_bound` is that of factor 1 with f = 1, plus its bound.
 
-Chunk plan.  One Monte Carlo pass of n paths of N d increments each runs as
-ceil(n / cap) chunks of near-equal size, cap = CHUNK_ELEMENTS // (N d);
-chunk idx draws its paths from the SFC64 generator seeded by
-SeedSequence([seed, side, idx]).  CHUNK_ELEMENTS is no memory cap: it fixes
-how many paths share one generator key and one sub-batch mean of the median
-fallback, so changing it moves every number.  Each chunk builds its own
-generator from its key and none is ever advanced or jumped, so no counter
-feature is needed and the fastest of numpy's generators serves.  `_mc_paths`
-owns the block plan: a chunk is drawn from its generator in successive
-blocks of max(1, PATH_BLOCK // (N d)) paths into one small buffer
-(`stochastic.path_blocks`, the bits of one draw), and each block goes
-through the path functionals of every request on its stream whole, one
-request after the other, so their intermediates stay in cache
+Chunk plan.  A stream on a grid of N steps runs in chunks of
+cap = CHUNK_ELEMENTS // N paths, whatever its dimension and path count: n
+paths are ceil(n / cap) chunks, each full but the last (`_chunk_sizes`), so
+the chunks of n paths are those of any larger count, cut at n.  Component 0
+of chunk idx draws its paths from the SFC64 generator seeded by
+SeedSequence([seed, stream, idx]) and component a >= 1 from the one seeded
+by SeedSequence([seed, stream, idx, a]) (`_stream_chunks`), so a reader of
+n paths and d components reads the first n paths and d components of the
+stream, the bits of a pass of its own.  CHUNK_ELEMENTS is no memory cap: it
+fixes how many paths share one generator key and one sub-batch mean of the
+median fallback, so changing it moves every number.  Each chunk builds its
+own generators from their keys and none is ever advanced or jumped, so no
+counter feature is needed and the fastest of numpy's generators serves.
+`_mc_paths` owns the block plan: a chunk is drawn in successive blocks of
+max(1, PATH_BLOCK // N) paths into one small buffer
+(`stochastic.path_blocks`, the bits of one draw), and each request on the
+stream reads its own paths and components of each block as one contiguous
+batch, one request after the other, so their intermediates stay in cache
 and no product inside a chunk is large enough for BLAS to spread over
 threads of its own that would compete with the chunk threads.  Each chunk
-returns, per request, only its count, mean and M2 (the sum of squared
-deviations) of its blocks' values, the mean carried as a rounded value plus
-a correction, and the partials are merged in chunk order by the pairwise
+returns, per request, its reduction of its blocks' values: the count, mean
+and M2 (the sum of squared deviations) of an estimate, the mean carried as a
+rounded value plus a correction, merged in chunk order by the pairwise
 update of Chan, Golub and LeVeque, which does not cancel the way
-sum x^2 - n mean^2 does.  The
+sum x^2 - n mean^2 does; or the running max of a pathwise check.  The
 chunks run on WORKERS = usable cores threads (numpy's SFC64 fill, its ufuncs
-and BLAS release the GIL), so at most WORKERS x PATH_BLOCK increments are in
-flight; a pass of one chunk runs in the calling thread.  The chunk and block
-sizes do not depend on the machine and the merge order is fixed, so every
-report is bit-for-bit the same whatever the worker count.
+and BLAS release the GIL), so at most WORKERS x PATH_BLOCK x d increments
+are in flight; a pass of one chunk runs in the calling thread.  The chunk and
+block sizes do not depend on the machine and the merge order is fixed, so
+every report is bit-for-bit the same whatever the worker count.
 Transformed paths are read at the functional's node alone (see `stochastic`),
 so no side forms a transformed batch.  Every draw follows the block plan: the
-PROBE_PATHS probes of the pathwise checks too, one block at a time in the
-calling thread (`_probe_gap`), so no run forms a (paths, N d) batch.
+PROBE_PATHS probes of the pathwise checks too (`Scenario.probe`), so no run
+forms a (paths, N d) batch.
 """
 
 from __future__ import annotations
@@ -115,7 +125,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, PreconditionError
 from . import grid_kernel as gk
 from . import operator as op
 from . import stochastic as st
@@ -147,8 +157,8 @@ __all__ = [
 DEFAULT_TOL = 0.02       # relative tolerance absorbing O(Delta) discretization bias
 OPERATOR_TOL = 1e-8      # operator-only assertions
 CONSISTENCY_FACTOR = 5.0  # widened tolerance for CI-less (median) comparisons
-CHUNK_ELEMENTS = 1 << 22  # increments per generator key and per sub-batch mean
-PATH_BLOCK = 1 << 17  # increments per block of paths drawn and reduced at once
+CHUNK_ELEMENTS = 1 << 22  # per component: N x the paths of a chunk, one generator key
+PATH_BLOCK = 1 << 16  # per component: N x the rows of a block drawn and reduced at once
 PROBE_PATHS = 1000  # paths of inverse's and cameron_martin's pathwise checks, drawn in blocks
 GENCV_B = (-2.0, -3.0)  # gencv's own counterexample: its default b1, b2
 
@@ -163,7 +173,8 @@ def _usable_cores() -> int:
 # threads that run chunks; reports do not depend on it
 WORKERS = _usable_cores()
 
-_STREAM_LHS, _STREAM_RHS, _STREAM_PROBE, _STREAM_RN = 0, 1, 2, 3
+_STREAM_LHS, _STREAM_RHS, _STREAM_PROBE = 0, 1, 2
+_ROUNDS = (_STREAM_PROBE, _STREAM_LHS, _STREAM_RHS)  # the order a body requests them in
 
 # a side past the float range is inf or nan and fails its comparison, unwarned
 _PAST_RANGE = dict(over="ignore", invalid="ignore")
@@ -201,13 +212,25 @@ def exact_estimate(value: float) -> MCEstimate:
     return MCEstimate(float(value), 0.0, 0, True)
 
 
-def _chunk_sizes(n_paths: int, elements_per_path: int) -> list[int]:
-    """ceil(n / cap) chunks of near-equal size (they differ by at most one),
-    cap = CHUNK_ELEMENTS // elements_per_path paths."""
-    cap = max(1, CHUNK_ELEMENTS // max(1, elements_per_path))
-    count = -(-n_paths // cap)
-    base, extra = divmod(n_paths, count)
-    return [base + 1] * extra + [base] * (count - extra)
+def _chunk_sizes(n_paths: int, n_steps: int) -> list[int]:
+    """The paths of each chunk of the first n_paths paths of a stream on a
+    grid of n_steps steps: ceil(n / cap) chunks, each of cap =
+    CHUNK_ELEMENTS // n_steps paths but the last."""
+    cap = max(1, CHUNK_ELEMENTS // n_steps)
+    return [cap] * (n_paths // cap) + [n_paths % cap] * (n_paths % cap > 0)
+
+
+def _stream_chunks(grid: TimeGrid, seed: int, stream_id: int, counts) -> list[Callable]:
+    """The chunk plan of the stream (seed, stream_id) on grid, drawn for
+    counts[a] paths of each component a (non-increasing): per chunk idx, a
+    callable that draws its blocks of max(1, PATH_BLOCK // N) paths, component
+    a >= 1 keyed [seed, stream_id, idx, a] and 0 [seed, stream_id, idx]."""
+    sizes, chunks = [_chunk_sizes(count, grid.n_steps) for count in counts], []
+    for idx in range(len(sizes[0])):
+        per = tuple(s[idx] for s in sizes if idx < len(s))
+        chunks.append(partial(st.path_blocks, grid, len(per), per, seed, stream=(stream_id, idx),
+                              rows=max(1, PATH_BLOCK // grid.n_steps)))
+    return chunks
 
 
 def _map_chunks(run, n_chunks: int) -> list:
@@ -240,58 +263,67 @@ def _moments(vals: np.ndarray) -> tuple:
     return n, mean[..., 0], corr, dev.sum(axis=-1) - n * corr * corr
 
 
-# a pending pass: its stream key (grid, dim, n_paths, seed, stream_id), what it reads
-_Request = namedtuple("_Request", "key per_path scale ci_valid")
+# a pending pass: its stream key (grid, seed, stream_id), the paths and
+# components it reads, its values per block and their reduction per chunk and
+# merge, in chunk order, of the chunks' reductions
+_Request = namedtuple("_Request", "key n_paths dim per_path reduce merge")
 
 
 @np.errstate(**_PAST_RANGE)
 def _mc_paths(key: tuple, requests) -> list:
-    """One pass over the stream of key = (grid, dim, n_paths, seed,
-    stream_id) for every `_Request`: draw the chunks of n_paths Wiener paths
-    (chunk idx from the SFC64 stream keyed by (seed, stream_id, idx)), each
-    in blocks of max(1, PATH_BLOCK // (N dim)) paths, map each per_path over
-    the blocks on the pool, and merge each request's chunk moments in chunk
-    order by the pairwise update of Chan, Golub and LeVeque.  The next block
-    is drawn into the same buffer, so per_path must not keep its batch.
+    """One pass over the stream of key = (grid, seed, stream_id) for every
+    `_Request`, each reading the first n_paths paths and dim components of
+    the stream: each component is drawn once, for the most paths a request
+    reads of it, in the chunks of `_stream_chunks`, and the chunks are mapped
+    on the pool.  Each request's per_path runs on its own paths and
+    components of each block, as the contiguous batch of a pass of its own,
+    and gives a (rows, paths) array; the request reduces each chunk's values
+    and merges the chunks in chunk order.  The next block is drawn into the
+    same buffer, so per_path must not keep its batch.
 
-    per_path gives a (rows, paths) array, merged row by row, as in a pass of
-    its own, into one MCEstimate per row; scale and ci_valid hold one entry
-    per row (or one for all).  Per request, its list, or the first exception
-    its per_path raised (a failed draw's is every request's).  Each chunk runs
-    under `_PAST_RANGE`: a value past the float range stays inf or nan."""
-    grid, dim, n_paths, seed, stream_id = key
-    elements = grid.n_steps * dim
-    sizes = _chunk_sizes(n_paths, elements)
-    rows = max(1, PATH_BLOCK // elements)
+    Per request, its merge, or the first exception its per_path raised (a
+    failed draw's is every request's).  Each chunk runs under `_PAST_RANGE`:
+    a value past the float range stays inf or nan."""
+    grid, seed, stream_id = key
+    reads = [_chunk_sizes(request.n_paths, grid.n_steps) for request in requests]
+    counts = [max(request.n_paths for request in requests if request.dim > a)
+              for a in range(max(request.dim for request in requests))]
+    chunks = _stream_chunks(grid, seed, stream_id, counts)
 
     def run(idx):
         with np.errstate(**_PAST_RANGE):  # per thread: the caller's misses the pool's
-            vals = [[] for _ in requests]  # per request, its values or the exception it raised
-            for batch in st.path_blocks(grid, dim, sizes[idx], seed, stream=(stream_id, idx),
-                                        rows=rows):
+            # per request, its values, the exception it raised, or None: it reads no path here
+            vals = [[] if idx < len(sizes) else None for sizes in reads]
+            start = 0
+            for batch in chunks[idx]():
+                heads = {}  # the requests of one (paths, dim) read one batch
                 for r, request in enumerate(requests):
-                    if isinstance(vals[r], list):
-                        try:
-                            vals[r].append(np.asarray(request.per_path(batch), dtype=float))
-                        except Exception as exc:  # this request's alone: the others go on
-                            vals[r] = exc
-            return [_moments(np.concatenate(v, axis=-1)) if isinstance(v, list) else v
-                    for v in vals]
+                    if not isinstance(vals[r], list) or reads[r][idx] <= start:
+                        continue
+                    read = min(batch.n_paths, reads[r][idx] - start), request.dim
+                    head = heads.get(read) or heads.setdefault(read, batch.head(*read))
+                    try:
+                        vals[r].append(np.asarray(request.per_path(head), dtype=float))
+                    except Exception as exc:  # this request's alone: the others go on
+                        vals[r] = exc
+                start += batch.n_paths
+            return [request.reduce(np.concatenate(v, axis=-1)) if isinstance(v, list) else v
+                    for request, v in zip(requests, vals)]
 
     try:
-        parts = _map_chunks(run, len(sizes))
+        parts = _map_chunks(run, len(chunks))
     except Exception as exc:  # the draw failed: every request's pass did, each its own copy
         return [exc] + [copy.copy(exc).with_traceback(exc.__traceback__) for _ in requests[1:]]
-    return [_merged([part[r] for part in parts], request.scale, request.ci_valid)
-            for r, request in enumerate(requests)]
+    out = []
+    for r, request in enumerate(requests):
+        mine = [part[r] for part in parts[:len(reads[r])]]
+        failed = [part for part in mine if isinstance(part, Exception)]
+        out.append(failed[0] if failed else request.merge(mine))
+    return out
 
 
-def _merged(parts, scale, ci_valid) -> list[MCEstimate] | Exception:
-    """The MCEstimates of a request's chunk moments, parts in chunk order;
-    the first exception among them instead, if any."""
-    failed = [part for part in parts if isinstance(part, Exception)]
-    if failed:
-        return failed[0]
+def _merged(parts, scale, ci_valid) -> list[MCEstimate]:
+    """The MCEstimates of a request's chunk moments, parts in chunk order."""
     count, mean, corr, m2 = parts[0]
     for n_b, mean_b, corr_b, m2_b in parts[1:]:
         # not in place: the moments are arrays, and those of parts[0] are read below
@@ -313,29 +345,15 @@ def _merged(parts, scale, ci_valid) -> list[MCEstimate] | Exception:
     ]
 
 
-def _probe_gap(s: Scenario, dim: int, gap) -> float:
-    """The largest deviation over the PROBE_PATHS probe paths of s (stream
-    (_STREAM_PROBE, 0)) over max(1, largest |entry| of a reference), gap(batch)
-    giving a batch's largest deviation and its reference.  The paths are drawn
-    in the blocks of `_mc_paths`; a max does not depend on the block order, so
-    the value is that of one whole batch, which is never formed."""
-    dev, scale = 0.0, 1.0
-    for batch in st.path_blocks(s.grid, dim, PROBE_PATHS, s.seed, stream=(_STREAM_PROBE, 0),
-                                rows=max(1, PATH_BLOCK // (s.grid.n_steps * dim))):
-        block_dev, ref = gap(batch)
-        dev, scale = np.maximum(dev, block_dev), np.maximum(scale, np.max(np.abs(ref)))
-    return float(dev / scale)
-
-
 def drive(runs) -> list:
     """Run each generator of runs (a `Scenario.run`, or a side's `estimate`),
-    which yields `_Request`s and is sent back their estimates, to its end.
+    which yields `_Request`s and is sent back their results, to its end.
     Each round runs the pending requests of one stream key as one `_mc_paths`
-    pass; a request's exception is thrown back into its own run alone.  Per
-    run: its return value, or the exception that halted it."""
-    results, sent = [None] * len(runs), dict.fromkeys(range(len(runs)))
+    pass, the first stream of `_ROUNDS` first, and the others wait for it;
+    a request's exception is thrown back into its own run alone.  Per run:
+    its return value, or the exception that halted it."""
+    results, pending, sent = [None] * len(runs), {}, dict.fromkeys(range(len(runs)))
     while sent:
-        pending, rounds = {}, {}
         for i, value in sent.items():
             try:
                 pending[i] = (runs[i].throw if isinstance(value, Exception)
@@ -344,11 +362,12 @@ def drive(runs) -> list:
                 results[i] = stop.value
             except Exception as exc:
                 results[i] = exc
-        for i, request in pending.items():
-            rounds.setdefault(request.key, []).append(i)
-        sent = {}
-        for key, members in rounds.items():
-            sent.update(zip(members, _mc_paths(key, [pending[i] for i in members])))
+        if not pending:
+            break
+        key = min((request.key for request in pending.values()),
+                  key=lambda key: _ROUNDS.index(key[-1]))
+        members = [i for i, request in pending.items() if request.key == key]
+        sent = dict(zip(members, _mc_paths(key, [pending.pop(i) for i in members])))
     return results
 
 
@@ -518,14 +537,14 @@ def verify_finite_dim(
 def _finite_dim(s: Scenario):
     p = s.factor(s.kernel)
     if p is None:
-        return s.reports
+        return
     # on unit steps B is eta(A), so <Bx, x> / 2 is the Ramer exponent of A,
     # and |det(I + A)| = |det2(I + A)| e^{tr A}
     logdet = p.det2.log_modulus + s.report.spectra["trace"]
     s.report.spectra["det_abs"] = float(np.exp(logdet))
     lhs = Side(logdet, partial(st.ramer_exponent, s.kernel), kernel=s.kernel,
                ci_valid=p.guard == "ok")
-    return (yield from s.identity([(s.report, lhs, Side())]))
+    yield from s.identity([(s.report, lhs, Side())])
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +559,17 @@ class Side:
     """One side of an identity, e^{log_scale} E[f(w') e^{c q(w)}]: w' the image
     of the path w under the transformation of kernel (w itself when kernel is
     None; G_phi = F_kappa_phi, so a linear transformation is its tail kernel's),
-    q the per-path exponent (none: e^0).  Sides that share an exponent object
-    evaluate it once per chunk.  ci_valid is False when the moment guard says
-    the second moment is infinite."""
+    q the per-path exponent (none: e^0) and f its own functional (None: the
+    scenario's).  Sides that share an exponent object evaluate it once per
+    block.  ci_valid is False when the moment guard says the second moment is
+    infinite."""
 
     log_scale: float = 0.0
     exponent: Callable | None = None
     c: float = 1.0
     kernel: MatrixKernel | None = None
     ci_valid: bool = True
+    f: TestFunctional | None = None
 
 
 _ONE = TestFunctional("one")  # the functional of a side that is a weight's mass
@@ -614,58 +635,85 @@ class Scenario:
     def run(self):
         """This scenario's run for `drive`: its kind's body fills in its reports,
         and each one left undecided passes when it has checks and all hold."""
-        reports = yield from _BODIES[self.kind](self, **self.params)
-        for report in reports:
+        yield from _BODIES[self.kind](self, **self.params)
+        for report in self.reports:
             if report.verdict == "undecided":
                 ok = report.checks and all(c.passed for c in report.checks.values())
                 report.verdict = "pass" if ok else "fail"
-        return reports
+        return self.reports
 
     def estimate(self, stream_id: int, sides, f: TestFunctional):
-        """The estimate of each side, f read along its image, in one pass over
-        the paths of the stream: each distinct image (its node weights built
-        once, before any chunk) and each distinct exponent are evaluated once
-        per block.  The pass is yielded to `drive` as a `_Request`.  Exact,
-        with nothing drawn or yielded, when no side has an exponent: the node
-        value dW G that f reads is then N(0, Delta G^T G)."""
+        """The estimate of each side, its functional (f unless it has its own)
+        read along its image, in one pass over the first n_paths paths of the
+        stream: each distinct read, an image and a functional (its node
+        weights built once, before any chunk), and each distinct exponent are
+        evaluated once per block.  The pass is yielded to `drive` as a
+        `_Request`.  Exact, with nothing drawn or yielded, when no side has an
+        exponent: the node value dW G that a functional reads is then
+        N(0, Delta G^T G)."""
+        def read(side):
+            return id(side.kernel), side.f or f
+
         with np.errstate(**_PAST_RANGE):
-            node = f.node(self.grid)
-            images = {id(side.kernel): side.kernel for side in sides}
-            weights = {image: None if kernel is None or node is None
-                       else st.node_weights(kernel, node) for image, kernel in images.items()}
+            reads = {}  # per read: its node and node weights (None: the path's own)
+            for (image, g), kernel in {read(side): side.kernel for side in sides}.items():
+                node = g.node(self.grid)
+                reads[image, g] = node, (None if kernel is None or node is None
+                                         else st.node_weights(kernel, node))
             if all(side.exponent is None for side in sides):
                 dt, eye = self.grid.step, np.eye(self.kernel.dim)
-                cov = {image: (node or 0) * dt * eye if w is None else dt * (w.T @ w)
-                       for image, w in weights.items()}  # W(t_k) itself: k Delta I
-                return [exact_estimate(np.exp(side.log_scale) * f.mean(cov[id(side.kernel)]))
-                        for side in sides]
+                mean = {(image, g): g.mean((node or 0) * dt * eye if w is None else dt * (w.T @ w))
+                        for (image, g), (node, w) in reads.items()}  # W(t_k) itself: k Delta I
+                return [exact_estimate(np.exp(side.log_scale) * mean[read(side)]) for side in sides]
             scale = [np.exp(side.log_scale) for side in sides]
         exponents = {id(e): e for e in (side.exponent for side in sides) if e is not None}
 
         def per_path(batch):
-            f_at = {image: f.evaluate(batch) if w is None else f.at_node(st.node_value(batch, w))
-                    for image, w in weights.items()}
+            f_at = {(image, g): g.evaluate(batch) if w is None
+                    else g.at_node(st.node_value(batch, w)) for (image, g), (_, w) in reads.items()}
             q = {key: exponent(batch) for key, exponent in exponents.items()}
-            return [f_at[id(side.kernel)] if side.exponent is None
-                    else f_at[id(side.kernel)] * np.exp(side.c * q[id(side.exponent)])
+            return [f_at[read(side)] if side.exponent is None
+                    else f_at[read(side)] * np.exp(side.c * q[id(side.exponent)])
                     for side in sides]
 
-        key = (self.grid, self.kernel.dim, self.n_paths, self.seed, stream_id)
-        return (yield _Request(key, per_path, scale, [side.ci_valid for side in sides]))
+        return (yield _Request((self.grid, self.seed, stream_id), self.n_paths, self.kernel.dim,
+                               per_path, _moments,
+                               partial(_merged, scale=scale,
+                                       ci_valid=[side.ci_valid for side in sides])))
 
-    def identity(self, rows):
-        """Estimate the left-hand sides of rows of (report, lhs, rhs) in one
-        pass and their right-hand sides in another, then compare each row's two
-        sides as its report's 'identity' check (a generator, as `estimate`)."""
+    def identity(self, rows, extra=()):
+        """Estimate the left-hand sides of rows of (report, lhs, rhs), and the
+        sides of extra, in one pass and their right-hand sides in another,
+        then compare each row's two sides as its report's 'identity' check (a
+        generator, as `estimate`); the estimates of extra are returned.  A
+        Monte Carlo side whose every path reads 0 against a nonzero exact side
+        raises PreconditionError: its values underflow, so it tests nothing."""
         reports, lhs, rhs = zip(*rows)
-        lefts = yield from self.estimate(_STREAM_LHS, lhs, self.f)
+        lefts = yield from self.estimate(_STREAM_LHS, lhs + tuple(extra), self.f)
         rights = yield from self.estimate(_STREAM_RHS, rhs, self.f)
         for report, left, right in zip(reports, lefts, rights):
+            for mc, exact in ((left, right), (right, left)):
+                if mc.n_samples and not exact.n_samples and exact.mean and not any(mc.chunk_means):
+                    raise PreconditionError(
+                        f"{report.name}: the value of every path underflows to 0, against the "
+                        f"exact side {exact.mean:.3g}")
             report.lhs, report.rhs = left, right
             report.z_score, report.rel_error, ok = _compare(left, right, report.tolerance)
             report.checks["identity"] = Check(report.rel_error, 0.0, report.tolerance, ok,
                                               "main comparison")
-        return list(reports)
+        return lefts[len(rows):]
+
+    def probe(self, gap):
+        """The largest deviation over the PROBE_PATHS probe paths of the
+        stream _STREAM_PROBE over max(1, the largest |entry| of a reference),
+        gap(batch) giving per path its largest deviation and its reference's
+        largest |entry|.  It is yielded to `drive` as a `_Request` reduced by a
+        running max, which no block order changes, so the value is that of one
+        whole batch, which is never formed (a generator, as `estimate`)."""
+        dev, ref = yield _Request((self.grid, self.seed, _STREAM_PROBE), PROBE_PATHS,
+                                  self.kernel.dim, lambda batch: np.stack(gap(batch)),
+                                  partial(np.max, axis=-1), partial(np.max, axis=0))
+        return float(dev / np.maximum(1.0, ref))
 
 
 def resolve_scenario(
@@ -749,9 +797,8 @@ def verify_transf(
 
 def _transf(s: Scenario):
     p = s.factor(s.kernel)
-    if p is None:
-        return s.reports
-    return (yield from s.identity([_transf_row(s, p)]))
+    if p is not None:
+        yield from s.identity([_transf_row(s, p)])
 
 
 def _transf_row(s: Scenario, p: _Factored) -> tuple:
@@ -775,23 +822,25 @@ def verify_inverse(
 def _inverse(s: Scenario):
     kappa, report, p = s.kernel, s.report, s.factor(s.kernel, inverse=True)
     if p is None:
-        return s.reports
+        return
     kappa_hat = p.kappa_hat
 
     # pathwise round trip: both composition orders return the increments
     def roundtrip(probe):
         return np.max([np.max(np.abs(st.apply_transformation(
-            outer, st.apply_transformation(inner, probe)).increments - probe.increments))
-            for inner, outer in ((kappa_hat, kappa), (kappa, kappa_hat))]), probe.increments
+            outer, st.apply_transformation(inner, probe)).increments - probe.increments),
+            axis=(1, 2)) for inner, outer in ((kappa_hat, kappa), (kappa, kappa_hat))],
+            axis=0), np.max(np.abs(probe.increments), axis=(1, 2))
     report.checks["composition_roundtrip"] = _check_close(
-        _probe_gap(s, kappa.dim, roundtrip), 0.0, OPERATOR_TOL, relative=False,
+        (yield from s.probe(roundtrip)), 0.0, OPERATOR_TOL, relative=False,
         note="max increment deviation / path scale over both orders",
     )
 
-    # Radon-Nikodym mass of the image measure.  On the grid
-    # I - M_eta_hat = ((I+M)(I+M)^T)^{-1} has the spectrum 1 / (1 - w), w over
-    # the gate spectrum, so its gate is 1 - 1 / (1 - lambda_min(B_eta)).  The
-    # weight's det2 takes its own LU, so the mass checks it independently.
+    # Radon-Nikodym mass of the image measure, on the left-hand paths with f = 1.
+    # On the grid I - M_eta_hat = ((I+M)(I+M)^T)^{-1} has the spectrum
+    # 1 / (1 - w), w over the gate spectrum, so its gate is
+    # 1 - 1 / (1 - lambda_min(B_eta)).  The weight's det2 takes its own LU, so
+    # the mass checks it independently.
     eta_hat = gk.eta_of_kappa(kappa_hat)
     guard_hat = st.moment_guard(1.0 - 1.0 / (1.0 - p.gate.lambda_min))
     d2_hat = op.det2(kappa_hat)
@@ -803,17 +852,14 @@ def _inverse(s: Scenario):
 
     lhs = Side(p.det2.log_modulus, partial(st.quadratic_form, p.eta), ci_valid=p.guard == "ok")
     rhs = Side(0.5 * gk.kernel_l2_norm(kappa) ** 2, kernel=kappa_hat)
-    yield from s.identity([(report, lhs, rhs)])  # in the round of its stream's other readers
-    rn = (yield from s.estimate(
-        _STREAM_RN, [Side(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2,
-                          partial(st.quadratic_form, eta_hat), ci_valid=guard_hat == "ok")],
-        _ONE))[0]
+    mass = Side(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2,
+                partial(st.quadratic_form, eta_hat), ci_valid=guard_hat == "ok", f=_ONE)
+    (rn,) = yield from s.identity([(report, lhs, rhs)], extra=[mass])
     _, _, rn_ok = _compare(rn, exact_estimate(1.0), report.tolerance)
     report.checks["rn_normalization"] = Check(
         rn.mean, 1.0, report.tolerance, rn_ok,
         f"Radon-Nikodym weight mass (guard {guard_hat})",
     )
-    return s.reports
 
 
 def surjective_scenario(
@@ -875,7 +921,6 @@ def _surjective_family(s: Scenario):
     eig = scaled = None  # the eigenvectors are as large as the operator
     if rows:
         yield from s.identity(rows)
-    return s.reports
 
 
 def verify_surjective(
@@ -947,7 +992,7 @@ def _harmonic(s: Scenario, lam: float, x):
     }
     rhs = Side(-0.5 * logdet_c, kernel=image)
     lhs = Side(exponent=partial(st.h_functionals, kappa, x=x), c=-lam)
-    return (yield from s.identity([(report, lhs, rhs)]))
+    yield from s.identity([(report, lhs, rhs)])
 
 
 def verify_cameron_martin(
@@ -972,7 +1017,7 @@ def _cameron_martin(s: Scenario):
     kappa_phi = gk.kappa_from_phi(phi)
     p = s.factor(kappa_phi)
     if p is None:
-        return s.reports
+        return
 
     m = op.sylvester_matrix(kappa_phi)  # the checks' matrix: of order r for a LowRank form
     tr = float(np.trace(m))
@@ -993,16 +1038,16 @@ def _cameron_martin(s: Scenario):
     # pathwise: the linear drift of phi is the Wiener integral of kappa_phi
     def drift_gap(probe):
         integral = st.wiener_integral(kappa_phi, probe)
-        return np.max(np.abs(st.cameron_martin_drift(phi, probe) - integral)), integral
+        return (np.max(np.abs(st.cameron_martin_drift(phi, probe) - integral), axis=(1, 2)),
+                np.max(np.abs(integral), axis=(1, 2)))
     report.checks["pathwise_drift"] = _check_close(
-        _probe_gap(s, phi.dim, drift_gap), 0.0, OPERATOR_TOL, relative=False,
+        (yield from s.probe(drift_gap)), 0.0, OPERATOR_TOL, relative=False,
         note="max |linear drift - Wiener integral of kappa_phi| / scale",
     )
 
-
     lhs = Side(p.det2.log_modulus + tr, partial(st.ramer_exponent, kappa_phi), kernel=kappa_phi,
                ci_valid=p.guard == "ok")
-    return (yield from s.identity([(report, lhs, Side())]))
+    yield from s.identity([(report, lhs, Side())])
 
 
 def _gencv_spec(b1: float, b2: float) -> str:
@@ -1037,7 +1082,7 @@ def _gencv(s: Scenario, b1: float, b2: float):
         # the gate 1 - (1 + b)^2 of this family reaches 1 exactly where
         # det2 = (1 + b1)(1 + b2) e^{-(b1 + b2)} vanishes
         report.verdict = "singular"
-        return s.reports
+        return
 
     # B_s and B_eta have the eigenvalues -2 b and 1 - (1 + b)^2 on the two
     # directions of the kernel, and 0 on the other N - 2 grid directions
@@ -1053,7 +1098,7 @@ def _gencv(s: Scenario, b1: float, b2: float):
     report.checks["det2_value"] = _check_close(
         p.det2.value, (1.0 + b1) * (1.0 + b2) * np.exp(-(b1 + b2)), 1e-6, note="det2 closed form"
     )
-    return (yield from s.identity([_transf_row(s, p)]))
+    yield from s.identity([_transf_row(s, p)])
 
 
 def integrability_bound(lam: float, hs_norm: float) -> float:
@@ -1075,10 +1120,10 @@ def verify_integrability_bound(
 
 
 def _integrability(s: Scenario):
-    report = (yield from _surjective_family(s))[0]
-    est = report.lhs
+    yield from _surjective_family(s)
+    report, est = s.report, s.report.lhs
     if est is None:  # halted at the gate
-        return [report]
+        return
     bound = integrability_bound(report.gate["lambda_eta"], report.spectra["hs_norm"])
     report.spectra.update(bound=bound, exact_value=report.rhs.mean)
     slack = 3.0 * est.std_error if est.ci_valid else CONSISTENCY_FACTOR * report.tolerance * bound
@@ -1086,7 +1131,6 @@ def _integrability(s: Scenario):
         est.mean if est.ci_valid else est.median, bound, slack,
         note="E[e^q] below the exponential-moment bound",
     )
-    return [report]
 
 
 # the body of each kind: its run once resolved; see `Scenario.run`

@@ -1,11 +1,16 @@
 """Monte Carlo engine: Wiener path batches and the path functionals.
 
-Increments dW[m, i] ~ N(0, Delta I_d) are drawn from an SFC64 generator
-seeded by SeedSequence([seed, *stream]), so every batch is bit-for-bit
-reproducible and independent streams are derived by extending the key, never
-by sharing a generator.  Every batch builds its own generator from its key and
-no generator is ever advanced or jumped, so a counter-based generator such as
-Philox offers nothing here; SFC64 draws normals about twice as fast.  Path
+Increments dW[m, i] ~ N(0, Delta I_d) are drawn one component at a time:
+component 0 from an SFC64 generator seeded by SeedSequence([seed, *stream]),
+component a >= 1 from the one seeded by SeedSequence([seed, *stream, a]),
+interleaved into the (M, N, d) batch.  So every batch is bit-for-bit
+reproducible, independent streams are derived by extending the key, never by
+sharing a generator, and the first n paths and d components of a draw are
+the draw of n paths and d components: a stream is one prefix-closed draw,
+which readers of fewer paths or components share.  Every batch builds its
+own generators from their keys and no generator is ever advanced or jumped,
+so a counter-based generator such as Philox offers nothing here; SFC64 draws
+normals about twice as fast.  Path
 values at the left nodes are W(t_k) = sum_{i<k} dW[m, i] (W(0) = 0), and all
 stochastic sums are Ito sums: the integrand is evaluated strictly before the
 increment that multiplies it.
@@ -46,16 +51,17 @@ M paths, with n = N d:
                                              apply: three thin products
     LowerExp (volterra, expdiag)  O(M n)     a weighted cumulative sum
 
-Each functional works on the whole batch it is given.  The Monte Carlo
-runner (`scenarios`) owns the block plan: it draws every stream, the probes
-of its pathwise checks too, in blocks of about `scenarios.PATH_BLOCK`
-increments (`path_blocks`), so a block's intermediates stay in cache and no
-product is large enough for BLAS to spread over threads of its own, which
+Each functional works on the whole batch it is given.  The Monte Carlo runner
+(`scenarios`) owns the block plan: it draws every stream, the probes of its
+pathwise checks too, in blocks of about `scenarios.PATH_BLOCK` increments
+per component (`path_blocks`), so a block's intermediates stay in cache and
+no product is large enough for BLAS to spread over threads of its own, which
 would compete with the chunk threads for the cores.  Sequential draws from
 one generator give the bits of one draw, so `sample_paths`, which no program
-path calls, is the one-block case.  A value depends on its own path alone,
-but BLAS may sum a block's products in another order at another block size;
-the fixed block plan keeps its last bits.
+path calls, is the one-block case, and a reader of fewer paths or components
+reads the head of each block (`PathBatch.head`).  A value depends on its own
+path alone, but BLAS may sum a block's products in another order at another
+block size; the fixed block plan keeps its last bits.
 
 Node read.  Every test functional reads the path at one node k alone
 (`TestFunctional.node`; 'one' reads none), and the image of a path under
@@ -138,11 +144,21 @@ class PathBatch:
             raise InvalidArgumentError(f"node index {k} outside 0..{self.grid.n_steps}")
         return self.increments[:, :k].sum(axis=1)
 
+    def head(self, n_paths: int, dim: int) -> "PathBatch":
+        """The first n_paths paths and dim components of the batch, contiguous:
+        the batch a draw of that many paths and components gives (a view when
+        only paths are dropped, else a copy)."""
+        if (n_paths, dim) == (self.n_paths, self.dim):
+            return self
+        return replace(self, dim=dim,
+                       increments=np.ascontiguousarray(self.increments[:n_paths, :, :dim]))
+
 
 def sample_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
                  stream: tuple = ()) -> PathBatch:
-    """Draw a batch of increments from the SFC64 generator seeded by
-    SeedSequence([seed, *stream]).
+    """Draw a batch of increments: component 0 from the SFC64 generator
+    seeded by SeedSequence([seed, *stream]), component a >= 1 from the one
+    seeded by SeedSequence([seed, *stream, a]).
 
     The draw is a single deterministic pass: identical arguments give identical
     bits regardless of how callers schedule batches.
@@ -150,28 +166,46 @@ def sample_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
     return next(path_blocks(grid, dim, n_paths, seed, stream=stream))
 
 
-def path_blocks(grid: TimeGrid, dim: int, n_paths: int, seed: int, stream: tuple = (),
+def path_blocks(grid: TimeGrid, dim: int, n_paths, seed: int, stream: tuple = (),
                 rows: int | None = None):
     """The batch of `sample_paths` with the same arguments, as successive
     batches of `rows` paths (the last one ragged; None: one batch).
 
-    Every block is drawn from the one generator into one buffer of rows
-    paths, so the blocks together hold the bits of the whole batch, and each
-    block is overwritten by the next: a reader must not keep one past its
-    turn.
+    Each component is one generator's draw, interleaved into the (rows, N,
+    dim) block, so the first n paths and d components of a draw are the bits
+    of the draw of n paths and d components.  n_paths is the number of paths,
+    or one non-increasing count per component: component a is then drawn for
+    its first n_paths[a] paths alone and is nan past them.
+
+    Every block is drawn from the generators into one buffer of rows paths,
+    so the blocks together hold the bits of the whole batch, and each block
+    is overwritten by the next: a reader must not keep one past its turn.
     """
-    if n_paths < 1:
-        raise InvalidArgumentError(f"n_paths must be >= 1, got {n_paths}")
+    counts = [n_paths] * dim if np.ndim(n_paths) == 0 else [int(n) for n in n_paths]
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
-    rows = n_paths if rows is None else rows
-    key = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, stream)])
-    rng = np.random.Generator(np.random.SFC64(key))
-    buf = np.empty((min(rows, n_paths), grid.n_steps, dim))
-    for start in range(0, n_paths, rows):
-        inc = buf[:n_paths - start]  # the head of the buffer: contiguous
-        rng.standard_normal(out=inc)
-        inc *= np.sqrt(grid.step)  # in place: one copy of the block, not two
+    if (len(counts) != dim or sorted(counts, reverse=True) != counts or counts[0] < 1
+            or counts[-1] < 0):
+        raise InvalidArgumentError(f"n_paths must be >= 1 (per component: {dim} non-increasing "
+                                   f"counts), got {n_paths}")
+    total = counts[0]
+    rows = total if rows is None else rows
+    key = [int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, stream)]
+    rngs = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(key + [a] * (a > 0))))
+            for a in range(dim)]
+    buf = np.empty((min(rows, total), grid.n_steps, dim))
+    part = np.empty(buf.shape[:2]) if dim > 1 else None  # one component's draw
+    for start in range(0, total, rows):
+        inc = buf[:total - start]  # the head of the buffer: contiguous
+        if part is None:
+            rngs[0].standard_normal(out=inc)
+            inc *= np.sqrt(grid.step)  # in place: one copy of the block, not two
+        else:
+            for a, rng in enumerate(rngs):
+                m = min(len(inc), max(0, counts[a] - start))
+                rng.standard_normal(out=part[:m])
+                np.multiply(part[:m], np.sqrt(grid.step), out=inc[:m, :, a])  # interleaved
+                inc[m:, :, a] = np.nan
         yield PathBatch(grid, dim, inc, int(seed), tuple(stream))
 
 

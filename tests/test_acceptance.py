@@ -29,7 +29,7 @@ from orderone import (
     remark_pair,
 )
 from orderone.operator import det2_product, spectrum
-from orderone.scenarios import _chunk_sizes
+from orderone.scenarios import _STREAM_LHS, _stream_chunks
 
 
 @contextmanager
@@ -118,19 +118,19 @@ def test_criterion_4_harmonic_oscillator():
             oracle = np.cosh(np.sqrt(lam)) ** -0.5
             assert abs(det_side - oracle) <= 0.01 * oracle
 
-        # one batch sweep: h once, three exponential weights, M = 1e5
+        # one sweep of the left-hand stream: h once, three exponential weights, M = 1e5
         m_paths = 100_000
         sums = {lam: 0.0 for lam in (0.5, 1.0, 2.0)}
         sums_sq = dict(sums)
         n = 0
-        for idx, size in enumerate(_chunk_sizes(m_paths, g.n_steps)):
-            batch = st.sample_paths(g, 1, size, 77, stream=(0, idx))
-            h = st.h_functionals(vol, batch)
-            for lam in sums:
-                v = np.exp(-lam * h)
-                sums[lam] += v.sum()
-                sums_sq[lam] += (v * v).sum()
-            n += size
+        for chunk in _stream_chunks(g, 77, _STREAM_LHS, [m_paths]):
+            for batch in chunk():
+                h = st.h_functionals(vol, batch)
+                for lam in sums:
+                    v = np.exp(-lam * h)
+                    sums[lam] += v.sum()
+                    sums_sq[lam] += (v * v).sum()
+                n += batch.n_paths
         for lam in sums:
             mean = sums[lam] / n
             se = np.sqrt((sums_sq[lam] / n - mean * mean) / n)
@@ -188,12 +188,12 @@ def test_criterion_7_surjective_and_laplace_sweep():
         # the report itself: the second moment is infinite at 2 lambda = 1)
         eta = kernel_zoo("rank1:b=0.5", g)
         tot = tot_sq = n = 0
-        for idx, size in enumerate(_chunk_sizes(200_000, g.n_steps)):
-            b = st.sample_paths(g, 1, size, 1, stream=(0, idx))
-            v = np.exp(st.quadratic_form(eta, b))
-            tot += v.sum()
-            tot_sq += (v * v).sum()
-            n += size
+        for chunk in _stream_chunks(g, 1, _STREAM_LHS, [200_000]):
+            for b in chunk():
+                v = np.exp(st.quadratic_form(eta, b))
+                tot += v.sum()
+                tot_sq += (v * v).sum()
+                n += b.n_paths
         mean = tot / n
         se = np.sqrt((tot_sq / n - mean * mean) / n)
         assert abs(mean - oracle) <= 3.0 * se

@@ -837,46 +837,71 @@ def test_demo_draws_no_right_hand_side_path(tmp_path, monkeypatch):
         assert report["rhs"]["n_samples"] == 0 and report["rhs"]["std_error"] == 0.0
 
 
-@pytest.mark.parametrize("path_block", [scenarios.PATH_BLOCK, 64 * 300],
-                         ids=["default", "blocks_of_300"])
-def test_every_draw_follows_the_block_plan(tmp_path, monkeypatch, path_block):
-    # demo.cfg at the golden pin's size: no program path draws a whole batch
-    # through sample_paths, and every stream, the probes of inverse and
-    # cameron_martin included, is drawn in blocks of max(1, PATH_BLOCK // (N d))
-    monkeypatch.setattr(scenarios, "PATH_BLOCK", path_block)
-    text = (Path(__file__).parent.parent / "demo.cfg").read_text()
-    cfg = _write_config(tmp_path, re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", text))
-    sampled, draws, path_blocks = [], [], stochastic.path_blocks
-    monkeypatch.setattr(stochastic, "sample_paths", lambda *args, **kwargs: sampled.append(args))
+def _spy_draws(monkeypatch) -> list:
+    """Every draw of stochastic.path_blocks, as (N, the paths of each
+    component, seed, stream, rows, the paths of each block it gave)."""
+    draws, path_blocks = [], stochastic.path_blocks
 
     def recorded(grid, dim, n_paths, seed, stream=(), rows=None):
         sizes = []
-        draws.append((grid.n_steps * dim, n_paths, stream[0], rows, sizes))
+        draws.append((grid.n_steps, tuple(int(n) for n in np.broadcast_to(n_paths, dim)), seed,
+                      tuple(stream), rows, sizes))
         for batch in path_blocks(grid, dim, n_paths, seed, stream=stream, rows=rows):
             sizes.append(batch.n_paths)
             yield batch
     monkeypatch.setattr(stochastic, "path_blocks", recorded)
+    return draws
+
+
+def _component_keys(draws) -> list:
+    """The (N, seed, stream, chunk, component) key of each component drawn."""
+    return [(n, seed, *stream, a) for n, counts, seed, stream, _, _ in draws
+            for a in range(len(counts))]
+
+
+def _drawn_increments(draws) -> int:
+    return sum(n * sum(counts) for n, counts, *_ in draws)
+
+
+@pytest.mark.parametrize("path_block", [scenarios.PATH_BLOCK, 64 * 300],
+                         ids=["default", "blocks_of_300"])
+def test_every_draw_follows_the_block_plan(tmp_path, monkeypatch, path_block):
+    # demo.cfg at the golden pin's size: no program path draws a whole batch
+    # through sample_paths, every stream, the probes of inverse and
+    # cameron_martin included, is drawn in blocks of max(1, PATH_BLOCK // N)
+    # whatever its d, and no key is drawn twice
+    monkeypatch.setattr(scenarios, "PATH_BLOCK", path_block)
+    text = (Path(__file__).parent.parent / "demo.cfg").read_text()
+    cfg = _write_config(tmp_path, re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", text))
+    sampled = []
+    monkeypatch.setattr(stochastic, "sample_paths", lambda *args, **kwargs: sampled.append(args))
+    draws = _spy_draws(monkeypatch)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--format", "json",
                  "--grid", "64", "--paths", "4000"]) == EXIT_PASS
     assert not sampled
-    for elements, n_paths, _, rows, sizes in draws:
-        assert rows == max(1, path_block // elements)
-        assert sum(sizes) == n_paths and all(size <= rows for size in sizes)
-    probes = [draw for draw in draws if draw[2] == scenarios._STREAM_PROBE]
-    # inverse_rank1 and linear_const, each drawing its own
-    assert [draw[1] for draw in probes] == [scenarios.PROBE_PATHS] * 2
-    assert [len(draw[4]) for draw in probes] == [-(-scenarios.PROBE_PATHS // probes[0][3])] * 2
+    for n_steps, counts, _, _, rows, sizes in draws:
+        assert rows == max(1, path_block // n_steps)
+        assert sum(sizes) == counts[0] and all(size <= rows for size in sizes)
+    keys = _component_keys(draws)
+    assert len(keys) == len(set(keys))
+    # inverse_rank1 and linear_const share N = 64: one probe draw for both
+    probes = [draw for draw in draws if draw[3][0] == scenarios._STREAM_PROBE]
+    assert [draw[1] for draw in probes] == [(scenarios.PROBE_PATHS,)]
+    assert len(probes[0][5]) == -(-scenarios.PROBE_PATHS // probes[0][4])
 
 
-def _spy_draws(monkeypatch):
-    """The (grid, dim, n_paths, seed, stream) key of every draw of stochastic.path_blocks."""
-    keys, path_blocks = [], stochastic.path_blocks
-
-    def recorded(grid, dim, n_paths, seed, stream=(), rows=None):
-        keys.append((grid, dim, n_paths, seed, tuple(stream)))
-        return path_blocks(grid, dim, n_paths, seed, stream=stream, rows=rows)
-    monkeypatch.setattr(stochastic, "path_blocks", recorded)
-    return keys
+def test_demo_draws_each_stream_once(tmp_path, monkeypatch):
+    # one pass per (grid, seed, stream): the N = 256 left-hand draw holds
+    # counterexample's 100,000 paths, oscillator_matrix's second component for
+    # 50,000 and inverse's Radon-Nikodym mass; linear_const draws N = 512 and
+    # one probe draw per grid.  The parent plan drew 103,168,000
+    draws = _spy_draws(monkeypatch)
+    assert main(["run", "--config", str(Path(__file__).parent.parent / "demo.cfg"),
+                 "--seed", "1", "--out", str(tmp_path), "--format", "json"]) == EXIT_PASS
+    assert _drawn_increments(draws) == 256 * (100_000 + 50_000 + 1_000) + 512 * 51_000
+    assert _drawn_increments(draws) == 64_768_000
+    keys = _component_keys(draws)
+    assert len(keys) == len(set(keys))
 
 
 def _json_rows(argv, out):
@@ -885,26 +910,36 @@ def _json_rows(argv, out):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_fused_run_writes_what_each_scenario_writes_alone(tmp_path, monkeypatch, workers):
-    # demo.cfg at the golden pin's size (its sample overrides removed, so that
-    # six scenarios share the N = 64, d = 1 stream; linear_const keeps its
-    # N = 512), their passes in 4 chunks of blocks of 300 paths: every report is
-    # the one its scenario writes in a config of its own, and no stream, the
-    # probes included, is drawn twice (inverse requests its left-hand side
-    # in the round of the others')
+@pytest.mark.parametrize("counterexample", ["", "samples = 8000\n"],
+                         ids=["equal_paths", "counterexample_2x"])
+def test_a_fused_run_writes_what_each_scenario_writes_alone(tmp_path, monkeypatch, workers,
+                                                            counterexample):
+    # demo.cfg at the golden pin's size (its sample overrides removed, or
+    # counterexample's kept at twice the others' paths), so that seven
+    # scenarios, oscillator_matrix's d = 2 among them, share the N = 64 stream
+    # and linear_const keeps its N = 512; their passes in chunks of 1,000
+    # paths in blocks of 300: every report is the one its scenario writes in a
+    # config of its own, and no key, the probes' included, is drawn twice
+    # (inverse requests its left-hand side in the round of the others')
     monkeypatch.setattr(scenarios, "WORKERS", workers)
     monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 64 * 1000)
     monkeypatch.setattr(scenarios, "PATH_BLOCK", 64 * 300)
     text = (Path(__file__).parent.parent / "demo.cfg").read_text()
-    text = re.sub(r"(?m)^\s*samples\s*=.*$", "", text)
+    text = re.sub(r"(?m)^\s*samples\s*=.*$\n", "", text)
+    text = text.replace("verify = gencv\n", "verify = gencv\n" + counterexample)
     head, *sections = re.split(r"(?m)^(?=\[scenario )", text)
     flags = ["--grid", "64", "--paths", "4000"]
-    keys = _spy_draws(monkeypatch)
+    draws = _spy_draws(monkeypatch)
     fused = _json_rows(["run", "--config", _write_config(tmp_path, text)] + flags,
                        tmp_path / "fused")
+    keys = _component_keys(draws)
     assert len(keys) == len(set(keys))
-    # one left-hand stream per group: (N, d) = (64, 1), (64, 2) and (512, 1)
-    assert len({key[:2] for key in keys if key[4][0] == scenarios._STREAM_LHS}) == 3
+    # one left-hand draw per grid, the N = 64 one of two components
+    lhs = [draw for draw in draws if draw[3] == (scenarios._STREAM_LHS, 0)]
+    assert sorted((draw[0], len(draw[1])) for draw in lhs) == [(64, 2), (512, 1)]
+    paths = 8000 if counterexample else 4000
+    # one probe draw per grid
+    assert _drawn_increments(draws) == 64 * (paths + 4000 + 1000) + 512 * (4000 + 1000)
     alone = [row for i, section in enumerate(sections)
              for row in _json_rows(["run", "--config", _write_config(tmp_path, head + section)]
                                    + flags, tmp_path / f"alone{i}")]
@@ -932,9 +967,9 @@ def test_a_raising_reader_of_a_shared_stream_halts_alone(tmp_path, monkeypatch, 
     # forward and oscillator read one pass of one stream; oscillator's exponent
     # raises inside it, and only oscillator halts
     argv = ["run", "--config", _write_config(tmp_path, ONE_STREAM)]
-    keys = _spy_draws(monkeypatch)
+    draws = _spy_draws(monkeypatch)
     forward, oscillator = _json_rows(argv, tmp_path / "pass")
-    assert len(keys) == len(set(keys)) == 1
+    assert len(_component_keys(draws)) == len(draws) == 1
     capsys.readouterr()
 
     def raises(*args, **kwargs):
@@ -947,6 +982,7 @@ def test_a_raising_reader_of_a_shared_stream_halts_alone(tmp_path, monkeypatch, 
     assert halted[1]["gate"] == {"error": "RuntimeError: raised inside h_functionals"}
     assert json.loads(oscillator)["verdict"] == "pass"
     assert capsys.readouterr().err.count("Traceback (most recent call last)") == 1
+    keys = _component_keys(draws)
     assert len(keys) == 2 and keys[0] == keys[1]  # one draw per run
 
 

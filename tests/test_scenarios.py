@@ -3,6 +3,7 @@ downgrade behavior, determinism, and the pooled chunk reducer."""
 
 import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from orderone import grid_kernel as gk, operator, scenarios as sc, stochastic
 
 from orderone import (
     InvalidArgumentError,
+    PreconditionError,
     TestFunctional,
     TimeGrid,
     integrability_bound,
@@ -41,8 +43,9 @@ def rank1_exp_q_moment(a: float) -> float:
 def _pass(grid, dim, n_paths, seed, stream_id, per_path):
     """The estimates of per_path's rows over one stream, as one side's pass;
     the exception per_path raised is raised."""
-    (out,) = sc._mc_paths((grid, dim, n_paths, seed, stream_id),
-                          [sc._Request(None, per_path, 1.0, True)])
+    merge = partial(sc._merged, scale=1.0, ci_valid=True)
+    (out,) = sc._mc_paths((grid, seed, stream_id),
+                          [sc._Request(None, n_paths, dim, per_path, sc._moments, merge)])
     if isinstance(out, Exception):
         raise out
     return out
@@ -389,12 +392,23 @@ def test_harmonic_with_direction(grid):
     assert r.checks["lambda_nonpositive"].passed
 
 
+def _halted_by_underflow(*args, **kwargs):
+    """The report of a harmonic scenario whose every weight underflows, as
+    its body left it when it halted with the PreconditionError that names it."""
+    s = sc.resolve_scenario("harmonic", *args, **kwargs)
+    (result,) = sc.drive([s.run()])
+    assert isinstance(result, PreconditionError) and "underflows to 0" in str(result)
+    return s.report
+
+
 def test_lower_exp_harmonic_reads_the_riccati_determinant_whatever_f():
     # with f = cos_end the eigensolve of the dense B_c gave det_log 32.5938
     # against 32.6205 from the closed form (det_dual_route failed) and a gate
-    # of 0.018 (lambda_nonpositive failed); it now builds the image kernel alone
+    # of 0.018 (lambda_nonpositive failed); it now builds the image kernel alone.
+    # Every weight e^{-h} of this kernel underflows, so the run halts at its
+    # identity, after these checks
     g = make_grid(1.0, 64)
-    r = verify_harmonic("expdiag:p=[20]", 1.0, None, "cos_end:1", g, n_paths=500)
+    r = _halted_by_underflow("expdiag:p=[20]", "cos_end:1", g, n_paths=500, lam=1.0)
     assert r.checks["det_dual_route"].passed and r.checks["lambda_nonpositive"].passed
     assert r.gate["lambda_eta"] == 0.0
     want = operator.c_logdet(kernel_zoo("expdiag:p=[20]", g), 1.0)
@@ -459,10 +473,17 @@ def test_lower_exp_harmonic_matches_the_dense_route(spec, dim, n, lams):
 def test_lower_exp_harmonic_of_a_large_rate_reads_a_finite_determinant():
     # an accepted kernel whose dense B_c is past the float range: the
     # Riccati recursion and the closed form stay finite and agree
-    r = verify_harmonic("expdiag:p=[400]", 1.0, None, "one", make_grid(1.0, 64),
-                        n_paths=200, seed=0)
+    r = _halted_by_underflow("expdiag:p=[400]", "one", make_grid(1.0, 64), n_paths=200,
+                             seed=0, lam=1.0)
     assert np.isfinite(r.spectra["det_log"])
     assert r.checks["det_dual_route"].passed
+
+
+def test_a_side_whose_every_weight_underflows_halts():
+    # every weight e^{-h} is 0 against the exact right-hand side 6.3e-170: the
+    # run ended at 'fail' with rel error 1, a verdict on no test of the identity
+    with pytest.raises(PreconditionError, match=r"underflows to 0, against the exact side 6\.3e-170"):
+        verify_harmonic("expdiag:p=[400]", 1.0, None, "one", make_grid(1.0, 64), n_paths=200)
 
 
 def _record_kernels(monkeypatch) -> list:
@@ -899,12 +920,12 @@ def test_reductions_do_not_depend_on_the_path_block(spec, dim, monkeypatch):
     def moments():
         blocks.clear()
         ests = _pass(g, dim, 50, 11, 0, per_path)
-        assert max(blocks) <= max(1, sc.PATH_BLOCK // (64 * dim))
+        assert max(blocks) <= max(1, sc.PATH_BLOCK // 64)
         return np.array([(e.mean, e.std_error) for e in ests])
 
     whole = moments()
     assert blocks == [50]
-    monkeypatch.setattr(sc, "PATH_BLOCK", 7 * 64 * dim)
+    monkeypatch.setattr(sc, "PATH_BLOCK", 7 * 64)
     blocked = moments()
     assert blocks == [7] * 7 + [1]
     for row, (got, want) in enumerate(zip(blocked, whole)):
@@ -912,21 +933,67 @@ def test_reductions_do_not_depend_on_the_path_block(spec, dim, monkeypatch):
 
 
 @pytest.mark.parametrize("n_paths,n_steps,sizes", [
-    (50_000, 256, [12_500] * 4), (60_000, 1024, [4_000] * 15), (2_048, 2_048, [2_048]),
-    (4_000, 64, [4_000]), (1, 1 << 23, [1]),
+    (50_000, 256, [16_384] * 3 + [848]), (60_000, 1024, [4_096] * 14 + [2_656]),
+    (2_048, 2_048, [2_048]), (4_000, 64, [4_000]), (1, 1 << 23, [1]),
 ])
 def test_chunk_plan_examples(n_paths, n_steps, sizes):
     assert sc._chunk_sizes(n_paths, n_steps) == sizes
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 10**7), per_path=st.integers(1, 1 << 24))
-def test_chunk_sizes_are_near_equal_and_capped(n, per_path):
-    sizes = sc._chunk_sizes(n, per_path)
-    cap = max(1, sc.CHUNK_ELEMENTS // per_path)
+@given(n=st.integers(1, 10**7), n_steps=st.integers(1, 1 << 24))
+def test_chunk_plan_is_full_chunks_and_a_last_one(n, n_steps):
+    # cap = CHUNK_ELEMENTS // N paths per chunk, whatever the dimension: the
+    # chunks of n paths are those of any larger count, cut at n
+    sizes = sc._chunk_sizes(n, n_steps)
+    cap = max(1, sc.CHUNK_ELEMENTS // n_steps)
     assert sum(sizes) == n
-    assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+    assert sizes[:-1] == [cap] * (len(sizes) - 1) and 1 <= sizes[-1] <= cap
     assert len(sizes) == -(-n // cap)
+
+
+def _reads(g, reads):
+    """Per (n_paths, dim) of reads, the (chunk, increments) of each batch it
+    reads in one `_mc_paths` pass of them all."""
+    seen = [[] for _ in reads]
+
+    def reader(r):
+        def per_path(batch):
+            seen[r].append((batch.stream[1], batch.increments.copy()))
+            return np.zeros(batch.n_paths)
+        return per_path
+    merge = partial(sc._merged, scale=1.0, ci_valid=True)
+    sc._mc_paths((g, 9, sc._STREAM_LHS), [sc._Request(None, n, d, reader(r), sc._moments, merge)
+                                          for r, (n, d) in enumerate(reads)])
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 60), extra=st.integers(0, 40), d=st.integers(1, 2),
+       extra_d=st.integers(0, 1), n_steps=st.sampled_from([16, 64, 300]))
+def test_a_pass_reads_the_prefix_of_a_larger_one(n, extra, d, extra_d, n_steps):
+    # chunks of 13 paths in blocks of 5: the first n paths and d components of
+    # a pass read at (n', d') are, chunk by chunk, the bits of a pass read at
+    # (n, d), and a reader of (n, d) beside one of (n', d') reads, block by
+    # block, the contiguous batches of its pass alone
+    g = make_grid(1.0, n_steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "CHUNK_ELEMENTS", 13 * n_steps)
+        mp.setattr(sc, "PATH_BLOCK", 5 * n_steps)
+        mp.setattr(sc, "WORKERS", 1)
+        (alone,) = _reads(g, [(n, d)])
+        large, fused = _reads(g, [(n + extra, d + extra_d), (n, d)])
+        plan = sc._chunk_sizes(n, n_steps)
+    assert [chunk for chunk, _ in alone] == [idx for idx in range(-(-n // 13))
+                                             for _ in range(-(-min(13, n - 13 * idx) // 5))]
+    for (chunk, want), (fused_chunk, got) in zip(alone, fused, strict=True):
+        assert chunk == fused_chunk and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    assert plan == [13] * (n // 13) + [n % 13] * (n % 13 > 0)
+    for idx, size in enumerate(plan):
+        want = np.concatenate([inc for chunk, inc in alone if chunk == idx])
+        got = np.concatenate([inc for chunk, inc in large if chunk == idx])
+        assert got[:size, :, :d].tobytes() == want.tobytes()
 
 
 def test_merged_variance_is_stable_for_any_chunking(monkeypatch):

@@ -64,11 +64,13 @@ def test_sampling_is_deterministic(grid):
 @pytest.mark.parametrize("dim, n_paths, seed, stream", [(1, 5, 0, ()), (2, 3, 42, (0, 7)),
                                                       (1, 4, -1, (1, 0))])
 def test_sampling_generator_is_pinned(grid, dim, n_paths, seed, stream):
-    # SFC64 seeded by SeedSequence([seed, *stream]), scaled by sqrt(Delta): a
-    # change of generator moves every number the package reports
-    key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *stream])
-    want = np.random.Generator(np.random.SFC64(key)).standard_normal(
-        (n_paths, grid.n_steps, dim)) * np.sqrt(grid.step)
+    # component a from SFC64 seeded by SeedSequence([seed, *stream]) (a = 0)
+    # or SeedSequence([seed, *stream, a]), scaled by sqrt(Delta): a change of
+    # generator moves every number the package reports
+    keys = [np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *stream, *[a] * (a > 0)])
+            for a in range(dim)]
+    want = np.stack([np.random.Generator(np.random.SFC64(key)).standard_normal(
+        (n_paths, grid.n_steps)) for key in keys], axis=-1) * np.sqrt(grid.step)
     got = sample_paths(grid, dim, n_paths, seed, stream).increments
     assert got.tobytes() == want.tobytes()
 
@@ -91,6 +93,29 @@ def test_path_blocks_give_the_bits_of_one_draw(grid, rows):
     assert [len(p) for p in parts] == [min(rows, 9 - r0) for r0 in range(0, 9, rows)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
     assert len(heads) == 1  # every block is the head of one buffer
+
+
+def test_a_draw_holds_the_draw_of_fewer_paths_and_components(grid):
+    # each component is its own generator's draw: the first n paths and d
+    # components of a draw are the draw of n paths and d components, and a
+    # component given fewer paths is drawn for those alone, nan past them
+    whole = sample_paths(grid, 3, 9, seed=4, stream=(1, 3)).increments
+    for n, d in ((9, 1), (4, 2), (1, 3)):
+        part = sample_paths(grid, d, n, seed=4, stream=(1, 3)).increments
+        assert np.ascontiguousarray(whole[:n, :, :d]).tobytes() == part.tobytes()
+    parts = [block.increments.copy()
+             for block in stochastic.path_blocks(grid, 3, (9, 5, 2), seed=4, stream=(1, 3), rows=4)]
+    stair = np.concatenate(parts)
+    for a, n in enumerate((9, 5, 2)):
+        assert stair[:n, :, a].tobytes() == whole[:n, :, a].tobytes()
+        assert np.isnan(stair[n:, :, a]).all()
+
+
+@pytest.mark.parametrize("counts", [(0, 0), (3, 4), (3, -1), (3,), (3, 2, 1)])
+def test_component_counts_are_checked(grid, counts):
+    # one count per component, non-increasing, the first at least 1
+    with pytest.raises(InvalidArgumentError, match="n_paths must be >= 1"):
+        next(stochastic.path_blocks(grid, 2, counts, seed=0))
 
 
 def test_terminal_variance_matches_horizon():
