@@ -82,12 +82,14 @@ cap = CHUNK_ELEMENTS // N paths, whatever its dimension and path count: n
 paths are ceil(n / cap) chunks, each full but the last (`_chunk_sizes`), so
 the chunks of n paths are those of any larger count, cut at n.  Component 0
 of chunk idx draws its paths from the SFC64 generator seeded by
-SeedSequence([seed, stream, idx]) and component a >= 1 from the one seeded
-by SeedSequence([seed, stream, idx, a]) (`_stream_chunks`), so a reader of
-n paths and d components reads the first n paths and d components of the
-stream, the bits of a pass of its own.  CHUNK_ELEMENTS is no memory cap: it
-fixes how many paths share one generator key and one sub-batch mean of the
-median fallback, so changing it moves every number.  Each chunk builds its
+SeedSequence([seed, stream, idx, N]) and component a >= 1 from the one
+seeded by SeedSequence([seed, stream, idx, N, a]) (`_stream_chunks`), so
+grids of different N draw different normals, and a reader of n paths and d
+components reads the first n paths and d components of the stream, the bits
+of a pass of its own.  CHUNK_ELEMENTS is no memory cap: it fixes how many
+paths share one generator key and one sub-batch mean of the median fallback
+(a short last chunk joins the one before it there, so every sub-batch holds
+at least cap paths), so changing it moves every number.  Each chunk builds its
 own generators from their keys and none is ever advanced or jumped, so no
 counter feature is needed and the fastest of numpy's generators serves.
 `_mc_paths` owns the block plan: a chunk is drawn in successive blocks of
@@ -119,7 +121,7 @@ from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 import copy
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 import os
 from typing import Callable
 
@@ -224,12 +226,12 @@ def _stream_chunks(grid: TimeGrid, seed: int, stream_id: int, counts) -> list[Ca
     """The chunk plan of the stream (seed, stream_id) on grid, drawn for
     counts[a] paths of each component a (non-increasing): per chunk idx, a
     callable that draws its blocks of max(1, PATH_BLOCK // N) paths, component
-    a >= 1 keyed [seed, stream_id, idx, a] and 0 [seed, stream_id, idx]."""
-    sizes, chunks = [_chunk_sizes(count, grid.n_steps) for count in counts], []
+    a >= 1 keyed [seed, stream_id, idx, N, a] and 0 [seed, stream_id, idx, N]."""
+    sizes, chunks, n = [_chunk_sizes(count, grid.n_steps) for count in counts], [], grid.n_steps
     for idx in range(len(sizes[0])):
         per = tuple(s[idx] for s in sizes if idx < len(s))
-        chunks.append(partial(st.path_blocks, grid, len(per), per, seed, stream=(stream_id, idx),
-                              rows=max(1, PATH_BLOCK // grid.n_steps)))
+        chunks.append(partial(st.path_blocks, grid, len(per), per, seed, stream=(stream_id, idx, n),
+                              rows=max(1, PATH_BLOCK // n)))
     return chunks
 
 
@@ -322,16 +324,25 @@ def _mc_paths(key: tuple, requests) -> list:
     return out
 
 
+def _chan(a: tuple, b: tuple) -> tuple:
+    """The moments of chunks a and b together, a's rounded mean kept: the
+    pairwise update of Chan, Golub and LeVeque.  Not in place: the moments
+    are arrays, and a's are read again."""
+    (count, mean, corr, m2), (n_b, mean_b, corr_b, m2_b) = a, b
+    total = count + n_b
+    delta = (mean_b - mean) + (corr_b - corr)
+    return (total, mean, corr + delta * n_b / total,
+            m2 + (m2_b + delta * delta * count * n_b / total))
+
+
 def _merged(parts, scale, ci_valid) -> list[MCEstimate]:
-    """The MCEstimates of a request's chunk moments, parts in chunk order."""
-    count, mean, corr, m2 = parts[0]
-    for n_b, mean_b, corr_b, m2_b in parts[1:]:
-        # not in place: the moments are arrays, and those of parts[0] are read below
-        total = count + n_b
-        delta = (mean_b - mean) + (corr_b - corr)
-        corr = corr + delta * n_b / total
-        m2 = m2 + (m2_b + delta * delta * count * n_b / total)
-        count = total
+    """The MCEstimates of a request's chunk moments, parts in chunk order.
+    A short last chunk joins the one before it in the sub-batch means, so
+    none of the median fallback holds fewer than a full chunk's paths."""
+    count, mean, corr, m2 = reduce(_chan, parts)
+    batches = list(parts)
+    if len(batches) > 1 and batches[-1][0] < batches[0][0]:
+        batches[-2:] = [_chan(*batches[-2:])]
     se = np.sqrt(np.maximum(m2, 0.0) / max(count - 1, 1) / count)
     shape = np.shape(mean)
     scale = np.broadcast_to(scale, shape)
@@ -340,7 +351,7 @@ def _merged(parts, scale, ci_valid) -> list[MCEstimate]:
     return [
         MCEstimate(float(scale[r] * (mean[r] + corr[r])),
                    float(scale[r] * se[r]) if ci_valid[r] else None, count, bool(ci_valid[r]),
-                   tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in parts))
+                   tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in batches))
         for r in np.ndindex(shape)
     ]
 

@@ -194,18 +194,14 @@ def path_blocks(grid: TimeGrid, dim: int, n_paths, seed: int, stream: tuple = ()
     rngs = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(key + [a] * (a > 0))))
             for a in range(dim)]
     buf = np.empty((min(rows, total), grid.n_steps, dim))
-    part = np.empty(buf.shape[:2]) if dim > 1 else None  # one component's draw
+    part = np.empty(buf.shape[:2])  # one component's draw
     for start in range(0, total, rows):
         inc = buf[:total - start]  # the head of the buffer: contiguous
-        if part is None:
-            rngs[0].standard_normal(out=inc)
-            inc *= np.sqrt(grid.step)  # in place: one copy of the block, not two
-        else:
-            for a, rng in enumerate(rngs):
-                m = min(len(inc), max(0, counts[a] - start))
-                rng.standard_normal(out=part[:m])
-                np.multiply(part[:m], np.sqrt(grid.step), out=inc[:m, :, a])  # interleaved
-                inc[m:, :, a] = np.nan
+        for a, rng in enumerate(rngs):
+            m = min(len(inc), max(0, counts[a] - start))
+            rng.standard_normal(out=part[:m])
+            np.multiply(part[:m], np.sqrt(grid.step), out=inc[:m, :, a])  # interleaved
+            inc[m:, :, a] = np.nan
         yield PathBatch(grid, dim, inc, int(seed), tuple(stream))
 
 

@@ -854,8 +854,9 @@ def _spy_draws(monkeypatch) -> list:
 
 
 def _component_keys(draws) -> list:
-    """The (N, seed, stream, chunk, component) key of each component drawn."""
-    return [(n, seed, *stream, a) for n, counts, seed, stream, _, _ in draws
+    """The generator key (seed, stream, chunk, N, component) of each
+    component drawn."""
+    return [(seed, *stream, a) for _, counts, seed, stream, _, _ in draws
             for a in range(len(counts))]
 
 
@@ -935,7 +936,7 @@ def test_a_fused_run_writes_what_each_scenario_writes_alone(tmp_path, monkeypatc
     keys = _component_keys(draws)
     assert len(keys) == len(set(keys))
     # one left-hand draw per grid, the N = 64 one of two components
-    lhs = [draw for draw in draws if draw[3] == (scenarios._STREAM_LHS, 0)]
+    lhs = [draw for draw in draws if draw[3][:2] == (scenarios._STREAM_LHS, 0)]
     assert sorted((draw[0], len(draw[1])) for draw in lhs) == [(64, 2), (512, 1)]
     paths = 8000 if counterexample else 4000
     # one probe draw per grid

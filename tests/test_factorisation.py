@@ -169,8 +169,8 @@ def test_sweep_is_one_eigensolve_and_one_pass_per_side(grid, monkeypatch, functi
     reports = sweep_laplace("rank1:b=0.3", [0.25, 0.5, 0.75], functional, grid, n_paths=1_000)
     assert [r.verdict for r in reports] == ["pass"] * 3
     assert calls.orders == [("eigh", 1)] + [("lu_factor", 1)] * 3
-    assert sorted(drawn) == [(0, idx) for idx in range(5)]
-    assert sorted(forms) == [(0, idx) for idx in range(5)]  # 5 chunks x 3 factors: 5, not 15
+    assert sorted(drawn) == [(0, idx, 32) for idx in range(5)]
+    assert sorted(forms) == [(0, idx, 32) for idx in range(5)]  # 5 chunks x 3 factors: 5, not 15
 
 
 @pytest.mark.parametrize("functional", ["one", "cos_end:1.0"])
@@ -194,7 +194,7 @@ def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch,
     monkeypatch.setattr(stochastic, "path_blocks", recorded)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
     assert calls.orders == [("eigh", 1)] + [("lu_factor", 1)] * 4
-    assert sorted(drawn) == [(0, idx) for idx in range(5)]  # the left-hand side alone
+    assert sorted(drawn) == [(0, idx, 32) for idx in range(5)]  # the left-hand side alone
 
     got = json.loads((tmp_path / "reports.json").read_text())
     args = (functional, grid, 1, 1000, 5)
