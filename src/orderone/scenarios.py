@@ -31,12 +31,11 @@ rows are reduced as in a pass of its own, and a request that raises halts
 its own run alone.  Each round serves the pending streams in the order in
 which a body requests them (probe, left-hand side, right-hand side), so the
 pathwise checks of one group share one probe draw and every left-hand side
-meets in the next round.  demo.cfg's seven
-scenarios at N = 256, one of them at 100,000 paths and one at d = 2, share
-one left-hand draw, which holds inverse's Radon-Nikodym mass too:
-64,768,000 increments per run, not 103,168,000.  `cli` drives one (grid,
-seed) group at a time, so one group's prologues are alive at once; each
-public verify_* drives its scenario alone.
+meets in the next round.  demo.cfg's seven scenarios at N = 256, one at
+100,000 paths and one at d = 2, share one left-hand draw, which holds
+inverse's Radon-Nikodym mass too: 64,768,000 increments per run, not
+103,168,000.  `cli` drives one (grid, seed) group at a time, so one group's
+prologues are alive at once; each public verify_* drives its scenario alone.
 
 Five kinds start at `Scenario.factor`, the gate and det2 prologue: transf,
 inverse, cameron_martin, gencv and finite_dim (A on n unit steps, where
@@ -82,14 +81,13 @@ cap = CHUNK_ELEMENTS // N paths, whatever its dimension and path count: n
 paths are ceil(n / cap) chunks, each full but the last (`_chunk_sizes`), so
 the chunks of n paths are those of any larger count, cut at n.  Component 0
 of chunk idx draws its paths from the SFC64 generator seeded by
-SeedSequence([seed, stream, idx, N]) and component a >= 1 from the one
-seeded by SeedSequence([seed, stream, idx, N, a]) (`_stream_chunks`), so
-grids of different N draw different normals, and a reader of n paths and d
-components reads the first n paths and d components of the stream, the bits
-of a pass of its own.  CHUNK_ELEMENTS is no memory cap: it fixes how many
-paths share one generator key and one sub-batch mean of the median fallback
-(a short last chunk joins the one before it there, so every sub-batch holds
-at least cap paths), so changing it moves every number.  Each chunk builds its
+SeedSequence([seed, stream, idx, N]) and component a >= 1 from
+SeedSequence([seed, stream, idx, N, a]) (`_stream_chunks`): grids of other N
+draw other normals, and a reader of n paths and d components reads the first
+n paths and d components of the stream, the bits of a pass of its own.
+CHUNK_ELEMENTS is no memory cap: it fixes how many paths share one generator
+key and one sub-batch mean of the median fallback (a short last chunk joins
+the one before it), so changing it moves every number.  Each chunk builds its
 own generators from their keys and none is ever advanced or jumped, so no
 counter feature is needed and the fastest of numpy's generators serves.
 `_mc_paths` owns the block plan: a chunk is drawn in successive blocks of
@@ -325,9 +323,8 @@ def _mc_paths(key: tuple, requests) -> list:
 
 
 def _chan(a: tuple, b: tuple) -> tuple:
-    """The moments of chunks a and b together, a's rounded mean kept: the
-    pairwise update of Chan, Golub and LeVeque.  Not in place: the moments
-    are arrays, and a's are read again."""
+    """The moments of chunks a and b together, a's rounded mean kept (Chan,
+    Golub and LeVeque); not in place, as a's arrays are read again."""
     (count, mean, corr, m2), (n_b, mean_b, corr_b, m2_b) = a, b
     total = count + n_b
     delta = (mean_b - mean) + (corr_b - corr)
@@ -336,13 +333,12 @@ def _chan(a: tuple, b: tuple) -> tuple:
 
 
 def _merged(parts, scale, ci_valid) -> list[MCEstimate]:
-    """The MCEstimates of a request's chunk moments, parts in chunk order.
-    A short last chunk joins the one before it in the sub-batch means, so
-    none of the median fallback holds fewer than a full chunk's paths."""
+    """The MCEstimates of a request's chunk moments, parts in chunk order."""
     count, mean, corr, m2 = reduce(_chan, parts)
-    batches = list(parts)
-    if len(batches) > 1 and batches[-1][0] < batches[0][0]:
-        batches[-2:] = [_chan(*batches[-2:])]
+    # a short last chunk joins the one before it: every sub-batch mean of the
+    # median fallback holds at least a full chunk's paths
+    short = len(parts) > 1 and parts[-1][0] < parts[0][0]
+    batches = parts[:-2] + [_chan(*parts[-2:])] if short else parts
     se = np.sqrt(np.maximum(m2, 0.0) / max(count - 1, 1) / count)
     shape = np.shape(mean)
     scale = np.broadcast_to(scale, shape)

@@ -10,10 +10,9 @@ the draw of n paths and d components: a stream is one prefix-closed draw,
 which readers of fewer paths or components share.  Every batch builds its
 own generators from their keys and no generator is ever advanced or jumped,
 so a counter-based generator such as Philox offers nothing here; SFC64 draws
-normals about twice as fast.  Path
-values at the left nodes are W(t_k) = sum_{i<k} dW[m, i] (W(0) = 0), and all
-stochastic sums are Ito sums: the integrand is evaluated strictly before the
-increment that multiplies it.
+normals about twice as fast.  Path values at the left nodes are W(t_k) =
+sum_{i<k} dW[m, i] (W(0) = 0), and all stochastic sums are Ito sums: the
+integrand is evaluated strictly before the increment that multiplies it.
 
 Functionals of a batch:
 
