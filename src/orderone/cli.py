@@ -155,8 +155,9 @@ _KEYS = {
     "seed": _Key(int, "seed", "--seed"),
 }
 _OVERRIDES = ("n_paths", "n_steps", "horizon", "dim", "seed")
-_RUN_KEYS = {"horizon": float, "n_steps": int, "dim": int, "samples": int, "seed": int,
-             "out_dir": str, "format": _format}
+# the [run] keys that are scenario keys too, each also a flag of run
+_RUN_FLAGS = ("seed", "samples", "n_steps", "horizon", "dim")
+_RUN_KEYS = dict({key: _KEYS[key].parse for key in _RUN_FLAGS}, out_dir=str, format=_format)
 
 
 _COMMON = ("tolerance", "samples", "n_steps", "horizon", "seed")
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a config file of scenarios")
     p_run.add_argument("--config", required=True)
-    _add_flags(p_run, ("seed", "samples", "n_steps", "horizon", "dim"))
+    _add_flags(p_run, _RUN_FLAGS)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", type=_flag(_format), default=None)
 
@@ -446,7 +447,7 @@ def _cmd_run(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     config = _read_config(text)
-    for attr in ("seed", "samples", "n_steps", "horizon", "dim", "format"):
+    for attr in _RUN_FLAGS + ("format",):
         if getattr(args, attr) is not None:
             setattr(config, attr, getattr(args, attr))
     jobs = _jobs(config)

@@ -756,7 +756,8 @@ def kernel_zoo(spec: str, grid: TimeGrid, dim: int | None = None) -> MatrixKerne
 
     Each parameter of the spec is read by its row's parser, and an unknown
     one is rejected, before the kernel is built.  dim None is the d the spec
-    fixes (len(p) for expdiag, else 1); another d than it fixes is rejected."""
+    fixes (len(p) for expdiag, else 1); another d than it fixes is rejected,
+    and an integral real is read as its int."""
     name, params = parse_kernel_spec(spec)
     if dim is not None and (int(dim) != dim or dim < 1):
         raise InvalidArgumentError(f"dim must be an integer >= 1, got {dim}")
@@ -781,4 +782,4 @@ def kernel_zoo(spec: str, grid: TimeGrid, dim: int | None = None) -> MatrixKerne
         dim = fixed or 1
     elif fixed is not None and dim != fixed:
         raise InvalidArgumentError(f"kernel {spec!r} has d = {fixed}, but dim={dim} was given")
-    return row.build(grid, dim, **values)
+    return row.build(grid, int(dim), **values)

@@ -2,23 +2,26 @@
 
 Every scenario follows the same contract: assemble the kernels, evaluate the
 hypothesis gate (top eigenvalue of the symmetric exponent kernel), and only
-then estimate both sides of the identity: the side with the exponent by
-Monte Carlo on its own SFC64 stream, the side without one in closed form, so
-the z-score of the comparison has a clean null.  The verdict is "pass" when
-the discrepancy is below max(tolerance, 3 combined standard errors) and every
-embedded operator-level check holds.
+then estimate the two sides of the identity.  The paper's change-of-variables
+formulas put the exponent on one side only, so every identity here is one
+Monte Carlo side, the one with the exponent, on the left, against one closed
+form on the right: the z-score of the comparison has a clean null.  The
+verdict is "pass" when the discrepancy is below max(tolerance, 3 standard
+errors of the left side) and every embedded operator-level check holds.
 
 Sides as data.  A transformation of order one turns its change of variables
 into a quadratic-form exponent, so every side below, finite_dim's too, is a
 `Side`: e^{log_scale} E[f(w') e^{c q(w)}], w' the image of the path w under
 the transformation of a kernel (w itself without one) and q a per-path
-exponent (none: 1).  `Scenario.estimate` evaluates each distinct image and
-each distinct exponent once per block, so a lambda family evaluates q once
-and each row reads c q.  A side with no exponent is exact and draws no path:
-f reads the image at one node, a linear image of the Gaussian increments,
-and `TestFunctional.mean` of its covariance is E[f].  `Scenario.identity`
-runs the two sides of rows of (report, lhs, rhs), one pass each, and checks
-each report's identity.
+exponent (none on a right-hand side: 1).  `Scenario.estimate` runs the
+left-hand sides, each with an exponent, as one Monte Carlo pass that
+evaluates each distinct image and each distinct exponent once per block, so
+a lambda family evaluates q once and each row reads c q.  `Scenario.exact`
+reads a right-hand side in closed form and draws no path: f reads the image
+at one node, a linear image of the Gaussian increments, and
+`TestFunctional.mean` of its covariance is E[f].  `Scenario.identity` runs
+the left-hand sides of rows of (report, lhs, rhs) in one pass, reads each
+right-hand side exactly and checks each report's identity.
 
 Two phases, one draw per stream.  Each kind's body (`_BODIES`) is a
 generator: its prologue runs up to a Monte Carlo pass, which it yields as a
@@ -28,14 +31,15 @@ from the results sent back.  A stream is one prefix-closed draw, so `drive`
 runs the requests of one key as one `_mc_paths` pass, which draws each
 component once, for the most paths a request reads of it: each request's
 rows are reduced as in a pass of its own, and a request that raises halts
-its own run alone.  Each round serves the pending streams in the order in
-which a body requests them (probe, left-hand side, right-hand side), so the
-pathwise checks of one group share one probe draw and every left-hand side
-meets in the next round.  demo.cfg's seven scenarios at N = 256, one at
-100,000 paths and one at d = 2, share one left-hand draw, which holds
-inverse's Radon-Nikodym mass too: 64,768,000 increments per run, not
-103,168,000.  `cli` drives one (grid, seed) group at a time, so one group's
-prologues are alive at once; each public verify_* drives its scenario alone.
+its own run alone.  There are two streams per (grid, seed), and each round
+serves the pending ones in the order in which a body requests them (probe,
+then left-hand side), so the pathwise checks of one group share one probe
+draw and every left-hand side meets in the next round.  demo.cfg's seven
+scenarios at N = 256, one at 100,000 paths and one at d = 2, share one
+left-hand draw, which holds inverse's Radon-Nikodym mass too: 64,768,000
+increments per run, not 103,168,000.  `cli` drives one (grid, seed) group at
+a time, so one group's prologues are alive at once; each public verify_*
+drives its scenario alone.
 
 Five kinds start at `Scenario.factor`, the gate and det2 prologue: transf,
 inverse, cameron_martin, gencv and finite_dim (A on n unit steps, where
@@ -68,9 +72,10 @@ that compares the median of fixed sub-batch means against the target at a
 widened tolerance.
 
 A lambda family, the surjective identity of lambda * eta for several lambda,
-is one pass per side: one eigensolve of B_eta gives each factor's gate, det2
-and kernels, and each side draws its paths once, with one row of values per
-factor the gate admits, merged row by row (common random numbers).  A
+is one Monte Carlo pass: one eigensolve of B_eta gives each factor's gate,
+det2 and kernels, and the left-hand side draws its paths once, with one row
+of values per factor the gate admits, merged row by row (common random
+numbers); each right-hand side is exact.  A
 surjective scenario's own identity (factor 1) and its Laplace sweep (its
 lambdas) form one family (`surjective_scenario`); `verify_surjective` is the
 family of factor 1 alone and `sweep_laplace` that of the lambdas alone;
@@ -173,8 +178,9 @@ def _usable_cores() -> int:
 # threads that run chunks; reports do not depend on it
 WORKERS = _usable_cores()
 
-_STREAM_LHS, _STREAM_RHS, _STREAM_PROBE = 0, 1, 2
-_ROUNDS = (_STREAM_PROBE, _STREAM_LHS, _STREAM_RHS)  # the order a body requests them in
+# stream ids, part of every generator key, so each keeps its value
+_STREAM_LHS, _STREAM_PROBE = 0, 2
+_ROUNDS = (_STREAM_PROBE, _STREAM_LHS)  # the order a body requests them in
 
 # a side past the float range is inf or nan and fails its comparison, unwarned
 _PAST_RANGE = dict(over="ignore", invalid="ignore")
@@ -188,7 +194,8 @@ _PAST_RANGE = dict(over="ignore", invalid="ignore")
 class MCEstimate:
     """Monte Carlo mean with its standard error (absent when the guard says
     the second moment is infinite) and the fixed sub-batch means used for the
-    CI-less consistency fallback."""
+    CI-less consistency fallback.  A closed-form side is carried as one of no
+    path and no error (`Scenario.exact`), which has no median."""
 
     mean: float
     std_error: float | None
@@ -198,18 +205,13 @@ class MCEstimate:
 
     @property
     def median(self) -> float:
-        return float(np.median(self.chunk_means)) if self.chunk_means else self.mean
+        return float(np.median(self.chunk_means))
 
     def to_dict(self) -> dict:
         d = {key: getattr(self, key) for key in ("mean", "std_error", "n_samples", "ci_valid")}
         if not self.ci_valid:
             d["median_of_batches"] = self.median
         return d
-
-
-def exact_estimate(value: float) -> MCEstimate:
-    """Closed-form side of an identity, carried as a zero-error estimate."""
-    return MCEstimate(float(value), 0.0, 0, True)
 
 
 def _chunk_sizes(n_paths: int, n_steps: int) -> list[int]:
@@ -353,7 +355,7 @@ def _merged(parts, scale, ci_valid) -> list[MCEstimate]:
 
 
 def drive(runs) -> list:
-    """Run each generator of runs (a `Scenario.run`, or a side's `estimate`),
+    """Run each generator of runs (a `Scenario.run`, or an `estimate`),
     which yields `_Request`s and is sent back their results, to its end.
     Each round runs the pending requests of one stream key as one `_mc_paths`
     pass, the first stream of `_ROUNDS` first, and the others wait for it;
@@ -460,7 +462,7 @@ class ScenarioReport:
             self.name,
             fmt(self.lhs.mean if self.lhs else None),
             fmt(self.rhs.mean if self.rhs else None),
-            fmt(self._combined_se()),
+            fmt(self.lhs.std_error if self.lhs else None),
             fmt(self.z_score),
             self.verdict,
             fmt(self.gate.get("lambda_eta")),
@@ -468,28 +470,31 @@ class ScenarioReport:
             str(self.provenance.get("seed", "")),
         ]
 
-    def _combined_se(self):
-        if self.lhs is None or self.rhs is None:
-            return None
-        if self.lhs.std_error is None or self.rhs.std_error is None:
-            return None
-        return float(np.hypot(self.lhs.std_error, self.rhs.std_error))
-
 
 CSV_HEADER = ["name", "lhs", "rhs", "se", "z", "verdict", "lambda_eta", "det2_log", "seed"]
 
 
-def _compare(lhs: MCEstimate, rhs: MCEstimate, tol: float):
-    """(z, rel_error, main_pass) under the max(tol, 3 sigma) rule; medians at a
-    widened tolerance when either side is CI-less."""
-    scale = max(abs(rhs.mean), 1e-300)
-    if lhs.ci_valid and rhs.ci_valid:
-        diff = abs(lhs.mean - rhs.mean)
-        se = float(np.hypot(lhs.std_error, rhs.std_error))
+def _compare(mc: MCEstimate, exact: float, tol: float):
+    """(z, rel_error, main_pass) of a Monte Carlo estimate against an exact
+    value under the max(tol, 3 sigma) rule; its median at a widened
+    tolerance when it is CI-less."""
+    scale = max(abs(exact), 1e-300)
+    if mc.ci_valid:
+        diff, se = abs(mc.mean - exact), mc.std_error
         z = diff / se if se > 0 else (0.0 if diff == 0.0 else float("inf"))
         return z, diff / scale, diff <= max(tol * scale, 3.0 * se)
-    diff = abs(lhs.median - rhs.median)
+    diff = abs(mc.median - exact)
     return None, diff / scale, diff <= CONSISTENCY_FACTOR * tol * scale
+
+
+def _integral(value, what: str) -> int:
+    """value as an int: a real of integral value, never truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
 
 
 def _gate(report: ScenarioReport, lam_eta: float) -> str | None:
@@ -567,9 +572,11 @@ class Side:
     of the path w under the transformation of kernel (w itself when kernel is
     None; G_phi = F_kappa_phi, so a linear transformation is its tail kernel's),
     q the per-path exponent (none: e^0) and f its own functional (None: the
-    scenario's).  Sides that share an exponent object evaluate it once per
-    block.  ci_valid is False when the moment guard says the second moment is
-    infinite."""
+    scenario's).  A left-hand side has an exponent and is estimated
+    (`Scenario.estimate`), a right-hand side has none and is exact
+    (`Scenario.exact`).  Sides that share an exponent object evaluate it once
+    per block.  ci_valid is False when the moment guard says the second
+    moment is infinite."""
 
     log_scale: float = 0.0
     exponent: Callable | None = None
@@ -599,7 +606,7 @@ class Scenario:
     reports: list[ScenarioReport]
     factors: list[float]
     kind: str
-    params: dict  # keyword arguments of its kind's body beyond the scenario: harmonic's, gencv's
+    params: dict  # keyword arguments of its kind's body beyond the scenario: harmonic's
 
     @property
     def report(self) -> ScenarioReport:
@@ -649,63 +656,66 @@ class Scenario:
                 report.verdict = "pass" if ok else "fail"
         return self.reports
 
-    def estimate(self, stream_id: int, sides, f: TestFunctional):
-        """The estimate of each side, its functional (f unless it has its own)
-        read along its image, in one pass over the first n_paths paths of the
+    def estimate(self, sides):
+        """The Monte Carlo estimate of each side, every one with an exponent,
+        its functional (the scenario's unless it has its own) read along its
+        image, in one pass over the first n_paths paths of the left-hand
         stream: each distinct read, an image and a functional (its node
         weights built once, before any chunk), and each distinct exponent are
         evaluated once per block.  The pass is yielded to `drive` as a
-        `_Request`.  Exact, with nothing drawn or yielded, when no side has an
-        exponent: the node value dW G that a functional reads is then
-        N(0, Delta G^T G)."""
+        `_Request` (a generator)."""
         def read(side):
-            return id(side.kernel), side.f or f
+            return id(side.kernel), side.f or self.f
 
         with np.errstate(**_PAST_RANGE):
-            reads = {}  # per read: its node and node weights (None: the path's own)
+            reads = {}  # per read: its node weights (None: the path's own)
             for (image, g), kernel in {read(side): side.kernel for side in sides}.items():
                 node = g.node(self.grid)
-                reads[image, g] = node, (None if kernel is None or node is None
-                                         else st.node_weights(kernel, node))
-            if all(side.exponent is None for side in sides):
-                dt, eye = self.grid.step, np.eye(self.kernel.dim)
-                mean = {(image, g): g.mean((node or 0) * dt * eye if w is None else dt * (w.T @ w))
-                        for (image, g), (node, w) in reads.items()}  # W(t_k) itself: k Delta I
-                return [exact_estimate(np.exp(side.log_scale) * mean[read(side)]) for side in sides]
+                reads[image, g] = (None if kernel is None or node is None
+                                   else st.node_weights(kernel, node))
             scale = [np.exp(side.log_scale) for side in sides]
-        exponents = {id(e): e for e in (side.exponent for side in sides) if e is not None}
+        exponents = {id(side.exponent): side.exponent for side in sides}
 
         def per_path(batch):
             f_at = {(image, g): g.evaluate(batch) if w is None
-                    else g.at_node(st.node_value(batch, w)) for (image, g), (_, w) in reads.items()}
+                    else g.at_node(st.node_value(batch, w)) for (image, g), w in reads.items()}
             q = {key: exponent(batch) for key, exponent in exponents.items()}
-            return [f_at[read(side)] if side.exponent is None
-                    else f_at[read(side)] * np.exp(side.c * q[id(side.exponent)])
-                    for side in sides]
+            return [f_at[read(side)] * np.exp(side.c * q[id(side.exponent)]) for side in sides]
 
-        return (yield _Request((self.grid, self.seed, stream_id), self.n_paths, self.kernel.dim,
-                               per_path, _moments,
+        return (yield _Request((self.grid, self.seed, _STREAM_LHS), self.n_paths,
+                               self.kernel.dim, per_path, _moments,
                                partial(_merged, scale=scale,
                                        ci_valid=[side.ci_valid for side in sides])))
 
+    @np.errstate(**_PAST_RANGE)
+    def exact(self, side) -> MCEstimate:
+        """e^{log_scale} E[f(w')] of a side without an exponent, in closed
+        form, with nothing drawn: the node value dW G that its functional f
+        reads is N(0, Delta G^T G), and W(t_k) itself is N(0, k Delta I).  It
+        is carried as an estimate of no path and no error."""
+        g = side.f or self.f
+        node, dt = g.node(self.grid), self.grid.step
+        w = None if side.kernel is None or node is None else st.node_weights(side.kernel, node)
+        cov = (node or 0) * dt * np.eye(self.kernel.dim) if w is None else dt * (w.T @ w)
+        return MCEstimate(float(np.exp(side.log_scale) * g.mean(cov)), 0.0, 0, True)
+
     def identity(self, rows, extra=()):
         """Estimate the left-hand sides of rows of (report, lhs, rhs), and the
-        sides of extra, in one pass and their right-hand sides in another,
-        then compare each row's two sides as its report's 'identity' check (a
-        generator, as `estimate`); the estimates of extra are returned.  A
-        Monte Carlo side whose every path reads 0 against a nonzero exact side
-        raises PreconditionError: its values underflow, so it tests nothing."""
+        sides of extra, in one Monte Carlo pass, read each right-hand side in
+        closed form (`exact`), and compare each row's two sides as its
+        report's 'identity' check (a generator, as `estimate`); the estimates
+        of extra are returned.  A left-hand side whose every path reads 0
+        against a nonzero right-hand side raises PreconditionError: its values
+        underflow, so it tests nothing."""
         reports, lhs, rhs = zip(*rows)
-        lefts = yield from self.estimate(_STREAM_LHS, lhs + tuple(extra), self.f)
-        rights = yield from self.estimate(_STREAM_RHS, rhs, self.f)
-        for report, left, right in zip(reports, lefts, rights):
-            for mc, exact in ((left, right), (right, left)):
-                if mc.n_samples and not exact.n_samples and exact.mean and not any(mc.chunk_means):
-                    raise PreconditionError(
-                        f"{report.name}: the value of every path underflows to 0, against the "
-                        f"exact side {exact.mean:.3g}")
+        lefts = yield from self.estimate(lhs + tuple(extra))
+        for report, left, right in zip(reports, lefts, map(self.exact, rhs)):
+            if right.mean and not any(left.chunk_means):
+                raise PreconditionError(
+                    f"{report.name}: the value of every path underflows to 0, against the "
+                    f"exact side {right.mean:.3g}")
             report.lhs, report.rhs = left, right
-            report.z_score, report.rel_error, ok = _compare(left, right, report.tolerance)
+            report.z_score, report.rel_error, ok = _compare(left, right.mean, report.tolerance)
             report.checks["identity"] = Check(report.rel_error, 0.0, report.tolerance, ok,
                                               "main comparison")
         return lefts[len(rows):]
@@ -730,31 +740,42 @@ def resolve_scenario(
     own: bool = True,
 ) -> Scenario:
     """Check and resolve the arguments of a Wiener-space scenario of the given
-    kind before any work: the Monte Carlo size and tolerance, the harmonic
-    lambda (>= 0) and direction x (of the kernel's dimension), the
-    surjective lambdas (finite), the kernel spec (symmetric for surjective
-    and integrability; None only for gencv's own counterexample at GENCV_B)
-    and the functional (None only for integrability, whose f is one and not
-    in its provenance; a cos_mid tau in [0, T]).  Then decide every report it
+    kind before any work: the Monte Carlo size and seed (integers) and the
+    tolerance, the harmonic lambda (given, >= 0) and direction x (of the
+    kernel's dimension), the surjective lambdas (finite, and no two of one
+    report name), the kernel spec (symmetric for surjective and
+    integrability; for gencv a remark_gencv spec, or None for its own
+    counterexample at GENCV_B) and the functional (None only for
+    integrability, whose f is one and not in its provenance; a cos_mid tau
+    in [0, T]).  Then decide every report it
     writes and its provenance: its own unless own=False, one
     `laplace[spec, lambda=c]` per lambda, cameron_martin's kernel_role.  Every
     scenario starts here; a config is validated, and a raising scenario
     halted, by what it returns on the scenario's arguments.  Raises
     InvalidArgumentError."""
+    n_paths, seed = _integral(n_paths, "the number of paths"), _integral(seed, "seed")
     if n_paths < 1:
         raise InvalidArgumentError(f"the number of paths must be >= 1, got {n_paths}")
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tolerance must be a finite real > 0, got {tol}")
+    if kind == "harmonic" and lam is None:
+        raise InvalidArgumentError("harmonic needs a lambda")
     if lam is not None and not (np.isfinite(lam) and lam >= 0):
         raise InvalidArgumentError(f"lambda must be a finite real >= 0, got {lam}")
     if lambdas is not None and not np.all(np.isfinite(lambdas)):
         raise InvalidArgumentError(f"lambdas must be finite reals, got {list(lambdas)}")
+    lambdas = [] if lambdas is None else [float(c) for c in lambdas]
+    labels = [f"{c:g}" for c in lambdas]  # each names its Laplace report
+    if len(set(labels)) < len(labels):
+        raise InvalidArgumentError(
+            f"lambdas must differ in their first 6 significant digits, got {lambdas}")
     if kernel is None:
         if kind != "gencv":
             raise InvalidArgumentError(f"{kind} needs a kernel")
-        kernel, params = _gencv_spec(*GENCV_B), dict(zip(("b1", "b2"), GENCV_B))
-    else:
-        params = dict(lam=lam, x=x) if kind == "harmonic" else {}
+        kernel = _gencv_spec(*GENCV_B)
+    elif kind == "gencv" and (isinstance(kernel, MatrixKernel)
+                              or gk.parse_kernel_spec(str(kernel))[0] != "remark_gencv"):
+        raise InvalidArgumentError(f"gencv needs a remark_gencv kernel spec, got {kernel!r}")
     grid = grid or make_grid(1.0, 256)
     if isinstance(kernel, MatrixKernel):
         if kernel.grid != grid:
@@ -782,13 +803,13 @@ def resolve_scenario(
         prov["lambda"], label = float(lam), f", lambda={lam:g}"
     if x is not None:
         prov["x"] = gk.direction(x, kappa.dim).tolist()
-    lambdas = [] if lambdas is None else [float(c) for c in lambdas]
     titled = ([(name or f"{kind}[{spec}{label}]", prov)] if own else []) + [
         (f"laplace[{spec}, lambda={c:g}]", {**prov, "lambda": c}) for c in lambdas]
     reports = [ScenarioReport(title, kind, None, None, None, None, tol, "undecided",
                               provenance=p) for title, p in titled]
     return Scenario(grid, kappa, _ONE if f is None else f, n_paths, seed, reports,
-                    ([1.0] if own else []) + lambdas, kind, params)
+                    ([1.0] if own else []) + lambdas, kind,
+                    dict(lam=lam, x=x) if kind == "harmonic" else {})
 
 
 def verify_transf(
@@ -862,7 +883,7 @@ def _inverse(s: Scenario):
     mass = Side(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2,
                 partial(st.quadratic_form, eta_hat), ci_valid=guard_hat == "ok", f=_ONE)
     (rn,) = yield from s.identity([(report, lhs, rhs)], extra=[mass])
-    _, _, rn_ok = _compare(rn, exact_estimate(1.0), report.tolerance)
+    _, _, rn_ok = _compare(rn, 1.0, report.tolerance)
     report.checks["rn_normalization"] = Check(
         rn.mean, 1.0, report.tolerance, rn_ok,
         f"Radon-Nikodym weight mass (guard {guard_hat})",
@@ -877,8 +898,9 @@ def surjective_scenario(
     """The reports of a surjective scenario: its own identity (when own),
     then its Laplace sweep, the identity of each lambda * eta (q scales
     linearly in the kernel).  They form one family of factors c (1, then the
-    lambdas): one eigensolve of B_eta and one Monte Carlo pass per side, on
-    the same paths for every factor, with one row per factor its gate admits.
+    lambdas): one eigensolve of B_eta and one Monte Carlo pass of the
+    left-hand side, on the same paths for every factor, with one row per
+    factor its gate admits.
     Every factor keeps its own gate and its own independent checks."""
     return _alone(resolve_scenario("surjective", kernel, functional, grid, dim, n_paths, seed,
                                    tol, name, lambdas=lambdas, own=own))
@@ -1072,15 +1094,15 @@ def verify_gencv_example(
     """The spectral counterexample: s-kernel eigenvalue -2 min(b) may exceed 2
     while the eta gate stays below 1 and det2 stays positive, so the forward
     identity still holds where the generic change-of-variables route fails."""
-    b1, b2 = float(b1), float(b2)
-    s = resolve_scenario("gencv", _gencv_spec(b1, b2), functional, grid, 1, n_paths, seed, tol,
-                         name)
-    s.params = dict(b1=b1, b2=b2)
-    return _alone(s)[0]
+    return _alone(resolve_scenario("gencv", _gencv_spec(b1, b2), functional, grid, 1, n_paths,
+                                   seed, tol, name))[0]
 
 
-def _gencv(s: Scenario, b1: float, b2: float):
+def _gencv(s: Scenario):
     report = s.report
+    # b1 and b2 as the kernel read them: `_gencv_spec` writes each exactly
+    b = gk.parse_kernel_spec(report.provenance["kernel"])[1]
+    b1, b2 = float(b["b1"]), float(b["b2"])
     lam_s = op.lambda_max(gk.s_of_kappa(s.kernel))
     # the prologue and the row of the forward identity, on this scenario's kernel
     p = s.factor(s.kernel)

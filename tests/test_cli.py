@@ -576,6 +576,30 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert len(rows) == 3
 
 
+SWEEP = """
+[run]
+n_steps = 16
+samples = 200
+
+[scenario sweep]
+verify = surjective
+kernel = rank1:b=0.5
+lambdas = 0.5, 0.50
+"""
+
+
+def test_a_repeated_laplace_factor_is_a_usage_error(tmp_path, capsys):
+    # both wrote two reports named laplace[rank1:b=0.5, lambda=0.5]
+    with pytest.raises(ConfigError, match="first 6 significant digits"):
+        parse_config(SWEEP)
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path, SWEEP), "--out", str(out)]) == EXIT_USAGE
+    assert main(["sweep-laplace", "rank1:b=0.5", "--lambdas", "0.5,0.50", "--grid", "16",
+                 "--paths", "200", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().err.count("first 6 significant digits") == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "transf", "--kernel", "bogus:z=1", "--paths", "10"],
     ["spectrum"],  # missing argument
@@ -818,8 +842,8 @@ def test_verify_defaults_to_functional_one(tmp_path):
 
 
 def test_demo_draws_no_right_hand_side_path(tmp_path, monkeypatch):
-    # every right-hand side of demo.cfg is exact: no path is drawn on the
-    # right-hand stream (id 1), and each report's rhs carries no error
+    # every right-hand side of demo.cfg is exact: every path is drawn on the
+    # left-hand or the probe stream, and each report's rhs carries no error
     text = (Path(__file__).parent.parent / "demo.cfg").read_text()
     cfg = _write_config(tmp_path, re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", text))
     streams, path_blocks = [], stochastic.path_blocks
@@ -830,7 +854,8 @@ def test_demo_draws_no_right_hand_side_path(tmp_path, monkeypatch):
     monkeypatch.setattr(stochastic, "path_blocks", recorded)
     main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--format", "json",
           "--grid", "32", "--paths", "2000"])
-    assert streams and all(stream[0] != scenarios._STREAM_RHS for stream in streams)
+    assert scenarios._ROUNDS == (scenarios._STREAM_PROBE, scenarios._STREAM_LHS)
+    assert {stream[0] for stream in streams} == {scenarios._STREAM_LHS, scenarios._STREAM_PROBE}
     reports = json.loads((tmp_path / "out" / "reports.json").read_text())
     assert len(reports) == 11
     for report in reports:

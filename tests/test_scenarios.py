@@ -305,6 +305,36 @@ def test_sweep_rejects_a_non_finite_lambda(grid, lam):
         sweep_laplace("rank1:b=0.5", [0.5, lam], "one", grid, n_paths=10)
 
 
+@pytest.mark.parametrize("call, match", [
+    # a TypeError inside the chunk plan
+    (lambda g: verify_transf("rank1:b=0.3", "one", g, n_paths=100.5), "paths must be an integer"),
+    # ran with seed 1 and recorded 1.5
+    (lambda g: verify_transf("rank1:b=0.3", "one", g, n_paths=200, seed=1.5),
+     "seed must be an integer"),
+    # resolved with lam None; its run raised a TypeError
+    (lambda g: sc.resolve_scenario("harmonic", "volterra", "one", g), "harmonic needs a lambda"),
+    # its run raised a TypeError: gencv reads b1 and b2 from its kernel spec
+    (lambda g: sc.resolve_scenario("gencv", "rank1:b=0.3", "one", g), "remark_gencv"),
+    # two reports of one name
+    (lambda g: sweep_laplace("rank1:b=0.3", [0.5, 0.5], "one", g, n_paths=100),
+     "first 6 significant digits"),
+    (lambda g: sweep_laplace("rank1:b=0.3", [0.5, 0.5000001], "one", g, n_paths=100),
+     "first 6 significant digits"),
+], ids=["paths", "seed", "harmonic-lambda", "gencv-kernel", "laplace-repeat", "laplace-label"])
+def test_malformed_scenario_arguments_are_typed_errors(call, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        call(MEAN_GRID)
+
+
+def test_integral_reals_are_read_as_ints():
+    # kernel_zoo passed dim 2.0 on to np.eye, which raised a TypeError
+    kernel = kernel_zoo("const:c=1", MEAN_GRID, 2.0)
+    assert kernel.dim == 2 and type(kernel.dim) is int
+    s = sc.resolve_scenario("transf", "const:c=1", "one", MEAN_GRID, 2.0, 200.0, 2.0)
+    assert [type(s.report.provenance[k]) for k in ("dim", "n_paths", "seed")] == [int] * 3
+    assert sc._alone(s)[0].lhs.n_samples == 200
+
+
 @pytest.mark.parametrize("run", [
     lambda g: verify_surjective("zero", "cos_end:1.0", g, n_paths=5_000, seed=1),
     lambda g: verify_harmonic("zero", 1.0, None, "cos_end:1.0", g, n_paths=5_000, seed=1),
@@ -334,7 +364,7 @@ def test_exact_side_agrees_with_monte_carlo(spec, dim, text):
     f = TestFunctional.parse(text)
     s = sc.resolve_scenario("transf", spec or "zero", f, MEAN_GRID, dim, n_paths=200_000, seed=8)
     kernel = None if spec is None else s.kernel
-    (exact,) = sc.drive([s.estimate(sc._STREAM_LHS, [sc.Side(kernel=kernel)], f)])[0]
+    exact = s.exact(sc.Side(kernel=kernel))
     assert exact.n_samples == 0 and exact.std_error == 0.0
     k = f.node(MEAN_GRID)
     if k is None:
@@ -347,6 +377,54 @@ def test_exact_side_agrees_with_monte_carlo(spec, dim, text):
         return f.at_node(w)
     (mc,) = _pass(MEAN_GRID, dim, 200_000, 8, sc._STREAM_LHS, per_path)
     assert abs(mc.mean - exact.mean) <= 4.0 * mc.std_error
+
+
+# every kind at d = 1 and d = 2 where it takes one: (kind, kernel, functional,
+# dim, keyword arguments); harmonic reads a direction x, and the right-hand
+# sides of surjective and harmonic with cos_end:1 read an image
+EVERY_KIND = [
+    ("transf", "rank1:b=0.3", "cos_end:1", 1, {}),
+    ("transf", "expdiag:p=[0.5,-0.5]", "cos_end:1", 2, {}),
+    ("inverse", "rank1:b=0.3", "cos_end:1", 1, {}),
+    ("inverse", "expdiag:p=[0.5,-0.5]", "cos_end:1", 2, {}),
+    ("surjective", "rank1:b=0.5", "cos_end:1", 1, dict(lambdas=[0.5])),
+    ("surjective", "const:c=0.2", "cos_end:1", 2, dict(lambdas=[0.5])),
+    ("harmonic", "volterra", "cos_end:1", 1, dict(lam=1.0, x=[1.0])),
+    ("harmonic", "expdiag:p=[0.5,-0.5]", "cos_end:1", 2, dict(lam=0.5, x=[1.0, 0.5])),
+    ("cameron_martin", "const:c=1", "cos_end:1", 1, {}),
+    ("cameron_martin", "const:c=1", "cos_end:1", 2, {}),
+    ("gencv", None, "cos_end:1", 1, {}),
+    ("integrability", "rank1:b=0.5", None, 1, {}),
+    ("integrability", "const:c=0.2", None, 2, {}),
+]
+
+
+@pytest.mark.parametrize("kind, spec, functional, dim, extra", EVERY_KIND,
+                         ids=[f"{row[0]}-d{row[3]}" for row in EVERY_KIND])
+def test_every_right_hand_side_is_exact(monkeypatch, kind, spec, functional, dim, extra):
+    # the left-hand side is the one Monte Carlo side: every right-hand side
+    # reads no path and carries no error, and no path is drawn on any stream
+    # but the left-hand and the probe ones
+    streams, path_blocks = [], stochastic.path_blocks
+
+    def recorded(*args, **kwargs):
+        streams.append(kwargs["stream"][0])
+        return path_blocks(*args, **kwargs)
+    monkeypatch.setattr(stochastic, "path_blocks", recorded)
+    s = sc.resolve_scenario(kind, spec, functional, MEAN_GRID, dim, 400, 3, **extra)
+    reports = sc._alone(s)
+    assert len(reports) == 1 + len(extra.get("lambdas", []))
+    for report in reports:
+        assert report.lhs.n_samples == 400
+        assert report.rhs.n_samples == 0 and report.rhs.std_error == 0.0
+    assert streams and set(streams) <= {sc._STREAM_LHS, sc._STREAM_PROBE}
+
+
+def test_finite_dim_right_hand_side_is_exact():
+    s = sc.resolve_finite_dim(np.diag(np.full(16, 0.1)), n_samples=400, seed=3)
+    (report,) = sc._alone(s)
+    assert report.lhs.n_samples == 400
+    assert report.rhs.n_samples == 0 and report.rhs.std_error == 0.0
 
 
 def test_functional_means_in_closed_form():
