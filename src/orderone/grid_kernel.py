@@ -148,13 +148,35 @@ class TimeGrid:
         return np.arange(self.n_steps) * self.step
 
 
+def integer(value, what: str, low: int, high: float = np.inf) -> int:
+    """value as an int in [low, high]: a real of integral value, never
+    truncated.  Raises InvalidArgumentError, naming value as what."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):  # not a number, nan or inf
+        integral = False
+    if not integral:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        upper = "" if high == np.inf else f" and <= {high}"
+        raise InvalidArgumentError(f"{what} must be >= {low}{upper}, got {value}")
+    return int(value)
+
+
+def finite(value) -> bool:
+    """Whether value is a finite real, or an array of them: False, not a
+    TypeError, for anything that is not a real number."""
+    try:
+        return bool(np.all(np.isfinite(value))) and not np.iscomplexobj(value)
+    except TypeError:
+        return False
+
+
 def make_grid(horizon: float, n_steps: int) -> TimeGrid:
     """Validated TimeGrid constructor."""
-    if not np.isfinite(horizon) or horizon <= 0:
+    if not (finite(horizon) and horizon > 0):
         raise InvalidArgumentError(f"horizon must be a positive real, got {horizon}")
-    if int(n_steps) != n_steps or n_steps < 2:
-        raise InvalidArgumentError(f"n_steps must be an integer >= 2, got {n_steps}")
-    return TimeGrid(float(horizon), int(n_steps))
+    return TimeGrid(float(horizon), integer(n_steps, "n_steps", 2))
 
 
 @dataclass(frozen=True)
@@ -703,11 +725,8 @@ def _real(text: str) -> float:
 
 
 def _integer(text: str, low: int = 1, high: float = np.inf) -> int:
-    """An integer in [low, high]: a real of integral value, never truncated."""
-    value = float(text)
-    if not (np.isfinite(value) and value == int(value) and low <= value <= high):
-        raise ValueError(f"must be an integer in [{low}, {high:g}], got {text}")
-    return int(value)
+    """An integer in [low, high], written as a real of integral value."""
+    return integer(float(text), "value", low, high)
 
 
 def _real_list(text: str) -> list[float]:
@@ -759,8 +778,8 @@ def kernel_zoo(spec: str, grid: TimeGrid, dim: int | None = None) -> MatrixKerne
     fixes (len(p) for expdiag, else 1); another d than it fixes is rejected,
     and an integral real is read as its int."""
     name, params = parse_kernel_spec(spec)
-    if dim is not None and (int(dim) != dim or dim < 1):
-        raise InvalidArgumentError(f"dim must be an integer >= 1, got {dim}")
+    if dim is not None:
+        dim = integer(dim, "dim", 1)
     if name not in _ZOO:
         raise InvalidArgumentError(f"unknown kernel name {name!r}\n{KERNEL_GRAMMAR}")
     row = _ZOO[name]
@@ -776,10 +795,10 @@ def kernel_zoo(spec: str, grid: TimeGrid, dim: int | None = None) -> MatrixKerne
         try:
             values[key] = parse(params[key]) if key in params else default
         except ValueError as exc:
-            raise InvalidArgumentError(f"parameter {key!r} of {spec!r} {exc}") from None
+            raise InvalidArgumentError(f"parameter {key!r} of {spec!r}: {exc}") from None
     fixed = None if row.dim is None else row.dim(**values)
     if dim is None:
         dim = fixed or 1
     elif fixed is not None and dim != fixed:
         raise InvalidArgumentError(f"kernel {spec!r} has d = {fixed}, but dim={dim} was given")
-    return row.build(grid, int(dim), **values)
+    return row.build(grid, dim, **values)

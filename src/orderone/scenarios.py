@@ -20,26 +20,28 @@ a lambda family evaluates q once and each row reads c q.  `Scenario.exact`
 reads a right-hand side in closed form and draws no path: f reads the image
 at one node, a linear image of the Gaussian increments, and
 `TestFunctional.mean` of its covariance is E[f].  `Scenario.identity` runs
-the left-hand sides of rows of (report, lhs, rhs) in one pass, reads each
-right-hand side exactly and checks each report's identity.
+the left-hand sides of rows of (report, lhs, rhs) and the pathwise checks in
+one pass, reads each right-hand side exactly and checks each report's
+identity.
 
-Two phases, one draw per stream.  Each kind's body (`_BODIES`) is a
-generator: its prologue runs up to a Monte Carlo pass, which it yields as a
-`_Request` on its stream key (grid, seed, stream id) that reads the first
-n_paths paths and dim components of that stream, and its reports are decided
-from the results sent back.  A stream is one prefix-closed draw, so `drive`
-runs the requests of one key as one `_mc_paths` pass, which draws each
-component once, for the most paths a request reads of it: each request's
-rows are reduced as in a pass of its own, and a request that raises halts
-its own run alone.  There are two streams per (grid, seed), and each round
-serves the pending ones in the order in which a body requests them (probe,
-then left-hand side), so the pathwise checks of one group share one probe
-draw and every left-hand side meets in the next round.  demo.cfg's seven
-scenarios at N = 256, one at 100,000 paths and one at d = 2, share one
-left-hand draw, which holds inverse's Radon-Nikodym mass too: 64,768,000
-increments per run, not 103,168,000.  `cli` drives one (grid, seed) group at
-a time, so one group's prologues are alive at once; each public verify_*
-drives its scenario alone.
+One stream per (grid, seed), one pass per group.  Each kind's body
+(`_BODIES`) is a generator that yields once, through `Scenario.identity`:
+its prologue runs up to its Monte Carlo pass, which it yields as one list of
+`_Request`s on the stream key (grid, seed, _STREAM_LHS), each reading the
+first n_paths paths and dim components of that stream, and its reports are
+decided from the results sent back.  The list holds the left-hand sides'
+estimate and one request per pathwise check (`Scenario.probe`): the checks
+test algebraic identities that hold path by path, so any Gaussian paths
+serve them, and they read the first PROBE_PATHS left-hand paths.  A stream is one
+prefix-closed draw, so `drive` runs the requests of one key, whatever runs
+yield them, as one `_mc_paths` pass, which draws each component once, for
+the most paths a request reads of it: each request's rows are reduced as in
+a pass of its own, and a request that raises halts its own run alone.
+`cli` drives one (grid, seed) group at a time, so a group is one pass and
+one group's prologues are alive at once: demo.cfg's seven scenarios at
+N = 256, one at 100,000 paths and one at d = 2, inverse's Radon-Nikodym mass
+and round trip among them, share one draw.  Each public verify_* drives its
+scenario alone, in one pass.
 
 Five kinds start at `Scenario.factor`, the gate and det2 prologue: transf,
 inverse, cameron_martin, gencv and finite_dim (A on n unit steps, where
@@ -113,9 +115,9 @@ are in flight; a pass of one chunk runs in the calling thread.  The chunk and
 block sizes do not depend on the machine and the merge order is fixed, so
 every report is bit-for-bit the same whatever the worker count.
 Transformed paths are read at the functional's node alone (see `stochastic`),
-so no side forms a transformed batch.  Every draw follows the block plan: the
-PROBE_PATHS probes of the pathwise checks too (`Scenario.probe`), so no run
-forms a (paths, N d) batch.
+so no side forms a transformed batch.  Every draw follows the block plan, so
+no run forms a (paths, N d) batch, the PROBE_PATHS paths of a pathwise check
+included.
 """
 
 from __future__ import annotations
@@ -178,9 +180,8 @@ def _usable_cores() -> int:
 # threads that run chunks; reports do not depend on it
 WORKERS = _usable_cores()
 
-# stream ids, part of every generator key, so each keeps its value
-_STREAM_LHS, _STREAM_PROBE = 0, 2
-_ROUNDS = (_STREAM_PROBE, _STREAM_LHS)  # the order a body requests them in
+# the stream id of every pass, part of every generator key, so it keeps its value
+_STREAM_LHS = 0
 
 # a side past the float range is inf or nan and fails its comparison, unwarned
 _PAST_RANGE = dict(over="ignore", invalid="ignore")
@@ -355,14 +356,15 @@ def _merged(parts, scale, ci_valid) -> list[MCEstimate]:
 
 
 def drive(runs) -> list:
-    """Run each generator of runs (a `Scenario.run`, or an `estimate`),
-    which yields `_Request`s and is sent back their results, to its end.
-    Each round runs the pending requests of one stream key as one `_mc_paths`
-    pass, the first stream of `_ROUNDS` first, and the others wait for it;
-    a request's exception is thrown back into its own run alone.  Per run:
-    its return value, or the exception that halted it."""
-    results, pending, sent = [None] * len(runs), {}, dict.fromkeys(range(len(runs)))
+    """Run each generator of runs (a `Scenario.run`), which yields lists of
+    `_Request`s and is sent back their results, to its end.  The pending
+    requests of one stream key, whatever runs yield them, run as one
+    `_mc_paths` pass; a run is sent its results in its order, or thrown the
+    first exception among them, alone.  Per run: its return value, or the
+    exception that halted it."""
+    results, sent = [None] * len(runs), dict.fromkeys(range(len(runs)))
     while sent:
+        pending = {}  # per run, the requests it yielded
         for i, value in sent.items():
             try:
                 pending[i] = (runs[i].throw if isinstance(value, Exception)
@@ -371,12 +373,13 @@ def drive(runs) -> list:
                 results[i] = stop.value
             except Exception as exc:
                 results[i] = exc
-        if not pending:
-            break
-        key = min((request.key for request in pending.values()),
-                  key=lambda key: _ROUNDS.index(key[-1]))
-        members = [i for i, request in pending.items() if request.key == key]
-        sent = dict(zip(members, _mc_paths(key, [pending.pop(i) for i in members])))
+        requests, done = [r for mine in pending.values() for r in mine], {}
+        for key in dict.fromkeys(request.key for request in requests):
+            members = [request for request in requests if request.key == key]
+            done.update(zip(map(id, members), _mc_paths(key, members)))
+        got = {i: [done[id(request)] for request in mine] for i, mine in pending.items()}
+        sent = {i: next((v for v in values if isinstance(v, Exception)), values)
+                for i, values in got.items()}
     return results
 
 
@@ -485,16 +488,6 @@ def _compare(mc: MCEstimate, exact: float, tol: float):
         return z, diff / scale, diff <= max(tol * scale, 3.0 * se)
     diff = abs(mc.median - exact)
     return None, diff / scale, diff <= CONSISTENCY_FACTOR * tol * scale
-
-
-def _integral(value, what: str) -> int:
-    """value as an int: a real of integral value, never truncated."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
 
 
 def _gate(report: ScenarioReport, lam_eta: float) -> str | None:
@@ -656,14 +649,13 @@ class Scenario:
                 report.verdict = "pass" if ok else "fail"
         return self.reports
 
-    def estimate(self, sides):
-        """The Monte Carlo estimate of each side, every one with an exponent,
-        its functional (the scenario's unless it has its own) read along its
-        image, in one pass over the first n_paths paths of the left-hand
-        stream: each distinct read, an image and a functional (its node
-        weights built once, before any chunk), and each distinct exponent are
-        evaluated once per block.  The pass is yielded to `drive` as a
-        `_Request` (a generator)."""
+    def estimate(self, sides) -> _Request:
+        """The pass that estimates each side, every one with an exponent, its
+        functional (the scenario's unless it has its own) read along its
+        image, over the first n_paths paths of the left-hand stream: each
+        distinct read, an image and a functional (its node weights built
+        once, before any chunk), and each distinct exponent are evaluated
+        once per block."""
         def read(side):
             return id(side.kernel), side.f or self.f
 
@@ -682,10 +674,9 @@ class Scenario:
             q = {key: exponent(batch) for key, exponent in exponents.items()}
             return [f_at[read(side)] * np.exp(side.c * q[id(side.exponent)]) for side in sides]
 
-        return (yield _Request((self.grid, self.seed, _STREAM_LHS), self.n_paths,
-                               self.kernel.dim, per_path, _moments,
-                               partial(_merged, scale=scale,
-                                       ci_valid=[side.ci_valid for side in sides])))
+        return _Request((self.grid, self.seed, _STREAM_LHS), self.n_paths, self.kernel.dim,
+                        per_path, _moments,
+                        partial(_merged, scale=scale, ci_valid=[side.ci_valid for side in sides]))
 
     @np.errstate(**_PAST_RANGE)
     def exact(self, side) -> MCEstimate:
@@ -699,16 +690,19 @@ class Scenario:
         cov = (node or 0) * dt * np.eye(self.kernel.dim) if w is None else dt * (w.T @ w)
         return MCEstimate(float(np.exp(side.log_scale) * g.mean(cov)), 0.0, 0, True)
 
-    def identity(self, rows, extra=()):
-        """Estimate the left-hand sides of rows of (report, lhs, rhs), and the
-        sides of extra, in one Monte Carlo pass, read each right-hand side in
-        closed form (`exact`), and compare each row's two sides as its
-        report's 'identity' check (a generator, as `estimate`); the estimates
-        of extra are returned.  A left-hand side whose every path reads 0
-        against a nonzero right-hand side raises PreconditionError: its values
+    def identity(self, rows, extra=(), probes=()):
+        """Estimate the left-hand sides of rows of (report, lhs, rhs) and the
+        sides of extra (`estimate`), and run the pathwise check of each gap of
+        probes (`probe`): one list of requests on the left-hand stream, yielded
+        to `drive` once (a generator).  Then read each right-hand side in
+        closed form (`exact`) and compare each row's two sides as its report's
+        'identity' check.  Returns the estimates of extra and the value of
+        each probe: its largest deviation over max(1, the largest |entry| of
+        its reference).  A left-hand side whose every path reads 0 against a
+        nonzero right-hand side raises PreconditionError: its values
         underflow, so it tests nothing."""
         reports, lhs, rhs = zip(*rows)
-        lefts = yield from self.estimate(lhs + tuple(extra))
+        lefts, *gaps = yield [self.estimate(lhs + tuple(extra))] + list(map(self.probe, probes))
         for report, left, right in zip(reports, lefts, map(self.exact, rhs)):
             if right.mean and not any(left.chunk_means):
                 raise PreconditionError(
@@ -718,19 +712,18 @@ class Scenario:
             report.z_score, report.rel_error, ok = _compare(left, right.mean, report.tolerance)
             report.checks["identity"] = Check(report.rel_error, 0.0, report.tolerance, ok,
                                               "main comparison")
-        return lefts[len(rows):]
+        return lefts[len(rows):], [float(dev / np.maximum(1.0, ref)) for dev, ref in gaps]
 
-    def probe(self, gap):
-        """The largest deviation over the PROBE_PATHS probe paths of the
-        stream _STREAM_PROBE over max(1, the largest |entry| of a reference),
-        gap(batch) giving per path its largest deviation and its reference's
-        largest |entry|.  It is yielded to `drive` as a `_Request` reduced by a
-        running max, which no block order changes, so the value is that of one
-        whole batch, which is never formed (a generator, as `estimate`)."""
-        dev, ref = yield _Request((self.grid, self.seed, _STREAM_PROBE), PROBE_PATHS,
-                                  self.kernel.dim, lambda batch: np.stack(gap(batch)),
-                                  partial(np.max, axis=-1), partial(np.max, axis=0))
-        return float(dev / np.maximum(1.0, ref))
+    def probe(self, gap) -> _Request:
+        """The pass of a pathwise check over the first PROBE_PATHS paths of the
+        left-hand stream, whatever n_paths: gap(batch) gives per path its
+        largest deviation and its reference's largest |entry|, and the pass
+        their largest over every path.  It is reduced by a running max, which
+        no block order changes, so it reads the values of one whole batch,
+        which is never formed."""
+        return _Request((self.grid, self.seed, _STREAM_LHS), PROBE_PATHS, self.kernel.dim,
+                        lambda batch: np.stack(gap(batch)), partial(np.max, axis=-1),
+                        partial(np.max, axis=0))
 
 
 def resolve_scenario(
@@ -740,30 +733,28 @@ def resolve_scenario(
     own: bool = True,
 ) -> Scenario:
     """Check and resolve the arguments of a Wiener-space scenario of the given
-    kind before any work: the Monte Carlo size and seed (integers) and the
-    tolerance, the harmonic lambda (given, >= 0) and direction x (of the
-    kernel's dimension), the surjective lambdas (finite, and no two of one
-    report name), the kernel spec (symmetric for surjective and
-    integrability; for gencv a remark_gencv spec, or None for its own
-    counterexample at GENCV_B) and the functional (None only for
+    kind before any work: the Monte Carlo size and seed (integers, the seed
+    in [0, 2**64)) and the tolerance, the harmonic lambda (given, >= 0) and
+    direction x (of the kernel's dimension), the surjective lambdas (finite,
+    and no two of one report name), the kernel spec (symmetric for
+    surjective and integrability; for gencv a remark_gencv spec, or None for
+    its own counterexample at GENCV_B) and the functional (None only for
     integrability, whose f is one and not in its provenance; a cos_mid tau
-    in [0, T]).  Then decide every report it
-    writes and its provenance: its own unless own=False, one
-    `laplace[spec, lambda=c]` per lambda, cameron_martin's kernel_role.  Every
-    scenario starts here; a config is validated, and a raising scenario
-    halted, by what it returns on the scenario's arguments.  Raises
-    InvalidArgumentError."""
-    n_paths, seed = _integral(n_paths, "the number of paths"), _integral(seed, "seed")
-    if n_paths < 1:
-        raise InvalidArgumentError(f"the number of paths must be >= 1, got {n_paths}")
-    if not (np.isfinite(tol) and tol > 0):
+    in [0, T]).  Then decide every report it writes and its provenance: its
+    own unless own=False, one `laplace[spec, lambda=c]` per lambda,
+    cameron_martin's kernel_role.  Every scenario starts here; a config is
+    validated, and a raising scenario halted, by what it returns on the
+    scenario's arguments.  Raises InvalidArgumentError."""
+    n_paths = gk.integer(n_paths, "the number of paths", 1)
+    seed = gk.integer(seed, "seed", 0, 2**64 - 1)  # the generator keys read 64 bits of it
+    if not (gk.finite(tol) and tol > 0):
         raise InvalidArgumentError(f"tolerance must be a finite real > 0, got {tol}")
     if kind == "harmonic" and lam is None:
         raise InvalidArgumentError("harmonic needs a lambda")
-    if lam is not None and not (np.isfinite(lam) and lam >= 0):
+    if lam is not None and not (gk.finite(lam) and lam >= 0):
         raise InvalidArgumentError(f"lambda must be a finite real >= 0, got {lam}")
-    if lambdas is not None and not np.all(np.isfinite(lambdas)):
-        raise InvalidArgumentError(f"lambdas must be finite reals, got {list(lambdas)}")
+    if lambdas is not None and not (np.ndim(lambdas) == 1 and gk.finite(lambdas)):
+        raise InvalidArgumentError(f"lambdas must be finite reals, got {lambdas!r}")
     lambdas = [] if lambdas is None else [float(c) for c in lambdas]
     labels = [f"{c:g}" for c in lambdas]  # each names its Laplace report
     if len(set(labels)) < len(labels):
@@ -859,10 +850,6 @@ def _inverse(s: Scenario):
             outer, st.apply_transformation(inner, probe)).increments - probe.increments),
             axis=(1, 2)) for inner, outer in ((kappa_hat, kappa), (kappa, kappa_hat))],
             axis=0), np.max(np.abs(probe.increments), axis=(1, 2))
-    report.checks["composition_roundtrip"] = _check_close(
-        (yield from s.probe(roundtrip)), 0.0, OPERATOR_TOL, relative=False,
-        note="max increment deviation / path scale over both orders",
-    )
 
     # Radon-Nikodym mass of the image measure, on the left-hand paths with f = 1.
     # On the grid I - M_eta_hat = ((I+M)(I+M)^T)^{-1} has the spectrum
@@ -882,7 +869,11 @@ def _inverse(s: Scenario):
     rhs = Side(0.5 * gk.kernel_l2_norm(kappa) ** 2, kernel=kappa_hat)
     mass = Side(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2,
                 partial(st.quadratic_form, eta_hat), ci_valid=guard_hat == "ok", f=_ONE)
-    (rn,) = yield from s.identity([(report, lhs, rhs)], extra=[mass])
+    (rn,), (gap,) = yield from s.identity([(report, lhs, rhs)], extra=[mass], probes=[roundtrip])
+    report.checks["composition_roundtrip"] = _check_close(
+        gap, 0.0, OPERATOR_TOL, relative=False,
+        note="max increment deviation / path scale over both orders",
+    )
     _, _, rn_ok = _compare(rn, 1.0, report.tolerance)
     report.checks["rn_normalization"] = Check(
         rn.mean, 1.0, report.tolerance, rn_ok,
@@ -1069,14 +1060,14 @@ def _cameron_martin(s: Scenario):
         integral = st.wiener_integral(kappa_phi, probe)
         return (np.max(np.abs(st.cameron_martin_drift(phi, probe) - integral), axis=(1, 2)),
                 np.max(np.abs(integral), axis=(1, 2)))
-    report.checks["pathwise_drift"] = _check_close(
-        (yield from s.probe(drift_gap)), 0.0, OPERATOR_TOL, relative=False,
-        note="max |linear drift - Wiener integral of kappa_phi| / scale",
-    )
 
     lhs = Side(p.det2.log_modulus + tr, partial(st.ramer_exponent, kappa_phi), kernel=kappa_phi,
                ci_valid=p.guard == "ok")
-    yield from s.identity([(report, lhs, Side())])
+    _, (gap,) = yield from s.identity([(report, lhs, Side())], probes=[drift_gap])
+    report.checks["pathwise_drift"] = _check_close(
+        gap, 0.0, OPERATOR_TOL, relative=False,
+        note="max |linear drift - Wiener integral of kappa_phi| / scale",
+    )
 
 
 def _gencv_spec(b1: float, b2: float) -> str:

@@ -51,14 +51,14 @@ M paths, with n = N d:
     LowerExp (volterra, expdiag)  O(M n)     a weighted cumulative sum
 
 Each functional works on the whole batch it is given.  The Monte Carlo runner
-(`scenarios`) owns the block plan: it draws every stream, the probes of its
-pathwise checks too, in blocks of about `scenarios.PATH_BLOCK` increments
-per component (`path_blocks`), so a block's intermediates stay in cache and
-no product is large enough for BLAS to spread over threads of its own, which
-would compete with the chunk threads for the cores.  Sequential draws from
-one generator give the bits of one draw, so `sample_paths`, which no program
-path calls, is the one-block case, and a reader of fewer paths or components
-reads the head of each block (`PathBatch.head`).  A value depends on its own
+(`scenarios`) owns the block plan: it draws every stream, whose first paths
+its pathwise checks read too, in blocks of about `scenarios.PATH_BLOCK`
+increments per component (`path_blocks`), so a block's intermediates stay in
+cache and no product is large enough for BLAS to spread over threads of its
+own, which would compete with the chunk threads for the cores.  Sequential
+draws from one generator give the bits of one draw, so `sample_paths`, which
+no program path calls, is the one-block case, and a reader of fewer paths or
+components reads the head of each block (`PathBatch.head`).  A value depends on its own
 path alone, but BLAS may sum a block's products in another order at another
 block size; the fixed block plan keeps its last bits.
 

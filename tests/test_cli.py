@@ -647,6 +647,18 @@ def test_flag_the_kind_does_not_take_is_a_usage_error(argv, flag, capsys):
     assert f"does not take {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, seed):
+    # both ran, on the paths of seed mod 2**64, and recorded the seed given
+    assert main(["verify", "transf", "--kernel", "rank1:b=0.3", "--grid", "16", "--paths", "100",
+                 "--seed", seed]) == EXIT_USAGE
+    cfg = _write_config(tmp_path, MINIMAL.replace("seed = 3", f"seed = {seed}"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("seed must be >= 0") == 2 and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_paths_below_one_is_a_usage_error(tmp_path, capsys):
     # --paths 0 used to divide by zero in the Monte Carlo reducer
     cfg = tmp_path / "run.cfg"
@@ -842,8 +854,9 @@ def test_verify_defaults_to_functional_one(tmp_path):
 
 
 def test_demo_draws_no_right_hand_side_path(tmp_path, monkeypatch):
-    # every right-hand side of demo.cfg is exact: every path is drawn on the
-    # left-hand or the probe stream, and each report's rhs carries no error
+    # every right-hand side of demo.cfg is exact and the pathwise checks read
+    # the left-hand paths: every path is drawn on the left-hand stream, and
+    # each report's rhs carries no error
     text = (Path(__file__).parent.parent / "demo.cfg").read_text()
     cfg = _write_config(tmp_path, re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", text))
     streams, path_blocks = [], stochastic.path_blocks
@@ -854,8 +867,7 @@ def test_demo_draws_no_right_hand_side_path(tmp_path, monkeypatch):
     monkeypatch.setattr(stochastic, "path_blocks", recorded)
     main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--format", "json",
           "--grid", "32", "--paths", "2000"])
-    assert scenarios._ROUNDS == (scenarios._STREAM_PROBE, scenarios._STREAM_LHS)
-    assert {stream[0] for stream in streams} == {scenarios._STREAM_LHS, scenarios._STREAM_PROBE}
+    assert {stream[0] for stream in streams} == {scenarios._STREAM_LHS}
     reports = json.loads((tmp_path / "out" / "reports.json").read_text())
     assert len(reports) == 11
     for report in reports:
@@ -893,9 +905,8 @@ def _drawn_increments(draws) -> int:
                          ids=["default", "blocks_of_300"])
 def test_every_draw_follows_the_block_plan(tmp_path, monkeypatch, path_block):
     # demo.cfg at the golden pin's size: no program path draws a whole batch
-    # through sample_paths, every stream, the probes of inverse and
-    # cameron_martin included, is drawn in blocks of max(1, PATH_BLOCK // N)
-    # whatever its d, and no key is drawn twice
+    # through sample_paths, every stream is drawn in blocks of
+    # max(1, PATH_BLOCK // N) whatever its d, and no key is drawn twice
     monkeypatch.setattr(scenarios, "PATH_BLOCK", path_block)
     text = (Path(__file__).parent.parent / "demo.cfg").read_text()
     cfg = _write_config(tmp_path, re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", text))
@@ -910,24 +921,30 @@ def test_every_draw_follows_the_block_plan(tmp_path, monkeypatch, path_block):
         assert sum(sizes) == counts[0] and all(size <= rows for size in sizes)
     keys = _component_keys(draws)
     assert len(keys) == len(set(keys))
-    # inverse_rank1 and linear_const share N = 64: one probe draw for both
-    probes = [draw for draw in draws if draw[3][0] == scenarios._STREAM_PROBE]
-    assert [draw[1] for draw in probes] == [(scenarios.PROBE_PATHS,)]
-    assert len(probes[0][5]) == -(-scenarios.PROBE_PATHS // probes[0][4])
+    # every scenario runs at N = 64, and the probes of inverse_rank1 and
+    # linear_const read the left-hand paths: one draw, of oscillator_matrix's
+    # two components
+    assert [(draw[0], draw[1], draw[3][0]) for draw in draws] == [
+        (64, (4000, 4000), scenarios._STREAM_LHS)]
 
 
 def test_demo_draws_each_stream_once(tmp_path, monkeypatch):
-    # one pass per (grid, seed, stream): the N = 256 left-hand draw holds
+    # one stream and one pass per (grid, seed) group: the N = 256 draw holds
     # counterexample's 100,000 paths, oscillator_matrix's second component for
-    # 50,000 and inverse's Radon-Nikodym mass; linear_const draws N = 512 and
-    # one probe draw per grid.  The parent plan drew 103,168,000
-    draws = _spy_draws(monkeypatch)
+    # 50,000, inverse's Radon-Nikodym mass and its round trip; linear_const
+    # draws N = 512, its pathwise check among its paths
+    draws, passes, mc_paths = _spy_draws(monkeypatch), [], scenarios._mc_paths
+
+    def counted(key, requests):
+        passes.append((key[0].n_steps, key[1]))
+        return mc_paths(key, requests)
+    monkeypatch.setattr(scenarios, "_mc_paths", counted)
     assert main(["run", "--config", str(Path(__file__).parent.parent / "demo.cfg"),
                  "--seed", "1", "--out", str(tmp_path), "--format", "json"]) == EXIT_PASS
-    assert _drawn_increments(draws) == 256 * (100_000 + 50_000 + 1_000) + 512 * 51_000
-    assert _drawn_increments(draws) == 64_768_000
+    assert _drawn_increments(draws) == 256 * (100_000 + 50_000) + 512 * 50_000
     keys = _component_keys(draws)
     assert len(keys) == len(set(keys))
+    assert passes == [(256, 1), (512, 1)]
 
 
 def _json_rows(argv, out):
@@ -945,8 +962,8 @@ def test_a_fused_run_writes_what_each_scenario_writes_alone(tmp_path, monkeypatc
     # scenarios, oscillator_matrix's d = 2 among them, share the N = 64 stream
     # and linear_const keeps its N = 512; their passes in chunks of 1,000
     # paths in blocks of 300: every report is the one its scenario writes in a
-    # config of its own, and no key, the probes' included, is drawn twice
-    # (inverse requests its left-hand side in the round of the others')
+    # config of its own, and no key is drawn twice (the pathwise checks read
+    # the left-hand paths)
     monkeypatch.setattr(scenarios, "WORKERS", workers)
     monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 64 * 1000)
     monkeypatch.setattr(scenarios, "PATH_BLOCK", 64 * 300)
@@ -964,8 +981,7 @@ def test_a_fused_run_writes_what_each_scenario_writes_alone(tmp_path, monkeypatc
     lhs = [draw for draw in draws if draw[3][:2] == (scenarios._STREAM_LHS, 0)]
     assert sorted((draw[0], len(draw[1])) for draw in lhs) == [(64, 2), (512, 1)]
     paths = 8000 if counterexample else 4000
-    # one probe draw per grid
-    assert _drawn_increments(draws) == 64 * (paths + 4000 + 1000) + 512 * (4000 + 1000)
+    assert _drawn_increments(draws) == 64 * (paths + 4000) + 512 * 4000
     alone = [row for i, section in enumerate(sections)
              for row in _json_rows(["run", "--config", _write_config(tmp_path, head + section)]
                                    + flags, tmp_path / f"alone{i}")]

@@ -335,6 +335,41 @@ def test_integral_reals_are_read_as_ints():
     assert sc._alone(s)[0].lhs.n_samples == 200
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, match", [
+    # the generator keys read a seed modulo 2**64: 2**64 drew seed 0's paths
+    (lambda: verify_transf("rank1:b=0.3", "one", MEAN_GRID, n_paths=100, seed=2**64), "seed"),
+    (lambda: verify_transf("rank1:b=0.3", "one", MEAN_GRID, n_paths=100, seed=-1), "seed"),
+    # ValueError, OverflowError and TypeError
+    (lambda: make_grid(1.0, NAN), "n_steps must be an integer"),
+    (lambda: make_grid(1.0, INF), "n_steps must be an integer"),
+    (lambda: make_grid("1", 4), "horizon"),
+    (lambda: make_grid(1.0, "4"), "n_steps must be an integer"),
+    (lambda: make_grid(1.0, 1), "n_steps must be >= 2"),
+    (lambda: kernel_zoo("volterra", MEAN_GRID, NAN), "dim must be an integer"),
+    (lambda: kernel_zoo("rank1:b=0.3,n=1.5", MEAN_GRID), "'n'"),
+    # TypeErrors of np.isfinite
+    (lambda: verify_transf("rank1:b=0.3", "one", MEAN_GRID, n_paths=100, tol="a"), "tolerance"),
+    (lambda: verify_harmonic("volterra", "a", None, "one", MEAN_GRID, n_paths=100), "lambda"),
+    (lambda: sweep_laplace("rank1:b=0.5", ["a"], "one", MEAN_GRID, n_paths=100), "lambdas"),
+    # a TypeError of the comparison, and of iterating a number
+    (lambda: verify_transf("rank1:b=0.3", "one", MEAN_GRID, n_paths=100, tol=1j), "tolerance"),
+    (lambda: sweep_laplace("rank1:b=0.5", 0.5, "one", MEAN_GRID, n_paths=100), "lambdas"),
+], ids=["seed-2**64", "seed-negative", "n_steps-nan", "n_steps-inf", "horizon-text",
+        "n_steps-text", "n_steps-1", "dim-nan", "spec-integer", "tol-text", "lam-text",
+        "lambdas-text", "tol-complex", "lambdas-scalar"])
+def test_arguments_that_are_not_valid_numbers_are_typed_errors(call, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        call()
+
+
+def test_the_largest_seed_runs():
+    r = verify_transf("rank1:b=0.3", "one", MEAN_GRID, n_paths=100, seed=2**64 - 1)
+    assert r.provenance["seed"] == 2**64 - 1 and r.lhs.n_samples == 100
+
+
 @pytest.mark.parametrize("run", [
     lambda g: verify_surjective("zero", "cos_end:1.0", g, n_paths=5_000, seed=1),
     lambda g: verify_harmonic("zero", 1.0, None, "cos_end:1.0", g, n_paths=5_000, seed=1),
@@ -404,7 +439,7 @@ EVERY_KIND = [
 def test_every_right_hand_side_is_exact(monkeypatch, kind, spec, functional, dim, extra):
     # the left-hand side is the one Monte Carlo side: every right-hand side
     # reads no path and carries no error, and no path is drawn on any stream
-    # but the left-hand and the probe ones
+    # but the left-hand one, the pathwise checks' included
     streams, path_blocks = [], stochastic.path_blocks
 
     def recorded(*args, **kwargs):
@@ -417,7 +452,7 @@ def test_every_right_hand_side_is_exact(monkeypatch, kind, spec, functional, dim
     for report in reports:
         assert report.lhs.n_samples == 400
         assert report.rhs.n_samples == 0 and report.rhs.std_error == 0.0
-    assert streams and set(streams) <= {sc._STREAM_LHS, sc._STREAM_PROBE}
+    assert set(streams) == {sc._STREAM_LHS}
 
 
 def test_finite_dim_right_hand_side_is_exact():
@@ -692,10 +727,12 @@ def test_cameron_martin_is_exact_on_a_coarse_grid(seed):
 
 
 def _whole_batch_probe_gap(kind, kernel, seed):
-    """The pathwise check's value from one (PROBE_PATHS, N d) batch of the
-    probe stream: the round trip of inverse, or the drift of cameron_martin."""
+    """The pathwise check's value from one (PROBE_PATHS, N d) batch, the
+    first paths of the left-hand stream (one chunk at these N): the round
+    trip of inverse, or the drift of cameron_martin."""
+    assert sc._chunk_sizes(sc.PROBE_PATHS, kernel.grid.n_steps) == [sc.PROBE_PATHS]
     probe = sample_paths(kernel.grid, kernel.dim, sc.PROBE_PATHS, seed,
-                         stream=(sc._STREAM_PROBE, 0, kernel.grid.n_steps))
+                         stream=(sc._STREAM_LHS, 0, kernel.grid.n_steps))
     if kind == "inverse":
         kappa_hat = operator.inverse_kernel(kernel)
         err = max(np.max(np.abs(stochastic.apply_transformation(
@@ -728,6 +765,73 @@ def test_probe_checks_run_in_blocks_and_read_the_whole_batch_value(kind, spec, c
     assert r.passed
     assert peak < sc.PROBE_PATHS * g.n_steps * 8 / 4
     want = _whole_batch_probe_gap(kind, kernel_zoo(spec, g), seed)
+    assert abs(r.checks[check].value - want) <= 1e-15
+
+
+def _spy_passes(monkeypatch) -> list:
+    """Every `_mc_paths` pass, as (N, seed, stream id, the paths each of its
+    requests reads)."""
+    passes, mc_paths = [], sc._mc_paths
+
+    def counted(key, requests):
+        passes.append((key[0].n_steps, key[1], key[2], [r.n_paths for r in requests]))
+        return mc_paths(key, requests)
+    monkeypatch.setattr(sc, "_mc_paths", counted)
+    return passes
+
+
+@pytest.mark.parametrize("run, probes", [
+    (lambda: verify_transf("rank1:b=0.3", "cos_end:1", MEAN_GRID, n_paths=400, seed=3), 0),
+    (lambda: verify_inverse("rank1:b=0.3", "cos_end:1", MEAN_GRID, n_paths=400, seed=3), 1),
+    (lambda: verify_surjective("rank1:b=0.5", "cos_end:1", MEAN_GRID, n_paths=400, seed=3), 0),
+    (lambda: sweep_laplace("rank1:b=0.5", [0.25, 0.5], "one", MEAN_GRID, n_paths=400,
+                           seed=3), 0),
+    (lambda: verify_harmonic("volterra", 1.0, [1.0], "cos_end:1", MEAN_GRID, n_paths=400,
+                             seed=3), 0),
+    (lambda: verify_cameron_martin("const:c=1", "cos_end:1", MEAN_GRID, n_paths=400,
+                                   seed=3), 1),
+    (lambda: verify_gencv_example(MEAN_GRID, n_paths=400, seed=3), 0),
+    (lambda: verify_integrability_bound("rank1:b=0.5", MEAN_GRID, n_paths=400, seed=3), 0),
+    # A on 16 unit steps
+    (lambda: verify_finite_dim(np.diag(np.full(16, 0.1)), n_samples=400, seed=3), 0),
+], ids=["transf", "inverse", "surjective", "sweep", "harmonic", "cameron_martin", "gencv",
+        "integrability", "finite_dim"])
+def test_each_verify_is_one_pass_of_one_stream(monkeypatch, run, probes):
+    # a scenario yields once, through identity: its left-hand pass and each
+    # pathwise check are requests of one pass over the left-hand stream
+    passes = _spy_passes(monkeypatch)
+    run()
+    assert passes == [(16, 3, sc._STREAM_LHS, [400] + [sc.PROBE_PATHS] * probes)]
+
+
+def test_estimate_and_probe_are_plain_methods():
+    # they return the requests that identity yields to drive, once
+    import inspect
+
+    assert not hasattr(sc, "_STREAM_PROBE") and not hasattr(sc, "_ROUNDS")
+    for method in (sc.Scenario.estimate, sc.Scenario.probe):
+        assert not inspect.isgeneratorfunction(method)
+    assert inspect.isgeneratorfunction(sc.Scenario.identity)
+
+
+@pytest.mark.parametrize("kind, spec, check", [
+    ("inverse", "rank1:b=0.3", "composition_roundtrip"),
+    ("cameron_martin", "const:c=1", "pathwise_drift"),
+])
+def test_a_probe_reads_its_paths_past_the_left_hand_count(monkeypatch, kind, spec, check):
+    # 64 left-hand paths: the stream is drawn for the PROBE_PATHS paths the
+    # pathwise check reads, of which the estimate reads the first 64
+    draws, path_blocks = [], stochastic.path_blocks
+
+    def recorded(grid, dim, n_paths, *args, **kwargs):
+        draws.append(int(np.max(n_paths)))
+        return path_blocks(grid, dim, n_paths, *args, **kwargs)
+    monkeypatch.setattr(stochastic, "path_blocks", recorded)
+    run = verify_inverse if kind == "inverse" else verify_cameron_martin
+    r = run(spec, "cos_end:1", MEAN_GRID, n_paths=64, seed=5)
+    assert draws == [sc.PROBE_PATHS]
+    assert r.lhs.n_samples == 64
+    want = _whole_batch_probe_gap(kind, kernel_zoo(spec, MEAN_GRID), 5)
     assert abs(r.checks[check].value - want) <= 1e-15
 
 
