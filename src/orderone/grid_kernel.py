@@ -429,11 +429,19 @@ class MatrixKernel:
         return (x.reshape(x.shape[0], -1) @ self.matrix).reshape(x.shape)
 
     def diagonal_blocks(self) -> np.ndarray:
-        """kappa(t_i, t_i), shape (N, d, d)."""
-        if self.factored is not None:
-            return self.factored.diagonal_blocks(self.grid, self.dim)
-        i = np.arange(self.grid.n_steps)
-        return self.values[i, i]
+        """kappa(t_i, t_i), shape (N, d, d), read-only: computed on the first
+        call and kept, so a quadratic form reads it once per kernel, not once
+        per block."""
+        blocks = self.__dict__.get("_diagonal")
+        if blocks is None:
+            if self.factored is not None:
+                blocks = self.factored.diagonal_blocks(self.grid, self.dim)
+            else:
+                i = np.arange(self.grid.n_steps)
+                blocks = self.values[i, i]
+            blocks.setflags(write=False)
+            object.__setattr__(self, "_diagonal", blocks)
+        return blocks
 
 
 def kernel_from_values(grid: TimeGrid, values: np.ndarray, symmetric: bool = False) -> MatrixKernel:

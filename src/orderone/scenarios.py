@@ -16,7 +16,13 @@ the transformation of a kernel (w itself without one) and q a per-path
 exponent (none on a right-hand side: 1).  `Scenario.estimate` runs the
 left-hand sides, each with an exponent, as one Monte Carlo pass that
 evaluates each distinct image and each distinct exponent once per block, so
-a lambda family evaluates q once and each row reads c q.  `Scenario.exact`
+a lambda family evaluates q once and each row reads c q.  The exponent is a
+`stochastic.Exponent` record (q, h or psi, its kernel and direction) with
+the exact grid mean of its full quadratic form, the control variate of every
+left-hand side with a confidence interval: the estimate is
+y - beta (x - mean), beta = C_yx / C_xx, and its report's control_mean
+check (CONTROL_Z standard errors) catches a fault the control would absorb.
+`Scenario.exact`
 reads a right-hand side in closed form and draws no path: f reads the image
 at one node, a linear image of the Gaussian increments, and
 `TestFunctional.mean` of its covariance is E[f].  `Scenario.identity` runs
@@ -104,11 +110,13 @@ stream reads its own paths and components of each block as one contiguous
 batch, one request after the other, so their intermediates stay in cache
 and no product inside a chunk is large enough for BLAS to spread over
 threads of its own that would compete with the chunk threads.  Each chunk
-returns, per request, its reduction of its blocks' values: the count, mean
-and M2 (the sum of squared deviations) of an estimate, the mean carried as a
-rounded value plus a correction, merged in chunk order by the pairwise
-update of Chan, Golub and LeVeque, which does not cancel the way
-sum x^2 - n mean^2 does; or the running max of a pathwise check.  The
+returns, per request, its reduction of its blocks' values: the count, means
+and co-moment matrix of an estimate's rows and their controls, each block's
+folded in block order, the means carried as rounded values plus a
+correction, merged in chunk order by the pairwise update of Chan, Golub and
+LeVeque with its cross terms, which does not cancel the way
+sum x^2 - n mean^2 does, so no chunk's values are kept; or the running max
+of a pathwise check.  The
 chunks run on WORKERS = usable cores threads (numpy's SFC64 fill, its ufuncs
 and BLAS release the GIL), so at most WORKERS x PATH_BLOCK x d increments
 are in flight; a pass of one chunk runs in the calling thread.  The chunk and
@@ -128,7 +136,7 @@ import copy
 from dataclasses import dataclass, field
 from functools import partial, reduce
 import os
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -164,6 +172,7 @@ __all__ = [
 DEFAULT_TOL = 0.02       # relative tolerance absorbing O(Delta) discretization bias
 OPERATOR_TOL = 1e-8      # operator-only assertions
 CONSISTENCY_FACTOR = 5.0  # widened tolerance for CI-less (median) comparisons
+CONTROL_Z = 5.0  # control_mean's bound in standard errors: 6e-7 false failures per check
 CHUNK_ELEMENTS = 1 << 22  # per component: N x the paths of a chunk, one generator key
 PATH_BLOCK = 1 << 16  # per component: N x the rows of a block drawn and reduced at once
 PROBE_PATHS = 1000  # paths of inverse's and cameron_martin's pathwise checks, drawn in blocks
@@ -191,18 +200,32 @@ _PAST_RANGE = dict(over="ignore", invalid="ignore")
 # estimates, comparisons, reports
 # ---------------------------------------------------------------------------
 
+class Control(NamedTuple):
+    """The control of a controlled estimate: the sample mean of its full
+    form, that form's exact grid mean, the coefficient beta (in the units of
+    the estimate) and z = |mean - exact| / the standard error of the mean."""
+
+    mean: float
+    exact: float
+    beta: float
+    z: float
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     """Monte Carlo mean with its standard error (absent when the guard says
     the second moment is infinite) and the fixed sub-batch means used for the
-    CI-less consistency fallback.  A closed-form side is carried as one of no
-    path and no error (`Scenario.exact`), which has no median."""
+    CI-less consistency fallback.  A controlled estimate carries its
+    `Control`: its mean and error are then those of y - beta (x - exact), x
+    the control.  A closed-form side is carried as one of no path and no
+    error (`Scenario.exact`), which has no median."""
 
     mean: float
     std_error: float | None
     n_samples: int
     ci_valid: bool
     chunk_means: tuple = ()
+    control: Control | None = None
 
     @property
     def median(self) -> float:
@@ -212,6 +235,9 @@ class MCEstimate:
         d = {key: getattr(self, key) for key in ("mean", "std_error", "n_samples", "ci_valid")}
         if not self.ci_valid:
             d["median_of_batches"] = self.median
+        if self.control:
+            d.update(control_mean=self.control.mean, control_exact=self.control.exact,
+                     control_beta=self.control.beta)
         return d
 
 
@@ -253,23 +279,29 @@ def _map_chunks(run, n_chunks: int) -> list:
 
 
 def _moments(vals: np.ndarray) -> tuple:
-    """(count, mean, correction, M2) of one chunk, per row of vals (one row
-    when vals is 1-D).  The chunk mean is mean + correction: the rounded mean
-    plus the mean deviation from it, so that the merge sees mean differences
-    between chunks to full precision even when the values share a large
-    offset.  M2 is the sum of squared deviations from the chunk mean."""
-    mean = vals.mean(axis=-1, keepdims=True)
-    dev = vals - mean
-    corr = dev.mean(axis=-1)
-    np.square(dev, out=dev)
+    """(count, mean, correction, co-moments) of one chunk, per row of vals
+    (one row when vals is 1-D).  The chunk mean is mean + correction: the
+    rounded mean plus the mean deviation from it, so that the merge sees
+    mean differences between chunks to full precision even when the values
+    share a large offset.  The co-moments are the sums of products of
+    deviations from the chunk means, one (rows, rows) matrix, summed by
+    einsum's own loop: a BLAS product would start threads of its own inside
+    the chunk threads."""
+    vals = np.atleast_2d(vals)
     n = vals.shape[-1]
-    return n, mean[..., 0], corr, dev.sum(axis=-1) - n * corr * corr
+    mean = np.add.reduce(vals, axis=-1) / n
+    dev = vals - mean[:, None]
+    corr = np.add.reduce(dev, axis=-1) / n
+    co = np.einsum("rn,sn->rs", dev, dev)
+    co -= n * np.multiply.outer(corr, corr)
+    return n, mean, corr, co
 
 
 # a pending pass: its stream key (grid, seed, stream_id), the paths and
-# components it reads, its values per block and their reduction per chunk and
-# merge, in chunk order, of the chunks' reductions
-_Request = namedtuple("_Request", "key n_paths dim per_path reduce merge")
+# components it reads, its values per block, their reduction per block, the
+# fold of two reductions (blocks in order make a chunk's) and the merge, in
+# chunk order, of the chunks' reductions
+_Request = namedtuple("_Request", "key n_paths dim per_path reduce fold merge")
 
 
 @np.errstate(**_PAST_RANGE)
@@ -280,9 +312,10 @@ def _mc_paths(key: tuple, requests) -> list:
     reads of it, in the chunks of `_stream_chunks`, and the chunks are mapped
     on the pool.  Each request's per_path runs on its own paths and
     components of each block, as the contiguous batch of a pass of its own,
-    and gives a (rows, paths) array; the request reduces each chunk's values
-    and merges the chunks in chunk order.  The next block is drawn into the
-    same buffer, so per_path must not keep its batch.
+    and gives a (rows, paths) array; the request reduces each block's values,
+    folds a chunk's blocks in order and merges the chunks in chunk order, so
+    no chunk's values are kept.  The next block is drawn into the same
+    buffer, so per_path must not keep its batch.
 
     Per request, its merge, or the first exception its per_path raised (a
     failed draw's is every request's).  Each chunk runs under `_PAST_RANGE`:
@@ -295,7 +328,8 @@ def _mc_paths(key: tuple, requests) -> list:
 
     def run(idx):
         with np.errstate(**_PAST_RANGE):  # per thread: the caller's misses the pool's
-            # per request, its values, the exception it raised, or None: it reads no path here
+            # per request, its blocks' reductions, the exception it raised, or
+            # None: it reads no path here
             vals = [[] if idx < len(sizes) else None for sizes in reads]
             start = 0
             for batch in chunks[idx]():
@@ -306,11 +340,12 @@ def _mc_paths(key: tuple, requests) -> list:
                     read = min(batch.n_paths, reads[r][idx] - start), request.dim
                     head = heads.get(read) or heads.setdefault(read, batch.head(*read))
                     try:
-                        vals[r].append(np.asarray(request.per_path(head), dtype=float))
+                        vals[r].append(request.reduce(np.asarray(request.per_path(head),
+                                                                 dtype=float)))
                     except Exception as exc:  # this request's alone: the others go on
                         vals[r] = exc
                 start += batch.n_paths
-            return [request.reduce(np.concatenate(v, axis=-1)) if isinstance(v, list) else v
+            return [reduce(request.fold, v) if isinstance(v, list) else v
                     for request, v in zip(requests, vals)]
 
     try:
@@ -327,32 +362,48 @@ def _mc_paths(key: tuple, requests) -> list:
 
 def _chan(a: tuple, b: tuple) -> tuple:
     """The moments of chunks a and b together, a's rounded mean kept (Chan,
-    Golub and LeVeque); not in place, as a's arrays are read again."""
-    (count, mean, corr, m2), (n_b, mean_b, corr_b, m2_b) = a, b
+    Golub and LeVeque, with the cross terms of the co-moments); not in
+    place, as a's arrays are read again."""
+    (count, mean, corr, co), (n_b, mean_b, corr_b, co_b) = a, b
     total = count + n_b
     delta = (mean_b - mean) + (corr_b - corr)
     return (total, mean, corr + delta * n_b / total,
-            m2 + (m2_b + delta * delta * count * n_b / total))
+            co + (co_b + np.multiply.outer(delta, delta * (count * n_b / total))))
 
 
-def _merged(parts, scale, ci_valid) -> list[MCEstimate]:
-    """The MCEstimates of a request's chunk moments, parts in chunk order."""
-    count, mean, corr, m2 = reduce(_chan, parts)
+def _merged(parts, scale, ci_valid, controls=None) -> list[MCEstimate]:
+    """The MCEstimates of a request's chunk moments, parts in chunk order:
+    one per row, or per entry of controls, which names each estimated row's
+    control as (its row, its exact mean), or None.  A row with a confidence
+    interval, at least 3 samples and a control of nonzero variance is
+    controlled: y - beta (x - exact) with beta = C_yx / C_xx, and the
+    residual standard error on n - 2 degrees of freedom.  Its sub-batch
+    means stay plain."""
+    count, mean, corr, co = reduce(_chan, parts)
     # a short last chunk joins the one before it: every sub-batch mean of the
     # median fallback holds at least a full chunk's paths
     short = len(parts) > 1 and parts[-1][0] < parts[0][0]
     batches = parts[:-2] + [_chan(*parts[-2:])] if short else parts
-    se = np.sqrt(np.maximum(m2, 0.0) / max(count - 1, 1) / count)
-    shape = np.shape(mean)
-    scale = np.broadcast_to(scale, shape)
+    controls = [None] * len(mean) if controls is None else controls
+    scale = np.broadcast_to(scale, len(controls))
     # fewer than two samples have no spread to estimate, so no confidence interval
-    ci_valid = np.broadcast_to(np.logical_and(ci_valid, count > 1), shape)
-    return [
-        MCEstimate(float(scale[r] * (mean[r] + corr[r])),
-                   float(scale[r] * se[r]) if ci_valid[r] else None, count, bool(ci_valid[r]),
-                   tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in batches))
-        for r in np.ndindex(shape)
-    ]
+    ci_valid = np.broadcast_to(np.logical_and(ci_valid, count > 1), len(controls))
+    out = []
+    for r, control in enumerate(controls):
+        value, var, cv = mean[r] + corr[r], co[r, r] / max(count - 1, 1), None
+        k, exact = control or (None, None)
+        if k is not None and ci_valid[r] and count > 2 and co[k, k] > 0:
+            beta, gap = co[r, k] / co[k, k], (mean[k] - exact) + corr[k]
+            value -= beta * gap
+            var = (co[r, r] - beta * co[r, k]) / (count - 2)
+            cv = Control(float(mean[k] + corr[k]), float(exact), float(scale[r] * beta),
+                         float(abs(gap) / np.sqrt(co[k, k] / (count - 1) / count)))
+        se = np.sqrt(max(var, 0.0) / count)
+        out.append(MCEstimate(float(scale[r] * value),
+                              float(scale[r] * se) if ci_valid[r] else None, count,
+                              bool(ci_valid[r]),
+                              tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in batches), cv))
+    return out
 
 
 def drive(runs) -> list:
@@ -490,6 +541,14 @@ def _compare(mc: MCEstimate, exact: float, tol: float):
     return None, diff / scale, diff <= CONSISTENCY_FACTOR * tol * scale
 
 
+def _control_check(est: MCEstimate) -> Check:
+    """The control of a controlled estimate against its exact grid mean: its
+    z, within CONTROL_Z.  A fault in the exponent that the control variate
+    would absorb into the estimate shows here."""
+    return Check(est.control.z, 0.0, CONTROL_Z, est.control.z <= CONTROL_Z,
+                 "z of the control's sample mean against its exact grid mean")
+
+
 def _gate(report: ScenarioReport, lam_eta: float) -> str | None:
     """The moment guard of a gate eigenvalue, recorded with it in the report;
     None, the report halted at 'rejected-by-hypothesis', when it rejects."""
@@ -547,7 +606,7 @@ def _finite_dim(s: Scenario):
     # and |det(I + A)| = |det2(I + A)| e^{tr A}
     logdet = p.det2.log_modulus + s.report.spectra["trace"]
     s.report.spectra["det_abs"] = float(np.exp(logdet))
-    lhs = Side(logdet, partial(st.ramer_exponent, s.kernel), kernel=s.kernel,
+    lhs = Side(logdet, _psi(s.kernel, s.report.spectra), kernel=s.kernel,
                ci_valid=p.guard == "ok")
     yield from s.identity([(s.report, lhs, Side())])
 
@@ -564,15 +623,15 @@ class Side:
     """One side of an identity, e^{log_scale} E[f(w') e^{c q(w)}]: w' the image
     of the path w under the transformation of kernel (w itself when kernel is
     None; G_phi = F_kappa_phi, so a linear transformation is its tail kernel's),
-    q the per-path exponent (none: e^0) and f its own functional (None: the
-    scenario's).  A left-hand side has an exponent and is estimated
-    (`Scenario.estimate`), a right-hand side has none and is exact
-    (`Scenario.exact`).  Sides that share an exponent object evaluate it once
-    per block.  ci_valid is False when the moment guard says the second
-    moment is infinite."""
+    q the per-path exponent, a `stochastic.Exponent` (none: e^0), and f its
+    own functional (None: the scenario's).  A left-hand side has an exponent
+    and is estimated (`Scenario.estimate`), a right-hand side has none and
+    is exact (`Scenario.exact`).  Sides that share an exponent object
+    evaluate it, and its control, once per block.  ci_valid is False when
+    the moment guard says the second moment is infinite."""
 
     log_scale: float = 0.0
-    exponent: Callable | None = None
+    exponent: st.Exponent | None = None
     c: float = 1.0
     kernel: MatrixKernel | None = None
     ci_valid: bool = True
@@ -580,6 +639,19 @@ class Side:
 
 
 _ONE = TestFunctional("one")  # the functional of a side that is a weight's mass
+
+
+def _q(eta: MatrixKernel) -> st.Exponent:
+    """q of a symmetric eta, whose full form 1/2 <dW, eta dW> has the mean
+    tr B_eta / 2: its diagonal blocks are read here, in the calling thread,
+    and kept for every block of every chunk."""
+    return st.Exponent("q", eta, 0.5 * op.trace(eta))
+
+
+def _psi(kappa: MatrixKernel, spectra: dict) -> st.Exponent:
+    """psi of kappa, a full form with the mean -tr B_kappa - ||kappa||^2 / 2,
+    read from the spectra of `Scenario.factor`."""
+    return st.Exponent("psi", kappa, -spectra["trace"] - 0.5 * spectra["hs_norm"] ** 2)
 
 
 # what `Scenario.factor` reads from the gate eigensolve and the LU of I + B_kappa
@@ -655,7 +727,10 @@ class Scenario:
         image, over the first n_paths paths of the left-hand stream: each
         distinct read, an image and a functional (its node weights built
         once, before any chunk), and each distinct exponent are evaluated
-        once per block."""
+        once per block.  A side with a confidence interval takes its
+        exponent's full form as control variate, against the form's exact
+        grid mean (`_merged`): one more row per distinct exponent of such a
+        side, evaluated once per block."""
         def read(side):
             return id(side.kernel), side.f or self.f
 
@@ -667,16 +742,23 @@ class Scenario:
                                    else st.node_weights(kernel, node))
             scale = [np.exp(side.log_scale) for side in sides]
         exponents = {id(side.exponent): side.exponent for side in sides}
+        # the row of each control, after the sides' rows
+        rows = {key: len(sides) + r for r, key in enumerate(
+            dict.fromkeys(id(side.exponent) for side in sides if side.ci_valid))}
 
         def per_path(batch):
             f_at = {(image, g): g.evaluate(batch) if w is None
                     else g.at_node(st.node_value(batch, w)) for (image, g), w in reads.items()}
             q = {key: exponent(batch) for key, exponent in exponents.items()}
-            return [f_at[read(side)] * np.exp(side.c * q[id(side.exponent)]) for side in sides]
+            return ([f_at[read(side)] * np.exp(side.c * q[id(side.exponent)]) for side in sides]
+                    + [exponents[key].control(batch, q[key]) for key in rows])
 
+        controls = [(rows[id(side.exponent)], side.exponent.mean) if side.ci_valid else None
+                    for side in sides]
         return _Request((self.grid, self.seed, _STREAM_LHS), self.n_paths, self.kernel.dim,
-                        per_path, _moments,
-                        partial(_merged, scale=scale, ci_valid=[side.ci_valid for side in sides]))
+                        per_path, _moments, _chan,
+                        partial(_merged, scale=scale, ci_valid=[side.ci_valid for side in sides],
+                                controls=controls))
 
     @np.errstate(**_PAST_RANGE)
     def exact(self, side) -> MCEstimate:
@@ -712,6 +794,8 @@ class Scenario:
             report.z_score, report.rel_error, ok = _compare(left, right.mean, report.tolerance)
             report.checks["identity"] = Check(report.rel_error, 0.0, report.tolerance, ok,
                                               "main comparison")
+            if left.control:
+                report.checks["control_mean"] = _control_check(left)
         return lefts[len(rows):], [float(dev / np.maximum(1.0, ref)) for dev, ref in gaps]
 
     def probe(self, gap) -> _Request:
@@ -723,7 +807,7 @@ class Scenario:
         which is never formed."""
         return _Request((self.grid, self.seed, _STREAM_LHS), PROBE_PATHS, self.kernel.dim,
                         lambda batch: np.stack(gap(batch)), partial(np.max, axis=-1),
-                        partial(np.max, axis=0))
+                        np.maximum, partial(np.max, axis=0))
 
 
 def resolve_scenario(
@@ -756,6 +840,8 @@ def resolve_scenario(
     if lambdas is not None and not (np.ndim(lambdas) == 1 and gk.finite(lambdas)):
         raise InvalidArgumentError(f"lambdas must be finite reals, got {lambdas!r}")
     lambdas = [] if lambdas is None else [float(c) for c in lambdas]
+    if not (own or lambdas):
+        raise InvalidArgumentError(f"a {kind} scenario without its own report needs lambdas")
     labels = [f"{c:g}" for c in lambdas]  # each names its Laplace report
     if len(set(labels)) < len(labels):
         raise InvalidArgumentError(
@@ -822,8 +908,7 @@ def _transf(s: Scenario):
 
 def _transf_row(s: Scenario, p: _Factored) -> tuple:
     """The forward identity's row (report, lhs, rhs), read from the prologue p."""
-    lhs = Side(p.det2.log_modulus, partial(st.quadratic_form, p.eta), kernel=s.kernel,
-               ci_valid=p.guard == "ok")
+    lhs = Side(p.det2.log_modulus, _q(p.eta), kernel=s.kernel, ci_valid=p.guard == "ok")
     return s.report, lhs, Side(0.5 * gk.kernel_l2_norm(s.kernel) ** 2)
 
 
@@ -865,10 +950,10 @@ def _inverse(s: Scenario):
         note="log|det2(I+B)| + log|det2(I+B_hat)| against tr(B B_hat)",
     )
 
-    lhs = Side(p.det2.log_modulus, partial(st.quadratic_form, p.eta), ci_valid=p.guard == "ok")
+    lhs = Side(p.det2.log_modulus, _q(p.eta), ci_valid=p.guard == "ok")
     rhs = Side(0.5 * gk.kernel_l2_norm(kappa) ** 2, kernel=kappa_hat)
     mass = Side(d2_hat.log_modulus - 0.5 * gk.kernel_l2_norm(kappa_hat) ** 2,
-                partial(st.quadratic_form, eta_hat), ci_valid=guard_hat == "ok", f=_ONE)
+                _q(eta_hat), ci_valid=guard_hat == "ok", f=_ONE)
     (rn,), (gap,) = yield from s.identity([(report, lhs, rhs)], extra=[mass], probes=[roundtrip])
     report.checks["composition_roundtrip"] = _check_close(
         gap, 0.0, OPERATOR_TOL, relative=False,
@@ -879,6 +964,8 @@ def _inverse(s: Scenario):
         rn.mean, 1.0, report.tolerance, rn_ok,
         f"Radon-Nikodym weight mass (guard {guard_hat})",
     )
+    if rn.control:
+        report.checks["rn_control_mean"] = _control_check(rn)
 
 
 def surjective_scenario(
@@ -902,7 +989,7 @@ def _surjective_family(s: Scenario):
     eta = s.kernel
     eig = op.spectrum(eta, vectors=True)
     eta_norm = gk.kernel_l2_norm(eta)
-    q, rows = partial(st.quadratic_form, eta), []  # q of c eta is c q
+    q, rows = _q(eta), []  # q of c eta is c q, with one control for every factor
     for c, report in zip(s.factors, s.reports):
         scaled = eig.scaled(c)  # the spectrum of c B_eta
         lam = scaled.lambda_max
@@ -987,10 +1074,16 @@ def verify_harmonic(
 
 def _harmonic(s: Scenario, lam: float, x):
     kappa, report = s.kernel, s.report
+    norm = gk.kernel_l2_norm(kappa)
+    mean = 0.5 * norm ** 2  # E h without x
     riccati = isinstance(kappa.factored, gk.LowerExp) and x is None
     lam_neg, logdet_c, image = 0.0, op.c_logdet(kappa, lam) if riccati else None, None
     if not (riccati and s.f.is_constant_one):
-        eig = op.spectrum(gk.c_kernels(kappa, x), vectors=not s.f.is_constant_one).scaled(-lam)
+        c = gk.c_kernels(kappa, x)
+        if x is not None:  # E h along x is tr B_c / 2, of its c kernel
+            mean = 0.5 * op.trace(c)
+        eig = op.spectrum(c, vectors=not s.f.is_constant_one).scaled(-lam)
+        del c
         if not riccati:  # Lambda(-lam B_c) <= 0 and log det(I + lam B_c), I + lam B_c >= I
             lam_neg, logdet_c = eig.lambda_max, eig.logdet_complement()
         image = None if s.f.is_constant_one else eig.inverse_sqrt_kernel()
@@ -1008,10 +1101,10 @@ def _harmonic(s: Scenario, lam: float, x):
     report.spectra = {
         "det_log": logdet_c,
         "det_sign": 1,
-        "hs_norm": float(np.sqrt(lam)) * gk.kernel_l2_norm(kappa),
+        "hs_norm": float(np.sqrt(lam)) * norm,
     }
     rhs = Side(-0.5 * logdet_c, kernel=image)
-    lhs = Side(exponent=partial(st.h_functionals, kappa, x=x), c=-lam)
+    lhs = Side(exponent=st.Exponent("h", kappa, mean, x), c=-lam)
     yield from s.identity([(report, lhs, rhs)])
 
 
@@ -1061,7 +1154,7 @@ def _cameron_martin(s: Scenario):
         return (np.max(np.abs(st.cameron_martin_drift(phi, probe) - integral), axis=(1, 2)),
                 np.max(np.abs(integral), axis=(1, 2)))
 
-    lhs = Side(p.det2.log_modulus + tr, partial(st.ramer_exponent, kappa_phi), kernel=kappa_phi,
+    lhs = Side(p.det2.log_modulus + tr, _psi(kappa_phi, report.spectra), kernel=kappa_phi,
                ci_valid=p.guard == "ok")
     _, (gap,) = yield from s.identity([(report, lhs, Side())], probes=[drift_gap])
     report.checks["pathwise_drift"] = _check_close(

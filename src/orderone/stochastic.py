@@ -37,6 +37,22 @@ exponent of the exact change of variables of dW' = (I + Delta K) dW; it is
 linear transformation of a drift phi is that of its tail kernel
 (`kappa_from_phi`), so its exponent Psi is psi of that kernel (`cm_exponent`).
 
+Full forms and their exact means.  h and psi are full quadratic forms of
+the increments; q, the Ito sum, is the full form 1/2 <dW, eta dW> less its
+diagonal term.  Each full form has an exact mean on the grid,
+E <dW, K dW> = tr B_K (the trace of the Nystrom operator, Delta sum_i tr
+K(t_i, t_i)):
+
+    q's full form   1/2 tr B_eta
+    h               1/2 ||kappa||^2, or 1/2 tr B_c of c(kappa; x) along x
+    psi             -tr B_kappa - 1/2 ||kappa||^2  (= 1/2 tr B_eta(kappa))
+
+`Exponent` holds an exponent as data (its kind, kernel and direction) with
+that mean, and gives the exponent and its full form per path: the control
+variate of the Monte Carlo sides (`scenarios`).  The full form of q is read
+through `_double_sum`, apart from `quadratic_form`, so a fault in q is not
+absorbed by its own control.
+
 The Wiener integral, the transformations and the linear drift reach their
 kernel through `MatrixKernel.apply` (x K^T) and `apply_adjoint` (x K), and so
 do q, h and psi of a dense or LowerExp kernel.  q, h and psi of a LowRank
@@ -101,6 +117,7 @@ __all__ = [
     "node_weights",
     "node_value",
     "ramer_exponent",
+    "Exponent",
     "cm_exponent",
     "cm_trace_correction",
     "exp_q_moment_guard",
@@ -305,6 +322,41 @@ def ramer_exponent(kappa: MatrixKernel, batch: PathBatch) -> np.ndarray:
     dw = batch.increments
     integral = kappa.apply(dw)
     return -np.einsum("mia,mia->m", integral, dw) - _energy(integral, kappa.grid.step)
+
+
+@dataclass(frozen=True, eq=False)
+class Exponent:
+    """The exponent of a side as data: q of a symmetric kernel (kind 'q'),
+    h of kappa along x ('h') or psi of kappa ('psi'), each a quadratic form
+    on Wiener space, and the exact grid mean of its full form, the control
+    (see the module docstring), which the caller reads from what its
+    prologue holds.  Called on a batch, it gives the exponent per path
+    through the module's functional, looked up at call time."""
+
+    kind: str
+    kernel: MatrixKernel
+    mean: float  # E of the control on the grid
+    x: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("q", "h", "psi"):
+            raise InvalidArgumentError(f"unknown exponent kind {self.kind!r}")
+
+    def __call__(self, batch: PathBatch) -> np.ndarray:
+        if self.kind == "q":
+            return quadratic_form(self.kernel, batch)
+        if self.kind == "h":
+            return h_functionals(self.kernel, batch, self.x)
+        return ramer_exponent(self.kernel, batch)
+
+    def control(self, batch: PathBatch, value: np.ndarray) -> np.ndarray:
+        """The full form per path, given the exponent's value on the batch: of
+        q, 1/2 <dW, eta dW> with its diagonal blocks kept, one more product
+        of the kernel (a thin projection of a LowRank one); h and psi are
+        full forms, their own controls."""
+        if self.kind == "q":
+            return 0.5 * _double_sum(self.kernel, batch.increments)
+        return value
 
 
 def cameron_martin_drift(phi: MatrixKernel, batch: PathBatch) -> np.ndarray:

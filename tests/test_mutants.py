@@ -18,6 +18,13 @@ q, the Ito sum's one convention.  It wraps `stochastic.quadratic_form`, so the
 dense route and the factored one see it alike, and every demo.cfg scenario
 that reaches q must fail its identity, at the golden pin's reduced size.
 
+The shifted-energy mutant adds 0.05 to every h (`stochastic.h_functionals`).
+The left-hand side takes h as its own control variate, so the estimate
+absorbs most of the shift and its identity may pass; the control's sample
+mean then lies far from its exact grid mean, ||kappa||^2 / 2 or tr B_c / 2, so
+oscillator and oscillator_matrix must fail control_mean at the golden pin's
+size.
+
 The tail-convention mutant sums the tail kernel kappa_phi of cameron_martin
 over the nodes u >= s in place of u > s.  The linear drift, read from the
 path at the left nodes, is then no longer the Wiener integral of kappa_phi,
@@ -112,6 +119,18 @@ def test_ito_mutant_fails_every_scenario_reaching_q(monkeypatch):
         for report in reports:
             assert report.verdict == "fail", report.name
             assert not report.checks["identity"].passed, report.name
+
+
+def test_shifted_energy_mutant_fails_control_mean(monkeypatch):
+    h_functionals = stochastic.h_functionals
+
+    def shifted(kappa, batch, x=None):
+        """h + 0.05."""
+        return h_functionals(kappa, batch, x) + 0.05
+    monkeypatch.setattr(stochastic, "h_functionals", shifted)
+    for name, (report,) in _small_demo_reports(("oscillator", "oscillator_matrix")).items():
+        assert report.verdict == "fail", name
+        assert not report.checks["control_mean"].passed, name
 
 
 def test_det2_complement_mutant_fails_det2_sqrt_identity(monkeypatch):

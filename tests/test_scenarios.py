@@ -45,7 +45,7 @@ def _pass(grid, dim, n_paths, seed, stream_id, per_path):
     the exception per_path raised is raised."""
     merge = partial(sc._merged, scale=1.0, ci_valid=True)
     (out,) = sc._mc_paths((grid, seed, stream_id),
-                          [sc._Request(None, n_paths, dim, per_path, sc._moments, merge)])
+                          [sc._Request(None, n_paths, dim, per_path, sc._moments, sc._chan, merge)])
     if isinstance(out, Exception):
         raise out
     return out
@@ -81,12 +81,13 @@ def test_finite_dim_diagonal_example():
 
 
 @pytest.mark.parametrize("matrix, functional, lhs, rhs", [
-    (np.diag([0.2, -0.1]), "cos_sum", (0.3632880733061749, 0.00454602904220143),
+    (np.diag([0.2, -0.1]), "cos_sum", (0.36351567615809066, 0.004429909697764582),
      (np.exp(-1.0), 0.0)),
-    ([[0.1, 0.2], [-0.15, 0.05]], "one", (0.9990107294320295, 0.0011739143623202505), (1.0, 0.0)),
+    ([[0.1, 0.2], [-0.15, 0.05]], "one", (0.9995839753191093, 0.0002074413805784387), (1.0, 0.0)),
 ])
 def test_finite_dim_numbers_are_pinned(matrix, functional, lhs, rhs):
-    # recorded from the SFC64 draws of seed 3 on the n unit-step paths
+    # recorded from the SFC64 draws of seed 3 on the n unit-step paths; the
+    # left-hand side is controlled by psi, whose exact mean is -tr A - |A|_F^2 / 2
     r = verify_finite_dim(matrix, functional, n_samples=20_000, seed=3)
     for side, (mean, se) in ((r.lhs, lhs), (r.rhs, rhs)):
         npt.assert_allclose([side.mean, side.std_error], [mean, se], rtol=1e-12)
@@ -320,7 +321,12 @@ def test_sweep_rejects_a_non_finite_lambda(grid, lam):
      "first 6 significant digits"),
     (lambda g: sweep_laplace("rank1:b=0.3", [0.5, 0.5000001], "one", g, n_paths=100),
      "first 6 significant digits"),
-], ids=["paths", "seed", "harmonic-lambda", "gencv-kernel", "laplace-repeat", "laplace-label"])
+    # a scenario of no report: its run returned [] and its `report` raised IndexError
+    (lambda g: sweep_laplace("rank1:b=0.5", [], "one", g, n_paths=100), "needs lambdas"),
+    (lambda g: sc.resolve_scenario("surjective", "rank1:b=0.5", "one", g, own=False),
+     "needs lambdas"),
+], ids=["paths", "seed", "harmonic-lambda", "gencv-kernel", "laplace-repeat", "laplace-label",
+        "sweep-empty", "no-report"])
 def test_malformed_scenario_arguments_are_typed_errors(call, match):
     with pytest.raises(InvalidArgumentError, match=match):
         call(MEAN_GRID)
@@ -471,6 +477,101 @@ def test_functional_means_in_closed_form():
                         rtol=1e-14)
     npt.assert_allclose(TestFunctional.parse("exp_negsq").mean(cov),
                         np.linalg.det(np.eye(2) + 2.0 * cov) ** -0.5, rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# control variates
+# ---------------------------------------------------------------------------
+
+# a kernel of each zoo row, at d = 1 and, unless the row is scalar, d = 2
+CONTROL_ZOO = [
+    ("zero", 1), ("zero", 2), ("volterra", 1), ("volterra", 2), ("rank1:b=0.3,n=2", 1),
+    ("rank2:b=0.2,c=0.3", 1), ("rank2:b=0.2,c=0.3,member=2", 1),
+    ("remark_gencv:b1=-2,b2=-3", 1), ("expdiag:p=[0.5]", 1), ("expdiag:p=[0.5,-0.5]", 2),
+    ("const:c=0.3", 1), ("const:c=0.3", 2), ("const_phi:c=0.5", 1), ("const_phi:c=0.5", 2),
+]
+
+
+def _assert_control_mean_holds(report):
+    """The control of a left-hand side with a CI: its sample mean within
+    CONTROL_Z standard errors of its exact grid mean; none of a zero kernel."""
+    if report.provenance.get("kernel") == "zero":  # the control has no variance
+        assert report.lhs.control is None and "control_mean" not in report.checks
+        return
+    assert report.lhs.control is not None, report.name
+    check = report.checks["control_mean"]
+    assert check.value == report.lhs.control.z and check.passed, (report.name, check.value)
+
+
+@pytest.mark.parametrize("spec, dim", CONTROL_ZOO)
+def test_each_control_has_its_exact_mean(spec, dim):
+    # 20,000 paths at N = 16: q of eta(kappa) (transf), h without and with a
+    # direction (harmonic), psi of the tail kernel (cameron_martin); the
+    # verdicts are not asserted, as the grid bias of N = 16 is past 2% for some
+    g, x = make_grid(1.0, 16), np.linspace(1.0, -0.5, dim)
+    runs = [verify_transf(spec, "cos_end:1.0", g, dim, 20_000, seed=2),
+            verify_harmonic(spec, 1.0, None, "one", g, dim, 20_000, seed=2),
+            verify_harmonic(spec, 1.0, x, "cos_end:1.0", g, dim, 20_000, seed=2),
+            verify_cameron_martin(spec, "cos_end:1.0", g, dim, 20_000, seed=2)]
+    for report in runs:
+        if report.gate["guard"] == "ok":
+            _assert_control_mean_holds(report)
+        else:  # remark_gencv as phi: no CI, so the plain mean and median
+            assert report.lhs.control is None and "control_mean" not in report.checks
+
+
+def test_finite_dim_and_the_laplace_family_controls_have_their_exact_means():
+    for matrix in (np.diag([0.2, -0.1]), [[0.1, 0.2], [-0.15, 0.05]]):
+        r = verify_finite_dim(matrix, "cos_sum", n_samples=20_000, seed=2)
+        _assert_control_mean_holds(r)
+        a = np.asarray(matrix)  # psi's mean on unit steps: -tr A - |A|_F^2 / 2
+        npt.assert_allclose(r.lhs.control.exact, -np.trace(a) - 0.5 * np.sum(a * a), rtol=1e-14)
+    own, *rows = sc.surjective_scenario("rank1:b=0.5", "one", MEAN_GRID, 1, 20_000, seed=2,
+                                     lambdas=[0.25, 0.5])
+    assert own.lhs.control is None  # lambda_eta = 0.5: CI-less
+    for r in rows:
+        _assert_control_mean_holds(r)
+        npt.assert_allclose(r.lhs.control.exact, 0.25, rtol=1e-12)  # tr B_eta / 2 = b / 2
+
+
+def test_inverse_controls_its_mass_too():
+    r = verify_inverse("rank1:b=0.3", "cos_end:1.0", MEAN_GRID, n_paths=20_000, seed=2)
+    assert r.passed
+    for name in ("control_mean", "rn_control_mean"):
+        assert r.checks[name].passed and r.checks[name].tol == sc.CONTROL_Z
+
+
+def test_control_mean_fails_far_from_the_exact_mean():
+    est = sc.MCEstimate(1.0, 0.1, 100, True, (1.0,), sc.Control(0.6, 0.0, 1.0, 6.0))
+    check = sc._control_check(est)
+    assert not check.passed and check.value == 6.0 and check.target == 0.0
+    assert est.to_dict()["control_mean"] == 0.6 and est.to_dict()["control_beta"] == 1.0
+
+
+def test_each_diagonal_is_computed_once_per_kernel(monkeypatch):
+    # q reads its kernel's diagonal blocks at every block of every chunk; the
+    # kernel computes them once, in the calling thread, before any chunk
+    monkeypatch.setattr(sc, "CHUNK_ELEMENTS", 32 * 200)
+    monkeypatch.setattr(sc, "PATH_BLOCK", 32 * 50)
+    monkeypatch.setattr(sc, "WORKERS", 2)
+    computed, lock, form_blocks = [], threading.Lock(), gk.LowRank.diagonal_blocks
+
+    def counted(self, grid, dim):
+        with lock:
+            computed.append((self, threading.current_thread()))  # kept: no id is reused
+        return form_blocks(self, grid, dim)
+    monkeypatch.setattr(gk.LowRank, "diagonal_blocks", counted)
+    g = make_grid(1.0, 32)
+    reports = [verify_inverse("rank1:b=0.3", "cos_end:1.0", g, n_paths=1_100, seed=5),
+               *sc.surjective_scenario("rank1:b=0.5", "one", g, n_paths=1_100, seed=5,
+                                    lambdas=[0.25, 0.5])]
+    assert all(r.passed for r in reports)
+    # inverse's kappa (its trace), eta and eta_hat, the family's eta: once each
+    assert len(computed) == len({id(form) for form, _ in computed}) == 4
+    assert {thread for _, thread in computed} == {threading.main_thread()}
+    dense = scale_kernel(kernel_zoo("rank1:b=0.3", g), 1.0)
+    blocks = dense.diagonal_blocks()
+    assert dense.diagonal_blocks() is blocks and not blocks.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -1020,12 +1121,19 @@ def test_worker_count_does_not_change_estimates(monkeypatch):
             verify_cameron_martin("const:c=1", "cos_end:1.0", g, n_paths=1_100, seed=5),
             verify_surjective("rank1:b=0.5", "exp_negsq", g, n_paths=1_100, seed=5),
             verify_finite_dim(np.diag([0.2, -0.1]), "cos_sum", n_samples=3_300, seed=5),
-            # one row per lambda on each side, merged row by row
+            verify_harmonic("expdiag:p=[0.5,-0.5]", 0.5, [1.0, -0.5], "cos_end:1.0", g, 2,
+                            n_paths=1_100, seed=5),
+            # one row per lambda, merged row by row, all controlled by one q
             *sweep_laplace("rank1:b=0.5", [0.25, 1.0, 0.5], "cos_end:1.0", g, n_paths=1_100,
                            seed=5),
         ]
     assert len(runs[1][0].lhs.chunk_means) == 5
     assert runs[1][3].lhs.ci_valid is False  # the median-of-chunk-means fallback
+    assert runs[1][3].lhs.control is None
+    # controlled sides: transf's q, harmonic's h, and the Laplace family's one control
+    assert runs[1][0].lhs.control and runs[1][5].lhs.control
+    laplace = [r for r in runs[1][6:] if r.lhs.control]  # lambda = 1 is CI-less
+    assert len(laplace) == 2 and laplace[0].lhs.control.mean == laplace[1].lhs.control.mean
     for one, two in zip(runs[1], runs[2]):
         assert _estimates(one) == _estimates(two), one.name
         assert one.to_dict() == two.to_dict()
@@ -1171,8 +1279,9 @@ def _reads(g, reads):
             return np.zeros(batch.n_paths)
         return per_path
     merge = partial(sc._merged, scale=1.0, ci_valid=True)
-    sc._mc_paths((g, 9, sc._STREAM_LHS), [sc._Request(None, n, d, reader(r), sc._moments, merge)
-                                          for r, (n, d) in enumerate(reads)])
+    sc._mc_paths((g, 9, sc._STREAM_LHS),
+                 [sc._Request(None, n, d, reader(r), sc._moments, sc._chan, merge)
+                  for r, (n, d) in enumerate(reads)])
     return seen
 
 
@@ -1202,6 +1311,63 @@ def test_a_pass_reads_the_prefix_of_a_larger_one(n, extra, d, extra_d, n_steps):
         want = np.concatenate([inc for chunk, inc in alone if chunk == idx])
         got = np.concatenate([inc for chunk, inc in large if chunk == idx])
         assert got[:size, :, :d].tobytes() == want.tobytes()
+
+
+def test_controlled_estimate_is_stable_for_any_chunking(monkeypatch):
+    # y and its control x, each 1e8 + a unit Gaussian: beta, the controlled mean
+    # and its residual error on n - 2 degrees of freedom are those of np.cov
+    def per_sample(batch):
+        xi = batch.increments[:, :, 0]
+        vals = np.stack([1e8 + xi[:, 0] + 0.5 * xi[:, 1], 1e8 + xi[:, 0]])
+        drawn.append(vals)
+        return vals
+
+    exact = 1e8  # the control's exact mean
+    merge = partial(sc._merged, scale=1.0, ci_valid=True, controls=[(1, exact)])
+    monkeypatch.setattr(sc, "WORKERS", 1)
+    for cap in (1 << 22, 3_000, 1_024, 7):
+        monkeypatch.setattr(sc, "CHUNK_ELEMENTS", 2 * cap)
+        drawn = []
+        (est,) = sc._mc_paths((TimeGrid(1.0, 2), 3, 0), [sc._Request(
+            None, 10_000, 1, per_sample, sc._moments, sc._chan, merge)])[0]
+        y, x = np.concatenate(drawn, axis=1)
+        n, cov, gap = y.size, np.cov(y, x), np.mean(x - exact)  # x - 1e8 is exact
+        beta = cov[0, 1] / cov[1, 1]
+        npt.assert_allclose(est.control.beta, beta, rtol=1e-12)
+        npt.assert_allclose(est.control.mean, x.mean(), rtol=1e-15)
+        npt.assert_allclose(est.mean, exact + (np.mean(y - exact) - beta * gap), rtol=1e-15)
+        residual = (cov[0, 0] - beta * cov[0, 1]) * (n - 1) / (n - 2)
+        npt.assert_allclose(est.std_error ** 2 * n, residual, rtol=1e-12)
+        npt.assert_allclose(est.control.z, abs(gap) / np.sqrt(cov[1, 1] / n), rtol=1e-12)
+        # the sub-batch means stay plain
+        assert len(est.chunk_means) == max(1, 10_000 // cap)
+        npt.assert_allclose(est.chunk_means[0], y[:min(cap, n)].mean(), rtol=1e-15)
+
+
+@pytest.mark.parametrize("values, controlled", [
+    (lambda xi: [xi[:, 0] + xi[:, 1], np.zeros(len(xi))], False),  # a control of no variance
+    (lambda xi: [xi[:, 0] + xi[:, 1], xi[:, 0]], True),
+])
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+def test_a_side_stays_plain_without_a_usable_control(values, controlled, n_paths):
+    # fewer than 3 paths, or a control of zero variance (the zero kernel's):
+    # the plain mean and standard error
+    g = TimeGrid(1.0, 2)
+    merge = partial(sc._merged, scale=2.0, ci_valid=True, controls=[(1, 0.0)])
+    seen = []
+
+    def per_path(batch):
+        seen.append(values(batch.increments[:, :, 0]))
+        return seen[-1]
+    (est,) = sc._mc_paths((g, 4, 0), [sc._Request(None, n_paths, 1, per_path, sc._moments,
+                                                   sc._chan, merge)])[0]
+    y = np.concatenate([v[0] for v in seen])
+    assert (est.control is not None) == (controlled and n_paths >= 3)
+    if est.control is None:
+        npt.assert_allclose(est.mean, 2.0 * y.mean(), rtol=1e-15)
+        if n_paths > 1:
+            npt.assert_allclose(est.std_error, 2.0 * np.std(y, ddof=1) / np.sqrt(n_paths),
+                                rtol=1e-12)
 
 
 def test_merged_variance_is_stable_for_any_chunking(monkeypatch):
