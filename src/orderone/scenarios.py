@@ -95,9 +95,13 @@ paths are ceil(n / cap) chunks, each full but the last (`_chunk_sizes`), so
 the chunks of n paths are those of any larger count, cut at n.  Component 0
 of chunk idx draws its paths from the SFC64 generator seeded by
 SeedSequence([seed, stream, idx, N]) and component a >= 1 from
-SeedSequence([seed, stream, idx, N, a]) (`_stream_chunks`): grids of other N
-draw other normals, and a reader of n paths and d components reads the first
-n paths and d components of the stream, the bits of a pass of its own.
+SeedSequence([seed, stream, idx, N, a]) (`_stream_chunks`), and each
+path's 16 coarse cell sums per component from the stream's Sobol net: path
+j, j counted from the stream's first path (the chunk's first is read from
+the plan, `_firsts`), reads point j // 32 under the digital shift of
+replicate j % 32 (`stochastic.path_blocks`).  Grids of other N draw other
+normals, and a reader of n paths and d components reads the first n paths
+and d components of the stream, the bits of a pass of its own.
 CHUNK_ELEMENTS is no memory cap: it fixes how many paths share one generator
 key and one sub-batch mean of the median fallback (a short last chunk joins
 the one before it), so changing it moves every number.  Each chunk builds its
@@ -110,13 +114,16 @@ stream reads its own paths and components of each block as one contiguous
 batch, one request after the other, so their intermediates stay in cache
 and no product inside a chunk is large enough for BLAS to spread over
 threads of its own that would compete with the chunk threads.  Each chunk
-returns, per request, its reduction of its blocks' values: the count, means
-and co-moment matrix of an estimate's rows and their controls, each block's
-folded in block order, the means carried as rounded values plus a
-correction, merged in chunk order by the pairwise update of Chan, Golub and
-LeVeque with its cross terms, which does not cancel the way
-sum x^2 - n mean^2 does, so no chunk's values are kept; or the running max
-of a pathwise check.  The
+returns, per request, its running reduction of its blocks' values
+(`_moments`): the count, and the sums, per replicate, and the products of
+the deviations of an estimate's rows and their controls from the rounded
+mean of the chunk's first block, so that values sharing a large offset keep
+their precision; the chunks merge in chunk order by the pairwise update of
+Chan, Golub and LeVeque written for sums about a shift (`_chan`), one per
+chunk, so no chunk's values are kept; or the running max of a pathwise
+check.  The estimate is y - beta (x - exact) with beta pooled over every
+path, and its standard error that of the 32 replicate estimates
+(`_merged`).  The
 chunks run on WORKERS = usable cores threads (numpy's SFC64 fill, its ufuncs
 and BLAS release the GIL), so at most WORKERS x PATH_BLOCK x d increments
 are in flight; a pass of one chunk runs in the calling thread.  The chunk and
@@ -135,6 +142,7 @@ from concurrent.futures import ThreadPoolExecutor
 import copy
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import accumulate
 import os
 from typing import Callable, NamedTuple
 
@@ -172,7 +180,9 @@ __all__ = [
 DEFAULT_TOL = 0.02       # relative tolerance absorbing O(Delta) discretization bias
 OPERATOR_TOL = 1e-8      # operator-only assertions
 CONSISTENCY_FACTOR = 5.0  # widened tolerance for CI-less (median) comparisons
-CONTROL_Z = 5.0  # control_mean's bound in standard errors: 6e-7 false failures per check
+# control_mean's bound in standard errors; z is t on 31 degrees of freedom (32
+# replicate estimates): 2.1e-5 false failures per check, 5.7e-7 for a normal z
+CONTROL_Z = 5.0
 CHUNK_ELEMENTS = 1 << 22  # per component: N x the paths of a chunk, one generator key
 PATH_BLOCK = 1 << 16  # per component: N x the rows of a block drawn and reduced at once
 PROBE_PATHS = 1000  # paths of inverse's and cameron_martin's pathwise checks, drawn in blocks
@@ -253,13 +263,20 @@ def _stream_chunks(grid: TimeGrid, seed: int, stream_id: int, counts) -> list[Ca
     """The chunk plan of the stream (seed, stream_id) on grid, drawn for
     counts[a] paths of each component a (non-increasing): per chunk idx, a
     callable that draws its blocks of max(1, PATH_BLOCK // N) paths, component
-    a >= 1 keyed [seed, stream_id, idx, N, a] and 0 [seed, stream_id, idx, N]."""
+    a >= 1 keyed [seed, stream_id, idx, N, a] and 0 [seed, stream_id, idx, N],
+    their coarse cells from the net of the stream, read from the chunk's
+    first path in the stream (`stochastic.path_blocks`)."""
     sizes, chunks, n = [_chunk_sizes(count, grid.n_steps) for count in counts], [], grid.n_steps
-    for idx in range(len(sizes[0])):
+    for idx, first in enumerate(_firsts(sizes[0])):
         per = tuple(s[idx] for s in sizes if idx < len(s))
         chunks.append(partial(st.path_blocks, grid, len(per), per, seed, stream=(stream_id, idx, n),
-                              rows=max(1, PATH_BLOCK // n)))
+                              rows=max(1, PATH_BLOCK // n), net=((stream_id,), first)))
     return chunks
+
+
+def _firsts(sizes: list[int]) -> list[int]:
+    """The stream index of each chunk's first path, of the chunk sizes of a plan."""
+    return [0, *accumulate(sizes[:-1])]
 
 
 def _map_chunks(run, n_chunks: int) -> list:
@@ -278,29 +295,51 @@ def _map_chunks(run, n_chunks: int) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _moments(vals: np.ndarray) -> tuple:
-    """(count, mean, correction, co-moments) of one chunk, per row of vals
-    (one row when vals is 1-D).  The chunk mean is mean + correction: the
-    rounded mean plus the mean deviation from it, so that the merge sees
-    mean differences between chunks to full precision even when the values
-    share a large offset.  The co-moments are the sums of products of
-    deviations from the chunk means, one (rows, rows) matrix, summed by
-    einsum's own loop: a BLAS product would start threads of its own inside
-    the chunk threads."""
+def _moments(vals: np.ndarray, start: int, acc: tuple | None = None,
+             replicates: int = 1) -> tuple:
+    """Fold one block's values, those of the stream's paths start, start + 1,
+    ..., into its chunk's running sums acc (None at the chunk's first block),
+    per row of vals (one row when 1-D): (count, first, shift, sums, co), the
+    chunk's paths and its first path's index in the stream, the rounded
+    mean of its first block, the sums of the deviations from that shift of
+    the paths of each replicate (path j of replicate j % replicates), of
+    shape (rows, replicates), and the (rows, rows) sums of their products.
+    So values that share a large offset keep the precision of their
+    deviations.  The products are summed by einsum's own loop: a BLAS
+    product would start threads of its own inside the chunk threads.  acc's
+    arrays are updated in place."""
     vals = np.atleast_2d(vals)
-    n = vals.shape[-1]
-    mean = np.add.reduce(vals, axis=-1) / n
-    dev = vals - mean[:, None]
-    corr = np.add.reduce(dev, axis=-1) / n
-    co = np.einsum("rn,sn->rs", dev, dev)
-    co -= n * np.multiply.outer(corr, corr)
-    return n, mean, corr, co
+    rows, n = vals.shape
+    if acc is None:
+        acc = (0, start, np.add.reduce(vals, axis=-1) / n, np.zeros((rows, replicates)),
+               np.zeros((rows, rows)))
+    count, first, shift, sums, co = acc
+    lead = start % replicates  # the replicate of the block's first path
+    dev = np.zeros((rows, -(-(lead + n) // replicates) * replicates))
+    np.subtract(vals, shift[:, None], out=dev[:, lead:lead + n])
+    sums += np.add.reduce(dev.reshape(rows, -1, replicates), axis=1)
+    co += np.einsum("rn,sn->rs", dev, dev)
+    return count + n, first, shift, sums, co
+
+
+def _dealt(first: int, n: int, replicates: int) -> np.ndarray:
+    """The paths of each replicate among the paths first .. first + n - 1."""
+    r = np.arange(replicates)
+    return (first + n - 1 - r) // replicates - (first - 1 - r) // replicates
+
+
+def _running_max(vals: np.ndarray, start: int, acc: np.ndarray | None = None) -> np.ndarray:
+    """The running max of a chunk's blocks, per row of vals."""
+    top = np.max(vals, axis=-1)
+    return top if acc is None else np.maximum(acc, top)
 
 
 # a pending pass: its stream key (grid, seed, stream_id), the paths and
-# components it reads, its values per block, their reduction per block, the
-# fold of two reductions (blocks in order make a chunk's) and the merge, in
-# chunk order, of the chunks' reductions
+# components it reads, its values per block, reduce(vals, start, acc), which
+# folds the values of the stream's paths start, start + 1, ... into their
+# chunk's reduction acc (None at the chunk's first block), fold(a, b), the
+# reduction of two chunks in stream order, and merge(total, parts), its
+# result from the fold of every chunk and the chunks' reductions in order
 _Request = namedtuple("_Request", "key n_paths dim per_path reduce fold merge")
 
 
@@ -312,9 +351,9 @@ def _mc_paths(key: tuple, requests) -> list:
     reads of it, in the chunks of `_stream_chunks`, and the chunks are mapped
     on the pool.  Each request's per_path runs on its own paths and
     components of each block, as the contiguous batch of a pass of its own,
-    and gives a (rows, paths) array; the request reduces each block's values,
-    folds a chunk's blocks in order and merges the chunks in chunk order, so
-    no chunk's values are kept.  The next block is drawn into the same
+    and gives a (rows, paths) array; the request folds each block's values
+    into its chunk's reduction, in block order, then folds the chunks and
+    merges them in chunk order, so no chunk's values are kept.  The next block is drawn into the same
     buffer, so per_path must not keep its batch.
 
     Per request, its merge, or the first exception its per_path raised (a
@@ -325,28 +364,27 @@ def _mc_paths(key: tuple, requests) -> list:
     counts = [max(request.n_paths for request in requests if request.dim > a)
               for a in range(max(request.dim for request in requests))]
     chunks = _stream_chunks(grid, seed, stream_id, counts)
+    firsts = _firsts(_chunk_sizes(counts[0], grid.n_steps))
 
     def run(idx):
         with np.errstate(**_PAST_RANGE):  # per thread: the caller's misses the pool's
-            # per request, its blocks' reductions, the exception it raised, or
-            # None: it reads no path here
-            vals = [[] if idx < len(sizes) else None for sizes in reads]
+            # per request, its chunk's reduction so far, or the exception it raised
+            acc, failed = [None] * len(requests), [False] * len(requests)
             start = 0
             for batch in chunks[idx]():
                 heads = {}  # the requests of one (paths, dim) read one batch
                 for r, request in enumerate(requests):
-                    if not isinstance(vals[r], list) or reads[r][idx] <= start:
+                    if failed[r] or idx >= len(reads[r]) or reads[r][idx] <= start:
                         continue
                     read = min(batch.n_paths, reads[r][idx] - start), request.dim
                     head = heads.get(read) or heads.setdefault(read, batch.head(*read))
                     try:
-                        vals[r].append(request.reduce(np.asarray(request.per_path(head),
-                                                                 dtype=float)))
+                        acc[r] = request.reduce(np.asarray(request.per_path(head), dtype=float),
+                                                firsts[idx] + start, acc[r])
                     except Exception as exc:  # this request's alone: the others go on
-                        vals[r] = exc
+                        acc[r], failed[r] = exc, True
                 start += batch.n_paths
-            return [reduce(request.fold, v) if isinstance(v, list) else v
-                    for request, v in zip(requests, vals)]
+            return acc
 
     try:
         parts = _map_chunks(run, len(chunks))
@@ -356,53 +394,82 @@ def _mc_paths(key: tuple, requests) -> list:
     for r, request in enumerate(requests):
         mine = [part[r] for part in parts[:len(reads[r])]]
         failed = [part for part in mine if isinstance(part, Exception)]
-        out.append(failed[0] if failed else request.merge(mine))
+        out.append(failed[0] if failed else request.merge(reduce(request.fold, mine), mine))
     return out
 
 
 def _chan(a: tuple, b: tuple) -> tuple:
-    """The moments of chunks a and b together, a's rounded mean kept (Chan,
-    Golub and LeVeque, with the cross terms of the co-moments); not in
-    place, as a's arrays are read again."""
-    (count, mean, corr, co), (n_b, mean_b, corr_b, co_b) = a, b
-    total = count + n_b
-    delta = (mean_b - mean) + (corr_b - corr)
-    return (total, mean, corr + delta * n_b / total,
-            co + (co_b + np.multiply.outer(delta, delta * (count * n_b / total))))
+    """The running sums (`_moments`) of chunks a and b, b's paths following
+    a's, about a's shift: the pairwise update of Chan, Golub and LeVeque
+    written for sums about a shift, one per chunk, with its cross terms.
+    Not in place, as a's arrays are read again."""
+    (count, first, shift, sums, co), (n_b, first_b, shift_b, sums_b, co_b) = a, b
+    delta = shift_b - shift
+    cross = np.multiply.outer(delta, sums_b.sum(axis=1))
+    return (count + n_b, first, shift,
+            sums + sums_b + np.multiply.outer(delta, _dealt(first_b, n_b, sums.shape[1])),
+            co + co_b + cross + cross.T + n_b * np.multiply.outer(delta, delta))
 
 
-def _merged(parts, scale, ci_valid, controls=None) -> list[MCEstimate]:
-    """The MCEstimates of a request's chunk moments, parts in chunk order:
-    one per row, or per entry of controls, which names each estimated row's
-    control as (its row, its exact mean), or None.  A row with a confidence
-    interval, at least 3 samples and a control of nonzero variance is
-    controlled: y - beta (x - exact) with beta = C_yx / C_xx, and the
-    residual standard error on n - 2 degrees of freedom.  Its sub-batch
-    means stay plain."""
-    count, mean, corr, co = reduce(_chan, parts)
+def _ratio(gap: float, se: float) -> float:
+    """|gap| / se, 0 or inf when se is 0."""
+    return abs(gap) / se if se > 0 else (0.0 if gap == 0 else float("inf"))
+
+
+def _merged(total: tuple, parts, scale, ci_valid, controls=None) -> list[MCEstimate]:
+    """The MCEstimates of a request's running sums (`_moments`): total, the
+    fold of its chunks' parts, given in chunk order.  One estimate per row,
+    or per entry of controls, which names each estimated row's control as
+    (its row, its exact mean), or None.  A row with a confidence interval,
+    at least 3 samples and a control of nonzero variance is controlled:
+    y - beta (x - exact) with beta = C_yx / C_xx, pooled over every path.
+
+    When the sums are split among R > 1 replicates and some replicate holds
+    two paths, the standard error is that of the R replicate estimates m_r =
+    y_r - beta (x_r - exact), each weighted by its share n_r / n of the
+    paths: SE^2 = R / (R - 1) sum_r (n_r / n)^2 (m_r - m)^2, and the
+    control's z reads the replicate error of x too.  Otherwise every path is
+    its own replicate and the error is the plain one, on n - 2 degrees of
+    freedom when controlled.  Sub-batch means stay plain."""
+    count, _, shift, sums, co = total
+    delta = sums.sum(axis=1) / count  # the mean less the shift
+    cov = co - count * np.multiply.outer(delta, delta)  # co-moments about the mean
     # a short last chunk joins the one before it: every sub-batch mean of the
     # median fallback holds at least a full chunk's paths
     short = len(parts) > 1 and parts[-1][0] < parts[0][0]
     batches = parts[:-2] + [_chan(*parts[-2:])] if short else parts
-    controls = [None] * len(mean) if controls is None else controls
+    replicates = sums.shape[1]
+    by_replicate = 1 < replicates < count
+    # each replicate's mean less the mean, weighted by its share of the paths
+    spread = sums / count - _dealt(0, count, replicates) / count * delta[:, None]
+
+    def replicate_se(dev):  # of the replicate estimates whose weighted spread is dev
+        return float(np.sqrt(replicates / (replicates - 1) * np.sum(dev * dev)))
+    controls = [None] * len(shift) if controls is None else controls
     scale = np.broadcast_to(scale, len(controls))
     # fewer than two samples have no spread to estimate, so no confidence interval
     ci_valid = np.broadcast_to(np.logical_and(ci_valid, count > 1), len(controls))
     out = []
     for r, control in enumerate(controls):
-        value, var, cv = mean[r] + corr[r], co[r, r] / max(count - 1, 1), None
+        value, cv = shift[r] + delta[r], None
+        se = (replicate_se(spread[r]) if by_replicate
+              else np.sqrt(max(cov[r, r], 0.0) / max(count - 1, 1) / count))
         k, exact = control or (None, None)
-        if k is not None and ci_valid[r] and count > 2 and co[k, k] > 0:
-            beta, gap = co[r, k] / co[k, k], (mean[k] - exact) + corr[k]
+        if k is not None and ci_valid[r] and count > 2 and cov[k, k] > 0:
+            beta, gap = cov[r, k] / cov[k, k], (shift[k] - exact) + delta[k]
             value -= beta * gap
-            var = (co[r, r] - beta * co[r, k]) / (count - 2)
-            cv = Control(float(mean[k] + corr[k]), float(exact), float(scale[r] * beta),
-                         float(abs(gap) / np.sqrt(co[k, k] / (count - 1) / count)))
-        se = np.sqrt(max(var, 0.0) / count)
+            if by_replicate:
+                se, se_x = replicate_se(spread[r] - beta * spread[k]), replicate_se(spread[k])
+            else:
+                se = np.sqrt(max(cov[r, r] - beta * cov[r, k], 0.0) / (count - 2) / count)
+                se_x = np.sqrt(cov[k, k] / (count - 1) / count)
+            cv = Control(float(shift[k] + delta[k]), float(exact), float(scale[r] * beta),
+                         float(_ratio(gap, se_x)))
         out.append(MCEstimate(float(scale[r] * value),
                               float(scale[r] * se) if ci_valid[r] else None, count,
                               bool(ci_valid[r]),
-                              tuple(float(scale[r] * (p[1][r] + p[2][r])) for p in batches), cv))
+                              tuple(float(scale[r] * (p[2][r] + p[3][r].sum() / p[0]))
+                                    for p in batches), cv))
     return out
 
 
@@ -530,8 +597,10 @@ CSV_HEADER = ["name", "lhs", "rhs", "se", "z", "verdict", "lambda_eta", "det2_lo
 
 def _compare(mc: MCEstimate, exact: float, tol: float):
     """(z, rel_error, main_pass) of a Monte Carlo estimate against an exact
-    value under the max(tol, 3 sigma) rule; its median at a widened
-    tolerance when it is CI-less."""
+    value under the max(tol, 3 sigma) rule, sigma its standard error: that
+    of its 32 replicate estimates (z is then t on 31 degrees of freedom), or
+    the plain one of at most 32 paths; its median at a widened tolerance
+    when it is CI-less."""
     scale = max(abs(exact), 1e-300)
     if mc.ci_valid:
         diff, se = abs(mc.mean - exact), mc.std_error
@@ -756,7 +825,7 @@ class Scenario:
         controls = [(rows[id(side.exponent)], side.exponent.mean) if side.ci_valid else None
                     for side in sides]
         return _Request((self.grid, self.seed, _STREAM_LHS), self.n_paths, self.kernel.dim,
-                        per_path, _moments, _chan,
+                        per_path, partial(_moments, replicates=st.REPLICATES), _chan,
                         partial(_merged, scale=scale, ci_valid=[side.ci_valid for side in sides],
                                 controls=controls))
 
@@ -806,8 +875,8 @@ class Scenario:
         no block order changes, so it reads the values of one whole batch,
         which is never formed."""
         return _Request((self.grid, self.seed, _STREAM_LHS), PROBE_PATHS, self.kernel.dim,
-                        lambda batch: np.stack(gap(batch)), partial(np.max, axis=-1),
-                        np.maximum, partial(np.max, axis=0))
+                        lambda batch: np.stack(gap(batch)), _running_max, np.maximum,
+                        lambda total, parts: total)
 
 
 def resolve_scenario(
@@ -870,7 +939,8 @@ def resolve_scenario(
     if f is not None:
         f.node(grid)  # a cos_mid tau outside [0, T] is rejected here, before any work
     prov = {"kernel": spec, "horizon": grid.horizon, "n_steps": grid.n_steps,
-            "dim": kappa.dim, "n_paths": n_paths, "seed": seed}
+            "dim": kappa.dim, "n_paths": n_paths, "seed": seed, "sampler": st.SAMPLER,
+            "replicates": st.REPLICATES}
     if f is not None:
         prov["functional"] = str(f)
     if kind == "cameron_martin":

@@ -14,6 +14,29 @@ normals about twice as fast.  Path values at the left nodes are W(t_k) =
 sum_{i<k} dW[m, i] (W(0) = 0), and all stochastic sums are Ito sums: the
 integrand is evaluated strictly before the increment that multiplies it.
 
+Coarse net.  The Monte Carlo runner (`scenarios`) draws every stream with a
+net (`path_blocks(..., net=)`): the K = min(NET_CELLS, N) = 16 coarsest
+cell sums of each path and component come from a randomised Sobol point,
+and the generator's normals only fill in each cell (Caflisch, Morokoff and
+Owen, J. Comput. Finance 1, 1997, for the bridge; L'Ecuyer and Lemieux,
+2002, for the replicates).  Path j of the stream is in replicate j % R (R =
+REPLICATES = 32) and reads Sobol point j // R: component a reads dimensions
+a K .. a K + K - 1 of one unscrambled sequence (the direction numbers of
+Joe and Kuo, SIAM J. Sci. Comput. 30, 2008, read in part from the table
+scipy ships), XORed with replicate r's digital shift, 64 random bits per
+dimension from the SFC64 generator seeded by SeedSequence([seed, stream id,
+N, a, R, K]).  ndtri maps each coordinate to a standard normal, and a
+Brownian bridge over the cells' end nodes at their true times (W(T) first,
+then midpoints, coarsest first) to the cell sums S; within a cell of m
+steps, dW_i = sqrt(Delta) (z_i - mean of z over the cell) + S / m.  The
+shift makes every coordinate of a path uniform, so each path is exactly
+N(0, Delta I) on the grid; the paths of one replicate are one randomised
+net and the replicates are independent, so a standard error is read from
+the R replicate means.  A path's bits depend only on the keys, its component
+and j, so a stream stays one prefix-closed draw.  A draw without a net
+(`sample_paths`, the reference of the tests) takes every normal from the
+generators.
+
 Functionals of a batch:
 
     wiener integral     I[m, i]  = sum_j kappa(t_i, t_j) dW[m, j]
@@ -95,6 +118,8 @@ covariance (Mathai and Provost, Quadratic Forms in Random Variables, 1992).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+import os
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -183,15 +208,23 @@ def sample_paths(grid: TimeGrid, dim: int, n_paths: int, seed: int,
 
 
 def path_blocks(grid: TimeGrid, dim: int, n_paths, seed: int, stream: tuple = (),
-                rows: int | None = None):
+                rows: int | None = None, net: tuple | None = None):
     """The batch of `sample_paths` with the same arguments, as successive
-    batches of `rows` paths (the last one ragged; None: one batch).
+    batches of `rows` paths (the last one ragged; None: one batch), its
+    coarse cells drawn from the net of `net` when it is given.
 
     Each component is one generator's draw, interleaved into the (rows, N,
     dim) block, so the first n paths and d components of a draw are the bits
     of the draw of n paths and d components.  n_paths is the number of paths,
     or one non-increasing count per component: component a is then drawn for
     its first n_paths[a] paths alone and is nan past them.
+
+    net = (net_key, first) makes the m-th path of the draw path j = first + m
+    of the stream net_key: each component's K = min(NET_CELLS, N) coarse
+    cell sums come from Sobol point j // REPLICATES under the digital shift
+    of replicate j % REPLICATES (`_CoarseNet`), and the generator's normals
+    keep only their deviation from each cell's mean.  A path's bits depend
+    only on the keys, its component and j.
 
     Every block is drawn from the generators into one buffer of rows paths,
     so the blocks together hold the bits of the whole batch, and each block
@@ -209,16 +242,167 @@ def path_blocks(grid: TimeGrid, dim: int, n_paths, seed: int, stream: tuple = ()
     key = [int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, stream)]
     rngs = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(key + [a] * (a > 0))))
             for a in range(dim)]
+    coarse = None if net is None else _CoarseNet(grid, dim, total, seed, *net)
     buf = np.empty((min(rows, total), grid.n_steps, dim))
-    part = np.empty(buf.shape[:2])  # one component's draw
+    # one component's draw: a dim-1 draw is the buffer itself
+    part = buf[:, :, 0] if dim == 1 else np.empty(buf.shape[:2])
     for start in range(0, total, rows):
         inc = buf[:total - start]  # the head of the buffer: contiguous
         for a, rng in enumerate(rngs):
             m = min(len(inc), max(0, counts[a] - start))
             rng.standard_normal(out=part[:m])
-            np.multiply(part[:m], np.sqrt(grid.step), out=inc[:m, :, a])  # interleaved
+            if coarse is None:
+                np.multiply(part[:m], np.sqrt(grid.step), out=inc[:m, :, a])  # interleaved
+            else:
+                coarse.fill(inc[:m], a, part[:m], start)
             inc[m:, :, a] = np.nan
         yield PathBatch(grid, dim, inc, int(seed), tuple(stream))
+
+
+NET_CELLS = 16  # K: the coarse cells per component whose sums the net draws
+REPLICATES = 32  # R: independent digital shifts, path j under shift j % R
+_SOBOL_BITS = 32  # of every Sobol coordinate, above 32 bits of the shift alone
+SAMPLER = f"sobol{NET_CELLS}-bridge/sfc64"  # the draw, as the reports name it
+
+
+@lru_cache(maxsize=None)
+def _sobol_directions(n_dims: int) -> np.ndarray:
+    """The direction numbers of the first n_dims dimensions of the Sobol
+    sequence of Joe and Kuo (new-joe-kuo-6.21201, the table scipy ships), as
+    (_SOBOL_BITS, n_dims) uint64: row b is the word XORed into a point whose
+    Gray-code index has bit b set, its most significant bit the first.
+
+    Only the first n_dims entries of the table's columns are kept: the
+    table is streamed from scipy's archive, never loaded whole, and
+    `scipy.stats` is not imported."""
+    import zipfile
+
+    import scipy
+
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
+    with zipfile.ZipFile(path) as archive:
+        poly = _npy_head(archive, "poly.npy", n_dims)
+        # the initial m_j of a dimension are as many as its polynomial's degree
+        vinit = _npy_head(archive, "vinit.npy", n_dims, max(int(p).bit_length() for p in poly))
+    v = np.ones((n_dims, _SOBOL_BITS), dtype=np.uint64)  # dimension 0: every m_j = 1
+    for k in range(1, n_dims):
+        p = int(poly[k])
+        s = p.bit_length() - 1  # the degree of the primitive polynomial
+        m = [int(x) for x in vinit[k, :s]]
+        for j in range(s, _SOBOL_BITS):  # m_j = m_{j-s} ^ sum_i 2^i a_i m_{j-i}
+            new = m[j - s]
+            for i in range(s):
+                if (p >> (s - 1 - i)) & 1:
+                    new ^= m[j - i - 1] << (i + 1)
+            m.append(new)
+        v[k] = m
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint64)
+    return np.ascontiguousarray(v.T)
+
+
+def _npy_head(archive, name: str, n: int, columns: int = 1) -> np.ndarray:
+    """The first n rows and first columns columns of the 1-D or 2-D .npy
+    array name of a zip archive, read as a stream, a column-major table
+    column by column."""
+    with archive.open(name) as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise PreconditionError(f"unexpected format of the Sobol table {name}")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        if len(shape) == 1:
+            return np.frombuffer(fh.read(n * dtype.itemsize), dtype)
+        if not fortran:  # the first n rows lead
+            return np.frombuffer(fh.read(n * shape[1] * dtype.itemsize), dtype).reshape(n, -1)
+        out = np.empty((n, min(columns, shape[1])), dtype)
+        for c in range(out.shape[1]):
+            out[:, c] = np.frombuffer(fh.read(n * dtype.itemsize), dtype)
+            fh.seek((shape[0] - n) * dtype.itemsize, os.SEEK_CUR)  # past the column's rest
+        return out
+
+
+@lru_cache(maxsize=None)
+def _bridge(n_steps: int) -> tuple:
+    """(groups, A) of the K = min(NET_CELLS, N) coarse cells of a grid of N
+    steps.  The cells hold q = N // K steps, the first N - K q of them one
+    more; groups lists each run of cells of one size as (its first step, its
+    first cell, its cells, their steps).  The cell sums of a path, in units
+    of sqrt(Delta), are A z for K independent standard normals z: the
+    Brownian-bridge construction over the cells' end nodes at their true
+    times, z[0] giving W(T) and the next ones the midpoints of the intervals
+    already built, coarsest first."""
+    k = min(NET_CELLS, n_steps)
+    q, longer = divmod(n_steps, k)
+    groups = [(0, 0, longer, q + 1), (longer * (q + 1), longer, k - longer, q)]
+    nodes = np.concatenate([[0], np.cumsum([q + 1] * longer + [q] * (k - longer))])
+    bridge, order, queue = np.zeros((k + 1, k)), [k], [(0, k)]  # W(nodes) = bridge z
+    bridge[k, 0] = np.sqrt(nodes[k])
+    for left, right in queue:  # breadth first: every interval before its halves
+        if right - left > 1:
+            mid = (left + right) // 2
+            t0, t, t1 = nodes[left], nodes[mid], nodes[right]
+            bridge[mid] = ((t1 - t) * bridge[left] + (t - t0) * bridge[right]) / (t1 - t0)
+            bridge[mid, len(order)] = np.sqrt((t - t0) * (t1 - t) / (t1 - t0))
+            order.append(mid)
+            queue += [(left, mid), (mid, right)]
+    return [g for g in groups if g[2]], np.ascontiguousarray(np.diff(bridge, axis=0))
+
+
+class _CoarseNet:
+    """The coarse cells of the paths first .. first + n_paths - 1 of the
+    stream net_key, per component (see `path_blocks`).
+
+    Component a reads dimensions a K .. a K + K - 1 of one unscrambled Sobol
+    sequence, so no two components share a dimension, under the digital
+    shifts of row r of an (R, K) draw of 64-bit words from the SFC64
+    generator of SeedSequence([seed, *net_key, N, a, R, K]): six entries for
+    a one-entry net_key, where a chunk generator's key has four or five, so
+    no chunk generator shares it.  A point's 32 bits XOR the shift's top 32,
+    its low 32 bits are the shift's alone, and the 52 leading bits, centred
+    in their cell, are mapped through ndtri and the bridge of `_bridge`."""
+
+    def __init__(self, grid: TimeGrid, dim: int, n_paths: int, seed: int, net_key: tuple,
+                 first: int):
+        self.groups, self.bridge = _bridge(grid.n_steps)
+        self.first, self.sqrt_step, k = int(first), np.sqrt(grid.step), len(self.bridge)
+        self.shifts = [np.random.SFC64(np.random.SeedSequence(
+            [int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, net_key), grid.n_steps, a, REPLICATES, k]
+        )).random_raw(REPLICATES * k).reshape(REPLICATES, k) for a in range(dim)]
+        # every point the paths read, once: path j reads point j // R
+        self.lo = self.first // REPLICATES
+        index = np.arange(self.lo, (self.first + n_paths - 1) // REPLICATES + 1, dtype=np.uint64)
+        gray = index ^ (index >> np.uint64(1))
+        directions = _sobol_directions(k * dim)
+        points = np.zeros((len(index), k * dim), dtype=np.uint64)
+        for b in range(int(gray[-1]).bit_length()):
+            points ^= directions[b] * ((gray >> np.uint64(b)) & np.uint64(1))[:, None]
+        points <<= np.uint64(64 - _SOBOL_BITS)
+        self.points = points.reshape(len(index), 1, dim, k)
+
+    def fill(self, out: np.ndarray, a: int, z: np.ndarray, start: int):
+        """Write component a of the paths first + start .. of out, shape (m,
+        N, dim), from their generator normals z, shape (m, N): within each
+        cell sqrt(Delta) (z_i - the cell mean of z), plus the cell's sum
+        from the net over its steps.  z is overwritten."""
+        from scipy.special import ndtri
+
+        m = len(z)
+        point, lead = divmod(self.first + start, REPLICATES)
+        point -= self.lo
+        # points x replicates, in path order: path first + start + i is row lead + i
+        word = self.points[point:point - (-(lead + m) // REPLICATES), :, a] ^ self.shifts[a]
+        word = word.reshape(-1, word.shape[-1])[lead:lead + m]
+        word >>= np.uint64(11)
+        word |= np.uint64(1)  # 52 bits and the centre of their cell: (2 i + 1) 2^-53
+        u = word.astype(float)
+        u *= 2.0 ** -53
+        # einsum's own loop, not BLAS: the same bits for a path in a block of any size
+        cells = np.einsum("mk,lk->ml", ndtri(u, out=u), self.bridge)
+        for step, cell, count, size in self.groups:
+            within = z[:, step:step + count * size].reshape(m, count, size)
+            shift = cells[:, cell:cell + count]
+            shift -= np.einsum("mcs->mc", within)
+            shift /= size
+            within += shift[:, :, None]
+        np.multiply(z, self.sqrt_step, out=out[:, :, a])
 
 
 def _check_grid(kernel: MatrixKernel, batch: PathBatch):

@@ -376,7 +376,8 @@ def test_a_raising_scenario_writes_every_report_it_would_have_written(tmp_path, 
 def test_finite_dim_report_carries_the_common_provenance():
     report = scenarios.resolve_finite_dim(np.diag([0.2, -0.1]), n_samples=500, seed=7).report
     assert report.provenance == {"kernel": "<custom>", "horizon": 2.0, "n_steps": 2, "dim": 1,
-                                 "n_paths": 500, "seed": 7, "functional": "cos_end:1"}
+                                 "n_paths": 500, "seed": 7, "sampler": "sobol16-bridge/sfc64",
+                                 "replicates": 32, "functional": "cos_end:1"}
 
 
 def test_gencv_halt_report_records_its_own_kernel(tmp_path, monkeypatch):
@@ -547,8 +548,14 @@ def test_demo_runs_without_scaling_or_adjoining_a_kernel(tmp_path, monkeypatch):
     # the [run] values and every scenario's own grid and sample size yield to the flags
     cfg = _write_config(tmp_path, re.sub(r"^(n_steps|samples) = .*$", "", demo, flags=re.M))
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "demo"),
-                 "--grid", "32", "--paths", "500"])
-    assert code == EXIT_PASS
+                 "--grid", "32", "--paths", "500", "--format", "json"])
+    # counterexample's grid bias at N = 32 is 6%, past the 2% tolerance (200,000
+    # paths fail it at z 39), so its verdict at 500 paths is the estimator's call;
+    # every other report passes
+    reports = json.loads((tmp_path / "demo" / "reports.json").read_text())
+    assert len(reports) == 11 and code in (EXIT_PASS, EXIT_NUMERICAL)
+    assert all(r["verdict"] == "pass" for r in reports if r["name"] != "counterexample")
+    assert {r["verdict"] for r in reports} <= {"pass", "fail"}
 
 
 def test_expdiag_dim_must_match_its_rates():
@@ -879,11 +886,11 @@ def _spy_draws(monkeypatch) -> list:
     component, seed, stream, rows, the paths of each block it gave)."""
     draws, path_blocks = [], stochastic.path_blocks
 
-    def recorded(grid, dim, n_paths, seed, stream=(), rows=None):
+    def recorded(grid, dim, n_paths, seed, stream=(), rows=None, net=None):
         sizes = []
         draws.append((grid.n_steps, tuple(int(n) for n in np.broadcast_to(n_paths, dim)), seed,
                       tuple(stream), rows, sizes))
-        for batch in path_blocks(grid, dim, n_paths, seed, stream=stream, rows=rows):
+        for batch in path_blocks(grid, dim, n_paths, seed, stream=stream, rows=rows, net=net):
             sizes.append(batch.n_paths)
             yield batch
     monkeypatch.setattr(stochastic, "path_blocks", recorded)
@@ -945,6 +952,23 @@ def test_demo_draws_each_stream_once(tmp_path, monkeypatch):
     keys = _component_keys(draws)
     assert len(keys) == len(set(keys))
     assert passes == [(256, 1), (512, 1)]
+
+
+def test_reports_are_byte_identical_on_one_and_two_workers(tmp_path, monkeypatch):
+    # demo.cfg at the golden pin's size in chunks of 1,000 paths, whose first
+    # paths are no multiples of the 32 replicates: each chunk's replicate
+    # sums merge in chunk order, whatever thread drew it
+    monkeypatch.setattr(scenarios, "CHUNK_ELEMENTS", 64 * 1000)
+    text = (Path(__file__).parent.parent / "demo.cfg").read_text()
+    cfg = _write_config(tmp_path, re.sub(r"(?m)^\s*(n_steps|samples)\s*=.*$", "", text))
+    blobs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(scenarios, "WORKERS", workers)
+        main(["run", "--config", cfg, "--out", str(tmp_path / str(workers)), "--format", "json",
+              "--grid", "64", "--paths", "4000"])
+        blobs.append((tmp_path / str(workers) / "reports.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert {r["provenance"]["replicates"] for r in json.loads(blobs[0])} == {32}
 
 
 def _json_rows(argv, out):

@@ -81,13 +81,14 @@ def test_finite_dim_diagonal_example():
 
 
 @pytest.mark.parametrize("matrix, functional, lhs, rhs", [
-    (np.diag([0.2, -0.1]), "cos_sum", (0.36351567615809066, 0.004429909697764582),
+    (np.diag([0.2, -0.1]), "cos_sum", (0.3672074729039362, 0.0006426501187963478),
      (np.exp(-1.0), 0.0)),
-    ([[0.1, 0.2], [-0.15, 0.05]], "one", (0.9995839753191093, 0.0002074413805784387), (1.0, 0.0)),
+    ([[0.1, 0.2], [-0.15, 0.05]], "one", (1.0000002975978486, 5.6040537762019755e-05), (1.0, 0.0)),
 ])
 def test_finite_dim_numbers_are_pinned(matrix, functional, lhs, rhs):
-    # recorded from the SFC64 draws of seed 3 on the n unit-step paths; the
-    # left-hand side is controlled by psi, whose exact mean is -tr A - |A|_F^2 / 2
+    # recorded from the draws of seed 3 on the n unit-step paths, each all
+    # net (n <= 16 cells); the left-hand side is controlled by psi, whose
+    # exact mean is -tr A - |A|_F^2 / 2, and its error is the replicates' one
     r = verify_finite_dim(matrix, functional, n_samples=20_000, seed=3)
     for side, (mean, se) in ((r.lhs, lhs), (r.rhs, rhs)):
         npt.assert_allclose([side.mean, side.std_error], [mean, se], rtol=1e-12)
@@ -1178,7 +1179,8 @@ def test_chunk_blocks_reproduce_the_fresh_chunk(monkeypatch, workers):
     (est,) = _pass(g, 1, 80, 0, 0, per_path)
     assert len(est.chunk_means) == 8 and sorted(blocks) == [1] * 8 + [3] * 24
     for idx, size in enumerate(sc._chunk_sizes(80, 16)):
-        fresh = sample_paths(g, 1, size, 0, stream=(0, idx, g.n_steps))
+        fresh = next(stochastic.path_blocks(g, 1, size, 0, stream=(0, idx, g.n_steps),
+                                            net=((0,), 10 * idx)))
         npt.assert_allclose(est.chunk_means[idx], fresh.value_at_node(g.n_steps)[:, 0].mean(),
                             rtol=1e-13, atol=1e-15)
 
@@ -1390,3 +1392,84 @@ def test_merged_variance_is_stable_for_any_chunking(monkeypatch):
         npt.assert_allclose(est.mean, vals.mean(), rtol=1e-15)
         assert len(drawn) == -(-10_000 // cap)
         assert len(est.chunk_means) == max(1, 10_000 // cap)  # a short last chunk joins one
+
+
+def _replicated(n_paths, per_path, exact):
+    """The estimate of per_path's row 0, controlled by its row 1 against exact, over the
+    left-hand stream on a grid of one step, its error read from the replicates."""
+    merge = partial(sc._merged, scale=1.0, ci_valid=True, controls=[(1, exact)])
+    (out,) = sc._mc_paths((TimeGrid(1.0, 1), 8, 0), [sc._Request(
+        None, n_paths, 1, per_path, partial(sc._moments, replicates=stochastic.REPLICATES),
+        sc._chan, merge)])
+    return out[0]
+
+
+@pytest.mark.parametrize("cap", [1 << 22, 1_000, 45, 7])
+def test_the_replicate_error_is_the_spread_of_the_replicate_estimates(monkeypatch, cap):
+    # path j of replicate j % 32: m_r = y_r - beta (x_r - exact), beta pooled over
+    # every path, and SE^2 = R / (R - 1) sum_r (n_r / n)^2 (m_r - m)^2, whatever
+    # the chunks (cap paths, their first paths no multiples of 32) and blocks,
+    # at an offset of 1e8; the control's z reads the replicate error of x
+    drawn = []
+
+    def per_sample(batch):
+        xi = batch.increments[:, 0, 0]
+        drawn.append(np.stack([1e8 + np.cos(xi) + 0.3 * xi, 1e8 + xi * xi]))
+        return drawn[-1]
+
+    monkeypatch.setattr(sc, "CHUNK_ELEMENTS", cap)
+    monkeypatch.setattr(sc, "PATH_BLOCK", 13)
+    monkeypatch.setattr(sc, "WORKERS", 1)  # the values are drawn in path order
+    n, big = 1_001, 1e8
+    est = _replicated(n, per_sample, big + 1.0)
+    y, x = np.concatenate(drawn, axis=1) - big
+    cov = np.cov(y, x)
+    beta, replicate = cov[0, 1] / cov[1, 1], np.arange(n) % 32
+    share = np.bincount(replicate) / n
+
+    def spread(v):  # per replicate, its share times its mean less the mean
+        return share * (np.bincount(replicate, v) / np.bincount(replicate) - v.mean())
+
+    def se(dev):
+        return np.sqrt(32 / 31 * np.sum(dev * dev))
+    m = y.mean() - beta * (x.mean() - 1.0)
+    npt.assert_allclose(est.mean - big, m, rtol=1e-7)
+    npt.assert_allclose(est.control.beta, beta, rtol=1e-10)
+    npt.assert_allclose(est.std_error, se(spread(y) - beta * spread(x)), rtol=1e-9)
+    npt.assert_allclose(est.control.z, abs(x.mean() - 1.0) / se(spread(x)), rtol=1e-9)
+
+
+@pytest.mark.parametrize("n_paths", [3, 20, 32])
+def test_at_most_one_path_per_replicate_gives_the_plain_error(n_paths):
+    # n <= 32 paths are n one-path replicates: the plain residual error on
+    # n - 2 degrees of freedom, as with independent paths
+    drawn = []
+
+    def per_sample(batch):
+        xi = batch.increments[:, 0, 0]
+        drawn.append(np.stack([np.cos(xi) + 0.3 * xi, xi * xi]))
+        return drawn[-1]
+    est = _replicated(n_paths, per_sample, 1.0)
+    y, x = np.concatenate(drawn, axis=1)
+    cov = np.cov(y, x)
+    beta = cov[0, 1] / cov[1, 1]
+    residual = (cov[0, 0] - beta * cov[0, 1]) * (n_paths - 1) / (n_paths - 2)
+    npt.assert_allclose(est.std_error ** 2 * n_paths, residual, rtol=1e-10)
+    npt.assert_allclose(est.control.z, abs(x.mean() - 1.0) / np.sqrt(cov[1, 1] / n_paths),
+                        rtol=1e-10)
+
+
+def test_the_replicate_error_is_calibrated():
+    # cameron_martin of const:c=1 at N = 16 is exact on the grid and all net:
+    # over 24 seeds the spread of the estimates is the reported error's,
+    # which reads 32 replicates of 64 paths each
+    g = make_grid(1.0, 16)
+    reports = [verify_cameron_martin("const:c=1", "cos_end:1.0", g, n_paths=2_048, seed=seed)
+               for seed in range(24)]
+    means = np.array([r.lhs.mean for r in reports])
+    errors = np.array([r.lhs.std_error for r in reports])
+    assert all(r.passed for r in reports)
+    assert 0.6 <= np.std(means, ddof=1) / errors.mean() <= 1.6
+    # the net: the error is far below the plain error of as many paths
+    plain = _pass(g, 1, 2_048, 0, 0, lambda b: np.cos(b.value_at_node(16)[:, 0]))[0]
+    assert errors.mean() < 0.5 * plain.std_error

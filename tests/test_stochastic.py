@@ -111,6 +111,84 @@ def test_a_draw_holds_the_draw_of_fewer_paths_and_components(grid):
         assert np.isnan(stair[n:, :, a]).all()
 
 
+def _net_draw(grid, dim, n_paths, rows=None, first=0):
+    """The increments of a draw whose coarse cells come from the net of
+    stream (0,), from its path first on."""
+    return np.concatenate([block.increments.copy() for block in stochastic.path_blocks(
+        grid, dim, n_paths, 4, stream=(0, 2, grid.n_steps), rows=rows, net=((0,), first))])
+
+
+def test_the_sobol_points_are_scipys():
+    # Joe and Kuo's direction numbers, streamed from the table scipy ships,
+    # give scipy's unscrambled sequence in its Gray-code order
+    from scipy.stats import qmc
+
+    directions, n = stochastic._sobol_directions(40), 256
+    index = np.arange(n, dtype=np.uint64)
+    gray = index ^ (index >> np.uint64(1))
+    points = np.zeros((n, 40), dtype=np.uint64)
+    for b in range(8):
+        points ^= directions[b] * ((gray >> np.uint64(b)) & np.uint64(1))[:, None]
+    npt.assert_array_equal(points / 2.0 ** 32, qmc.Sobol(40, scramble=False).random(n))
+
+
+@pytest.mark.parametrize("n_steps", [5, 16, 100, 256])
+def test_the_bridge_gives_independent_cell_sums(n_steps):
+    # the cell sums A z have covariance diag(cell sizes), in steps: the
+    # increments of W over the cells, at their true times
+    groups, bridge = stochastic._bridge(n_steps)
+    sizes = np.concatenate([[size] * count for _, _, count, size in groups])
+    assert len(sizes) == min(16, n_steps) and sizes.sum() == n_steps
+    assert [(step, cell) for step, cell, *_ in groups] == [
+        (int(sizes[:cell].sum()), cell) for _, cell, *_ in groups]
+    npt.assert_allclose(bridge @ bridge.T, np.diag(sizes), atol=1e-12)
+
+
+@pytest.mark.parametrize("n_steps", [16, 100, 256])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_net_draw_has_the_law_of_the_grid(n_steps, dim):
+    # every step is N(0, Delta) and no two steps, cells or components
+    # covary, within six standard errors of a plain draw of as many paths:
+    # the components read disjoint Sobol dimensions (two shifts of shared
+    # ones correlate the two components' W(T) by 0.13)
+    g, n = make_grid(1.0, n_steps), 8192
+    unit = _net_draw(g, dim, n, rows=1000) / np.sqrt(g.step)
+    tol = 6.0 / np.sqrt(n)
+    flat = unit.reshape(n, -1)
+    cov = flat.T @ flat / n  # about the known mean 0
+    assert np.max(np.abs(np.diag(cov) - 1.0)) <= tol * np.sqrt(2.0)
+    assert np.max(np.abs(cov - np.diag(np.diag(cov)))) <= tol
+    groups, _ = stochastic._bridge(n_steps)
+    starts = [step + c * size for step, _, count, size in groups for c in range(count)]
+    sizes = np.diff(starts + [n_steps])
+    cells = (np.add.reduceat(unit, starts, axis=1) / np.sqrt(sizes)[:, None]).reshape(n, -1)
+    npt.assert_allclose(cells.T @ cells / n, np.eye(cells.shape[1]), atol=tol)
+
+
+@pytest.mark.parametrize("n_steps", [16, 100, 256])
+def test_a_net_draw_holds_the_draw_of_fewer_paths_and_components(n_steps):
+    # a path's bits depend on its chunk generators, its component and its
+    # index in the stream alone: not on the block plan, the path count or
+    # the components drawn beside it
+    g = make_grid(1.0, n_steps)
+    whole = _net_draw(g, 3, 70, rows=9, first=37)
+    for n, d, rows in ((70, 3, None), (70, 1, 70), (33, 2, 5), (1, 1, None), (45, 3, 64)):
+        part = _net_draw(g, d, n, rows=rows, first=37)
+        assert np.ascontiguousarray(whole[:n, :, :d]).tobytes() == part.tobytes()
+    stair = np.concatenate([block.increments.copy() for block in stochastic.path_blocks(
+        g, 3, (70, 40, 3), 4, stream=(0, 2, n_steps), rows=16, net=((0,), 37))])
+    for a, n in enumerate((70, 40, 3)):
+        assert stair[:n, :, a].tobytes() == whole[:n, :, a].tobytes()
+        assert np.isnan(stair[n:, :, a]).all()
+    # the cell sums of path j are the net's, whatever chunk draws it
+    groups, _ = stochastic._bridge(n_steps)
+    starts = [step + c * size for step, _, count, size in groups for c in range(count)]
+    later = _net_draw(g, 2, 57, rows=8, first=50)
+    npt.assert_allclose(np.add.reduceat(later, starts, axis=1),
+                        np.add.reduceat(whole[13:, :, :2], starts, axis=1), rtol=0, atol=1e-14)
+    assert not np.array_equal(later, whole[13:, :, :2])  # another chunk: other residuals
+
+
 @pytest.mark.parametrize("counts", [(0, 0), (3, 4), (3, -1), (3,), (3, 2, 1)])
 def test_component_counts_are_checked(grid, counts):
     # one count per component, non-increasing, the first at least 1

@@ -5,10 +5,11 @@
 
 Each seed is one `orderone run --config CONFIG --seed S`, written to a
 temporary directory.  Prints one line per report and seed: its z, rel_error,
-verdict and the z of its control's sample mean against its exact grid mean
-(`-` where a value is absent: a CI-less report has no z, an uncontrolled one
-no control), then per report the range of z and of rel_error over the seeds,
-its largest control z and its count of passes.  Standard library and
+the standard error of its left-hand side, its verdict and the z of its
+control's sample mean against its exact grid mean (`-` where a value is
+absent: a CI-less report has no z or error, an uncontrolled one no
+control), then per report the range of z, of rel_error and of the standard
+error over the seeds, its largest control z and its count of passes.  Standard library and
 `orderone` only; the `src` of this checkout is searched first.
 """
 
@@ -54,10 +55,11 @@ def run_seed(config: str, seed: int) -> list[dict]:
 
 
 def row(report: dict) -> tuple:
-    """(z, rel_error, verdict, control z) of one report; None where absent."""
-    control = report["checks"].get("control_mean")
-    return (report["z_score"], report["rel_error"], report["verdict"],
-            control["value"] if control else None)
+    """(z, rel_error, standard error, verdict, control z) of one report; None
+    where absent."""
+    control, lhs = report["checks"].get("control_mean"), report["lhs"]
+    return (report["z_score"], report["rel_error"], lhs["std_error"] if lhs else None,
+            report["verdict"], control["value"] if control else None)
 
 
 def _fmt(value) -> str:
@@ -75,23 +77,25 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=_seeds, required=True, help="A-B, inclusive")
     args = parser.parse_args(argv)
 
-    rows = {}  # report name -> [(seed, z, rel_error, verdict, control z)]
+    rows = {}  # report name -> [(seed, z, rel_error, se, verdict, control z)]
     for seed in args.seeds:
         for report in run_seed(args.config, seed):
             rows.setdefault(report["name"], []).append((seed, *row(report)))
     width = max(map(len, rows))
-    print(f"{'report':<{width}}  seed  {'z':>8}  {'rel_error':>9}  {'verdict':<8}  control_z")
+    print(f"{'report':<{width}}  seed  {'z':>8}  {'rel_error':>9}  {'se':>9}  {'verdict':<8}  "
+          f"control_z")
     for name, lines in rows.items():
-        for seed, z, rel, verdict, cz in lines:
-            print(f"{name:<{width}}  {seed:>4}  {_fmt(z):>8}  {_fmt(rel):>9}  {verdict:<8}  "
-                  f"{_fmt(cz)}")
+        for seed, z, rel, se, verdict, cz in lines:
+            print(f"{name:<{width}}  {seed:>4}  {_fmt(z):>8}  {_fmt(rel):>9}  {_fmt(se):>9}  "
+                  f"{verdict:<8}  {_fmt(cz)}")
     print()
-    print(f"{'report':<{width}}  {'z':>13}  {'rel_error':>19}  {'max control_z':>13}  passes")
+    print(f"{'report':<{width}}  {'z':>13}  {'rel_error':>19}  {'se':>19}  {'max control_z':>13}  "
+          f"passes")
     for name, lines in rows.items():
-        _, zs, rels, verdicts, czs = zip(*lines)
+        _, zs, rels, ses, verdicts, czs = zip(*lines)
         czs = [c for c in czs if c is not None]
         passes = sum(v == "pass" for v in verdicts)
-        print(f"{name:<{width}}  {_span(zs):>13}  {_span(rels):>19}  "
+        print(f"{name:<{width}}  {_span(zs):>13}  {_span(rels):>19}  {_span(ses):>19}  "
               f"{_fmt(max(czs) if czs else None):>13}  {passes}/{len(lines)}")
     return 0
 
