@@ -192,10 +192,14 @@ def test_run_of_a_surjective_scenario_is_one_family(tmp_path, grid, monkeypatch,
         drawn.append(kwargs["stream"])
         return path_blocks(*args, **kwargs)
     monkeypatch.setattr(stochastic, "path_blocks", recorded)
-    # a verdict may fail: at N = 32 the identity of factor 1 with cos_end has a
-    # grid bias of 0.86%, 1.2 of its standard errors at 1,000 paths; the run
-    # writes the reports of the factors verified alone, verdicts included
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) in (0, 1)
+    # the scenario's own identity may fail: at N = 32 its grid bias is 0.86%
+    # with cos_end, 1.3 of its standard errors at 1,000 paths; every Laplace
+    # factor passes, and the exit code is that of the verdicts
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"])
+    verdicts = {r["name"]: r["verdict"] for r in json.loads((tmp_path / "reports.json").read_text())}
+    own = verdicts.pop("sq")
+    assert own in ("pass", "fail") and list(verdicts.values()) == ["pass"] * 3
+    assert code == (0 if own == "pass" else 1)
     assert calls.orders == [("eigh", 1)] + [("lu_factor", 1)] * 4
     assert sorted(drawn) == [(0, idx, 32) for idx in range(5)]  # the left-hand side alone
 
