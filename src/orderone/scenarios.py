@@ -307,7 +307,10 @@ def _moments(vals: np.ndarray, start: int, acc: tuple | None = None,
     So values that share a large offset keep the precision of their
     deviations.  The products are summed by einsum's own loop: a BLAS
     product would start threads of its own inside the chunk threads.  acc's
-    arrays are updated in place."""
+    arrays are updated in place.  The runner's passes split every path
+    among stochastic.REPLICATES; the default, one replicate, is the plain
+    reduction of independent paths, which only the reduction's own tests
+    read."""
     vals = np.atleast_2d(vals)
     rows, n = vals.shape
     if acc is None:

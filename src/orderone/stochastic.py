@@ -20,15 +20,17 @@ cell sums of each path and component come from a randomised Sobol point,
 and the generator's normals only fill in each cell (Caflisch, Morokoff and
 Owen, J. Comput. Finance 1, 1997, for the bridge; L'Ecuyer and Lemieux,
 2002, for the replicates).  Path j of the stream is in replicate j % R (R =
-REPLICATES = 32) and reads Sobol point j // R: component a reads dimensions
-a K .. a K + K - 1 of one unscrambled sequence (the direction numbers of
-Joe and Kuo, SIAM J. Sci. Comput. 30, 2008, read in part from the table
-scipy ships), XORed with replicate r's digital shift, 64 random bits per
-dimension from the SFC64 generator seeded by SeedSequence([seed, stream id,
-N, a, R, K]).  ndtri maps each coordinate to a standard normal, and a
+REPLICATES = 32) and reads Sobol point j // R: component a < NET_COMPONENTS
+= 8 reads dimensions a K .. a K + K - 1 of one unscrambled sequence (the
+direction numbers of Joe and Kuo, SIAM J. Sci. Comput. 30, 2008, whose first
+128 dimensions `_sobol_table` holds), XORed with replicate r's digital
+shift, 64 random bits per dimension from the SFC64 generator seeded by
+SeedSequence([seed, stream id, N, a, R, K]); further components are drawn
+as without a net.  ndtri maps each coordinate to a standard normal, and a
 Brownian bridge over the cells' end nodes at their true times (W(T) first,
 then midpoints, coarsest first) to the cell sums S; within a cell of m
-steps, dW_i = sqrt(Delta) (z_i - mean of z over the cell) + S / m.  The
+steps, dW_i = sqrt(Delta) (z_i - mean of z over the cell) + S / m, and a
+grid of N <= K steps, all cells of one step, reads no normal at all.  The
 shift makes every coordinate of a path uniform, so each path is exactly
 N(0, Delta I) on the grid; the paths of one replicate are one randomised
 net and the replicates are independent, so a standard error is read from
@@ -119,7 +121,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-import os
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -223,8 +224,10 @@ def path_blocks(grid: TimeGrid, dim: int, n_paths, seed: int, stream: tuple = ()
     of the stream net_key: each component's K = min(NET_CELLS, N) coarse
     cell sums come from Sobol point j // REPLICATES under the digital shift
     of replicate j % REPLICATES (`_CoarseNet`), and the generator's normals
-    keep only their deviation from each cell's mean.  A path's bits depend
-    only on the keys, its component and j.
+    keep only their deviation from each cell's mean; a path of N <= K steps
+    is the net's alone, and reads no normal.  Components from NET_COMPONENTS
+    on are drawn as without a net.  A path's bits depend only on the keys,
+    its component and j.
 
     Every block is drawn from the generators into one buffer of rows paths,
     so the blocks together hold the bits of the whole batch, and each block
@@ -243,6 +246,7 @@ def path_blocks(grid: TimeGrid, dim: int, n_paths, seed: int, stream: tuple = ()
     rngs = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(key + [a] * (a > 0))))
             for a in range(dim)]
     coarse = None if net is None else _CoarseNet(grid, dim, total, seed, *net)
+    netted = 0 if coarse is None else len(coarse.shifts)  # the components under the net
     buf = np.empty((min(rows, total), grid.n_steps, dim))
     # one component's draw: a dim-1 draw is the buffer itself
     part = buf[:, :, 0] if dim == 1 else np.empty(buf.shape[:2])
@@ -250,16 +254,20 @@ def path_blocks(grid: TimeGrid, dim: int, n_paths, seed: int, stream: tuple = ()
         inc = buf[:total - start]  # the head of the buffer: contiguous
         for a, rng in enumerate(rngs):
             m = min(len(inc), max(0, counts[a] - start))
-            rng.standard_normal(out=part[:m])
-            if coarse is None:
-                np.multiply(part[:m], np.sqrt(grid.step), out=inc[:m, :, a])  # interleaved
-            else:
+            if a < netted and coarse.whole:  # the net is the whole path: no normal is read
+                coarse.fill(inc[:m], a, None, start)
+            elif a < netted:
+                rng.standard_normal(out=part[:m])
                 coarse.fill(inc[:m], a, part[:m], start)
+            else:
+                rng.standard_normal(out=part[:m])
+                np.multiply(part[:m], np.sqrt(grid.step), out=inc[:m, :, a])  # interleaved
             inc[m:, :, a] = np.nan
         yield PathBatch(grid, dim, inc, int(seed), tuple(stream))
 
 
 NET_CELLS = 16  # K: the coarse cells per component whose sums the net draws
+NET_COMPONENTS = 8  # of a path: the further ones are the generators' alone
 REPLICATES = 32  # R: independent digital shifts, path j under shift j % R
 _SOBOL_BITS = 32  # of every Sobol coordinate, above 32 bits of the shift alone
 SAMPLER = f"sobol{NET_CELLS}-bridge/sfc64"  # the draw, as the reports name it
@@ -267,28 +275,15 @@ SAMPLER = f"sobol{NET_CELLS}-bridge/sfc64"  # the draw, as the reports name it
 
 @lru_cache(maxsize=None)
 def _sobol_directions(n_dims: int) -> np.ndarray:
-    """The direction numbers of the first n_dims dimensions of the Sobol
-    sequence of Joe and Kuo (new-joe-kuo-6.21201, the table scipy ships), as
-    (_SOBOL_BITS, n_dims) uint64: row b is the word XORed into a point whose
-    Gray-code index has bit b set, its most significant bit the first.
+    """The direction numbers of the first n_dims <= 128 dimensions of the
+    Sobol sequence of Joe and Kuo (`_sobol_table`), as (_SOBOL_BITS, n_dims)
+    uint64: row b is the word XORed into a point whose Gray-code index has
+    bit b set, its most significant bit the first."""
+    from ._sobol_table import JOE_KUO
 
-    Only the first n_dims entries of the table's columns are kept: the
-    table is streamed from scipy's archive, never loaded whole, and
-    `scipy.stats` is not imported."""
-    import zipfile
-
-    import scipy
-
-    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
-    with zipfile.ZipFile(path) as archive:
-        poly = _npy_head(archive, "poly.npy", n_dims)
-        # the initial m_j of a dimension are as many as its polynomial's degree
-        vinit = _npy_head(archive, "vinit.npy", n_dims, max(int(p).bit_length() for p in poly))
     v = np.ones((n_dims, _SOBOL_BITS), dtype=np.uint64)  # dimension 0: every m_j = 1
-    for k in range(1, n_dims):
-        p = int(poly[k])
-        s = p.bit_length() - 1  # the degree of the primitive polynomial
-        m = [int(x) for x in vinit[k, :s]]
+    for k, (p, *m) in enumerate(JOE_KUO[:n_dims - 1], start=1):
+        s = len(m)  # the degree of the primitive polynomial p
         for j in range(s, _SOBOL_BITS):  # m_j = m_{j-s} ^ sum_i 2^i a_i m_{j-i}
             new = m[j - s]
             for i in range(s):
@@ -298,25 +293,6 @@ def _sobol_directions(n_dims: int) -> np.ndarray:
         v[k] = m
     v <<= np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint64)
     return np.ascontiguousarray(v.T)
-
-
-def _npy_head(archive, name: str, n: int, columns: int = 1) -> np.ndarray:
-    """The first n rows and first columns columns of the 1-D or 2-D .npy
-    array name of a zip archive, read as a stream, a column-major table
-    column by column."""
-    with archive.open(name) as fh:
-        if np.lib.format.read_magic(fh) != (1, 0):
-            raise PreconditionError(f"unexpected format of the Sobol table {name}")
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        if len(shape) == 1:
-            return np.frombuffer(fh.read(n * dtype.itemsize), dtype)
-        if not fortran:  # the first n rows lead
-            return np.frombuffer(fh.read(n * shape[1] * dtype.itemsize), dtype).reshape(n, -1)
-        out = np.empty((n, min(columns, shape[1])), dtype)
-        for c in range(out.shape[1]):
-            out[:, c] = np.frombuffer(fh.read(n * dtype.itemsize), dtype)
-            fh.seek((shape[0] - n) * dtype.itemsize, os.SEEK_CUR)  # past the column's rest
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +324,7 @@ def _bridge(n_steps: int) -> tuple:
 
 class _CoarseNet:
     """The coarse cells of the paths first .. first + n_paths - 1 of the
-    stream net_key, per component (see `path_blocks`).
+    stream net_key, per component a < NET_COMPONENTS (see `path_blocks`).
 
     Component a reads dimensions a K .. a K + K - 1 of one unscrambled Sobol
     sequence, so no two components share a dimension, under the digital
@@ -357,12 +333,14 @@ class _CoarseNet:
     a one-entry net_key, where a chunk generator's key has four or five, so
     no chunk generator shares it.  A point's 32 bits XOR the shift's top 32,
     its low 32 bits are the shift's alone, and the 52 leading bits, centred
-    in their cell, are mapped through ndtri and the bridge of `_bridge`."""
+    in their cell, are mapped through ndtri and the bridge of `_bridge`.
+    whole: every cell is one step (N <= K), so the net is the whole path."""
 
     def __init__(self, grid: TimeGrid, dim: int, n_paths: int, seed: int, net_key: tuple,
                  first: int):
         self.groups, self.bridge = _bridge(grid.n_steps)
         self.first, self.sqrt_step, k = int(first), np.sqrt(grid.step), len(self.bridge)
+        self.whole, dim = k == grid.n_steps, min(dim, NET_COMPONENTS)
         self.shifts = [np.random.SFC64(np.random.SeedSequence(
             [int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, net_key), grid.n_steps, a, REPLICATES, k]
         )).random_raw(REPLICATES * k).reshape(REPLICATES, k) for a in range(dim)]
@@ -377,14 +355,15 @@ class _CoarseNet:
         points <<= np.uint64(64 - _SOBOL_BITS)
         self.points = points.reshape(len(index), 1, dim, k)
 
-    def fill(self, out: np.ndarray, a: int, z: np.ndarray, start: int):
-        """Write component a of the paths first + start .. of out, shape (m,
-        N, dim), from their generator normals z, shape (m, N): within each
-        cell sqrt(Delta) (z_i - the cell mean of z), plus the cell's sum
-        from the net over its steps.  z is overwritten."""
+    def fill(self, out: np.ndarray, a: int, z: np.ndarray | None, start: int):
+        """Write component a of the m paths first + start .. of out, shape
+        (m, N, dim), from their generator normals z, shape (m, N): within
+        each cell sqrt(Delta) (z_i - the cell mean of z), plus the cell's
+        sum from the net over its steps.  z is overwritten; it is None when
+        every cell is one step (`whole`), as it would read 0 throughout."""
         from scipy.special import ndtri
 
-        m = len(z)
+        m = len(out)
         point, lead = divmod(self.first + start, REPLICATES)
         point -= self.lo
         # points x replicates, in path order: path first + start + i is row lead + i
@@ -396,6 +375,9 @@ class _CoarseNet:
         u *= 2.0 ** -53
         # einsum's own loop, not BLAS: the same bits for a path in a block of any size
         cells = np.einsum("mk,lk->ml", ndtri(u, out=u), self.bridge)
+        if z is None:
+            np.multiply(cells, self.sqrt_step, out=out[:, :, a])
+            return
         for step, cell, count, size in self.groups:
             within = z[:, step:step + count * size].reshape(m, count, size)
             shift = cells[:, cell:cell + count]

@@ -40,6 +40,44 @@ def rank1_exp_q_moment(a: float) -> float:
     return float(((1.0 - a) * np.exp(a)) ** -0.5)
 
 
+def exact_grid_lhs(s, side) -> float:
+    """The left-hand side e^{log_scale} E[f(w') e^{c q}] of a row of scenario s on
+    its own grid, in closed form (Mathai and Provost, Quadratic Forms in Random
+    Variables, 1992): with dW = sqrt(Delta) xi and c q = 1/2 xi^T A xi, it is
+    det(I - A)^{-1/2} E[f] for the node value dW G that f reads, normal with
+    covariance Delta G^T (I - A)^{-1} G.  A is read off the side's own exponent by
+    polarisation over (N d)^2 paths, so N d must be small."""
+    g, d = s.grid, s.kernel.dim
+    n = g.n_steps * d
+    eye = np.eye(n)
+    basis = np.concatenate([eye, (eye[:, None] + eye[None]).reshape(-1, n)])
+    q = side.exponent(stochastic.PathBatch(g, d, basis.reshape(-1, g.n_steps, d), 0))
+    single, pair = q[:n], q[n:].reshape(n, n)
+    tilt = eye - side.c * g.step * (pair - single[:, None] - single[None, :])
+    assert np.linalg.eigvalsh(tilt).min() > 0  # the grid's own gate
+    f = side.f or s.f
+    node = f.node(g)
+    if node is None:
+        cov = np.zeros((d, d))
+    else:
+        w = (np.kron((np.arange(g.n_steps) < node)[:, None], np.eye(d)) if side.kernel is None
+             else stochastic.node_weights(side.kernel, node))
+        cov = g.step * (w.T @ np.linalg.solve(tilt, w))
+    return float(np.exp(side.log_scale - 0.5 * np.linalg.slogdet(tilt)[1]) * f.mean(cov))
+
+
+def spy_rows(monkeypatch) -> dict:
+    """Per report name, (scenario, left-hand side) of each identity row that runs."""
+    rows, identity = {}, sc.Scenario.identity
+
+    def recorded(self, these, extra=(), probes=()):
+        these = list(these)
+        rows.update((report.name, (self, lhs)) for report, lhs, _ in these)
+        return (yield from identity(self, these, extra, probes))
+    monkeypatch.setattr(sc.Scenario, "identity", recorded)
+    return rows
+
+
 def _pass(grid, dim, n_paths, seed, stream_id, per_path):
     """The estimates of per_path's rows over one stream, as one side's pass;
     the exception per_path raised is raised."""
@@ -1395,13 +1433,14 @@ def test_merged_variance_is_stable_for_any_chunking(monkeypatch):
 
 
 def _replicated(n_paths, per_path, exact):
-    """The estimate of per_path's row 0, controlled by its row 1 against exact, over the
-    left-hand stream on a grid of one step, its error read from the replicates."""
-    merge = partial(sc._merged, scale=1.0, ci_valid=True, controls=[(1, exact)])
+    """The estimates of per_path's row 0, controlled by its row 1 against exact, and of
+    its row 1 alone, over the left-hand stream on a grid of one step, their errors read
+    from the replicates."""
+    merge = partial(sc._merged, scale=1.0, ci_valid=True, controls=[(1, exact), None])
     (out,) = sc._mc_paths((TimeGrid(1.0, 1), 8, 0), [sc._Request(
         None, n_paths, 1, per_path, partial(sc._moments, replicates=stochastic.REPLICATES),
         sc._chan, merge)])
-    return out[0]
+    return out
 
 
 @pytest.mark.parametrize("cap", [1 << 22, 1_000, 45, 7])
@@ -1409,7 +1448,8 @@ def test_the_replicate_error_is_the_spread_of_the_replicate_estimates(monkeypatc
     # path j of replicate j % 32: m_r = y_r - beta (x_r - exact), beta pooled over
     # every path, and SE^2 = R / (R - 1) sum_r (n_r / n)^2 (m_r - m)^2, whatever
     # the chunks (cap paths, their first paths no multiples of 32) and blocks,
-    # at an offset of 1e8; the control's z reads the replicate error of x
+    # at an offset of 1e8; the control's z reads the replicate error of x, and
+    # x alone has the plain mean and the replicate error of its own spread
     drawn = []
 
     def per_sample(batch):
@@ -1421,7 +1461,7 @@ def test_the_replicate_error_is_the_spread_of_the_replicate_estimates(monkeypatc
     monkeypatch.setattr(sc, "PATH_BLOCK", 13)
     monkeypatch.setattr(sc, "WORKERS", 1)  # the values are drawn in path order
     n, big = 1_001, 1e8
-    est = _replicated(n, per_sample, big + 1.0)
+    est, alone = _replicated(n, per_sample, big + 1.0)
     y, x = np.concatenate(drawn, axis=1) - big
     cov = np.cov(y, x)
     beta, replicate = cov[0, 1] / cov[1, 1], np.arange(n) % 32
@@ -1437,6 +1477,9 @@ def test_the_replicate_error_is_the_spread_of_the_replicate_estimates(monkeypatc
     npt.assert_allclose(est.control.beta, beta, rtol=1e-10)
     npt.assert_allclose(est.std_error, se(spread(y) - beta * spread(x)), rtol=1e-9)
     npt.assert_allclose(est.control.z, abs(x.mean() - 1.0) / se(spread(x)), rtol=1e-9)
+    assert alone.control is None
+    npt.assert_allclose(alone.mean, np.mean(big + x), rtol=1e-15)
+    npt.assert_allclose(alone.std_error, se(spread(x)), rtol=1e-9)
 
 
 @pytest.mark.parametrize("n_paths", [3, 20, 32])
@@ -1449,7 +1492,7 @@ def test_at_most_one_path_per_replicate_gives_the_plain_error(n_paths):
         xi = batch.increments[:, 0, 0]
         drawn.append(np.stack([np.cos(xi) + 0.3 * xi, xi * xi]))
         return drawn[-1]
-    est = _replicated(n_paths, per_sample, 1.0)
+    est = _replicated(n_paths, per_sample, 1.0)[0]
     y, x = np.concatenate(drawn, axis=1)
     cov = np.cov(y, x)
     beta = cov[0, 1] / cov[1, 1]
@@ -1457,6 +1500,27 @@ def test_at_most_one_path_per_replicate_gives_the_plain_error(n_paths):
     npt.assert_allclose(est.std_error ** 2 * n_paths, residual, rtol=1e-10)
     npt.assert_allclose(est.control.z, abs(x.mean() - 1.0) / np.sqrt(cov[1, 1] / n_paths),
                         rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_steps, run", [
+    (32, lambda g: verify_gencv_example(g, functional="one", n_paths=100_000, seed=3)),
+    (32, lambda g: verify_surjective("rank1:b=0.3", "cos_end:1.0", g, n_paths=100_000, seed=3)),
+    (16, lambda g: verify_transf("const:c=0.3", "cos_end:1.0", g, 2, n_paths=100_000, seed=3)),
+    (16, lambda g: verify_harmonic("expdiag:p=[0.5,-0.5]", 0.5, grid=g, dim=2,
+                                   n_paths=100_000, seed=3)),
+], ids=["gencv", "surjective", "transf_d2", "harmonic_d2"])
+def test_the_exact_grid_value_is_the_monte_carlo_limit(monkeypatch, n_steps, run):
+    # the closed form of a left-hand side on its grid is what its estimate
+    # converges to, within 4 of its standard errors at N d = 32, whatever its
+    # grid bias against the right-hand side (6% for gencv's f = one at N =
+    # 32); harmonic's right-hand side is its grid's own determinant
+    rows = spy_rows(monkeypatch)
+    report = run(make_grid(1.0, n_steps))
+    s, side = rows[report.name]
+    exact = exact_grid_lhs(s, side)
+    assert abs(report.lhs.mean - exact) <= 4.0 * report.lhs.std_error
+    if report.kind == "harmonic":
+        npt.assert_allclose(exact, report.rhs.mean, rtol=1e-12)
 
 
 def test_the_replicate_error_is_calibrated():

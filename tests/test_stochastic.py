@@ -119,17 +119,43 @@ def _net_draw(grid, dim, n_paths, rows=None, first=0):
 
 
 def test_the_sobol_points_are_scipys():
-    # Joe and Kuo's direction numbers, streamed from the table scipy ships,
-    # give scipy's unscrambled sequence in its Gray-code order
+    # Joe and Kuo's direction numbers, the 128 dimensions the repository
+    # holds, give scipy's unscrambled sequence in its Gray-code order, over
+    # 4,096 points: direction bits 0 to 11, past the 3,125 points that
+    # 100,000 paths of 32 replicates read
     from scipy.stats import qmc
 
-    directions, n = stochastic._sobol_directions(40), 256
+    n_dims, n = stochastic.NET_CELLS * stochastic.NET_COMPONENTS, 4096
+    directions = stochastic._sobol_directions(n_dims)
     index = np.arange(n, dtype=np.uint64)
     gray = index ^ (index >> np.uint64(1))
-    points = np.zeros((n, 40), dtype=np.uint64)
-    for b in range(8):
+    points = np.zeros((n, n_dims), dtype=np.uint64)
+    for b in range(12):
         points ^= directions[b] * ((gray >> np.uint64(b)) & np.uint64(1))[:, None]
-    npt.assert_array_equal(points / 2.0 ** 32, qmc.Sobol(40, scramble=False).random(n))
+    npt.assert_array_equal(points / 2.0 ** 32, qmc.Sobol(n_dims, scramble=False).random(n))
+
+
+@pytest.mark.parametrize("n_steps, whole", [(2, True), (16, True), (17, False), (100, False)])
+def test_a_grid_of_at_most_16_steps_is_the_nets_alone(n_steps, whole):
+    # every cell is one step, so no normal of the chunk generators is read:
+    # another chunk key gives the same bits; past 16 steps it gives others
+    g = make_grid(1.0, n_steps)
+
+    def draw(chunk):
+        return np.concatenate([block.increments.copy() for block in stochastic.path_blocks(
+            g, 2, 40, 4, stream=(0, chunk, n_steps), rows=16, net=((0,), 5))])
+    assert (draw(2).tobytes() == draw(3).tobytes()) == whole
+
+
+def test_components_past_the_nets_are_the_generators_alone():
+    # components 0 .. 7 read the net, component 8 on are drawn as without one
+    g, d = make_grid(1.0, 32), stochastic.NET_COMPONENTS + 2
+    plain = stochastic.sample_paths(g, d, 50, 4, stream=(0, 2, 32)).increments
+    net = stochastic.path_blocks(g, d, 50, 4, stream=(0, 2, 32), net=((0,), 0))
+    got = next(net).increments
+    k = stochastic.NET_COMPONENTS
+    assert got[:, :, k:].tobytes() == np.ascontiguousarray(plain[:, :, k:]).tobytes()
+    assert not np.isclose(got[:, :, :k], plain[:, :, :k]).any()
 
 
 @pytest.mark.parametrize("n_steps", [5, 16, 100, 256])
@@ -186,7 +212,8 @@ def test_a_net_draw_holds_the_draw_of_fewer_paths_and_components(n_steps):
     later = _net_draw(g, 2, 57, rows=8, first=50)
     npt.assert_allclose(np.add.reduceat(later, starts, axis=1),
                         np.add.reduceat(whole[13:, :, :2], starts, axis=1), rtol=0, atol=1e-14)
-    assert not np.array_equal(later, whole[13:, :, :2])  # another chunk: other residuals
+    # another chunk: other residuals, unless every cell is one step
+    assert np.array_equal(later, whole[13:, :, :2]) == (n_steps <= 16)
 
 
 @pytest.mark.parametrize("counts", [(0, 0), (3, 4), (3, -1), (3,), (3, 2, 1)])
