@@ -254,11 +254,9 @@ def path_blocks(grid: TimeGrid, dim: int, n_paths, seed: int, stream: tuple = ()
         inc = buf[:total - start]  # the head of the buffer: contiguous
         for a, rng in enumerate(rngs):
             m = min(len(inc), max(0, counts[a] - start))
-            if a < netted and coarse.whole:  # the net is the whole path: no normal is read
-                coarse.fill(inc[:m], a, None, start)
-            elif a < netted:
-                rng.standard_normal(out=part[:m])
-                coarse.fill(inc[:m], a, part[:m], start)
+            if a < netted:  # no normal is read where the net is the whole path
+                z = None if coarse.whole else rng.standard_normal(out=part[:m])
+                coarse.fill(inc[:m], a, z, start)
             else:
                 rng.standard_normal(out=part[:m])
                 np.multiply(part[:m], np.sqrt(grid.step), out=inc[:m, :, a])  # interleaved
